@@ -43,8 +43,10 @@ from .rationals import (
     Mat2Q,
     conjugate_to_integral,
     is_unimodular_integral_class,
+    matrix_order,
     mult_rank,
     prime_factors,
+    primes_of,
     radical_of,
     rational_valuation,
 )
@@ -195,20 +197,6 @@ class ClassificationReport:
 # --- matrix module analysis -------------------------------------------------
 
 
-def _matrix_order(m: Mat2Q, cap: int = 6) -> Optional[int]:
-    """Multiplicative order of m, or None if larger than cap.
-
-    Finite-order elements of GL(2,Q) have order 1, 2, 3, 4, or 6, so the
-    default cap is exact.
-    """
-    power = Mat2Q.identity()
-    for k in range(1, cap + 1):
-        power = power * m
-        if power == Mat2Q.identity():
-            return k
-    return None
-
-
 def _is_plus_minus_unipotent(m: Mat2Q) -> bool:
     for sign in (1, -1):
         shifted = Mat2Q(m.a - sign, m.b, m.c, m.d - sign)
@@ -316,11 +304,9 @@ def _section_label(modulus: int) -> str:
 
 def _valuation_rows(r1: Fraction, r2: Fraction) -> list[tuple[int, int, int]]:
     """(p, v_p(r1), v_p(r2)) for every prime of either ratio."""
-    primes = set(prime_factors(r1.numerator)) | set(prime_factors(r1.denominator))
-    primes |= set(prime_factors(r2.numerator)) | set(prime_factors(r2.denominator))
     return [
         (p, rational_valuation(r1, p), rational_valuation(r2, p))
-        for p in sorted(primes)
+        for p in sorted(primes_of(r1, r2))
     ]
 
 
@@ -585,8 +571,8 @@ def _analyze_affine(desc: AffineQ2) -> _AffineData:
             composite = distinct[0]
         elif (
             len(distinct) == 2
-            and all(m.det() == -1 and _matrix_order(m) == 2 for m in distinct)
-            and _matrix_order(distinct[0] * distinct[1]) is None
+            and all(m.det() == -1 and matrix_order(m) == 2 for m in distinct)
+            and matrix_order(distinct[0] * distinct[1]) is None
         ):
             image = "dinfty"
             composite = distinct[0] * distinct[1]
@@ -702,7 +688,7 @@ def radical_info(desc: GroupDescriptor) -> RadicalInfo:
         return RadicalInfo(3, whole, _meta_radical_abelian_h3(desc))
     if isinstance(desc, LatticeByZ):
         m = desc.matrix
-        order = _matrix_order(m)
+        order = matrix_order(m)
         if order is not None:
             return RadicalInfo(3, whole, True)
         if _is_plus_minus_unipotent(m):

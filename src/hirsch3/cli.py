@@ -42,24 +42,9 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .classify import ClassificationReport, ClassifyError, InvariantViolation, classify
-from .families import (
-    AffineMap2,
-    AffineQ2,
-    AscHNNKb,
-    BrittonElem,
-    BSbar,
-    BSbarElem,
-    GroupDescriptor,
-    KbElem,
-    LatticeByZ,
-    LatticeElem,
-    MetabelianH31,
-    MetaH31Elem,
-    RankOneQ,
-    ops_for,
-)
+from .families import FAMILY_BY_TAG, GroupDescriptor, family_of, ops_for
 from .fixtures import FIXTURES, fixture_named
-from .rationals import Mat2Q, format_rational, parse_rational
+from .rationals import parse_rational
 from .simplify import SimplifyError, expand_standard_form, standardize
 from .verify import TrialConfig, run_harness
 from .words import (
@@ -76,14 +61,8 @@ EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 EXIT_VERIFY = 4
 
-_FAMILY_TAGS = (
-    "bsbar",
-    "metabelian_h31",
-    "lattice_by_z",
-    "asc_hnn_kb",
-    "rank_one_q",
-    "affine_q2",
-)
+# rational-list kinds of `take` and their required lengths
+_LIST_COUNTS = {"rationals": None, "matrix": 4, "vector": 2}
 
 
 class DescriptorFileError(ValueError):
@@ -114,13 +93,6 @@ def _split_lines(text: str) -> list[tuple[int, str, str]]:
         key, value = line.split("=", 1)
         entries.append((lineno, key.strip(), value.strip()))
     return entries
-
-
-def _take(fields: dict[str, tuple[int, str]], key: str) -> str:
-    if key not in fields:
-        raise DescriptorFileError(f"missing required key {key!r}")
-    _, value = fields.pop(key)
-    return value
 
 
 def _parse_int(key: str, value: str, lineno: int) -> int:
@@ -164,10 +136,10 @@ def parse_descriptor_text(text: str) -> DescriptorFile:
     if "family" not in fields:
         raise DescriptorFileError("missing required key 'family'")
     family_line, family = fields.pop("family")
-    if family not in _FAMILY_TAGS:
+    if family not in FAMILY_BY_TAG:
         raise DescriptorFileError(
             f"line {family_line}: unknown family {family!r}; expected one of "
-            + ", ".join(_FAMILY_TAGS)
+            + ", ".join(FAMILY_BY_TAG)
         )
 
     name = fields.pop("name", (0, None))[1]
@@ -180,34 +152,24 @@ def parse_descriptor_text(text: str) -> DescriptorFile:
         except ParseError as exc:
             raise DescriptorFileError(f"presentation: {exc}") from None
 
-    def intval(key: str) -> int:
-        lineno, value = fields.get(key, (0, ""))
-        return _parse_int(key, _take(fields, key), lineno)
+    def take(key: str, kind: str):
+        if key not in fields:
+            raise DescriptorFileError(f"missing required key {key!r}")
+        lineno, value = fields.pop(key)
+        if kind == "int":
+            return _parse_int(key, value, lineno)
+        if kind == "rational":
+            return _parse_rational_field(key, value, lineno)
+        if kind == "names":
+            if not value.split():
+                raise DescriptorFileError(
+                    f"line {lineno}: {family} needs at least one generator name"
+                )
+            return value.split()
+        return _parse_rational_list(key, value, lineno, _LIST_COUNTS[kind])
 
     try:
-        if family == "bsbar":
-            desc: GroupDescriptor = BSbar(intval("m"), intval("n"))
-        elif family == "metabelian_h31":
-            m, n, p, q = (intval(k) for k in ("m", "n", "p", "q"))
-            lineno, _ = fields.get("e", (0, ""))
-            e = _parse_rational_field("e", _take(fields, "e"), lineno)
-            desc = MetabelianH31(m, n, p, q, e)
-        elif family == "lattice_by_z":
-            lineno, _ = fields.get("matrix", (0, ""))
-            vals = _parse_rational_list(
-                "matrix", _take(fields, "matrix"), lineno, 4
-            )
-            desc = LatticeByZ(Mat2Q.of(*vals))
-        elif family == "asc_hnn_kb":
-            desc = AscHNNKb(intval("e"), intval("f"), intval("d"))
-        elif family == "rank_one_q":
-            lineno, _ = fields.get("generators", (0, ""))
-            vals = _parse_rational_list(
-                "generators", _take(fields, "generators"), lineno
-            )
-            desc = RankOneQ(tuple(vals))
-        else:
-            desc = _parse_affine(fields)
+        desc = FAMILY_BY_TAG[family].parse(take)
     except ValueError as exc:
         if isinstance(exc, DescriptorFileError):
             raise
@@ -221,93 +183,33 @@ def parse_descriptor_text(text: str) -> DescriptorFile:
     return DescriptorFile(desc, name, notes, presentation)
 
 
-def _parse_affine(fields: dict[str, tuple[int, str]]) -> AffineQ2:
-    lineno, _ = fields.get("generators", (0, ""))
-    names = _take(fields, "generators").split()
-    if not names:
+def _read_text(path: str | Path) -> str:
+    p = Path(path)
+    try:
+        return p.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise DescriptorFileError(f"cannot read {p}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
         raise DescriptorFileError(
-            f"line {lineno}: affine_q2 needs at least one generator name"
-        )
-    gens = []
-    for gname in names:
-        lin_key = f"gen.{gname}.linear"
-        tr_key = f"gen.{gname}.translation"
-        lin_line, _ = fields.get(lin_key, (0, ""))
-        lin = _parse_rational_list(lin_key, _take(fields, lin_key), lin_line, 4)
-        tr_line, _ = fields.get(tr_key, (0, ""))
-        tr = _parse_rational_list(tr_key, _take(fields, tr_key), tr_line, 2)
-        gens.append(
-            (gname, AffineMap2(Mat2Q.of(*lin), (tr[0], tr[1])))
-        )
-    return AffineQ2(tuple(gens))
+            f"cannot read {p}: byte {exc.start} is not valid UTF-8"
+        ) from None
 
 
 def load_descriptor_file(path: str | Path) -> DescriptorFile:
-    p = Path(path)
-    try:
-        text = p.read_text()
-    except OSError as exc:
-        raise DescriptorFileError(f"cannot read {p}: {exc.strerror}") from None
-    return parse_descriptor_text(text)
+    return parse_descriptor_text(_read_text(path))
 
 
 # --- serialization and digests --------------------------------------------------
 
 
-def _mat_values(m: Mat2Q) -> str:
-    return " ".join(format_rational(v) for v in (m.a, m.b, m.c, m.d))
-
-
 def serialize_descriptor_file(df: DescriptorFile) -> str:
-    desc = df.descriptor
-    lines: list[str] = []
-    if isinstance(desc, BSbar):
-        lines.append("family = bsbar")
-    elif isinstance(desc, MetabelianH31):
-        lines.append("family = metabelian_h31")
-    elif isinstance(desc, LatticeByZ):
-        lines.append("family = lattice_by_z")
-    elif isinstance(desc, AscHNNKb):
-        lines.append("family = asc_hnn_kb")
-    elif isinstance(desc, RankOneQ):
-        lines.append("family = rank_one_q")
-    elif isinstance(desc, AffineQ2):
-        lines.append("family = affine_q2")
-    else:
-        raise TypeError(f"unknown descriptor {desc!r}")
+    family = family_of(df.descriptor)
+    lines = [f"family = {family.tag}"]
     if df.name is not None:
         lines.append(f"name = {df.name}")
     if df.notes is not None:
         lines.append(f"notes = {df.notes}")
-
-    if isinstance(desc, BSbar):
-        lines += [f"m = {desc.m}", f"n = {desc.n}"]
-    elif isinstance(desc, MetabelianH31):
-        lines += [
-            f"m = {desc.m}",
-            f"n = {desc.n}",
-            f"p = {desc.p}",
-            f"q = {desc.q}",
-            f"e = {format_rational(desc.e)}",
-        ]
-    elif isinstance(desc, LatticeByZ):
-        lines.append(f"matrix = {_mat_values(desc.matrix)}")
-    elif isinstance(desc, AscHNNKb):
-        lines += [f"e = {desc.e}", f"f = {desc.f}", f"d = {desc.d}"]
-    elif isinstance(desc, RankOneQ):
-        gens = " ".join(format_rational(g) for g in desc.generators)
-        lines.append(f"generators = {gens}")
-    else:
-        names = " ".join(gname for gname, _ in desc.generators)
-        lines.append(f"generators = {names}")
-        for gname, gmap in desc.generators:
-            lines.append(f"gen.{gname}.linear = {_mat_values(gmap.linear)}")
-            tx, ty = gmap.translation
-            lines.append(
-                f"gen.{gname}.translation = "
-                f"{format_rational(tx)} {format_rational(ty)}"
-            )
-
+    lines += [f"{key} = {value}" for key, value in family.fields(df.descriptor)]
     if df.presentation is not None:
         lines.append(f"presentation = {format_presentation(df.presentation)}")
     return "\n".join(lines) + "\n"
@@ -341,50 +243,7 @@ def _dump_json(data: dict) -> str:
 
 def format_element(desc: GroupDescriptor, g) -> str:
     """Normal form of an element in the fixed letter order of its family."""
-    if isinstance(desc, BSbar):
-        assert isinstance(g, BSbarElem)
-        return _syllables(("a", g.u), ("t", g.k))
-    if isinstance(desc, MetabelianH31):
-        assert isinstance(g, MetaH31Elem)
-        return _syllables(("a", g.x), ("t", g.i), ("u", g.j))
-    if isinstance(desc, LatticeByZ):
-        assert isinstance(g, LatticeElem)
-        return _syllables(("a", g.v[0]), ("b", g.v[1]), ("t", g.k))
-    if isinstance(desc, AscHNNKb):
-        assert isinstance(g, BrittonElem)
-        core = _syllables(("x", g.g.a), ("y", g.g.b))
-        parts = []
-        if g.i:
-            parts.append(f"s^-{g.i}")
-        if core != "1":
-            parts.append(core)
-        if g.j:
-            parts.append(f"s^{g.j}")
-        return " ".join(parts) if parts else "1"
-    if isinstance(desc, RankOneQ):
-        return format_rational(g)
-    if isinstance(desc, AffineQ2):
-        assert isinstance(g, AffineMap2)
-        tx, ty = g.translation
-        return (
-            f"linear [{_mat_values(g.linear)}], "
-            f"translation ({format_rational(tx)}, {format_rational(ty)})"
-        )
-    raise TypeError(f"unknown descriptor {desc!r}")
-
-
-def _syllables(*pairs: tuple[str, object]) -> str:
-    parts = []
-    for name, exp in pairs:
-        if exp == 0:
-            continue
-        if exp == 1:
-            parts.append(name)
-        elif isinstance(exp, Fraction) and exp.denominator != 1:
-            parts.append(f"{name}^({format_rational(exp)})")
-        else:
-            parts.append(f"{name}^{exp}")
-    return " ".join(parts) if parts else "1"
+    return family_of(desc).format_element(g)
 
 
 # --- notes ----------------------------------------------------------------------
@@ -534,11 +393,7 @@ def cmd_word_eq(args) -> int:
 
 
 def cmd_simplify(args) -> int:
-    p = Path(args.path)
-    try:
-        text = p.read_text()
-    except OSError as exc:
-        raise DescriptorFileError(f"cannot read {p}: {exc.strerror}") from None
+    text = _read_text(args.path)
     stripped = text.strip()
     if stripped.startswith("<"):
         pres_text: Optional[str] = stripped
@@ -563,7 +418,11 @@ def cmd_simplify(args) -> int:
 
 def cmd_verify(args) -> int:
     df = load_descriptor_file(args.path)
-    cfg = TrialConfig(seed=args.seed, trials=args.trials)
+    try:
+        cfg = TrialConfig(seed=args.seed, trials=args.trials)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     report = run_harness(
         df.descriptor, cfg, relators=df.presentation, window=args.window
     )
@@ -593,7 +452,11 @@ def cmd_examples(args) -> int:
         fixture.descriptor, fixture.name, fixture.note, fixture.presentation
     )
     out = Path(args.dir or ".") / f"{fixture.name}.toml"
-    out.write_text(serialize_descriptor_file(df))
+    try:
+        out.write_text(serialize_descriptor_file(df))
+    except OSError as exc:
+        print(f"error: cannot write {out}: {exc.strerror}", file=sys.stderr)
+        return EXIT_INPUT
     print(out)
     return EXIT_OK
 

@@ -17,6 +17,10 @@ Families and their generator names:
 Normal-form conventions: left action t a t^-1 = a^(n/m); MetabelianH31
 normal form a^x t^i u^j with t before u; HNN normal form s^-i g s^j with
 g not in im(phi) whenever i, j > 0.
+
+`FAMILIES` maps each descriptor type to its `Family` record: file tag,
+generator names, element algebra, descriptor-file form, display and
+defining relations.  `GroupOps` and the command line dispatch through it.
 """
 
 from __future__ import annotations
@@ -24,17 +28,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Union
+from typing import Any, Callable, Iterable, Union
 
 from .rationals import (
     Mat2Q,
+    binary_power,
+    format_rational,
     in_localized,
     is_unit_localized,
     prime_factors,
     padic_valuation,
     radical_of,
 )
-from .words import Word
+from .words import Word, format_word
 
 F = Fraction
 
@@ -79,10 +85,7 @@ def affine_inverse(f: AffineMap2) -> AffineMap2:
 
 def affine_pow(f: AffineMap2, k: int) -> AffineMap2:
     base = f if k >= 0 else affine_inverse(f)
-    out = AffineMap2.identity()
-    for _ in range(abs(k)):
-        out = affine_compose(out, base)
-    return out
+    return binary_power(base, abs(k), affine_compose, AffineMap2.identity())
 
 
 # --- descriptors ------------------------------------------------------------
@@ -215,10 +218,6 @@ class AffineQ2:
 
 
 GroupDescriptor = Union[RankOneQ, BSbar, MetabelianH31, LatticeByZ, AscHNNKb, AffineQ2]
-
-
-def family_tag(desc: GroupDescriptor) -> str:
-    return type(desc).__name__
 
 
 # --- BSbar ------------------------------------------------------------------
@@ -580,15 +579,7 @@ def kb_inv(g: KbElem) -> KbElem:
 
 def kb_pow(g: KbElem, k: int) -> KbElem:
     base = g if k >= 0 else kb_inv(g)
-    out = kb_identity()
-    acc = base
-    k = abs(k)
-    while k:
-        if k & 1:
-            out = kb_mul(out, acc)
-        acc = kb_mul(acc, acc)
-        k >>= 1
-    return out
+    return binary_power(base, abs(k), kb_mul, kb_identity())
 
 
 def kb_of_word(w: Word) -> KbElem:
@@ -738,6 +729,278 @@ def bs1n_ext_to_meta(n: int, theta: BS1nAut) -> MetabelianH31:
     return MetabelianH31(m=1, n=n, p=p, q=q, e=theta.b)
 
 
+
+
+# --- display and defining relations -------------------------------------------
+
+
+def _mat_values(m: Mat2Q) -> str:
+    return " ".join(format_rational(v) for v in (m.a, m.b, m.c, m.d))
+
+
+def _syllables(*pairs: tuple[str, object]) -> str:
+    parts = []
+    for name, exp in pairs:
+        if exp == 0:
+            continue
+        if exp == 1:
+            parts.append(name)
+        elif isinstance(exp, Fraction) and exp.denominator != 1:
+            parts.append(f"{name}^({format_rational(exp)})")
+        else:
+            parts.append(f"{name}^{exp}")
+    return " ".join(parts) if parts else "1"
+
+
+def _hnnkb_format(g: BrittonElem) -> str:
+    core = _syllables(("x", g.g.a), ("y", g.g.b))
+    parts = []
+    if g.i:
+        parts.append(f"s^-{g.i}")
+    if core != "1":
+        parts.append(core)
+    if g.j:
+        parts.append(f"s^{g.j}")
+    return " ".join(parts) if parts else "1"
+
+
+def _affine_format(g: AffineMap2) -> str:
+    tx, ty = g.translation
+    return (
+        f"linear [{_mat_values(g.linear)}], "
+        f"translation ({format_rational(tx)}, {format_rational(ty)})"
+    )
+
+
+def _lattice_describe(desc: LatticeByZ) -> str:
+    m = desc.matrix
+    row1 = f"[{format_rational(m.a)}, {format_rational(m.b)}]"
+    row2 = f"[{format_rational(m.c)}, {format_rational(m.d)}]"
+    return f"LatticeByZ([{row1}, {row2}])"
+
+
+def _int_fields(desc, keys: str) -> list[tuple[str, str]]:
+    return [(k, str(getattr(desc, k))) for k in keys]
+
+
+def _affine_fields(desc: AffineQ2) -> list[tuple[str, str]]:
+    out = [("generators", " ".join(desc.names))]
+    for gname, gmap in desc.generators:
+        tx, ty = gmap.translation
+        out.append((f"gen.{gname}.linear", _mat_values(gmap.linear)))
+        out.append((f"gen.{gname}.translation", f"{format_rational(tx)} {format_rational(ty)}"))
+    return out
+
+
+def _affine_parse(take) -> AffineQ2:
+    gens = []
+    for gname in take("generators", "names"):
+        lin = take(f"gen.{gname}.linear", "matrix")
+        tr = take(f"gen.{gname}.translation", "vector")
+        gens.append((gname, AffineMap2(Mat2Q.of(*lin), (tr[0], tr[1]))))
+    return AffineQ2(tuple(gens))
+
+
+def _relation(lhs: Word, rhs: Word) -> tuple[str, Word]:
+    return (f"{format_word(lhs)} = {format_word(rhs)}", lhs * rhs.inv())
+
+
+def _commutator(x: Word, y: Word) -> Word:
+    return x * y * x.inv() * y.inv()
+
+
+def _rankone_names(desc: RankOneQ) -> tuple[str, ...]:
+    return tuple(f"g{i + 1}" for i in range(len(desc.generators)))
+
+
+def _rankone_relations(desc: RankOneQ) -> list[tuple[str, Word]]:
+    names = _rankone_names(desc)
+    out = []
+    for i, gi in enumerate(names):
+        for gj in names[i + 1 :]:
+            lhs = Word.gen(gi) * Word.gen(gj)
+            out.append(_relation(lhs, Word.gen(gj) * Word.gen(gi)))
+    return out
+
+
+def _bsbar_relations(desc: BSbar) -> list[tuple[str, Word]]:
+    a, t = Word.gen("a"), Word.gen("t")
+    conj = t * a * t.inv()
+    return [
+        _relation(t * a**desc.m * t.inv(), a**desc.n),
+        (f"[a, {format_word(conj)}] = 1", _commutator(a, conj)),
+    ]
+
+
+def _meta_relations(desc: MetabelianH31) -> list[tuple[str, Word]]:
+    a, t, u = Word.gen("a"), Word.gen("t"), Word.gen("u")
+    twist = desc.e * desc.t_ratio
+    k = twist.denominator
+    power = int(twist * k)
+    conj_t = t * a * t.inv()
+    conj_u = u * a * u.inv()
+    return [
+        _relation(t * a**desc.m * t.inv(), a**desc.n),
+        _relation(u * a**desc.p * u.inv(), a**desc.q),
+        (f"[u, t]^{k} = a^{power}", _commutator(u, t) ** k * a ** (-power)),
+        (f"[a, {format_word(conj_t)}] = 1", _commutator(a, conj_t)),
+        (f"[a, {format_word(conj_u)}] = 1", _commutator(a, conj_u)),
+        (
+            f"[{format_word(conj_t)}, {format_word(conj_u)}] = 1",
+            _commutator(conj_t, conj_u),
+        ),
+    ]
+
+
+def _lattice_relations(desc: LatticeByZ) -> list[tuple[str, Word]]:
+    a, b, t = Word.gen("a"), Word.gen("b"), Word.gen("t")
+    m = desc.matrix
+    out = [("[a, b] = 1", _commutator(a, b))]
+    for gen_word, col in ((a, (m.a, m.c)), (b, (m.b, m.d))):
+        dens = (col[0].denominator, col[1].denominator)
+        k = dens[0] * dens[1] // gcd(dens[0], dens[1])
+        x, y = int(col[0] * k), int(col[1] * k)
+        lhs = t * gen_word**k * t.inv()
+        out.append(_relation(lhs, a**x * b**y))
+    return out
+
+
+def _hnnkb_relations(desc: AscHNNKb) -> list[tuple[str, Word]]:
+    x, y, s = Word.gen("x"), Word.gen("y"), Word.gen("s")
+    return [
+        _relation(x * y * x.inv(), y**-1),
+        _relation(s * x * s.inv(), x**desc.e * y**desc.f),
+        _relation(s * y * s.inv(), y**desc.d),
+    ]
+
+
+# --- the family table ---------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Family:
+    """Everything one family of descriptors needs outside classification and
+    the verifier's oracles.
+
+    `mul`, `inv` and `of_word` take the descriptor first.  `parse(take)`
+    builds a descriptor from `take(key, kind)`, the value of a descriptor-file
+    key read as kind "int", "rational", "rationals", "matrix" (four
+    rationals), "vector" (two rationals) or "names".  `fields(desc)` lists
+    the descriptor's (key, value) file lines in file order.  `relations`
+    gives relator words, with display labels, that hold in the element
+    model; affine descriptors have none here and take theirs from a
+    presentation.
+    """
+
+    tag: str
+    generator_names: Callable[[Any], tuple[str, ...]]
+    identity: Callable[[], Any]
+    mul: Callable[[Any, Any, Any], Any]
+    inv: Callable[[Any, Any], Any]
+    of_word: Callable[[Any, Word], Any]
+    parse: Callable[[Callable[[str, str], Any]], Any]
+    fields: Callable[[Any], list[tuple[str, str]]]
+    describe: Callable[[Any], str]
+    format_element: Callable[[Any], str]
+    relations: Callable[[Any], list[tuple[str, Word]]]
+
+
+FAMILIES: dict[type, Family] = {
+    BSbar: Family(
+        tag="bsbar",
+        generator_names=lambda d: ("a", "t"),
+        identity=bsbar_identity,
+        mul=bsbar_mul,
+        inv=bsbar_inv,
+        of_word=bsbar_of_word,
+        parse=lambda take: BSbar(*[take(k, "int") for k in "mn"]),
+        fields=lambda d: _int_fields(d, "mn"),
+        describe=lambda d: f"BSbar(m={d.m}, n={d.n})",
+        format_element=lambda g: _syllables(("a", g.u), ("t", g.k)),
+        relations=_bsbar_relations,
+    ),
+    MetabelianH31: Family(
+        tag="metabelian_h31",
+        generator_names=lambda d: ("a", "t", "u"),
+        identity=meta_identity,
+        mul=meta_mul,
+        inv=meta_inv,
+        of_word=meta_of_word,
+        parse=lambda take: MetabelianH31(
+            *[take(k, "int") for k in "mnpq"], take("e", "rational")
+        ),
+        fields=lambda d: _int_fields(d, "mnpq") + [("e", format_rational(d.e))],
+        describe=lambda d: (
+            f"MetabelianH31(m={d.m}, n={d.n}, p={d.p}, q={d.q}, "
+            f"e={format_rational(d.e)})"
+        ),
+        format_element=lambda g: _syllables(("a", g.x), ("t", g.i), ("u", g.j)),
+        relations=_meta_relations,
+    ),
+    LatticeByZ: Family(
+        tag="lattice_by_z",
+        generator_names=lambda d: ("a", "b", "t"),
+        identity=lattice_identity,
+        mul=lambda d, g1, g2: lattice_mul(d.matrix, g1, g2),
+        inv=lambda d, g: lattice_inv(d.matrix, g),
+        of_word=lambda d, w: lattice_of_word(d.matrix, w),
+        parse=lambda take: LatticeByZ(Mat2Q.of(*take("matrix", "matrix"))),
+        fields=lambda d: [("matrix", _mat_values(d.matrix))],
+        describe=_lattice_describe,
+        format_element=lambda g: _syllables(("a", g.v[0]), ("b", g.v[1]), ("t", g.k)),
+        relations=_lattice_relations,
+    ),
+    AscHNNKb: Family(
+        tag="asc_hnn_kb",
+        generator_names=lambda d: ("x", "y", "s"),
+        identity=hnnkb_identity,
+        mul=hnnkb_mul,
+        inv=hnnkb_inv,
+        of_word=hnnkb_of_word,
+        parse=lambda take: AscHNNKb(*[take(k, "int") for k in "efd"]),
+        fields=lambda d: _int_fields(d, "efd"),
+        describe=lambda d: f"AscHNNKb(e={d.e}, f={d.f}, d={d.d})",
+        format_element=_hnnkb_format,
+        relations=_hnnkb_relations,
+    ),
+    RankOneQ: Family(
+        tag="rank_one_q",
+        generator_names=_rankone_names,
+        identity=lambda: F(0),
+        mul=lambda d, g1, g2: g1 + g2,
+        inv=lambda d, g: -g,
+        of_word=rankone_of_word,
+        parse=lambda take: RankOneQ(tuple(take("generators", "rationals"))),
+        fields=lambda d: [("generators", " ".join(map(format_rational, d.generators)))],
+        describe=lambda d: f"RankOneQ({', '.join(map(format_rational, d.generators))})",
+        format_element=format_rational,
+        relations=_rankone_relations,
+    ),
+    AffineQ2: Family(
+        tag="affine_q2",
+        generator_names=lambda d: d.names,
+        identity=AffineMap2.identity,
+        mul=lambda d, f, g: affine_compose(f, g),
+        inv=lambda d, f: affine_inverse(f),
+        of_word=affine_of_word,
+        parse=_affine_parse,
+        fields=_affine_fields,
+        describe=lambda d: f"AffineQ2({', '.join(d.names)})",
+        format_element=_affine_format,
+        relations=lambda d: [],
+    ),
+}
+
+FAMILY_BY_TAG: dict[str, Family] = {fam.tag: fam for fam in FAMILIES.values()}
+
+
+def family_of(desc: GroupDescriptor) -> Family:
+    try:
+        return FAMILIES[type(desc)]
+    except KeyError:
+        raise TypeError(f"unknown descriptor {desc!r}") from None
+
+
 # --- uniform interface ------------------------------------------------------
 
 
@@ -750,77 +1013,23 @@ class GroupOps:
 
     def __init__(self, desc: GroupDescriptor) -> None:
         self.desc = desc
+        self.family = family_of(desc)
 
     @property
     def generator_names(self) -> tuple[str, ...]:
-        d = self.desc
-        if isinstance(d, RankOneQ):
-            return tuple(f"g{i + 1}" for i in range(len(d.generators)))
-        if isinstance(d, BSbar):
-            return ("a", "t")
-        if isinstance(d, MetabelianH31):
-            return ("a", "t", "u")
-        if isinstance(d, LatticeByZ):
-            return ("a", "b", "t")
-        if isinstance(d, AscHNNKb):
-            return ("x", "y", "s")
-        return d.names
+        return self.family.generator_names(self.desc)
 
     def identity(self):
-        d = self.desc
-        if isinstance(d, RankOneQ):
-            return F(0)
-        if isinstance(d, BSbar):
-            return bsbar_identity()
-        if isinstance(d, MetabelianH31):
-            return meta_identity()
-        if isinstance(d, LatticeByZ):
-            return lattice_identity()
-        if isinstance(d, AscHNNKb):
-            return hnnkb_identity()
-        return AffineMap2.identity()
+        return self.family.identity()
 
     def mul(self, g1, g2):
-        d = self.desc
-        if isinstance(d, RankOneQ):
-            return g1 + g2
-        if isinstance(d, BSbar):
-            return bsbar_mul(d, g1, g2)
-        if isinstance(d, MetabelianH31):
-            return meta_mul(d, g1, g2)
-        if isinstance(d, LatticeByZ):
-            return lattice_mul(d.matrix, g1, g2)
-        if isinstance(d, AscHNNKb):
-            return hnnkb_mul(d, g1, g2)
-        return affine_compose(g1, g2)
+        return self.family.mul(self.desc, g1, g2)
 
     def inv(self, g):
-        d = self.desc
-        if isinstance(d, RankOneQ):
-            return -g
-        if isinstance(d, BSbar):
-            return bsbar_inv(d, g)
-        if isinstance(d, MetabelianH31):
-            return meta_inv(d, g)
-        if isinstance(d, LatticeByZ):
-            return lattice_inv(d.matrix, g)
-        if isinstance(d, AscHNNKb):
-            return hnnkb_inv(d, g)
-        return affine_inverse(g)
+        return self.family.inv(self.desc, g)
 
     def of_word(self, w: Word):
-        d = self.desc
-        if isinstance(d, RankOneQ):
-            return rankone_of_word(d, w)
-        if isinstance(d, BSbar):
-            return bsbar_of_word(d, w)
-        if isinstance(d, MetabelianH31):
-            return meta_of_word(d, w)
-        if isinstance(d, LatticeByZ):
-            return lattice_of_word(d.matrix, w)
-        if isinstance(d, AscHNNKb):
-            return hnnkb_of_word(d, w)
-        return affine_of_word(d, w)
+        return self.family.of_word(self.desc, w)
 
     def is_identity(self, g) -> bool:
         return g == self.identity()

@@ -10,9 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence, TypeVar
 
 Rational = Fraction
+T = TypeVar("T")
 
 
 def parse_rational(text: str) -> Fraction:
@@ -45,6 +46,27 @@ def prime_factors(n: int) -> list[int]:
         d += 1 if d == 2 else 2
     if n > 1:
         out.append(n)
+    return out
+
+
+def primes_of(*xs: Fraction) -> set[int]:
+    """Distinct primes of the numerators and denominators of nonzero xs."""
+    primes: set[int] = set()
+    for x in xs:
+        primes |= set(prime_factors(x.numerator))
+        primes |= set(prime_factors(x.denominator))
+    return primes
+
+
+def binary_power(x: T, k: int, mul: Callable[[T, T], T], identity: T) -> T:
+    """x^k for k >= 0 by square-and-multiply; mul must be associative."""
+    out = identity
+    while k:
+        if k & 1:
+            out = mul(out, x)
+        k >>= 1
+        if k:
+            x = mul(x, x)
     return out
 
 
@@ -294,14 +316,7 @@ class Mat2Q:
 
     def pow(self, k: int) -> "Mat2Q":
         base = self if k >= 0 else self.inverse()
-        k = abs(k)
-        out = Mat2Q.identity()
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return binary_power(base, abs(k), Mat2Q.__mul__, Mat2Q.identity())
 
     def apply(self, v: tuple[Fraction, Fraction]) -> tuple[Fraction, Fraction]:
         return (self.a * v[0] + self.b * v[1], self.c * v[0] + self.d * v[1])
@@ -311,6 +326,20 @@ class Mat2Q:
 
     def entries(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return (self.a, self.b, self.c, self.d)
+
+
+def matrix_order(m: Mat2Q) -> Optional[int]:
+    """Multiplicative order of m, or None when it is infinite.
+
+    Finite-order elements of GL(2,Q) have order 1, 2, 3, 4, or 6, so trying
+    powers up to 6 is exact.
+    """
+    power = Mat2Q.identity()
+    for k in range(1, 7):
+        power = power * m
+        if power == Mat2Q.identity():
+            return k
+    return None
 
 
 def conjugate_to_integral(m: Mat2Q) -> bool:

@@ -18,7 +18,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 from typing import Callable, Optional, Sequence, Union
 
 from .classify import (
@@ -41,6 +40,7 @@ from .families import (
     MetabelianH31,
     RankOneQ,
     affine_compose,
+    family_of,
     kb_inv,
     kb_mul,
     image_membership,
@@ -48,10 +48,10 @@ from .families import (
 )
 from .rationals import (
     Mat2Q,
-    format_rational,
     integer_row_kernel,
+    matrix_order,
     mult_rank,
-    prime_factors,
+    primes_of,
     rational_valuation,
 )
 from .words import Presentation, Word, format_word
@@ -63,7 +63,6 @@ __all__ = [
     "CheckResult",
     "VerificationReport",
     "VerifyResourceError",
-    "describe_descriptor",
     "defining_relations",
     "check_relations",
     "oracle_word_eq",
@@ -146,27 +145,6 @@ class VerificationReport:
         }
 
 
-def describe_descriptor(desc: GroupDescriptor) -> str:
-    if isinstance(desc, RankOneQ):
-        inner = ", ".join(format_rational(g) for g in desc.generators)
-        return f"RankOneQ({inner})"
-    if isinstance(desc, BSbar):
-        return f"BSbar(m={desc.m}, n={desc.n})"
-    if isinstance(desc, MetabelianH31):
-        return (
-            f"MetabelianH31(m={desc.m}, n={desc.n}, p={desc.p}, q={desc.q}, "
-            f"e={format_rational(desc.e)})"
-        )
-    if isinstance(desc, LatticeByZ):
-        m = desc.matrix
-        row1 = f"[{format_rational(m.a)}, {format_rational(m.b)}]"
-        row2 = f"[{format_rational(m.c)}, {format_rational(m.d)}]"
-        return f"LatticeByZ([{row1}, {row2}])"
-    if isinstance(desc, AscHNNKb):
-        return f"AscHNNKb(e={desc.e}, f={desc.f}, d={desc.d})"
-    return f"AffineQ2({', '.join(desc.names)})"
-
-
 # --- randomness --------------------------------------------------------------
 
 
@@ -187,71 +165,13 @@ def random_word(rng: random.Random, names: Sequence[str], max_length: int) -> Wo
 Relations = Sequence[tuple[str, Word]]
 
 
-def _relation(lhs: Word, rhs: Word) -> tuple[str, Word]:
-    return (f"{format_word(lhs)} = {format_word(rhs)}", lhs * rhs.inv())
-
-
-def _commutator(x: Word, y: Word) -> Word:
-    return x * y * x.inv() * y.inv()
-
-
 def defining_relations(desc: GroupDescriptor) -> list[tuple[str, Word]]:
     """Relator words, with display labels, that hold in the element model.
 
     Affine descriptors carry no canonical finite presentation here; supply
     one explicitly to `check_relations` instead.
     """
-    a, t, u = Word.gen("a"), Word.gen("t"), Word.gen("u")
-    if isinstance(desc, RankOneQ):
-        names = ops_for(desc).generator_names
-        out = []
-        for i, gi in enumerate(names):
-            for gj in names[i + 1 :]:
-                lhs = Word.gen(gi) * Word.gen(gj)
-                out.append(_relation(lhs, Word.gen(gj) * Word.gen(gi)))
-        return out
-    if isinstance(desc, BSbar):
-        conj = t * a * t.inv()
-        return [
-            _relation(t * a**desc.m * t.inv(), a**desc.n),
-            (f"[a, {format_word(conj)}] = 1", _commutator(a, conj)),
-        ]
-    if isinstance(desc, MetabelianH31):
-        twist = desc.e * desc.t_ratio
-        k = twist.denominator
-        power = int(twist * k)
-        conj_t = t * a * t.inv()
-        conj_u = u * a * u.inv()
-        return [
-            _relation(t * a**desc.m * t.inv(), a**desc.n),
-            _relation(u * a**desc.p * u.inv(), a**desc.q),
-            (f"[u, t]^{k} = a^{power}", _commutator(u, t) ** k * a ** (-power)),
-            (f"[a, {format_word(conj_t)}] = 1", _commutator(a, conj_t)),
-            (f"[a, {format_word(conj_u)}] = 1", _commutator(a, conj_u)),
-            (
-                f"[{format_word(conj_t)}, {format_word(conj_u)}] = 1",
-                _commutator(conj_t, conj_u),
-            ),
-        ]
-    if isinstance(desc, LatticeByZ):
-        b = Word.gen("b")
-        m = desc.matrix
-        out = [("[a, b] = 1", _commutator(a, b))]
-        for gen_word, col in ((a, (m.a, m.c)), (b, (m.b, m.d))):
-            dens = (col[0].denominator, col[1].denominator)
-            k = dens[0] * dens[1] // gcd(dens[0], dens[1])
-            x, y = int(col[0] * k), int(col[1] * k)
-            lhs = t * gen_word**k * t.inv()
-            out.append(_relation(lhs, a**x * b**y))
-        return out
-    if isinstance(desc, AscHNNKb):
-        x, y, s = Word.gen("x"), Word.gen("y"), Word.gen("s")
-        return [
-            _relation(x * y * x.inv(), y**-1),
-            _relation(s * x * s.inv(), x**desc.e * y**desc.f),
-            _relation(s * y * s.inv(), y**desc.d),
-        ]
-    return []
+    return family_of(desc).relations(desc)
 
 
 def _as_relations(
@@ -444,14 +364,6 @@ def _aff6_pow(f: _Aff6, exp: int) -> _Aff6:
         if exp:
             acc = _aff6_compose(acc, acc)
     return out
-
-
-def _affine_pow_guarded(f: AffineMap2, exp: int, max_bits: int) -> AffineMap2:
-    six = _aff6_of(f)
-    if abs(exp) * max(max(_bits(x) for x in six), 1) > max_bits:
-        raise VerifyResourceError("word evaluation exceeded the size budget")
-    a, b, c, d, x, y = _aff6_pow(six, exp)
-    return AffineMap2(Mat2Q.of(a, b, c, d), (x, y))
 
 
 def _oracle_affine_generic(
@@ -684,10 +596,7 @@ def fp_cone_bruteforce(
     rank, _ = mult_rank((r1, r2))
     if rank != 2:
         raise ValueError("ratios must be multiplicatively independent")
-    primes: set[int] = set()
-    for r in (r1, r2):
-        primes |= set(prime_factors(r.numerator))
-        primes |= set(prime_factors(r.denominator))
+    primes = primes_of(r1, r2)
     for total in range(0, 2 * window + 1):
         for i in range(-min(total, window), min(total, window) + 1):
             rest = total - abs(i)
@@ -754,11 +663,7 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def _meta_valuation_kernel(r1: Fraction, r2: Fraction) -> list[tuple[int, int]]:
-    primes: set[int] = set()
-    for r in (r1, r2):
-        primes |= set(prime_factors(r.numerator))
-        primes |= set(prime_factors(r.denominator))
-    plist = sorted(primes)
+    plist = sorted(primes_of(r1, r2))
     if not plist:
         return [(1, 0), (0, 1)]
     rows = [
@@ -805,15 +710,6 @@ def _meta_power_word(vec: tuple[int, int]) -> Word:
 
 def _is_unipotent(m: Mat2Q) -> bool:
     return m.trace() == 2 and m.det() == 1
-
-
-def _lattice_matrix_order(m: Mat2Q, cap: int = 12) -> Optional[int]:
-    power = Mat2Q.identity()
-    for k in range(1, cap + 1):
-        power = power * m
-        if power == Mat2Q.identity():
-            return k
-    return None
 
 
 def _affine_radical_words(desc: AffineQ2, member: Callable) -> tuple[Word, ...]:
@@ -922,7 +818,7 @@ def _radical_model(
         def member(g) -> bool:
             return _is_unipotent(m.pow(g.k)) if g.k else True
 
-        order = _lattice_matrix_order(m)
+        order = matrix_order(m)
         if claim == 3:
             if order is not None:
                 return _RadicalModel(
@@ -1185,7 +1081,7 @@ def radical_certificate(
 
     checks.append(_quotient_check(desc, ops, model, cfg))
     return VerificationReport(
-        describe_descriptor(desc), cfg.seed, tuple(checks)
+        family_of(desc).describe(desc), cfg.seed, tuple(checks)
     )
 
 
@@ -1561,10 +1457,7 @@ def _fp_cone_check(
             cfg.seed,
             note=f"cone point ({i}, {j}), value {value}",
         )
-    primes: set[int] = set()
-    for r in ratios:
-        primes |= set(prime_factors(r.numerator))
-        primes |= set(prime_factors(r.denominator))
+    primes = primes_of(*ratios)
     conclusive = window >= 12 and all(p <= 7 for p in primes)
     if conclusive and classifier_type1:
         return CheckResult(
@@ -1669,4 +1562,4 @@ def run_harness(
             checks.append(_fp_cone_check(desc, cfg, window))
     if isinstance(desc, AscHNNKb):
         checks.extend(_endo_checks(desc, cfg))
-    return VerificationReport(describe_descriptor(desc), cfg.seed, tuple(checks))
+    return VerificationReport(family_of(desc).describe(desc), cfg.seed, tuple(checks))

@@ -72,17 +72,8 @@ class Word:
         return Word(tuple((g, -e) for g, e in reversed(self.syllables)))
 
     def __pow__(self, k: int) -> "Word":
-        if k == 0:
-            return Word()
-        base = self if k > 0 else self.inv()
-        out = base
-        for _ in range(abs(k) - 1):
-            out = out * base
-        return out
-
-    def conjugate_by(self, other: "Word") -> "Word":
-        """other * self * other^-1."""
-        return other * self * other.inv()
+        base = self if k >= 0 else self.inv()
+        return Word.of(base.syllables * abs(k))
 
     def exponent_sum(self, gen: str) -> int:
         return sum(e for g, e in self.syllables if g == gen)

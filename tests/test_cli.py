@@ -10,7 +10,17 @@ import pytest
 
 from hirsch3 import cli
 from hirsch3.classify import InvariantViolation
-from hirsch3.families import AscHNNKb, BSbar, LatticeByZ, MetabelianH31
+from hirsch3.families import (
+    FAMILIES,
+    AffineMap2,
+    AffineQ2,
+    AscHNNKb,
+    BSbar,
+    LatticeByZ,
+    MetabelianH31,
+    RankOneQ,
+    ops_for,
+)
 from hirsch3.fixtures import FIXTURES, corrupted_d_infty
 from hirsch3.rationals import Mat2Q
 
@@ -86,6 +96,13 @@ class TestDescriptorFiles:
     def test_matrix_arity_checked(self):
         with pytest.raises(cli.DescriptorFileError, match="4 rationals"):
             cli.parse_descriptor_text("family = lattice_by_z\nmatrix = 1 2 3\n")
+
+    def test_non_utf8_file_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "latin1.toml"
+        path.write_bytes(b"family = bsbar\nname = caf\xe9\nm = 2\nn = 3\n")
+        code, _, err = run(capsys, "classify", str(path))
+        assert code == 2
+        assert err.startswith("error: cannot read") and "UTF-8" in err
 
     def test_digest_ignores_cosmetic_fields(self):
         desc = LatticeByZ(Mat2Q.of(2, 1, 1, 1))
@@ -251,6 +268,17 @@ class TestVerifyCommand:
         data = json.loads(out)
         assert data["report"]["passed"] is False
 
+    @pytest.mark.parametrize(
+        "option", [("--trials", "0"), ("--seed", "-1")], ids=["trials", "seed"]
+    )
+    def test_out_of_range_option_is_input_error(self, capsys, tmp_path, option):
+        path = emit(tmp_path, "bsbar_23")
+        capsys.readouterr()
+        code, out, err = run(capsys, "verify", str(path), *option)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
     def test_fixed_seed_is_byte_identical(self, capsys, tmp_path):
         path = emit(tmp_path, "z_plus_z2")
         capsys.readouterr()
@@ -283,6 +311,12 @@ class TestExamplesCommand:
         assert code == 2
         assert "unknown fixture" in err
 
+    def test_emit_to_missing_directory_is_input_error(self, capsys, tmp_path):
+        missing = tmp_path / "absent"
+        code, _, err = run(capsys, "examples", "emit", "bsbar_23", "--dir", str(missing))
+        assert code == 2
+        assert err.startswith("error: cannot write") and len(err.splitlines()) == 1
+
     def test_emit_requires_name(self, capsys, tmp_path):
         code, _, err = run(capsys, "examples", "emit", "--dir", str(tmp_path))
         assert code == 2
@@ -308,3 +342,33 @@ class TestElementRendering:
         g = ops.of_word(parse_word("s^-1 x s"))
         text = cli.format_element(desc, g)
         assert "s^-1" in text and "s^1" in text
+
+
+TABLE_EXAMPLES = [
+    RankOneQ((F(1, 2), F(-3, 4), F(5))),
+    BSbar(2, 3),
+    MetabelianH31(2, 3, 1, 5, F(5, 6)),
+    LatticeByZ(Mat2Q.of(F(1, 2), 1, -3, 2)),
+    AscHNNKb(3, 1, -2),
+    AffineQ2(
+        (
+            ("u", AffineMap2(Mat2Q.of(1, 0, 0, -1), (F(1, 2), F(0)))),
+            ("y", AffineMap2(Mat2Q.identity(), (F(0), F(1)))),
+        )
+    ),
+]
+
+
+class TestFamilyTable:
+    @pytest.mark.parametrize(
+        "desc", TABLE_EXAMPLES, ids=lambda d: FAMILIES[type(d)].tag
+    )
+    def test_every_family_round_trips_and_satisfies_its_relations(self, desc):
+        assert {type(d) for d in TABLE_EXAMPLES} == set(FAMILIES)
+        df = cli.DescriptorFile(desc, "example", "one per family")
+        back = cli.parse_descriptor_text(cli.serialize_descriptor_file(df))
+        assert back.descriptor == desc
+        assert cli.input_digest(back) == cli.input_digest(df)
+        ops = ops_for(desc)
+        for label, relator in FAMILIES[type(desc)].relations(desc):
+            assert ops.is_identity(ops.of_word(relator)), label

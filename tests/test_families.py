@@ -23,7 +23,9 @@ from hirsch3.families import (
     MetabelianH31,
     RankOneQ,
     affine_compose,
+    affine_inverse,
     affine_of_word,
+    affine_pow,
     bs1n_ext_to_meta,
     bsbar_of_word,
     hnnkb_of_word,
@@ -279,6 +281,22 @@ class TestKb:
             for _ in range(abs(k)):
                 expect = kb_mul(expect, step)
             assert kb_pow(g, k) == expect
+
+
+POWERS = [
+    (Mat2Q.pow, Mat2Q.__mul__, Mat2Q.inverse, Mat2Q.identity(), Mat2Q.of(F(1, 2), 1, -3, 2)),
+    (kb_pow, kb_mul, kb_inv, KbElem(0, 0), KbElem(3, -2)),
+    (affine_pow, affine_compose, affine_inverse, AffineMap2.identity(), D_INFTY.map_of("v")),
+]
+
+
+@pytest.mark.parametrize("power, mul, inv, one, x", POWERS, ids=["mat2q", "kb", "affine"])
+def test_power_matches_repeated_product(power, mul, inv, one, x):
+    for k in range(-5, 6):
+        expect = one
+        for _ in range(abs(k)):
+            expect = mul(expect, x if k >= 0 else inv(x))
+        assert power(x, k) == expect
 
 
 class TestKbEndo:

@@ -19,9 +19,11 @@ from hirsch3.rationals import (
     integralize,
     is_unimodular_integral_class,
     is_unit_localized,
+    matrix_order,
     mult_rank,
     parse_rational,
     prime_factors,
+    primes_of,
     radical_of,
     rational_valuation,
 )
@@ -74,6 +76,11 @@ class TestFactoring:
         assert rational_valuation(F(4, 3), 2) == 2
         assert rational_valuation(F(4, 3), 3) == -1
         assert rational_valuation(F(5), 2) == 0
+
+
+    def test_primes_of_numerators_and_denominators(self):
+        assert primes_of(F(12, 35), F(-7, 11)) == {2, 3, 5, 7, 11}
+        assert primes_of(F(1), F(-1)) == set()
 
 
 class TestLocalized:
@@ -279,3 +286,17 @@ class TestMat2Q:
     def test_apply(self):
         m = Mat2Q.of(2, 1, 1, 1)
         assert m.apply((F(1), F(0))) == (F(2), F(1))
+
+    def test_matrix_order(self):
+        cases = {
+            Mat2Q.identity(): 1,
+            Mat2Q.of(1, 0, 0, -1): 2,
+            Mat2Q.of(0, -1, 1, -1): 3,
+            Mat2Q.of(0, -1, 1, 0): 4,
+            Mat2Q.of(1, -1, 1, 0): 6,
+            Mat2Q.of(2, 1, 1, 1): None,
+            Mat2Q.of(1, 1, 0, 1): None,
+            Mat2Q.of(0, F(1, 2), 2, 0): 2,
+        }
+        for m, order in cases.items():
+            assert matrix_order(m) == order

@@ -56,6 +56,14 @@ class TestAlgebra:
             assert a ** -2 == a.inv() * a.inv()
             assert a ** 0 == Word()
 
+    def test_power_matches_repeated_product(self):
+        for base in (w("t u a"), w("a t a^-1"), w("x^2 y x^-2"), Word()):
+            for k in range(-5, 6):
+                expect = Word()
+                for _ in range(abs(k)):
+                    expect = expect * (base if k >= 0 else base.inv())
+                assert base ** k == expect
+
     def test_exponent_sum(self):
         assert exponent_sum(w("t a t^-1 a^-2"), "t") == 0
         assert exponent_sum(w("[u, t]"), "u") == 0
