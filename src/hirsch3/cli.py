@@ -385,10 +385,20 @@ def cmd_word_eq(args) -> int:
         return EXIT_INPUT
     g1 = ops.of_word(w1)
     g2 = ops.of_word(w2)
-    verdict = "equal" if g1 == g2 else "unequal"
-    print(verdict)
-    print(f"  {format_word(w1)}  =  {format_element(df.descriptor, g1)}")
-    print(f"  {format_word(w2)}  =  {format_element(df.descriptor, g2)}")
+    try:
+        lines = [
+            f"  {format_word(w)}  =  {format_element(df.descriptor, g)}"
+            for w, g in ((w1, g1), (w2, g2))
+        ]
+    except ValueError:
+        print(
+            "error: a normal form has an integer longer than Python's "
+            f"integer-to-string limit of {sys.get_int_max_str_digits()} digits",
+            file=sys.stderr,
+        )
+        return EXIT_INPUT
+    print("equal" if g1 == g2 else "unequal")
+    print("\n".join(lines))
     return EXIT_OK
 
 

@@ -16,7 +16,11 @@ Families and their generator names:
 
 Normal-form conventions: left action t a t^-1 = a^(n/m); MetabelianH31
 normal form a^x t^i u^j with t before u; HNN normal form s^-i g s^j with
-g not in im(phi) whenever i, j > 0.
+g not in im(phi) whenever i, j > 0.  An `AffineMap2` is stored as seven
+integers (den, a, b, c, d, x, y), meaning v |-> ([[a, b], [c, d]] v +
+(x, y)) / den, with den > 0 and the seven coprime; composition and
+inversion stay in integers, and `.linear` and `.translation` read the map
+back as `Fraction`s.
 
 `FAMILIES` maps each descriptor type to its `Family` record: file tag,
 generator names, element algebra, descriptor-file form, display and
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from typing import Any, Callable, Iterable, Union
 
@@ -48,39 +53,90 @@ F = Fraction
 # --- affine maps of Q^2 -----------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class AffineMap2:
-    """v |-> linear v + translation, with invertible linear part."""
+    """v |-> linear v + translation, with invertible linear part.
 
-    linear: Mat2Q
-    translation: tuple[Fraction, Fraction]
+    Stored as seven integers `ints = (den, a, b, c, d, x, y)`: the linear
+    part is [[a, b], [c, d]] / den and the translation is (x, y) / den, with
+    den > 0 and gcd(den, a, b, c, d, x, y) = 1.  That form is canonical, so
+    `==` and `hash` are exact.
+    """
 
-    def __post_init__(self) -> None:
-        if self.linear.det() == 0:
+    ints: tuple[int, int, int, int, int, int, int]
+
+    def __init__(self, linear: Mat2Q, translation: tuple[Fraction, Fraction]) -> None:
+        values = (*linear.entries(), F(translation[0]), F(translation[1]))
+        den = 1
+        for v in values:
+            den = den * v.denominator // gcd(den, v.denominator)
+        a, b, c, d, x, y = (v.numerator * (den // v.denominator) for v in values)
+        if a * d - b * c == 0:
             raise ValueError("affine map must have invertible linear part")
+        object.__setattr__(self, "ints", (den, a, b, c, d, x, y))
 
     @classmethod
     def identity(cls) -> "AffineMap2":
-        return cls(Mat2Q.identity(), (F(0), F(0)))
+        return _AFFINE_IDENTITY
+
+    @property
+    def linear(self) -> Mat2Q:
+        den, a, b, c, d, _, _ = self.ints
+        return Mat2Q(F(a, den), F(b, den), F(c, den), F(d, den))
+
+    @property
+    def translation(self) -> tuple[Fraction, Fraction]:
+        den, _, _, _, _, x, y = self.ints
+        return (F(x, den), F(y, den))
 
     def apply(self, v: tuple[Fraction, Fraction]) -> tuple[Fraction, Fraction]:
-        w = self.linear.apply(v)
-        return (w[0] + self.translation[0], w[1] + self.translation[1])
+        den, a, b, c, d, x, y = self.ints
+        return (F(a * v[0] + b * v[1] + x, den), F(c * v[0] + d * v[1] + y, den))
+
+
+def _affine_of_ints(den: int, a: int, b: int, c: int, d: int, x: int, y: int) -> AffineMap2:
+    """The map with these integers after gcd normalization; den > 0 and an
+    invertible linear part are the caller's to guarantee."""
+    g = gcd(den, a, b, c, d, x, y)
+    if g != 1:
+        den, a, b, c, d, x, y = den // g, a // g, b // g, c // g, d // g, x // g, y // g
+    out = object.__new__(AffineMap2)
+    object.__setattr__(out, "ints", (den, a, b, c, d, x, y))
+    return out
+
+
+_AFFINE_IDENTITY = _affine_of_ints(1, 1, 0, 0, 1, 0, 0)
 
 
 def affine_compose(f: AffineMap2, g: AffineMap2) -> AffineMap2:
     """(f o g): apply g first."""
-    b = f.linear.apply(g.translation)
-    return AffineMap2(
-        f.linear * g.linear,
-        (b[0] + f.translation[0], b[1] + f.translation[1]),
+    fn, fa, fb, fc, fd, fx, fy = f.ints
+    gn, ga, gb, gc, gd, gx, gy = g.ints
+    return _affine_of_ints(
+        fn * gn,
+        fa * ga + fb * gc,
+        fa * gb + fb * gd,
+        fc * ga + fd * gc,
+        fc * gb + fd * gd,
+        fa * gx + fb * gy + gn * fx,
+        fc * gx + fd * gy + gn * fy,
     )
 
 
 def affine_inverse(f: AffineMap2) -> AffineMap2:
-    inv = f.linear.inverse()
-    b = inv.apply(f.translation)
-    return AffineMap2(inv, (-b[0], -b[1]))
+    # (A v + t) / n inverts to n adj(A) w / det(A) - adj(A) t / det(A)
+    n, a, b, c, d, x, y = f.ints
+    det = a * d - b * c
+    sign = 1 if det > 0 else -1
+    return _affine_of_ints(
+        sign * det,
+        sign * n * d,
+        -sign * n * b,
+        -sign * n * c,
+        sign * n * a,
+        sign * (b * y - d * x),
+        sign * (c * x - a * y),
+    )
 
 
 def affine_pow(f: AffineMap2, k: int) -> AffineMap2:
@@ -524,24 +580,26 @@ def lattice_identity() -> LatticeElem:
     return LatticeElem((F(0), F(0)), 0)
 
 
+@lru_cache(maxsize=4096)
+def _lattice_pow(mat: Mat2Q, k: int) -> Mat2Q:
+    return mat.pow(k)
+
+
 def lattice_mul(mat: Mat2Q, g1: LatticeElem, g2: LatticeElem) -> LatticeElem:
-    w = mat.pow(g1.k).apply(g2.v)
+    w = _lattice_pow(mat, g1.k).apply(g2.v)
     return LatticeElem((g1.v[0] + w[0], g1.v[1] + w[1]), g1.k + g2.k)
 
 
 def lattice_inv(mat: Mat2Q, g: LatticeElem) -> LatticeElem:
-    w = mat.pow(-g.k).apply(g.v)
+    w = _lattice_pow(mat, -g.k).apply(g.v)
     return LatticeElem((-w[0], -w[1]), -g.k)
 
 
 def lattice_of_word(mat: Mat2Q, w: Word) -> LatticeElem:
     x, y, k = F(0), F(0), 0
-    powers: dict[int, Mat2Q] = {}
     for g, e in reversed(w.syllables):
         if g == "t":
-            if e not in powers:
-                powers[e] = mat.pow(e)
-            x, y = powers[e].apply((x, y))
+            x, y = _lattice_pow(mat, e).apply((x, y))
             k += e
         elif g == "a":
             x += e

@@ -368,7 +368,7 @@ def _aff6_pow(f: _Aff6, exp: int) -> _Aff6:
 
 def _oracle_affine_generic(
     gens: dict[str, AffineMap2], w: Word, max_bits: int
-) -> AffineMap2:
+) -> _Aff6:
     sixes = {name: _aff6_of(f) for name, f in gens.items()}
     out = _AFF6_ID
     for name, exp in w.syllables:
@@ -377,8 +377,7 @@ def _oracle_affine_generic(
             raise VerifyResourceError("word evaluation exceeded the size budget")
         out = _aff6_compose(out, _aff6_pow(six, exp))
         _guard_fractions(out, max_bits)
-    a, b, c, d, x, y = out
-    return AffineMap2(Mat2Q.of(a, b, c, d), (x, y))
+    return out
 
 
 @lru_cache(maxsize=4096)
@@ -406,7 +405,7 @@ def _oracle_lattice(desc: LatticeByZ, w: Word, max_bits: int):
             vx += sx
             vy += sy
             _guard_fractions((vx, vy), max_bits)
-    return (AffineMap2(_mat_pow_cached(mat, k), (vx, vy)), k)
+    return (vx, vy, k)
 
 
 def _oracle_hnnkb(desc: AscHNNKb, w: Word, max_bits: int):
@@ -425,10 +424,7 @@ def _oracle_hnnkb(desc: AscHNNKb, w: Word, max_bits: int):
     fx = _oracle_aff1_word(first, w, max_bits)
     fy = _oracle_aff1_word(second, w, max_bits)
     ssum = sum(exp for name, exp in w.syllables if name == "s")
-    return (
-        AffineMap2(Mat2Q.of(fx.scale, 0, 0, fy.scale), (fx.offset, fy.offset)),
-        ssum,
-    )
+    return (fx, fy, ssum)
 
 
 def _oracle_value(desc: GroupDescriptor, w: Word, max_bits: int):
@@ -553,20 +549,38 @@ def commutator_depth_search(
     ops = ops_for(desc)
     names = ops.generator_names
     width = 1 << depth
-    for tup in itertools.islice(
-        itertools.product(names, repeat=width), _CANDIDATE_CAP
+    values: dict[tuple[Word, ...], object] = {}
+
+    def value(leaves: tuple[Word, ...]):
+        # the element of nested_commutator(leaves), each distinct leaf word
+        # and inner commutator evaluated once: [l, r] = (l r)(r l)^-1.  The
+        # candidate tuples share most of their inner commutators.
+        if leaves not in values:
+            if len(leaves) == 1:
+                values[leaves] = ops.of_word(leaves[0])
+            else:
+                half = len(leaves) // 2
+                left, right = value(leaves[:half]), value(leaves[half:])
+                values[leaves] = ops.mul(
+                    ops.mul(left, right), ops.inv(ops.mul(right, left))
+                )
+        return values[leaves]
+
+    gens = [Word.gen(n) for n in names]
+    for leaves in itertools.islice(
+        itertools.product(gens, repeat=width), _CANDIDATE_CAP
     ):
-        w = nested_commutator([Word.gen(n) for n in tup])
-        if not ops.is_identity(ops.of_word(w)):
-            return w
+        if not ops.is_identity(value(leaves)):
+            return nested_commutator(leaves)
     for idx in range(cfg.trials):
+        # random trials share almost no subtuples; keep only this trial's
+        values.clear()
         rng = _child_rng(cfg.seed, f"commutator-depth-{depth}", idx)
-        words = [
+        leaves = tuple(
             random_word(rng, names, cfg.max_word_length) for _ in range(width)
-        ]
-        w = nested_commutator(words)
-        if not ops.is_identity(ops.of_word(w)):
-            return w
+        )
+        if not ops.is_identity(value(leaves)):
+            return nested_commutator(leaves)
     return None
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -21,10 +22,15 @@ from hirsch3.families import (
     RankOneQ,
     ops_for,
 )
-from hirsch3.fixtures import FIXTURES, corrupted_d_infty
+from hirsch3.fixtures import FIXTURES, corrupted_d_infty, fixture_named
 from hirsch3.rationals import Mat2Q
 
 F = Fraction
+# sha256 and exit code of each seed-0 verify report: a fixed seed must keep
+# giving byte-identical reports whatever the arithmetic underneath
+VERIFY_DIGESTS = json.loads(
+    (Path(__file__).parent / "golden" / "verify_seed0_sha256.json").read_text()
+)
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -211,6 +217,17 @@ class TestWordEqCommand:
         assert code == 2
         assert "error" in err
 
+    def test_unprintable_normal_form_is_input_error(self, capsys, tmp_path):
+        # a^(2^20000) has about 6,000 digits, past Python's default limit
+        # on integer-to-string conversion
+        path = emit(tmp_path, "bs12_rtimes")
+        capsys.readouterr()
+        code, out, err = run(capsys, "word-eq", str(path), "t^20000 a t^-20000", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "limit" in err
+
 
 class TestSimplifyCommand:
     def test_round_trip_from_presentation_file(self, capsys, tmp_path):
@@ -287,6 +304,22 @@ class TestVerifyCommand:
         code2, out2, _ = run(capsys, *args)
         assert (code1, code2) == (0, 0)
         assert out1 == out2
+
+    @pytest.mark.parametrize("name", list(VERIFY_DIGESTS["reports"]))
+    def test_seed_zero_report_matches_recorded_digest(self, capsys, tmp_path, name):
+        fixture = corrupted_d_infty() if name == "corrupted_d_infty" else fixture_named(name)
+        path = tmp_path / f"{name}.toml"
+        path.write_text(
+            cli.serialize_descriptor_file(
+                cli.DescriptorFile(
+                    fixture.descriptor, fixture.name, fixture.note, fixture.presentation
+                )
+            )
+        )
+        code, out, _ = run(capsys, "verify", str(path), "--seed", "0")
+        expected = VERIFY_DIGESTS["reports"][name]
+        assert code == expected["exit"]
+        assert hashlib.sha256(out.encode()).hexdigest() == expected["sha256"]
 
 
 class TestExamplesCommand:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -406,6 +407,68 @@ class TestAffine:
     def test_unknown_symbol(self):
         with pytest.raises(ValueError):
             affine_of_word(D_INFTY, parse_word("w"))
+
+
+def _rational(rng) -> Fraction:
+    # mixes coprime denominators and values written non-reduced, like 2/4
+    k = rng.choice((1, 2, 3))
+    return F(rng.randint(-9, 9) * k, rng.choice((1, 2, 3, 4, 5, 7, 9)) * k)
+
+
+def _random_maps(seed: int, count: int) -> list[AffineMap2]:
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        lin = Mat2Q(*(_rational(rng) for _ in range(4)))
+        if lin.det() != 0:
+            out.append(AffineMap2(lin, (_rational(rng), _rational(rng))))
+    return out
+
+
+class TestAffineKernel:
+    MAPS = _random_maps(61, 60)
+
+    def test_compose_matches_matrix_formula(self):
+        for f, g in zip(self.MAPS, self.MAPS[1:] + self.MAPS[:1]):
+            fg = affine_compose(f, g)
+            b = f.linear.apply(g.translation)
+            assert fg.linear == f.linear * g.linear
+            assert fg.translation == (b[0] + f.translation[0], b[1] + f.translation[1])
+            v = (F(3, 7), F(-5, 2))
+            assert fg.apply(v) == f.apply(g.apply(v))
+
+    def test_inverse_is_two_sided(self):
+        # the sample covers both signs of the determinant
+        assert {f.linear.det() > 0 for f in self.MAPS} == {True, False}
+        for f in self.MAPS:
+            inv = affine_inverse(f)
+            assert affine_compose(f, inv) == AffineMap2.identity()
+            assert affine_compose(inv, f) == AffineMap2.identity()
+            assert inv.linear == f.linear.inverse()
+
+    def test_storage_is_canonical(self):
+        for f, g in zip(self.MAPS, self.MAPS[1:]):
+            for h in (f, affine_compose(f, g), affine_inverse(f), affine_pow(f, -3)):
+                assert h.ints[0] > 0
+                assert gcd(*h.ints) == 1
+
+    def test_equal_maps_written_differently_are_equal(self):
+        # products carry common factors in all seven integers until the
+        # gcd normalization removes them
+        for f in self.MAPS:
+            for same in (
+                affine_compose(affine_compose(f, f), affine_inverse(f)),
+                affine_compose(affine_pow(f, 3), affine_pow(f, -2)),
+            ):
+                assert same == f and hash(same) == hash(f)
+        assert AffineMap2(Mat2Q.of(F(2, 4), 0, 0, 1), (F(3, 6), 0)) == AffineMap2(
+            Mat2Q.of(F(1, 2), 0, 0, 1), (F(1, 2), 0)
+        )
+
+    def test_singular_linear_part_rejected(self):
+        for lin in (Mat2Q.of(1, 2, 2, 4), Mat2Q.of(F(1, 2), F(1, 3), F(3, 2), 1), Mat2Q.of(0, 0, 0, 0)):
+            with pytest.raises(ValueError):
+                AffineMap2(lin, (F(1), F(0)))
 
 
 class TestExtensionEmbedding:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -19,9 +20,11 @@ from hirsch3.families import (
 from hirsch3.fixtures import FIXTURES, corrupted_d_infty, fixture_named
 from hirsch3.rationals import Mat2Q, mult_rank
 from hirsch3.verify import (
+    _CANDIDATE_CAP,
     CheckResult,
     TrialConfig,
     VerifyResourceError,
+    _child_rng,
     check_relations,
     commutator_depth_search,
     commutator_depth_test,
@@ -220,6 +223,40 @@ class TestCommutatorDepth:
             commutator_depth_test(BSbar(2, 3), 4, CFG)
         with pytest.raises(ValueError):
             commutator_depth_test(BSbar(2, 3), 0, CFG)
+
+    @staticmethod
+    def word_level_search(desc, depth, cfg):
+        # evaluates each whole nested-commutator word, in the search's order
+        ops = ops_for(desc)
+        names = ops.generator_names
+        width = 1 << depth
+        for tup in itertools.islice(
+            itertools.product(names, repeat=width), _CANDIDATE_CAP
+        ):
+            w = nested_commutator([Word.gen(n) for n in tup])
+            if not ops.is_identity(ops.of_word(w)):
+                return w
+        for idx in range(cfg.trials):
+            rng = _child_rng(cfg.seed, f"commutator-depth-{depth}", idx)
+            words = [
+                random_word(rng, names, cfg.max_word_length) for _ in range(width)
+            ]
+            w = nested_commutator(words)
+            if not ops.is_identity(ops.of_word(w)):
+                return w
+        return None
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "fixture",
+        FIXTURES + (corrupted_d_infty(),),
+        ids=[f.name for f in FIXTURES] + ["corrupted_d_infty"],
+    )
+    def test_element_search_matches_word_level_search(self, fixture, depth):
+        for seed in (0, 1):
+            cfg = TrialConfig(seed=seed, trials=20)
+            expected = self.word_level_search(fixture.descriptor, depth, cfg)
+            assert commutator_depth_search(fixture.descriptor, depth, cfg) == expected
 
 
 class TestFpCone:
