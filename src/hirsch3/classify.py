@@ -4,8 +4,15 @@ For each group this module computes the Hirsch length, Fitting radical
 data, the quotient by the radical, derived length, polycyclicity, finite
 presentability with its constructible type, FP2 and coherence values,
 cohomological dimension, minimax section data, and the dimension range of
-compact aspherical manifolds realizing the group.  `classify` aggregates
-everything into a `ClassificationReport` and cross-checks the result.
+compact aspherical manifolds realizing the group.
+
+Each family has one invariants function in `_INVARIANTS`, keyed by
+descriptor type, that computes its invariants once into an `_Invariants`
+record; the family-independent ones (cohomological dimension, coherence,
+manifold dimensions) derive from the record.  `classify` builds the record
+once, aggregates it into a `ClassificationReport` and cross-checks the
+result; each public operation reads one field.  Adding a family means
+adding one invariants function to that table.
 
 Scope notes.  The quotient type, coherence, and manifold operations are
 fully specified only at Hirsch length 3; `classify` fills those report
@@ -23,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm, prod
-from typing import Optional, Union
+from typing import Any, Callable, Optional, Union
 
 from .families import (
     AffineMap2,
@@ -444,27 +451,12 @@ def _type1_ratio(r1: Fraction, r2: Fraction) -> int:
 class _AffineData:
     rank_t: int
     image: str  # "trivial" | "finite" | "cyclic" | "dinfty"
-    image_order: Optional[int]
     composite: Optional[Mat2Q]
     abelian: bool
 
     @property
-    def rank_l(self) -> int:
-        return 1 if self.image in ("cyclic", "dinfty") else 0
-
-    @property
     def hirsch(self) -> int:
-        return self.rank_t + self.rank_l
-
-    @property
-    def ranks(self) -> dict[int, int]:
-        if self.composite is None or self.rank_t < 2:
-            return {}
-        return _module_growth_ranks(self.composite)
-
-    @property
-    def translations_fg(self) -> bool:
-        return not self.ranks
+        return self.rank_t + (self.image in ("cyclic", "dinfty"))
 
 
 def _linear_closure(mats: list[Mat2Q], cap: int = 24) -> Optional[set[Mat2Q]]:
@@ -563,23 +555,18 @@ def _analyze_affine(desc: AffineQ2) -> _AffineData:
             raise ClassifyError("affine descriptor presents a group with torsion")
         image = "trivial" if not extra else "finite"
         composite = None
-        order: Optional[int] = len(closure)
+    elif len(distinct) == 1:
+        image = "cyclic"
+        composite = distinct[0]
+    elif (
+        len(distinct) == 2
+        and all(m.det() == -1 and matrix_order(m) == 2 for m in distinct)
+        and matrix_order(distinct[0] * distinct[1]) is None
+    ):
+        image = "dinfty"
+        composite = distinct[0] * distinct[1]
     else:
-        order = None
-        if len(distinct) == 1:
-            image = "cyclic"
-            composite = distinct[0]
-        elif (
-            len(distinct) == 2
-            and all(m.det() == -1 and matrix_order(m) == 2 for m in distinct)
-            and matrix_order(distinct[0] * distinct[1]) is None
-        ):
-            image = "dinfty"
-            composite = distinct[0] * distinct[1]
-        else:
-            raise ClassifyError(
-                "affine descriptor has an unsupported linear image shape"
-            )
+        raise ClassifyError("affine descriptor has an unsupported linear image shape")
     pure = _pure_translations(desc)
     rank_t = _span_rank(pure, [g.linear for g in maps])
     if image in ("cyclic", "dinfty") and rank_t == 1:
@@ -592,38 +579,10 @@ def _analyze_affine(desc: AffineQ2) -> _AffineData:
         raise ClassifyError(
             "affine descriptor with finite nontrivial image needs translation rank 2"
         )
-    return _AffineData(rank_t, image, order, composite, abelian)
+    return _AffineData(rank_t, image, composite, abelian)
 
 
 # --- family predicates --------------------------------------------------------
-
-
-def _is_trivial(desc: GroupDescriptor) -> bool:
-    if isinstance(desc, RankOneQ):
-        return all(x == 0 for x in desc.generators)
-    if isinstance(desc, AffineQ2):
-        data = _analyze_affine(desc)
-        return data.image == "trivial" and data.rank_t == 0
-    return False
-
-
-def _is_abelian(desc: GroupDescriptor) -> bool:
-    if isinstance(desc, RankOneQ):
-        return True
-    if isinstance(desc, BSbar):
-        return desc.ratio == 1
-    if isinstance(desc, MetabelianH31):
-        return desc.t_ratio == 1 and desc.u_ratio == 1 and desc.e == 0
-    if isinstance(desc, LatticeByZ):
-        return desc.matrix == Mat2Q.identity()
-    if isinstance(desc, AscHNNKb):
-        return False
-    return _analyze_affine(desc).abelian
-
-
-def _meta_kernel_rank(desc: MetabelianH31) -> int:
-    rank, _ = mult_rank((desc.t_ratio, desc.u_ratio))
-    return 2 - rank
 
 
 def _meta_sign_kernel_basis(desc: MetabelianH31) -> list[tuple[int, int]]:
@@ -639,135 +598,31 @@ def _meta_sign_kernel_basis(desc: MetabelianH31) -> list[tuple[int, int]]:
     return [(1, 1), (0, 2)]
 
 
-def _meta_words_commute(desc: MetabelianH31, w1: Word, w2: Word) -> bool:
-    commutator = w1 * w2 * w1.inv() * w2.inv()
-    return meta_of_word(desc, commutator) == meta_identity()
-
-
 def _meta_radical_abelian_h3(desc: MetabelianH31) -> bool:
     words = [Word.gen("a")]
     for i, j in _meta_sign_kernel_basis(desc):
         words.append(Word.of((("t", i), ("u", j))) if i else Word.gen("u", j))
     return all(
-        _meta_words_commute(desc, w1, w2)
+        meta_of_word(desc, w1 * w2 * w1.inv() * w2.inv()) == meta_identity()
         for idx, w1 in enumerate(words)
         for w2 in words[idx + 1 :]
     )
 
 
-# --- operations ---------------------------------------------------------------
-
-
-def hirsch_length(desc: GroupDescriptor) -> int:
-    if isinstance(desc, RankOneQ):
-        return 0 if _is_trivial(desc) else 1
-    if isinstance(desc, BSbar):
-        return 2
-    if isinstance(desc, (MetabelianH31, LatticeByZ, AscHNNKb)):
-        return 3
-    return _analyze_affine(desc).hirsch
-
-
-def radical_info(desc: GroupDescriptor) -> RadicalInfo:
-    whole = "whole group, virtually nilpotent"
-    if isinstance(desc, RankOneQ):
-        return RadicalInfo(hirsch_length(desc), whole, True)
-    if isinstance(desc, BSbar):
-        if desc.m == 1 and abs(desc.n) == 1:
-            if desc.n == 1:
-                return RadicalInfo(2, whole, True)
-            return RadicalInfo(2, _ranks_description({}), True)
-        return RadicalInfo(1, _section_label(desc.locus), True)
-    if isinstance(desc, MetabelianH31):
-        kernel_rank = _meta_kernel_rank(desc)
-        if kernel_rank == 0:
-            return RadicalInfo(1, _section_label(desc.locus), True)
-        if kernel_rank == 1:
-            ranks = {p: 1 for p in prime_factors(desc.locus)}
-            return RadicalInfo(2, _ranks_description(ranks), True)
-        return RadicalInfo(3, whole, _meta_radical_abelian_h3(desc))
-    if isinstance(desc, LatticeByZ):
-        m = desc.matrix
-        order = matrix_order(m)
-        if order is not None:
-            return RadicalInfo(3, whole, True)
-        if _is_plus_minus_unipotent(m):
-            return RadicalInfo(3, whole, m == Mat2Q.identity())
-        return RadicalInfo(2, _ranks_description(_module_growth_ranks(m)), True)
-    if isinstance(desc, AscHNNKb):
-        if abs(desc.e * desc.d) == 1:
-            return RadicalInfo(3, whole, True)
-        ranks: dict[int, int] = {}
-        for value in (desc.e, desc.d):
-            for p in prime_factors(abs(value)) if abs(value) > 1 else []:
-                ranks[p] = ranks.get(p, 0) + 1
-        return RadicalInfo(2, _ranks_description(ranks), True)
-    data = _analyze_affine(desc)
-    if data.image in ("trivial", "finite"):
-        return RadicalInfo(data.hirsch, whole, True)
-    if data.rank_t == 0:
-        return RadicalInfo(1, whole, True)
-    if data.composite is not None and _is_plus_minus_unipotent(data.composite):
-        return RadicalInfo(3, whole, data.abelian)
-    return RadicalInfo(2, _ranks_description(data.ranks), True)
-
-
-def quotient_type(desc: GroupDescriptor) -> QuotientType:
-    if hirsch_length(desc) != 3:
-        raise ClassifyError("quotient type is classified at Hirsch length 3 only")
-    radical = radical_info(desc)
-    if radical.hirsch == 1:
-        return QuotientType("Z2")
-    if radical.hirsch == 3:
-        return QuotientType("VirtuallyTrivial")
-    if isinstance(desc, MetabelianH31):
-        _, has_minus_one = mult_rank((desc.t_ratio, desc.u_ratio))
-        return QuotientType("ZplusZ2" if has_minus_one else "Z")
-    if isinstance(desc, LatticeByZ):
-        return QuotientType("Z")
-    if isinstance(desc, AscHNNKb):
-        return QuotientType("ZplusZ2")
-    data = _analyze_affine(desc)
-    return QuotientType("Dinfty" if data.image == "dinfty" else "Z")
-
-
-def derived_length(desc: GroupDescriptor) -> int:
-    if _is_trivial(desc):
-        return 0
-    if _is_abelian(desc):
-        return 1
-    if isinstance(desc, AffineQ2):
-        if _analyze_affine(desc).image != "dinfty":
-            return 2
-        return 2 if _reflection_lines_coincide(desc) else 3
-    return 2
-
-
-def is_polycyclic(desc: GroupDescriptor) -> bool:
-    if isinstance(desc, RankOneQ):
-        return True
-    if isinstance(desc, BSbar):
-        return abs(desc.m * desc.n) == 1
-    if isinstance(desc, MetabelianH31):
-        return abs(desc.t_ratio) == 1 and abs(desc.u_ratio) == 1
-    if isinstance(desc, LatticeByZ):
-        return is_unimodular_integral_class(desc.matrix)
-    if isinstance(desc, AscHNNKb):
-        return abs(desc.e * desc.d) == 1
-    data = _analyze_affine(desc)
-    if data.image in ("trivial", "finite") or data.rank_t == 0:
-        return True
-    return data.translations_fg
-
-
+_WHOLE = "whole group, virtually nilpotent"
 _FP_IS_FP2 = "finitely presentable, hence FP2"
 _E_NOTE = "the twist parameter does not change finite presentability"
+_FP2 = TriState(True, _FP_IS_FP2)
+_TYPE3 = (True, Type3(), _FP2)
 
 
-def _rank2_fp_notes(fp: bool) -> TriState:
-    if fp:
-        return TriState(True, _FP_IS_FP2)
-    return TriState(
+def _ascending_type(matrix: Mat2Q) -> tuple[bool, ConstructibleType, TriState]:
+    """Presentability data for a rank-two module extended by one matrix."""
+    if is_unimodular_integral_class(matrix):
+        return _TYPE3
+    if conjugate_to_integral(matrix) or conjugate_to_integral(matrix.inverse()):
+        return True, Type2("Z2"), _FP2
+    return False, None, TriState(
         False,
         "with a radical of Hirsch length 2, FP2 already forces finite "
         "presentability, and neither the acting matrix nor its inverse is "
@@ -775,88 +630,34 @@ def _rank2_fp_notes(fp: bool) -> TriState:
     )
 
 
-def _ascending_type(matrix: Mat2Q) -> tuple[bool, ConstructibleType, TriState]:
-    """Presentability data for a rank-two module extended by one matrix."""
-    if is_unimodular_integral_class(matrix):
-        return True, Type3(), TriState(True, _FP_IS_FP2)
-    if conjugate_to_integral(matrix) or conjugate_to_integral(matrix.inverse()):
-        return True, Type2("Z2"), TriState(True, _FP_IS_FP2)
-    return False, None, _rank2_fp_notes(False)
-
-
-def fp_status(desc: GroupDescriptor) -> tuple[bool, ConstructibleType, TriState]:
-    if isinstance(desc, RankOneQ):
-        return True, Type3(), TriState(True, _FP_IS_FP2)
-    if isinstance(desc, BSbar):
-        if abs(desc.m * desc.n) == 1:
-            return True, Type3(), TriState(True, _FP_IS_FP2)
-        if desc.m == 1:
-            return True, None, TriState(True, _FP_IS_FP2)
-        return (
-            False,
-            None,
-            TriState(
-                False,
-                "extensions of Z[1/mn] by Z with m and |n| both greater than 1 "
-                "are not FP2",
-            ),
-        )
-    if isinstance(desc, MetabelianH31):
-        if is_polycyclic(desc):
-            return True, Type3(), TriState(True, _FP_IS_FP2)
-        kernel_rank = _meta_kernel_rank(desc)
-        if kernel_rank == 0:
-            rows = [(va, vb) for _, va, vb in
-                    _valuation_rows(desc.t_ratio, desc.u_ratio)]
-            point = cone_integer_point(rows)
-            if point is None:
-                return (
-                    False,
-                    None,
-                    TriState(
-                        None,
-                        "whether an FP2 group with rank-one radical must be "
-                        "finitely presentable is an open question; "
-                        + _E_NOTE,
-                    ),
-                )
-            realized = _type1_ratio(desc.t_ratio, desc.u_ratio)
-            return (
-                True,
-                Type1(realized),
-                TriState(True, _FP_IS_FP2 + "; " + _E_NOTE),
+def _meta_fp_status(
+    desc: MetabelianH31, kernel_rank: int, has_minus_one: bool
+) -> tuple[bool, ConstructibleType, TriState]:
+    """Presentability data for a metabelian descriptor that is not
+    polycyclic."""
+    if kernel_rank == 0:
+        rows = [(va, vb) for _, va, vb in
+                _valuation_rows(desc.t_ratio, desc.u_ratio)]
+        if cone_integer_point(rows) is None:
+            return False, None, TriState(
+                None,
+                "whether an FP2 group with rank-one radical must be "
+                "finitely presentable is an open question; " + _E_NOTE,
             )
-        # rank-one multiplicative image: every per-prime valuation point of
-        # (t_ratio, u_ratio) is a multiple of one direction, so the module is
-        # tame exactly when the image generator or its inverse is an integer
-        generator = _rank_one_image_generator(desc)
-        if generator.denominator == 1 or generator.numerator == 1:
-            _, has_minus_one = mult_rank((desc.t_ratio, desc.u_ratio))
-            base = "Kb" if has_minus_one else "Z2"
-            return True, Type2(base), TriState(True, _FP_IS_FP2)
-        return (
-            False,
-            None,
-            TriState(
-                False,
-                "with a radical of Hirsch length 2, FP2 already forces finite "
-                "presentability, and the rank-one multiplicative image is "
-                "generated by a rational that is integral in neither direction",
-            ),
-        )
-    if isinstance(desc, LatticeByZ):
-        if radical_info(desc).hirsch == 3:
-            return True, Type3(), TriState(True, _FP_IS_FP2)
-        return _ascending_type(desc.matrix)
-    if isinstance(desc, AscHNNKb):
-        if abs(desc.e * desc.d) == 1:
-            return True, Type3(), TriState(True, _FP_IS_FP2)
-        return True, Type2("Kb"), TriState(True, _FP_IS_FP2)
-    data = _analyze_affine(desc)
-    if is_polycyclic(desc):
-        return True, Type3(), TriState(True, _FP_IS_FP2)
-    assert data.composite is not None
-    return _ascending_type(data.composite)
+        realized = _type1_ratio(desc.t_ratio, desc.u_ratio)
+        return True, Type1(realized), TriState(True, _FP_IS_FP2 + "; " + _E_NOTE)
+    # rank-one multiplicative image: every per-prime valuation point of
+    # (t_ratio, u_ratio) is a multiple of one direction, so the module is
+    # tame exactly when the image generator or its inverse is an integer
+    generator = _rank_one_image_generator(desc)
+    if generator.denominator == 1 or generator.numerator == 1:
+        return True, Type2("Kb" if has_minus_one else "Z2"), _FP2
+    return False, None, TriState(
+        False,
+        "with a radical of Hirsch length 2, FP2 already forces finite "
+        "presentability, and the rank-one multiplicative image is "
+        "generated by a rational that is integral in neither direction",
+    )
 
 
 def _rank_one_image_generator(desc: MetabelianH31) -> Fraction:
@@ -885,146 +686,342 @@ def _rank_one_image_generator(desc: MetabelianH31) -> Fraction:
     return value
 
 
-def cohomological_dimension(desc: GroupDescriptor) -> int:
-    h = hirsch_length(desc)
-    if h == 0:
-        return 0
-    if isinstance(desc, RankOneQ):
-        return 1
-    fp, _, _ = fp_status(desc)
-    return h if fp else h + 1
+# --- one invariants function per family ----------------------------------------
 
 
-def coherence_status(desc: GroupDescriptor) -> TriState:
-    if hirsch_length(desc) != 3:
-        raise ClassifyError("coherence is classified at Hirsch length 3 only")
-    if is_polycyclic(desc):
-        return TriState(True, "polycyclic groups are coherent")
-    radical = radical_info(desc)
-    fp, _, fp2 = fp_status(desc)
-    if radical.hirsch >= 2:
-        if fp2.value:
+@dataclass(frozen=True)
+class _Invariants:
+    """A group's family-specific invariants, each computed once.
+
+    `quotient` is None off Hirsch length 3; `fp` is the triple
+    (finitely presentable, constructible type, FP2).  The properties derive
+    the family-independent invariants from these fields.
+    """
+
+    hirsch: int
+    radical: RadicalInfo
+    quotient: Optional[QuotientType]
+    derived_length: int
+    polycyclic: bool
+    fp: tuple[bool, ConstructibleType, TriState]
+    sections: tuple[str, ...]
+
+    @property
+    def cohomological_dimension(self) -> int:
+        return self.hirsch if self.fp[0] else self.hirsch + 1
+
+    @property
+    def coherent(self) -> TriState:
+        if self.polycyclic:
+            return TriState(True, "polycyclic groups are coherent")
+        fp, _, fp2 = self.fp
+        if self.hirsch != 3:
+            if fp:
+                return TriState(
+                    True,
+                    "every finitely generated subgroup is free abelian or an "
+                    "ascending extension of the same integral kind, hence "
+                    "finitely presentable",
+                )
             return TriState(
-                True,
-                "FP2 groups whose radical has Hirsch length at least 2 are "
-                "coherent",
+                False, "the group itself is finitely generated but not "
+                "finitely presentable"
+            )
+        if self.radical.hirsch >= 2:
+            if fp2.value:
+                return TriState(
+                    True,
+                    "FP2 groups whose radical has Hirsch length at least 2 are "
+                    "coherent",
+                )
+            return TriState(
+                False, "the group itself is finitely generated but not FP2"
+            )
+        if fp:
+            return TriState(
+                False,
+                "contains a finitely generated subgroup, an extension of "
+                "Z[1/pq] by Z with p and q both greater than 1, that is not FP2",
             )
         return TriState(
-            False, "the group itself is finitely generated but not FP2"
+            None,
+            "coherence here reduces to the open question whether FP2 forces "
+            "finite presentability when the radical has Hirsch length 1",
         )
-    if fp:
-        return TriState(
-            False,
-            "contains a finitely generated subgroup, an extension of Z[1/pq] "
-            "by Z with p and q both greater than 1, that is not FP2",
-        )
-    return TriState(
-        None,
-        "coherence here reduces to the open question whether FP2 forces "
-        "finite presentability when the radical has Hirsch length 1",
+
+    @property
+    def manifold_dim(self) -> ManifoldDim:
+        h = self.hirsch
+        if self.polycyclic:
+            return ManifoldDim(h, h, h)
+        fp, ctype, _ = self.fp
+        if not fp:
+            return ManifoldDim(h + 2, None, None)
+        if h == 3:
+            if isinstance(ctype, Type1):
+                return ManifoldDim(5, 5, 5)
+            return ManifoldDim(5, 6, None)
+        # Hirsch length 2, finitely presentable, not polycyclic: an ascending
+        # one-relator group, realized by an aspherical 4-manifold and by
+        # nothing smaller
+        return ManifoldDim(4, 4, 4)
+
+
+def _quotient(radical: RadicalInfo, rank_two_tag: str) -> QuotientType:
+    """The quotient by the radical at Hirsch length 3: Z2 over a rank-one
+    radical, virtually trivial over the whole group, and the family's tag
+    over a rank-two radical."""
+    return QuotientType({1: "Z2", 3: "VirtuallyTrivial"}.get(radical.hirsch, rank_two_tag))
+
+
+def _rank_one_invariants(desc: RankOneQ) -> _Invariants:
+    h = 0 if all(x == 0 for x in desc.generators) else 1
+    return _Invariants(
+        hirsch=h,
+        radical=RadicalInfo(h, _WHOLE, True),
+        quotient=None,
+        derived_length=h,  # trivial or abelian
+        polycyclic=True,
+        fp=_TYPE3,
+        sections=("Z",) * h,
     )
 
 
-def minimax_series(desc: GroupDescriptor) -> list[str]:
-    if isinstance(desc, RankOneQ):
-        return [] if _is_trivial(desc) else ["Z"]
-    if isinstance(desc, BSbar):
-        return [_section_label(desc.locus), "Z"]
-    if isinstance(desc, MetabelianH31):
-        return [_section_label(desc.locus), "Z", "Z"]
-    if isinstance(desc, LatticeByZ):
-        bottom, top = _rank2_module_moduli(desc.matrix)
-        return [_section_label(bottom), _section_label(top), "Z"]
-    if isinstance(desc, AscHNNKb):
-        sections = [
+def _bsbar_invariants(desc: BSbar) -> _Invariants:
+    label = _section_label(desc.locus)
+    polycyclic = abs(desc.m * desc.n) == 1
+    if desc.m == 1 and abs(desc.n) == 1:
+        described = _WHOLE if desc.n == 1 else _ranks_description({})
+        radical = RadicalInfo(2, described, True)
+    else:
+        radical = RadicalInfo(1, label, True)
+    if polycyclic:
+        fp = _TYPE3
+    elif desc.m == 1:
+        fp = True, None, _FP2
+    else:
+        fp = False, None, TriState(
+            False,
+            "extensions of Z[1/mn] by Z with m and |n| both greater than 1 "
+            "are not FP2",
+        )
+    return _Invariants(
+        hirsch=2,
+        radical=radical,
+        quotient=None,
+        derived_length=1 if desc.ratio == 1 else 2,
+        polycyclic=polycyclic,
+        fp=fp,
+        sections=(label, "Z"),
+    )
+
+
+def _meta_invariants(desc: MetabelianH31) -> _Invariants:
+    rank, has_minus_one = mult_rank((desc.t_ratio, desc.u_ratio))
+    kernel_rank = 2 - rank
+    label = _section_label(desc.locus)
+    if kernel_rank == 0:
+        radical = RadicalInfo(1, label, True)
+    elif kernel_rank == 1:
+        ranks = {p: 1 for p in prime_factors(desc.locus)}
+        radical = RadicalInfo(2, _ranks_description(ranks), True)
+    else:
+        radical = RadicalInfo(3, _WHOLE, _meta_radical_abelian_h3(desc))
+    polycyclic = abs(desc.t_ratio) == 1 and abs(desc.u_ratio) == 1
+    abelian = desc.t_ratio == 1 and desc.u_ratio == 1 and desc.e == 0
+    return _Invariants(
+        hirsch=3,
+        radical=radical,
+        quotient=_quotient(radical, "ZplusZ2" if has_minus_one else "Z"),
+        derived_length=1 if abelian else 2,
+        polycyclic=polycyclic,
+        fp=_TYPE3 if polycyclic else _meta_fp_status(desc, kernel_rank, has_minus_one),
+        sections=(label, "Z", "Z"),
+    )
+
+
+def _lattice_invariants(desc: LatticeByZ) -> _Invariants:
+    m = desc.matrix
+    if matrix_order(m) is not None:
+        radical = RadicalInfo(3, _WHOLE, True)
+    elif _is_plus_minus_unipotent(m):
+        radical = RadicalInfo(3, _WHOLE, m == Mat2Q.identity())
+    else:
+        radical = RadicalInfo(2, _ranks_description(_module_growth_ranks(m)), True)
+    bottom, top = _rank2_module_moduli(m)
+    return _Invariants(
+        hirsch=3,
+        radical=radical,
+        quotient=_quotient(radical, "Z"),
+        derived_length=1 if m == Mat2Q.identity() else 2,
+        polycyclic=is_unimodular_integral_class(m),
+        fp=_TYPE3 if radical.hirsch == 3 else _ascending_type(m),
+        sections=(_section_label(bottom), _section_label(top), "Z"),
+    )
+
+
+def _hnnkb_invariants(desc: AscHNNKb) -> _Invariants:
+    polycyclic = abs(desc.e * desc.d) == 1
+    if polycyclic:
+        radical = RadicalInfo(3, _WHOLE, True)
+    else:
+        ranks: dict[int, int] = {}
+        for value in (desc.e, desc.d):
+            for p in prime_factors(abs(value)) if abs(value) > 1 else []:
+                ranks[p] = ranks.get(p, 0) + 1
+        radical = RadicalInfo(2, _ranks_description(ranks), True)
+    return _Invariants(
+        hirsch=3,
+        radical=radical,
+        quotient=_quotient(radical, "ZplusZ2"),
+        derived_length=2,
+        polycyclic=polycyclic,
+        fp=_TYPE3 if polycyclic else (True, Type2("Kb"), _FP2),
+        sections=(
             _section_label(radical_of(abs(desc.d))),
             _section_label(radical_of(abs(desc.e))),
             "finite",
             "Z",
-        ]
-        return sections
+        ),
+    )
+
+
+def _affine_invariants(desc: AffineQ2) -> _Invariants:
     data = _analyze_affine(desc)
-    if data.rank_t == 2 and data.composite is not None:
-        bottom, top = _rank2_module_moduli(data.composite)
+    h, composite = data.hirsch, data.composite
+    ranks: dict[int, int] = {}
+    if composite is not None and data.rank_t == 2:
+        ranks = _module_growth_ranks(composite)
+    if data.image in ("trivial", "finite"):
+        radical = RadicalInfo(h, _WHOLE, True)
+    elif data.rank_t == 0:
+        radical = RadicalInfo(1, _WHOLE, True)
+    elif composite is not None and _is_plus_minus_unipotent(composite):
+        radical = RadicalInfo(3, _WHOLE, data.abelian)
+    else:
+        radical = RadicalInfo(2, _ranks_description(ranks), True)
+    if data.image == "trivial" and data.rank_t == 0:
+        derived = 0
+    elif data.abelian:
+        derived = 1
+    elif data.image == "dinfty" and not _reflection_lines_coincide(desc):
+        derived = 3
+    else:
+        derived = 2
+    polycyclic = not ranks  # the translations are finitely generated
+    if polycyclic:
+        fp = _TYPE3
+    else:
+        assert composite is not None
+        fp = _ascending_type(composite)
+    if data.rank_t == 2 and composite is not None:
+        bottom, top = _rank2_module_moduli(composite)
         sections = [_section_label(bottom), _section_label(top)]
     else:
         sections = ["Z"] * data.rank_t
-    if data.image == "finite":
-        sections.append("finite")
-    elif data.image == "cyclic":
-        sections.append("Z")
-    elif data.image == "dinfty":
-        sections.extend(["Z", "finite"])
-    return sections
+    sections += {
+        "trivial": [], "finite": ["finite"], "cyclic": ["Z"], "dinfty": ["Z", "finite"]
+    }[data.image]
+    tag = "Dinfty" if data.image == "dinfty" else "Z"
+    return _Invariants(
+        hirsch=h,
+        radical=radical,
+        quotient=_quotient(radical, tag) if h == 3 else None,
+        derived_length=derived,
+        polycyclic=polycyclic,
+        fp=fp,
+        sections=tuple(sections),
+    )
+
+
+_INVARIANTS: dict[type, Callable[[Any], _Invariants]] = {
+    BSbar: _bsbar_invariants,
+    MetabelianH31: _meta_invariants,
+    LatticeByZ: _lattice_invariants,
+    AscHNNKb: _hnnkb_invariants,
+    RankOneQ: _rank_one_invariants,
+    AffineQ2: _affine_invariants,
+}
+
+
+def _invariants(desc: GroupDescriptor) -> _Invariants:
+    try:
+        family = _INVARIANTS[type(desc)]
+    except KeyError:
+        raise TypeError(f"unknown descriptor {desc!r}") from None
+    return family(desc)
+
+
+def _at_hirsch_three(desc: GroupDescriptor, what: str) -> _Invariants:
+    inv = _invariants(desc)
+    if inv.hirsch != 3:
+        raise ClassifyError(f"{what} classified at Hirsch length 3 only")
+    return inv
+
+
+# --- operations ---------------------------------------------------------------
+
+
+def hirsch_length(desc: GroupDescriptor) -> int:
+    return _invariants(desc).hirsch
+
+
+def radical_info(desc: GroupDescriptor) -> RadicalInfo:
+    return _invariants(desc).radical
+
+
+def quotient_type(desc: GroupDescriptor) -> QuotientType:
+    return _at_hirsch_three(desc, "quotient type is").quotient
+
+
+def derived_length(desc: GroupDescriptor) -> int:
+    return _invariants(desc).derived_length
+
+
+def is_polycyclic(desc: GroupDescriptor) -> bool:
+    return _invariants(desc).polycyclic
+
+
+def fp_status(desc: GroupDescriptor) -> tuple[bool, ConstructibleType, TriState]:
+    return _invariants(desc).fp
+
+
+def cohomological_dimension(desc: GroupDescriptor) -> int:
+    return _invariants(desc).cohomological_dimension
+
+
+def coherence_status(desc: GroupDescriptor) -> TriState:
+    return _at_hirsch_three(desc, "coherence is").coherent
+
+
+def minimax_series(desc: GroupDescriptor) -> list[str]:
+    return list(_invariants(desc).sections)
 
 
 def manifold_dim_info(desc: GroupDescriptor) -> ManifoldDim:
-    if hirsch_length(desc) != 3:
-        raise ClassifyError(
-            "manifold dimensions are classified at Hirsch length 3 only"
-        )
-    return _manifold_general(desc)
-
-
-def _manifold_general(desc: GroupDescriptor) -> ManifoldDim:
-    h = hirsch_length(desc)
-    if is_polycyclic(desc):
-        return ManifoldDim(h, h, h)
-    fp, ctype, _ = fp_status(desc)
-    if not fp:
-        return ManifoldDim(h + 2, None, None)
-    if h == 3:
-        if isinstance(ctype, Type1):
-            return ManifoldDim(5, 5, 5)
-        return ManifoldDim(5, 6, None)
-    # Hirsch length 2, finitely presentable, not polycyclic: an ascending
-    # one-relator group, realized by an aspherical 4-manifold and by nothing
-    # smaller
-    return ManifoldDim(4, 4, 4)
+    return _at_hirsch_three(desc, "manifold dimensions are").manifold_dim
 
 
 def classify(desc: GroupDescriptor) -> ClassificationReport:
-    h = hirsch_length(desc)
-    radical = radical_info(desc)
-    fp, ctype, fp2 = fp_status(desc)
-    polycyclic = is_polycyclic(desc)
+    inv = _invariants(desc)
+    fp, ctype, fp2 = inv.fp
     report = ClassificationReport(
-        hirsch_length=h,
-        radical=radical,
-        quotient=quotient_type(desc) if h == 3 else None,
-        derived_length=derived_length(desc),
-        polycyclic=polycyclic,
+        hirsch_length=inv.hirsch,
+        radical=inv.radical,
+        quotient=inv.quotient,
+        derived_length=inv.derived_length,
+        polycyclic=inv.polycyclic,
         finitely_presentable=fp,
         constructible=fp,
         fp2=fp2,
-        coherent=_coherence_for_report(desc, h, polycyclic, fp),
-        cohomological_dimension=cohomological_dimension(desc),
-        minimax=MinimaxInfo(True, tuple(minimax_series(desc))),
+        coherent=inv.coherent,
+        cohomological_dimension=inv.cohomological_dimension,
+        minimax=MinimaxInfo(True, inv.sections),
         constructible_type=ctype,
-        manifold_dim=_manifold_general(desc),
+        manifold_dim=inv.manifold_dim,
     )
     _enforce_report_invariants(report)
     return report
-
-
-def _coherence_for_report(
-    desc: GroupDescriptor, h: int, polycyclic: bool, fp: bool
-) -> TriState:
-    if h == 3:
-        return coherence_status(desc)
-    if polycyclic:
-        return TriState(True, "polycyclic groups are coherent")
-    if fp:
-        return TriState(
-            True,
-            "every finitely generated subgroup is free abelian or an "
-            "ascending extension of the same integral kind, hence finitely "
-            "presentable",
-        )
-    return TriState(
-        False, "the group itself is finitely generated but not finitely "
-        "presentable"
-    )
 
 
 _ALLOWED_QUOTIENTS = {1: {"Z2"}, 2: {"Z", "Dinfty", "ZplusZ2"}, 3: {"VirtuallyTrivial"}}

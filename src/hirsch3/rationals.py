@@ -150,29 +150,6 @@ def is_unit_localized(x: Fraction, d: int) -> bool:
 
 
 @dataclass(frozen=True)
-class LocalRational:
-    """A rational together with the locus D of the ring Z[1/D] it lives in.
-
-    D is normalized to its square-free kernel on construction.
-    """
-
-    value: Fraction
-    locus: int
-
-    def __post_init__(self) -> None:
-        if self.locus < 1:
-            raise ValueError("locus must be a positive integer")
-        object.__setattr__(self, "locus", radical_of(self.locus))
-        if not in_localized(self.value, self.locus):
-            raise ValueError(
-                f"{format_rational(self.value)} is not in Z[1/{self.locus}]"
-            )
-
-    def is_unit(self) -> bool:
-        return is_unit_localized(self.value, self.locus)
-
-
-@dataclass(frozen=True)
 class PrimeVector:
     """Factored form of a nonzero rational: sign and prime exponent vector."""
 
@@ -258,23 +235,6 @@ def mult_rank(ratios: Sequence[Fraction]) -> tuple[int, bool]:
         sum(a * s for a, s in zip(vec, signs)) % 2 == 1 for vec in kernel
     )
     return rank, has_minus_one
-
-
-def cyclic_generator(xs: Sequence[Fraction]) -> Fraction:
-    """Positive generator of the subgroup of (Q,+) generated by xs; 0 if trivial.
-
-    Over the common denominator L this is gcd(numerators)/L.
-    """
-    nonzero = [x for x in xs if x != 0]
-    if not nonzero:
-        return Fraction(0)
-    lcm = 1
-    for x in nonzero:
-        lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-    g = 0
-    for x in nonzero:
-        g = gcd(g, abs(x.numerator) * (lcm // x.denominator))
-    return Fraction(g, lcm)
 
 
 @dataclass(frozen=True)

@@ -323,6 +323,7 @@ _Aff6 = tuple
 _AFF6_ID: _Aff6 = (F(1), F(0), F(0), F(1), F(0), F(0))
 
 
+@lru_cache(maxsize=4096)
 def _aff6_of(f: AffineMap2) -> _Aff6:
     return (*f.linear.entries(), *f.translation)
 

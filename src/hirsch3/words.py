@@ -93,27 +93,6 @@ class Word:
                 yield g, step
 
 
-def free_reduce(pairs: Iterable[Syllable] | Word) -> Word:
-    if isinstance(pairs, Word):
-        pairs = pairs.syllables
-    return Word.of(pairs)
-
-
-def exponent_sum(w: Word, gen: str) -> int:
-    return w.exponent_sum(gen)
-
-
-def substitute(w: Word, gen: str, replacement: Word) -> Word:
-    """Replace every syllable gen^k by replacement^k, then reduce."""
-    out: list[Syllable] = []
-    for g, e in w.syllables:
-        if g == gen:
-            out.extend((replacement ** e).syllables)
-        else:
-            out.append((g, e))
-    return Word.of(out)
-
-
 def format_word(w: Word) -> str:
     if w.is_identity():
         return "1"
@@ -162,7 +141,11 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
             continue
         m = _INT_RE.match(text, i)
         if m:
-            toks.append(("int", int(m.group()), i))
+            try:
+                value = int(m.group())
+            except ValueError:  # past Python's integer-string digit limit
+                raise ParseError("integer has too many digits", i) from None
+            toks.append(("int", value, i))
             i = m.end()
             continue
         if ch in _PUNCT:

@@ -8,6 +8,7 @@ from math import prod
 
 import pytest
 
+from hirsch3 import classify as classify_module
 from hirsch3.classify import (
     ClassifyError,
     ManifoldDim,
@@ -37,10 +38,12 @@ from hirsch3.families import (
     BSbar,
     LatticeByZ,
     MetabelianH31,
+    FAMILIES,
     RankOneQ,
     lattice_span,
     meta_of_word,
 )
+from hirsch3.fixtures import fixture_named
 from hirsch3.rationals import Mat2Q, prime_factors, rational_valuation
 from hirsch3.words import Word
 
@@ -673,3 +676,47 @@ def test_report_rules_hold_on_random_descriptors():
             assert abs(realized) > 1
         if isinstance(report.constructible_type, (Type1, Type2)):
             assert not report.polycyclic and report.finitely_presentable
+
+
+def test_every_family_has_one_invariants_function():
+    assert set(classify_module._INVARIANTS) == set(FAMILIES)
+
+
+@pytest.mark.parametrize(
+    "fixture, helper", [("bs12_rtimes", "_type1_ratio"), ("f_mod_kprime", "_analyze_affine")]
+)
+def test_classify_runs_each_expensive_helper_once(monkeypatch, fixture, helper):
+    original = getattr(classify_module, helper)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(classify_module, helper, counted)
+    classify(fixture_named(fixture).descriptor)
+    assert len(calls) == 1
+
+
+def test_public_steps_match_the_report():
+    rng = random.Random(31337)
+    for _ in range(200):
+        desc = random_descriptor(rng)
+        report = classify(desc)
+        assert hirsch_length(desc) == report.hirsch_length
+        assert radical_info(desc) == report.radical
+        assert derived_length(desc) == report.derived_length
+        assert is_polycyclic(desc) == report.polycyclic
+        assert fp_status(desc) == (
+            report.finitely_presentable, report.constructible_type, report.fp2
+        )
+        assert cohomological_dimension(desc) == report.cohomological_dimension
+        assert minimax_series(desc) == list(report.minimax.sections)
+        if report.hirsch_length == 3:
+            assert quotient_type(desc) == report.quotient
+            assert coherence_status(desc) == report.coherent
+            assert manifold_dim_info(desc) == report.manifold_dim
+        else:
+            for step in (quotient_type, coherence_status, manifold_dim_info):
+                with pytest.raises(ClassifyError):
+                    step(desc)

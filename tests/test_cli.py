@@ -228,6 +228,15 @@ class TestWordEqCommand:
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert "limit" in err
 
+    def test_overlong_exponent_is_input_error(self, capsys, tmp_path):
+        path = emit(tmp_path, "bs12_rtimes")
+        capsys.readouterr()
+        code, out, err = run(capsys, "word-eq", str(path), "a^" + "9" * 5000, "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "digits" in err
+
 
 class TestSimplifyCommand:
     def test_round_trip_from_presentation_file(self, capsys, tmp_path):

@@ -8,11 +8,9 @@ from fractions import Fraction
 import pytest
 
 from hirsch3.rationals import (
-    LocalRational,
     Mat2Q,
     PrimeVector,
     conjugate_to_integral,
-    cyclic_generator,
     format_rational,
     in_localized,
     integer_row_kernel,
@@ -97,15 +95,6 @@ class TestLocalized:
         assert is_unit_localized(F(1), 1)
         assert is_unit_localized(F(-1), 1)
 
-    def test_local_rational_validates(self):
-        x = LocalRational(F(5, 12), 6)
-        assert x.locus == 6
-        assert LocalRational(F(1, 2), 4).locus == 2
-        with pytest.raises(ValueError):
-            LocalRational(F(1, 5), 6)
-        assert LocalRational(F(2, 3), 6).is_unit()
-        assert not LocalRational(F(5, 3), 6).is_unit()
-
     def test_closure_under_ring_ops(self):
         rng = random.Random(11)
         for _ in range(500):
@@ -165,43 +154,6 @@ class TestMultRank:
         for _ in range(200):
             x = rand_nonzero_fraction(rng, -50, 50)
             assert PrimeVector.from_rational(x).to_rational() == x
-
-
-class TestCyclicGenerator:
-    def test_known_values(self):
-        assert cyclic_generator([F(1, 2), F(1, 3)]) == F(1, 6)
-        assert cyclic_generator([F(0)]) == 0
-        assert cyclic_generator([]) == 0
-        assert cyclic_generator([F(-4), F(6)]) == 2
-        assert cyclic_generator([F(3, 4)]) == F(3, 4)
-
-    def test_generates_and_divides(self):
-        rng = random.Random(23)
-        for _ in range(300):
-            xs = [rand_fraction(rng) for _ in range(rng.randint(1, 5))]
-            g = cyclic_generator(xs)
-            if g == 0:
-                assert all(x == 0 for x in xs)
-                continue
-            # every input is an integer multiple of g
-            ks = [x / g for x in xs]
-            assert all(k.denominator == 1 for k in ks)
-            # g is an integer combination of the inputs (Bezout over 1/lcm)
-            lcm = 1
-            for x in xs:
-                lcm = lcm * x.denominator // __import__("math").gcd(lcm, x.denominator)
-            nums = [int(x * lcm) for x in xs]
-            target = int(g * lcm)
-            assert _is_integer_combination(nums, target)
-
-
-def _is_integer_combination(nums, target):
-    from math import gcd
-
-    g = 0
-    for n in nums:
-        g = gcd(g, n)
-    return g != 0 and target % g == 0
 
 
 class TestRowKernel:
