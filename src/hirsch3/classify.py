@@ -7,7 +7,7 @@ cohomological dimension, minimax section data, and the dimension range of
 compact aspherical manifolds realizing the group.
 
 Each family has one invariants function in `_INVARIANTS`, keyed by
-descriptor type, that computes its invariants once into an `_Invariants`
+descriptor type, that computes its invariants once into an `Invariants`
 record; the family-independent ones (cohomological dimension, coherence,
 manifold dimensions) derive from the record.  `classify` builds the record
 once, aggregates it into a `ClassificationReport` and cross-checks the
@@ -690,7 +690,7 @@ def _rank_one_image_generator(desc: MetabelianH31) -> Fraction:
 
 
 @dataclass(frozen=True)
-class _Invariants:
+class Invariants:
     """A group's family-specific invariants, each computed once.
 
     `quotient` is None off Hirsch length 3; `fp` is the triple
@@ -774,9 +774,9 @@ def _quotient(radical: RadicalInfo, rank_two_tag: str) -> QuotientType:
     return QuotientType({1: "Z2", 3: "VirtuallyTrivial"}.get(radical.hirsch, rank_two_tag))
 
 
-def _rank_one_invariants(desc: RankOneQ) -> _Invariants:
+def _rank_one_invariants(desc: RankOneQ) -> Invariants:
     h = 0 if all(x == 0 for x in desc.generators) else 1
-    return _Invariants(
+    return Invariants(
         hirsch=h,
         radical=RadicalInfo(h, _WHOLE, True),
         quotient=None,
@@ -787,7 +787,7 @@ def _rank_one_invariants(desc: RankOneQ) -> _Invariants:
     )
 
 
-def _bsbar_invariants(desc: BSbar) -> _Invariants:
+def _bsbar_invariants(desc: BSbar) -> Invariants:
     label = _section_label(desc.locus)
     polycyclic = abs(desc.m * desc.n) == 1
     if desc.m == 1 and abs(desc.n) == 1:
@@ -805,7 +805,7 @@ def _bsbar_invariants(desc: BSbar) -> _Invariants:
             "extensions of Z[1/mn] by Z with m and |n| both greater than 1 "
             "are not FP2",
         )
-    return _Invariants(
+    return Invariants(
         hirsch=2,
         radical=radical,
         quotient=None,
@@ -816,7 +816,7 @@ def _bsbar_invariants(desc: BSbar) -> _Invariants:
     )
 
 
-def _meta_invariants(desc: MetabelianH31) -> _Invariants:
+def _meta_invariants(desc: MetabelianH31) -> Invariants:
     rank, has_minus_one = mult_rank((desc.t_ratio, desc.u_ratio))
     kernel_rank = 2 - rank
     label = _section_label(desc.locus)
@@ -829,7 +829,7 @@ def _meta_invariants(desc: MetabelianH31) -> _Invariants:
         radical = RadicalInfo(3, _WHOLE, _meta_radical_abelian_h3(desc))
     polycyclic = abs(desc.t_ratio) == 1 and abs(desc.u_ratio) == 1
     abelian = desc.t_ratio == 1 and desc.u_ratio == 1 and desc.e == 0
-    return _Invariants(
+    return Invariants(
         hirsch=3,
         radical=radical,
         quotient=_quotient(radical, "ZplusZ2" if has_minus_one else "Z"),
@@ -840,7 +840,7 @@ def _meta_invariants(desc: MetabelianH31) -> _Invariants:
     )
 
 
-def _lattice_invariants(desc: LatticeByZ) -> _Invariants:
+def _lattice_invariants(desc: LatticeByZ) -> Invariants:
     m = desc.matrix
     if matrix_order(m) is not None:
         radical = RadicalInfo(3, _WHOLE, True)
@@ -849,7 +849,7 @@ def _lattice_invariants(desc: LatticeByZ) -> _Invariants:
     else:
         radical = RadicalInfo(2, _ranks_description(_module_growth_ranks(m)), True)
     bottom, top = _rank2_module_moduli(m)
-    return _Invariants(
+    return Invariants(
         hirsch=3,
         radical=radical,
         quotient=_quotient(radical, "Z"),
@@ -860,7 +860,7 @@ def _lattice_invariants(desc: LatticeByZ) -> _Invariants:
     )
 
 
-def _hnnkb_invariants(desc: AscHNNKb) -> _Invariants:
+def _hnnkb_invariants(desc: AscHNNKb) -> Invariants:
     polycyclic = abs(desc.e * desc.d) == 1
     if polycyclic:
         radical = RadicalInfo(3, _WHOLE, True)
@@ -870,7 +870,7 @@ def _hnnkb_invariants(desc: AscHNNKb) -> _Invariants:
             for p in prime_factors(abs(value)) if abs(value) > 1 else []:
                 ranks[p] = ranks.get(p, 0) + 1
         radical = RadicalInfo(2, _ranks_description(ranks), True)
-    return _Invariants(
+    return Invariants(
         hirsch=3,
         radical=radical,
         quotient=_quotient(radical, "ZplusZ2"),
@@ -886,7 +886,7 @@ def _hnnkb_invariants(desc: AscHNNKb) -> _Invariants:
     )
 
 
-def _affine_invariants(desc: AffineQ2) -> _Invariants:
+def _affine_invariants(desc: AffineQ2) -> Invariants:
     data = _analyze_affine(desc)
     h, composite = data.hirsch, data.composite
     ranks: dict[int, int] = {}
@@ -923,7 +923,7 @@ def _affine_invariants(desc: AffineQ2) -> _Invariants:
         "trivial": [], "finite": ["finite"], "cyclic": ["Z"], "dinfty": ["Z", "finite"]
     }[data.image]
     tag = "Dinfty" if data.image == "dinfty" else "Z"
-    return _Invariants(
+    return Invariants(
         hirsch=h,
         radical=radical,
         quotient=_quotient(radical, tag) if h == 3 else None,
@@ -934,7 +934,7 @@ def _affine_invariants(desc: AffineQ2) -> _Invariants:
     )
 
 
-_INVARIANTS: dict[type, Callable[[Any], _Invariants]] = {
+_INVARIANTS: dict[type, Callable[[Any], Invariants]] = {
     BSbar: _bsbar_invariants,
     MetabelianH31: _meta_invariants,
     LatticeByZ: _lattice_invariants,
@@ -944,7 +944,9 @@ _INVARIANTS: dict[type, Callable[[Any], _Invariants]] = {
 }
 
 
-def _invariants(desc: GroupDescriptor) -> _Invariants:
+def invariants(desc: GroupDescriptor) -> Invariants:
+    """The family's invariants record; each public step reads one field of
+    it, so a caller that needs several reads should build it once."""
     try:
         family = _INVARIANTS[type(desc)]
     except KeyError:
@@ -952,8 +954,8 @@ def _invariants(desc: GroupDescriptor) -> _Invariants:
     return family(desc)
 
 
-def _at_hirsch_three(desc: GroupDescriptor, what: str) -> _Invariants:
-    inv = _invariants(desc)
+def _at_hirsch_three(desc: GroupDescriptor, what: str) -> Invariants:
+    inv = invariants(desc)
     if inv.hirsch != 3:
         raise ClassifyError(f"{what} classified at Hirsch length 3 only")
     return inv
@@ -963,11 +965,11 @@ def _at_hirsch_three(desc: GroupDescriptor, what: str) -> _Invariants:
 
 
 def hirsch_length(desc: GroupDescriptor) -> int:
-    return _invariants(desc).hirsch
+    return invariants(desc).hirsch
 
 
 def radical_info(desc: GroupDescriptor) -> RadicalInfo:
-    return _invariants(desc).radical
+    return invariants(desc).radical
 
 
 def quotient_type(desc: GroupDescriptor) -> QuotientType:
@@ -975,19 +977,19 @@ def quotient_type(desc: GroupDescriptor) -> QuotientType:
 
 
 def derived_length(desc: GroupDescriptor) -> int:
-    return _invariants(desc).derived_length
+    return invariants(desc).derived_length
 
 
 def is_polycyclic(desc: GroupDescriptor) -> bool:
-    return _invariants(desc).polycyclic
+    return invariants(desc).polycyclic
 
 
 def fp_status(desc: GroupDescriptor) -> tuple[bool, ConstructibleType, TriState]:
-    return _invariants(desc).fp
+    return invariants(desc).fp
 
 
 def cohomological_dimension(desc: GroupDescriptor) -> int:
-    return _invariants(desc).cohomological_dimension
+    return invariants(desc).cohomological_dimension
 
 
 def coherence_status(desc: GroupDescriptor) -> TriState:
@@ -995,7 +997,7 @@ def coherence_status(desc: GroupDescriptor) -> TriState:
 
 
 def minimax_series(desc: GroupDescriptor) -> list[str]:
-    return list(_invariants(desc).sections)
+    return list(invariants(desc).sections)
 
 
 def manifold_dim_info(desc: GroupDescriptor) -> ManifoldDim:
@@ -1003,7 +1005,7 @@ def manifold_dim_info(desc: GroupDescriptor) -> ManifoldDim:
 
 
 def classify(desc: GroupDescriptor) -> ClassificationReport:
-    inv = _invariants(desc)
+    inv = invariants(desc)
     fp, ctype, fp2 = inv.fp
     report = ClassificationReport(
         hirsch_length=inv.hirsch,

@@ -16,11 +16,27 @@ Families and their generator names:
 
 Normal-form conventions: left action t a t^-1 = a^(n/m); MetabelianH31
 normal form a^x t^i u^j with t before u; HNN normal form s^-i g s^j with
-g not in im(phi) whenever i, j > 0.  An `AffineMap2` is stored as seven
-integers (den, a, b, c, d, x, y), meaning v |-> ([[a, b], [c, d]] v +
-(x, y)) / den, with den > 0 and the seven coprime; composition and
-inversion stay in integers, and `.linear` and `.translation` read the map
-back as `Fraction`s.
+g not in im(phi) whenever i, j > 0.
+
+Element storage.  Every rational coordinate is kept as integers over one
+positive denominator, gcd-normalized, so `==` and `hash` are exact and
+products stay in integer arithmetic:
+
+  BSbarElem       ints = (den, u, k)        a^(u/den) t^k
+  MetaH31Elem     ints = (den, x, i, j)     a^(x/den) t^i u^j
+  LatticeElem     ints = (den, x, y, k)     ((x, y)/den) t^k
+  AffineMap2      ints = (den, a, b, c, d, x, y)
+                                            v |-> ([[a, b], [c, d]] v + (x, y)) / den
+  BrittonElem     integers already (s-exponents and a KbElem x^a y^b)
+  RankOneQ        a single `Fraction`
+
+The constructors take `Fraction` coordinates, and `.u`, `.x`, `.v`,
+`.linear` and `.translation` read them back as `Fraction`s.  Each
+descriptor caches, as integer pairs or tuples, the powers and crossing
+factors its products need (ratio powers (n/m)^k and (q/p)^s, the
+MetabelianH31 crossing factors, lattice matrix powers M^k), for exponents
+up to `_TABLE_REACH`; an `AscHNNKb` caches its `KbEndo` and the iterates
+phi^k, each applied in O(1) by a closed form.
 
 `FAMILIES` maps each descriptor type to its `Family` record: file tag,
 generator names, element algebra, descriptor-file form, display and
@@ -31,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, partial
 from math import gcd
 from typing import Any, Callable, Iterable, Union
 
@@ -50,6 +66,16 @@ from .words import Word, format_word
 F = Fraction
 
 
+def _over_common_denominator(values: Iterable[Fraction]) -> tuple[int, ...]:
+    """(den, *nums) with values = nums / den: den is the least common
+    denominator, so den > 0 and gcd(den, *nums) = 1."""
+    values = tuple(values)
+    den = 1
+    for v in values:
+        den = den * v.denominator // gcd(den, v.denominator)
+    return (den, *(v.numerator * (den // v.denominator) for v in values))
+
+
 # --- affine maps of Q^2 -----------------------------------------------------
 
 
@@ -66,14 +92,13 @@ class AffineMap2:
     ints: tuple[int, int, int, int, int, int, int]
 
     def __init__(self, linear: Mat2Q, translation: tuple[Fraction, Fraction]) -> None:
-        values = (*linear.entries(), F(translation[0]), F(translation[1]))
-        den = 1
-        for v in values:
-            den = den * v.denominator // gcd(den, v.denominator)
-        a, b, c, d, x, y = (v.numerator * (den // v.denominator) for v in values)
+        ints = _over_common_denominator(
+            (*linear.entries(), F(translation[0]), F(translation[1]))
+        )
+        _, a, b, c, d, _, _ = ints
         if a * d - b * c == 0:
             raise ValueError("affine map must have invertible linear part")
-        object.__setattr__(self, "ints", (den, a, b, c, d, x, y))
+        object.__setattr__(self, "ints", ints)
 
     @classmethod
     def identity(cls) -> "AffineMap2":
@@ -144,6 +169,47 @@ def affine_pow(f: AffineMap2, k: int) -> AffineMap2:
     return binary_power(base, abs(k), affine_compose, AffineMap2.identity())
 
 
+# --- cached integer tables -------------------------------------------------
+
+# Exponents beyond this are recomputed on every use: an entry costs memory
+# linear in its exponent, so one long word cannot fill a table with them.
+_TABLE_REACH = 256
+
+
+class _Table(dict):
+    """k |-> of(k), computed on first use and kept for |k| <= _TABLE_REACH.
+
+    `of` is a module-level function or a `partial` of one, so a descriptor
+    holding tables still pickles.
+    """
+
+    __slots__ = ("of",)
+
+    def __init__(self, of: Callable[[int], Any]) -> None:
+        super().__init__()
+        self.of = of
+
+    def __missing__(self, k: int):
+        value = self.of(k)
+        if -_TABLE_REACH <= k <= _TABLE_REACH:
+            self[k] = value
+        return value
+
+
+def _pair(x: Fraction) -> tuple[int, int]:
+    """x as its reduced integers (numerator, denominator > 0)."""
+    return (x.numerator, x.denominator)
+
+
+def _ratio_power(r: Fraction, k: int) -> tuple[int, int]:
+    return _pair(r ** k)
+
+
+def _matrix_power(m: Mat2Q, k: int) -> tuple[int, ...]:
+    """M^k as integers (den, a, b, c, d): M^k = [[a, b], [c, d]] / den."""
+    return _over_common_denominator(m.pow(k).entries())
+
+
 # --- descriptors ------------------------------------------------------------
 
 
@@ -175,6 +241,10 @@ class BSbar:
     @property
     def locus(self) -> int:
         return radical_of(self.m * self.n)
+
+    @cached_property
+    def _powers(self) -> "_Table":
+        return _Table(partial(_ratio_power, self.ratio))
 
 
 @dataclass(frozen=True)
@@ -208,6 +278,10 @@ class MetabelianH31:
     def u_ratio(self) -> Fraction:
         return F(self.q, self.p)
 
+    @cached_property
+    def _kernel(self) -> "_MetaKernel":
+        return _MetaKernel(self)
+
 
 @dataclass(frozen=True)
 class LatticeByZ:
@@ -216,6 +290,10 @@ class LatticeByZ:
     def __post_init__(self) -> None:
         if self.matrix.det() == 0:
             raise ValueError("acting matrix must be invertible")
+
+    @cached_property
+    def _powers(self) -> "_Table":
+        return _Table(partial(_matrix_power, self.matrix))
 
 
 @dataclass(frozen=True)
@@ -246,9 +324,13 @@ class AscHNNKb:
     def __post_init__(self) -> None:
         KbEndo(self.e, self.f, self.d)  # validates
 
-    @property
+    @cached_property
     def endo(self) -> KbEndo:
         return KbEndo(self.e, self.f, self.d)
+
+    @cached_property
+    def _iterates(self) -> "_Table":
+        return _Table(partial(_endo_power, self.endo))
 
 
 @dataclass(frozen=True)
@@ -279,10 +361,34 @@ GroupDescriptor = Union[RankOneQ, BSbar, MetabelianH31, LatticeByZ, AscHNNKb, Af
 # --- BSbar ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BSbarElem:
-    u: Fraction
-    k: int
+    """a^u t^k, stored as integers `ints = (den, num, k)` with u = num / den,
+    den > 0 and gcd(num, den) = 1, so `==` and `hash` are exact."""
+
+    ints: tuple[int, int, int]
+
+    def __init__(self, u: Fraction, k: int) -> None:
+        u = F(u)
+        object.__setattr__(self, "ints", (u.denominator, u.numerator, k))
+
+    @property
+    def u(self) -> Fraction:
+        return F(self.ints[1], self.ints[0])
+
+    @property
+    def k(self) -> int:
+        return self.ints[2]
+
+
+def _bsbar_of_ints(den: int, num: int, k: int) -> BSbarElem:
+    """a^(num/den) t^k after gcd normalization; den > 0 is the caller's."""
+    g = gcd(den, num)
+    if g != 1:
+        den, num = den // g, num // g
+    out = object.__new__(BSbarElem)
+    object.__setattr__(out, "ints", (den, num, k))
+    return out
 
 
 def bsbar_make(desc: BSbar, u: Fraction, k: int) -> BSbarElem:
@@ -293,41 +399,79 @@ def bsbar_make(desc: BSbar, u: Fraction, k: int) -> BSbarElem:
 
 
 def bsbar_identity() -> BSbarElem:
-    return BSbarElem(F(0), 0)
+    return _BSBAR_IDENTITY
 
 
 def bsbar_mul(desc: BSbar, g1: BSbarElem, g2: BSbarElem) -> BSbarElem:
-    return BSbarElem(g1.u + desc.ratio ** g1.k * g2.u, g1.k + g2.k)
+    # u1 + (n/m)^k1 u2
+    d1, u1, k1 = g1.ints
+    d2, u2, k2 = g2.ints
+    p, q = desc._powers[k1]
+    return _bsbar_of_ints(d1 * q * d2, u1 * q * d2 + p * u2 * d1, k1 + k2)
 
 
 def bsbar_inv(desc: BSbar, g: BSbarElem) -> BSbarElem:
-    return BSbarElem(-(desc.ratio ** -g.k) * g.u, -g.k)
+    # -(n/m)^-k u
+    den, num, k = g.ints
+    p, q = desc._powers[-k]
+    return _bsbar_of_ints(q * den, -p * num, -k)
 
 
 def bsbar_of_word(desc: BSbar, w: Word) -> BSbarElem:
     # right-to-left prepending keeps every step O(1) exact ops
-    u, k = F(0), 0
-    r = desc.ratio
+    den, num, k = 1, 0, 0
+    powers = desc._powers
     for g, e in reversed(w.syllables):
         if g == "a":
-            u, k = u + e, k
+            num += e * den  # stays reduced
         elif g == "t":
-            u, k = r ** e * u, k + e
+            p, q = powers[e]
+            den, num, k = den * q, num * p, k + e
+            c = gcd(den, num)
+            den, num = den // c, num // c
         else:
             raise ValueError(f"unknown generator {g!r} (expected a, t)")
-    return BSbarElem(u, k)
+    return _bsbar_of_ints(den, num, k)
+
+
+_BSBAR_IDENTITY = _bsbar_of_ints(1, 0, 0)
 
 
 # --- MetabelianH31 ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MetaH31Elem:
-    """Normal form a^x t^i u^j."""
+    """Normal form a^x t^i u^j, stored as integers `ints = (den, num, i, j)`
+    with x = num / den, den > 0 and gcd(num, den) = 1."""
 
-    x: Fraction
-    i: int
-    j: int
+    ints: tuple[int, int, int, int]
+
+    def __init__(self, x: Fraction, i: int, j: int) -> None:
+        x = F(x)
+        object.__setattr__(self, "ints", (x.denominator, x.numerator, i, j))
+
+    @property
+    def x(self) -> Fraction:
+        return F(self.ints[1], self.ints[0])
+
+    @property
+    def i(self) -> int:
+        return self.ints[2]
+
+    @property
+    def j(self) -> int:
+        return self.ints[3]
+
+
+def _meta_of_ints(den: int, num: int, i: int, j: int) -> MetaH31Elem:
+    """a^(num/den) t^i u^j after gcd normalization; den > 0 is the caller's."""
+    g = gcd(den, num)
+    if g != 1:
+        den, num = den // g, num // g
+    out = object.__new__(MetaH31Elem)
+    object.__setattr__(out, "ints", (den, num, i, j))
+    return out
 
 
 def meta_make(desc: MetabelianH31, x: Fraction, i: int, j: int) -> MetaH31Elem:
@@ -338,7 +482,7 @@ def meta_make(desc: MetabelianH31, x: Fraction, i: int, j: int) -> MetaH31Elem:
 
 
 def meta_identity() -> MetaH31Elem:
-    return MetaH31Elem(F(0), 0, 0)
+    return _META_IDENTITY
 
 
 def _geom(r: Fraction, k: int) -> Fraction:
@@ -360,57 +504,89 @@ def _meta_cross_const(desc: MetabelianH31, eps: int, delta: int) -> Fraction:
     return e * r1 / r2
 
 
-def _meta_prepend_u(desc: MetabelianH31, s: int, g: MetaH31Elem) -> MetaH31Elem:
-    """u^s * g in normal form."""
-    if s == 0:
-        return g
-    r1, r2 = desc.t_ratio, desc.u_ratio
-    eps = 1 if s > 0 else -1
-    x = g.x * r2 ** s
-    if g.i != 0 and desc.e != 0:
-        delta = 1 if g.i > 0 else -1
-        c0 = _meta_cross_const(desc, eps, delta)
-        # u^eps t^i = t^i a^(c0 * geom(r1^-delta, |i|)) u^eps; stacking |s|
-        # u-letters multiplies by geom(r2^eps, |s|)
-        crossing = c0 * _geom(r1 ** -delta, abs(g.i)) * _geom(r2 ** eps, abs(s))
-        x += crossing * r1 ** g.i
-    return MetaH31Elem(x, g.i, g.j + s)
+def _meta_crossing(desc: MetabelianH31, eps: int, i: int) -> tuple[int, int]:
+    """The a-exponent that u^eps leaves behind when it crosses t^i, moved
+    in front of t^i: u^eps t^i = t^i a^C u^eps with C = c0 geom(r1^-delta,
+    |i|) and delta the sign of i, and t^i a^C = a^(C r1^i) t^i."""
+    if i == 0 or desc.e == 0:
+        return (0, 1)
+    r1 = desc.t_ratio
+    delta = 1 if i > 0 else -1
+    return _pair(_meta_cross_const(desc, eps, delta) * _geom(r1 ** -delta, abs(i)) * r1 ** i)
 
 
-def _meta_prepend_t(desc: MetabelianH31, k: int, g: MetaH31Elem) -> MetaH31Elem:
-    if k == 0:
-        return g
-    return MetaH31Elem(g.x * desc.t_ratio ** k, g.i + k, g.j)
+def _meta_u_geom(r2: Fraction, s: int) -> tuple[int, int]:
+    return _pair(_geom(r2 ** (1 if s > 0 else -1), abs(s)))
 
 
-def _meta_prepend_a(s: Fraction, g: MetaH31Elem) -> MetaH31Elem:
-    return MetaH31Elem(g.x + s, g.i, g.j)
+class _MetaKernel:
+    """One descriptor's integer pairs (num, den):
+
+    t_pow[k] = r1^k and u_pow[s] = r2^s; u_geom[s] = geom(r2^eps, |s|) with
+    eps the sign of s, the factor by which stacking |s| u-letters multiplies
+    a crossing; crossing[s > 0][i] = `_meta_crossing(desc, eps, i)`.
+    """
+
+    def __init__(self, desc: MetabelianH31) -> None:
+        self.t_pow = _Table(partial(_ratio_power, desc.t_ratio))
+        self.u_pow = _Table(partial(_ratio_power, desc.u_ratio))
+        self.u_geom = _Table(partial(_meta_u_geom, desc.u_ratio))
+        self.crossing = tuple(_Table(partial(_meta_crossing, desc, eps)) for eps in (-1, 1))
+
+
+def _meta_u_step(kern: _MetaKernel, s: int, den: int, num: int, i: int) -> tuple[int, int]:
+    """u^s a^(num/den) t^i = a^(num'/den') t^i u^s; returns (den', num'),
+    not reduced."""
+    p, q = kern.u_pow[s]
+    cn, cd = kern.crossing[s > 0][i]
+    gn, gd = kern.u_geom[s]
+    if cn and gn:
+        scale = cd * gd
+        return den * q * scale, num * p * scale + cn * gn * den * q
+    return den * q, num * p
 
 
 def meta_mul(desc: MetabelianH31, g1: MetaH31Elem, g2: MetaH31Elem) -> MetaH31Elem:
-    out = _meta_prepend_u(desc, g1.j, g2)
-    out = _meta_prepend_t(desc, g1.i, out)
-    return _meta_prepend_a(g1.x, out)
+    # prepend u^j1, then t^i1, then a^x1 to g2
+    kern = desc._kernel
+    d1, x1, i1, j1 = g1.ints
+    den, num, i2, j2 = g2.ints
+    den, num = _meta_u_step(kern, j1, den, num, i2)
+    p, q = kern.t_pow[i1]
+    den, num = den * q, num * p
+    return _meta_of_ints(den * d1, num * d1 + x1 * den, i1 + i2, j1 + j2)
 
 
 def meta_inv(desc: MetabelianH31, g: MetaH31Elem) -> MetaH31Elem:
-    out = _meta_prepend_a(-g.x, meta_identity())
-    out = _meta_prepend_t(desc, -g.i, out)
-    return _meta_prepend_u(desc, -g.j, out)
+    # u^-j t^-i a^-x
+    kern = desc._kernel
+    den, num, i, j = g.ints
+    p, q = kern.t_pow[-i]
+    den, num = _meta_u_step(kern, -j, den * q, -num * p, -i)
+    return _meta_of_ints(den, num, -i, -j)
 
 
 def meta_of_word(desc: MetabelianH31, w: Word) -> MetaH31Elem:
-    out = meta_identity()
+    kern = desc._kernel
+    den, num, i, j = 1, 0, 0, 0
     for g, e in reversed(w.syllables):
         if g == "a":
-            out = _meta_prepend_a(F(e), out)
-        elif g == "t":
-            out = _meta_prepend_t(desc, e, out)
+            num += e * den  # stays reduced
+            continue
+        if g == "t":
+            p, q = kern.t_pow[e]
+            den, num, i = den * q, num * p, i + e
         elif g == "u":
-            out = _meta_prepend_u(desc, e, out)
+            den, num = _meta_u_step(kern, e, den, num, i)
+            j += e
         else:
             raise ValueError(f"unknown generator {g!r} (expected a, t, u)")
-    return out
+        c = gcd(den, num)
+        den, num = den // c, num // c
+    return _meta_of_ints(den, num, i, j)
+
+
+_META_IDENTITY = _meta_of_ints(1, 0, 0, 0)
 
 
 # --- lattice-by-Z -----------------------------------------------------------
@@ -563,10 +739,35 @@ def lattice_membership(mat: Mat2Q, v: tuple[Fraction, Fraction]) -> bool:
     return lat.contains(v)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LatticeElem:
-    v: tuple[Fraction, Fraction]
-    k: int
+    """v t^k with v = (x, y) / den in the acted-on subgroup, stored as
+    integers `ints = (den, x, y, k)` with den > 0 and gcd(den, x, y) = 1."""
+
+    ints: tuple[int, int, int, int]
+
+    def __init__(self, v: tuple[Fraction, Fraction], k: int) -> None:
+        ints = (*_over_common_denominator((F(v[0]), F(v[1]))), k)
+        object.__setattr__(self, "ints", ints)
+
+    @property
+    def v(self) -> tuple[Fraction, Fraction]:
+        den, x, y, _ = self.ints
+        return (F(x, den), F(y, den))
+
+    @property
+    def k(self) -> int:
+        return self.ints[3]
+
+
+def _lattice_of_ints(den: int, x: int, y: int, k: int) -> LatticeElem:
+    """(x, y) / den t^k after gcd normalization; den > 0 is the caller's."""
+    g = gcd(den, x, y)
+    if g != 1:
+        den, x, y = den // g, x // g, y // g
+    out = object.__new__(LatticeElem)
+    object.__setattr__(out, "ints", (den, x, y, k))
+    return out
 
 
 def lattice_make(mat: Mat2Q, v: tuple[Fraction, Fraction], k: int) -> LatticeElem:
@@ -577,37 +778,49 @@ def lattice_make(mat: Mat2Q, v: tuple[Fraction, Fraction], k: int) -> LatticeEle
 
 
 def lattice_identity() -> LatticeElem:
-    return LatticeElem((F(0), F(0)), 0)
+    return _LATTICE_IDENTITY
 
 
-@lru_cache(maxsize=4096)
-def _lattice_pow(mat: Mat2Q, k: int) -> Mat2Q:
-    return mat.pow(k)
+def lattice_mul(desc: LatticeByZ, g1: LatticeElem, g2: LatticeElem) -> LatticeElem:
+    # v1 + M^k1 v2
+    d1, x1, y1, k1 = g1.ints
+    d2, x2, y2, k2 = g2.ints
+    n, a, b, c, d = desc._powers[k1]
+    scale = n * d2
+    return _lattice_of_ints(
+        d1 * scale,
+        x1 * scale + d1 * (a * x2 + b * y2),
+        y1 * scale + d1 * (c * x2 + d * y2),
+        k1 + k2,
+    )
 
 
-def lattice_mul(mat: Mat2Q, g1: LatticeElem, g2: LatticeElem) -> LatticeElem:
-    w = _lattice_pow(mat, g1.k).apply(g2.v)
-    return LatticeElem((g1.v[0] + w[0], g1.v[1] + w[1]), g1.k + g2.k)
+def lattice_inv(desc: LatticeByZ, g: LatticeElem) -> LatticeElem:
+    # -M^-k v
+    den, x, y, k = g.ints
+    n, a, b, c, d = desc._powers[-k]
+    return _lattice_of_ints(n * den, -(a * x + b * y), -(c * x + d * y), -k)
 
 
-def lattice_inv(mat: Mat2Q, g: LatticeElem) -> LatticeElem:
-    w = _lattice_pow(mat, -g.k).apply(g.v)
-    return LatticeElem((-w[0], -w[1]), -g.k)
-
-
-def lattice_of_word(mat: Mat2Q, w: Word) -> LatticeElem:
-    x, y, k = F(0), F(0), 0
+def lattice_of_word(desc: LatticeByZ, w: Word) -> LatticeElem:
+    den, x, y, k = 1, 0, 0, 0
+    powers = desc._powers
     for g, e in reversed(w.syllables):
         if g == "t":
-            x, y = _lattice_pow(mat, e).apply((x, y))
-            k += e
+            n, a, b, c, d = powers[e]
+            den, x, y, k = den * n, a * x + b * y, c * x + d * y, k + e
+            q = gcd(den, x, y)
+            den, x, y = den // q, x // q, y // q
         elif g == "a":
-            x += e
+            x += e * den  # stays reduced
         elif g == "b":
-            y += e
+            y += e * den
         else:
             raise ValueError(f"unknown generator {g!r} (expected a, b, t)")
-    return LatticeElem((x, y), k)
+    return _lattice_of_ints(den, x, y, k)
+
+
+_LATTICE_IDENTITY = _lattice_of_ints(1, 0, 0, 0)
 
 
 # --- Klein bottle group and its ascending HNN extensions --------------------
@@ -635,16 +848,11 @@ def kb_inv(g: KbElem) -> KbElem:
     return KbElem(-g.a, -sign * g.b)
 
 
-def kb_pow(g: KbElem, k: int) -> KbElem:
-    base = g if k >= 0 else kb_inv(g)
-    return binary_power(base, abs(k), kb_mul, kb_identity())
-
-
 def kb_of_word(w: Word) -> KbElem:
     out = kb_identity()
     for g, e in w.syllables:
         if g == "x":
-            out = kb_mul(out, kb_pow(KbElem(1, 0), e))
+            out = kb_mul(out, KbElem(e, 0))
         elif g == "y":
             out = kb_mul(out, KbElem(0, e))
         else:
@@ -653,7 +861,8 @@ def kb_of_word(w: Word) -> KbElem:
 
 
 def kb_endo_apply(phi: KbEndo, g: KbElem) -> KbElem:
-    return kb_mul(kb_pow(KbElem(phi.e, phi.f), g.a), kb_pow(KbElem(0, phi.d), g.b))
+    # phi(x^a y^b) = (x^e y^f)^a y^(d b), and e odd gives (x^e y^f)^2 = x^(2e)
+    return KbElem(phi.e * g.a, phi.f * (g.a & 1) + phi.d * g.b)
 
 
 def image_membership(phi: KbEndo, g: KbElem) -> bool:
@@ -690,20 +899,22 @@ def hnnkb_identity() -> BrittonElem:
     return BrittonElem(0, kb_identity(), 0)
 
 
-def _endo_iterate(phi: KbEndo, g: KbElem, k: int) -> KbElem:
-    for _ in range(k):
-        g = kb_endo_apply(phi, g)
-    return g
+def _endo_power(phi: KbEndo, k: int) -> KbEndo:
+    # phi^k(x) = x^(e^k) y^(f (1 + d + ... + d^(k-1))), phi^k(y) = y^(d^k),
+    # by induction with the closed form of kb_endo_apply (e^k stays odd)
+    d = phi.d
+    geom = k if d == 1 else (d ** k - 1) // (d - 1)
+    return KbEndo(phi.e ** k, phi.f * geom, d ** k)
 
 
 def hnnkb_mul(desc: AscHNNKb, g1: BrittonElem, g2: BrittonElem) -> BrittonElem:
-    phi = desc.endo
+    iterates = desc._iterates
     if g1.j >= g2.i:
         shift = g1.j - g2.i
-        base = kb_mul(g1.g, _endo_iterate(phi, g2.g, shift))
+        base = kb_mul(g1.g, kb_endo_apply(iterates[shift], g2.g))
         return hnnkb_reduce(desc, g1.i, base, shift + g2.j)
     shift = g2.i - g1.j
-    base = kb_mul(_endo_iterate(phi, g1.g, shift), g2.g)
+    base = kb_mul(kb_endo_apply(iterates[shift], g1.g), g2.g)
     return hnnkb_reduce(desc, g1.i + shift, base, g2.j)
 
 
@@ -715,7 +926,7 @@ def hnnkb_of_word(desc: AscHNNKb, w: Word) -> BrittonElem:
     out = hnnkb_identity()
     for g, e in w.syllables:
         if g == "x":
-            step = BrittonElem(0, kb_pow(KbElem(1, 0), e), 0)
+            step = BrittonElem(0, KbElem(e, 0), 0)
         elif g == "y":
             step = BrittonElem(0, KbElem(0, e), 0)
         elif g == "s":
@@ -999,9 +1210,9 @@ FAMILIES: dict[type, Family] = {
         tag="lattice_by_z",
         generator_names=lambda d: ("a", "b", "t"),
         identity=lattice_identity,
-        mul=lambda d, g1, g2: lattice_mul(d.matrix, g1, g2),
-        inv=lambda d, g: lattice_inv(d.matrix, g),
-        of_word=lambda d, w: lattice_of_word(d.matrix, w),
+        mul=lattice_mul,
+        inv=lattice_inv,
+        of_word=lattice_of_word,
         parse=lambda take: LatticeByZ(Mat2Q.of(*take("matrix", "matrix"))),
         fields=lambda d: [("matrix", _mat_values(d.matrix))],
         describe=_lattice_describe,

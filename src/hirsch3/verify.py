@@ -20,14 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional, Sequence, Union
 
-from .classify import (
-    Type1,
-    derived_length,
-    fp_status,
-    hirsch_length,
-    quotient_type,
-    radical_info,
-)
+from .classify import ConstructibleType, Invariants, Type1, invariants
 from .families import (
     AffineMap2,
     AffineQ2,
@@ -727,6 +720,12 @@ def _is_unipotent(m: Mat2Q) -> bool:
     return m.trace() == 2 and m.det() == 1
 
 
+def _affine_unipotent(g: AffineMap2) -> bool:
+    # linear part [[a, b], [c, d]] / den has trace 2 and determinant 1
+    den, a, b, c, d = g.ints[:5]
+    return a + d == 2 * den and a * d - b * c == den * den
+
+
 def _affine_radical_words(desc: AffineQ2, member: Callable) -> tuple[Word, ...]:
     ops = ops_for(desc)
     names = ops.generator_names
@@ -760,16 +759,15 @@ def _hnn_net(g) -> int:
 
 
 def _radical_model(
-    desc: GroupDescriptor, hirsch_claim: Optional[int] = None
+    desc: GroupDescriptor, inv: Invariants, hirsch_claim: Optional[int] = None
 ) -> _RadicalModel:
-    info = radical_info(desc)
+    info = inv.radical
     claim = info.hirsch if hirsch_claim is None else hirsch_claim
-    h = hirsch_length(desc)
     a, b, t, u = Word.gen("a"), Word.gen("b"), Word.gen("t"), Word.gen("u")
     x, y, s = Word.gen("x"), Word.gen("y"), Word.gen("s")
 
     if isinstance(desc, RankOneQ):
-        if claim != h:
+        if claim != inv.hirsch:
             raise ValueError("unsupported radical claim for this family")
         gens = tuple(Word.gen(n) for n in ops_for(desc).generator_names)
         return _RadicalModel(claim, True, gens, lambda g: True, None)
@@ -800,8 +798,12 @@ def _radical_model(
         basis = _meta_true_kernel_basis(desc)
         true_claim = 1 + len(basis)
 
+        @lru_cache(maxsize=None)
+        def acts_trivially(i: int, j: int) -> bool:
+            return r1**i * r2**j == 1
+
         def member(g) -> bool:
-            return r1**g.i * r2**g.j == 1
+            return acts_trivially(g.i, g.j)
 
         if claim == true_claim:
             gens = [a] + [_meta_power_word(v) for v in basis]
@@ -902,21 +904,16 @@ def _radical_model(
         gens = tuple(Word.gen(n) for n in ops_for(desc).generator_names)
         return _RadicalModel(claim, True, gens, lambda g: True, None)
 
-    def member_affine(g) -> bool:
-        return _is_unipotent(g.linear)
-
-    gens = _affine_radical_words(desc, member_affine)
-    quotient = _affine_quotient(desc, h, claim)
-    return _RadicalModel(claim, info.is_abelian, gens, member_affine, quotient)
+    gens = _affine_radical_words(desc, _affine_unipotent)
+    quotient = _affine_quotient(desc, inv, claim)
+    return _RadicalModel(claim, info.is_abelian, gens, _affine_unipotent, quotient)
 
 
-def _affine_quotient(desc: AffineQ2, h: int, claim: int) -> Optional[tuple]:
-    if claim == h:
-        all_unipotent = all(
-            _is_unipotent(g.linear) for _, g in desc.generators
-        )
+def _affine_quotient(desc: AffineQ2, inv: Invariants, claim: int) -> Optional[tuple]:
+    if claim == inv.hirsch:
+        all_unipotent = all(_affine_unipotent(g) for _, g in desc.generators)
         return None if all_unipotent else ("VirtuallyTrivial",)
-    tag = quotient_type(desc).tag if h == 3 else "Z"
+    tag = inv.quotient.tag if inv.hirsch == 3 else "Z"
     if tag == "Dinfty":
         reflections: list[tuple[str, Mat2Q]] = []
         for name, g in desc.generators:
@@ -927,7 +924,7 @@ def _affine_quotient(desc: AffineQ2, h: int, claim: int) -> Optional[tuple]:
         u_name, v_name = reflections[0][0], reflections[1][0]
         return ("Dinfty", Word.gen(u_name), Word.gen(v_name))
     for name, g in desc.generators:
-        if not _is_unipotent(g.linear):
+        if not _affine_unipotent(g):
             return ("Z", Word.gen(name))
     raise AssertionError("no witness generator for the cyclic quotient")
 
@@ -936,10 +933,15 @@ def _commutes(ops, g1, g2) -> bool:
     return ops.mul(g1, g2) == ops.mul(g2, g1)
 
 
+def _conjugate_word(conjugator: Optional[Word], w: Word) -> Word:
+    return w if conjugator is None else conjugator * w * conjugator.inv()
+
+
 def radical_certificate(
     desc: GroupDescriptor,
     cfg: TrialConfig,
     hirsch_claim: Optional[int] = None,
+    inv: Optional[Invariants] = None,
 ) -> VerificationReport:
     """Randomized certificate for the claimed Fitting radical.
 
@@ -947,11 +949,12 @@ def radical_certificate(
     that sampled outside elements fail to centralize, and that quotient
     witnesses satisfy the claimed quotient shape.  `hirsch_claim` overrides
     the classifier's claim, which turns the certificate into a negative
-    control when the override is wrong.
+    control when the override is wrong.  `inv` is the descriptor's
+    `classify.invariants` record when the caller already has it.
     """
     ops = ops_for(desc)
     names = ops.generator_names
-    model = _radical_model(desc, hirsch_claim)
+    model = _radical_model(desc, inv or invariants(desc), hirsch_claim)
     checks: list[CheckResult] = []
 
     gen_words = list(model.generator_words)
@@ -972,8 +975,12 @@ def radical_certificate(
         )
     )
 
-    # normality: conjugates of radical generators stay inside
-    sample: list[tuple[Word, object]] = list(zip(gen_words, gen_elems))
+    # normality: conjugates of radical generators stay inside.  The sample
+    # keeps each element with its (conjugator, generator word); the word is
+    # built only for a message.
+    sample: list[tuple[object, tuple[Optional[Word], Word]]] = [
+        (g, (None, w)) for w, g in zip(gen_words, gen_elems)
+    ]
     normal_failure = None
     conj_count = 0
     deterministic_conjugators = [Word.gen(n, e) for n in names for e in (1, -1)]
@@ -988,11 +995,10 @@ def radical_certificate(
             conj = ops.mul(ops.mul(c_elem, g), c_inv)
             conj_count += 1
             if not model.member(conj):
-                conj_word = conjugator * w * conjugator.inv()
-                normal_failure = format_word(conj_word)
+                normal_failure = format_word(_conjugate_word(conjugator, w))
                 break
             if len(sample) < 4 * cfg.trials:
-                sample.append((conjugator * w * conjugator.inv(), conj))
+                sample.append((conj, (conjugator, w)))
         if normal_failure:
             break
     checks.append(
@@ -1006,14 +1012,20 @@ def radical_certificate(
     )
 
     # commutativity of the sampled radical, or a witness against it
+    def pair_text(src1, src2) -> str:
+        return (
+            f"[{format_word(_conjugate_word(*src1))}, "
+            f"{format_word(_conjugate_word(*src2))}] != 1"
+        )
+
     if model.abelian:
         failure = None
         pair_count = 0
-        for i, (w1, g1) in enumerate(sample):
-            for w2, g2 in sample[i + 1 : i + 6]:
+        for i, (g1, src1) in enumerate(sample):
+            for g2, src2 in sample[i + 1 : i + 6]:
                 pair_count += 1
                 if not _commutes(ops, g1, g2):
-                    failure = f"[{format_word(w1)}, {format_word(w2)}] != 1"
+                    failure = pair_text(src1, src2)
                     break
             if failure:
                 break
@@ -1029,11 +1041,11 @@ def radical_certificate(
     else:
         witness = None
         pair_count = 0
-        for i, (w1, g1) in enumerate(sample):
-            for w2, g2 in sample[i + 1 :]:
+        for i, (g1, src1) in enumerate(sample):
+            for g2, src2 in sample[i + 1 :]:
                 pair_count += 1
                 if not _commutes(ops, g1, g2):
-                    witness = f"[{format_word(w1)}, {format_word(w2)}] != 1"
+                    witness = pair_text(src1, src2)
                     break
             if witness:
                 break
@@ -1404,8 +1416,7 @@ def _word_eq_check(
     )
 
 
-def _depth_checks(desc: GroupDescriptor, cfg: TrialConfig) -> list[CheckResult]:
-    dl = derived_length(desc)
+def _depth_checks(desc: GroupDescriptor, cfg: TrialConfig, dl: int) -> list[CheckResult]:
     out: list[CheckResult] = []
     upper = min(max(dl, 1), 3)
     witness = commutator_depth_search(desc, upper, cfg)
@@ -1437,11 +1448,10 @@ def _depth_checks(desc: GroupDescriptor, cfg: TrialConfig) -> list[CheckResult]:
 
 
 def _fp_cone_check(
-    desc: MetabelianH31, cfg: TrialConfig, window: int
+    desc: MetabelianH31, cfg: TrialConfig, window: int, ctype: ConstructibleType
 ) -> CheckResult:
     ratios = (desc.t_ratio, desc.u_ratio)
     point = fp_cone_bruteforce(ratios, window)
-    _, ctype, _ = fp_status(desc)
     classifier_type1 = isinstance(ctype, Type1)
     if point is not None:
         i, j = point
@@ -1566,15 +1576,16 @@ def run_harness(
     commutator depth against the derived length, the radical certificate,
     and the family-specific scans.
     """
+    inv = invariants(desc)
     relations = _as_relations(relators, desc)
     checks: list[CheckResult] = [check_relations(desc, relations or None)]
     checks.append(_word_eq_check(desc, cfg, relations))
-    checks.extend(_depth_checks(desc, cfg))
-    checks.extend(radical_certificate(desc, cfg).checks)
+    checks.extend(_depth_checks(desc, cfg, inv.derived_length))
+    checks.extend(radical_certificate(desc, cfg, inv=inv).checks)
     if isinstance(desc, MetabelianH31):
         rank, _ = mult_rank((desc.t_ratio, desc.u_ratio))
         if rank == 2:
-            checks.append(_fp_cone_check(desc, cfg, window))
+            checks.append(_fp_cone_check(desc, cfg, window, inv.fp[1]))
     if isinstance(desc, AscHNNKb):
         checks.extend(_endo_checks(desc, cfg))
     return VerificationReport(family_of(desc).describe(desc), cfg.seed, tuple(checks))

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -414,3 +417,18 @@ class TestFamilyTable:
         ops = ops_for(desc)
         for label, relator in FAMILIES[type(desc)].relations(desc):
             assert ops.is_identity(ops.of_word(relator)), label
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_prints_help(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "hirsch3", "--help"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: hirsch3")

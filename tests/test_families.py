@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 import random
 from fractions import Fraction
 from math import gcd
@@ -27,7 +28,13 @@ from hirsch3.families import (
     affine_inverse,
     affine_of_word,
     affine_pow,
+    _bsbar_of_ints,
+    _endo_power,
+    _lattice_of_ints,
+    _meta_of_ints,
     bs1n_ext_to_meta,
+    bsbar_inv,
+    bsbar_mul,
     bsbar_of_word,
     hnnkb_of_word,
     image_membership,
@@ -35,12 +42,13 @@ from hirsch3.families import (
     kb_inv,
     kb_mul,
     kb_of_word,
-    kb_pow,
+    lattice_inv,
     lattice_make,
     lattice_membership,
     lattice_membership_at,
     lattice_mul,
     lattice_of_word,
+    meta_inv,
     meta_make,
     meta_mul,
     meta_of_word,
@@ -244,17 +252,18 @@ class TestLattice:
         t = LatticeElem((F(0), F(0)), 1)
         a = LatticeElem((F(1), F(0)), 0)
         t_inv = LatticeElem((F(0), F(0)), -1)
-        got = lattice_mul(m, lattice_mul(m, t, a), t_inv)
+        desc = LatticeByZ(m)
+        got = lattice_mul(desc, lattice_mul(desc, t, a), t_inv)
         assert got == LatticeElem((F(2), F(0)), 0)
 
     def test_inverse_law(self):
-        m = Mat2Q.of(0, -2, 1, 0)
+        desc = LatticeByZ(Mat2Q.of(0, -2, 1, 0))
         rng = random.Random(43)
         for _ in range(100):
             w = rand_word(rng, ["a", "b", "t"], syllables=8)
-            g = lattice_of_word(m, w)
-            gi = lattice_of_word(m, w.inv())
-            assert lattice_mul(m, g, gi) == LatticeElem((F(0), F(0)), 0)
+            g = lattice_of_word(desc, w)
+            gi = lattice_of_word(desc, w.inv())
+            assert lattice_mul(desc, g, gi) == LatticeElem((F(0), F(0)), 0)
 
     def test_make_validates(self):
         with pytest.raises(ValueError):
@@ -272,26 +281,14 @@ class TestKb:
     def test_relator(self):
         assert kb_of_word(parse_word("x y x^-1 y")) == KbElem(0, 0)
 
-    def test_pow(self):
-        rng = random.Random(47)
-        for _ in range(200):
-            g = KbElem(rng.randint(-4, 4), rng.randint(-4, 4))
-            k = rng.randint(-6, 6)
-            expect = KbElem(0, 0)
-            step = g if k >= 0 else kb_inv(g)
-            for _ in range(abs(k)):
-                expect = kb_mul(expect, step)
-            assert kb_pow(g, k) == expect
-
 
 POWERS = [
     (Mat2Q.pow, Mat2Q.__mul__, Mat2Q.inverse, Mat2Q.identity(), Mat2Q.of(F(1, 2), 1, -3, 2)),
-    (kb_pow, kb_mul, kb_inv, KbElem(0, 0), KbElem(3, -2)),
     (affine_pow, affine_compose, affine_inverse, AffineMap2.identity(), D_INFTY.map_of("v")),
 ]
 
 
-@pytest.mark.parametrize("power, mul, inv, one, x", POWERS, ids=["mat2q", "kb", "affine"])
+@pytest.mark.parametrize("power, mul, inv, one, x", POWERS, ids=["mat2q", "affine"])
 def test_power_matches_repeated_product(power, mul, inv, one, x):
     for k in range(-5, 6):
         expect = one
@@ -469,6 +466,227 @@ class TestAffineKernel:
         for lin in (Mat2Q.of(1, 2, 2, 4), Mat2Q.of(F(1, 2), F(1, 3), F(3, 2), 1), Mat2Q.of(0, 0, 0, 0)):
             with pytest.raises(ValueError):
                 AffineMap2(lin, (F(1), F(0)))
+
+
+# Fraction reference of the element formulas, as they were written before the
+# integer kernel: (u, k), (x, i, j) and (v, k) tuples of Fractions and ints.
+
+
+def _ref_bsbar_mul(desc, g1, g2):
+    return (g1[0] + desc.ratio ** g1[1] * g2[0], g1[1] + g2[1])
+
+
+def _ref_bsbar_inv(desc, g):
+    return (-(desc.ratio ** -g[1]) * g[0], -g[1])
+
+
+def _ref_geom(r, k):
+    return F(k) if r == 1 else (r**k - 1) / (r - 1)
+
+
+def _ref_meta_prepend_u(desc, s, g):
+    if s == 0:
+        return g
+    r1, r2, e = desc.t_ratio, desc.u_ratio, desc.e
+    x, i, j = g
+    eps = 1 if s > 0 else -1
+    x = x * r2**s
+    if i != 0 and e != 0:
+        delta = 1 if i > 0 else -1
+        c0 = {(1, 1): e, (1, -1): -e * r1, (-1, 1): -e / r2, (-1, -1): e * r1 / r2}[(eps, delta)]
+        crossing = c0 * _ref_geom(r1**-delta, abs(i)) * _ref_geom(r2**eps, abs(s))
+        x += crossing * r1**i
+    return (x, i, j + s)
+
+
+def _ref_meta_mul(desc, g1, g2):
+    x, i, j = _ref_meta_prepend_u(desc, g1[2], g2)
+    return (g1[0] + x * desc.t_ratio ** g1[1], i + g1[1], j)
+
+
+def _ref_meta_inv(desc, g):
+    x, i, j = g
+    return _ref_meta_prepend_u(desc, -j, (-x * desc.t_ratio**-i, -i, 0))
+
+
+def _ref_lattice_mul(mat, g1, g2):
+    w = mat.pow(g1[1]).apply(g2[0])
+    return ((g1[0][0] + w[0], g1[0][1] + w[1]), g1[1] + g2[1])
+
+
+def _ref_lattice_inv(mat, g):
+    w = mat.pow(-g[1]).apply(g[0])
+    return ((-w[0], -w[1]), -g[1])
+
+
+def _localized(rng, primes):
+    den = 1
+    for p in primes:
+        den *= p ** rng.randint(0, 3)
+    return F(rng.randint(-40, 40) * rng.choice((1, 1, 6)), den)
+
+
+class TestElementKernels:
+    """BSbar, MetabelianH31 and LatticeByZ elements on integers over one
+    gcd-normalized denominator, against the Fraction formulas above."""
+
+    BSBARS = [BSbar(2, 3), BSbar(1, -2), BSbar(3, -5), BSbar(1, 1)]
+    METAS = [
+        MetabelianH31(1, 2, 1, 3, F(1)),
+        MetabelianH31(2, 3, 1, 5, F(5, 6)),
+        MetabelianH31(3, -2, 2, 7, F(0)),
+        MetabelianH31(1, -1, 1, 2, F(-1, 2)),
+        MetabelianH31(1, 2, 1, 1, F(3)),
+    ]
+    LATTICES = [
+        LatticeByZ(Mat2Q.of(2, 1, 1, 1)),
+        LatticeByZ(Mat2Q.of(0, -2, 1, 0)),
+        LatticeByZ(Mat2Q.of(F(1, 2), F(-3, 4), 1, F(1, 2))),
+        LatticeByZ(Mat2Q.of(1, 2, 0, 3)),
+    ]
+
+    def _bsbar_pairs(self, desc, rng):
+        for _ in range(60):
+            g1 = (_localized(rng, (2, 3, 5)), rng.randint(-7, 7))
+            g2 = (_localized(rng, (2, 3, 5)), rng.randint(-7, 7))
+            yield g1, g2, BSbarElem(*g1), BSbarElem(*g2)
+
+    def _meta_pairs(self, desc, rng):
+        for _ in range(60):
+            g1 = (_localized(rng, (2, 3, 5, 7)), rng.randint(-6, 6), rng.randint(-6, 6))
+            g2 = (_localized(rng, (2, 3, 5, 7)), rng.randint(-6, 6), rng.randint(-6, 6))
+            yield g1, g2, MetaH31Elem(*g1), MetaH31Elem(*g2)
+
+    def _lattice_pairs(self, desc, rng):
+        for _ in range(60):
+            g1 = ((_localized(rng, (2, 3)), _localized(rng, (2, 3))), rng.randint(-6, 6))
+            g2 = ((_localized(rng, (2, 3)), _localized(rng, (2, 3))), rng.randint(-6, 6))
+            yield g1, g2, LatticeElem(*g1), LatticeElem(*g2)
+
+    def test_bsbar_matches_fraction_reference(self):
+        rng = random.Random(71)
+        for desc in self.BSBARS:
+            for g1, g2, e1, e2 in self._bsbar_pairs(desc, rng):
+                got = bsbar_mul(desc, e1, e2)
+                assert (got.u, got.k) == _ref_bsbar_mul(desc, g1, g2)
+                got = bsbar_inv(desc, e1)
+                assert (got.u, got.k) == _ref_bsbar_inv(desc, g1)
+
+    def test_meta_matches_fraction_reference(self):
+        rng = random.Random(73)
+        for desc in self.METAS:
+            for g1, g2, e1, e2 in self._meta_pairs(desc, rng):
+                got = meta_mul(desc, e1, e2)
+                assert (got.x, got.i, got.j) == _ref_meta_mul(desc, g1, g2)
+                got = meta_inv(desc, e1)
+                assert (got.x, got.i, got.j) == _ref_meta_inv(desc, g1)
+
+    def test_lattice_matches_fraction_reference(self):
+        rng = random.Random(79)
+        for desc in self.LATTICES:
+            for g1, g2, e1, e2 in self._lattice_pairs(desc, rng):
+                got = lattice_mul(desc, e1, e2)
+                assert (got.v, got.k) == _ref_lattice_mul(desc.matrix, g1, g2)
+                got = lattice_inv(desc, e1)
+                assert (got.v, got.k) == _ref_lattice_inv(desc.matrix, g1)
+
+    def test_powers_past_the_cached_reach(self):
+        # exponents beyond the per-descriptor tables are computed on the spot
+        bsbar, meta, lattice = self.BSBARS[0], self.METAS[1], self.LATTICES[0]
+        for k in (300, -301):
+            g = (F(5, 4), k)
+            got = bsbar_mul(bsbar, BSbarElem(*g), BSbarElem(*g))
+            assert (got.u, got.k) == _ref_bsbar_mul(bsbar, g, g)
+            m = (F(7, 6), k, -k)
+            got = meta_mul(meta, MetaH31Elem(*m), MetaH31Elem(*m))
+            assert (got.x, got.i, got.j) == _ref_meta_mul(meta, m, m)
+            v = ((F(1, 2), F(3)), k)
+            got = lattice_inv(lattice, LatticeElem(*v))
+            assert (got.v, got.k) == _ref_lattice_inv(lattice.matrix, v)
+
+    def test_storage_is_canonical(self):
+        rng = random.Random(83)
+        cases = (
+            (self.BSBARS, self._bsbar_pairs, bsbar_mul, bsbar_inv, 2),
+            (self.METAS, self._meta_pairs, meta_mul, meta_inv, 2),
+            (self.LATTICES, self._lattice_pairs, lattice_mul, lattice_inv, 3),
+        )
+        for descs, pairs, mul, inv, width in cases:
+            for desc in descs:
+                ops = ops_for(desc)
+                names = list(ops.generator_names)
+                for _, _, e1, e2 in pairs(desc, rng):
+                    w = rand_word(rng, names, syllables=6)
+                    for h in (e1, mul(desc, e1, e2), inv(desc, e1), ops.of_word(w)):
+                        assert h.ints[0] > 0
+                        assert gcd(*h.ints[:width]) == 1
+
+    def test_equal_elements_written_differently_are_equal(self):
+        # (g h) h^-1 carries common factors until the gcd normalization
+        rng = random.Random(89)
+        cases = (
+            (self.BSBARS, self._bsbar_pairs),
+            (self.METAS, self._meta_pairs),
+            (self.LATTICES, self._lattice_pairs),
+        )
+        for descs, pairs in cases:
+            for desc in descs:
+                ops = ops_for(desc)
+                for _, _, e1, e2 in pairs(desc, rng):
+                    same = ops.mul(ops.mul(e1, e2), ops.inv(e2))
+                    assert same == e1 and hash(same) == hash(e1)
+                    same = ops.mul(ops.inv(e2), ops.mul(e2, e1))
+                    assert same == e1 and hash(same) == hash(e1)
+
+    @pytest.mark.parametrize("desc", FAMILIES, ids=lambda d: type(d).__name__)
+    def test_descriptor_pickles_after_filling_its_tables(self, desc):
+        ops = ops_for(desc)
+        w = Word.of([(name, 2) for name in ops.generator_names] * 2)
+        g = ops.mul(ops.of_word(w), ops.inv(ops.of_word(w.inv())))
+        back = pickle.loads(pickle.dumps(desc))
+        assert back == desc and repr(back) == repr(desc)
+        assert ops_for(back).of_word(w * w) == g
+
+    def test_constructors_round_trip(self):
+        rng = random.Random(97)
+        for _ in range(200):
+            u, v = _localized(rng, (2, 3, 5)), (_localized(rng, (2, 3)), _localized(rng, (2, 7)))
+            k, j = rng.randint(-9, 9), rng.randint(-9, 9)
+            g = BSbarElem(u, k)
+            assert (g.u, g.k) == (u, k) and g == BSbarElem(g.u, g.k)
+            g = MetaH31Elem(u, k, j)
+            assert (g.x, g.i, g.j) == (u, k, j) and g == MetaH31Elem(g.x, g.i, g.j)
+            g = LatticeElem(v, k)
+            assert (g.v, g.k) == (v, k) and g == LatticeElem(g.v, g.k)
+        # non-reduced integers normalize to the constructor's value
+        assert _bsbar_of_ints(12, -18, 2) == BSbarElem(F(-3, 2), 2)
+        assert _bsbar_of_ints(5, 0, 0) == BSbarElem(F(0), 0)
+        assert _meta_of_ints(40, 100, -1, 3) == MetaH31Elem(F(5, 2), -1, 3)
+        assert _lattice_of_ints(6, 3, 9, 4) == LatticeElem((F(1, 2), F(3, 2)), 4)
+        assert _lattice_of_ints(4, 2, 1, 0) == LatticeElem((F(1, 2), F(1, 4)), 0)
+        assert hash(_lattice_of_ints(6, 0, 12, 1)) == hash(LatticeElem((F(0), F(2)), 1))
+
+
+def _kb_power(g, k):
+    out = KbElem(0, 0)
+    for _ in range(abs(k)):
+        out = kb_mul(out, g if k > 0 else kb_inv(g))
+    return out
+
+
+@pytest.mark.parametrize("e, f, d", [(1, 0, 2), (3, 1, -2), (-1, 2, 3), (-3, -4, -1), (5, 7, 4), (-5, 1, -3)])
+def test_kb_endo_closed_forms_match_generator_images(e, f, d):
+    # phi(x^a y^b) = phi(x)^a phi(y)^b with phi(x) = x^e y^f, phi(y) = y^d
+    phi = KbEndo(e, f, d)
+    for a in range(-6, 7):
+        for b in range(-6, 7):
+            expect = kb_mul(_kb_power(KbElem(e, f), a), _kb_power(KbElem(0, d), b))
+            assert kb_endo_apply(phi, KbElem(a, b)) == expect
+            # phi^k in closed form against k applications of phi
+            iterated = KbElem(a, b)
+            for k in range(5):
+                assert kb_endo_apply(_endo_power(phi, k), KbElem(a, b)) == iterated
+                iterated = kb_endo_apply(phi, iterated)
 
 
 class TestExtensionEmbedding:
