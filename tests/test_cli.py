@@ -29,11 +29,14 @@ from hirsch3.fixtures import FIXTURES, corrupted_d_infty, fixture_named
 from hirsch3.rationals import Mat2Q
 
 F = Fraction
-# sha256 and exit code of each seed-0 verify report: a fixed seed must keep
-# giving byte-identical reports whatever the arithmetic underneath
-VERIFY_DIGESTS = json.loads(
-    (Path(__file__).parent / "golden" / "verify_seed0_sha256.json").read_text()
-)
+# sha256 and exit code of each seed-0 and seed-1 verify report: a fixed seed
+# must keep giving byte-identical reports whatever the code underneath
+VERIFY_DIGESTS = {
+    seed: json.loads(
+        (Path(__file__).parent / "golden" / f"verify_seed{seed}_sha256.json").read_text()
+    )
+    for seed in (0, 1)
+}
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -317,8 +320,9 @@ class TestVerifyCommand:
         assert (code1, code2) == (0, 0)
         assert out1 == out2
 
-    @pytest.mark.parametrize("name", list(VERIFY_DIGESTS["reports"]))
-    def test_seed_zero_report_matches_recorded_digest(self, capsys, tmp_path, name):
+    @pytest.mark.parametrize("name", list(VERIFY_DIGESTS[0]["reports"]))
+    @pytest.mark.parametrize("seed", list(VERIFY_DIGESTS))
+    def test_seed_zero_report_matches_recorded_digest(self, capsys, tmp_path, seed, name):
         fixture = corrupted_d_infty() if name == "corrupted_d_infty" else fixture_named(name)
         path = tmp_path / f"{name}.toml"
         path.write_text(
@@ -328,8 +332,8 @@ class TestVerifyCommand:
                 )
             )
         )
-        code, out, _ = run(capsys, "verify", str(path), "--seed", "0")
-        expected = VERIFY_DIGESTS["reports"][name]
+        code, out, _ = run(capsys, "verify", str(path), "--seed", str(seed))
+        expected = VERIFY_DIGESTS[seed]["reports"][name]
         assert code == expected["exit"]
         assert hashlib.sha256(out.encode()).hexdigest() == expected["sha256"]
 

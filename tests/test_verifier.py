@@ -9,6 +9,8 @@ from fractions import Fraction
 import pytest
 
 from hirsch3.families import (
+    AffineMap2,
+    AffineQ2,
     AscHNNKb,
     BSbar,
     KbEndo,
@@ -22,6 +24,9 @@ from hirsch3.rationals import Mat2Q, mult_rank
 from hirsch3.verify import (
     _CANDIDATE_CAP,
     CheckResult,
+    _RadicalModel,
+    _affine_unipotent,
+    _quotient_check,
     TrialConfig,
     VerifyResourceError,
     _child_rng,
@@ -374,6 +379,120 @@ class TestRadicalCertificate:
         desc = MetabelianH31(1, 2, 1, 2, F(0))
         report = radical_certificate(desc, CFG, hirsch_claim=1)
         assert failing(report)
+
+
+def _even_y_shift(g) -> bool:
+    # unipotent with translation in Z x 2Z: too small for d_infty_amalgam
+    y = g.translation[1]
+    return _affine_unipotent(g) and y.denominator == 1 and y.numerator % 2 == 0
+
+
+def _hnn_even(g) -> bool:
+    return g.j == g.i and g.g.a % 2 == 0
+
+
+_D_INFTY = fixture_named("d_infty_amalgam").descriptor
+# d_infty_amalgam with a dilation added: no dihedral witness pair reduces it
+_D_INFTY_DILATED = AffineQ2(
+    _D_INFTY.generators
+    + (("w", AffineMap2(Mat2Q.of(2, 0, 0, 2), (F(0), F(0)))),)
+)
+_META = MetabelianH31(1, 2, 1, 3, F(1))
+
+
+class TestQuotientWitnesses:
+    """The radical-quotient check given a wrong witness or too small a
+    radical: each driver's failure paths, with their counterexample and
+    trial count."""
+
+    CASES = [
+        (BSbar(2, 3), lambda g: g.k == 0, ("Z", "a"), "a^1 lies in the radical", 1),
+        (
+            BSbar(2, 3),
+            lambda g: g.k == 0,
+            ("Z", "t^2"),
+            "a sampled element does not reduce to the radical by a power of t^2",
+            25,
+        ),
+        (_META, lambda g: g.x == 0 and g.i == g.j == 0, ("Z2", "t", "u"), "[t, u] is not in the radical", 1),
+        (_META, lambda g: g.i == g.j == 0, ("Z2", "t", "t"), "t^-4 t^4 lies in the radical", 10),
+        (
+            _META,
+            lambda g: g.i == g.j == 0,
+            ("Z2", "t", "u^2"),
+            "a sampled element does not reduce to the radical by powers of t and u^2",
+            707,
+        ),
+        (AscHNNKb(1, 0, 2), _hnn_even, ("ZplusZ2", "s", "y"), "y lies in the radical", 2),
+        (AscHNNKb(1, 0, 2), _hnn_even, ("ZplusZ2", "s", "x^2"), "x^2 lies in the radical", 2),
+        (
+            AscHNNKb(1, 1, 2),
+            lambda g: _hnn_even(g) and g.g.b == 0,
+            ("ZplusZ2", "s", "x"),
+            "[s, x] is not in the radical",
+            3,
+        ),
+        (AscHNNKb(1, 0, 2), _hnn_even, ("ZplusZ2", "y", "x"), "y^1 lies in the radical", 5),
+        (AscHNNKb(1, 0, 2), _hnn_even, ("ZplusZ2", "x y", "x"), "x y^1 x lies in the radical", 5),
+        (
+            AscHNNKb(1, 0, 2),
+            _hnn_even,
+            ("ZplusZ2", "s^2", "x"),
+            "a sampled element does not reduce to the radical by powers of s^2 and x",
+            54,
+        ),
+        (_D_INFTY, _affine_unipotent, ("Dinfty", "u", "y"), "a dihedral witness lies in the radical", 4),
+        (
+            _D_INFTY,
+            _even_y_shift,
+            ("Dinfty", "u", "v"),
+            "a squared dihedral witness is not in the radical",
+            4,
+        ),
+        (_D_INFTY, _affine_unipotent, ("Dinfty", "u", "u y"), "(u u y)^1 lies in the radical", 5),
+        (
+            _D_INFTY_DILATED,
+            _affine_unipotent,
+            ("Dinfty", "u", "v"),
+            "a sampled element does not reduce to the radical by the dihedral witnesses",
+            56,
+        ),
+        (
+            BSbar(2, 3),
+            lambda g: g.k == 0,
+            ("VirtuallyTrivial",),
+            "no small power of t enters the radical",
+            13,
+        ),
+        (
+            _META,
+            lambda g: g.i == 0 or g.j == 0,
+            ("VirtuallyTrivial",),
+            "no small power of u^-1 t^-1 u t^-1 u enters the radical",
+            18,
+        ),
+    ]
+
+    @pytest.mark.parametrize(
+        "desc, member, quotient, message, trials",
+        CASES,
+        ids=[f"{c[2][0]}-{i}" for i, c in enumerate(CASES)],
+    )
+    def test_wrong_witness_fails(self, desc, member, quotient, message, trials):
+        tag, *words = quotient
+        model = _RadicalModel(
+            1, True, (), member, (tag, *(parse_word(w) for w in words))
+        )
+        result = _quotient_check(desc, ops_for(desc), model, TrialConfig())
+        assert result.passed is False
+        assert (result.counterexample, result.trials) == (message, trials)
+
+    def test_true_dihedral_witnesses_pass(self):
+        model = _RadicalModel(
+            1, True, (), _affine_unipotent, ("Dinfty", Word.gen("u"), Word.gen("v"))
+        )
+        result = _quotient_check(_D_INFTY, ops_for(_D_INFTY), model, TrialConfig())
+        assert (result.passed, result.trials) == (True, 94)
 
 
 class TestHarness:
