@@ -57,8 +57,6 @@ from .rationals import (
     format_rational,
     in_localized,
     is_unit_localized,
-    prime_factors,
-    padic_valuation,
     radical_of,
 )
 from .words import Word, format_word
@@ -391,13 +389,6 @@ def _bsbar_of_ints(den: int, num: int, k: int) -> BSbarElem:
     return out
 
 
-def bsbar_make(desc: BSbar, u: Fraction, k: int) -> BSbarElem:
-    u = F(u)
-    if not in_localized(u, desc.locus):
-        raise ValueError(f"coordinate {u} is not in Z[1/{desc.locus}]")
-    return BSbarElem(u, k)
-
-
 def bsbar_identity() -> BSbarElem:
     return _BSBAR_IDENTITY
 
@@ -472,13 +463,6 @@ def _meta_of_ints(den: int, num: int, i: int, j: int) -> MetaH31Elem:
     out = object.__new__(MetaH31Elem)
     object.__setattr__(out, "ints", (den, num, i, j))
     return out
-
-
-def meta_make(desc: MetabelianH31, x: Fraction, i: int, j: int) -> MetaH31Elem:
-    x = F(x)
-    if not in_localized(x, desc.locus):
-        raise ValueError(f"coordinate {x} is not in Z[1/{desc.locus}]")
-    return MetaH31Elem(x, i, j)
 
 
 def meta_identity() -> MetaH31Elem:
@@ -640,16 +624,6 @@ class _Lattice2:
     def vectors(self) -> list[tuple[Fraction, Fraction]]:
         return [(F(self.a, self.den), F(self.b, self.den)), (F(0), F(self.c, self.den))]
 
-    def solve(self, v: tuple[Fraction, Fraction]) -> tuple[Fraction, Fraction]:
-        """Coefficients (alpha, beta) with v = alpha r1 + beta r2."""
-        alpha = v[0] * self.den / self.a
-        beta = (v[1] * self.den - alpha * self.b) / self.c
-        return alpha, beta
-
-    def contains(self, v: tuple[Fraction, Fraction]) -> bool:
-        alpha, beta = self.solve(v)
-        return alpha.denominator == 1 and beta.denominator == 1
-
     def covolume(self) -> Fraction:
         return F(self.a * self.c, self.den * self.den)
 
@@ -684,61 +658,6 @@ def lattice_span(mat: Mat2Q, cutoff: int) -> _Lattice2:
     return lat
 
 
-def lattice_membership_at(mat: Mat2Q, v: tuple[Fraction, Fraction], cutoff: int) -> bool:
-    """Membership in the cutoff-truncated subgroup; monotone in cutoff."""
-    return lattice_span(mat, cutoff).contains(v)
-
-
-def _valuation_spread(mat: Mat2Q, primes: list[int]) -> int:
-    out = 1
-    for p in primes:
-        for m in (mat, mat.inverse()):
-            for x in m.entries():
-                if x != 0:
-                    out = max(out, abs(padic_valuation(x.numerator, p)
-                                       - padic_valuation(x.denominator, p)))
-    return out
-
-
-def lattice_membership(mat: Mat2Q, v: tuple[Fraction, Fraction]) -> bool:
-    """Is v in the smallest M- and M^-1-invariant subgroup of Q^2 over Z^2?
-
-    The truncations L_K ascend to L and each growth step is a function of the
-    current lattice alone, so a prime whose localization stalls for one step
-    is stalled forever.  We therefore iterate, answering true as soon as v
-    enters, and false as soon as every prime blocking v's coefficients has
-    stalled (exact).  A generous cap bounds the loop; members arrive well
-    before it since denominators deepen by at least one valuation step per
-    round in any still-growing direction.
-    """
-    det = mat.det()
-    if det == 0:
-        raise ValueError("acting matrix must be invertible")
-    v = (F(v[0]), F(v[1]))
-    bad = set(prime_factors(det.numerator)) | set(prime_factors(det.denominator))
-    bad |= set(prime_factors(mat.trace().denominator))
-    for x in mat.entries():
-        bad |= set(prime_factors(x.denominator))
-    depth = 0
-    for p in bad:
-        for x in v:
-            depth = max(depth, padic_valuation(x.denominator, p))
-    cap = 2 * depth + 2 * _valuation_spread(mat, sorted(bad)) + 8
-    lat = _Lattice2.standard()
-    for _ in range(cap):
-        alpha, beta = lat.solve(v)
-        blocked = alpha.denominator * beta.denominator
-        if blocked == 1:
-            return True
-        nxt = _lattice_grow(mat, lat)
-        index = lat.covolume() / nxt.covolume()
-        if gcd(blocked, index.numerator) == 1:
-            # every blocking prime has stalled, so its localization is final
-            return False
-        lat = nxt
-    return lat.contains(v)
-
-
 @dataclass(frozen=True, init=False)
 class LatticeElem:
     """v t^k with v = (x, y) / den in the acted-on subgroup, stored as
@@ -768,13 +687,6 @@ def _lattice_of_ints(den: int, x: int, y: int, k: int) -> LatticeElem:
     out = object.__new__(LatticeElem)
     object.__setattr__(out, "ints", (den, x, y, k))
     return out
-
-
-def lattice_make(mat: Mat2Q, v: tuple[Fraction, Fraction], k: int) -> LatticeElem:
-    v = (F(v[0]), F(v[1]))
-    if not lattice_membership(mat, v):
-        raise ValueError(f"({v[0]}, {v[1]}) is outside the acted-on subgroup")
-    return LatticeElem(v, k)
 
 
 def lattice_identity() -> LatticeElem:
@@ -846,18 +758,6 @@ def kb_mul(g1: KbElem, g2: KbElem) -> KbElem:
 def kb_inv(g: KbElem) -> KbElem:
     sign = -1 if g.a % 2 else 1
     return KbElem(-g.a, -sign * g.b)
-
-
-def kb_of_word(w: Word) -> KbElem:
-    out = kb_identity()
-    for g, e in w.syllables:
-        if g == "x":
-            out = kb_mul(out, KbElem(e, 0))
-        elif g == "y":
-            out = kb_mul(out, KbElem(0, e))
-        else:
-            raise ValueError(f"unknown generator {g!r} (expected x, y)")
-    return out
 
 
 def kb_endo_apply(phi: KbEndo, g: KbElem) -> KbElem:

@@ -3,8 +3,15 @@
 Every claim the classifier and the family normal forms make is
 cross-checked here by deliberately naive means: faithful representations
 evaluated letter by letter, bounded rewriting closures, exhaustive scans
-over small windows, and coset enumeration on a finite grid.  The oracles
-share no logic with the normal-form code they test.
+over small windows, and coset enumeration on a finite grid.  The word
+oracles share no arithmetic with the normal-form code they test; the
+coset enumeration in `endo_index` still multiplies with the Klein-bottle
+`kb_mul` and tests membership with `image_membership` from `families`.
+
+Like `families.FAMILIES` and `classify._INVARIANTS`, `_VERIFIERS` holds
+one record per descriptor type: the family's word oracle, its radical
+model and its own extra checks.  The radical-quotient check has one driver
+per quotient tag in `_QUOTIENT_DRIVERS`.
 
 All verdicts are deterministic under a fixed seed.  Each named check and
 each trial derives its own child generator, so results never depend on
@@ -15,12 +22,12 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Optional, Sequence, Union
+from typing import Any, Callable, Optional, Sequence, Union
 
-from .classify import ConstructibleType, Invariants, Type1, invariants
+from .classify import Invariants, Type1, invariants
 from .families import (
     AffineMap2,
     AffineQ2,
@@ -41,6 +48,7 @@ from .families import (
 )
 from .rationals import (
     Mat2Q,
+    binary_power,
     integer_row_kernel,
     matrix_order,
     mult_rank,
@@ -147,10 +155,19 @@ def _child_rng(seed: int, label: str, index: int) -> random.Random:
 
 
 def random_word(rng: random.Random, names: Sequence[str], max_length: int) -> Word:
+    if not names:
+        return Word.identity()
     length = rng.randint(1, max_length)
     return Word.of(
         (rng.choice(names), rng.choice((-1, 1))) for _ in range(length)
     )
+
+
+def _sampled_words(cfg: TrialConfig, label: str, names: Sequence[str], count: int):
+    """`count` seeded random words, each drawn from its own child generator."""
+    for idx in range(count):
+        rng = _child_rng(cfg.seed, label, idx)
+        yield random_word(rng, names, cfg.max_word_length)
 
 
 # --- defining relations -------------------------------------------------------
@@ -265,7 +282,7 @@ def _oracle_aff1_word(
 
 def _oracle_bsbar(desc: BSbar, w: Word, max_bits: int):
     gens = {"a": _Aff1(F(1), F(1)), "t": _Aff1(desc.ratio, F(0))}
-    tsum = sum(exp for name, exp in w.syllables if name == "t")
+    tsum = w.exponent_sum("t")
     return (_oracle_aff1_word(gens, w, max_bits), tsum)
 
 
@@ -284,8 +301,8 @@ def _heis_pow(g: tuple, k: int) -> tuple:
 
 def _oracle_meta(desc: MetabelianH31, w: Word, max_bits: int):
     r1, r2, e = desc.t_ratio, desc.u_ratio, desc.e
-    tsum = sum(exp for name, exp in w.syllables if name == "t")
-    usum = sum(exp for name, exp in w.syllables if name == "u")
+    tsum = w.exponent_sum("t")
+    usum = w.exponent_sum("u")
     if r1 == 1 and r2 == 1 and e != 0:
         # integral Heisenberg triples (i, j, z) acting as unitriangular
         # matrices; a is the 1/e-th root of the central commutator
@@ -343,27 +360,12 @@ def _aff6_inverse(f: _Aff6) -> _Aff6:
 
 @lru_cache(maxsize=4096)
 def _aff6_pow(f: _Aff6, exp: int) -> _Aff6:
-    if exp == 0:
-        return _AFF6_ID
-    base = f
-    if exp < 0:
-        base = _aff6_inverse(f)
-        exp = -exp
-    out = _AFF6_ID
-    acc = base
-    while exp:
-        if exp & 1:
-            out = _aff6_compose(out, acc)
-        exp >>= 1
-        if exp:
-            acc = _aff6_compose(acc, acc)
-    return out
+    base = f if exp >= 0 else _aff6_inverse(f)
+    return binary_power(base, abs(exp), _aff6_compose, _AFF6_ID)
 
 
-def _oracle_affine_generic(
-    gens: dict[str, AffineMap2], w: Word, max_bits: int
-) -> _Aff6:
-    sixes = {name: _aff6_of(f) for name, f in gens.items()}
+def _oracle_affine(desc: AffineQ2, w: Word, max_bits: int) -> _Aff6:
+    sixes = {name: _aff6_of(f) for name, f in desc.generators}
     out = _AFF6_ID
     for name, exp in w.syllables:
         six = sixes[name]
@@ -417,28 +419,22 @@ def _oracle_hnnkb(desc: AscHNNKb, w: Word, max_bits: int):
     }
     fx = _oracle_aff1_word(first, w, max_bits)
     fy = _oracle_aff1_word(second, w, max_bits)
-    ssum = sum(exp for name, exp in w.syllables if name == "s")
+    ssum = w.exponent_sum("s")
     return (fx, fy, ssum)
 
 
+def _oracle_rank_one(desc: RankOneQ, w: Word, max_bits: int) -> Fraction:
+    names = ops_for(desc).generator_names
+    total = sum(
+        (w.exponent_sum(name) * g for name, g in zip(names, desc.generators)),
+        start=F(0),
+    )
+    _guard_fractions((total,), max_bits)
+    return total
+
+
 def _oracle_value(desc: GroupDescriptor, w: Word, max_bits: int):
-    if isinstance(desc, RankOneQ):
-        names = ops_for(desc).generator_names
-        total = sum(
-            (w.exponent_sum(name) * g for name, g in zip(names, desc.generators)),
-            start=F(0),
-        )
-        _guard_fractions((total,), max_bits)
-        return total
-    if isinstance(desc, BSbar):
-        return _oracle_bsbar(desc, w, max_bits)
-    if isinstance(desc, MetabelianH31):
-        return _oracle_meta(desc, w, max_bits)
-    if isinstance(desc, LatticeByZ):
-        return _oracle_lattice(desc, w, max_bits)
-    if isinstance(desc, AscHNNKb):
-        return _oracle_hnnkb(desc, w, max_bits)
-    return _oracle_affine_generic(dict(desc.generators), w, max_bits)
+    return _verifier(desc).oracle(desc, w, max_bits)
 
 
 def oracle_word_eq(
@@ -529,6 +525,11 @@ def nested_commutator(words: Sequence[Word]) -> Word:
 _CANDIDATE_CAP = 512
 
 
+def _commutator(ops, g1, g2):
+    """[g1, g2] = (g1 g2)(g2 g1)^-1."""
+    return ops.mul(ops.mul(g1, g2), ops.inv(ops.mul(g2, g1)))
+
+
 def commutator_depth_search(
     desc: GroupDescriptor, depth: int, cfg: TrialConfig
 ) -> Optional[Word]:
@@ -547,16 +548,15 @@ def commutator_depth_search(
 
     def value(leaves: tuple[Word, ...]):
         # the element of nested_commutator(leaves), each distinct leaf word
-        # and inner commutator evaluated once: [l, r] = (l r)(r l)^-1.  The
-        # candidate tuples share most of their inner commutators.
+        # and inner commutator evaluated once.  The candidate tuples share
+        # most of their inner commutators.
         if leaves not in values:
             if len(leaves) == 1:
                 values[leaves] = ops.of_word(leaves[0])
             else:
                 half = len(leaves) // 2
-                left, right = value(leaves[:half]), value(leaves[half:])
-                values[leaves] = ops.mul(
-                    ops.mul(left, right), ops.inv(ops.mul(right, left))
+                values[leaves] = _commutator(
+                    ops, value(leaves[:half]), value(leaves[half:])
                 )
         return values[leaves]
 
@@ -661,6 +661,37 @@ class _RadicalModel:
     # ("Z", w) | ("Z2", w1, w2) | ("ZplusZ2", w_inf, w_tor)
     # | ("Dinfty", w_u, w_v) | ("VirtuallyTrivial",) | None for whole group
     quotient: Optional[tuple]
+    # more radical words, added when a non-abelian radical's sample commutes
+    more_words: tuple[Word, ...] = ()
+
+
+_FINITE = ("VirtuallyTrivial",)
+
+
+def _whole_abelian_group(desc: GroupDescriptor, claim: int) -> _RadicalModel:
+    gens = tuple(Word.gen(n) for n in ops_for(desc).generator_names)
+    return _RadicalModel(claim, True, gens, lambda g: True, None)
+
+
+def _rank_one_radical(
+    desc: RankOneQ, inv: Invariants, claim: int
+) -> Optional[_RadicalModel]:
+    return _whole_abelian_group(desc, claim) if claim == inv.hirsch else None
+
+
+def _bsbar_radical(
+    desc: BSbar, inv: Invariants, claim: int
+) -> Optional[_RadicalModel]:
+    a, t = Word.gen("a"), Word.gen("t")
+    if claim == 1:
+        # for |ratio| = 1 this is a deliberate undersized claim used as a
+        # negative control
+        return _RadicalModel(1, True, (a,), lambda g: g.k == 0, ("Z", t))
+    if claim != 2 or abs(desc.ratio) != 1:
+        return None
+    if desc.ratio == 1:
+        return _RadicalModel(2, True, (a, t), lambda g: True, None)
+    return _RadicalModel(2, True, (a, t**2), lambda g: g.k % 2 == 0, _FINITE)
 
 
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -716,87 +747,13 @@ def _meta_power_word(vec: tuple[int, int]) -> Word:
     return Word.of(syllables)
 
 
-def _is_unipotent(m: Mat2Q) -> bool:
-    return m.trace() == 2 and m.det() == 1
-
-
-def _affine_unipotent(g: AffineMap2) -> bool:
-    # linear part [[a, b], [c, d]] / den has trace 2 and determinant 1
-    den, a, b, c, d = g.ints[:5]
-    return a + d == 2 * den and a * d - b * c == den * den
-
-
-def _affine_radical_words(desc: AffineQ2, member: Callable) -> tuple[Word, ...]:
-    ops = ops_for(desc)
-    names = ops.generator_names
-    found: list[Word] = []
-    seen_values: list[AffineMap2] = []
-    layer: list[tuple[Word, AffineMap2]] = [(Word.identity(), ops.identity())]
-    for _ in range(3):
-        next_layer: list[tuple[Word, AffineMap2]] = []
-        for w, g in layer:
-            for name in names:
-                for exp in (1, -1):
-                    w2 = w * Word.gen(name, exp)
-                    if w2.length() <= w.length():
-                        continue
-                    g2 = ops.mul(g, ops.of_word(Word.gen(name, exp)))
-                    next_layer.append((w2, g2))
-                    if (
-                        g2 != ops.identity()
-                        and member(g2)
-                        and g2 not in seen_values
-                        and len(found) < 8
-                    ):
-                        seen_values.append(g2)
-                        found.append(w2)
-        layer = next_layer
-    return tuple(found)
-
-
-def _hnn_net(g) -> int:
-    return g.j - g.i
-
-
-def _radical_model(
-    desc: GroupDescriptor, inv: Invariants, hirsch_claim: Optional[int] = None
-) -> _RadicalModel:
-    info = inv.radical
-    claim = info.hirsch if hirsch_claim is None else hirsch_claim
-    a, b, t, u = Word.gen("a"), Word.gen("b"), Word.gen("t"), Word.gen("u")
-    x, y, s = Word.gen("x"), Word.gen("y"), Word.gen("s")
-
-    if isinstance(desc, RankOneQ):
-        if claim != inv.hirsch:
-            raise ValueError("unsupported radical claim for this family")
-        gens = tuple(Word.gen(n) for n in ops_for(desc).generator_names)
-        return _RadicalModel(claim, True, gens, lambda g: True, None)
-
-    if isinstance(desc, BSbar):
-        ratio = desc.ratio
-        true_h = 2 if abs(ratio) == 1 else 1
-        if claim == true_h == 2:
-            if ratio == 1:
-                return _RadicalModel(2, True, (a, t), lambda g: True, None)
-            return _RadicalModel(
-                2,
-                True,
-                (a, t**2),
-                lambda g: g.k % 2 == 0,
-                ("VirtuallyTrivial",),
-            )
-        if claim == 1:
-            # for |ratio| = 1 this is a deliberate undersized claim used as
-            # a negative control
-            return _RadicalModel(
-                1, True, (a,), lambda g: g.k == 0, ("Z", t)
-            )
-        raise ValueError("unsupported radical claim for this family")
-
-    if isinstance(desc, MetabelianH31):
-        r1, r2 = desc.t_ratio, desc.u_ratio
-        basis = _meta_true_kernel_basis(desc)
-        true_claim = 1 + len(basis)
+def _meta_radical(
+    desc: MetabelianH31, inv: Invariants, claim: int
+) -> Optional[_RadicalModel]:
+    r1, r2 = desc.t_ratio, desc.u_ratio
+    a, t, u = Word.gen("a"), Word.gen("t"), Word.gen("u")
+    basis = _meta_true_kernel_basis(desc)
+    if claim == 1 + len(basis):
 
         @lru_cache(maxsize=None)
         def acts_trivially(i: int, j: int) -> bool:
@@ -805,94 +762,150 @@ def _radical_model(
         def member(g) -> bool:
             return acts_trivially(g.i, g.j)
 
-        if claim == true_claim:
-            gens = [a] + [_meta_power_word(v) for v in basis]
-            rank, has_minus_one = mult_rank((r1, r2))
-            if rank == 2:
-                quotient: Optional[tuple] = ("Z2", t, u)
-            elif rank == 1:
-                kernel_vec = _meta_valuation_kernel(r1, r2)[0]
-                comp = _complement_vector(kernel_vec)
-                w_inf = _meta_power_word(comp)
-                if has_minus_one:
-                    quotient = ("ZplusZ2", w_inf, _meta_power_word(kernel_vec))
-                else:
-                    quotient = ("Z", w_inf)
+        rank, has_minus_one = mult_rank((r1, r2))
+        if rank == 2:
+            quotient: tuple = ("Z2", t, u)
+        elif rank == 1:
+            kernel_vec = _meta_valuation_kernel(r1, r2)[0]
+            w_inf = _meta_power_word(_complement_vector(kernel_vec))
+            if has_minus_one:
+                quotient = ("ZplusZ2", w_inf, _meta_power_word(kernel_vec))
             else:
-                quotient = ("VirtuallyTrivial",)
-            return _RadicalModel(
-                claim, info.is_abelian, tuple(gens), member, quotient
-            )
-        if claim == 1:
-            return _RadicalModel(
-                1, True, (a,), lambda g: g.i == 0 and g.j == 0, ("Z2", t, u)
-            )
-        raise ValueError("unsupported radical claim for this family")
-
-    if isinstance(desc, LatticeByZ):
-        m = desc.matrix
-
-        def member(g) -> bool:
-            return _is_unipotent(m.pow(g.k)) if g.k else True
-
-        order = matrix_order(m)
-        if claim == 3:
-            if order is not None:
-                return _RadicalModel(
-                    3, True, (a, b, t**order), member, ("VirtuallyTrivial",)
-                )
-            if _is_unipotent(m):
-                return _RadicalModel(
-                    3, m == Mat2Q.identity(), (a, b, t), member, None
-                )
-            if _is_unipotent(m * m):
-                return _RadicalModel(
-                    3, False, (a, b, t**2), member, ("VirtuallyTrivial",)
-                )
-            raise ValueError("unsupported radical claim for this family")
-        if claim == 2:
-            return _RadicalModel(
-                2, True, (a, b), lambda g: g.k == 0, ("Z", t)
-            )
-        raise ValueError("unsupported radical claim for this family")
-
-    if isinstance(desc, AscHNNKb):
-        e, d = desc.e, desc.d
-        proper = abs(e * d) > 1
-        if proper:
-            if claim != 2:
-                raise ValueError("unsupported radical claim for this family")
-            return _RadicalModel(
-                2,
-                True,
-                (x**2, y),
-                lambda g: _hnn_net(g) == 0 and g.g.a % 2 == 0,
-                ("ZplusZ2", s, x),
-            )
-        if claim != 3:
-            raise ValueError("unsupported radical claim for this family")
-
-        def member_unit(g) -> bool:
-            net = _hnn_net(g)
-            sign_x = 1 if (e == 1 or net % 2 == 0) else -1
-            sign_y = (1 if (d == 1 or net % 2 == 0) else -1) * (
-                1 if g.g.a % 2 == 0 else -1
-            )
-            return sign_x == 1 and sign_y == 1
-
-        if e == 1 and d == 1:
-            extra = s
-        elif e == 1:
-            extra = s * x
+                quotient = ("Z", w_inf)
         else:
-            extra = s**2
+            quotient = _FINITE
+        gens = (a, *(_meta_power_word(v) for v in basis))
+        return _RadicalModel(claim, inv.radical.is_abelian, gens, member, quotient)
+    if claim == 1:
         return _RadicalModel(
-            3, info.is_abelian, (x**2, y, extra), member_unit, ("VirtuallyTrivial",)
+            1, True, (a,), lambda g: g.i == 0 and g.j == 0, ("Z2", t, u)
         )
+    return None
 
-    # affine
-    if claim != info.hirsch:
-        raise ValueError("unsupported radical claim for this family")
+
+def _is_unipotent(m: Mat2Q) -> bool:
+    return m.trace() == 2 and m.det() == 1
+
+
+def _lattice_radical(
+    desc: LatticeByZ, inv: Invariants, claim: int
+) -> Optional[_RadicalModel]:
+    a, b, t = Word.gen("a"), Word.gen("b"), Word.gen("t")
+    m = desc.matrix
+    if claim == 2:
+        return _RadicalModel(2, True, (a, b), lambda g: g.k == 0, ("Z", t))
+    if claim != 3:
+        return None
+
+    def member(g) -> bool:
+        return _is_unipotent(m.pow(g.k)) if g.k else True
+
+    order = matrix_order(m)
+    if order is not None:
+        return _RadicalModel(3, True, (a, b, t**order), member, _FINITE)
+    if _is_unipotent(m):
+        return _RadicalModel(3, m == Mat2Q.identity(), (a, b, t), member, None)
+    if _is_unipotent(m * m):
+        return _RadicalModel(3, False, (a, b, t**2), member, _FINITE)
+    return None
+
+
+def _hnn_net(g) -> int:
+    return g.j - g.i
+
+
+def _hnnkb_radical(
+    desc: AscHNNKb, inv: Invariants, claim: int
+) -> Optional[_RadicalModel]:
+    e, d = desc.e, desc.d
+    x, y, s = Word.gen("x"), Word.gen("y"), Word.gen("s")
+    if abs(e * d) > 1:
+        if claim != 2:
+            return None
+        return _RadicalModel(
+            2,
+            True,
+            (x**2, y),
+            lambda g: _hnn_net(g) == 0 and g.g.a % 2 == 0,
+            ("ZplusZ2", s, x),
+        )
+    if claim != 3:
+        return None
+
+    def member_unit(g) -> bool:
+        net = _hnn_net(g)
+        sign_x = 1 if (e == 1 or net % 2 == 0) else -1
+        sign_y = (1 if (d == 1 or net % 2 == 0) else -1) * (
+            1 if g.g.a % 2 == 0 else -1
+        )
+        return sign_x == 1 and sign_y == 1
+
+    if e == 1 and d == 1:
+        extra = s
+    elif e == 1:
+        extra = s * x
+    else:
+        extra = s**2
+    gens = (x**2, y, extra)
+    return _RadicalModel(3, inv.radical.is_abelian, gens, member_unit, _FINITE)
+
+
+def _affine_unipotent(g: AffineMap2) -> bool:
+    # linear part [[a, b], [c, d]] / den has trace 2 and determinant 1
+    den, a, b, c, d = g.ints[:5]
+    return a + d == 2 * den and a * d - b * c == den * den
+
+
+def _is_translation(g: AffineMap2) -> bool:
+    den, a, b, c, d = g.ints[:5]
+    return a == d == den and b == c == 0
+
+
+def _affine_radical_words(
+    desc: AffineQ2,
+) -> tuple[tuple[Word, ...], tuple[Word, ...]]:
+    """Words for unipotent elements: the first 8 distinct ones of length at
+    most 3, and up to 4 more that are not translations, from the same words
+    and the squares of those of length at most 2.
+
+    The short words alone can all be translations, or all parallel shears,
+    in a radical that is not abelian; a sample of them then always commutes.
+    """
+    ops = ops_for(desc)
+    one = ops.identity()
+    letters = [
+        (x, ops.of_word(x))
+        for n in ops.generator_names
+        for x in (Word.gen(n), Word.gen(n, -1))
+    ]
+    words: list[tuple[Word, AffineMap2]] = []
+    layer: list[tuple[Word, AffineMap2]] = [(Word.identity(), one)]
+    for _ in range(3):
+        layer = [
+            (w * x, ops.mul(g, h))
+            for w, g in layer
+            for x, h in letters
+            if (w * x).length() > w.length()
+        ]
+        words += layer
+    squares = [(w * w, ops.mul(g, g)) for w, g in words if w.length() <= 2]
+    found: dict[AffineMap2, Word] = {}
+    for w, g in words:
+        if len(found) < 8 and g != one and _affine_unipotent(g):
+            found.setdefault(g, w)
+    shears: dict[AffineMap2, Word] = {}
+    for w, g in words + squares:
+        if len(shears) < 4 and g not in found and _affine_unipotent(g):
+            if not _is_translation(g):
+                shears.setdefault(g, w)
+    return tuple(found.values()), tuple(shears.values())
+
+
+def _affine_radical(
+    desc: AffineQ2, inv: Invariants, claim: int
+) -> Optional[_RadicalModel]:
+    if claim != inv.radical.hirsch:
+        return None
     maps = [g for _, g in desc.generators]
     if all(
         affine_compose(g1, g2) == affine_compose(g2, g1)
@@ -901,32 +914,37 @@ def _radical_model(
     ):
         # abelian group: the radical is everything, including generators
         # whose linear part is not unipotent (a faithful Z action, say)
-        gens = tuple(Word.gen(n) for n in ops_for(desc).generator_names)
-        return _RadicalModel(claim, True, gens, lambda g: True, None)
-
-    gens = _affine_radical_words(desc, _affine_unipotent)
-    quotient = _affine_quotient(desc, inv, claim)
-    return _RadicalModel(claim, info.is_abelian, gens, _affine_unipotent, quotient)
-
-
-def _affine_quotient(desc: AffineQ2, inv: Invariants, claim: int) -> Optional[tuple]:
+        return _whole_abelian_group(desc, claim)
     if claim == inv.hirsch:
-        all_unipotent = all(_affine_unipotent(g) for _, g in desc.generators)
-        return None if all_unipotent else ("VirtuallyTrivial",)
-    tag = inv.quotient.tag if inv.hirsch == 3 else "Z"
-    if tag == "Dinfty":
-        reflections: list[tuple[str, Mat2Q]] = []
+        quotient = None if all(map(_affine_unipotent, maps)) else _FINITE
+    elif inv.hirsch == 3 and inv.quotient.tag == "Dinfty":
+        # the first two generators with distinct reflection linear parts
+        reflections: dict[Mat2Q, str] = {}
         for name, g in desc.generators:
             lin = g.linear
             if lin.det() == -1 and lin * lin == Mat2Q.identity():
-                if all(lin != other for _, other in reflections):
-                    reflections.append((name, lin))
-        u_name, v_name = reflections[0][0], reflections[1][0]
-        return ("Dinfty", Word.gen(u_name), Word.gen(v_name))
-    for name, g in desc.generators:
-        if not _affine_unipotent(g):
-            return ("Z", Word.gen(name))
-    raise AssertionError("no witness generator for the cyclic quotient")
+                reflections.setdefault(lin, name)
+        u_name, v_name = list(reflections.values())[:2]
+        quotient = ("Dinfty", Word.gen(u_name), Word.gen(v_name))
+    else:
+        names = [name for name, g in desc.generators if not _affine_unipotent(g)]
+        if not names:
+            raise AssertionError("no witness generator for the cyclic quotient")
+        quotient = ("Z", Word.gen(names[0]))
+    gens, more = _affine_radical_words(desc)
+    return _RadicalModel(
+        claim, inv.radical.is_abelian, gens, _affine_unipotent, quotient, more
+    )
+
+
+def _radical_model(
+    desc: GroupDescriptor, inv: Invariants, hirsch_claim: Optional[int] = None
+) -> _RadicalModel:
+    claim = inv.radical.hirsch if hirsch_claim is None else hirsch_claim
+    model = _verifier(desc).radical(desc, inv, claim)
+    if model is None:
+        raise ValueError("unsupported radical claim for this family")
+    return model
 
 
 def _commutes(ops, g1, g2) -> bool:
@@ -951,10 +969,31 @@ def radical_certificate(
     the classifier's claim, which turns the certificate into a negative
     control when the override is wrong.  `inv` is the descriptor's
     `classify.invariants` record when the caller already has it.
+
+    A non-abelian claim whose sample finds no witness is certified again
+    with the model's `more_words` added to the radical's generators, so
+    those words change only the reports that would otherwise fail.
     """
     ops = ops_for(desc)
-    names = ops.generator_names
     model = _radical_model(desc, inv or invariants(desc), hirsch_claim)
+    checks = _certificate_checks(desc, ops, model, cfg)
+    # checks[2] is the commutativity check
+    if model.more_words and checks[2].counterexample == _ALL_COMMUTE:
+        words = model.generator_words + model.more_words
+        model = replace(model, generator_words=words, more_words=())
+        checks = _certificate_checks(desc, ops, model, cfg)
+    return VerificationReport(
+        family_of(desc).describe(desc), cfg.seed, tuple(checks)
+    )
+
+
+_ALL_COMMUTE = "all sampled radical pairs commute"
+
+
+def _certificate_checks(
+    desc: GroupDescriptor, ops, model: _RadicalModel, cfg: TrialConfig
+) -> list[CheckResult]:
+    names = ops.generator_names
     checks: list[CheckResult] = []
 
     gen_words = list(model.generator_words)
@@ -983,12 +1022,9 @@ def radical_certificate(
     ]
     normal_failure = None
     conj_count = 0
-    deterministic_conjugators = [Word.gen(n, e) for n in names for e in (1, -1)]
-    random_conjugators = []
-    for idx in range(cfg.trials):
-        rng = _child_rng(cfg.seed, "radical-normal", idx)
-        random_conjugators.append(random_word(rng, names, cfg.max_word_length))
-    for conjugator in deterministic_conjugators + random_conjugators:
+    conjugators = [Word.gen(n, e) for n in names for e in (1, -1)]
+    conjugators += _sampled_words(cfg, "radical-normal", names, cfg.trials)
+    for conjugator in conjugators:
         c_elem = ops.of_word(conjugator)
         c_inv = ops.inv(c_elem)
         for w, g in zip(gen_words, gen_elems):
@@ -1011,52 +1047,37 @@ def radical_certificate(
         )
     )
 
-    # commutativity of the sampled radical, or a witness against it
-    def pair_text(src1, src2) -> str:
-        return (
-            f"[{format_word(_conjugate_word(*src1))}, "
-            f"{format_word(_conjugate_word(*src2))}] != 1"
-        )
-
-    if model.abelian:
-        failure = None
-        pair_count = 0
-        for i, (g1, src1) in enumerate(sample):
-            for g2, src2 in sample[i + 1 : i + 6]:
-                pair_count += 1
-                if not _commutes(ops, g1, g2):
-                    failure = pair_text(src1, src2)
-                    break
-            if failure:
-                break
-        checks.append(
-            CheckResult(
-                "radical_abelian",
-                failure is None,
-                failure,
-                pair_count,
-                cfg.seed,
+    # commutativity of the sampled radical, each element against its next
+    # five, or a witness against it from all pairs
+    window = 5 if model.abelian else len(sample)
+    pairs = (
+        (first, second)
+        for i, first in enumerate(sample)
+        for second in sample[i + 1 : i + 1 + window]
+    )
+    pair = None
+    pair_count = 0
+    for (g1, src1), (g2, src2) in pairs:
+        pair_count += 1
+        if not _commutes(ops, g1, g2):
+            pair = (
+                f"[{format_word(_conjugate_word(*src1))}, "
+                f"{format_word(_conjugate_word(*src2))}] != 1"
             )
+            break
+    if model.abelian:
+        checks.append(
+            CheckResult("radical_abelian", pair is None, pair, pair_count, cfg.seed)
         )
     else:
-        witness = None
-        pair_count = 0
-        for i, (g1, src1) in enumerate(sample):
-            for g2, src2 in sample[i + 1 :]:
-                pair_count += 1
-                if not _commutes(ops, g1, g2):
-                    witness = pair_text(src1, src2)
-                    break
-            if witness:
-                break
         checks.append(
             CheckResult(
                 "radical_nonabelian_witness",
-                witness is not None,
-                None if witness else "all sampled radical pairs commute",
+                pair is not None,
+                None if pair else _ALL_COMMUTE,
                 pair_count,
                 cfg.seed,
-                note=witness or "",
+                note=pair or "",
             )
         )
 
@@ -1067,27 +1088,19 @@ def radical_certificate(
     # extend the claimed radical to a larger nilpotent normal subgroup.
     def acts_non_nilpotently(g) -> bool:
         g_inv = ops.inv(g)
-        for r in gen_elems:
-            c = r
-            alive = True
+        for c in gen_elems:
             for _ in range(3):
                 c = ops.mul(ops.mul(g, c), ops.mul(g_inv, ops.inv(c)))
                 if ops.is_identity(c):
-                    alive = False
                     break
-            if alive:
+            else:
                 return True
         return False
 
     outside: list[tuple[Word, object]] = []
-    for name in names:
-        w = Word.gen(name)
-        g = ops.of_word(w)
-        if not model.member(g):
-            outside.append((w, g))
-    for idx in range(cfg.trials):
-        rng = _child_rng(cfg.seed, "radical-outside", idx)
-        w = random_word(rng, names, cfg.max_word_length)
+    gens = (Word.gen(name) for name in names)
+    samples = _sampled_words(cfg, "radical-outside", names, cfg.trials)
+    for w in itertools.chain(gens, samples):
         g = ops.of_word(w)
         if not model.member(g):
             outside.append((w, g))
@@ -1107,21 +1120,170 @@ def radical_certificate(
     )
 
     checks.append(_quotient_check(desc, ops, model, cfg))
-    return VerificationReport(
-        family_of(desc).describe(desc), cfg.seed, tuple(checks)
+    return checks
+
+
+# --- radical quotient ------------------------------------------------------------
+
+
+class _QuotientRun:
+    """One radical-quotient check: the element algebra, the claimed
+    radical's membership test, and the membership trials made so far.
+
+    Each driver below takes a run and the quotient witness words, and
+    returns a counterexample message or None.
+    """
+
+    def __init__(self, ops, member: Callable, cfg: TrialConfig) -> None:
+        self.ops, self.member, self.cfg = ops, member, cfg
+        self.trials = 0
+
+    def samples(self, label: str, cap: int):
+        names, count = self.ops.generator_names, min(self.cfg.trials, cap)
+        return _sampled_words(self.cfg, label, names, count)
+
+    def ladder(self, g, reach: int) -> list:
+        """The identity, then g^-1 ... g^-reach, then g ... g^reach."""
+        ops = self.ops
+        out = [ops.identity()]
+        for step in (ops.inv(g), g):
+            power = ops.identity()
+            for _ in range(reach):
+                power = ops.mul(power, step)
+                out.append(power)
+        return out
+
+    def enters(self, g, steps: Sequence) -> bool:
+        """Whether g times some step lies in the radical; one trial per
+        step tried."""
+        for step in steps:
+            self.trials += 1
+            if self.member(self.ops.mul(g, step)):
+                return True
+        return False
+
+    def powers_stay_outside(
+        self, g, cap: int, text: str, shifts=((None, ""),)
+    ) -> Optional[str]:
+        """No g^k with 1 <= k <= min(parameter bound, cap), nor g^k times a
+        shift, lies in the radical; `text` and the shift's suffix name them."""
+        ops, power = self.ops, self.ops.identity()
+        for k in range(1, min(self.cfg.parameter_bound, cap) + 1):
+            power = ops.mul(power, g)
+            self.trials += len(shifts)
+            for shift, suffix in shifts:
+                if self.member(power if shift is None else ops.mul(power, shift)):
+                    return f"{text}^{k}{suffix} lies in the radical"
+        return None
+
+    def samples_reduce(self, label: str, g, twist, by: str) -> Optional[str]:
+        """Each sampled element enters the radical times g^k for some
+        |k| <= 24, or times g^k twist^-1 when a twist is given."""
+        ops = self.ops
+        steps = self.ladder(g, 24)
+        if twist is not None:
+            twist_inv = ops.inv(twist)
+            steps += [ops.mul(p, twist_inv) for p in steps]
+        for w in self.samples(label, 40):
+            h = ops.of_word(w)
+            self.trials += 1
+            if not any(self.member(ops.mul(h, step)) for step in steps):
+                return f"a sampled element does not reduce to the radical by {by}"
+        return None
+
+
+def _quotient_z(run: _QuotientRun, w: Word) -> Optional[str]:
+    g, text = run.ops.of_word(w), format_word(w)
+    return run.powers_stay_outside(g, 24, text) or run.samples_reduce(
+        "quotient-z", g, None, f"a power of {text}"
     )
+
+
+def _quotient_z2(run: _QuotientRun, w1: Word, w2: Word) -> Optional[str]:
+    ops, member = run.ops, run.member
+    g1, g2 = ops.of_word(w1), ops.of_word(w2)
+    text1, text2 = format_word(w1), format_word(w2)
+    run.trials += 1
+    if not member(_commutator(ops, g1, g2)):
+        return f"[{text1}, {text2}] is not in the radical"
+    for i in range(-4, 5):
+        for j in range(-4, 5):
+            if (i, j) == (0, 0):
+                continue
+            run.trials += 1
+            if member(ops.mul(ops.of_word(w1**i), ops.of_word(w2**j))):
+                return f"{text1}^{i} {text2}^{j} lies in the radical"
+    ladder1, ladder2 = run.ladder(g1, 12), run.ladder(g2, 12)
+    for w in run.samples("quotient-z2", 25):
+        g = ops.of_word(w)
+        if not any(run.enters(ops.mul(g, p1), ladder2) for p1 in ladder1):
+            return (
+                "a sampled element does not reduce to the radical by "
+                f"powers of {text1} and {text2}"
+            )
+    return None
+
+
+def _quotient_z_plus_z2(run: _QuotientRun, w_inf: Word, w_tor: Word) -> Optional[str]:
+    ops, member = run.ops, run.member
+    g_inf, g_tor = ops.of_word(w_inf), ops.of_word(w_tor)
+    inf, tor = format_word(w_inf), format_word(w_tor)
+    run.trials += 2
+    if member(g_tor):
+        return f"{tor} lies in the radical"
+    if not member(ops.mul(g_tor, g_tor)):
+        return f"{tor}^2 is not in the radical"
+    run.trials += 1
+    if not member(_commutator(ops, g_inf, g_tor)):
+        return f"[{inf}, {tor}] is not in the radical"
+    shifts = ((None, ""), (g_tor, f" {tor}"))
+    return run.powers_stay_outside(g_inf, 24, inf, shifts) or run.samples_reduce(
+        "quotient-zz2", g_inf, g_tor, f"powers of {inf} and {tor}"
+    )
+
+
+def _quotient_dihedral(run: _QuotientRun, w_u: Word, w_v: Word) -> Optional[str]:
+    ops, member = run.ops, run.member
+    g_u, g_v = ops.of_word(w_u), ops.of_word(w_v)
+    run.trials += 4
+    if member(g_u) or member(g_v):
+        return "a dihedral witness lies in the radical"
+    if not member(ops.mul(g_u, g_u)) or not member(ops.mul(g_v, g_v)):
+        return "a squared dihedral witness is not in the radical"
+    product = ops.mul(g_u, g_v)
+    text = f"({format_word(w_u)} {format_word(w_v)})"
+    return run.powers_stay_outside(product, 50, text) or run.samples_reduce(
+        "quotient-dinfty", product, g_u, "the dihedral witnesses"
+    )
+
+
+def _quotient_finite(run: _QuotientRun) -> Optional[str]:
+    ops = run.ops
+    gens = (Word.gen(name) for name in ops.generator_names)
+    for w in itertools.chain(gens, run.samples("quotient-finite", 40)):
+        g, power = ops.of_word(w), ops.identity()
+        for _ in range(12):
+            power = ops.mul(power, g)
+            run.trials += 1
+            if run.member(power):
+                break
+        else:
+            return f"no small power of {format_word(w)} enters the radical"
+    return None
+
+
+_QUOTIENT_DRIVERS: dict[str, Callable[..., Optional[str]]] = {
+    "Z": _quotient_z,
+    "Z2": _quotient_z2,
+    "ZplusZ2": _quotient_z_plus_z2,
+    "Dinfty": _quotient_dihedral,
+    "VirtuallyTrivial": _quotient_finite,
+}
 
 
 def _quotient_check(
     desc: GroupDescriptor, ops, model: _RadicalModel, cfg: TrialConfig
 ) -> CheckResult:
-    member = model.member
-    names = ops.generator_names
-    bound = cfg.parameter_bound
-
-    def fail(msg: str, trials: int) -> CheckResult:
-        return CheckResult("radical_quotient", False, msg, trials, cfg.seed)
-
     if model.quotient is None:
         return CheckResult(
             "radical_quotient",
@@ -1131,225 +1293,10 @@ def _quotient_check(
             cfg.seed,
             note="radical is the whole group",
         )
-
-    tag = model.quotient[0]
-    trials = 0
-
-    def reduces(g, steps: Sequence) -> bool:
-        """Whether g lands in the radical after dividing out some product
-        of quotient witness powers."""
-        for candidate in steps:
-            if member(ops.mul(g, candidate)):
-                return True
-        return False
-
-    def power_ladder(w: Word, lo: int, hi: int) -> list:
-        elem = ops.of_word(w)
-        inv = ops.inv(elem)
-        out = [ops.identity()]
-        cur = ops.identity()
-        for _ in range(hi):
-            cur = ops.mul(cur, inv)
-            out.append(cur)
-        cur = ops.identity()
-        fwd = ops.inv(inv)
-        for _ in range(-lo):
-            cur = ops.mul(cur, fwd)
-            out.append(cur)
-        return out
-
-    if tag == "VirtuallyTrivial":
-        for name in names:
-            g = ops.of_word(Word.gen(name))
-            power = ops.identity()
-            ok = False
-            for _ in range(12):
-                power = ops.mul(power, g)
-                trials += 1
-                if member(power):
-                    ok = True
-                    break
-            if not ok:
-                return fail(f"no small power of {name} enters the radical", trials)
-        for idx in range(min(cfg.trials, 40)):
-            rng = _child_rng(cfg.seed, "quotient-finite", idx)
-            w = random_word(rng, names, cfg.max_word_length)
-            g = ops.of_word(w)
-            power = ops.identity()
-            ok = False
-            for _ in range(12):
-                power = ops.mul(power, g)
-                trials += 1
-                if member(power):
-                    ok = True
-                    break
-            if not ok:
-                return fail(
-                    f"no small power of {format_word(w)} enters the radical",
-                    trials,
-                )
-        return CheckResult("radical_quotient", True, None, trials, cfg.seed)
-
-    if tag == "Z":
-        (_, w) = model.quotient
-        elem = ops.of_word(w)
-        power = ops.identity()
-        for k in range(1, min(bound, 24) + 1):
-            power = ops.mul(power, elem)
-            trials += 1
-            if member(power):
-                return fail(f"{format_word(w)}^{k} lies in the radical", trials)
-        ladder = power_ladder(w, -24, 24)
-        for idx in range(min(cfg.trials, 40)):
-            rng = _child_rng(cfg.seed, "quotient-z", idx)
-            g = ops.of_word(random_word(rng, names, cfg.max_word_length))
-            trials += 1
-            if not reduces(g, ladder):
-                return fail(
-                    "a sampled element does not reduce to the radical by a "
-                    f"power of {format_word(w)}",
-                    trials,
-                )
-        return CheckResult("radical_quotient", True, None, trials, cfg.seed)
-
-    if tag == "Z2":
-        (_, w1, w2) = model.quotient
-        g1, g2 = ops.of_word(w1), ops.of_word(w2)
-        comm = ops.mul(ops.mul(g1, g2), ops.inv(ops.mul(g2, g1)))
-        trials += 1
-        if not member(comm):
-            return fail(
-                f"[{format_word(w1)}, {format_word(w2)}] is not in the radical",
-                trials,
-            )
-        for i in range(-4, 5):
-            for j in range(-4, 5):
-                if (i, j) == (0, 0):
-                    continue
-                trials += 1
-                value = ops.mul(
-                    ops.of_word(w1**i), ops.of_word(w2**j)
-                )
-                if member(value):
-                    return fail(
-                        f"{format_word(w1)}^{i} {format_word(w2)}^{j} lies in "
-                        "the radical",
-                        trials,
-                    )
-        ladder1 = power_ladder(w1, -12, 12)
-        ladder2 = power_ladder(w2, -12, 12)
-        for idx in range(min(cfg.trials, 25)):
-            rng = _child_rng(cfg.seed, "quotient-z2", idx)
-            g = ops.of_word(random_word(rng, names, cfg.max_word_length))
-            hit = False
-            for p1 in ladder1:
-                if hit:
-                    break
-                step = ops.mul(g, p1)
-                for p2 in ladder2:
-                    trials += 1
-                    if member(ops.mul(step, p2)):
-                        hit = True
-                        break
-            if not hit:
-                return fail(
-                    "a sampled element does not reduce to the radical by "
-                    f"powers of {format_word(w1)} and {format_word(w2)}",
-                    trials,
-                )
-        return CheckResult("radical_quotient", True, None, trials, cfg.seed)
-
-    if tag == "ZplusZ2":
-        (_, w_inf, w_tor) = model.quotient
-        g_tor = ops.of_word(w_tor)
-        trials += 2
-        if member(g_tor):
-            return fail(f"{format_word(w_tor)} lies in the radical", trials)
-        if not member(ops.mul(g_tor, g_tor)):
-            return fail(
-                f"{format_word(w_tor)}^2 is not in the radical", trials
-            )
-        g_inf = ops.of_word(w_inf)
-        comm = ops.mul(
-            ops.mul(g_inf, g_tor), ops.inv(ops.mul(g_tor, g_inf))
-        )
-        trials += 1
-        if not member(comm):
-            return fail(
-                f"[{format_word(w_inf)}, {format_word(w_tor)}] is not in the "
-                "radical",
-                trials,
-            )
-        power = ops.identity()
-        for k in range(1, min(bound, 24) + 1):
-            power = ops.mul(power, g_inf)
-            trials += 2
-            if member(power):
-                return fail(
-                    f"{format_word(w_inf)}^{k} lies in the radical", trials
-                )
-            if member(ops.mul(power, g_tor)):
-                return fail(
-                    f"{format_word(w_inf)}^{k} {format_word(w_tor)} lies in "
-                    "the radical",
-                    trials,
-                )
-        ladder = power_ladder(w_inf, -24, 24)
-        steps = ladder + [ops.mul(p, ops.inv(g_tor)) for p in ladder]
-        for idx in range(min(cfg.trials, 40)):
-            rng = _child_rng(cfg.seed, "quotient-zz2", idx)
-            g = ops.of_word(random_word(rng, names, cfg.max_word_length))
-            trials += 1
-            if not reduces(g, steps):
-                return fail(
-                    "a sampled element does not reduce to the radical by "
-                    f"powers of {format_word(w_inf)} and {format_word(w_tor)}",
-                    trials,
-                )
-        return CheckResult("radical_quotient", True, None, trials, cfg.seed)
-
-    # infinite dihedral
-    (_, w_u, w_v) = model.quotient
-    g_u, g_v = ops.of_word(w_u), ops.of_word(w_v)
-    trials += 4
-    if member(g_u) or member(g_v):
-        return fail("a dihedral witness lies in the radical", trials)
-    if not member(ops.mul(g_u, g_u)) or not member(ops.mul(g_v, g_v)):
-        return fail("a squared dihedral witness is not in the radical", trials)
-    product = ops.mul(g_u, g_v)
-    power = ops.identity()
-    for k in range(1, min(bound, 50) + 1):
-        power = ops.mul(power, product)
-        trials += 1
-        if member(power):
-            return fail(
-                f"({format_word(w_u)} {format_word(w_v)})^{k} lies in the "
-                "radical",
-                trials,
-            )
-    ladder = []
-    cur = ops.identity()
-    inv_product = ops.inv(product)
-    for _ in range(24):
-        cur = ops.mul(cur, inv_product)
-        ladder.append(cur)
-    cur = ops.identity()
-    for _ in range(24):
-        cur = ops.mul(cur, product)
-        ladder.append(cur)
-    ladder.append(ops.identity())
-    steps = ladder + [ops.mul(p, ops.inv(g_u)) for p in ladder]
-    for idx in range(min(cfg.trials, 40)):
-        rng = _child_rng(cfg.seed, "quotient-dinfty", idx)
-        g = ops.of_word(random_word(rng, names, cfg.max_word_length))
-        trials += 1
-        if not reduces(g, steps):
-            return fail(
-                "a sampled element does not reduce to the radical by the "
-                "dihedral witnesses",
-                trials,
-            )
-    return CheckResult("radical_quotient", True, None, trials, cfg.seed)
+    tag, *witnesses = model.quotient
+    run = _QuotientRun(ops, model.member, cfg)
+    failure = _QUOTIENT_DRIVERS[tag](run, *witnesses)
+    return CheckResult("radical_quotient", failure is None, failure, run.trials, cfg.seed)
 
 
 # --- harness -------------------------------------------------------------------
@@ -1363,9 +1310,8 @@ def _word_eq_check(
     ops = ops_for(desc)
     names = ops.generator_names
     relator_words = [r for _, r in relations]
-    mismatches: list[str] = []
+    problem: Optional[str] = None
     budget_skips = 0
-    constructed_failures: list[str] = []
     for idx in range(cfg.trials):
         rng = _child_rng(cfg.seed, "word-eq", idx)
         w1 = random_word(rng, names, cfg.max_word_length)
@@ -1389,30 +1335,24 @@ def _word_eq_check(
             budget_skips += 1
             continue
         if normal_form_eq != oracle_eq:
-            mismatches.append(
+            problem = (
                 f"{format_word(w1)} vs {format_word(w2)}: normal form says "
                 f"{normal_form_eq}, oracle says {oracle_eq}"
             )
-            break
-        if forced_equal and not normal_form_eq:
-            constructed_failures.append(
+        elif forced_equal and not normal_form_eq:
+            problem = (
                 f"{format_word(w1)} vs {format_word(w2)} differ only by "
                 "relators but evaluate unequal"
             )
+        if problem:
             break
-    problems = mismatches + constructed_failures
     note = (
         f"{budget_skips} trials skipped on the size budget"
         if budget_skips
         else ""
     )
     return CheckResult(
-        "word_eq_oracle",
-        not problems,
-        problems[0] if problems else None,
-        cfg.trials,
-        cfg.seed,
-        note=note,
+        "word_eq_oracle", problem is None, problem, cfg.trials, cfg.seed, note=note
     )
 
 
@@ -1448,86 +1388,61 @@ def _depth_checks(desc: GroupDescriptor, cfg: TrialConfig, dl: int) -> list[Chec
 
 
 def _fp_cone_check(
-    desc: MetabelianH31, cfg: TrialConfig, window: int, ctype: ConstructibleType
-) -> CheckResult:
+    desc: MetabelianH31, cfg: TrialConfig, inv: Invariants, window: int
+) -> list[CheckResult]:
+    """The brute-force cone scan against the classifier's constructible
+    type; only multiplicatively independent ratio pairs have a cone."""
     ratios = (desc.t_ratio, desc.u_ratio)
+    rank, _ = mult_rank(ratios)
+    if rank != 2:
+        return []
+    ctype = inv.fp[1]
     point = fp_cone_bruteforce(ratios, window)
     classifier_type1 = isinstance(ctype, Type1)
+
+    def result(counterexample: Optional[str], note: str = "") -> list[CheckResult]:
+        passed = counterexample is None
+        return [CheckResult("fp_cone", passed, counterexample, 1, cfg.seed, note=note)]
+
     if point is not None:
         i, j = point
         if not classifier_type1:
-            return CheckResult(
-                "fp_cone",
-                False,
+            return result(
                 f"brute force found ({i}, {j}) but the classifier does not "
-                "report an ascending integral form",
-                1,
-                cfg.seed,
+                "report an ascending integral form"
             )
         value = ratios[0] ** i * ratios[1] ** j
-        witness = ctype.n
-        if value.denominator != 1 or abs(witness) < 2:
-            return CheckResult(
-                "fp_cone",
-                False,
-                f"cone point ({i}, {j}) has non-integral value {value}",
-                1,
-                cfg.seed,
-            )
-        return CheckResult(
-            "fp_cone",
-            True,
-            None,
-            1,
-            cfg.seed,
-            note=f"cone point ({i}, {j}), value {value}",
-        )
-    primes = primes_of(*ratios)
-    conclusive = window >= 12 and all(p <= 7 for p in primes)
+        if value.denominator != 1 or abs(ctype.n) < 2:
+            return result(f"cone point ({i}, {j}) has non-integral value {value}")
+        return result(None, note=f"cone point ({i}, {j}), value {value}")
+    conclusive = window >= 12 and all(p <= 7 for p in primes_of(*ratios))
     if conclusive and classifier_type1:
-        return CheckResult(
-            "fp_cone",
-            False,
+        return result(
             "classifier reports an ascending integral form but the brute "
-            f"force scan up to {window} found no cone point",
-            1,
-            cfg.seed,
+            f"force scan up to {window} found no cone point"
         )
-    return CheckResult(
-        "fp_cone",
-        True,
-        None,
-        1,
-        cfg.seed,
-        note="" if conclusive else "window may be too small to conclude",
-    )
+    return result(None, note="" if conclusive else "window may be too small to conclude")
 
 
-def _endo_checks(desc: AscHNNKb, cfg: TrialConfig) -> list[CheckResult]:
-    out: list[CheckResult] = []
+def _endo_checks(
+    desc: AscHNNKb, cfg: TrialConfig, inv: Invariants, window: int
+) -> list[CheckResult]:
     bound = max(2 * abs(desc.e), abs(desc.d)) + 2
+    expected = abs(desc.e * desc.d)
     try:
         index = endo_index(desc.endo, bound)
-        expected = abs(desc.e * desc.d)
-        out.append(
-            CheckResult(
-                "endo_index",
-                index == expected,
-                None
-                if index == expected
-                else f"coset enumeration gives {index}, expected {expected}",
-                1,
-                cfg.seed,
-            )
+        problem = (
+            None
+            if index == expected
+            else f"coset enumeration gives {index}, expected {expected}"
         )
     except VerifyResourceError as err:
-        out.append(
-            CheckResult("endo_index", False, str(err), 1, cfg.seed)
-        )
+        problem = str(err)
+    out = [CheckResult("endo_index", problem is None, problem, 1, cfg.seed)]
     ops = ops_for(desc)
     names = ops.generator_names
     relators = [r for _, r in defining_relations(desc)]
-    contradictions: list[str] = []
+    contradiction: Optional[str] = None
     inconclusive = 0
     trials = min(cfg.trials, 30)
     for idx in range(trials):
@@ -1539,21 +1454,19 @@ def _endo_checks(desc: AscHNNKb, cfg: TrialConfig) -> list[CheckResult]:
         conj = random_word(rng, names, 2)
         w2 = w1 * conj * relator * conj.inv()
         closure = rewrite_closure_eq(relators, w1, w2)
-        britton = ops.word_eq(w1, w2)
-        if not britton:
-            contradictions.append(
+        if not ops.word_eq(w1, w2):
+            contradiction = (
                 f"{format_word(w1)} vs {format_word(w2)}: Britton reduction "
                 "misses a relator consequence"
             )
             break
-        if closure is True:
-            continue
-        inconclusive += 1
+        if closure is not True:
+            inconclusive += 1
     out.append(
         CheckResult(
             "britton_vs_rewriting",
-            not contradictions,
-            contradictions[0] if contradictions else None,
+            contradiction is None,
+            contradiction,
             trials,
             cfg.seed,
             note=(
@@ -1562,6 +1475,44 @@ def _endo_checks(desc: AscHNNKb, cfg: TrialConfig) -> list[CheckResult]:
         )
     )
     return out
+
+
+# --- the verifier table -----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Verifier:
+    """What the verifier knows of one family.
+
+    `oracle(desc, w, max_bits)` evaluates w in a faithful representation,
+    independently of the normal form.  `radical(desc, inv, claim)` is the
+    radical model for a claimed Hirsch length, or None when the family has
+    none for that claim.  `extra_checks(desc, cfg, inv, window)` are the
+    family's own scans, run after the radical certificate.
+    """
+
+    oracle: Callable[[Any, Word, int], Any]
+    radical: Callable[[Any, Invariants, int], Optional[_RadicalModel]]
+    extra_checks: Callable[[Any, TrialConfig, Invariants, int], list[CheckResult]] = (
+        lambda desc, cfg, inv, window: []
+    )
+
+
+_VERIFIERS: dict[type, _Verifier] = {
+    BSbar: _Verifier(_oracle_bsbar, _bsbar_radical),
+    MetabelianH31: _Verifier(_oracle_meta, _meta_radical, _fp_cone_check),
+    LatticeByZ: _Verifier(_oracle_lattice, _lattice_radical),
+    AscHNNKb: _Verifier(_oracle_hnnkb, _hnnkb_radical, _endo_checks),
+    RankOneQ: _Verifier(_oracle_rank_one, _rank_one_radical),
+    AffineQ2: _Verifier(_oracle_affine, _affine_radical),
+}
+
+
+def _verifier(desc: GroupDescriptor) -> _Verifier:
+    try:
+        return _VERIFIERS[type(desc)]
+    except KeyError:
+        raise TypeError(f"unknown descriptor {desc!r}") from None
 
 
 def run_harness(
@@ -1582,10 +1533,5 @@ def run_harness(
     checks.append(_word_eq_check(desc, cfg, relations))
     checks.extend(_depth_checks(desc, cfg, inv.derived_length))
     checks.extend(radical_certificate(desc, cfg, inv=inv).checks)
-    if isinstance(desc, MetabelianH31):
-        rank, _ = mult_rank((desc.t_ratio, desc.u_ratio))
-        if rank == 2:
-            checks.append(_fp_cone_check(desc, cfg, window, inv.fp[1]))
-    if isinstance(desc, AscHNNKb):
-        checks.extend(_endo_checks(desc, cfg))
+    checks.extend(_verifier(desc).extra_checks(desc, cfg, inv, window))
     return VerificationReport(family_of(desc).describe(desc), cfg.seed, tuple(checks))

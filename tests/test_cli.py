@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import json
 import os
@@ -37,6 +38,9 @@ VERIFY_DIGESTS = {
     )
     for seed in (0, 1)
 }
+DIGEST_CASES = [
+    (seed, name) for seed, digests in VERIFY_DIGESTS.items() for name in digests["reports"]
+]
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -300,6 +304,16 @@ class TestVerifyCommand:
         data = json.loads(out)
         assert data["report"]["passed"] is False
 
+    def test_trivial_group_verifies(self, capsys, tmp_path):
+        # a rank-one group with no generators is the trivial group: random
+        # words over no letters are empty, not an IndexError
+        path = tmp_path / "trivial.toml"
+        path.write_text("family = rank_one_q\nname = trivial\ngenerators =\n")
+        code, out, err = run(capsys, "verify", str(path), "--trials", "20")
+        assert (code, err) == (0, "")
+        checks = json.loads(out)["report"]["checks"]
+        assert len(checks) == 8 and all(c["passed"] for c in checks)
+
     @pytest.mark.parametrize(
         "option", [("--trials", "0"), ("--seed", "-1")], ids=["trials", "seed"]
     )
@@ -320,8 +334,11 @@ class TestVerifyCommand:
         assert (code1, code2) == (0, 0)
         assert out1 == out2
 
-    @pytest.mark.parametrize("name", list(VERIFY_DIGESTS[0]["reports"]))
-    @pytest.mark.parametrize("seed", list(VERIFY_DIGESTS))
+    @pytest.mark.parametrize(
+        "seed, name",
+        DIGEST_CASES,
+        ids=[name if seed == 0 else f"seed{seed}-{name}" for seed, name in DIGEST_CASES],
+    )
     def test_seed_zero_report_matches_recorded_digest(self, capsys, tmp_path, seed, name):
         fixture = corrupted_d_infty() if name == "corrupted_d_infty" else fixture_named(name)
         path = tmp_path / f"{name}.toml"
@@ -421,6 +438,39 @@ class TestFamilyTable:
         ops = ops_for(desc)
         for label, relator in FAMILIES[type(desc)].relations(desc):
             assert ops.is_identity(ops.of_word(relator)), label
+
+
+def _isinstance_targets(node: ast.Call) -> list[str]:
+    """Names in the class argument of an isinstance call."""
+    if not (isinstance(node.func, ast.Name) and node.func.id == "isinstance"):
+        return []
+    if len(node.args) != 2:
+        return []
+    target = node.args[1]
+    parts = target.elts if isinstance(target, ast.Tuple) else [target]
+    out = []
+    for part in parts:
+        if isinstance(part, ast.Name):
+            out.append(part.id)
+        elif isinstance(part, ast.Attribute):
+            out.append(part.attr)
+    return out
+
+
+def test_only_families_branches_on_descriptor_type():
+    # one place knows each family: other modules look a family up in a table
+    # keyed by descriptor type instead of testing the type
+    descriptors = {cls.__name__ for cls in FAMILIES}
+    package = Path(cli.__file__).resolve().parent
+    found = []
+    for module in sorted(package.glob("*.py")):
+        if module.name == "families.py":
+            continue
+        for node in ast.walk(ast.parse(module.read_text(), str(module))):
+            if isinstance(node, ast.Call):
+                hits = descriptors.intersection(_isinstance_targets(node))
+                found += [f"{module.name}:{node.lineno} {name}" for name in sorted(hits)]
+    assert not found
 
 
 class TestModuleEntryPoint:

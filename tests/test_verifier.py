@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from hirsch3.families import (
+    FAMILIES,
     AffineMap2,
     AffineQ2,
     AscHNNKb,
@@ -24,6 +25,7 @@ from hirsch3.rationals import Mat2Q, mult_rank
 from hirsch3.verify import (
     _CANDIDATE_CAP,
     CheckResult,
+    _VERIFIERS,
     _RadicalModel,
     _affine_unipotent,
     _quotient_check,
@@ -332,6 +334,19 @@ class TestEndoIndex:
             endo_index(KbEndo(1, 0, 2), 1)
 
 
+def _shear_radical_example(v_linear: Mat2Q) -> AffineQ2:
+    # the radical holds the shear (u v)^2, which does not commute with y;
+    # every unipotent word of length at most 3 is a translation
+    return AffineQ2(
+        (
+            ("u", AffineMap2(Mat2Q.of(1, 0, 0, -1), (F(1, 2), F(0)))),
+            ("v", AffineMap2(v_linear, (F(0), F(1, 2)))),
+            ("x", AffineMap2(Mat2Q.identity(), (F(1), F(0)))),
+            ("y", AffineMap2(Mat2Q.identity(), (F(0), F(1)))),
+        )
+    )
+
+
 class TestRadicalCertificate:
     DESCRIPTORS = [
         BSbar(2, 3),
@@ -348,6 +363,8 @@ class TestRadicalCertificate:
         AscHNNKb(-1, 1, 1),
         AscHNNKb(3, 1, 2),
         RankOneQ((F(1, 2), F(5, 3))),
+        _shear_radical_example(Mat2Q.of(-1, -2, 0, 1)),
+        _shear_radical_example(Mat2Q.of(-1, F(2, 3), 0, 1)),
     ]
 
     @pytest.mark.parametrize(
@@ -487,12 +504,14 @@ class TestQuotientWitnesses:
         assert result.passed is False
         assert (result.counterexample, result.trials) == (message, trials)
 
-    def test_true_dihedral_witnesses_pass(self):
-        model = _RadicalModel(
-            1, True, (), _affine_unipotent, ("Dinfty", Word.gen("u"), Word.gen("v"))
-        )
-        result = _quotient_check(_D_INFTY, ops_for(_D_INFTY), model, TrialConfig())
-        assert (result.passed, result.trials) == (True, 94)
+
+class TestVerifierTable:
+    def test_every_family_has_one_verifier(self):
+        assert set(_VERIFIERS) == set(FAMILIES)
+
+    def test_unknown_descriptor_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            oracle_word_eq(object(), Word.identity(), Word.identity())
 
 
 class TestHarness:
