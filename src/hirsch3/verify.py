@@ -1,17 +1,16 @@
-"""Independent oracles and a randomized property harness.
+"""The randomized property harness, around the independent oracles.
 
 Every claim the classifier and the family normal forms make is
-cross-checked here by deliberately naive means: faithful representations
-evaluated letter by letter, bounded rewriting closures, exhaustive scans
-over small windows, and coset enumeration on a finite grid.  The word
-oracles share no arithmetic with the normal-form code they test; the
-coset enumeration in `endo_index` still multiplies with the Klein-bottle
-`kb_mul` and tests membership with `image_membership` from `families`.
+cross-checked here by deliberately naive means: the faithful
+representations and the Klein-bottle coset enumeration of `oracles`,
+which share no arithmetic with the normal-form code, bounded rewriting
+closures, and exhaustive scans over small windows.  `oracle_word_eq`,
+`endo_index` and `VerifyResourceError` are re-exported from `oracles`.
 
 Like `families.FAMILIES` and `classify._INVARIANTS`, `_VERIFIERS` holds
-one record per descriptor type: the family's word oracle, its radical
-model and its own extra checks.  The radical-quotient check has one driver
-per quotient tag in `_QUOTIENT_DRIVERS`.
+one record per descriptor type: the family's radical model and its own
+extra checks.  The radical-quotient check has one driver per quotient tag
+in `_QUOTIENT_DRIVERS`.
 
 All verdicts are deterministic under a fixed seed.  Each named check and
 each trial derives its own child generator, so results never depend on
@@ -34,21 +33,16 @@ from .families import (
     AscHNNKb,
     BSbar,
     GroupDescriptor,
-    KbElem,
-    KbEndo,
     LatticeByZ,
     MetabelianH31,
     RankOneQ,
     affine_compose,
     family_of,
-    kb_inv,
-    kb_mul,
-    image_membership,
     ops_for,
 )
+from .oracles import VerifyResourceError, endo_index, oracle_word_eq
 from .rationals import (
     Mat2Q,
-    binary_power,
     integer_row_kernel,
     matrix_order,
     mult_rank,
@@ -56,8 +50,6 @@ from .rationals import (
     rational_valuation,
 )
 from .words import Presentation, Word, format_word
-
-F = Fraction
 
 __all__ = [
     "TrialConfig",
@@ -77,11 +69,6 @@ __all__ = [
     "run_harness",
     "random_word",
 ]
-
-
-class VerifyResourceError(RuntimeError):
-    """A size or enumeration budget ran out before the oracle reached a
-    verdict.  Distinct from a negative verdict."""
 
 
 @dataclass(frozen=True)
@@ -222,234 +209,6 @@ def check_relations(
         len(relations),
         0,
     )
-
-
-# --- independent word evaluation ---------------------------------------------
-
-_DEFAULT_MAX_BITS = 1 << 17
-
-
-def _bits(x: Fraction) -> int:
-    return x.numerator.bit_length() + x.denominator.bit_length()
-
-
-def _guard_fractions(parts: Sequence[Fraction], max_bits: int) -> None:
-    if sum(_bits(p) for p in parts) > max_bits:
-        raise VerifyResourceError("word evaluation exceeded the size budget")
-
-
-def _pow_guarded(base: Fraction, exp: int, max_bits: int) -> Fraction:
-    if abs(exp) * max(_bits(base), 1) > max_bits:
-        raise VerifyResourceError("word evaluation exceeded the size budget")
-    return base**exp
-
-
-@dataclass(frozen=True)
-class _Aff1:
-    """One-dimensional affine map x -> scale * x + offset."""
-
-    scale: Fraction
-    offset: Fraction
-
-    def after(self, other: "_Aff1") -> "_Aff1":
-        # self applied after other
-        return _Aff1(self.scale * other.scale, self.scale * other.offset + self.offset)
-
-
-_AFF1_ID = _Aff1(F(1), F(0))
-
-
-def _aff1_pow(f: _Aff1, k: int, max_bits: int) -> _Aff1:
-    """f composed with itself k times, by the geometric sum formula; valid
-    for negative k as well."""
-    scale = _pow_guarded(f.scale, k, max_bits)
-    if f.scale == 1:
-        offset = f.offset * k
-    else:
-        offset = f.offset * (scale - 1) / (f.scale - 1)
-    return _Aff1(scale, offset)
-
-
-def _oracle_aff1_word(
-    gens: dict[str, _Aff1], w: Word, max_bits: int
-) -> _Aff1:
-    out = _AFF1_ID
-    for name, exp in w.syllables:
-        out = out.after(_aff1_pow(gens[name], exp, max_bits))
-        _guard_fractions((out.scale, out.offset), max_bits)
-    return out
-
-
-def _oracle_bsbar(desc: BSbar, w: Word, max_bits: int):
-    gens = {"a": _Aff1(F(1), F(1)), "t": _Aff1(desc.ratio, F(0))}
-    tsum = w.exponent_sum("t")
-    return (_oracle_aff1_word(gens, w, max_bits), tsum)
-
-
-def _heis_mul(g1: tuple, g2: tuple) -> tuple:
-    i1, j1, z1 = g1
-    i2, j2, z2 = g2
-    return (i1 + i2, j1 + j2, z1 + z2 + i1 * j2)
-
-
-def _heis_pow(g: tuple, k: int) -> tuple:
-    i, j, z = g
-    if k < 0:
-        return _heis_pow((-i, -j, -z + i * j), -k)
-    return (k * i, k * j, k * z + (k * (k - 1) // 2) * i * j)
-
-
-def _oracle_meta(desc: MetabelianH31, w: Word, max_bits: int):
-    r1, r2, e = desc.t_ratio, desc.u_ratio, desc.e
-    tsum = w.exponent_sum("t")
-    usum = w.exponent_sum("u")
-    if r1 == 1 and r2 == 1 and e != 0:
-        # integral Heisenberg triples (i, j, z) acting as unitriangular
-        # matrices; a is the 1/e-th root of the central commutator
-        gens = {
-            "t": (F(1), F(0), F(0)),
-            "u": (F(0), F(1), F(0)),
-            "a": (F(0), F(0), F(-1) / e),
-        }
-        out = (F(0), F(0), F(0))
-        for name, exp in w.syllables:
-            out = _heis_mul(out, _heis_pow(gens[name], exp))
-            _guard_fractions(out, max_bits)
-        return out
-    if r2 != 1:
-        tau, ups = r1 * e / (r2 - 1), F(0)
-    elif r1 != 1:
-        tau, ups = F(0), r1 * e / (1 - r1)
-    else:
-        tau = ups = F(0)
-    gens = {"a": _Aff1(F(1), F(1)), "t": _Aff1(r1, tau), "u": _Aff1(r2, ups)}
-    return (_oracle_aff1_word(gens, w, max_bits), tsum, usum)
-
-
-# affine maps as flat (a, b, c, d, tx, ty) tuples: the hot evaluation loop
-# skips dataclass construction and its invertibility re-validation
-_Aff6 = tuple
-
-_AFF6_ID: _Aff6 = (F(1), F(0), F(0), F(1), F(0), F(0))
-
-
-@lru_cache(maxsize=4096)
-def _aff6_of(f: AffineMap2) -> _Aff6:
-    return (*f.linear.entries(), *f.translation)
-
-
-def _aff6_compose(f: _Aff6, g: _Aff6) -> _Aff6:
-    fa, fb, fc, fd, fx, fy = f
-    ga, gb, gc, gd, gx, gy = g
-    return (
-        fa * ga + fb * gc,
-        fa * gb + fb * gd,
-        fc * ga + fd * gc,
-        fc * gb + fd * gd,
-        fa * gx + fb * gy + fx,
-        fc * gx + fd * gy + fy,
-    )
-
-
-def _aff6_inverse(f: _Aff6) -> _Aff6:
-    a, b, c, d, x, y = f
-    det = a * d - b * c
-    ia, ib, ic, id_ = d / det, -b / det, -c / det, a / det
-    return (ia, ib, ic, id_, -(ia * x + ib * y), -(ic * x + id_ * y))
-
-
-@lru_cache(maxsize=4096)
-def _aff6_pow(f: _Aff6, exp: int) -> _Aff6:
-    base = f if exp >= 0 else _aff6_inverse(f)
-    return binary_power(base, abs(exp), _aff6_compose, _AFF6_ID)
-
-
-def _oracle_affine(desc: AffineQ2, w: Word, max_bits: int) -> _Aff6:
-    sixes = {name: _aff6_of(f) for name, f in desc.generators}
-    out = _AFF6_ID
-    for name, exp in w.syllables:
-        six = sixes[name]
-        if abs(exp) * max(max(_bits(x) for x in six), 1) > max_bits:
-            raise VerifyResourceError("word evaluation exceeded the size budget")
-        out = _aff6_compose(out, _aff6_pow(six, exp))
-        _guard_fractions(out, max_bits)
-    return out
-
-
-@lru_cache(maxsize=4096)
-def _mat_pow_cached(mat: Mat2Q, k: int) -> Mat2Q:
-    return mat.pow(k)
-
-
-def _oracle_lattice(desc: LatticeByZ, w: Word, max_bits: int):
-    # the linear part of any product is a power of the acting matrix, so
-    # the state is one exponent and one translation vector
-    mat = desc.matrix
-    mat_bits = max(max(_bits(x) for x in mat.entries()), 1)
-    k = 0
-    vx = vy = F(0)
-    for name, exp in w.syllables:
-        if name == "t":
-            k += exp
-            if abs(k) * mat_bits > max_bits:
-                raise VerifyResourceError(
-                    "word evaluation exceeded the size budget"
-                )
-        else:
-            step = (F(exp), F(0)) if name == "a" else (F(0), F(exp))
-            sx, sy = _mat_pow_cached(mat, k).apply(step)
-            vx += sx
-            vy += sy
-            _guard_fractions((vx, vy), max_bits)
-    return (vx, vy, k)
-
-
-def _oracle_hnnkb(desc: AscHNNKb, w: Word, max_bits: int):
-    # all three generators have diagonal linear parts, so the coordinates
-    # evolve as independent 1D affine maps
-    first = {
-        "x": _Aff1(F(1), F(1, 2)),
-        "y": _AFF1_ID,
-        "s": _Aff1(F(desc.e), F(0)),
-    }
-    second = {
-        "x": _Aff1(F(-1), F(0)),
-        "y": _Aff1(F(1), F(1)),
-        "s": _Aff1(F(desc.d), F(-desc.f, 2)),
-    }
-    fx = _oracle_aff1_word(first, w, max_bits)
-    fy = _oracle_aff1_word(second, w, max_bits)
-    ssum = w.exponent_sum("s")
-    return (fx, fy, ssum)
-
-
-def _oracle_rank_one(desc: RankOneQ, w: Word, max_bits: int) -> Fraction:
-    names = ops_for(desc).generator_names
-    total = sum(
-        (w.exponent_sum(name) * g for name, g in zip(names, desc.generators)),
-        start=F(0),
-    )
-    _guard_fractions((total,), max_bits)
-    return total
-
-
-def _oracle_value(desc: GroupDescriptor, w: Word, max_bits: int):
-    return _verifier(desc).oracle(desc, w, max_bits)
-
-
-def oracle_word_eq(
-    desc: GroupDescriptor,
-    w1: Word,
-    w2: Word,
-    max_bits: int = _DEFAULT_MAX_BITS,
-) -> bool:
-    """Decide w1 = w2 by evaluating a faithful representation letter by
-    letter, independently of the normal-form code.
-
-    Raises VerifyResourceError when intermediate values outgrow max_bits,
-    which is a resource verdict, not an inequality verdict.
-    """
-    return _oracle_value(desc, w1, max_bits) == _oracle_value(desc, w2, max_bits)
 
 
 # --- rewriting closure --------------------------------------------------------
@@ -617,44 +376,11 @@ def fp_cone_bruteforce(
     return None
 
 
-# --- Klein bottle endomorphism index -------------------------------------------
-
-
-def endo_index(phi: KbEndo, bound: int) -> int:
-    """Index of the image of phi by right-coset enumeration over the grid
-    x^a y^b with 0 <= a, b < bound.
-
-    Raises VerifyResourceError when the grid provably cannot certify the
-    count: either every cell is a fresh coset, or a fresh coset still
-    appears on the grid boundary.
-    """
-    if bound < 2:
-        raise ValueError("bound must be at least 2")
-    reps: list[KbElem] = []
-    boundary_fresh = False
-    for a in range(bound):
-        for b in range(bound):
-            g = KbElem(a, b)
-            if any(
-                image_membership(phi, kb_mul(g, kb_inv(rep))) for rep in reps
-            ):
-                continue
-            reps.append(g)
-            if a == bound - 1 or b == bound - 1:
-                boundary_fresh = True
-    if len(reps) == bound * bound:
-        raise VerifyResourceError("index exceeds the enumeration grid")
-    if boundary_fresh:
-        raise VerifyResourceError("enumeration grid too small to certify the index")
-    return len(reps)
-
-
 # --- radical certificate --------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class _RadicalModel:
-    hirsch: int
     abelian: bool
     generator_words: tuple[Word, ...]
     member: Callable
@@ -668,15 +394,15 @@ class _RadicalModel:
 _FINITE = ("VirtuallyTrivial",)
 
 
-def _whole_abelian_group(desc: GroupDescriptor, claim: int) -> _RadicalModel:
+def _whole_abelian_group(desc: GroupDescriptor) -> _RadicalModel:
     gens = tuple(Word.gen(n) for n in ops_for(desc).generator_names)
-    return _RadicalModel(claim, True, gens, lambda g: True, None)
+    return _RadicalModel(True, gens, lambda g: True, None)
 
 
 def _rank_one_radical(
     desc: RankOneQ, inv: Invariants, claim: int
 ) -> Optional[_RadicalModel]:
-    return _whole_abelian_group(desc, claim) if claim == inv.hirsch else None
+    return _whole_abelian_group(desc) if claim == inv.hirsch else None
 
 
 def _bsbar_radical(
@@ -686,12 +412,12 @@ def _bsbar_radical(
     if claim == 1:
         # for |ratio| = 1 this is a deliberate undersized claim used as a
         # negative control
-        return _RadicalModel(1, True, (a,), lambda g: g.k == 0, ("Z", t))
+        return _RadicalModel(True, (a,), lambda g: g.k == 0, ("Z", t))
     if claim != 2 or abs(desc.ratio) != 1:
         return None
     if desc.ratio == 1:
-        return _RadicalModel(2, True, (a, t), lambda g: True, None)
-    return _RadicalModel(2, True, (a, t**2), lambda g: g.k % 2 == 0, _FINITE)
+        return _RadicalModel(True, (a, t), lambda g: True, None)
+    return _RadicalModel(True, (a, t**2), lambda g: g.k % 2 == 0, _FINITE)
 
 
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -775,10 +501,10 @@ def _meta_radical(
         else:
             quotient = _FINITE
         gens = (a, *(_meta_power_word(v) for v in basis))
-        return _RadicalModel(claim, inv.radical.is_abelian, gens, member, quotient)
+        return _RadicalModel(inv.radical.is_abelian, gens, member, quotient)
     if claim == 1:
         return _RadicalModel(
-            1, True, (a,), lambda g: g.i == 0 and g.j == 0, ("Z2", t, u)
+            True, (a,), lambda g: g.i == 0 and g.j == 0, ("Z2", t, u)
         )
     return None
 
@@ -793,7 +519,7 @@ def _lattice_radical(
     a, b, t = Word.gen("a"), Word.gen("b"), Word.gen("t")
     m = desc.matrix
     if claim == 2:
-        return _RadicalModel(2, True, (a, b), lambda g: g.k == 0, ("Z", t))
+        return _RadicalModel(True, (a, b), lambda g: g.k == 0, ("Z", t))
     if claim != 3:
         return None
 
@@ -802,11 +528,11 @@ def _lattice_radical(
 
     order = matrix_order(m)
     if order is not None:
-        return _RadicalModel(3, True, (a, b, t**order), member, _FINITE)
+        return _RadicalModel(True, (a, b, t**order), member, _FINITE)
     if _is_unipotent(m):
-        return _RadicalModel(3, m == Mat2Q.identity(), (a, b, t), member, None)
+        return _RadicalModel(m == Mat2Q.identity(), (a, b, t), member, None)
     if _is_unipotent(m * m):
-        return _RadicalModel(3, False, (a, b, t**2), member, _FINITE)
+        return _RadicalModel(False, (a, b, t**2), member, _FINITE)
     return None
 
 
@@ -823,7 +549,6 @@ def _hnnkb_radical(
         if claim != 2:
             return None
         return _RadicalModel(
-            2,
             True,
             (x**2, y),
             lambda g: _hnn_net(g) == 0 and g.g.a % 2 == 0,
@@ -847,7 +572,7 @@ def _hnnkb_radical(
     else:
         extra = s**2
     gens = (x**2, y, extra)
-    return _RadicalModel(3, inv.radical.is_abelian, gens, member_unit, _FINITE)
+    return _RadicalModel(inv.radical.is_abelian, gens, member_unit, _FINITE)
 
 
 def _affine_unipotent(g: AffineMap2) -> bool:
@@ -914,7 +639,7 @@ def _affine_radical(
     ):
         # abelian group: the radical is everything, including generators
         # whose linear part is not unipotent (a faithful Z action, say)
-        return _whole_abelian_group(desc, claim)
+        return _whole_abelian_group(desc)
     if claim == inv.hirsch:
         quotient = None if all(map(_affine_unipotent, maps)) else _FINITE
     elif inv.hirsch == 3 and inv.quotient.tag == "Dinfty":
@@ -933,7 +658,7 @@ def _affine_radical(
         quotient = ("Z", Word.gen(names[0]))
     gens, more = _affine_radical_words(desc)
     return _RadicalModel(
-        claim, inv.radical.is_abelian, gens, _affine_unipotent, quotient, more
+        inv.radical.is_abelian, gens, _affine_unipotent, quotient, more
     )
 
 
@@ -1192,9 +917,17 @@ class _QuotientRun:
         return None
 
 
+def _power_base(w: Word) -> str:
+    """w as the base of a power: in parentheses unless it is a single
+    letter, so that (x y)^2 does not read as x y^2."""
+    text = format_word(w)
+    single_letter = len(w.syllables) == 1 and w.syllables[0][1] == 1
+    return text if single_letter else f"({text})"
+
+
 def _quotient_z(run: _QuotientRun, w: Word) -> Optional[str]:
     g, text = run.ops.of_word(w), format_word(w)
-    return run.powers_stay_outside(g, 24, text) or run.samples_reduce(
+    return run.powers_stay_outside(g, 24, _power_base(w)) or run.samples_reduce(
         "quotient-z", g, None, f"a power of {text}"
     )
 
@@ -1212,7 +945,8 @@ def _quotient_z2(run: _QuotientRun, w1: Word, w2: Word) -> Optional[str]:
                 continue
             run.trials += 1
             if member(ops.mul(ops.of_word(w1**i), ops.of_word(w2**j))):
-                return f"{text1}^{i} {text2}^{j} lies in the radical"
+                base1, base2 = _power_base(w1), _power_base(w2)
+                return f"{base1}^{i} {base2}^{j} lies in the radical"
     ladder1, ladder2 = run.ladder(g1, 12), run.ladder(g2, 12)
     for w in run.samples("quotient-z2", 25):
         g = ops.of_word(w)
@@ -1237,7 +971,8 @@ def _quotient_z_plus_z2(run: _QuotientRun, w_inf: Word, w_tor: Word) -> Optional
     if not member(_commutator(ops, g_inf, g_tor)):
         return f"[{inf}, {tor}] is not in the radical"
     shifts = ((None, ""), (g_tor, f" {tor}"))
-    return run.powers_stay_outside(g_inf, 24, inf, shifts) or run.samples_reduce(
+    base = _power_base(w_inf)
+    return run.powers_stay_outside(g_inf, 24, base, shifts) or run.samples_reduce(
         "quotient-zz2", g_inf, g_tor, f"powers of {inf} and {tor}"
     )
 
@@ -1482,16 +1217,15 @@ def _endo_checks(
 
 @dataclass(frozen=True)
 class _Verifier:
-    """What the verifier knows of one family.
+    """What the verifier knows of one family besides its word oracle,
+    which `oracles` keeps.
 
-    `oracle(desc, w, max_bits)` evaluates w in a faithful representation,
-    independently of the normal form.  `radical(desc, inv, claim)` is the
-    radical model for a claimed Hirsch length, or None when the family has
-    none for that claim.  `extra_checks(desc, cfg, inv, window)` are the
-    family's own scans, run after the radical certificate.
+    `radical(desc, inv, claim)` is the radical model for a claimed Hirsch
+    length, or None when the family has none for that claim.
+    `extra_checks(desc, cfg, inv, window)` are the family's own scans, run
+    after the radical certificate.
     """
 
-    oracle: Callable[[Any, Word, int], Any]
     radical: Callable[[Any, Invariants, int], Optional[_RadicalModel]]
     extra_checks: Callable[[Any, TrialConfig, Invariants, int], list[CheckResult]] = (
         lambda desc, cfg, inv, window: []
@@ -1499,12 +1233,12 @@ class _Verifier:
 
 
 _VERIFIERS: dict[type, _Verifier] = {
-    BSbar: _Verifier(_oracle_bsbar, _bsbar_radical),
-    MetabelianH31: _Verifier(_oracle_meta, _meta_radical, _fp_cone_check),
-    LatticeByZ: _Verifier(_oracle_lattice, _lattice_radical),
-    AscHNNKb: _Verifier(_oracle_hnnkb, _hnnkb_radical, _endo_checks),
-    RankOneQ: _Verifier(_oracle_rank_one, _rank_one_radical),
-    AffineQ2: _Verifier(_oracle_affine, _affine_radical),
+    BSbar: _Verifier(_bsbar_radical),
+    MetabelianH31: _Verifier(_meta_radical, _fp_cone_check),
+    LatticeByZ: _Verifier(_lattice_radical),
+    AscHNNKb: _Verifier(_hnnkb_radical, _endo_checks),
+    RankOneQ: _Verifier(_rank_one_radical),
+    AffineQ2: _Verifier(_affine_radical),
 }
 
 

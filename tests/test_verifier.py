@@ -450,7 +450,7 @@ class TestQuotientWitnesses:
             3,
         ),
         (AscHNNKb(1, 0, 2), _hnn_even, ("ZplusZ2", "y", "x"), "y^1 lies in the radical", 5),
-        (AscHNNKb(1, 0, 2), _hnn_even, ("ZplusZ2", "x y", "x"), "x y^1 x lies in the radical", 5),
+        (AscHNNKb(1, 0, 2), _hnn_even, ("ZplusZ2", "x y", "x"), "(x y)^1 x lies in the radical", 5),
         (
             AscHNNKb(1, 0, 2),
             _hnn_even,
@@ -498,7 +498,7 @@ class TestQuotientWitnesses:
     def test_wrong_witness_fails(self, desc, member, quotient, message, trials):
         tag, *words = quotient
         model = _RadicalModel(
-            1, True, (), member, (tag, *(parse_word(w) for w in words))
+            True, (), member, (tag, *(parse_word(w) for w in words))
         )
         result = _quotient_check(desc, ops_for(desc), model, TrialConfig())
         assert result.passed is False
