@@ -29,7 +29,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, lcm, prod
+from math import isqrt, lcm, prod
 from typing import Any, Callable, Optional, Union
 
 from .families import (
@@ -48,12 +48,11 @@ from .families import (
 )
 from .rationals import (
     Mat2Q,
+    complement_vector,
     conjugate_to_integral,
     is_unimodular_integral_class,
     matrix_order,
-    mult_rank,
     prime_factors,
-    primes_of,
     radical_of,
     rational_valuation,
 )
@@ -309,14 +308,6 @@ def _section_label(modulus: int) -> str:
 # --- valuation cone (rank-one radical presentability) ------------------------
 
 
-def _valuation_rows(r1: Fraction, r2: Fraction) -> list[tuple[int, int, int]]:
-    """(p, v_p(r1), v_p(r2)) for every prime of either ratio."""
-    return [
-        (p, rational_valuation(r1, p), rational_valuation(r2, p))
-        for p in sorted(primes_of(r1, r2))
-    ]
-
-
 def _halfplane_witness(
     rows: list[tuple[int, int]],
 ) -> Optional[tuple[Fraction, Fraction]]:
@@ -398,7 +389,7 @@ def cone_integer_point(rows: list[tuple[int, int]]) -> Optional[tuple[int, int]]
 _TYPE1_SEARCH_CAP = 200_000
 
 
-def _type1_ratio(r1: Fraction, r2: Fraction) -> int:
+def _type1_ratio(desc: MetabelianH31) -> int:
     """The realized integer ratio of smallest absolute value.
 
     Candidate absolute values are the integers divisible by every prime of
@@ -406,9 +397,9 @@ def _type1_ratio(r1: Fraction, r2: Fraction) -> int:
     order; the exponent map is injective here, so each value is realized by
     at most one exponent pair, solved exactly from two independent rows.
     """
-    rows = _valuation_rows(r1, r2)
-    primes = [p for p, _, _ in rows]
-    base = [(va, vb) for _, va, vb in rows]
+    r1, r2 = desc.t_ratio, desc.u_ratio
+    primes = desc.ratio_lattice.primes
+    base = list(zip(*desc.ratio_lattice.rows))
     pivot = None
     for idx1 in range(len(base)):
         for idx2 in range(idx1 + 1, len(base)):
@@ -585,22 +576,9 @@ def _analyze_affine(desc: AffineQ2) -> _AffineData:
 # --- family predicates --------------------------------------------------------
 
 
-def _meta_sign_kernel_basis(desc: MetabelianH31) -> list[tuple[int, int]]:
-    """Basis of {(i, j) : t_ratio^i u_ratio^j = 1} when both ratios are +-1."""
-    s1 = 1 if desc.t_ratio < 0 else 0
-    s2 = 1 if desc.u_ratio < 0 else 0
-    if (s1, s2) == (0, 0):
-        return [(1, 0), (0, 1)]
-    if (s1, s2) == (1, 0):
-        return [(2, 0), (0, 1)]
-    if (s1, s2) == (0, 1):
-        return [(1, 0), (0, 2)]
-    return [(1, 1), (0, 2)]
-
-
 def _meta_radical_abelian_h3(desc: MetabelianH31) -> bool:
     words = [Word.gen("a")]
-    for i, j in _meta_sign_kernel_basis(desc):
+    for i, j in desc.ratio_lattice.relations():
         words.append(Word.of((("t", i), ("u", j))) if i else Word.gen("u", j))
     return all(
         meta_of_word(desc, w1 * w2 * w1.inv() * w2.inv()) == meta_identity()
@@ -636,20 +614,21 @@ def _meta_fp_status(
     """Presentability data for a metabelian descriptor that is not
     polycyclic."""
     if kernel_rank == 0:
-        rows = [(va, vb) for _, va, vb in
-                _valuation_rows(desc.t_ratio, desc.u_ratio)]
-        if cone_integer_point(rows) is None:
+        if cone_integer_point(list(zip(*desc.ratio_lattice.rows))) is None:
             return False, None, TriState(
                 None,
                 "whether an FP2 group with rank-one radical must be "
                 "finitely presentable is an open question; " + _E_NOTE,
             )
-        realized = _type1_ratio(desc.t_ratio, desc.u_ratio)
+        realized = _type1_ratio(desc)
         return True, Type1(realized), TriState(True, _FP_IS_FP2 + "; " + _E_NOTE)
     # rank-one multiplicative image: every per-prime valuation point of
     # (t_ratio, u_ratio) is a multiple of one direction, so the module is
-    # tame exactly when the image generator or its inverse is an integer
-    generator = _rank_one_image_generator(desc)
+    # tame exactly when the image generator or its inverse is an integer;
+    # |r1^i r2^j| at a complement (i, j) of the one relation vector is
+    # that generator or its inverse
+    i, j = complement_vector(desc.ratio_lattice.kernel[0])
+    generator = abs(desc.t_ratio**i * desc.u_ratio**j)
     if generator.denominator == 1 or generator.numerator == 1:
         return True, Type2("Kb" if has_minus_one else "Z2"), _FP2
     return False, None, TriState(
@@ -658,32 +637,6 @@ def _meta_fp_status(
         "presentability, and the rank-one multiplicative image is "
         "generated by a rational that is integral in neither direction",
     )
-
-
-def _rank_one_image_generator(desc: MetabelianH31) -> Fraction:
-    """Positive generator of the value group {|t_ratio^i u_ratio^j|}.
-
-    Only valid when the valuation vectors of the two ratios span a rank-one
-    lattice: both are then integer multiples of one primitive vector, and the
-    value group is generated by that vector scaled by the gcd of the two
-    multipliers.
-    """
-    rows = _valuation_rows(desc.t_ratio, desc.u_ratio)
-    vec1 = tuple(va for _, va, _ in rows)
-    vec2 = tuple(vb for _, _, vb in rows)
-    pivot = next(k for k in range(len(rows)) if vec1[k] or vec2[k])
-    base = vec1 if vec1[pivot] else vec2
-    content = 0
-    for x in base:
-        content = gcd(content, x)
-    prim = tuple(x // content for x in base)
-    a = vec1[pivot] // prim[pivot] if any(vec1) else 0
-    b = vec2[pivot] // prim[pivot] if any(vec2) else 0
-    scale = gcd(a, b)
-    value = F(1)
-    for (p, _, _), exponent in zip(rows, prim):
-        value *= F(p) ** (exponent * scale)
-    return value
 
 
 # --- one invariants function per family ----------------------------------------
@@ -817,8 +770,8 @@ def _bsbar_invariants(desc: BSbar) -> Invariants:
 
 
 def _meta_invariants(desc: MetabelianH31) -> Invariants:
-    rank, has_minus_one = mult_rank((desc.t_ratio, desc.u_ratio))
-    kernel_rank = 2 - rank
+    lattice = desc.ratio_lattice
+    kernel_rank, has_minus_one = 2 - lattice.rank, lattice.has_minus_one
     label = _section_label(desc.locus)
     if kernel_rank == 0:
         radical = RadicalInfo(1, label, True)

@@ -36,7 +36,8 @@ descriptor caches, as integer pairs or tuples, the powers and crossing
 factors its products need (ratio powers (n/m)^k and (q/p)^s, the
 MetabelianH31 crossing factors, lattice matrix powers M^k), for exponents
 up to `_TABLE_REACH`; an `AscHNNKb` caches its `KbEndo` and the iterates
-phi^k, each applied in O(1) by a closed form.
+phi^k, each applied in O(1) by a closed form.  A `MetabelianH31` also caches
+its ratio pair's `RelationLattice`, which `classify` and `verify` read.
 
 `FAMILIES` maps each descriptor type to its `Family` record: file tag,
 generator names, element algebra, descriptor-file form, display and
@@ -53,11 +54,13 @@ from typing import Any, Callable, Iterable, Union
 
 from .rationals import (
     Mat2Q,
+    RelationLattice,
     binary_power,
     format_rational,
     in_localized,
     is_unit_localized,
     radical_of,
+    relation_lattice,
 )
 from .words import Word, format_word
 
@@ -218,6 +221,12 @@ class RankOneQ:
     def __post_init__(self) -> None:
         object.__setattr__(self, "generators", tuple(F(x) for x in self.generators))
 
+    @cached_property
+    def _numerators(self) -> tuple[dict[str, int], int]:
+        """Each generator's numerator by name, over the common denominator."""
+        den, *nums = _over_common_denominator(self.generators)
+        return dict(zip(_rankone_names(self), nums)), den
+
 
 @dataclass(frozen=True)
 class BSbar:
@@ -275,6 +284,11 @@ class MetabelianH31:
     @property
     def u_ratio(self) -> Fraction:
         return F(self.q, self.p)
+
+    @cached_property
+    def ratio_lattice(self) -> RelationLattice:
+        """The relations r1^i r2^j = 1 between t_ratio and u_ratio."""
+        return relation_lattice((self.t_ratio, self.u_ratio))
 
     @cached_property
     def _kernel(self) -> "_MetaKernel":
@@ -841,15 +855,13 @@ def hnnkb_of_word(desc: AscHNNKb, w: Word) -> BrittonElem:
 
 
 def rankone_of_word(desc: RankOneQ, w: Word) -> Fraction:
-    out = F(0)
+    nums, den = desc._numerators
+    total = 0
     for g, e in w.syllables:
-        if not (g.startswith("g") and g[1:].isdigit()):
+        if g not in nums:
             raise ValueError(f"unknown generator {g!r} (expected g1..g{len(desc.generators)})")
-        idx = int(g[1:]) - 1
-        if not 0 <= idx < len(desc.generators):
-            raise ValueError(f"unknown generator {g!r} (expected g1..g{len(desc.generators)})")
-        out += e * desc.generators[idx]
-    return out
+        total += e * nums[g]
+    return F(total, den)
 
 
 # --- affine word evaluation -------------------------------------------------

@@ -292,6 +292,8 @@ def _lattice_value(desc: LatticeByZ, w: Word, max_bits: int) -> _Value:
                 raise _over_budget()
             power = None
             continue
+        if name not in ("a", "b"):
+            raise KeyError(name)
         if power is None:
             power = _mat_pow(mat, k)
         pa, pb, pc, pd, ps = power
@@ -367,16 +369,16 @@ def _affine_value(desc: AffineQ2, w: Word, max_bits: int) -> _Value:
 
 
 @lru_cache(maxsize=_GEN_CACHE)
-def _rank_one_gens(desc: RankOneQ) -> tuple[tuple[tuple[str, int], ...], int]:
-    """(name, numerator) per generator, over the common denominator."""
+def _rank_one_gens(desc: RankOneQ) -> tuple[dict[str, int], int]:
+    """Each generator's numerator over the common denominator."""
     den = lcm(*(g.denominator for g in desc.generators))
     nums = (g.numerator * (den // g.denominator) for g in desc.generators)
-    return tuple(zip(family_of(desc).generator_names(desc), nums)), den
+    return dict(zip(family_of(desc).generator_names(desc), nums)), den
 
 
 def _rank_one_value(desc: RankOneQ, w: Word, max_bits: int) -> _Value:
-    terms, den = _rank_one_gens(desc)
-    total = sum(w.exponent_sum(name) * num for name, num in terms)
+    nums, den = _rank_one_gens(desc)
+    total = sum(nums[name] * exp for name, exp in w.syllables)
     if total.bit_length() + den.bit_length() > max_bits:
         _reduced((total,), den, max_bits)
     return total, ()

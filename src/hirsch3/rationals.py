@@ -1,8 +1,16 @@
-"""Exact arithmetic helpers: localized integers Z[1/D], multiplicative rank
-of rational tuples, and integrality criteria for 2x2 rational matrices.
+"""Exact arithmetic helpers: localized integers Z[1/D], the multiplicative
+relations of rational tuples, and integrality criteria for 2x2 rational
+matrices.
 
 Everything here is exact (fractions.Fraction / int); no floats anywhere.
-Factorization is trial division, sized for desk-scale inputs.
+Factorization is trial division, sized for desk-scale inputs; `factorint`
+is its one loop.  `relation_lattice` factors a tuple of ratios once into a
+`RelationLattice`: the prime-exponent rows, the integer kernel of those rows
+with the sign of each kernel vector, the rank of the generated subgroup of
+Q*, whether it contains -1, and the exact relation basis.  No other module
+imports `factorint` or `integer_row_kernel`; `MetabelianH31` caches its
+ratio pair's lattice, and `complement_vector` completes a primitive relation
+to a basis of Z^2.
 """
 
 from __future__ import annotations
@@ -33,29 +41,7 @@ def format_rational(x: Fraction) -> str:
 
 def prime_factors(n: int) -> list[int]:
     """Distinct primes of |n|, ascending. n must be nonzero."""
-    if n == 0:
-        raise ValueError("0 has no prime factorization")
-    n = abs(n)
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def primes_of(*xs: Fraction) -> set[int]:
-    """Distinct primes of the numerators and denominators of nonzero xs."""
-    primes: set[int] = set()
-    for x in xs:
-        primes |= set(prime_factors(x.numerator))
-        primes |= set(prime_factors(x.denominator))
-    return primes
+    return list(factorint(n))
 
 
 def binary_power(x: T, k: int, mul: Callable[[T, T], T], identity: T) -> T:
@@ -149,30 +135,6 @@ def is_unit_localized(x: Fraction, d: int) -> bool:
     return (num == 1 or _supported_by(num, d)) and (den == 1 or _supported_by(den, d))
 
 
-@dataclass(frozen=True)
-class PrimeVector:
-    """Factored form of a nonzero rational: sign and prime exponent vector."""
-
-    sign: int
-    exponents: tuple[tuple[int, int], ...]  # (prime, exponent), ascending, no zeros
-
-    @classmethod
-    def from_rational(cls, x: Fraction) -> "PrimeVector":
-        if x == 0:
-            raise ValueError("0 has no factored form")
-        exps = factorint(x.numerator) if abs(x.numerator) != 1 else {}
-        for p, e in factorint(x.denominator).items():
-            exps[p] = exps.get(p, 0) - e
-        pairs = tuple(sorted((p, e) for p, e in exps.items() if e != 0))
-        return cls(1 if x > 0 else -1, pairs)
-
-    def to_rational(self) -> Fraction:
-        out = Fraction(self.sign)
-        for p, e in self.exponents:
-            out *= Fraction(p) ** e
-        return out
-
-
 def _row_sub(target: list[int], source: list[int], q: int) -> None:
     for k in range(len(target)):
         target[k] -= q * source[k]
@@ -183,7 +145,7 @@ def integer_row_kernel(rows: Sequence[Sequence[int]], width: int) -> list[list[i
 
     Unimodular row reduction on [rows | I]; rows whose left half dies give the
     kernel exactly (saturated, not just finite index), which matters for the
-    sign character in mult_rank.
+    sign character in relation_lattice.
     """
     n = len(rows)
     work = [list(rows[i]) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
@@ -207,34 +169,86 @@ def integer_row_kernel(rows: Sequence[Sequence[int]], width: int) -> list[list[i
     return [row[width:] for row in work[r:]]
 
 
-def mult_rank(ratios: Sequence[Fraction]) -> tuple[int, bool]:
-    """Rank of the subgroup of Q* generated by the ratios, and whether it
-    contains -1.
+@dataclass(frozen=True)
+class RelationLattice:
+    """Multiplicative relations among nonzero rationals r_1, ..., r_n.
 
-    The torsion-free part is the integer rank of the prime-exponent vectors;
-    -1 is present exactly when the sign character is nontrivial on the kernel
-    lattice of those vectors.
+    `rows[k]` holds the valuations of r_k at `primes`, ascending.  `kernel`
+    is a basis of the valuation relations {a in Z^n : prod r_k^a_k = +-1},
+    and `odd[v]` says whether kernel[v] multiplies out to -1 rather than 1.
     """
-    vecs = []
+
+    primes: tuple[int, ...]
+    rows: tuple[tuple[int, ...], ...]
+    kernel: tuple[tuple[int, ...], ...]
+    odd: tuple[bool, ...]
+
+    @property
+    def rank(self) -> int:
+        """Rank of the subgroup of Q* that the ratios generate."""
+        return len(self.rows) - len(self.kernel)
+
+    @property
+    def has_minus_one(self) -> bool:
+        """Whether that subgroup contains -1."""
+        return any(self.odd)
+
+    def relations(self) -> list[tuple[int, ...]]:
+        """Basis of {a in Z^n : prod r_k^a_k = 1}, signs included."""
+        odd = [v for v, flag in zip(self.kernel, self.odd) if flag]
+        if not odd:
+            return list(self.kernel)
+        v0 = odd[0]
+        basis = [v for v, flag in zip(self.kernel, self.odd) if not flag]
+        for v in odd[1:]:
+            basis.append(tuple(a + b for a, b in zip(v, v0)))
+        basis.append(tuple(2 * a for a in v0))
+        return basis
+
+
+def relation_lattice(ratios: Sequence[Fraction]) -> RelationLattice:
+    """The relation lattice of nonzero rationals, factored once.
+
+    The torsion-free part of the generated subgroup has the integer rank of
+    the prime-exponent rows; -1 lies in it exactly when the sign character is
+    nontrivial on the kernel lattice of those rows.
+    """
+    exponents = []
     for x in ratios:
         if x == 0:
             raise ValueError("0 generates nothing in Q*")
-        vecs.append(PrimeVector.from_rational(x))
-    primes = sorted({p for v in vecs for p, _ in v.exponents})
-    cols = {p: i for i, p in enumerate(primes)}
-    rows = []
-    for v in vecs:
-        row = [0] * len(primes)
-        for p, e in v.exponents:
-            row[cols[p]] = e
-        rows.append(row)
-    kernel = integer_row_kernel(rows, len(primes))
-    rank = len(rows) - len(kernel)
-    signs = [0 if v.sign > 0 else 1 for v in vecs]
-    has_minus_one = any(
-        sum(a * s for a, s in zip(vec, signs)) % 2 == 1 for vec in kernel
-    )
-    return rank, has_minus_one
+        exps = factorint(x.numerator)
+        exps.update((p, -e) for p, e in factorint(x.denominator).items())
+        exponents.append(exps)
+    primes = tuple(sorted({p for exps in exponents for p in exps}))
+    rows = tuple(tuple(exps.get(p, 0) for p in primes) for exps in exponents)
+    kernel = tuple(map(tuple, integer_row_kernel(rows, len(primes))))
+    negative = [x < 0 for x in ratios]
+    odd = tuple(sum(a for a, neg in zip(v, negative) if neg) % 2 == 1 for v in kernel)
+    return RelationLattice(primes, rows, kernel, odd)
+
+
+def mult_rank(ratios: Sequence[Fraction]) -> tuple[int, bool]:
+    """Rank of the subgroup of Q* generated by the ratios, and whether it
+    contains -1."""
+    lattice = relation_lattice(ratios)
+    return lattice.rank, lattice.has_minus_one
+
+
+def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with g = gcd(a, b) = a x + b y."""
+    if b == 0:
+        return (abs(a), 1 if a >= 0 else -1, 0)
+    g, x, y = ext_gcd(b, a % b)
+    return (g, y, x - (a // b) * y)
+
+
+def complement_vector(v: tuple[int, int]) -> tuple[int, int]:
+    """(i, j) with v[0] j - v[1] i = 1, for a primitive v."""
+    g, x, y = ext_gcd(v[0], v[1])
+    if g != 1:
+        raise AssertionError("kernel vector is not primitive")
+    return (-y, x)
 
 
 @dataclass(frozen=True)

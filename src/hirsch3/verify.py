@@ -43,11 +43,10 @@ from .families import (
 from .oracles import VerifyResourceError, endo_index, oracle_word_eq
 from .rationals import (
     Mat2Q,
-    integer_row_kernel,
+    complement_vector,
     matrix_order,
-    mult_rank,
-    primes_of,
     rational_valuation,
+    relation_lattice,
 )
 from .words import Presentation, Word, format_word
 
@@ -71,6 +70,10 @@ __all__ = [
 ]
 
 
+# the most letters a sampled random word has
+MAX_WORD_LENGTH = 12
+
+
 @dataclass(frozen=True)
 class TrialConfig:
     """Budget for one randomized verification run.
@@ -80,18 +83,12 @@ class TrialConfig:
 
     seed: int = 0
     trials: int = 150
-    max_word_length: int = 12
-    parameter_bound: int = 50
 
     def __post_init__(self) -> None:
         if not 0 <= self.seed < 1 << 64:
             raise ValueError("seed must fit in 64 bits")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-        if self.max_word_length < 1:
-            raise ValueError("max_word_length must be at least 1")
-        if self.parameter_bound < 1:
-            raise ValueError("parameter_bound must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -154,7 +151,7 @@ def _sampled_words(cfg: TrialConfig, label: str, names: Sequence[str], count: in
     """`count` seeded random words, each drawn from its own child generator."""
     for idx in range(count):
         rng = _child_rng(cfg.seed, label, idx)
-        yield random_word(rng, names, cfg.max_word_length)
+        yield random_word(rng, names, MAX_WORD_LENGTH)
 
 
 # --- defining relations -------------------------------------------------------
@@ -330,7 +327,7 @@ def commutator_depth_search(
         values.clear()
         rng = _child_rng(cfg.seed, f"commutator-depth-{depth}", idx)
         leaves = tuple(
-            random_word(rng, names, cfg.max_word_length) for _ in range(width)
+            random_word(rng, names, MAX_WORD_LENGTH) for _ in range(width)
         )
         if not ops.is_identity(value(leaves)):
             return nested_commutator(leaves)
@@ -360,10 +357,10 @@ def fp_cone_bruteforce(
     if len(ratios) != 2:
         raise ValueError("expected exactly two ratios")
     r1, r2 = ratios
-    rank, _ = mult_rank((r1, r2))
-    if rank != 2:
+    lattice = relation_lattice(ratios)
+    if lattice.rank != 2:
         raise ValueError("ratios must be multiplicatively independent")
-    primes = primes_of(r1, r2)
+    primes = lattice.primes
     for total in range(0, 2 * window + 1):
         for i in range(-min(total, window), min(total, window) + 1):
             rest = total - abs(i)
@@ -420,54 +417,6 @@ def _bsbar_radical(
     return _RadicalModel(True, (a, t**2), lambda g: g.k % 2 == 0, _FINITE)
 
 
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    if b == 0:
-        return (abs(a), 1 if a >= 0 else -1, 0)
-    g, x, y = _ext_gcd(b, a % b)
-    return (g, y, x - (a // b) * y)
-
-
-def _meta_valuation_kernel(r1: Fraction, r2: Fraction) -> list[tuple[int, int]]:
-    plist = sorted(primes_of(r1, r2))
-    if not plist:
-        return [(1, 0), (0, 1)]
-    rows = [
-        [rational_valuation(r, p) for p in plist] for r in (r1, r2)
-    ]
-    kernel = integer_row_kernel(rows, len(plist))
-    return [(int(v[0]), int(v[1])) for v in kernel]
-
-
-def _meta_sign(r1: Fraction, r2: Fraction, vec: tuple[int, int]) -> int:
-    value = r1 ** vec[0] * r2 ** vec[1]
-    if abs(value) != 1:
-        raise AssertionError("vector is not in the valuation kernel")
-    return 1 if value == 1 else -1
-
-
-def _meta_true_kernel_basis(desc: MetabelianH31) -> list[tuple[int, int]]:
-    """Basis of {(i, j) : r1^i r2^j = 1}, signs included."""
-    r1, r2 = desc.t_ratio, desc.u_ratio
-    vecs = _meta_valuation_kernel(r1, r2)
-    odd = [v for v in vecs if _meta_sign(r1, r2, v) == -1]
-    even = [v for v in vecs if _meta_sign(r1, r2, v) == 1]
-    if not odd:
-        return vecs
-    v0 = odd[0]
-    basis = list(even)
-    for v in odd[1:]:
-        basis.append((v[0] + v0[0], v[1] + v0[1]))
-    basis.append((2 * v0[0], 2 * v0[1]))
-    return basis
-
-
-def _complement_vector(v: tuple[int, int]) -> tuple[int, int]:
-    g, x, y = _ext_gcd(v[0], v[1])
-    if g != 1:
-        raise AssertionError("kernel vector is not primitive")
-    return (-y, x)
-
-
 def _meta_power_word(vec: tuple[int, int]) -> Word:
     syllables = [(n, e) for n, e in (("t", vec[0]), ("u", vec[1])) if e]
     return Word.of(syllables)
@@ -478,7 +427,8 @@ def _meta_radical(
 ) -> Optional[_RadicalModel]:
     r1, r2 = desc.t_ratio, desc.u_ratio
     a, t, u = Word.gen("a"), Word.gen("t"), Word.gen("u")
-    basis = _meta_true_kernel_basis(desc)
+    lattice = desc.ratio_lattice
+    basis = lattice.relations()
     if claim == 1 + len(basis):
 
         @lru_cache(maxsize=None)
@@ -488,13 +438,12 @@ def _meta_radical(
         def member(g) -> bool:
             return acts_trivially(g.i, g.j)
 
-        rank, has_minus_one = mult_rank((r1, r2))
-        if rank == 2:
+        if lattice.rank == 2:
             quotient: tuple = ("Z2", t, u)
-        elif rank == 1:
-            kernel_vec = _meta_valuation_kernel(r1, r2)[0]
-            w_inf = _meta_power_word(_complement_vector(kernel_vec))
-            if has_minus_one:
+        elif lattice.rank == 1:
+            kernel_vec = lattice.kernel[0]
+            w_inf = _meta_power_word(complement_vector(kernel_vec))
+            if lattice.has_minus_one:
                 quotient = ("ZplusZ2", w_inf, _meta_power_word(kernel_vec))
             else:
                 quotient = ("Z", w_inf)
@@ -890,10 +839,10 @@ class _QuotientRun:
     def powers_stay_outside(
         self, g, cap: int, text: str, shifts=((None, ""),)
     ) -> Optional[str]:
-        """No g^k with 1 <= k <= min(parameter bound, cap), nor g^k times a
-        shift, lies in the radical; `text` and the shift's suffix name them."""
+        """No g^k with 1 <= k <= cap, nor g^k times a shift, lies in the
+        radical; `text` and the shift's suffix name them."""
         ops, power = self.ops, self.ops.identity()
-        for k in range(1, min(self.cfg.parameter_bound, cap) + 1):
+        for k in range(1, cap + 1):
             power = ops.mul(power, g)
             self.trials += len(shifts)
             for shift, suffix in shifts:
@@ -1049,7 +998,7 @@ def _word_eq_check(
     budget_skips = 0
     for idx in range(cfg.trials):
         rng = _child_rng(cfg.seed, "word-eq", idx)
-        w1 = random_word(rng, names, cfg.max_word_length)
+        w1 = random_word(rng, names, MAX_WORD_LENGTH)
         forced_equal = False
         if relator_words and rng.random() < 0.5:
             w2 = w1
@@ -1062,7 +1011,7 @@ def _word_eq_check(
                 w2 = w2 * insert if rng.random() < 0.5 else insert * w2
             forced_equal = True
         else:
-            w2 = random_word(rng, names, cfg.max_word_length)
+            w2 = random_word(rng, names, MAX_WORD_LENGTH)
         normal_form_eq = ops.word_eq(w1, w2)
         try:
             oracle_eq = oracle_word_eq(desc, w1, w2)
@@ -1128,8 +1077,7 @@ def _fp_cone_check(
     """The brute-force cone scan against the classifier's constructible
     type; only multiplicatively independent ratio pairs have a cone."""
     ratios = (desc.t_ratio, desc.u_ratio)
-    rank, _ = mult_rank(ratios)
-    if rank != 2:
+    if desc.ratio_lattice.rank != 2:
         return []
     ctype = inv.fp[1]
     point = fp_cone_bruteforce(ratios, window)
@@ -1150,7 +1098,7 @@ def _fp_cone_check(
         if value.denominator != 1 or abs(ctype.n) < 2:
             return result(f"cone point ({i}, {j}) has non-integral value {value}")
         return result(None, note=f"cone point ({i}, {j}), value {value}")
-    conclusive = window >= 12 and all(p <= 7 for p in primes_of(*ratios))
+    conclusive = window >= 12 and all(p <= 7 for p in desc.ratio_lattice.primes)
     if conclusive and classifier_type1:
         return result(
             "classifier reports an ascending integral form but the brute "

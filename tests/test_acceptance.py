@@ -238,7 +238,7 @@ def test_criterion_7_simplifier_round_trip():
 
 
 def test_criterion_8_fixture_certification():
-    cfg = TrialConfig(seed=77, trials=80, parameter_bound=50)
+    cfg = TrialConfig(seed=77, trials=80)
     for fixture in FIXTURES:
         relations = check_relations(fixture.descriptor, fixture.presentation)
         assert relations.passed, (fixture.name, relations.counterexample)

@@ -473,6 +473,26 @@ def test_only_families_branches_on_descriptor_type():
     assert not found
 
 
+def test_only_rationals_factors_or_takes_integer_kernels():
+    # one place computes the relation lattice of the dilation ratios: no other
+    # module imports or reaches for the factorization or the kernel routine
+    owned = {"factorint", "integer_row_kernel"}
+    package = Path(cli.__file__).resolve().parent
+    found = []
+    for module in sorted(package.glob("*.py")):
+        if module.name == "rationals.py":
+            continue
+        for node in ast.walk(ast.parse(module.read_text(), str(module))):
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            else:
+                continue
+            found += [f"{module.name}:{node.lineno} {name}" for name in sorted(names & owned)]
+    assert not found
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m_prints_help(self):
         src = str(Path(cli.__file__).resolve().parents[1])

@@ -48,6 +48,7 @@ from hirsch3.families import (
     meta_mul,
     meta_of_word,
     ops_for,
+    rankone_of_word,
 )
 from hirsch3.rationals import Mat2Q, in_localized
 from hirsch3.words import Word, parse_word
@@ -81,6 +82,15 @@ FAMILIES = [
     AscHNNKb(3, 1, -2),
     D_INFTY,
 ]
+
+
+def test_rank_one_normal_form_reads_only_g1_to_gn():
+    desc = RankOneQ((F(1, 2), F(1, 3)))
+    assert rankone_of_word(desc, parse_word("g1^4 g2^-3")) == F(1)
+    for name in ("g01", "g0", "g3", "g", "x"):
+        expected = rf"unknown generator '{name}' \(expected g1\.\.g2\)"
+        with pytest.raises(ValueError, match=expected):
+            rankone_of_word(desc, Word.gen(name))
 
 
 class TestDescriptorValidation:

@@ -24,6 +24,7 @@ from hypothesis import strategies as st  # noqa: E402
 from hirsch3 import oracles  # noqa: E402
 from hirsch3.families import (  # noqa: E402
     FAMILIES,
+    AffineMap2,
     AffineQ2,
     AscHNNKb,
     BSbar,
@@ -39,7 +40,7 @@ from hirsch3.families import (  # noqa: E402
     ops_for,
 )
 from hirsch3.oracles import VerifyResourceError, endo_index, oracle_word_eq  # noqa: E402
-from hirsch3.rationals import binary_power  # noqa: E402
+from hirsch3.rationals import Mat2Q, binary_power  # noqa: E402
 from hirsch3.words import Word  # noqa: E402
 from test_properties import DESCRIPTORS as FAMILY_DESCRIPTORS  # noqa: E402
 
@@ -119,6 +120,31 @@ class TestImportAudit:
 
     def test_every_family_has_an_oracle(self):
         assert set(oracles._ORACLES) == set(FAMILIES)
+
+
+# --- names outside the family -------------------------------------------------------
+
+UNKNOWN_NAME_CASES = {
+    "lattice_by_z": (LatticeByZ(Mat2Q.of(2, 1, 1, 1)), Word.gen("b")),
+    "rank_one_q": (RankOneQ((F(1), F(1, 2))), Word.identity()),
+    "bsbar": (BSbar(2, 3), Word.gen("a")),
+    "metabelian_h31": (MetabelianH31(1, 2, 1, 3, F(1)), Word.gen("u")),
+    "heisenberg": (MetabelianH31(1, 1, 1, 1, F(1)), Word.gen("u")),
+    "asc_hnn_kb": (AscHNNKb(1, 0, 2), Word.gen("y")),
+    "affine_q2": (
+        AffineQ2((("x", AffineMap2(Mat2Q.identity(), (F(1), F(0)))),)),
+        Word.gen("x"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNKNOWN_NAME_CASES))
+def test_every_oracle_rejects_a_name_outside_the_family(case):
+    # an unknown name is a KeyError, never read as some generator or as 1
+    desc, other = UNKNOWN_NAME_CASES[case]
+    for name in ("z", "g01"):
+        with pytest.raises(KeyError):
+            oracle_word_eq(desc, Word.gen(name), other)
 
 
 # --- the Fraction reference ---------------------------------------------------------

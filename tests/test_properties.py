@@ -1,5 +1,6 @@
 """Property tests: normal forms against the word oracle on generated
-descriptors of every family.
+descriptors of every family, and the relation lattice of a ratio pair
+against a brute-force scan.
 
 Hypothesis runs derandomized, so every run draws the same examples, and a
 failure is reported as a shrunk counterexample (descriptor and words).
@@ -8,6 +9,7 @@ failure is reported as a shrunk counterexample (descriptor and words).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -26,7 +28,7 @@ from hirsch3.families import (  # noqa: E402
     family_of,
     ops_for,
 )
-from hirsch3.rationals import Mat2Q  # noqa: E402
+from hirsch3.rationals import Mat2Q, complement_vector, relation_lattice  # noqa: E402
 from hirsch3.verify import oracle_word_eq  # noqa: E402
 from hirsch3.words import Word  # noqa: E402
 
@@ -122,3 +124,66 @@ def test_normal_form_agrees_with_oracle(family):
         assert ops.is_identity(quotient) == expected
 
     check()
+
+
+# --- the relation lattice of a ratio pair -------------------------------------------
+
+
+@st.composite
+def ratio_pairs(draw):
+    """Two signed rationals over at most three small primes; half the time
+    both are powers of one rational, so dependent pairs are drawn often."""
+    primes = draw(st.lists(st.sampled_from((2, 3, 5)), unique=True, max_size=3))
+    exponents = st.lists(st.integers(-3, 3), min_size=len(primes), max_size=len(primes))
+    signs = st.sampled_from((1, -1))
+
+    def product():
+        return prod((F(p) ** e for p, e in zip(primes, draw(exponents))), start=F(1))
+
+    if draw(st.booleans()):
+        base = product()
+        return tuple(draw(signs) * base ** draw(st.integers(-3, 3)) for _ in range(2))
+    return tuple(draw(signs) * product() for _ in range(2))
+
+
+def _in_integer_span(basis, v):
+    """Whether v is an integer combination of the independent 2-vectors."""
+    if not basis:
+        return v == (0, 0)
+    if len(basis) == 1:
+        (a, b), (i, j) = basis[0], v
+        if i * b != j * a:
+            return False
+        return (i % a == 0) if a else (j % b == 0)
+    (a1, b1), (a2, b2) = basis
+    det = a1 * b2 - a2 * b1
+    return (v[0] * b2 - v[1] * a2) % det == 0 and (a1 * v[1] - b1 * v[0]) % det == 0
+
+
+BOX = range(-6, 7)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(ratio_pairs())
+def test_relation_lattice_against_brute_force(pair):
+    r1, r2 = pair
+    lattice = relation_lattice(pair)
+    relations = lattice.relations()
+    assert len(relations) == 2 - lattice.rank
+    for i, j in relations:
+        assert r1**i * r2**j == 1
+    units = [(i, j) for i in BOX for j in BOX if abs(r1**i * r2**j) == 1]
+    for i, j in units:
+        if r1**i * r2**j == 1:
+            assert _in_integer_span(relations, (i, j)), (pair, (i, j))
+    if units == [(0, 0)]:
+        unit_rank = 0
+    elif all(i * b == j * a for i, j in units for a, b in units):
+        unit_rank = 1
+    else:
+        unit_rank = 2
+    assert lattice.rank == 2 - unit_rank
+    assert lattice.has_minus_one == any(r1**i * r2**j == -1 for i, j in units)
+    for v in lattice.kernel:
+        i, j = complement_vector(v)
+        assert v[0] * j - v[1] * i in (1, -1)

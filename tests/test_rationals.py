@@ -9,7 +9,6 @@ import pytest
 
 from hirsch3.rationals import (
     Mat2Q,
-    PrimeVector,
     conjugate_to_integral,
     format_rational,
     in_localized,
@@ -21,9 +20,9 @@ from hirsch3.rationals import (
     mult_rank,
     parse_rational,
     prime_factors,
-    primes_of,
     radical_of,
     rational_valuation,
+    relation_lattice,
 )
 
 F = Fraction
@@ -75,10 +74,9 @@ class TestFactoring:
         assert rational_valuation(F(4, 3), 3) == -1
         assert rational_valuation(F(5), 2) == 0
 
-
-    def test_primes_of_numerators_and_denominators(self):
-        assert primes_of(F(12, 35), F(-7, 11)) == {2, 3, 5, 7, 11}
-        assert primes_of(F(1), F(-1)) == set()
+    def test_lattice_primes_of_numerators_and_denominators(self):
+        assert relation_lattice((F(12, 35), F(-7, 11))).primes == (2, 3, 5, 7, 11)
+        assert relation_lattice((F(1), F(-1))).primes == ()
 
 
 class TestLocalized:
@@ -149,11 +147,16 @@ class TestMultRank:
                     merged[i] = merged[i] * merged[j]
                     assert mult_rank(merged) == base
 
-    def test_prime_vector_roundtrip(self):
-        rng = random.Random(13)
-        for _ in range(200):
-            x = rand_nonzero_fraction(rng, -50, 50)
-            assert PrimeVector.from_rational(x).to_rational() == x
+
+class TestRelationLattice:
+    def test_frozen_examples(self):
+        lattice = relation_lattice((F(-4), F(8)))
+        assert (lattice.primes, lattice.rows) == ((2,), ((2,), (3,)))
+        assert (lattice.rank, lattice.has_minus_one) == (1, True)
+        assert lattice.relations() == [(6, -4)]
+        lattice = relation_lattice((F(-1), F(-1)))
+        assert (lattice.rank, lattice.has_minus_one) == (0, True)
+        assert lattice.relations() == [(1, 1), (2, 0)]
 
 
 class TestRowKernel:

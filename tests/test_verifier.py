@@ -24,6 +24,7 @@ from hirsch3.fixtures import FIXTURES, corrupted_d_infty, fixture_named
 from hirsch3.rationals import Mat2Q, mult_rank
 from hirsch3.verify import (
     _CANDIDATE_CAP,
+    MAX_WORD_LENGTH,
     CheckResult,
     _VERIFIERS,
     _RadicalModel,
@@ -60,7 +61,6 @@ class TestTrialConfig:
     def test_defaults_are_valid(self):
         cfg = TrialConfig()
         assert cfg.trials >= 1
-        assert cfg.max_word_length >= 1
 
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
@@ -69,10 +69,6 @@ class TestTrialConfig:
             TrialConfig(seed=1 << 64)
         with pytest.raises(ValueError):
             TrialConfig(trials=0)
-        with pytest.raises(ValueError):
-            TrialConfig(max_word_length=0)
-        with pytest.raises(ValueError):
-            TrialConfig(parameter_bound=0)
 
 
 class TestDefiningRelations:
@@ -246,7 +242,7 @@ class TestCommutatorDepth:
         for idx in range(cfg.trials):
             rng = _child_rng(cfg.seed, f"commutator-depth-{depth}", idx)
             words = [
-                random_word(rng, names, cfg.max_word_length) for _ in range(width)
+                random_word(rng, names, MAX_WORD_LENGTH) for _ in range(width)
             ]
             w = nested_commutator(words)
             if not ops.is_identity(ops.of_word(w)):
