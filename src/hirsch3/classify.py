@@ -20,7 +20,10 @@ fields for shorter groups when an invariant forces the value and marks
 them not-computed otherwise.  Affine descriptors are supported in the
 shapes the fixture corpus uses: trivial or finite linear image, a single
 infinite-order linear generator, or two order-two reflections generating
-an infinite dihedral image.
+an infinite dihedral image.  The affine analysis explores words on the
+integer `AffineMap2` kernel, for the finite linear image and for the
+translation subgroup, and stops the translation search as soon as it has
+found rank two.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import isqrt, lcm, prod
 from typing import Any, Callable, Optional, Union
 
@@ -451,34 +453,49 @@ class _AffineData:
 
 
 def _linear_closure(mats: list[Mat2Q], cap: int = 24) -> Optional[set[Mat2Q]]:
-    """The group the matrices generate if it has at most cap elements."""
-    closure = {Mat2Q.identity()}
-    frontier = [Mat2Q.identity()]
+    """The group the matrices generate if it has at most cap elements.
+
+    The search composes translation-free `AffineMap2`s, whose gcd-normalized
+    integers make set membership exact; only the kept elements become
+    `Mat2Q`s.
+    """
+    identity = AffineMap2.identity()
+    closure = {identity}
+    frontier = [identity]
     gens = []
     for m in mats:
-        gens.extend((m, m.inverse()))
+        g = AffineMap2(m, (0, 0))
+        gens.extend((g, affine_inverse(g)))
     while frontier:
         nxt = []
         for g in frontier:
             for m in gens:
-                prod_gm = g * m
+                prod_gm = affine_compose(g, m)
                 if prod_gm not in closure:
                     closure.add(prod_gm)
                     nxt.append(prod_gm)
                     if len(closure) > cap:
                         return None
         frontier = nxt
-    return closure
+    return {g.linear for g in closure}
 
 
-def _pure_translations(desc: AffineQ2, depth: int = 4) -> list[tuple[Fraction, Fraction]]:
-    """Translation vectors of the identity-linear-part words up to depth."""
+def _translation_rank(desc: AffineQ2, depth: int = 4) -> int:
+    """Dimension of the smallest subspace that holds the translations of the
+    identity-linear-part words up to `depth` and is stable under the
+    generators' linear parts.
+
+    A map's integers (x, y) point along its translation (x, y) / den, so
+    directions are compared on integers.  The word search stops as soon as
+    two translations are independent: the rank is then two.
+    """
+    maps = [gen_map for _, gen_map in desc.generators]
     gens: list[AffineMap2] = []
-    for _, gen_map in desc.generators:
+    for gen_map in maps:
         gens.extend((gen_map, affine_inverse(gen_map)))
+    first: Optional[tuple[int, int]] = None
     seen = {AffineMap2.identity()}
     frontier = [AffineMap2.identity()]
-    found: list[tuple[Fraction, Fraction]] = []
     for _ in range(depth):
         nxt = []
         for g in frontier:
@@ -488,42 +505,24 @@ def _pure_translations(desc: AffineQ2, depth: int = 4) -> list[tuple[Fraction, F
                     continue
                 seen.add(composed)
                 nxt.append(composed)
-                if composed.linear == Mat2Q.identity() and composed.translation != (0, 0):
-                    found.append(composed.translation)
+                den, a, b, c, d, x, y = composed.ints
+                if a == d == den and b == c == 0 and (x, y) != (0, 0):
+                    if first is None:
+                        first = (x, y)
+                    elif first[0] * y - first[1] * x != 0:
+                        return 2
         frontier = nxt
-    return found
+    if first is None:
+        return 0
+    # one line so far: rank two exactly when some linear part moves it
+    x, y = first
+    for gen_map in maps:
+        _, a, b, c, d, _, _ = gen_map.ints
+        if x * (c * x + d * y) - y * (a * x + b * y) != 0:
+            return 2
+    return 1
 
 
-def _span_rank(vectors: list[tuple[Fraction, Fraction]], mats: list[Mat2Q]) -> int:
-    """Dimension of the smallest subspace containing the vectors and stable
-    under the matrices."""
-    basis: list[tuple[Fraction, Fraction]] = []
-
-    def insert(v: tuple[Fraction, Fraction]) -> bool:
-        if len(basis) == 2:
-            return False
-        if v == (0, 0):
-            return False
-        if basis:
-            b = basis[0]
-            if b[0] * v[1] - b[1] * v[0] == 0:
-                return False
-        basis.append(v)
-        return True
-
-    for v in vectors:
-        insert(v)
-    changed = True
-    while changed and len(basis) < 2:
-        changed = False
-        for m in mats:
-            for v in list(basis):
-                if insert(m.apply(v)):
-                    changed = True
-    return len(basis)
-
-
-@lru_cache(maxsize=None)
 def _analyze_affine(desc: AffineQ2) -> _AffineData:
     maps = [gen_map for _, gen_map in desc.generators]
     nonid = [g.linear for g in maps if g.linear != Mat2Q.identity()]
@@ -558,8 +557,7 @@ def _analyze_affine(desc: AffineQ2) -> _AffineData:
         composite = distinct[0] * distinct[1]
     else:
         raise ClassifyError("affine descriptor has an unsupported linear image shape")
-    pure = _pure_translations(desc)
-    rank_t = _span_rank(pure, [g.linear for g in maps])
+    rank_t = _translation_rank(desc)
     if image in ("cyclic", "dinfty") and rank_t == 1:
         raise ClassifyError(
             "affine descriptor with rank-one translation part is not supported"

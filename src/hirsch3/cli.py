@@ -37,16 +37,17 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 from typing import Optional, Sequence
 
 from . import __version__
 from .classify import ClassificationReport, ClassifyError, InvariantViolation, classify
-from .families import FAMILY_BY_TAG, GroupDescriptor, family_of, ops_for
+from .families import FAMILY_BY_TAG, GroupDescriptor, RelatorTooLong, family_of, ops_for
 from .fixtures import FIXTURES, fixture_named
 from .rationals import parse_rational
 from .simplify import SimplifyError, expand_standard_form, standardize
-from .verify import TrialConfig, run_harness
+from .verify import MAX_WINDOW, TrialConfig, run_harness
 from .words import (
     ParseError,
     Presentation,
@@ -430,12 +431,18 @@ def cmd_verify(args) -> int:
     df = load_descriptor_file(args.path)
     try:
         cfg = TrialConfig(seed=args.seed, trials=args.trials)
+        if not 1 <= args.window <= MAX_WINDOW:
+            raise ValueError(f"window must be between 1 and {MAX_WINDOW}")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    report = run_harness(
-        df.descriptor, cfg, relators=df.presentation, window=args.window
-    )
+    try:
+        report = run_harness(
+            df.descriptor, cfg, relators=df.presentation, window=args.window
+        )
+    except RelatorTooLong as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     data = report.to_json()
     sys.stdout.write(_dump_json(_envelope(df, data, verification_notes(data))))
     if not report.passed:
@@ -474,7 +481,11 @@ def cmd_examples(args) -> int:
 # --- entry point -----------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then reused: building
+    costs more than most commands, and `parse_args` keeps no state between
+    calls."""
     parser = argparse.ArgumentParser(
         prog="hirsch3",
         description="Classify, query, and verify torsion-free solvable "

@@ -1013,10 +1013,24 @@ def _bsbar_relations(desc: BSbar) -> list[tuple[str, Word]]:
     ]
 
 
+# The twist relation spells [u, t]^k out letter by letter, 4k letters for the
+# twist denominator k; past this bound the relator is refused unbuilt.
+MAX_TWIST_LETTERS = 10_000
+
+
+class RelatorTooLong(ValueError):
+    """A defining relator would have more letters than its stated bound."""
+
+
 def _meta_relations(desc: MetabelianH31) -> list[tuple[str, Word]]:
     a, t, u = Word.gen("a"), Word.gen("t"), Word.gen("u")
     twist = desc.e * desc.t_ratio
     k = twist.denominator
+    if 4 * k > MAX_TWIST_LETTERS:
+        raise RelatorTooLong(
+            f"the twist relator [u, t]^{k} would have {4 * k} letters, "
+            f"over the bound of {MAX_TWIST_LETTERS}"
+        )
     power = int(twist * k)
     conj_t = t * a * t.inv()
     conj_u = u * a * u.inv()

@@ -1197,6 +1197,11 @@ def _verifier(desc: GroupDescriptor) -> _Verifier:
         raise TypeError(f"unknown descriptor {desc!r}") from None
 
 
+# The largest `window` the command line admits: the family scans' work grows
+# faster than the square of the window.
+MAX_WINDOW = 100
+
+
 def run_harness(
     desc: GroupDescriptor,
     cfg: TrialConfig,

@@ -698,6 +698,22 @@ def test_classify_runs_each_expensive_helper_once(monkeypatch, fixture, helper):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("fixture", ["d_infty_amalgam", "f_mod_kprime"])
+def test_affine_classify_composes_at_most_98_maps(monkeypatch, fixture):
+    # the translation search stops at rank two; exploring every word up to
+    # depth four took 596 and 1,306 compositions on these fixtures
+    original = classify_module.affine_compose
+    calls = []
+
+    def counted(f, g):
+        calls.append(None)
+        return original(f, g)
+
+    monkeypatch.setattr(classify_module, "affine_compose", counted)
+    classify(fixture_named(fixture).descriptor)
+    assert len(calls) <= 98
+
+
 def test_public_steps_match_the_report():
     rng = random.Random(31337)
     for _ in range(200):

@@ -315,7 +315,15 @@ class TestVerifyCommand:
         assert len(checks) == 8 and all(c["passed"] for c in checks)
 
     @pytest.mark.parametrize(
-        "option", [("--trials", "0"), ("--seed", "-1")], ids=["trials", "seed"]
+        "option",
+        [
+            ("--trials", "0"),
+            ("--seed", "-1"),
+            ("--window", "-1"),
+            ("--window", "0"),
+            ("--window", "101"),
+        ],
+        ids=["trials", "seed", "window-negative", "window-zero", "window-101"],
     )
     def test_out_of_range_option_is_input_error(self, capsys, tmp_path, option):
         path = emit(tmp_path, "bsbar_23")
@@ -324,6 +332,33 @@ class TestVerifyCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+        if option[0] == "--window":
+            assert err == "error: window must be between 1 and 100\n"
+
+    @staticmethod
+    def _twist_file(tmp_path: Path, e: str) -> Path:
+        # m = 1, n = 2, so the twist e n/m has half of e's denominator
+        path = tmp_path / "twist.toml"
+        path.write_text(f"family = metabelian_h31\nm = 1\nn = 2\np = 1\nq = 5\ne = {e}\n")
+        return path
+
+    def test_twist_relator_past_the_bound_is_input_error(self, capsys, tmp_path):
+        # [u, t]^2560 would have 10,240 letters, just past the bound
+        path = self._twist_file(tmp_path, "1/5120")
+        code, out, err = run(capsys, "verify", str(path), "--trials", "1")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: the twist relator [u, t]^2560 would have 10240 letters, "
+            "over the bound of 10000\n"
+        )
+        code, out, err = run(capsys, "classify", str(path))
+        assert (code, err) == (0, "")
+
+    def test_twist_relator_at_the_bound_is_built(self, capsys, tmp_path):
+        path = self._twist_file(tmp_path, "1/5000")  # [u, t]^2500, 10,000 letters
+        code, out, err = run(capsys, "verify", str(path), "--trials", "1")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["report"]["passed"] is True
 
     def test_fixed_seed_is_byte_identical(self, capsys, tmp_path):
         path = emit(tmp_path, "z_plus_z2")
@@ -491,6 +526,44 @@ def test_only_rationals_factors_or_takes_integer_kernels():
                 continue
             found += [f"{module.name}:{node.lineno} {name}" for name in sorted(names & owned)]
     assert not found
+
+
+class TestParserReuse:
+    def test_one_process_prints_what_fresh_processes_print(self, capsys, tmp_path):
+        # the parser is built once per process; every call must still print
+        # what a fresh interpreter prints, after a usage error and --version too
+        path = str(emit(tmp_path, "bs12_rtimes"))
+        capsys.readouterr()
+        calls = [
+            ["classify", path],
+            ["word-eq", path, "t a t^-1", "a^2"],
+            ["simplify", path],
+            ["verify", path, "--trials", "5"],
+            ["verify", path, "--trials"],
+            ["--version"],
+            ["classify", path, "--format", "json"],
+        ]
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env_path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        fresh = [
+            subprocess.Popen(
+                [sys.executable, "-m", "hirsch3", *argv],
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                text=True,
+                env={**os.environ, "PYTHONPATH": env_path},
+            )
+            for argv in calls
+        ]
+        for argv, proc in zip(calls, fresh):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out, err = proc.communicate(timeout=60)
+            assert capsys.readouterr() == (out, err), argv
+            assert code == proc.returncode, argv
+        assert [proc.returncode for proc in fresh] == [0, 0, 0, 0, 2, 0, 0]
 
 
 class TestModuleEntryPoint:

@@ -1,6 +1,7 @@
 """Property tests: normal forms against the word oracle on generated
-descriptors of every family, and the relation lattice of a ratio pair
-against a brute-force scan.
+descriptors of every family, the relation lattice of a ratio pair against a
+brute-force scan, and the affine analysis of `classify` against its
+`Fraction` reference.
 
 Hypothesis runs derandomized, so every run draws the same examples, and a
 failure is reported as a shrunk counterexample (descriptor and words).
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import prod
+from unittest import mock
 
 import pytest
 
@@ -17,6 +19,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from hirsch3 import classify as classify_module  # noqa: E402
+from hirsch3.classify import ClassifyError  # noqa: E402
 from hirsch3.families import (  # noqa: E402
     AffineMap2,
     AffineQ2,
@@ -25,6 +29,8 @@ from hirsch3.families import (  # noqa: E402
     LatticeByZ,
     MetabelianH31,
     RankOneQ,
+    affine_compose,
+    affine_inverse,
     family_of,
     ops_for,
 )
@@ -187,3 +193,165 @@ def test_relation_lattice_against_brute_force(pair):
     for v in lattice.kernel:
         i, j = complement_vector(v)
         assert v[0] * j - v[1] * i in (1, -1)
+
+
+# --- the affine analysis against its Fraction reference ---------------------------
+#
+# `classify` explores affine words on the integer kernel and stops the
+# translation search at rank two.  The helpers below are the `Fraction`
+# versions it replaced, kept as the reference the way `TestElementKernels`
+# keeps its formulas: a BFS over `Mat2Q` products, the full depth-4
+# translation search and the span closure of what it found.
+
+
+def _ref_linear_closure(mats, cap=24):
+    closure = {Mat2Q.identity()}
+    frontier = [Mat2Q.identity()]
+    gens = []
+    for m in mats:
+        gens.extend((m, m.inverse()))
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for m in gens:
+                prod_gm = g * m
+                if prod_gm not in closure:
+                    closure.add(prod_gm)
+                    nxt.append(prod_gm)
+                    if len(closure) > cap:
+                        return None
+        frontier = nxt
+    return closure
+
+
+def _ref_pure_translations(desc, depth=4):
+    gens = []
+    for _, gen_map in desc.generators:
+        gens.extend((gen_map, affine_inverse(gen_map)))
+    seen = {AffineMap2.identity()}
+    frontier = [AffineMap2.identity()]
+    found = []
+    for _ in range(depth):
+        nxt = []
+        for g in frontier:
+            for m in gens:
+                composed = affine_compose(g, m)
+                if composed in seen:
+                    continue
+                seen.add(composed)
+                nxt.append(composed)
+                if composed.linear == Mat2Q.identity() and composed.translation != (0, 0):
+                    found.append(composed.translation)
+        frontier = nxt
+    return found
+
+
+def _ref_span_rank(vectors, mats):
+    basis = []
+
+    def insert(v):
+        if len(basis) == 2 or v == (0, 0):
+            return False
+        if basis and basis[0][0] * v[1] - basis[0][1] * v[0] == 0:
+            return False
+        basis.append(v)
+        return True
+
+    for v in vectors:
+        insert(v)
+    changed = True
+    while changed and len(basis) < 2:
+        changed = False
+        for m in mats:
+            for v in list(basis):
+                if insert(m.apply(v)):
+                    changed = True
+    return len(basis)
+
+
+def _ref_translation_rank(desc):
+    linear = [gen_map.linear for _, gen_map in desc.generators]
+    return _ref_span_rank(_ref_pure_translations(desc), linear)
+
+
+def _analysis(desc):
+    try:
+        return classify_module._analyze_affine(desc)
+    except ClassifyError as exc:
+        return str(exc)
+
+
+def _ref_analysis(desc, rank):
+    with mock.patch.object(classify_module, "_linear_closure", _ref_linear_closure), \
+            mock.patch.object(classify_module, "_translation_rank", lambda _: rank):
+        return _analysis(desc)
+
+
+_REFLECTION = Mat2Q.of(1, 0, 0, -1)
+_FINITE_ORDER = [
+    _REFLECTION,
+    Mat2Q.of(0, 1, 1, 0),
+    Mat2Q.of(-1, 0, 0, -1),  # order 2
+    Mat2Q.of(0, -1, 1, -1),  # order 3
+    Mat2Q.of(0, -1, 1, 0),  # order 4
+    Mat2Q.of(1, -1, 1, 0),  # order 6
+]
+_HYPERBOLIC = [Mat2Q.of(2, 1, 1, 1), Mat2Q.of(1, 1, 1, 2), Mat2Q.of(2, 0, 0, F(1, 3))]
+_SCALAR = [Mat2Q.of(2, 0, 0, 2), Mat2Q.of(F(-1, 3), 0, 0, F(-1, 3))]
+
+
+@st.composite
+def _linear_parts(draw) -> Mat2Q:
+    """Identity, a finite-order matrix (reflection or rotation of order 2,
+    3, 4 or 6) up to a rational conjugation, a hyperbolic or a scalar
+    matrix, or any invertible small rational matrix."""
+    kind = draw(
+        st.sampled_from(("identity", "identity", "finite", "hyperbolic", "scalar", "random"))
+    )
+    if kind == "identity":
+        return Mat2Q.identity()
+    if kind in ("hyperbolic", "scalar"):
+        return draw(st.sampled_from(_HYPERBOLIC if kind == "hyperbolic" else _SCALAR))
+    if kind == "random":
+        return draw(matrices)
+    m = draw(st.sampled_from(_FINITE_ORDER))
+    if draw(st.booleans()):
+        p = draw(matrices)
+        m = p * m * p.inverse()
+    return m
+
+
+@st.composite
+def _affine_groups(draw) -> AffineQ2:
+    names = ("p", "q", "r", "s")[: draw(st.integers(1, 4))]
+    gens = []
+    for name in names:
+        shift = (draw(small_rationals), draw(small_rationals))
+        gens.append((name, AffineMap2(draw(_linear_parts()), shift)))
+    return AffineQ2(tuple(gens))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(_affine_groups())
+def test_affine_analysis_agrees_with_fraction_reference(desc):
+    linear = [gen_map.linear for _, gen_map in desc.generators]
+    assert classify_module._linear_closure(linear) == _ref_linear_closure(linear)
+    rank = _ref_translation_rank(desc)
+    assert classify_module._translation_rank(desc) == rank
+    assert _analysis(desc) == _ref_analysis(desc, rank)
+
+
+def test_translation_rank_closes_under_the_linear_parts():
+    # p and q commute linearly, so the words up to depth four find only
+    # translations along (1, 0); r's shear moves that line, so only the
+    # closure under the linear parts makes the rank two
+    desc = AffineQ2(
+        (
+            ("p", AffineMap2(Mat2Q.of(2, 0, 0, 1), (F(0), F(0)))),
+            ("q", AffineMap2(Mat2Q.of(1, 0, 0, 3), (F(1), F(0)))),
+            ("r", AffineMap2(Mat2Q.of(1, 0, 1, 1), (F(0), F(0)))),
+        )
+    )
+    assert {y for _, y in _ref_pure_translations(desc)} == {0}
+    assert classify_module._translation_rank(desc) == _ref_translation_rank(desc) == 2
+    assert classify_module._translation_rank(AffineQ2(desc.generators[:2])) == 1
