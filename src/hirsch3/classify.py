@@ -29,10 +29,10 @@ found rank two.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
-from math import isqrt, lcm, prod
-from typing import Any, Callable, Optional, Union
+from math import isqrt, prod
+from typing import Any, Callable, Optional, Sequence, Union
 
 from .families import (
     AffineMap2,
@@ -90,22 +90,12 @@ class TriState:
             return "unknown"
         return "true" if self.value else "false"
 
-    def to_json(self) -> dict:
-        return {"value": self.text, "note": self.note}
-
 
 @dataclass(frozen=True)
 class RadicalInfo:
     hirsch: int
     module_description: str
     is_abelian: bool
-
-    def to_json(self) -> dict:
-        return {
-            "hirsch": self.hirsch,
-            "module_description": self.module_description,
-            "is_abelian": self.is_abelian,
-        }
 
 
 @dataclass(frozen=True)
@@ -116,30 +106,20 @@ class QuotientType:
         if self.tag not in QUOTIENT_TAGS:
             raise ValueError(f"unknown quotient tag {self.tag!r}")
 
-    def to_json(self) -> dict:
-        return {"tag": self.tag}
-
 
 @dataclass(frozen=True)
 class Type1:
     n: int
-
-    def to_json(self) -> dict:
-        return {"kind": "Type1", "n": self.n}
 
 
 @dataclass(frozen=True)
 class Type2:
     base: str  # "Z2" or "Kb" (or "Z" never: short groups carry no type)
 
-    def to_json(self) -> dict:
-        return {"kind": "Type2", "base": self.base}
-
 
 @dataclass(frozen=True)
 class Type3:
-    def to_json(self) -> dict:
-        return {"kind": "Type3"}
+    """The polycyclic type; it has no parameter."""
 
 
 ConstructibleType = Union[Type1, Type2, Type3, None]
@@ -150,18 +130,12 @@ class MinimaxInfo:
     value: bool
     sections: tuple[str, ...]
 
-    def to_json(self) -> dict:
-        return {"value": self.value, "sections": list(self.sections)}
-
 
 @dataclass(frozen=True)
 class ManifoldDim:
     lower: int
     upper: Optional[int]
     exact: Optional[int]
-
-    def to_json(self) -> dict:
-        return {"lower": self.lower, "upper": self.upper, "exact": self.exact}
 
 
 @dataclass(frozen=True)
@@ -181,39 +155,34 @@ class ClassificationReport:
     manifold_dim: ManifoldDim
 
     def to_json(self) -> dict:
-        return {
-            "hirsch_length": self.hirsch_length,
-            "radical": self.radical.to_json(),
-            "quotient": None if self.quotient is None else self.quotient.to_json(),
-            "derived_length": self.derived_length,
-            "polycyclic": self.polycyclic,
-            "finitely_presentable": self.finitely_presentable,
-            "constructible": self.constructible,
-            "fp2": self.fp2.to_json(),
-            "coherent": self.coherent.to_json(),
-            "cohomological_dimension": self.cohomological_dimension,
-            "minimax": self.minimax.to_json(),
-            "constructible_type": (
-                None
-                if self.constructible_type is None
-                else self.constructible_type.to_json()
-            ),
-            "manifold_dim": self.manifold_dim.to_json(),
-        }
+        return _json(self)
+
+
+def _json(value: Any) -> Any:
+    """Plain JSON data for a report value: a dataclass as its fields, except
+    that a TriState's value is its text and a constructible type leads with
+    its class name as "kind"; tuples become lists."""
+    if isinstance(value, tuple):
+        return [_json(v) for v in value]
+    if not is_dataclass(value):
+        return value
+    out = {"kind": type(value).__name__} if isinstance(value, (Type1, Type2, Type3)) else {}
+    out.update((f.name, _json(getattr(value, f.name))) for f in fields(value))
+    if isinstance(value, TriState):
+        out["value"] = value.text
+    return out
 
 
 # --- matrix module analysis -------------------------------------------------
 
 
 def _is_plus_minus_unipotent(m: Mat2Q) -> bool:
-    for sign in (1, -1):
-        shifted = Mat2Q(m.a - sign, m.b, m.c, m.d - sign)
-        if shifted * shifted == Mat2Q.of(0, 0, 0, 0):
-            return True
-    return False
+    """Whether (m - sI)^2 = 0 for s = 1 or -1: by Cayley-Hamilton, exactly
+    when the characteristic polynomial is (x - s)^2."""
+    return m.det() == 1 and abs(m.trace()) == 2
 
 
-def _reflection_lines_coincide(desc: AffineQ2) -> bool:
+def _reflection_lines_coincide(reflections: tuple[Mat2Q, ...]) -> bool:
     """Whether the two involutions generating the linear image share their
     -1 eigenline.
 
@@ -221,13 +190,8 @@ def _reflection_lines_coincide(desc: AffineQ2) -> bool:
     along that line together with unipotent parts fixing it pointwise, so it
     is abelian; otherwise the second derived subgroup is nontrivial.
     """
-    distinct: list[Mat2Q] = []
-    for _, gen_map in desc.generators:
-        m = gen_map.linear
-        if m != Mat2Q.identity() and m not in distinct:
-            distinct.append(m)
     lines: list[tuple[Fraction, Fraction]] = []
-    for m in distinct:
+    for m in reflections:
         # m - identity has rank one, so either nonzero column spans the
         # -1 eigenline
         col = (m.a - 1, m.c)
@@ -310,82 +274,23 @@ def _section_label(modulus: int) -> str:
 # --- valuation cone (rank-one radical presentability) ------------------------
 
 
-def _halfplane_witness(
-    rows: list[tuple[int, int]],
-) -> Optional[tuple[Fraction, Fraction]]:
-    """A rational point with row . x >= 1 for every row, or None.
-
-    Two-variable Fourier-Motzkin: solve each constraint for the first
-    coordinate, pair lower bounds against upper bounds to get one-variable
-    constraints, and pick a point inside the surviving interval.
-    """
-    lowers = [(F(a), F(b)) for a, b in rows if a > 0]
-    uppers = [(F(a), F(b)) for a, b in rows if a < 0]
-    jlow: Optional[Fraction] = None
-    jhigh: Optional[Fraction] = None
-
-    def tighten(low: Optional[Fraction], high: Optional[Fraction], a: Fraction,
-                b: Fraction) -> Optional[tuple[Optional[Fraction], Optional[Fraction]]]:
-        # a * j >= b
-        if a > 0:
-            bound = b / a
-            low = bound if low is None else max(low, bound)
-        elif a < 0:
-            bound = b / a
-            high = bound if high is None else min(high, bound)
-        elif b > 0:
-            return None
-        return low, high
-
-    for a, b in rows:
-        if a == 0:
-            got = tighten(jlow, jhigh, F(b), F(1))
-            if got is None:
-                return None
-            jlow, jhigh = got
-    for al, bl in lowers:
-        for au, bu in uppers:
-            # (1 - bl j)/al <= (1 - bu j)/au with al > 0 > au
-            got = tighten(jlow, jhigh, al * bu - au * bl, al - au)
-            if got is None:
-                return None
-            jlow, jhigh = got
-    if jlow is not None and jhigh is not None and jlow > jhigh:
-        return None
-    if jlow is not None:
-        j = jlow
-    elif jhigh is not None:
-        j = jhigh
-    else:
-        j = F(0)
-    ilow: Optional[Fraction] = None
-    ihigh: Optional[Fraction] = None
-    for a, b in lowers:
-        bound = (1 - b * j) / a
-        ilow = bound if ilow is None else max(ilow, bound)
-    for a, b in uppers:
-        bound = (1 - b * j) / a
-        ihigh = bound if ihigh is None else min(ihigh, bound)
-    if ilow is not None and ihigh is not None and ilow > ihigh:
-        return None
-    i = ilow if ilow is not None else (ihigh if ihigh is not None else F(0))
-    if any(a * i + b * j < 1 for a, b in rows):
-        raise InvariantViolation("feasibility witness failed its own system")
-    return i, j
-
-
 def cone_integer_point(rows: list[tuple[int, int]]) -> Optional[tuple[int, int]]:
     """An integer point of {x : row . x >= 1 for all rows}, or None.
 
-    The region is closed under scaling by t >= 1, so clearing denominators
-    of any rational witness stays inside it.
+    The region is nonempty exactly when the open cone {x : row . x > 0} is,
+    and against integer rows an integer point of that cone already has
+    row . x >= 1.  A nonempty open cone holds a row when all rows point the
+    same way, and otherwise the sum of its two edge directions, each
+    perpendicular to a row: perp(r_j) - perp(r_i) with perp(a, b) = (-b, a).
+    So testing (0, 0), the rows and those differences is exact.
     """
-    witness = _halfplane_witness(rows)
-    if witness is None:
-        return None
-    i, j = witness
-    scale = lcm(i.denominator, j.denominator)
-    return int(i * scale), int(j * scale)
+    perps = [(-b, a) for a, b in rows]
+    candidates = [(0, 0), *rows]
+    candidates += [(p[0] - q[0], p[1] - q[1]) for p in perps for q in perps]
+    for x, y in candidates:
+        if all(a * x + b * y >= 1 for a, b in rows):
+            return x, y
+    return None
 
 
 _TYPE1_SEARCH_CAP = 200_000
@@ -446,13 +351,14 @@ class _AffineData:
     image: str  # "trivial" | "finite" | "cyclic" | "dinfty"
     composite: Optional[Mat2Q]
     abelian: bool
+    linear: tuple[Mat2Q, ...]  # the distinct non-identity linear parts
 
     @property
     def hirsch(self) -> int:
         return self.rank_t + (self.image in ("cyclic", "dinfty"))
 
 
-def _linear_closure(mats: list[Mat2Q], cap: int = 24) -> Optional[set[Mat2Q]]:
+def _linear_closure(mats: Sequence[Mat2Q], cap: int = 24) -> Optional[set[Mat2Q]]:
     """The group the matrices generate if it has at most cap elements.
 
     The search composes translation-free `AffineMap2`s, whose gcd-normalized
@@ -525,16 +431,12 @@ def _translation_rank(desc: AffineQ2, depth: int = 4) -> int:
 
 def _analyze_affine(desc: AffineQ2) -> _AffineData:
     maps = [gen_map for _, gen_map in desc.generators]
-    nonid = [g.linear for g in maps if g.linear != Mat2Q.identity()]
     abelian = all(
         affine_compose(g, h) == affine_compose(h, g)
         for idx, g in enumerate(maps)
         for h in maps[idx + 1 :]
     )
-    distinct: list[Mat2Q] = []
-    for m in nonid:
-        if m not in distinct:
-            distinct.append(m)
+    distinct = tuple(dict.fromkeys(g.linear for g in maps if g.linear != Mat2Q.identity()))
     closure = _linear_closure(distinct)
     if closure is not None:
         # a plane group with a finite-order linear part with no eigenvalue 1
@@ -568,7 +470,7 @@ def _analyze_affine(desc: AffineQ2) -> _AffineData:
         raise ClassifyError(
             "affine descriptor with finite nontrivial image needs translation rank 2"
         )
-    return _AffineData(rank_t, image, composite, abelian)
+    return _AffineData(rank_t, image, composite, abelian, distinct)
 
 
 # --- family predicates --------------------------------------------------------
@@ -855,7 +757,7 @@ def _affine_invariants(desc: AffineQ2) -> Invariants:
         derived = 0
     elif data.abelian:
         derived = 1
-    elif data.image == "dinfty" and not _reflection_lines_coincide(desc):
+    elif data.image == "dinfty" and not _reflection_lines_coincide(data.linear):
         derived = 3
     else:
         derived = 2

@@ -255,7 +255,7 @@ def classification_notes(report: ClassificationReport) -> list[str]:
     notes = ["all invariants are computed exactly over the rationals"]
     ct = report.constructible_type
     if ct is not None:
-        kind = ct.to_json()["kind"]
+        kind = type(ct).__name__
         if kind == "Type1":
             notes.append(
                 "a positive cone point of the dilation data yields an "
@@ -433,6 +433,8 @@ def cmd_verify(args) -> int:
         cfg = TrialConfig(seed=args.seed, trials=args.trials)
         if not 1 <= args.window <= MAX_WINDOW:
             raise ValueError(f"window must be between 1 and {MAX_WINDOW}")
+        if df.presentation is not None:  # its relators use the family's generators
+            Presentation(ops_for(df.descriptor).generator_names, df.presentation.relators)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

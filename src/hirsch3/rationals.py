@@ -305,15 +305,17 @@ class Mat2Q:
 def matrix_order(m: Mat2Q) -> Optional[int]:
     """Multiplicative order of m, or None when it is infinite.
 
-    Finite-order elements of GL(2,Q) have order 1, 2, 3, 4, or 6, so trying
-    powers up to 6 is exact.
+    A finite-order m is diagonalizable with root-of-unity eigenvalues of
+    degree at most 2 over Q, so its characteristic polynomial is one of
+    x^2 + x + 1, x^2 + 1, x^2 - x + 1 (orders 3, 4, 6, det 1), x^2 - 1
+    (order 2, det -1), or (x -+ 1)^2, where only m = +-I is diagonalizable.
     """
-    power = Mat2Q.identity()
-    for k in range(1, 7):
-        power = power * m
-        if power == Mat2Q.identity():
-            return k
-    return None
+    if m.b == m.c == 0 and m.a == m.d and abs(m.a) == 1:
+        return 1 if m.a == 1 else 2
+    det, tr = m.det(), m.trace()
+    if det == -1:
+        return 2 if tr == 0 else None
+    return {-1: 3, 0: 4, 1: 6}.get(tr) if det == 1 else None
 
 
 def conjugate_to_integral(m: Mat2Q) -> bool:

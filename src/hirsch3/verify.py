@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Any, Callable, Optional, Sequence, Union
@@ -101,14 +101,7 @@ class CheckResult:
     note: str = ""
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "counterexample": self.counterexample,
-            "trials": self.trials,
-            "seed": self.seed,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

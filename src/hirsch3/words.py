@@ -109,7 +109,10 @@ class Presentation:
         for r in self.relators:
             stray = r.generators() - known
             if stray:
-                raise ValueError(f"relator uses unknown generator {sorted(stray)[0]!r}")
+                raise ValueError(
+                    f"relator uses unknown generator {sorted(stray)[0]!r}; "
+                    f"the generators are {', '.join(self.generators) or 'none'}"
+                )
 
 
 def format_presentation(p: Presentation) -> str:

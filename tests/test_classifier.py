@@ -307,6 +307,8 @@ def brute_force_cone(rows, bound=12):
 
 def test_cone_frozen_examples():
     assert cone_integer_point([(1, 0), (0, 1)]) is not None
+    # parallel rows: the cone is a half-plane, which holds the rows
+    assert cone_integer_point([(2, -1), (4, -2)]) is not None
     assert cone_integer_point([(1, 0), (-1, 0)]) is None
     # pairwise non-opposite rows with an empty cone
     assert cone_integer_point([(1, 0), (-1, 1), (0, -1)]) is None

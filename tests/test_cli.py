@@ -360,6 +360,33 @@ class TestVerifyCommand:
         assert (code, err) == (0, "")
         assert json.loads(out)["report"]["passed"] is True
 
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            (
+                "family = bsbar\nm = 1\nn = 2\n"
+                "presentation = < a, t, z | t a t^-1 = a^2, z >\n",
+                "'z'; the generators are a, t",
+            ),
+            (
+                "family = affine_q2\ngenerators = x y\n"
+                "gen.x.linear = 1 0 0 1\ngen.x.translation = 1 0\n"
+                "gen.y.linear = 1 0 0 1\ngen.y.translation = 0 1\n"
+                "presentation = < p, q | [p, q] >\n",
+                "'p'; the generators are x, y",
+            ),
+        ],
+        ids=["bsbar", "affine_q2"],
+    )
+    def test_presentation_with_unknown_generator_is_input_error(
+        self, capsys, tmp_path, text, expected
+    ):
+        path = tmp_path / "stray.toml"
+        path.write_text(text)
+        code, out, err = run(capsys, "verify", str(path), "--trials", "1")
+        assert (code, out) == (2, "")
+        assert err == f"error: relator uses unknown generator {expected}\n"
+
     def test_fixed_seed_is_byte_identical(self, capsys, tmp_path):
         path = emit(tmp_path, "z_plus_z2")
         capsys.readouterr()

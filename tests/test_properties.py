@@ -1,7 +1,8 @@
 """Property tests: normal forms against the word oracle on generated
 descriptors of every family, the relation lattice of a ratio pair against a
-brute-force scan, and the affine analysis of `classify` against its
-`Fraction` reference.
+brute-force scan, the affine analysis of `classify` against its `Fraction`
+reference, the classifier's closed forms against the searches they replaced,
+the JSON shape of classification reports, and the descriptor-file round trip.
 
 Hypothesis runs derandomized, so every run draws the same examples, and a
 failure is reported as a shrunk counterexample (descriptor and words).
@@ -9,8 +10,10 @@ failure is reported as a shrunk counterexample (descriptor and words).
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from math import prod
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -20,7 +23,13 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from hirsch3 import classify as classify_module  # noqa: E402
-from hirsch3.classify import ClassifyError  # noqa: E402
+from hirsch3.classify import ClassifyError, classify  # noqa: E402
+from hirsch3.cli import (  # noqa: E402
+    DescriptorFile,
+    input_digest,
+    parse_descriptor_text,
+    serialize_descriptor_file,
+)
 from hirsch3.families import (  # noqa: E402
     AffineMap2,
     AffineQ2,
@@ -34,9 +43,14 @@ from hirsch3.families import (  # noqa: E402
     family_of,
     ops_for,
 )
-from hirsch3.rationals import Mat2Q, complement_vector, relation_lattice  # noqa: E402
+from hirsch3.rationals import (  # noqa: E402
+    Mat2Q,
+    complement_vector,
+    matrix_order,
+    relation_lattice,
+)
 from hirsch3.verify import oracle_word_eq  # noqa: E402
-from hirsch3.words import Word  # noqa: E402
+from hirsch3.words import Presentation, Word  # noqa: E402
 
 F = Fraction
 
@@ -355,3 +369,188 @@ def test_translation_rank_closes_under_the_linear_parts():
     assert {y for _, y in _ref_pure_translations(desc)} == {0}
     assert classify_module._translation_rank(desc) == _ref_translation_rank(desc) == 2
     assert classify_module._translation_rank(AffineQ2(desc.generators[:2])) == 1
+
+
+# --- the closed forms against the searches they replaced ---------------------------
+#
+# `matrix_order`, `_is_plus_minus_unipotent` and `cone_integer_point` decide
+# their questions in closed form.  The searches they replaced are kept here
+# as the reference, the way `TestElementKernels` keeps its formulas: a power
+# loop up to the largest finite order in GL(2, Q), a squared shift by +-I,
+# and a two-variable Fourier-Motzkin elimination.
+
+
+def _ref_matrix_order(m):
+    power = Mat2Q.identity()
+    for k in range(1, 7):
+        power = power * m
+        if power == Mat2Q.identity():
+            return k
+    return None
+
+
+def _ref_is_plus_minus_unipotent(m):
+    for sign in (1, -1):
+        shifted = Mat2Q(m.a - sign, m.b, m.c, m.d - sign)
+        if shifted * shifted == Mat2Q.of(0, 0, 0, 0):
+            return True
+    return False
+
+
+def _ref_halfplane_witness(rows):
+    """A rational point with row . x >= 1 for every row, or None."""
+    lowers = [(F(a), F(b)) for a, b in rows if a > 0]
+    uppers = [(F(a), F(b)) for a, b in rows if a < 0]
+    jlow = jhigh = None
+
+    def tighten(low, high, a, b):
+        # a * j >= b
+        if a > 0:
+            bound = b / a
+            low = bound if low is None else max(low, bound)
+        elif a < 0:
+            bound = b / a
+            high = bound if high is None else min(high, bound)
+        elif b > 0:
+            return None
+        return low, high
+
+    for a, b in rows:
+        if a == 0:
+            got = tighten(jlow, jhigh, F(b), F(1))
+            if got is None:
+                return None
+            jlow, jhigh = got
+    for al, bl in lowers:
+        for au, bu in uppers:
+            # (1 - bl j)/al <= (1 - bu j)/au with al > 0 > au
+            got = tighten(jlow, jhigh, al * bu - au * bl, al - au)
+            if got is None:
+                return None
+            jlow, jhigh = got
+    if jlow is not None and jhigh is not None and jlow > jhigh:
+        return None
+    if jlow is not None:
+        j = jlow
+    elif jhigh is not None:
+        j = jhigh
+    else:
+        j = F(0)
+    ilow = ihigh = None
+    for a, b in lowers:
+        bound = (1 - b * j) / a
+        ilow = bound if ilow is None else max(ilow, bound)
+    for a, b in uppers:
+        bound = (1 - b * j) / a
+        ihigh = bound if ihigh is None else min(ihigh, bound)
+    if ilow is not None and ihigh is not None and ilow > ihigh:
+        return None
+    i = ilow if ilow is not None else (ihigh if ihigh is not None else F(0))
+    assert all(a * i + b * j >= 1 for a, b in rows)
+    return i, j
+
+
+@st.composite
+def _closed_form_matrices(draw) -> Mat2Q:
+    """Any small rational matrix, singular ones included, or a rational
+    conjugate of a finite-order, unipotent or -unipotent matrix."""
+    kind = draw(st.sampled_from(("random", "finite", "unipotent")))
+    if kind == "random":
+        return Mat2Q.of(*draw(st.tuples(entries, entries, entries, entries)))
+    if kind == "finite":
+        m = draw(st.sampled_from(_FINITE_ORDER))
+    else:
+        sign = draw(st.sampled_from((1, -1)))
+        m = Mat2Q.of(sign, draw(small_rationals), 0, sign)
+    p = draw(matrices)
+    return p * m * p.inverse()
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(_closed_form_matrices())
+def test_matrix_closed_forms_agree_with_search(m):
+    assert matrix_order(m) == _ref_matrix_order(m)
+    assert classify_module._is_plus_minus_unipotent(m) == _ref_is_plus_minus_unipotent(m)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), max_size=6))
+def test_cone_integer_point_agrees_with_fourier_motzkin(rows):
+    point = classify_module.cone_integer_point(rows)
+    assert (point is None) == (_ref_halfplane_witness(rows) is None)
+    if point is not None:
+        assert all(a * point[0] + b * point[1] >= 1 for a, b in rows)
+
+
+# --- classification reports as JSON --------------------------------------------------
+
+
+def _shape(value) -> object:
+    return frozenset(value) if isinstance(value, dict) else type(value).__name__
+
+
+GOLDEN_SHAPES: dict[str, set] = {}
+for _path in sorted((Path(__file__).parent / "golden").glob("*.json")):
+    if not _path.name.startswith("verify_seed"):
+        for _key, _value in json.loads(_path.read_text())["report"].items():
+            GOLDEN_SHAPES.setdefault(_key, set()).add(_shape(_value))
+
+CLASSIFY_CASES = {**DESCRIPTORS, "affine_q2_shapes": _affine_groups()}
+
+
+@pytest.mark.parametrize("family", sorted(CLASSIFY_CASES))
+def test_classify_report_is_plain_json_with_golden_keys(family):
+    """`classify` raises only `ClassifyError`, and its report serializes to
+    plain JSON data (lists, not tuples) shaped like the golden reports."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(CLASSIFY_CASES[family])
+    def check(desc):
+        try:
+            data = classify(desc).to_json()
+        except ClassifyError:
+            return
+        assert json.loads(json.dumps(data)) == data
+        assert set(data) == set(GOLDEN_SHAPES)
+        for key, value in data.items():
+            assert _shape(value) in GOLDEN_SHAPES[key], (key, value)
+
+    check()
+
+
+# --- the descriptor-file round trip ----------------------------------------------------
+
+
+_identifiers = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,4}", fullmatch=True)
+
+
+@st.composite
+def _named_affine(draw) -> AffineQ2:
+    names = draw(st.lists(_identifiers, min_size=1, max_size=3, unique=True))
+    return AffineQ2(
+        tuple(
+            (name, AffineMap2(draw(matrices), (draw(small_rationals), draw(small_rationals))))
+            for name in names
+        )
+    )
+
+
+@st.composite
+def _descriptor_files(draw) -> DescriptorFile:
+    """A descriptor of any family, with or without a presentation over its
+    generator names."""
+    desc = draw(st.one_of(*DESCRIPTORS.values(), _named_affine()))
+    presentation = None
+    names = ops_for(desc).generator_names
+    if names and draw(st.booleans()):
+        relators = draw(st.lists(_words(names, 4), max_size=3))
+        presentation = Presentation(names, tuple(relators))
+    return DescriptorFile(desc, draw(st.none() | _identifiers), None, presentation)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(_descriptor_files())
+def test_descriptor_file_round_trip(df):
+    back = parse_descriptor_text(serialize_descriptor_file(df))
+    assert back == df
+    assert input_digest(back) == input_digest(df)

@@ -252,6 +252,8 @@ class TestMat2Q:
             Mat2Q.of(2, 1, 1, 1): None,
             Mat2Q.of(1, 1, 0, 1): None,
             Mat2Q.of(0, F(1, 2), 2, 0): 2,
+            Mat2Q.of(-1, 0, 0, -1): 2,
+            Mat2Q.of(-1, 1, 0, -1): None,
         }
         for m, order in cases.items():
             assert matrix_order(m) == order
