@@ -442,7 +442,7 @@ def cmd_verify(args) -> int:
         report = run_harness(
             df.descriptor, cfg, relators=df.presentation, window=args.window
         )
-    except RelatorTooLong as exc:
+    except (RelatorTooLong, ClassifyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     data = report.to_json()

@@ -22,22 +22,22 @@ Element storage.  Every rational coordinate is kept as integers over one
 positive denominator, gcd-normalized, so `==` and `hash` are exact and
 products stay in integer arithmetic:
 
-  BSbarElem       ints = (den, u, k)        a^(u/den) t^k
-  MetaH31Elem     ints = (den, x, i, j)     a^(x/den) t^i u^j
+  MetaH31Elem     ints = (den, x, i, j)     a^(x/den) t^i u^j; BSbar's too,
+                                            with j = 0 (see `BSbar._meta`)
   LatticeElem     ints = (den, x, y, k)     ((x, y)/den) t^k
   AffineMap2      ints = (den, a, b, c, d, x, y)
                                             v |-> ([[a, b], [c, d]] v + (x, y)) / den
   BrittonElem     integers already (s-exponents and a KbElem x^a y^b)
   RankOneQ        a single `Fraction`
 
-The constructors take `Fraction` coordinates, and `.u`, `.x`, `.v`,
-`.linear` and `.translation` read them back as `Fraction`s.  Each
-descriptor caches, as integer pairs or tuples, the powers and crossing
-factors its products need (ratio powers (n/m)^k and (q/p)^s, the
-MetabelianH31 crossing factors, lattice matrix powers M^k), for exponents
-up to `_TABLE_REACH`; an `AscHNNKb` caches its `KbEndo` and the iterates
-phi^k, each applied in O(1) by a closed form.  A `MetabelianH31` also caches
-its ratio pair's `RelationLattice`, which `classify` and `verify` read.
+The constructors take `Fraction` coordinates, and `.x`, `.v`, `.linear`
+and `.translation` read them back as `Fraction`s.  Each descriptor caches,
+as integer pairs or tuples, the powers and crossing factors its products
+need (ratio powers (n/m)^k and (q/p)^s, the MetabelianH31 crossing factors,
+lattice matrix powers M^k), for exponents up to `_TABLE_REACH`; an
+`AscHNNKb` caches its `KbEndo` and the iterates phi^k, each applied in O(1)
+by a closed form.  A `MetabelianH31` also caches its ratio pair's
+`RelationLattice`, which `classify` and `verify` read.
 
 `FAMILIES` maps each descriptor type to its `Family` record: file tag,
 generator names, element algebra, descriptor-file form, display and
@@ -58,7 +58,6 @@ from .rationals import (
     binary_power,
     format_rational,
     in_localized,
-    is_unit_localized,
     radical_of,
     relation_lattice,
 )
@@ -250,8 +249,10 @@ class BSbar:
         return radical_of(self.m * self.n)
 
     @cached_property
-    def _powers(self) -> "_Table":
-        return _Table(partial(_ratio_power, self.ratio))
+    def _meta(self) -> "MetabelianH31":
+        """The group again, as <a, t> in MetabelianH31(m, n, 1, 1, 0), where u
+        acts trivially: BSbar words run on its element algebra."""
+        return MetabelianH31(self.m, self.n, 1, 1, F(0))
 
 
 @dataclass(frozen=True)
@@ -270,8 +271,9 @@ class MetabelianH31:
         if gcd(self.m, self.n) != 1 or gcd(self.p, self.q) != 1:
             raise ValueError("(m,n) and (p,q) must be coprime pairs")
         object.__setattr__(self, "e", F(self.e))
-        if not in_localized(self.e, self.locus):
-            raise ValueError(f"e must lie in Z[1/{self.locus}]")
+        ring = abs(self.m * self.n * self.p * self.q)
+        if not in_localized(self.e, ring):
+            raise ValueError(f"e must lie in Z[1/{ring}]")
 
     @property
     def locus(self) -> int:
@@ -360,86 +362,8 @@ class AffineQ2:
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.generators)
 
-    def map_of(self, name: str) -> AffineMap2:
-        for gen_name, gen_map in self.generators:
-            if gen_name == name:
-                return gen_map
-        raise KeyError(name)
-
 
 GroupDescriptor = Union[RankOneQ, BSbar, MetabelianH31, LatticeByZ, AscHNNKb, AffineQ2]
-
-
-# --- BSbar ------------------------------------------------------------------
-
-
-@dataclass(frozen=True, init=False)
-class BSbarElem:
-    """a^u t^k, stored as integers `ints = (den, num, k)` with u = num / den,
-    den > 0 and gcd(num, den) = 1, so `==` and `hash` are exact."""
-
-    ints: tuple[int, int, int]
-
-    def __init__(self, u: Fraction, k: int) -> None:
-        u = F(u)
-        object.__setattr__(self, "ints", (u.denominator, u.numerator, k))
-
-    @property
-    def u(self) -> Fraction:
-        return F(self.ints[1], self.ints[0])
-
-    @property
-    def k(self) -> int:
-        return self.ints[2]
-
-
-def _bsbar_of_ints(den: int, num: int, k: int) -> BSbarElem:
-    """a^(num/den) t^k after gcd normalization; den > 0 is the caller's."""
-    g = gcd(den, num)
-    if g != 1:
-        den, num = den // g, num // g
-    out = object.__new__(BSbarElem)
-    object.__setattr__(out, "ints", (den, num, k))
-    return out
-
-
-def bsbar_identity() -> BSbarElem:
-    return _BSBAR_IDENTITY
-
-
-def bsbar_mul(desc: BSbar, g1: BSbarElem, g2: BSbarElem) -> BSbarElem:
-    # u1 + (n/m)^k1 u2
-    d1, u1, k1 = g1.ints
-    d2, u2, k2 = g2.ints
-    p, q = desc._powers[k1]
-    return _bsbar_of_ints(d1 * q * d2, u1 * q * d2 + p * u2 * d1, k1 + k2)
-
-
-def bsbar_inv(desc: BSbar, g: BSbarElem) -> BSbarElem:
-    # -(n/m)^-k u
-    den, num, k = g.ints
-    p, q = desc._powers[-k]
-    return _bsbar_of_ints(q * den, -p * num, -k)
-
-
-def bsbar_of_word(desc: BSbar, w: Word) -> BSbarElem:
-    # right-to-left prepending keeps every step O(1) exact ops
-    den, num, k = 1, 0, 0
-    powers = desc._powers
-    for g, e in reversed(w.syllables):
-        if g == "a":
-            num += e * den  # stays reduced
-        elif g == "t":
-            p, q = powers[e]
-            den, num, k = den * q, num * p, k + e
-            c = gcd(den, num)
-            den, num = den // c, num // c
-        else:
-            raise ValueError(f"unknown generator {g!r} (expected a, t)")
-    return _bsbar_of_ints(den, num, k)
-
-
-_BSBAR_IDENTITY = _bsbar_of_ints(1, 0, 0)
 
 
 # --- MetabelianH31 ----------------------------------------------------------
@@ -549,7 +473,8 @@ def meta_mul(desc: MetabelianH31, g1: MetaH31Elem, g2: MetaH31Elem) -> MetaH31El
     kern = desc._kernel
     d1, x1, i1, j1 = g1.ints
     den, num, i2, j2 = g2.ints
-    den, num = _meta_u_step(kern, j1, den, num, i2)
+    if j1:
+        den, num = _meta_u_step(kern, j1, den, num, i2)
     p, q = kern.t_pow[i1]
     den, num = den * q, num * p
     return _meta_of_ints(den * d1, num * d1 + x1 * den, i1 + i2, j1 + j2)
@@ -560,11 +485,14 @@ def meta_inv(desc: MetabelianH31, g: MetaH31Elem) -> MetaH31Elem:
     kern = desc._kernel
     den, num, i, j = g.ints
     p, q = kern.t_pow[-i]
-    den, num = _meta_u_step(kern, -j, den * q, -num * p, -i)
+    den, num = den * q, -num * p
+    if j:
+        den, num = _meta_u_step(kern, -j, den, num, -i)
     return _meta_of_ints(den, num, -i, -j)
 
 
-def meta_of_word(desc: MetabelianH31, w: Word) -> MetaH31Elem:
+def meta_of_word(desc: MetabelianH31, w: Word, names: str = "a, t, u") -> MetaH31Elem:
+    """The word's normal form; names "a, t" refuses u, for BSbar's words."""
     kern = desc._kernel
     den, num, i, j = 1, 0, 0, 0
     for g, e in reversed(w.syllables):
@@ -574,11 +502,11 @@ def meta_of_word(desc: MetabelianH31, w: Word) -> MetaH31Elem:
         if g == "t":
             p, q = kern.t_pow[e]
             den, num, i = den * q, num * p, i + e
-        elif g == "u":
+        elif g == "u" and names == "a, t, u":
             den, num = _meta_u_step(kern, e, den, num, i)
             j += e
         else:
-            raise ValueError(f"unknown generator {g!r} (expected a, t, u)")
+            raise ValueError(f"unknown generator {g!r} (expected {names})")
         c = gcd(den, num)
         den, num = den // c, num // c
     return _meta_of_ints(den, num, i, j)
@@ -588,88 +516,6 @@ _META_IDENTITY = _meta_of_ints(1, 0, 0, 0)
 
 
 # --- lattice-by-Z -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _Lattice2:
-    """Full-rank sublattice of Q^2: integer rows (a, b), (0, c) over den.
-
-    Canonical: a, c > 0, 0 <= b < c, gcd(den, a, b, c) = 1; equality of
-    values is then equality of lattices.
-    """
-
-    den: int
-    a: int
-    b: int
-    c: int
-
-    @classmethod
-    def standard(cls) -> "_Lattice2":
-        return cls(1, 1, 0, 1)
-
-    @classmethod
-    def from_rows(cls, den: int, rows: Iterable[tuple[int, int]]) -> "_Lattice2":
-        rows = [list(r) for r in rows if r != (0, 0)]
-        # clear the first column down to one row by Euclid
-        while True:
-            live = [r for r in rows if r[0] != 0]
-            if len(live) <= 1:
-                break
-            live.sort(key=lambda r: abs(r[0]))
-            small, big = live[0], live[1]
-            qu = big[0] // small[0]
-            big[0] -= qu * small[0]
-            big[1] -= qu * small[1]
-            rows = [r for r in rows if r != [0, 0]]
-        first = next((r for r in rows if r[0] != 0), None)
-        if first is None:
-            raise ValueError("lattice is not full rank")
-        a, b = (first[0], first[1]) if first[0] > 0 else (-first[0], -first[1])
-        c = 0
-        for r in rows:
-            if r[0] == 0:
-                c = gcd(c, abs(r[1]))
-        if c == 0:
-            raise ValueError("lattice is not full rank")
-        b %= c
-        g = gcd(gcd(den, a), gcd(b, c))
-        return cls(den // g, a // g, b // g, c // g)
-
-    def vectors(self) -> list[tuple[Fraction, Fraction]]:
-        return [(F(self.a, self.den), F(self.b, self.den)), (F(0), F(self.c, self.den))]
-
-    def covolume(self) -> Fraction:
-        return F(self.a * self.c, self.den * self.den)
-
-
-def _lattice_sum(den: int, lats: list[list[tuple[Fraction, Fraction]]]) -> _Lattice2:
-    rows = []
-    for vecs in lats:
-        for v in vecs:
-            rows.append((int(v[0] * den), int(v[1] * den)))
-    return _Lattice2.from_rows(den, rows)
-
-
-def _lattice_grow(mat: Mat2Q, lat: _Lattice2) -> _Lattice2:
-    """lat + M lat + M^-1 lat, canonicalized."""
-    inv = mat.inverse()
-    vecs = lat.vectors()
-    images = [v for v in vecs]
-    images += [mat.apply(v) for v in vecs]
-    images += [inv.apply(v) for v in vecs]
-    den = 1
-    for v in images:
-        for x in v:
-            den = den * x.denominator // gcd(den, x.denominator)
-    return _lattice_sum(den, [images])
-
-
-def lattice_span(mat: Mat2Q, cutoff: int) -> _Lattice2:
-    """Subgroup generated by {M^k e_i : |k| <= cutoff}, exactly."""
-    lat = _Lattice2.standard()
-    for _ in range(cutoff):
-        lat = _lattice_grow(mat, lat)
-    return lat
 
 
 @dataclass(frozen=True, init=False)
@@ -877,41 +723,6 @@ def affine_of_word(desc: AffineQ2, w: Word) -> AffineMap2:
     return out
 
 
-# --- extension embedding ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BS1nAut:
-    """Automorphism of BSbar(1,n): a |-> a^c (c a unit of Z[1/n]), t |-> t a^b."""
-
-    c: Fraction
-    b: Fraction
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "c", F(self.c))
-        object.__setattr__(self, "b", F(self.b))
-
-
-def bs1n_ext_to_meta(n: int, theta: BS1nAut) -> MetabelianH31:
-    """Realize BSbar(1,n) rtimes_theta Z inside the three-generator family.
-
-    The new stable letter u acts on the fiber by multiplication by c and
-    twists t by a^b, which is exactly the (m=1, n, p, q, e) presentation with
-    q/p = c and e = b.
-    """
-    if abs(n) < 2:
-        raise ValueError("|n| must be at least 2")
-    locus = radical_of(n)
-    if theta.c == 0 or not is_unit_localized(theta.c, locus):
-        raise ValueError(f"{theta.c} is not a unit of Z[1/{locus}]")
-    if not in_localized(theta.b, locus):
-        raise ValueError(f"{theta.b} is not in Z[1/{locus}]")
-    q, p = theta.c.numerator, theta.c.denominator
-    return MetabelianH31(m=1, n=n, p=p, q=q, e=theta.b)
-
-
-
-
 # --- display and defining relations -------------------------------------------
 
 
@@ -1104,14 +915,14 @@ FAMILIES: dict[type, Family] = {
     BSbar: Family(
         tag="bsbar",
         generator_names=lambda d: ("a", "t"),
-        identity=bsbar_identity,
-        mul=bsbar_mul,
-        inv=bsbar_inv,
-        of_word=bsbar_of_word,
+        identity=meta_identity,
+        mul=lambda d, g1, g2: meta_mul(d._meta, g1, g2),
+        inv=lambda d, g: meta_inv(d._meta, g),
+        of_word=lambda d, w: meta_of_word(d._meta, w, "a, t"),
         parse=lambda take: BSbar(*[take(k, "int") for k in "mn"]),
         fields=lambda d: _int_fields(d, "mn"),
         describe=lambda d: f"BSbar(m={d.m}, n={d.n})",
-        format_element=lambda g: _syllables(("a", g.u), ("t", g.k)),
+        format_element=lambda g: _syllables(("a", g.x), ("t", g.i)),
         relations=_bsbar_relations,
     ),
     MetabelianH31: Family(

@@ -19,8 +19,8 @@ one common scalar:
 Products are plain integer products with no gcd, so a value carries every
 common factor its word produced.  `oracle_word_eq` evaluates both words in
 full and compares them once, by cross-multiplication.  Nothing here shares
-arithmetic with the gcd-normalized element algebra of `families`, and
-nothing imports `rationals`; `tests/test_oracles.py` checks the imports.
+arithmetic with the gcd-normalized element algebra of `families`, reads a
+private attribute, or imports `rationals`; `tests/test_oracles.py` checks.
 
 The size budget is that of reduced fractions.  Before a syllable g^k,
 |k| times the largest size of g's reduced coefficients may not pass

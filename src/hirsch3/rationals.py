@@ -122,19 +122,6 @@ def in_localized(x: Fraction, d: int) -> bool:
     return x.denominator == 1 or _supported_by(x.denominator, d)
 
 
-def is_unit_localized(x: Fraction, d: int) -> bool:
-    """Is x a unit of Z[1/d], i.e. +-(a product of powers of primes dividing d)?
-
-    0 is never a unit.  1 and -1 are units for every locus.
-    """
-    if d < 1:
-        raise ValueError("locus must be a positive integer")
-    if x == 0:
-        return False
-    num, den = abs(x.numerator), x.denominator
-    return (num == 1 or _supported_by(num, d)) and (den == 1 or _supported_by(den, d))
-
-
 def _row_sub(target: list[int], source: list[int], q: int) -> None:
     for k in range(len(target)):
         target[k] -= q * source[k]
@@ -295,9 +282,6 @@ class Mat2Q:
     def apply(self, v: tuple[Fraction, Fraction]) -> tuple[Fraction, Fraction]:
         return (self.a * v[0] + self.b * v[1], self.c * v[0] + self.d * v[1])
 
-    def is_integral(self) -> bool:
-        return all(x.denominator == 1 for x in (self.a, self.b, self.c, self.d))
-
     def entries(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return (self.a, self.b, self.c, self.d)
 
@@ -327,30 +311,6 @@ def conjugate_to_integral(m: Mat2Q) -> bool:
     if det == 0:
         raise ValueError("criterion assumes an invertible matrix")
     return det.denominator == 1 and m.trace().denominator == 1
-
-
-def integralize(m: Mat2Q) -> Optional[tuple[Mat2Q, Mat2Q]]:
-    """Explicit conjugation (P, N) with N = P^-1 m P integral, or None.
-
-    For non-scalar m, pick x = (1,0) unless it is an eigenvector (try (0,1)
-    then), and take P = [x | m x].  Cayley-Hamilton makes the new matrix the
-    companion matrix [[0, -det], [1, tr]].  Matrices with both standard basis
-    vectors eigenvectors are diagonal; passing the criterion they are already
-    integral, so P = I.
-    """
-    if not conjugate_to_integral(m):
-        return None
-    if m.b == 0 and m.c == 0:
-        # diagonal with integral trace and det is integral (monic quadratic)
-        return Mat2Q.identity(), m
-    if m.c != 0:
-        p = Mat2Q(Fraction(1), m.a, Fraction(0), m.c)
-    else:
-        p = Mat2Q(Fraction(0), m.b, Fraction(1), m.d)
-    n = p.inverse() * m * p
-    if not n.is_integral():
-        raise AssertionError("companion form must be integral here")
-    return p, n
 
 
 def is_unimodular_integral_class(m: Mat2Q) -> bool:

@@ -402,12 +402,12 @@ def _bsbar_radical(
     if claim == 1:
         # for |ratio| = 1 this is a deliberate undersized claim used as a
         # negative control
-        return _RadicalModel(True, (a,), lambda g: g.k == 0, ("Z", t))
+        return _RadicalModel(True, (a,), lambda g: g.i == 0, ("Z", t))
     if claim != 2 or abs(desc.ratio) != 1:
         return None
     if desc.ratio == 1:
         return _RadicalModel(True, (a, t), lambda g: True, None)
-    return _RadicalModel(True, (a, t**2), lambda g: g.k % 2 == 0, _FINITE)
+    return _RadicalModel(True, (a, t**2), lambda g: g.i % 2 == 0, _FINITE)
 
 
 def _meta_power_word(vec: tuple[int, int]) -> Word:

@@ -72,6 +72,9 @@ class Word:
         return Word(tuple((g, -e) for g, e in reversed(self.syllables)))
 
     def __pow__(self, k: int) -> "Word":
+        if len(self.syllables) == 1:  # one syllable (g, e k), not |k| of them
+            g, e = self.syllables[0]
+            return Word.gen(g, e * k)
         base = self if k >= 0 else self.inv()
         return Word.of(base.syllables * abs(k))
 

@@ -25,11 +25,7 @@ from hirsch3.families import (
     ops_for,
 )
 from hirsch3.fixtures import FIXTURES, corrupted_d_infty, fixture_named
-from hirsch3.rationals import (
-    Mat2Q,
-    conjugate_to_integral,
-    integralize,
-)
+from hirsch3.rationals import Mat2Q, conjugate_to_integral
 from hirsch3.simplify import StandardForm, expand_standard_form, exponent_law, standardize
 from hirsch3.verify import (
     TrialConfig,
@@ -41,6 +37,7 @@ from hirsch3.verify import (
     random_word,
     run_harness,
 )
+from test_rationals import integralize
 
 F = Fraction
 GOLDEN = Path(__file__).parent / "golden"

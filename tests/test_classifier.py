@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
+from typing import Iterable
 
 import pytest
 
@@ -40,7 +42,6 @@ from hirsch3.families import (
     MetabelianH31,
     FAMILIES,
     RankOneQ,
-    lattice_span,
     meta_of_word,
 )
 from hirsch3.fixtures import fixture_named
@@ -416,6 +417,91 @@ def eigenvalue_valuations(m: Mat2Q, p: int) -> tuple[Fraction, Fraction]:
         if 2 * vt <= vd:
             return F(vt), F(vd - vt)
     return F(vd, 2), F(vd, 2)
+
+
+# --- a lattice-growth reference kept here, not in the package ---------------
+
+
+@dataclass(frozen=True)
+class _Lattice2:
+    """Full-rank sublattice of Q^2: integer rows (a, b), (0, c) over den.
+
+    Canonical: a, c > 0, 0 <= b < c, gcd(den, a, b, c) = 1; equality of
+    values is then equality of lattices.
+    """
+
+    den: int
+    a: int
+    b: int
+    c: int
+
+    @classmethod
+    def standard(cls) -> "_Lattice2":
+        return cls(1, 1, 0, 1)
+
+    @classmethod
+    def from_rows(cls, den: int, rows: Iterable[tuple[int, int]]) -> "_Lattice2":
+        rows = [list(r) for r in rows if r != (0, 0)]
+        # clear the first column down to one row by Euclid
+        while True:
+            live = [r for r in rows if r[0] != 0]
+            if len(live) <= 1:
+                break
+            live.sort(key=lambda r: abs(r[0]))
+            small, big = live[0], live[1]
+            qu = big[0] // small[0]
+            big[0] -= qu * small[0]
+            big[1] -= qu * small[1]
+            rows = [r for r in rows if r != [0, 0]]
+        first = next((r for r in rows if r[0] != 0), None)
+        if first is None:
+            raise ValueError("lattice is not full rank")
+        a, b = (first[0], first[1]) if first[0] > 0 else (-first[0], -first[1])
+        c = 0
+        for r in rows:
+            if r[0] == 0:
+                c = gcd(c, abs(r[1]))
+        if c == 0:
+            raise ValueError("lattice is not full rank")
+        b %= c
+        g = gcd(gcd(den, a), gcd(b, c))
+        return cls(den // g, a // g, b // g, c // g)
+
+    def vectors(self) -> list[tuple[Fraction, Fraction]]:
+        return [(F(self.a, self.den), F(self.b, self.den)), (F(0), F(self.c, self.den))]
+
+    def covolume(self) -> Fraction:
+        return F(self.a * self.c, self.den * self.den)
+
+
+def _lattice_sum(den: int, lats: list[list[tuple[Fraction, Fraction]]]) -> _Lattice2:
+    rows = []
+    for vecs in lats:
+        for v in vecs:
+            rows.append((int(v[0] * den), int(v[1] * den)))
+    return _Lattice2.from_rows(den, rows)
+
+
+def _lattice_grow(mat: Mat2Q, lat: _Lattice2) -> _Lattice2:
+    """lat + M lat + M^-1 lat, canonicalized."""
+    inv = mat.inverse()
+    vecs = lat.vectors()
+    images = [v for v in vecs]
+    images += [mat.apply(v) for v in vecs]
+    images += [inv.apply(v) for v in vecs]
+    den = 1
+    for v in images:
+        for x in v:
+            den = den * x.denominator // gcd(den, x.denominator)
+    return _lattice_sum(den, [images])
+
+
+def lattice_span(mat: Mat2Q, cutoff: int) -> _Lattice2:
+    """Subgroup generated by {M^k e_i : |k| <= cutoff}, exactly."""
+    lat = _Lattice2.standard()
+    for _ in range(cutoff):
+        lat = _lattice_grow(mat, lat)
+    return lat
 
 
 def test_module_growth_ranks_match_lattice_growth():

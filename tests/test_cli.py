@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -238,6 +239,20 @@ class TestWordEqCommand:
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert "limit" in err
 
+    def test_two_19_digit_prime_parameters_answer_quickly(self, capsys, tmp_path):
+        # e is checked against Z[1/mnpq] by gcd stripping: nothing factors
+        # the 120-bit product n q
+        path = tmp_path / "primes.toml"
+        path.write_text(
+            "family = metabelian_h31\nm = 1\nn = 1000000000000000003\n"
+            "p = 1\nq = 1000000000000000009\ne = 1\n"
+        )
+        start = time.monotonic()
+        code, out, err = run(capsys, "word-eq", str(path), "a", "a")
+        assert time.monotonic() - start < 1.0
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0] == "equal"
+
     def test_overlong_exponent_is_input_error(self, capsys, tmp_path):
         path = emit(tmp_path, "bs12_rtimes")
         capsys.readouterr()
@@ -359,6 +374,27 @@ class TestVerifyCommand:
         code, out, err = run(capsys, "verify", str(path), "--trials", "1")
         assert (code, err) == (0, "")
         assert json.loads(out)["report"]["passed"] is True
+
+    def test_huge_power_relator_gets_a_report(self, capsys, tmp_path):
+        # the relator t a t^-1 = a^(2^60) holds a^(2^60) as one syllable
+        path = tmp_path / "huge.toml"
+        path.write_text(f"family = bsbar\nm = 1\nn = {2**60}\n")
+        code, out, err = run(capsys, "verify", str(path))
+        assert (code, err) == (0, "")
+        checks = {c["name"]: c for c in json.loads(out)["report"]["checks"]}
+        assert checks["relations"]["passed"]
+        assert checks["word_eq_oracle"]["note"] == "66 trials skipped on the size budget"
+
+    def test_classify_error_is_input_error(self, capsys, tmp_path):
+        path = emit(tmp_path, "d_infty_amalgam")
+        capsys.readouterr()
+        text = path.read_text()
+        assert "gen.v.linear = 2 -1 3 -2\n" in text
+        path.write_text(text.replace("gen.v.linear = 2 -1 3 -2\n", "gen.v.linear = 2 1 3 -2\n"))
+        code, out, err = run(capsys, "verify", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: affine descriptor has an unsupported linear image shape\n"
+        assert run(capsys, "classify", str(path)) == (2, "", err)
 
     @pytest.mark.parametrize(
         "text, expected",

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pickle
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -13,9 +14,7 @@ from hirsch3.families import (
     AffineMap2,
     AffineQ2,
     AscHNNKb,
-    BS1nAut,
     BSbar,
-    BSbarElem,
     BrittonElem,
     KbElem,
     KbEndo,
@@ -28,14 +27,9 @@ from hirsch3.families import (
     affine_inverse,
     affine_of_word,
     affine_pow,
-    _bsbar_of_ints,
     _endo_power,
     _lattice_of_ints,
     _meta_of_ints,
-    bs1n_ext_to_meta,
-    bsbar_inv,
-    bsbar_mul,
-    bsbar_of_word,
     hnnkb_of_word,
     image_membership,
     kb_endo_apply,
@@ -50,8 +44,9 @@ from hirsch3.families import (
     ops_for,
     rankone_of_word,
 )
-from hirsch3.rationals import Mat2Q, in_localized
+from hirsch3.rationals import Mat2Q, in_localized, radical_of
 from hirsch3.words import Word, parse_word
+from test_rationals import is_unit_localized
 
 F = Fraction
 
@@ -139,17 +134,26 @@ class TestDescriptorValidation:
             )
 
 
+def bsbar_of_word(desc, w):
+    return ops_for(desc).of_word(w)
+
+
+def bsbar_elem(u, k):
+    # a^u t^k, which BSbar keeps as the metabelian a^u t^k u^0
+    return MetaH31Elem(u, k, 0)
+
+
 class TestBSbar:
     def test_frozen_values(self):
         desc = BSbar(2, 3)
-        assert bsbar_of_word(desc, parse_word("t a t^-1")) == BSbarElem(F(3, 2), 0)
-        assert bsbar_of_word(desc, parse_word("t a^2 t^-1")) == BSbarElem(F(3), 0)
-        assert bsbar_of_word(desc, Word()) == BSbarElem(F(0), 0)
+        assert bsbar_of_word(desc, parse_word("t a t^-1")) == bsbar_elem(F(3, 2), 0)
+        assert bsbar_of_word(desc, parse_word("t a^2 t^-1")) == bsbar_elem(F(3), 0)
+        assert bsbar_of_word(desc, Word()) == bsbar_elem(F(0), 0)
 
     def test_defining_relator(self):
         for desc in [BSbar(2, 3), BSbar(1, -2), BSbar(3, -5)]:
             relator = parse_word(f"t a^{desc.m} t^-1 a^{-desc.n}")
-            assert bsbar_of_word(desc, relator) == BSbarElem(F(0), 0)
+            assert bsbar_of_word(desc, relator) == bsbar_elem(F(0), 0)
 
     def test_rejects_unknown_generator(self):
         with pytest.raises(ValueError):
@@ -242,7 +246,7 @@ class TestKb:
 
 POWERS = [
     (Mat2Q.pow, Mat2Q.__mul__, Mat2Q.inverse, Mat2Q.identity(), Mat2Q.of(F(1, 2), 1, -3, 2)),
-    (affine_pow, affine_compose, affine_inverse, AffineMap2.identity(), D_INFTY.map_of("v")),
+    (affine_pow, affine_compose, affine_inverse, AffineMap2.identity(), dict(D_INFTY.generators)["v"]),
 ]
 
 
@@ -506,7 +510,7 @@ class TestElementKernels:
         for _ in range(60):
             g1 = (_localized(rng, (2, 3, 5)), rng.randint(-7, 7))
             g2 = (_localized(rng, (2, 3, 5)), rng.randint(-7, 7))
-            yield g1, g2, BSbarElem(*g1), BSbarElem(*g2)
+            yield g1, g2, bsbar_elem(*g1), bsbar_elem(*g2)
 
     def _meta_pairs(self, desc, rng):
         for _ in range(60):
@@ -523,11 +527,12 @@ class TestElementKernels:
     def test_bsbar_matches_fraction_reference(self):
         rng = random.Random(71)
         for desc in self.BSBARS:
+            ops = ops_for(desc)
             for g1, g2, e1, e2 in self._bsbar_pairs(desc, rng):
-                got = bsbar_mul(desc, e1, e2)
-                assert (got.u, got.k) == _ref_bsbar_mul(desc, g1, g2)
-                got = bsbar_inv(desc, e1)
-                assert (got.u, got.k) == _ref_bsbar_inv(desc, g1)
+                got = ops.mul(e1, e2)
+                assert (got.x, got.i) == _ref_bsbar_mul(desc, g1, g2) and got.j == 0
+                got = ops.inv(e1)
+                assert (got.x, got.i) == _ref_bsbar_inv(desc, g1) and got.j == 0
 
     def test_meta_matches_fraction_reference(self):
         rng = random.Random(73)
@@ -552,8 +557,8 @@ class TestElementKernels:
         bsbar, meta, lattice = self.BSBARS[0], self.METAS[1], self.LATTICES[0]
         for k in (300, -301):
             g = (F(5, 4), k)
-            got = bsbar_mul(bsbar, BSbarElem(*g), BSbarElem(*g))
-            assert (got.u, got.k) == _ref_bsbar_mul(bsbar, g, g)
+            got = ops_for(bsbar).mul(bsbar_elem(*g), bsbar_elem(*g))
+            assert (got.x, got.i) == _ref_bsbar_mul(bsbar, g, g)
             m = (F(7, 6), k, -k)
             got = meta_mul(meta, MetaH31Elem(*m), MetaH31Elem(*m))
             assert (got.x, got.i, got.j) == _ref_meta_mul(meta, m, m)
@@ -564,17 +569,17 @@ class TestElementKernels:
     def test_storage_is_canonical(self):
         rng = random.Random(83)
         cases = (
-            (self.BSBARS, self._bsbar_pairs, bsbar_mul, bsbar_inv, 2),
-            (self.METAS, self._meta_pairs, meta_mul, meta_inv, 2),
-            (self.LATTICES, self._lattice_pairs, lattice_mul, lattice_inv, 3),
+            (self.BSBARS, self._bsbar_pairs, 2),
+            (self.METAS, self._meta_pairs, 2),
+            (self.LATTICES, self._lattice_pairs, 3),
         )
-        for descs, pairs, mul, inv, width in cases:
+        for descs, pairs, width in cases:
             for desc in descs:
                 ops = ops_for(desc)
                 names = list(ops.generator_names)
                 for _, _, e1, e2 in pairs(desc, rng):
                     w = rand_word(rng, names, syllables=6)
-                    for h in (e1, mul(desc, e1, e2), inv(desc, e1), ops.of_word(w)):
+                    for h in (e1, ops.mul(e1, e2), ops.inv(e1), ops.of_word(w)):
                         assert h.ints[0] > 0
                         assert gcd(*h.ints[:width]) == 1
 
@@ -609,15 +614,11 @@ class TestElementKernels:
         for _ in range(200):
             u, v = _localized(rng, (2, 3, 5)), (_localized(rng, (2, 3)), _localized(rng, (2, 7)))
             k, j = rng.randint(-9, 9), rng.randint(-9, 9)
-            g = BSbarElem(u, k)
-            assert (g.u, g.k) == (u, k) and g == BSbarElem(g.u, g.k)
             g = MetaH31Elem(u, k, j)
             assert (g.x, g.i, g.j) == (u, k, j) and g == MetaH31Elem(g.x, g.i, g.j)
             g = LatticeElem(v, k)
             assert (g.v, g.k) == (v, k) and g == LatticeElem(g.v, g.k)
         # non-reduced integers normalize to the constructor's value
-        assert _bsbar_of_ints(12, -18, 2) == BSbarElem(F(-3, 2), 2)
-        assert _bsbar_of_ints(5, 0, 0) == BSbarElem(F(0), 0)
         assert _meta_of_ints(40, 100, -1, 3) == MetaH31Elem(F(5, 2), -1, 3)
         assert _lattice_of_ints(6, 3, 9, 4) == LatticeElem((F(1, 2), F(3, 2)), 4)
         assert _lattice_of_ints(4, 2, 1, 0) == LatticeElem((F(1, 2), F(1, 4)), 0)
@@ -644,6 +645,36 @@ def test_kb_endo_closed_forms_match_generator_images(e, f, d):
             for k in range(5):
                 assert kb_endo_apply(_endo_power(phi, k), KbElem(a, b)) == iterated
                 iterated = kb_endo_apply(phi, iterated)
+
+
+@dataclass(frozen=True)
+class BS1nAut:
+    """Automorphism of BSbar(1,n): a |-> a^c (c a unit of Z[1/n]), t |-> t a^b."""
+
+    c: Fraction
+    b: Fraction
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "c", F(self.c))
+        object.__setattr__(self, "b", F(self.b))
+
+
+def bs1n_ext_to_meta(n: int, theta: BS1nAut) -> MetabelianH31:
+    """Realize BSbar(1,n) rtimes_theta Z inside the three-generator family.
+
+    The new stable letter u acts on the fiber by multiplication by c and
+    twists t by a^b, which is exactly the (m=1, n, p, q, e) presentation with
+    q/p = c and e = b.
+    """
+    if abs(n) < 2:
+        raise ValueError("|n| must be at least 2")
+    locus = radical_of(n)
+    if theta.c == 0 or not is_unit_localized(theta.c, locus):
+        raise ValueError(f"{theta.c} is not a unit of Z[1/{locus}]")
+    if not in_localized(theta.b, locus):
+        raise ValueError(f"{theta.b} is not in Z[1/{locus}]")
+    q, p = theta.c.numerator, theta.c.denominator
+    return MetabelianH31(m=1, n=n, p=p, q=q, e=theta.b)
 
 
 class TestExtensionEmbedding:

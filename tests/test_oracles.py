@@ -86,6 +86,19 @@ def import_violations(source: str) -> list[str]:
     return found
 
 
+def private_reads(source: str) -> list[str]:
+    """Reads of a private attribute `x._name`: the normal form's cached
+    tables (`_kernel`, `_powers`, `_iterates`) and BSbar's metabelian view
+    are all private, so an oracle that reads none shares none of them."""
+    return [
+        f"{node.lineno}: .{node.attr}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute)
+        and node.attr.startswith("_")
+        and not node.attr.startswith("__")
+    ]
+
+
 class TestImportAudit:
     SOURCE = Path(oracles.__file__).read_text()
 
@@ -113,6 +126,19 @@ class TestImportAudit:
     )
     def test_audit_catches_shared_arithmetic(self, line):
         assert import_violations(self.SOURCE + "\n" + line + "\n")
+
+    def test_oracles_read_no_private_attribute(self):
+        assert private_reads(self.SOURCE) == []
+
+    @pytest.mark.parametrize(
+        "line",
+        ["desc._kernel.t_pow[k]", "desc._meta", "f = desc._iterates", "x = g.__class__._powers"],
+    )
+    def test_private_audit_catches_cached_tables(self, line):
+        assert private_reads(self.SOURCE + "\n" + line + "\n")
+
+    def test_private_audit_allows_dunders(self):
+        assert private_reads("x = f.__name__\n") == []
 
     def test_audit_allows_descriptors(self):
         line = "from .families import AffineQ2, KbEndo, family_of"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import Optional
 
 import pytest
 
@@ -13,9 +14,7 @@ from hirsch3.rationals import (
     format_rational,
     in_localized,
     integer_row_kernel,
-    integralize,
     is_unimodular_integral_class,
-    is_unit_localized,
     matrix_order,
     mult_rank,
     parse_rational,
@@ -26,6 +25,44 @@ from hirsch3.rationals import (
 )
 
 F = Fraction
+
+
+# --- references kept here, not in the package -------------------------------
+
+
+def is_unit_localized(x: Fraction, d: int) -> bool:
+    """Is x a unit of Z[1/d], i.e. +-(a product of powers of primes dividing d)?
+
+    0 is never a unit.  1 and -1 are units for every locus.
+    """
+    if d < 1:
+        raise ValueError("locus must be a positive integer")
+    return x != 0 and in_localized(x, d) and in_localized(1 / x, d)
+
+
+def integralize(m: Mat2Q) -> Optional[tuple[Mat2Q, Mat2Q]]:
+    """Explicit conjugation (P, N) with N = P^-1 m P integral, or None: the
+    witness that `conjugate_to_integral` is checked against.
+
+    For non-scalar m, pick x = (1,0) unless it is an eigenvector (try (0,1)
+    then), and take P = [x | m x].  Cayley-Hamilton makes the new matrix the
+    companion matrix [[0, -det], [1, tr]].  Matrices with both standard basis
+    vectors eigenvectors are diagonal; passing the criterion they are already
+    integral, so P = I.
+    """
+    if not conjugate_to_integral(m):
+        return None
+    if m.b == 0 and m.c == 0:
+        # diagonal with integral trace and det is integral (monic quadratic)
+        return Mat2Q.identity(), m
+    if m.c != 0:
+        p = Mat2Q(Fraction(1), m.a, Fraction(0), m.c)
+    else:
+        p = Mat2Q(Fraction(0), m.b, Fraction(1), m.d)
+    n = p.inverse() * m * p
+    if not all(x.denominator == 1 for x in n.entries()):
+        raise AssertionError("companion form must be integral here")
+    return p, n
 
 
 def rand_fraction(rng, lo=-9, hi=9):
@@ -224,7 +261,7 @@ class TestIntegrality:
             hidden = p.inverse() * m * p
             assert conjugate_to_integral(hidden)
             q, n = integralize(hidden)
-            assert n.is_integral()
+            assert all(x.denominator == 1 for x in n.entries())
             assert q.inverse() * hidden * q == n
             assert n.det() == m.det() and n.trace() == m.trace()
 

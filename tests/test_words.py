@@ -54,12 +54,17 @@ class TestAlgebra:
             assert a ** 0 == Word()
 
     def test_power_matches_repeated_product(self):
-        for base in (w("t u a"), w("a t a^-1"), w("x^2 y x^-2"), Word()):
+        for base in (w("t u a"), w("a t a^-1"), w("x^2 y x^-2"), w("a^-3"), Word()):
             for k in range(-5, 6):
                 expect = Word()
                 for _ in range(abs(k)):
                     expect = expect * (base if k >= 0 else base.inv())
                 assert base ** k == expect
+
+    def test_one_syllable_power_stays_one_syllable(self):
+        # built in O(1): spelled out, a^(3 2^60) would not fit in memory
+        assert (w("a^3") ** 2**60).syllables == (("a", 3 * 2**60),)
+        assert (w("a^3") ** -(2**60)).syllables == (("a", -3 * 2**60),)
 
     def test_exponent_sum(self):
         assert w("t a t^-1 a^-2").exponent_sum("t") == 0
