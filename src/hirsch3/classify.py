@@ -676,7 +676,7 @@ def _meta_invariants(desc: MetabelianH31) -> Invariants:
     if kernel_rank == 0:
         radical = RadicalInfo(1, label, True)
     elif kernel_rank == 1:
-        ranks = {p: 1 for p in prime_factors(desc.locus)}
+        ranks = {p: 1 for p in lattice.primes}
         radical = RadicalInfo(2, _ranks_description(ranks), True)
     else:
         radical = RadicalInfo(3, _WHOLE, _meta_radical_abelian_h3(desc))
@@ -894,6 +894,14 @@ def _enforce_report_invariants(report: ClassificationReport) -> None:
         report.cohomological_dimension != report.hirsch_length + 1
     ):
         fail("non-constructible groups must have cd equal to Hirsch length + 1")
+    if report.derived_length > 3:
+        fail("solvable groups of Hirsch length at most 3 have derived length at most 3")
+    if report.hirsch_length == report.cohomological_dimension == 3 and (
+        report.constructible_type is None
+    ):
+        fail("groups with Hirsch length and cd 3 must be of type 1, 2 or 3")
+    if isinstance(report.constructible_type, Type3) and not report.polycyclic:
+        fail("groups of type 3 must be polycyclic")
     if report.polycyclic:
         if not isinstance(report.constructible_type, Type3):
             fail("polycyclic groups must be of type 3")

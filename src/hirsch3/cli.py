@@ -46,7 +46,7 @@ from .classify import ClassificationReport, ClassifyError, InvariantViolation, c
 from .families import FAMILY_BY_TAG, GroupDescriptor, RelatorTooLong, family_of, ops_for
 from .fixtures import FIXTURES, fixture_named
 from .rationals import parse_rational
-from .simplify import SimplifyError, expand_standard_form, standardize
+from .simplify import SimplifyError, standardize
 from .verify import MAX_WINDOW, TrialConfig, run_harness
 from .words import (
     ParseError,
@@ -406,24 +406,20 @@ def cmd_word_eq(args) -> int:
 def cmd_simplify(args) -> int:
     text = _read_text(args.path)
     stripped = text.strip()
-    if stripped.startswith("<"):
-        pres_text: Optional[str] = stripped
-    else:
-        df = parse_descriptor_text(text)
-        pres_text = None
-        if df.presentation is not None:
-            pres_text = format_presentation(df.presentation)
-    if pres_text is None:
-        print("error: the file carries no presentation", file=sys.stderr)
-        return EXIT_INPUT
     try:
-        pres = parse_presentation(pres_text)
+        if stripped.startswith("<"):
+            pres = parse_presentation(stripped)
+        else:  # the unstripped text keeps the line numbers of its errors
+            pres = parse_descriptor_text(text).presentation
+        if pres is None:
+            print("error: the file carries no presentation", file=sys.stderr)
+            return EXIT_INPUT
         sf = standardize(pres)
     except (ParseError, SimplifyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     print(f"standard form: m={sf.m} n={sf.n} p={sf.p} q={sf.q} c={sf.c}")
-    print(format_presentation(expand_standard_form(sf)))
+    print(sf.text())
     return EXIT_OK
 
 

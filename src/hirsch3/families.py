@@ -32,12 +32,14 @@ products stay in integer arithmetic:
 
 The constructors take `Fraction` coordinates, and `.x`, `.v`, `.linear`
 and `.translation` read them back as `Fraction`s.  Each descriptor caches,
-as integer pairs or tuples, the powers and crossing factors its products
-need (ratio powers (n/m)^k and (q/p)^s, the MetabelianH31 crossing factors,
-lattice matrix powers M^k), for exponents up to `_TABLE_REACH`; an
-`AscHNNKb` caches its `KbEndo` and the iterates phi^k, each applied in O(1)
-by a closed form.  A `MetabelianH31` also caches its ratio pair's
-`RelationLattice`, which `classify` and `verify` read.
+as integer pairs or tuples, what its products need for exponents up to
+`_TABLE_REACH`.  A `MetabelianH31` keeps two tables, t[i] = (r1^i,
+r1 G(r1, i)) and u[s] = (r2^s, e G(r2, s)) with G(r, k) = (r^k - 1)/(r - 1),
+because u^s a^x t^i = a^(x r2^s + e G(r2, s) r1 G(r1, i)) t^i u^s; a
+`LatticeByZ` keeps the matrix powers M^k; an `AscHNNKb` caches its `KbEndo`
+and the iterates phi^k, each applied in O(1) by a closed form.  A
+`MetabelianH31` also caches its ratio pair's `RelationLattice`, factored
+once, which `locus`, `classify` and `verify` read.
 
 `FAMILIES` maps each descriptor type to its `Family` record: file tag,
 generator names, element algebra, descriptor-file form, display and
@@ -49,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
-from math import gcd
+from math import gcd, prod
 from typing import Any, Callable, Iterable, Union
 
 from .rationals import (
@@ -58,7 +60,6 @@ from .rationals import (
     binary_power,
     format_rational,
     in_localized,
-    radical_of,
     relation_lattice,
 )
 from .words import Word, format_word
@@ -201,10 +202,6 @@ def _pair(x: Fraction) -> tuple[int, int]:
     return (x.numerator, x.denominator)
 
 
-def _ratio_power(r: Fraction, k: int) -> tuple[int, int]:
-    return _pair(r ** k)
-
-
 def _matrix_power(m: Mat2Q, k: int) -> tuple[int, ...]:
     """M^k as integers (den, a, b, c, d): M^k = [[a, b], [c, d]] / den."""
     return _over_common_denominator(m.pow(k).entries())
@@ -246,7 +243,7 @@ class BSbar:
 
     @property
     def locus(self) -> int:
-        return radical_of(self.m * self.n)
+        return self._meta.locus
 
     @cached_property
     def _meta(self) -> "MetabelianH31":
@@ -277,7 +274,8 @@ class MetabelianH31:
 
     @property
     def locus(self) -> int:
-        return radical_of(abs(self.m * self.n * self.p * self.q))
+        # (m, n) and (p, q) are coprime, so the primes of n/m and q/p are those of mnpq
+        return prod(self.ratio_lattice.primes)
 
     @property
     def t_ratio(self) -> Fraction:
@@ -293,8 +291,10 @@ class MetabelianH31:
         return relation_lattice((self.t_ratio, self.u_ratio))
 
     @cached_property
-    def _kernel(self) -> "_MetaKernel":
-        return _MetaKernel(self)
+    def _kernel(self) -> tuple[_Table, _Table]:
+        """The t and u tables of `_meta_entry`, as the module docstring says."""
+        r1, r2 = self.t_ratio, self.u_ratio
+        return _Table(partial(_meta_entry, r1, r1)), _Table(partial(_meta_entry, r2, self.e))
 
 
 @dataclass(frozen=True)
@@ -407,61 +407,21 @@ def meta_identity() -> MetaH31Elem:
     return _META_IDENTITY
 
 
-def _geom(r: Fraction, k: int) -> Fraction:
-    """1 + r + ... + r^(k-1), exactly; k >= 0."""
-    if r == 1:
-        return F(k)
-    return (r ** k - 1) / (r - 1)
+def _meta_entry(r: Fraction, c: Fraction, k: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """(r^k, c G(r, k)) as integer pairs (num, den), where G(r, k) =
+    (r^k - 1)/(r - 1) for every integer k and G(1, k) = k."""
+    rk = r ** k
+    return _pair(rk), _pair(c * (k if r == 1 else (rk - 1) / (r - 1)))
 
 
-def _meta_cross_const(desc: MetabelianH31, eps: int, delta: int) -> Fraction:
-    # u^eps t^delta = t^delta a^c u^eps, solved from u t u^-1 = t a^e
-    r1, r2, e = desc.t_ratio, desc.u_ratio, desc.e
-    if eps == 1 and delta == 1:
-        return e
-    if eps == 1 and delta == -1:
-        return -e * r1
-    if eps == -1 and delta == 1:
-        return -e / r2
-    return e * r1 / r2
-
-
-def _meta_crossing(desc: MetabelianH31, eps: int, i: int) -> tuple[int, int]:
-    """The a-exponent that u^eps leaves behind when it crosses t^i, moved
-    in front of t^i: u^eps t^i = t^i a^C u^eps with C = c0 geom(r1^-delta,
-    |i|) and delta the sign of i, and t^i a^C = a^(C r1^i) t^i."""
-    if i == 0 or desc.e == 0:
-        return (0, 1)
-    r1 = desc.t_ratio
-    delta = 1 if i > 0 else -1
-    return _pair(_meta_cross_const(desc, eps, delta) * _geom(r1 ** -delta, abs(i)) * r1 ** i)
-
-
-def _meta_u_geom(r2: Fraction, s: int) -> tuple[int, int]:
-    return _pair(_geom(r2 ** (1 if s > 0 else -1), abs(s)))
-
-
-class _MetaKernel:
-    """One descriptor's integer pairs (num, den):
-
-    t_pow[k] = r1^k and u_pow[s] = r2^s; u_geom[s] = geom(r2^eps, |s|) with
-    eps the sign of s, the factor by which stacking |s| u-letters multiplies
-    a crossing; crossing[s > 0][i] = `_meta_crossing(desc, eps, i)`.
-    """
-
-    def __init__(self, desc: MetabelianH31) -> None:
-        self.t_pow = _Table(partial(_ratio_power, desc.t_ratio))
-        self.u_pow = _Table(partial(_ratio_power, desc.u_ratio))
-        self.u_geom = _Table(partial(_meta_u_geom, desc.u_ratio))
-        self.crossing = tuple(_Table(partial(_meta_crossing, desc, eps)) for eps in (-1, 1))
-
-
-def _meta_u_step(kern: _MetaKernel, s: int, den: int, num: int, i: int) -> tuple[int, int]:
-    """u^s a^(num/den) t^i = a^(num'/den') t^i u^s; returns (den', num'),
-    not reduced."""
-    p, q = kern.u_pow[s]
-    cn, cd = kern.crossing[s > 0][i]
-    gn, gd = kern.u_geom[s]
+def _meta_u_step(
+    kern: tuple[_Table, _Table], s: int, den: int, num: int, i: int
+) -> tuple[int, int]:
+    """u^s a^(num/den) t^i = a^(num'/den') t^i u^s with x' = x r2^s + (e G(r2, s))
+    (r1 G(r1, i)), one entry of each table; returns (den', num'), not reduced."""
+    t, u = kern
+    (p, q), (gn, gd) = u[s]
+    _, (cn, cd) = t[i]
     if cn and gn:
         scale = cd * gd
         return den * q * scale, num * p * scale + cn * gn * den * q
@@ -475,7 +435,7 @@ def meta_mul(desc: MetabelianH31, g1: MetaH31Elem, g2: MetaH31Elem) -> MetaH31El
     den, num, i2, j2 = g2.ints
     if j1:
         den, num = _meta_u_step(kern, j1, den, num, i2)
-    p, q = kern.t_pow[i1]
+    (p, q), _ = kern[0][i1]
     den, num = den * q, num * p
     return _meta_of_ints(den * d1, num * d1 + x1 * den, i1 + i2, j1 + j2)
 
@@ -484,7 +444,7 @@ def meta_inv(desc: MetabelianH31, g: MetaH31Elem) -> MetaH31Elem:
     # u^-j t^-i a^-x
     kern = desc._kernel
     den, num, i, j = g.ints
-    p, q = kern.t_pow[-i]
+    (p, q), _ = kern[0][-i]
     den, num = den * q, -num * p
     if j:
         den, num = _meta_u_step(kern, -j, den, num, -i)
@@ -500,7 +460,7 @@ def meta_of_word(desc: MetabelianH31, w: Word, names: str = "a, t, u") -> MetaH3
             num += e * den  # stays reduced
             continue
         if g == "t":
-            p, q = kern.t_pow[e]
+            (p, q), _ = kern[0][e]
             den, num, i = den * q, num * p, i + e
         elif g == "u" and names == "a, t, u":
             den, num = _meta_u_step(kern, e, den, num, i)

@@ -20,7 +20,6 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, Optional, Sequence, TypeVar
 
-Rational = Fraction
 T = TypeVar("T")
 
 

@@ -138,10 +138,7 @@ class StandardForm:
             raise SimplifyError("left conjugation exponents are normalized positive")
 
     def presentation(self) -> Presentation:
-        rel_t = Word.of((("t", 1), ("a", self.m), ("t", -1), ("a", -self.n)))
-        rel_u = Word.of((("u", 1), ("a", self.p), ("u", -1), ("a", -self.q)))
-        rel_c = _COMMUTATOR_UT * Word.gen("a", -self.c)
-        return Presentation(GENS, (rel_t, rel_u, rel_c))
+        return expand_standard_form(self)
 
     def text(self) -> str:
         return format_presentation(self.presentation())

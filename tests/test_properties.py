@@ -2,7 +2,8 @@
 descriptors of every family, the relation lattice of a ratio pair against a
 brute-force scan, the affine analysis of `classify` against its `Fraction`
 reference, the classifier's closed forms against the searches they replaced,
-the JSON shape of classification reports, and the descriptor-file round trip.
+the JSON shape of classification reports, the reported derived length against
+the commutator search, and the descriptor-file round trip.
 
 Hypothesis runs derandomized, so every run draws the same examples, and a
 failure is reported as a shrunk counterexample (descriptor and words).
@@ -49,7 +50,7 @@ from hirsch3.rationals import (  # noqa: E402
     matrix_order,
     relation_lattice,
 )
-from hirsch3.verify import oracle_word_eq  # noqa: E402
+from hirsch3.verify import TrialConfig, commutator_depth_search, oracle_word_eq  # noqa: E402
 from hirsch3.words import Presentation, Word  # noqa: E402
 
 F = Fraction
@@ -514,6 +515,26 @@ def test_classify_report_is_plain_json_with_golden_keys(family):
         assert set(data) == set(GOLDEN_SHAPES)
         for key, value in data.items():
             assert _shape(value) in GOLDEN_SHAPES[key], (key, value)
+
+    check()
+
+
+@pytest.mark.parametrize("family", sorted(DESCRIPTORS))
+def test_derived_length_agrees_with_commutator_search(family):
+    """No iterated commutator of depth d survives in a group of reported
+    derived length d, and one of depth d - 1 is found when d >= 2."""
+
+    @settings(max_examples=25, derandomize=True, deadline=None, database=None)
+    @given(DESCRIPTORS[family])
+    def check(desc):
+        try:
+            d = classify(desc).derived_length
+        except ClassifyError:
+            return
+        cfg = TrialConfig(seed=0, trials=40)
+        assert commutator_depth_search(desc, min(max(d, 1), 3), cfg) is None
+        if d >= 2:
+            assert commutator_depth_search(desc, d - 1, cfg) is not None
 
     check()
 

@@ -328,12 +328,6 @@ def _basis_candidates(limit: int = 3):
                         yield key
 
 
-def standard_form_to_descriptor(sf: StandardForm) -> MetabelianH31:
-    """Descriptor of the same group: the twist e satisfies [u,t] = a^{e n/m}."""
-    return MetabelianH31(sf.m, sf.n, sf.p, sf.q, Fraction(sf.c * sf.m, sf.n))
-
-
-
 def test_normalize_basis_shear_example():
     assert normalize_basis(2, 3, 4, 5) == (8, 15, 4, 5, ((1, 1), (0, 1)))
 
