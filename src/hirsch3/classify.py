@@ -236,7 +236,9 @@ def _rational_sqrt(x: Fraction) -> Optional[Fraction]:
 
 
 def _support(x: Fraction) -> int:
-    return radical_of(abs(x.numerator) * x.denominator)
+    # numerator and denominator are coprime, so their radicals multiply to
+    # the radical of their product without factoring it
+    return radical_of(x.numerator) * radical_of(x.denominator)
 
 
 def _rank2_module_moduli(m: Mat2Q) -> tuple[int, int]:

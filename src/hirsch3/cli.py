@@ -25,6 +25,8 @@ strings may themselves contain one.  Grammar:
     gen.<name>.linear = <four rationals, row major>
     gen.<name>.translation = <two rationals>
 
+Every integer, numerator and denominator of a parameter is at most 64 bits.
+
 Exit codes: 0 success, 2 input error, 3 internal invariant violation,
 4 verification failure.
 """
@@ -44,10 +46,7 @@ from typing import Optional, Sequence
 from . import __version__
 from .classify import ClassificationReport, ClassifyError, InvariantViolation, classify
 from .families import FAMILY_BY_TAG, GroupDescriptor, RelatorTooLong, family_of, ops_for
-from .fixtures import FIXTURES, fixture_named
 from .rationals import parse_rational
-from .simplify import SimplifyError, standardize
-from .verify import MAX_WINDOW, TrialConfig, run_harness
 from .words import (
     ParseError,
     Presentation,
@@ -57,10 +56,17 @@ from .words import (
     parse_word,
 )
 
+# `verify` (with `oracles`), `simplify` and `fixtures` are imported inside the
+# one command that uses each, so a fresh `classify` or `word-eq` never loads them.
+
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 EXIT_VERIFY = 4
+
+# bit limit on each integer parameter and on each numerator and denominator
+# of a rational one: below it deterministic Miller-Rabin is exact
+MAX_PARAM_BITS = 64
 
 # rational-list kinds of `take` and their required lengths
 _LIST_COUNTS = {"rationals": None, "matrix": 4, "vector": 2}
@@ -96,22 +102,34 @@ def _split_lines(text: str) -> list[tuple[int, str, str]]:
     return entries
 
 
+def _bounded(key: str, x, lineno: int):
+    """x itself, when its numerator and denominator fit in MAX_PARAM_BITS."""
+    if max(abs(x.numerator), x.denominator).bit_length() > MAX_PARAM_BITS:
+        raise DescriptorFileError(
+            f"line {lineno}: key {key!r} is past the limit of {MAX_PARAM_BITS} "
+            "bits for an integer, numerator or denominator"
+        )
+    return x
+
+
 def _parse_int(key: str, value: str, lineno: int) -> int:
     try:
-        return int(value)
+        n = int(value)
     except ValueError:
         raise DescriptorFileError(
             f"line {lineno}: key {key!r} expects an integer, got {value!r}"
         ) from None
+    return _bounded(key, n, lineno)
 
 
 def _parse_rational_field(key: str, value: str, lineno: int) -> Fraction:
     try:
-        return parse_rational(value)
+        x = parse_rational(value)
     except ValueError:
         raise DescriptorFileError(
             f"line {lineno}: key {key!r} expects a rational, got {value!r}"
         ) from None
+    return _bounded(key, x, lineno)
 
 
 def _parse_rational_list(
@@ -404,6 +422,8 @@ def cmd_word_eq(args) -> int:
 
 
 def cmd_simplify(args) -> int:
+    from .simplify import SimplifyError, standardize
+
     text = _read_text(args.path)
     stripped = text.strip()
     try:
@@ -424,6 +444,8 @@ def cmd_simplify(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import MAX_WINDOW, TrialConfig, run_harness
+
     df = load_descriptor_file(args.path)
     try:
         cfg = TrialConfig(seed=args.seed, trials=args.trials)
@@ -451,6 +473,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_examples(args) -> int:
+    from .fixtures import FIXTURES, fixture_named
+
     if args.action == "list":
         for fixture in FIXTURES:
             print(f"{fixture.name:18s} {fixture.note}")

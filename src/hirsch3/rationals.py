@@ -3,8 +3,11 @@ relations of rational tuples, and integrality criteria for 2x2 rational
 matrices.
 
 Everything here is exact (fractions.Fraction / int); no floats anywhere.
-Factorization is trial division, sized for desk-scale inputs; `factorint`
-is its one loop.  `relation_lattice` factors a tuple of ratios once into a
+`factorint` is the one factorization: trial division by the small primes,
+then Pollard-Brent, with each factor proved prime by Miller-Rabin on the
+first 13 prime bases, which is exact below 3.3 * 10^24.  A larger cofactor
+is trial-divided down to that bound, so no answer rests on a probabilistic
+test.  `relation_lattice` factors a tuple of ratios once into a
 `RelationLattice`: the prime-exponent rows, the integer kernel of those rows
 with the sign of each kernel vector, the rank of the generated subgroup of
 Q*, whether it contains -1, and the exact relation basis.  No other module
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from typing import Callable, Optional, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -55,21 +58,126 @@ def binary_power(x: T, k: int, mul: Callable[[T, T], T], identity: T) -> T:
     return out
 
 
+# Miller-Rabin on these bases is a proof of primality below _MR_EXACT_BELOW
+# (Sorenson and Webster, Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+_TRIAL_BELOW = 1 << 10
+
+
+def _primes_below(n: int) -> tuple[int, ...]:
+    """The sieve of Eratosthenes."""
+    composite = bytearray(n)
+    for p in range(2, isqrt(n) + 1):
+        if not composite[p]:
+            composite[p * p :: p] = b"\x01" * len(range(p * p, n, p))
+    return tuple(p for p in range(2, n) if not composite[p])
+
+
+_SMALL_PRIMES = _primes_below(_TRIAL_BELOW)
+
+
 def factorint(n: int) -> dict[int, int]:
-    """Prime -> exponent map for |n|; n must be nonzero."""
+    """Prime -> exponent map for |n|, ascending; n must be nonzero.
+
+    Trial division takes out the primes below 2^10.  A cofactor below
+    _MR_EXACT_BELOW is then split by Pollard-Brent and certified prime by
+    Miller-Rabin, and a larger one is trial-divided until it gets there.
+    """
     if n == 0:
         raise ValueError("0 has no prime factorization")
     n = abs(n)
     out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            break
+        if n % p == 0:
+            n //= p
+            e = 1
+            while n % p == 0:
+                n //= p
+                e += 1
+            out[p] = e
+    else:
+        out.update(_large_factors(n))
+        return out
+    if n > 1:
+        out[n] = 1
+    return out
+
+
+def _large_factors(n: int) -> dict[int, int]:
+    """Prime -> exponent map, ascending, of an n whose primes are all above 2^10."""
+    out: dict[int, int] = {}
+    d = _TRIAL_BELOW + 1
+    while n >= _MR_EXACT_BELOW and d * d <= n:
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
+        d += 2
+    for p in ([n] if d * d > n else sorted(_split(n))):
+        if p > 1:
+            out[p] = out.get(p, 0) + 1
     return out
+
+
+def _split(n: int) -> list[int]:
+    """Primes of n with multiplicity, for 41 < n < _MR_EXACT_BELOW."""
+    if _is_prime(n):
+        return [n]
+    f = _pollard_brent(n)
+    return _split(f) + _split(n // f)
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for odd 41 < n < _MR_EXACT_BELOW."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _pollard_brent(n: int) -> int:
+    """A proper factor of an odd composite n (Brent, BIT 20, 1980).
+
+    The walk x -> x^2 + c starts at 2 with c = 1, 2, ..., so the factor
+    found depends on n alone; products of |x - y| are batched 128 at a time
+    into one gcd, and a batch that overshoots to n is replayed step by step.
+    """
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
 
 
 def radical_of(n: int) -> int:

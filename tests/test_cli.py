@@ -110,6 +110,14 @@ class TestDescriptorFiles:
         with pytest.raises(cli.DescriptorFileError, match="bsbar"):
             cli.parse_descriptor_text("family = bsbar\nm = 0\nn = 3\n")
 
+    def test_parameters_are_limited_to_64_bits(self):
+        df = cli.parse_descriptor_text(f"family = bsbar\nm = 1\nn = {2**64 - 1}\n")
+        assert df.descriptor == BSbar(1, 2**64 - 1)
+        with pytest.raises(cli.DescriptorFileError, match="line 2: key 'matrix'.* 64 bits"):
+            cli.parse_descriptor_text(f"family = lattice_by_z\nmatrix = 1 0 0 1/{2**64}\n")
+        with pytest.raises(cli.DescriptorFileError, match="key 'generators'.* 64 bits"):
+            cli.parse_descriptor_text(f"family = rank_one_q\ngenerators = 2 -{2**64}/3\n")
+
     def test_matrix_arity_checked(self):
         with pytest.raises(cli.DescriptorFileError, match="4 rationals"):
             cli.parse_descriptor_text("family = lattice_by_z\nmatrix = 1 2 3\n")
@@ -171,6 +179,34 @@ class TestClassifyCommand:
         code, _, err = run(capsys, "classify", str(path))
         assert code == 3
         assert "internal error" in err
+
+    def test_65_bit_parameter_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "big.toml"
+        path.write_text(f"family = bsbar\nm = 1\nn = {2**64}\n")
+        code, out, err = run(capsys, "classify", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: line 3: key 'n'") and len(err.splitlines()) == 1
+        assert "64 bits" in err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "family = bsbar\nm = 1\nn = 1000000000000000003\n",
+            "family = metabelian_h31\nm = 1\nn = 1000000000000000003\n"
+            "p = 1\nq = 1000000000000000009\ne = 1\n",
+        ],
+        ids=["bsbar", "metabelian_h31"],
+    )
+    def test_19_digit_prime_parameters_classify_quickly(self, capsys, tmp_path, text):
+        # Miller-Rabin proves each 60-bit parameter prime at once, where trial
+        # division would take about 5 * 10^8 steps
+        path = tmp_path / "primes.toml"
+        path.write_text(text)
+        start = time.monotonic()
+        code, out, err = run(capsys, "classify", str(path))
+        assert time.monotonic() - start < 1.0
+        assert (code, err) == (0, "")
+        assert "Z[1/1000000000000000" in out
 
     @pytest.mark.parametrize(
         "fixture", FIXTURES, ids=[f.name for f in FIXTURES]
@@ -627,6 +663,42 @@ class TestParserReuse:
             assert capsys.readouterr() == (out, err), argv
             assert code == proc.returncode, argv
         assert [proc.returncode for proc in fresh] == [0, 0, 0, 0, 2, 0, 0]
+
+
+class TestCommandImports:
+    # modules that a command must not load: a cold `classify` or `word-eq`
+    # compiles neither the verifier nor the simplifier
+    NOT_LOADED = {
+        ("classify",): {"verify", "oracles", "fixtures", "simplify"},
+        ("word-eq", "t a t^-1", "a^2"): {"verify", "oracles", "fixtures", "simplify"},
+        ("simplify",): {"verify", "oracles", "fixtures"},
+        ("examples", "list"): {"verify", "oracles"},
+    }
+
+    @pytest.mark.parametrize("argv", sorted(NOT_LOADED), ids=lambda argv: argv[0])
+    def test_command_loads_only_what_it_runs(self, tmp_path, argv):
+        path = str(emit(tmp_path, "bs12_rtimes"))
+        args = list(argv) if argv[0] == "examples" else [argv[0], path, *argv[1:]]
+        probe = (
+            "import json, sys\n"
+            "from hirsch3 import cli\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "print(json.dumps([code, sorted(sys.modules)]))\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env_path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, *args],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": env_path},
+            timeout=60,
+        )
+        code, modules = json.loads(proc.stdout.splitlines()[-1])
+        assert code == 0, proc.stderr
+        loaded = {m.split(".", 1)[1] for m in modules if m.startswith("hirsch3.")}
+        assert {"cli", "families", "rationals", "words"} <= loaded
+        assert not loaded & self.NOT_LOADED[argv]
 
 
 class TestModuleEntryPoint:

@@ -3,7 +3,9 @@ descriptors of every family, the relation lattice of a ratio pair against a
 brute-force scan, the affine analysis of `classify` against its `Fraction`
 reference, the classifier's closed forms against the searches they replaced,
 the JSON shape of classification reports, the reported derived length against
-the commutator search, and the descriptor-file round trip.
+the commutator search, the abstract's BS(1,n) rtimes Z as ascending HNN
+extensions of cohomological dimension 3, the descriptor-file round trip, and
+`factorint` against trial division.
 
 Hypothesis runs derandomized, so every run draws the same examples, and a
 failure is reported as a shrunk counterexample (descriptor and words).
@@ -47,11 +49,15 @@ from hirsch3.families import (  # noqa: E402
 from hirsch3.rationals import (  # noqa: E402
     Mat2Q,
     complement_vector,
+    factorint,
     matrix_order,
+    prime_factors,
+    radical_of,
     relation_lattice,
 )
 from hirsch3.verify import TrialConfig, commutator_depth_search, oracle_word_eq  # noqa: E402
 from hirsch3.words import Presentation, Word  # noqa: E402
+from test_families import BS1nAut, bs1n_ext_to_meta  # noqa: E402
 
 F = Fraction
 
@@ -539,6 +545,34 @@ def test_derived_length_agrees_with_commutator_search(family):
     check()
 
 
+# --- the abstract's BS(1,n) rtimes Z --------------------------------------------------
+
+
+@st.composite
+def _bs1n_extensions(draw) -> MetabelianH31:
+    """BS(1,n) rtimes Z for an automorphism a -> a^c, t -> t a^b, with c a
+    unit and b an element of Z[1/n]."""
+    n = draw(st.integers(2, 12)) * draw(st.sampled_from((1, -1)))
+    primes = prime_factors(n)
+    c = draw(st.sampled_from((1, -1))) * prod(
+        (F(p) ** draw(st.integers(-2, 2)) for p in primes), start=F(1)
+    )
+    b = F(draw(st.integers(-3, 3)), radical_of(n) ** draw(st.integers(0, 2)))
+    return bs1n_ext_to_meta(n, BS1nAut(c, b))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(_bs1n_extensions())
+def test_bs1n_extensions_are_ascending_hnn_of_cd_3(desc):
+    """The paper's BS(1,n) rtimes Z: Hirsch length and cohomological
+    dimension 3, finitely presentable but not polycyclic, so an ascending
+    HNN extension of Z^2 or of the Klein bottle group (Type1 or Type2)."""
+    report = classify(desc)
+    assert report.hirsch_length == report.cohomological_dimension == 3
+    assert report.finitely_presentable and not report.polycyclic
+    assert type(report.constructible_type).__name__ in ("Type1", "Type2")
+
+
 # --- the descriptor-file round trip ----------------------------------------------------
 
 
@@ -575,3 +609,34 @@ def test_descriptor_file_round_trip(df):
     back = parse_descriptor_text(serialize_descriptor_file(df))
     assert back == df
     assert input_digest(back) == input_digest(df)
+
+
+# --- factorization against trial division ----------------------------------------------
+
+
+def _trial_division(n: int) -> dict[int, int]:
+    """Prime -> exponent map of |n| by trial division, the reference that
+    `rationals.factorint` replaced."""
+    n, out, d = abs(n), {}, 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(st.lists(st.integers(1, 2**26), min_size=1, max_size=3), st.sampled_from((1, -1)))
+def test_factorint_agrees_with_trial_division(factors, sign):
+    # the reference factors each operand, never the product of up to 78
+    # bits, whose prime factors above 2^10 Pollard-Brent has to find
+    expected: dict[int, int] = {}
+    for f in factors:
+        for p, e in _trial_division(f).items():
+            expected[p] = expected.get(p, 0) + e
+    got = factorint(sign * prod(factors))
+    assert got == expected
+    assert list(got) == sorted(got)

@@ -11,6 +11,7 @@ import pytest
 from hirsch3.rationals import (
     Mat2Q,
     conjugate_to_integral,
+    factorint,
     format_rational,
     in_localized,
     integer_row_kernel,
@@ -105,6 +106,19 @@ class TestFactoring:
         assert prime_factors(-7) == [7]
         assert prime_factors(1) == []
         assert radical_of(360) == 30
+
+    def test_strong_pseudoprimes_are_split(self):
+        # strong pseudoprimes to the first 9 and to the first 12 prime bases:
+        # only the 13th base, 41, exposes the second
+        assert factorint(3825123056546413051) == {149491: 1, 747451: 1, 34233211: 1}
+        assert factorint(318665857834031151167461) == {399165290221: 1, 798330580441: 1}
+
+    def test_trial_division_past_the_miller_rabin_bound(self):
+        # 1031^9 puts n past 3.3 * 10^24, so trial division goes on past 2^10
+        # until the cofactor, a product of two 20-bit primes, is below it
+        n = -(1031**9) * 1000003 * 1000033
+        assert factorint(n) == {1031: 9, 1000003: 1, 1000033: 1}
+        assert factorint(2**100 * 3) == {2: 100, 3: 1}
 
     def test_valuation(self):
         assert rational_valuation(F(4, 3), 2) == 2
