@@ -7,12 +7,12 @@ cohomological dimension, minimax section data, and the dimension range of
 compact aspherical manifolds realizing the group.
 
 Each family has one invariants function in `_INVARIANTS`, keyed by
-descriptor type, that computes its invariants once into an `Invariants`
-record; the family-independent ones (cohomological dimension, coherence,
-manifold dimensions) derive from the record.  `classify` builds the record
-once, aggregates it into a `ClassificationReport` and cross-checks the
-result; each public operation reads one field.  Adding a family means
-adding one invariants function to that table.
+descriptor type, that computes its own invariants once and hands them to
+`_report`.  That builder derives the family-independent ones (cohomological
+dimension, coherence, manifold dimensions) and cross-checks the finished
+`ClassificationReport`, the one record that `classify` returns, the CLI
+prints and `verify` certifies; each public operation reads one field of it.
+Adding a family means adding one invariants function to that table.
 
 Scope notes.  The quotient type, coherence, and manifold operations are
 fully specified only at Hirsch length 3; `classify` fills those report
@@ -49,6 +49,7 @@ from .families import (
     meta_of_word,
 )
 from .rationals import (
+    FactorBudgetError,
     Mat2Q,
     complement_vector,
     conjugate_to_integral,
@@ -544,82 +545,94 @@ def _meta_fp_status(
 # --- one invariants function per family ----------------------------------------
 
 
-@dataclass(frozen=True)
-class Invariants:
-    """A group's family-specific invariants, each computed once.
-
-    `quotient` is None off Hirsch length 3; `fp` is the triple
-    (finitely presentable, constructible type, FP2).  The properties derive
-    the family-independent invariants from these fields.
-    """
-
-    hirsch: int
-    radical: RadicalInfo
-    quotient: Optional[QuotientType]
-    derived_length: int
-    polycyclic: bool
-    fp: tuple[bool, ConstructibleType, TriState]
-    sections: tuple[str, ...]
-
-    @property
-    def cohomological_dimension(self) -> int:
-        return self.hirsch if self.fp[0] else self.hirsch + 1
-
-    @property
-    def coherent(self) -> TriState:
-        if self.polycyclic:
-            return TriState(True, "polycyclic groups are coherent")
-        fp, _, fp2 = self.fp
-        if self.hirsch != 3:
-            if fp:
-                return TriState(
-                    True,
-                    "every finitely generated subgroup is free abelian or an "
-                    "ascending extension of the same integral kind, hence "
-                    "finitely presentable",
-                )
-            return TriState(
-                False, "the group itself is finitely generated but not "
-                "finitely presentable"
-            )
-        if self.radical.hirsch >= 2:
-            if fp2.value:
-                return TriState(
-                    True,
-                    "FP2 groups whose radical has Hirsch length at least 2 are "
-                    "coherent",
-                )
-            return TriState(
-                False, "the group itself is finitely generated but not FP2"
-            )
+def _coherence(
+    hirsch: int, radical: RadicalInfo, polycyclic: bool, fp: bool, fp2: TriState
+) -> TriState:
+    if polycyclic:
+        return TriState(True, "polycyclic groups are coherent")
+    if hirsch != 3:
         if fp:
             return TriState(
-                False,
-                "contains a finitely generated subgroup, an extension of "
-                "Z[1/pq] by Z with p and q both greater than 1, that is not FP2",
+                True,
+                "every finitely generated subgroup is free abelian or an "
+                "ascending extension of the same integral kind, hence "
+                "finitely presentable",
             )
         return TriState(
-            None,
-            "coherence here reduces to the open question whether FP2 forces "
-            "finite presentability when the radical has Hirsch length 1",
+            False, "the group itself is finitely generated but not "
+            "finitely presentable"
         )
+    if radical.hirsch >= 2:
+        if fp2.value:
+            return TriState(
+                True,
+                "FP2 groups whose radical has Hirsch length at least 2 are "
+                "coherent",
+            )
+        return TriState(
+            False, "the group itself is finitely generated but not FP2"
+        )
+    if fp:
+        return TriState(
+            False,
+            "contains a finitely generated subgroup, an extension of "
+            "Z[1/pq] by Z with p and q both greater than 1, that is not FP2",
+        )
+    return TriState(
+        None,
+        "coherence here reduces to the open question whether FP2 forces "
+        "finite presentability when the radical has Hirsch length 1",
+    )
 
-    @property
-    def manifold_dim(self) -> ManifoldDim:
-        h = self.hirsch
-        if self.polycyclic:
-            return ManifoldDim(h, h, h)
-        fp, ctype, _ = self.fp
-        if not fp:
-            return ManifoldDim(h + 2, None, None)
-        if h == 3:
-            if isinstance(ctype, Type1):
-                return ManifoldDim(5, 5, 5)
-            return ManifoldDim(5, 6, None)
-        # Hirsch length 2, finitely presentable, not polycyclic: an ascending
-        # one-relator group, realized by an aspherical 4-manifold and by
-        # nothing smaller
-        return ManifoldDim(4, 4, 4)
+
+def _manifold_dim(h: int, polycyclic: bool, fp: bool, ctype: ConstructibleType) -> ManifoldDim:
+    if polycyclic:
+        return ManifoldDim(h, h, h)
+    if not fp:
+        return ManifoldDim(h + 2, None, None)
+    if h == 3:
+        if isinstance(ctype, Type1):
+            return ManifoldDim(5, 5, 5)
+        return ManifoldDim(5, 6, None)
+    # Hirsch length 2, finitely presentable, not polycyclic: an ascending
+    # one-relator group, realized by an aspherical 4-manifold and by
+    # nothing smaller
+    return ManifoldDim(4, 4, 4)
+
+
+def _report(
+    hirsch: int,
+    radical: RadicalInfo,
+    quotient: Optional[QuotientType],
+    derived_length: int,
+    polycyclic: bool,
+    fp: tuple[bool, ConstructibleType, TriState],
+    sections: tuple[str, ...],
+) -> ClassificationReport:
+    """The report on a group from its family-specific invariants, with the
+    family-independent ones derived and the whole cross-checked.
+
+    `quotient` is None off Hirsch length 3; `fp` is the triple
+    (finitely presentable, constructible type, FP2).
+    """
+    presentable, ctype, fp2 = fp
+    report = ClassificationReport(
+        hirsch_length=hirsch,
+        radical=radical,
+        quotient=quotient,
+        derived_length=derived_length,
+        polycyclic=polycyclic,
+        finitely_presentable=presentable,
+        constructible=presentable,
+        fp2=fp2,
+        coherent=_coherence(hirsch, radical, polycyclic, presentable, fp2),
+        cohomological_dimension=hirsch if presentable else hirsch + 1,
+        minimax=MinimaxInfo(True, sections),
+        constructible_type=ctype,
+        manifold_dim=_manifold_dim(hirsch, polycyclic, presentable, ctype),
+    )
+    _enforce_report_invariants(report)
+    return report
 
 
 def _quotient(radical: RadicalInfo, rank_two_tag: str) -> QuotientType:
@@ -629,9 +642,9 @@ def _quotient(radical: RadicalInfo, rank_two_tag: str) -> QuotientType:
     return QuotientType({1: "Z2", 3: "VirtuallyTrivial"}.get(radical.hirsch, rank_two_tag))
 
 
-def _rank_one_invariants(desc: RankOneQ) -> Invariants:
+def _rank_one_invariants(desc: RankOneQ) -> ClassificationReport:
     h = 0 if all(x == 0 for x in desc.generators) else 1
-    return Invariants(
+    return _report(
         hirsch=h,
         radical=RadicalInfo(h, _WHOLE, True),
         quotient=None,
@@ -642,7 +655,7 @@ def _rank_one_invariants(desc: RankOneQ) -> Invariants:
     )
 
 
-def _bsbar_invariants(desc: BSbar) -> Invariants:
+def _bsbar_invariants(desc: BSbar) -> ClassificationReport:
     label = _section_label(desc.locus)
     polycyclic = abs(desc.m * desc.n) == 1
     if desc.m == 1 and abs(desc.n) == 1:
@@ -660,7 +673,7 @@ def _bsbar_invariants(desc: BSbar) -> Invariants:
             "extensions of Z[1/mn] by Z with m and |n| both greater than 1 "
             "are not FP2",
         )
-    return Invariants(
+    return _report(
         hirsch=2,
         radical=radical,
         quotient=None,
@@ -671,7 +684,7 @@ def _bsbar_invariants(desc: BSbar) -> Invariants:
     )
 
 
-def _meta_invariants(desc: MetabelianH31) -> Invariants:
+def _meta_invariants(desc: MetabelianH31) -> ClassificationReport:
     lattice = desc.ratio_lattice
     kernel_rank, has_minus_one = 2 - lattice.rank, lattice.has_minus_one
     label = _section_label(desc.locus)
@@ -684,7 +697,7 @@ def _meta_invariants(desc: MetabelianH31) -> Invariants:
         radical = RadicalInfo(3, _WHOLE, _meta_radical_abelian_h3(desc))
     polycyclic = abs(desc.t_ratio) == 1 and abs(desc.u_ratio) == 1
     abelian = desc.t_ratio == 1 and desc.u_ratio == 1 and desc.e == 0
-    return Invariants(
+    return _report(
         hirsch=3,
         radical=radical,
         quotient=_quotient(radical, "ZplusZ2" if has_minus_one else "Z"),
@@ -695,7 +708,7 @@ def _meta_invariants(desc: MetabelianH31) -> Invariants:
     )
 
 
-def _lattice_invariants(desc: LatticeByZ) -> Invariants:
+def _lattice_invariants(desc: LatticeByZ) -> ClassificationReport:
     m = desc.matrix
     if matrix_order(m) is not None:
         radical = RadicalInfo(3, _WHOLE, True)
@@ -704,7 +717,7 @@ def _lattice_invariants(desc: LatticeByZ) -> Invariants:
     else:
         radical = RadicalInfo(2, _ranks_description(_module_growth_ranks(m)), True)
     bottom, top = _rank2_module_moduli(m)
-    return Invariants(
+    return _report(
         hirsch=3,
         radical=radical,
         quotient=_quotient(radical, "Z"),
@@ -715,7 +728,7 @@ def _lattice_invariants(desc: LatticeByZ) -> Invariants:
     )
 
 
-def _hnnkb_invariants(desc: AscHNNKb) -> Invariants:
+def _hnnkb_invariants(desc: AscHNNKb) -> ClassificationReport:
     polycyclic = abs(desc.e * desc.d) == 1
     if polycyclic:
         radical = RadicalInfo(3, _WHOLE, True)
@@ -725,7 +738,7 @@ def _hnnkb_invariants(desc: AscHNNKb) -> Invariants:
             for p in prime_factors(abs(value)) if abs(value) > 1 else []:
                 ranks[p] = ranks.get(p, 0) + 1
         radical = RadicalInfo(2, _ranks_description(ranks), True)
-    return Invariants(
+    return _report(
         hirsch=3,
         radical=radical,
         quotient=_quotient(radical, "ZplusZ2"),
@@ -741,7 +754,7 @@ def _hnnkb_invariants(desc: AscHNNKb) -> Invariants:
     )
 
 
-def _affine_invariants(desc: AffineQ2) -> Invariants:
+def _affine_invariants(desc: AffineQ2) -> ClassificationReport:
     data = _analyze_affine(desc)
     h, composite = data.hirsch, data.composite
     ranks: dict[int, int] = {}
@@ -778,7 +791,7 @@ def _affine_invariants(desc: AffineQ2) -> Invariants:
         "trivial": [], "finite": ["finite"], "cyclic": ["Z"], "dinfty": ["Z", "finite"]
     }[data.image]
     tag = "Dinfty" if data.image == "dinfty" else "Z"
-    return Invariants(
+    return _report(
         hirsch=h,
         radical=radical,
         quotient=_quotient(radical, tag) if h == 3 else None,
@@ -789,7 +802,7 @@ def _affine_invariants(desc: AffineQ2) -> Invariants:
     )
 
 
-_INVARIANTS: dict[type, Callable[[Any], Invariants]] = {
+_INVARIANTS: dict[type, Callable[[Any], ClassificationReport]] = {
     BSbar: _bsbar_invariants,
     MetabelianH31: _meta_invariants,
     LatticeByZ: _lattice_invariants,
@@ -799,32 +812,35 @@ _INVARIANTS: dict[type, Callable[[Any], Invariants]] = {
 }
 
 
-def invariants(desc: GroupDescriptor) -> Invariants:
-    """The family's invariants record; each public step reads one field of
-    it, so a caller that needs several reads should build it once."""
+def classify(desc: GroupDescriptor) -> ClassificationReport:
+    """The family's report on the group; each public step below reads one
+    field of it, so a caller that needs several reads should classify once."""
     try:
         family = _INVARIANTS[type(desc)]
     except KeyError:
         raise TypeError(f"unknown descriptor {desc!r}") from None
-    return family(desc)
+    try:
+        return family(desc)
+    except FactorBudgetError as exc:
+        raise ClassifyError(str(exc)) from None
 
 
-def _at_hirsch_three(desc: GroupDescriptor, what: str) -> Invariants:
-    inv = invariants(desc)
-    if inv.hirsch != 3:
+def _at_hirsch_three(desc: GroupDescriptor, what: str) -> ClassificationReport:
+    report = classify(desc)
+    if report.hirsch_length != 3:
         raise ClassifyError(f"{what} classified at Hirsch length 3 only")
-    return inv
+    return report
 
 
 # --- operations ---------------------------------------------------------------
 
 
 def hirsch_length(desc: GroupDescriptor) -> int:
-    return invariants(desc).hirsch
+    return classify(desc).hirsch_length
 
 
 def radical_info(desc: GroupDescriptor) -> RadicalInfo:
-    return invariants(desc).radical
+    return classify(desc).radical
 
 
 def quotient_type(desc: GroupDescriptor) -> QuotientType:
@@ -832,19 +848,20 @@ def quotient_type(desc: GroupDescriptor) -> QuotientType:
 
 
 def derived_length(desc: GroupDescriptor) -> int:
-    return invariants(desc).derived_length
+    return classify(desc).derived_length
 
 
 def is_polycyclic(desc: GroupDescriptor) -> bool:
-    return invariants(desc).polycyclic
+    return classify(desc).polycyclic
 
 
 def fp_status(desc: GroupDescriptor) -> tuple[bool, ConstructibleType, TriState]:
-    return invariants(desc).fp
+    report = classify(desc)
+    return report.finitely_presentable, report.constructible_type, report.fp2
 
 
 def cohomological_dimension(desc: GroupDescriptor) -> int:
-    return invariants(desc).cohomological_dimension
+    return classify(desc).cohomological_dimension
 
 
 def coherence_status(desc: GroupDescriptor) -> TriState:
@@ -852,33 +869,11 @@ def coherence_status(desc: GroupDescriptor) -> TriState:
 
 
 def minimax_series(desc: GroupDescriptor) -> list[str]:
-    return list(invariants(desc).sections)
+    return list(classify(desc).minimax.sections)
 
 
 def manifold_dim_info(desc: GroupDescriptor) -> ManifoldDim:
     return _at_hirsch_three(desc, "manifold dimensions are").manifold_dim
-
-
-def classify(desc: GroupDescriptor) -> ClassificationReport:
-    inv = invariants(desc)
-    fp, ctype, fp2 = inv.fp
-    report = ClassificationReport(
-        hirsch_length=inv.hirsch,
-        radical=inv.radical,
-        quotient=inv.quotient,
-        derived_length=inv.derived_length,
-        polycyclic=inv.polycyclic,
-        finitely_presentable=fp,
-        constructible=fp,
-        fp2=fp2,
-        coherent=inv.coherent,
-        cohomological_dimension=inv.cohomological_dimension,
-        minimax=MinimaxInfo(True, inv.sections),
-        constructible_type=ctype,
-        manifold_dim=inv.manifold_dim,
-    )
-    _enforce_report_invariants(report)
-    return report
 
 
 _ALLOWED_QUOTIENTS = {1: {"Z2"}, 2: {"Z", "Dinfty", "ZplusZ2"}, 3: {"VirtuallyTrivial"}}

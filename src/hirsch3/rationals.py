@@ -7,13 +7,14 @@ Everything here is exact (fractions.Fraction / int); no floats anywhere.
 then Pollard-Brent, with each factor proved prime by Miller-Rabin on the
 first 13 prime bases, which is exact below 3.3 * 10^24.  A larger cofactor
 is trial-divided down to that bound, so no answer rests on a probabilistic
-test.  `relation_lattice` factors a tuple of ratios once into a
-`RelationLattice`: the prime-exponent rows, the integer kernel of those rows
-with the sign of each kernel vector, the rank of the generated subgroup of
-Q*, whether it contains -1, and the exact relation basis.  No other module
-imports `factorint` or `integer_row_kernel`; `MetabelianH31` caches its
-ratio pair's lattice, and `complement_vector` completes a primitive relation
-to a basis of Z^2.
+test; past `FACTOR_STEPS` steps of that trial division and of Pollard-Brent
+it raises `FactorBudgetError` instead.  `relation_lattice` factors a tuple
+of ratios once into a `RelationLattice`: the prime-exponent rows, the
+integer kernel of those rows with the sign of each kernel vector, the rank
+of the generated subgroup of Q*, whether it contains -1, and the exact
+relation basis.  No other module imports `factorint` or
+`integer_row_kernel`; `MetabelianH31` caches its ratio pair's lattice, and
+`complement_vector` completes a primitive relation to a basis of Z^2.
 """
 
 from __future__ import annotations
@@ -63,6 +64,14 @@ def binary_power(x: T, k: int, mul: Callable[[T, T], T], identity: T) -> T:
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
 _TRIAL_BELOW = 1 << 10
+# 30 times the Pollard-Brent steps of the worst of 40 products of two random
+# 32-bit primes (about 200,000), and on a 2-core VM with Python 3.11 about
+# 1.1 s of trial division of a 122-bit number or 2.7 s of Pollard-Brent
+FACTOR_STEPS = 6_000_000
+
+
+class FactorBudgetError(ArithmeticError):
+    """`factorint` ran past FACTOR_STEPS steps."""
 
 
 def _primes_below(n: int) -> tuple[int, ...]:
@@ -83,6 +92,8 @@ def factorint(n: int) -> dict[int, int]:
     Trial division takes out the primes below 2^10.  A cofactor below
     _MR_EXACT_BELOW is then split by Pollard-Brent and certified prime by
     Miller-Rabin, and a larger one is trial-divided until it gets there.
+    Those two steps share one budget of FACTOR_STEPS; past it,
+    `FactorBudgetError`.
     """
     if n == 0:
         raise ValueError("0 has no prime factorization")
@@ -106,27 +117,46 @@ def factorint(n: int) -> dict[int, int]:
     return out
 
 
+class _Steps:
+    """What is left of one `factorint` call's step budget."""
+
+    def __init__(self, n: int) -> None:
+        self.left, self.digits = FACTOR_STEPS, len(str(n))
+
+    def spend(self, steps: int) -> None:
+        self.left -= steps
+        if self.left < 0:
+            raise FactorBudgetError(
+                f"factoring a {self.digits}-digit integer needs more than {FACTOR_STEPS} steps"
+            )
+
+
 def _large_factors(n: int) -> dict[int, int]:
     """Prime -> exponent map, ascending, of an n whose primes are all above 2^10."""
     out: dict[int, int] = {}
-    d = _TRIAL_BELOW + 1
+    steps = _Steps(n)
+    start = d = _TRIAL_BELOW + 1
+    stop = start + 2 * FACTOR_STEPS
     while n >= _MR_EXACT_BELOW and d * d <= n:
+        if d == stop:  # one trial division past the budget
+            steps.spend(FACTOR_STEPS + 1)
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
         d += 2
-    for p in ([n] if d * d > n else sorted(_split(n))):
+    steps.spend((d - start) // 2)
+    for p in ([n] if d * d > n else sorted(_split(n, steps))):
         if p > 1:
             out[p] = out.get(p, 0) + 1
     return out
 
 
-def _split(n: int) -> list[int]:
+def _split(n: int, steps: _Steps) -> list[int]:
     """Primes of n with multiplicity, for 41 < n < _MR_EXACT_BELOW."""
     if _is_prime(n):
         return [n]
-    f = _pollard_brent(n)
-    return _split(f) + _split(n // f)
+    f = _pollard_brent(n, steps)
+    return _split(f, steps) + _split(n // f, steps)
 
 
 def _is_prime(n: int) -> bool:
@@ -147,12 +177,14 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _pollard_brent(n: int) -> int:
+def _pollard_brent(n: int, steps: _Steps) -> int:
     """A proper factor of an odd composite n (Brent, BIT 20, 1980).
 
     The walk x -> x^2 + c starts at 2 with c = 1, 2, ..., so the factor
     found depends on n alone; products of |x - y| are batched 128 at a time
     into one gcd, and a batch that overshoots to n is replayed step by step.
+    Each run of the walk spends its steps before it takes them; a replay
+    retakes steps already spent.
     """
     c = 0
     while True:
@@ -160,11 +192,13 @@ def _pollard_brent(n: int) -> int:
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
             x = y
+            steps.spend(r)
             for _ in range(r):
                 y = (y * y + c) % n
             k = 0
             while k < r and g == 1:
                 ys = y
+                steps.spend(min(128, r - k))
                 for _ in range(min(128, r - k)):
                     y = (y * y + c) % n
                     q = q * abs(x - y) % n

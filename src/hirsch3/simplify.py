@@ -30,29 +30,6 @@ GENS = ("a", "t", "u")
 _COMMUTATOR_UT = Word.of((("u", 1), ("t", 1), ("u", -1), ("t", -1)))
 
 
-def exponent_law(m: int, n: int, p: int, q: int, L: int):
-    """Exponent table for conjugates of a within the window [-L, L]^2.
-
-    Returns (N, table) where N = (mnpq)^L and table maps (i, j) to the
-    integer e(i, j) = N * (n/m)^i * (q/p)^j.
-    """
-    _check_pair(m, n)
-    _check_pair(p, q)
-    if L < 0:
-        raise SimplifyError("window size must be nonnegative")
-    N = (m * n * p * q) ** L
-    r1 = Fraction(n, m)
-    r2 = Fraction(q, p)
-    table: dict[tuple[int, int], int] = {}
-    for i in range(-L, L + 1):
-        for j in range(-L, L + 1):
-            e = N * r1**i * r2**j
-            if e.denominator != 1:
-                raise SimplifyError(f"exponent e({i},{j}) is not an integer")
-            table[(i, j)] = int(e)
-    return N, table
-
-
 def _check_pair(x: int, y: int) -> None:
     if x == 0 or y == 0:
         raise SimplifyError("conjugation exponents must be nonzero")
@@ -173,9 +150,9 @@ def standardize(pres: Presentation) -> StandardForm:
     """Collapse an accepted presentation to its StandardForm.
 
     The commutator relator [u,t] C^-1 contributes, for each atom b_{i,j}^k
-    of C, the term k * e(i,j); the total divided by N = (mnpq)^L is the
-    commutator exponent c and must be an integer.  Redundant relators must
-    be atom products of total exponent zero and are dropped.
+    of C, the term k * (n/m)^i * (q/p)^j; their sum is the commutator
+    exponent c and must be an integer.  Redundant relators must be atom
+    products of total exponent zero and are dropped.
     """
     if set(pres.generators) != set(GENS):
         raise SimplifyError("expected exactly the generators a, t, u")
@@ -198,7 +175,6 @@ def standardize(pres: Presentation) -> StandardForm:
     r2 = Fraction(q, p)
 
     commutator_atoms: list[ConjugateAtom] | None = None
-    all_atoms: list[ConjugateAtom] = []
     for r in rest:
         if r.exponent_sum("t") != 0 or r.exponent_sum("u") != 0:
             raise SimplifyError("relator has nonzero weight in t or u")
@@ -208,7 +184,6 @@ def standardize(pres: Presentation) -> StandardForm:
                 raise SimplifyError(
                     "redundant relator has nonzero total exponent"
                 )
-            all_atoms.extend(direct)
             continue
         as_comm = atom_decomposition(r.inv() * _COMMUTATOR_UT)
         if as_comm is None:
@@ -218,14 +193,10 @@ def standardize(pres: Presentation) -> StandardForm:
         if commutator_atoms is not None:
             raise SimplifyError("multiple commutator relators")
         commutator_atoms = as_comm
-        all_atoms.extend(as_comm)
     if commutator_atoms is None:
         raise SimplifyError("missing commutator relator")
 
-    L = max((max(abs(a.i), abs(a.j)) for a in all_atoms), default=0)
-    N, table = exponent_law(m, n, p, q, L)
-    total = sum(a.exponent * table[(a.i, a.j)] for a in commutator_atoms)
-    c = Fraction(total, N)
+    c = _ratio_weight(commutator_atoms, r1, r2)
     if c.denominator != 1:
         raise SimplifyError("commutator exponent is not an integer")
 

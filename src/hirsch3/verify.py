@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Any, Callable, Optional, Sequence, Union
 
-from .classify import Invariants, Type1, invariants
+from .classify import ClassificationReport, Type1, classify
 from .families import (
     AffineMap2,
     AffineQ2,
@@ -36,7 +36,6 @@ from .families import (
     LatticeByZ,
     MetabelianH31,
     RankOneQ,
-    affine_compose,
     family_of,
     ops_for,
 )
@@ -390,13 +389,13 @@ def _whole_abelian_group(desc: GroupDescriptor) -> _RadicalModel:
 
 
 def _rank_one_radical(
-    desc: RankOneQ, inv: Invariants, claim: int
+    desc: RankOneQ, report: ClassificationReport, claim: int
 ) -> Optional[_RadicalModel]:
-    return _whole_abelian_group(desc) if claim == inv.hirsch else None
+    return _whole_abelian_group(desc) if claim == report.hirsch_length else None
 
 
 def _bsbar_radical(
-    desc: BSbar, inv: Invariants, claim: int
+    desc: BSbar, report: ClassificationReport, claim: int
 ) -> Optional[_RadicalModel]:
     a, t = Word.gen("a"), Word.gen("t")
     if claim == 1:
@@ -416,7 +415,7 @@ def _meta_power_word(vec: tuple[int, int]) -> Word:
 
 
 def _meta_radical(
-    desc: MetabelianH31, inv: Invariants, claim: int
+    desc: MetabelianH31, report: ClassificationReport, claim: int
 ) -> Optional[_RadicalModel]:
     r1, r2 = desc.t_ratio, desc.u_ratio
     a, t, u = Word.gen("a"), Word.gen("t"), Word.gen("u")
@@ -443,7 +442,7 @@ def _meta_radical(
         else:
             quotient = _FINITE
         gens = (a, *(_meta_power_word(v) for v in basis))
-        return _RadicalModel(inv.radical.is_abelian, gens, member, quotient)
+        return _RadicalModel(report.radical.is_abelian, gens, member, quotient)
     if claim == 1:
         return _RadicalModel(
             True, (a,), lambda g: g.i == 0 and g.j == 0, ("Z2", t, u)
@@ -456,7 +455,7 @@ def _is_unipotent(m: Mat2Q) -> bool:
 
 
 def _lattice_radical(
-    desc: LatticeByZ, inv: Invariants, claim: int
+    desc: LatticeByZ, report: ClassificationReport, claim: int
 ) -> Optional[_RadicalModel]:
     a, b, t = Word.gen("a"), Word.gen("b"), Word.gen("t")
     m = desc.matrix
@@ -483,7 +482,7 @@ def _hnn_net(g) -> int:
 
 
 def _hnnkb_radical(
-    desc: AscHNNKb, inv: Invariants, claim: int
+    desc: AscHNNKb, report: ClassificationReport, claim: int
 ) -> Optional[_RadicalModel]:
     e, d = desc.e, desc.d
     x, y, s = Word.gen("x"), Word.gen("y"), Word.gen("s")
@@ -514,7 +513,7 @@ def _hnnkb_radical(
     else:
         extra = s**2
     gens = (x**2, y, extra)
-    return _RadicalModel(inv.radical.is_abelian, gens, member_unit, _FINITE)
+    return _RadicalModel(report.radical.is_abelian, gens, member_unit, _FINITE)
 
 
 def _affine_unipotent(g: AffineMap2) -> bool:
@@ -569,22 +568,18 @@ def _affine_radical_words(
 
 
 def _affine_radical(
-    desc: AffineQ2, inv: Invariants, claim: int
+    desc: AffineQ2, report: ClassificationReport, claim: int
 ) -> Optional[_RadicalModel]:
-    if claim != inv.radical.hirsch:
+    if claim != report.radical.hirsch:
         return None
     maps = [g for _, g in desc.generators]
-    if all(
-        affine_compose(g1, g2) == affine_compose(g2, g1)
-        for i, g1 in enumerate(maps)
-        for g2 in maps[i + 1 :]
-    ):
+    if report.derived_length <= 1:
         # abelian group: the radical is everything, including generators
         # whose linear part is not unipotent (a faithful Z action, say)
         return _whole_abelian_group(desc)
-    if claim == inv.hirsch:
+    if claim == report.hirsch_length:
         quotient = None if all(map(_affine_unipotent, maps)) else _FINITE
-    elif inv.hirsch == 3 and inv.quotient.tag == "Dinfty":
+    elif report.hirsch_length == 3 and report.quotient.tag == "Dinfty":
         # the first two generators with distinct reflection linear parts
         reflections: dict[Mat2Q, str] = {}
         for name, g in desc.generators:
@@ -600,15 +595,15 @@ def _affine_radical(
         quotient = ("Z", Word.gen(names[0]))
     gens, more = _affine_radical_words(desc)
     return _RadicalModel(
-        inv.radical.is_abelian, gens, _affine_unipotent, quotient, more
+        report.radical.is_abelian, gens, _affine_unipotent, quotient, more
     )
 
 
 def _radical_model(
-    desc: GroupDescriptor, inv: Invariants, hirsch_claim: Optional[int] = None
+    desc: GroupDescriptor, report: ClassificationReport, hirsch_claim: Optional[int] = None
 ) -> _RadicalModel:
-    claim = inv.radical.hirsch if hirsch_claim is None else hirsch_claim
-    model = _verifier(desc).radical(desc, inv, claim)
+    claim = report.radical.hirsch if hirsch_claim is None else hirsch_claim
+    model = _verifier(desc).radical(desc, report, claim)
     if model is None:
         raise ValueError("unsupported radical claim for this family")
     return model
@@ -626,7 +621,7 @@ def radical_certificate(
     desc: GroupDescriptor,
     cfg: TrialConfig,
     hirsch_claim: Optional[int] = None,
-    inv: Optional[Invariants] = None,
+    report: Optional[ClassificationReport] = None,
 ) -> VerificationReport:
     """Randomized certificate for the claimed Fitting radical.
 
@@ -634,15 +629,15 @@ def radical_certificate(
     that sampled outside elements fail to centralize, and that quotient
     witnesses satisfy the claimed quotient shape.  `hirsch_claim` overrides
     the classifier's claim, which turns the certificate into a negative
-    control when the override is wrong.  `inv` is the descriptor's
-    `classify.invariants` record when the caller already has it.
+    control when the override is wrong.  `report` is the descriptor's
+    `classify` report when the caller already has it.
 
     A non-abelian claim whose sample finds no witness is certified again
     with the model's `more_words` added to the radical's generators, so
     those words change only the reports that would otherwise fail.
     """
     ops = ops_for(desc)
-    model = _radical_model(desc, inv or invariants(desc), hirsch_claim)
+    model = _radical_model(desc, report or classify(desc), hirsch_claim)
     checks = _certificate_checks(desc, ops, model, cfg)
     # checks[2] is the commutativity check
     if model.more_words and checks[2].counterexample == _ALL_COMMUTE:
@@ -1065,14 +1060,14 @@ def _depth_checks(desc: GroupDescriptor, cfg: TrialConfig, dl: int) -> list[Chec
 
 
 def _fp_cone_check(
-    desc: MetabelianH31, cfg: TrialConfig, inv: Invariants, window: int
+    desc: MetabelianH31, cfg: TrialConfig, report: ClassificationReport, window: int
 ) -> list[CheckResult]:
     """The brute-force cone scan against the classifier's constructible
     type; only multiplicatively independent ratio pairs have a cone."""
     ratios = (desc.t_ratio, desc.u_ratio)
     if desc.ratio_lattice.rank != 2:
         return []
-    ctype = inv.fp[1]
+    ctype = report.constructible_type
     point = fp_cone_bruteforce(ratios, window)
     classifier_type1 = isinstance(ctype, Type1)
 
@@ -1101,7 +1096,7 @@ def _fp_cone_check(
 
 
 def _endo_checks(
-    desc: AscHNNKb, cfg: TrialConfig, inv: Invariants, window: int
+    desc: AscHNNKb, cfg: TrialConfig, report: ClassificationReport, window: int
 ) -> list[CheckResult]:
     bound = max(2 * abs(desc.e), abs(desc.d)) + 2
     expected = abs(desc.e * desc.d)
@@ -1161,16 +1156,16 @@ class _Verifier:
     """What the verifier knows of one family besides its word oracle,
     which `oracles` keeps.
 
-    `radical(desc, inv, claim)` is the radical model for a claimed Hirsch
+    `radical(desc, report, claim)` is the radical model for a claimed Hirsch
     length, or None when the family has none for that claim.
-    `extra_checks(desc, cfg, inv, window)` are the family's own scans, run
+    `extra_checks(desc, cfg, report, window)` are the family's own scans, run
     after the radical certificate.
     """
 
-    radical: Callable[[Any, Invariants, int], Optional[_RadicalModel]]
-    extra_checks: Callable[[Any, TrialConfig, Invariants, int], list[CheckResult]] = (
-        lambda desc, cfg, inv, window: []
-    )
+    radical: Callable[[Any, ClassificationReport, int], Optional[_RadicalModel]]
+    extra_checks: Callable[
+        [Any, TrialConfig, ClassificationReport, int], list[CheckResult]
+    ] = lambda desc, cfg, report, window: []
 
 
 _VERIFIERS: dict[type, _Verifier] = {
@@ -1207,11 +1202,11 @@ def run_harness(
     commutator depth against the derived length, the radical certificate,
     and the family-specific scans.
     """
-    inv = invariants(desc)
+    report = classify(desc)
     relations = _as_relations(relators, desc)
     checks: list[CheckResult] = [check_relations(desc, relations or None)]
     checks.append(_word_eq_check(desc, cfg, relations))
-    checks.extend(_depth_checks(desc, cfg, inv.derived_length))
-    checks.extend(radical_certificate(desc, cfg, inv=inv).checks)
-    checks.extend(_verifier(desc).extra_checks(desc, cfg, inv, window))
+    checks.extend(_depth_checks(desc, cfg, report.derived_length))
+    checks.extend(radical_certificate(desc, cfg, report=report).checks)
+    checks.extend(_verifier(desc).extra_checks(desc, cfg, report, window))
     return VerificationReport(family_of(desc).describe(desc), cfg.seed, tuple(checks))

@@ -26,7 +26,7 @@ from hirsch3.families import (
 )
 from hirsch3.fixtures import FIXTURES, corrupted_d_infty, fixture_named
 from hirsch3.rationals import Mat2Q, conjugate_to_integral
-from hirsch3.simplify import StandardForm, expand_standard_form, exponent_law, standardize
+from hirsch3.simplify import StandardForm, expand_standard_form, standardize
 from hirsch3.verify import (
     TrialConfig,
     check_relations,
@@ -38,6 +38,7 @@ from hirsch3.verify import (
     run_harness,
 )
 from test_rationals import integralize
+from test_simplifier import exponent_law
 
 F = Fraction
 GOLDEN = Path(__file__).parent / "golden"

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from hirsch3 import classify as classify_module
 from hirsch3 import cli
 from hirsch3.classify import InvariantViolation
 from hirsch3.families import (
@@ -208,6 +209,22 @@ class TestClassifyCommand:
         assert (code, err) == (0, "")
         assert "Z[1/1000000000000000" in out
 
+    @pytest.mark.parametrize("command", ["classify", "verify"])
+    def test_factoring_past_its_budget_is_input_error(self, capsys, tmp_path, command):
+        # the determinant (2^61 - 1)^2 lies above the Miller-Rabin bound and
+        # has no prime below 2^61, so trial division alone could never end
+        path = tmp_path / "mersenne.toml"
+        path.write_text(
+            "family = lattice_by_z\n"
+            "matrix = 2305843009213693951 0 0 2305843009213693951\n"
+        )
+        start = time.monotonic()
+        code, out, err = run(capsys, command, str(path))
+        assert time.monotonic() - start < 2.0
+        assert (code, out) == (2, "")
+        assert err.startswith("error: factoring a 37-digit integer needs more than")
+        assert len(err.splitlines()) == 1
+
     @pytest.mark.parametrize(
         "fixture", FIXTURES, ids=[f.name for f in FIXTURES]
     )
@@ -320,6 +337,19 @@ class TestSimplifyCommand:
         assert code == 2
         assert "Baumslag-Solitar" in err
 
+    def test_deep_commutator_atoms_answer_quickly(self, capsys, tmp_path):
+        # atoms at depth 300 used to build a 601 x 601 table of exponents
+        src = tmp_path / "deep.txt"
+        src.write_text(
+            "< a, t, u | t a t^-1 = a^2, u a u^-1 = a^3, "
+            "[u, t] = a t^300 a t^-300 a^-1 >\n"
+        )
+        start = time.monotonic()
+        code, out, err = run(capsys, "simplify", str(src))
+        assert time.monotonic() - start < 0.5
+        assert (code, err) == (0, "")
+        assert f"m=1 n=2 p=1 q=3 c={2**300}\n" in out
+
     def test_descriptor_file_without_presentation_rejected(
         self, capsys, tmp_path
     ):
@@ -420,6 +450,22 @@ class TestVerifyCommand:
         checks = {c["name"]: c for c in json.loads(out)["report"]["checks"]}
         assert checks["relations"]["passed"]
         assert checks["word_eq_oracle"]["note"] == "66 trials skipped on the size budget"
+
+    def test_inconsistent_classification_is_internal_error(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # verify certifies the report that classify cross-checks, so a report
+        # that fails its cross-check is never certified
+        path = emit(tmp_path, "bsbar_23")
+        capsys.readouterr()
+
+        def boom(report):
+            raise InvariantViolation("induced report is inconsistent")
+
+        monkeypatch.setattr(classify_module, "_enforce_report_invariants", boom)
+        code, out, err = run(capsys, "verify", str(path))
+        assert (code, out) == (3, "")
+        assert err == "internal error: induced report is inconsistent\n"
 
     def test_classify_error_is_input_error(self, capsys, tmp_path):
         path = emit(tmp_path, "d_infty_amalgam")

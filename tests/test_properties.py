@@ -4,8 +4,9 @@ brute-force scan, the affine analysis of `classify` against its `Fraction`
 reference, the classifier's closed forms against the searches they replaced,
 the JSON shape of classification reports, the reported derived length against
 the commutator search, the abstract's BS(1,n) rtimes Z as ascending HNN
-extensions of cohomological dimension 3, the descriptor-file round trip, and
-`factorint` against trial division.
+extensions of cohomological dimension 3, the descriptor-file round trip,
+`factorint` against trial division, and the commutator exponent of
+`standardize` against the integer exponent table.
 
 Hypothesis runs derandomized, so every run draws the same examples, and a
 failure is reported as a shrunk counterexample (descriptor and words).
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 from pathlib import Path
 from unittest import mock
 
@@ -55,9 +56,18 @@ from hirsch3.rationals import (  # noqa: E402
     radical_of,
     relation_lattice,
 )
+from hirsch3.simplify import (  # noqa: E402
+    ConjugateAtom,
+    SimplifyError,
+    SolvabilityError,
+    StandardForm,
+    atom_product_word,
+    standardize,
+)
 from hirsch3.verify import TrialConfig, commutator_depth_search, oracle_word_eq  # noqa: E402
 from hirsch3.words import Presentation, Word  # noqa: E402
 from test_families import BS1nAut, bs1n_ext_to_meta  # noqa: E402
+from test_simplifier import comm_ut, exponent_law, pres_with  # noqa: E402
 
 F = Fraction
 
@@ -640,3 +650,38 @@ def test_factorint_agrees_with_trial_division(factors, sign):
     got = factorint(sign * prod(factors))
     assert got == expected
     assert list(got) == sorted(got)
+
+
+# --- the commutator exponent against the exponent table ---------------------------------
+
+
+@st.composite
+def _coprime_pair(draw) -> tuple[int, int]:
+    x = draw(st.just(1) | st.integers(1, 6))  # x = 1 half the time: solvable
+    y = draw(st.integers(-7, 7).filter(lambda y: y != 0 and gcd(x, y) == 1))
+    return x, y
+
+
+_atoms = st.lists(
+    st.builds(ConjugateAtom, st.integers(-3, 3), st.integers(-3, 3), st.integers(-5, 5)),
+    min_size=1,
+    max_size=5,
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(_coprime_pair(), _coprime_pair(), _atoms)
+def test_commutator_exponent_is_the_table_total_over_n(tpair, upair, atoms):
+    (m, n), (p, q) = tpair, upair
+    window = max((max(abs(a.i), abs(a.j)) for a in atoms), default=0)
+    N, table = exponent_law(m, n, p, q, window)
+    c = Fraction(sum(a.exponent * table[(a.i, a.j)] for a in atoms), N)
+    pres = pres_with(m, n, p, q, comm_ut() * atom_product_word(atoms).inv())
+    if c.denominator != 1:
+        with pytest.raises(SimplifyError, match="commutator exponent is not an integer"):
+            standardize(pres)
+    elif m != 1 and abs(n) != 1:
+        with pytest.raises(SolvabilityError):
+            standardize(pres)
+    else:
+        assert standardize(pres) == StandardForm(m, n, p, q, int(c))

@@ -8,7 +8,9 @@ from typing import Optional
 
 import pytest
 
+from hirsch3 import rationals
 from hirsch3.rationals import (
+    FactorBudgetError,
     Mat2Q,
     conjugate_to_integral,
     factorint,
@@ -119,6 +121,16 @@ class TestFactoring:
         n = -(1031**9) * 1000003 * 1000033
         assert factorint(n) == {1031: 9, 1000003: 1, 1000033: 1}
         assert factorint(2**100 * 3) == {2: 100, 3: 1}
+
+    def test_step_budget_bounds_pollard_brent_and_trial_division(self, monkeypatch):
+        semiprime = 4294967291 * 4294967279  # the two largest 32-bit primes
+        assert factorint(semiprime) == {4294967279: 1, 4294967291: 1}
+        monkeypatch.setattr(rationals, "FACTOR_STEPS", 1000)
+        with pytest.raises(FactorBudgetError, match="20-digit integer needs more than 1000"):
+            factorint(semiprime)
+        with pytest.raises(FactorBudgetError, match="37-digit"):
+            factorint((2**61 - 1) ** 2)  # above the Miller-Rabin bound, no prime below 2^61
+        assert factorint(1031**9 * 1033) == {1031: 9, 1033: 1}
 
     def test_valuation(self):
         assert rational_valuation(F(4, 3), 2) == 2

@@ -17,7 +17,6 @@ from hirsch3.simplify import (
     atom_decomposition,
     atom_product_word,
     expand_standard_form,
-    exponent_law,
     standardize,
 )
 from hirsch3.words import Presentation, Word, parse_presentation
@@ -34,6 +33,31 @@ def pres_with(m, n, p, q, *rest: Word) -> Presentation:
 
 
 # --- exponent tables --------------------------------------------------------
+
+
+def exponent_law(m: int, n: int, p: int, q: int, L: int):
+    """Exponent table for conjugates of a within the window [-L, L]^2: the
+    integer reference for the commutator exponent that `standardize` sums
+    as fractions.
+
+    Returns (N, table) where N = (mnpq)^L and table maps (i, j) to the
+    integer e(i, j) = N * (n/m)^i * (q/p)^j.
+    """
+    _check_pair(m, n)
+    _check_pair(p, q)
+    if L < 0:
+        raise SimplifyError("window size must be nonnegative")
+    N = (m * n * p * q) ** L
+    r1 = Fraction(n, m)
+    r2 = Fraction(q, p)
+    table: dict[tuple[int, int], int] = {}
+    for i in range(-L, L + 1):
+        for j in range(-L, L + 1):
+            e = N * r1**i * r2**j
+            if e.denominator != 1:
+                raise SimplifyError(f"exponent e({i},{j}) is not an integer")
+            table[(i, j)] = int(e)
+    return N, table
 
 
 def test_exponent_table_small_window():
