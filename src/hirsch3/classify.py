@@ -59,7 +59,7 @@ from .rationals import (
     radical_of,
     rational_valuation,
 )
-from .words import Word
+from .words import Word, commutator
 
 F = Fraction
 
@@ -482,9 +482,9 @@ def _analyze_affine(desc: AffineQ2) -> _AffineData:
 def _meta_radical_abelian_h3(desc: MetabelianH31) -> bool:
     words = [Word.gen("a")]
     for i, j in desc.ratio_lattice.relations():
-        words.append(Word.of((("t", i), ("u", j))) if i else Word.gen("u", j))
+        words.append(Word.of((("t", i), ("u", j))))
     return all(
-        meta_of_word(desc, w1 * w2 * w1.inv() * w2.inv()) == meta_identity()
+        meta_of_word(desc, commutator(w1, w2)) == meta_identity()
         for idx, w1 in enumerate(words)
         for w2 in words[idx + 1 :]
     )

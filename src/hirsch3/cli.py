@@ -477,7 +477,7 @@ def cmd_examples(args) -> int:
 
     if args.action == "list":
         for fixture in FIXTURES:
-            print(f"{fixture.name:18s} {fixture.note}")
+            print(f"{fixture.name:18s} {fixture.notes}")
         return EXIT_OK
     if not args.fixture:
         print("error: emit needs a fixture name", file=sys.stderr)
@@ -487,12 +487,9 @@ def cmd_examples(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    df = DescriptorFile(
-        fixture.descriptor, fixture.name, fixture.note, fixture.presentation
-    )
     out = Path(args.dir or ".") / f"{fixture.name}.toml"
     try:
-        out.write_text(serialize_descriptor_file(df))
+        out.write_text(serialize_descriptor_file(fixture))
     except OSError as exc:
         print(f"error: cannot write {out}: {exc.strerror}", file=sys.stderr)
         return EXIT_INPUT

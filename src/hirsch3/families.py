@@ -36,8 +36,9 @@ as integer pairs or tuples, what its products need for exponents up to
 `_TABLE_REACH`.  A `MetabelianH31` keeps two tables, t[i] = (r1^i,
 r1 G(r1, i)) and u[s] = (r2^s, e G(r2, s)) with G(r, k) = (r^k - 1)/(r - 1),
 because u^s a^x t^i = a^(x r2^s + e G(r2, s) r1 G(r1, i)) t^i u^s; a
-`LatticeByZ` keeps the matrix powers M^k; an `AscHNNKb` caches its `KbEndo`
-and the iterates phi^k, each applied in O(1) by a closed form.  A
+`LatticeByZ` keeps the matrix powers M^k; an `AscHNNKb` holds the three
+integers of its endomorphism phi and caches the iterates phi^k, each again
+an `AscHNNKb` and applied in O(1) by a closed form.  A
 `MetabelianH31` also caches its ratio pair's `RelationLattice`, factored
 once, which `locus`, `classify` and `verify` read.
 
@@ -62,7 +63,7 @@ from .rationals import (
     in_localized,
     relation_lattice,
 )
-from .words import Word, format_word
+from .words import Word, commutator, format_word
 
 F = Fraction
 
@@ -311,8 +312,9 @@ class LatticeByZ:
 
 
 @dataclass(frozen=True)
-class KbEndo:
-    """phi(x) = x^e y^f, phi(y) = y^d on <x,y | x y x^-1 = y^-1>.
+class AscHNNKb:
+    """The ascending HNN extension along phi(x) = x^e y^f, phi(y) = y^d on
+    <x,y | x y x^-1 = y^-1>; the descriptor is phi itself.
 
     e must be odd: x^e y^f must invert y under conjugation, and it flips the
     sign by (-1)^e.  Nonzero e and d make phi injective.
@@ -328,23 +330,9 @@ class KbEndo:
         if self.d == 0:
             raise ValueError("d must be nonzero")
 
-
-@dataclass(frozen=True)
-class AscHNNKb:
-    e: int
-    f: int
-    d: int
-
-    def __post_init__(self) -> None:
-        KbEndo(self.e, self.f, self.d)  # validates
-
-    @cached_property
-    def endo(self) -> KbEndo:
-        return KbEndo(self.e, self.f, self.d)
-
     @cached_property
     def _iterates(self) -> "_Table":
-        return _Table(partial(_endo_power, self.endo))
+        return _Table(partial(_endo_power, self))
 
 
 @dataclass(frozen=True)
@@ -580,19 +568,19 @@ def kb_inv(g: KbElem) -> KbElem:
     return KbElem(-g.a, -sign * g.b)
 
 
-def kb_endo_apply(phi: KbEndo, g: KbElem) -> KbElem:
+def kb_endo_apply(phi: AscHNNKb, g: KbElem) -> KbElem:
     # phi(x^a y^b) = (x^e y^f)^a y^(d b), and e odd gives (x^e y^f)^2 = x^(2e)
     return KbElem(phi.e * g.a, phi.f * (g.a & 1) + phi.d * g.b)
 
 
-def image_membership(phi: KbEndo, g: KbElem) -> bool:
+def image_membership(phi: AscHNNKb, g: KbElem) -> bool:
     if g.a % phi.e != 0:
         return False
     alpha = g.a // phi.e
     return (g.b - phi.f * (alpha & 1)) % phi.d == 0
 
 
-def _endo_preimage(phi: KbEndo, g: KbElem) -> KbElem:
+def _endo_preimage(phi: AscHNNKb, g: KbElem) -> KbElem:
     alpha = g.a // phi.e
     return KbElem(alpha, (g.b - phi.f * (alpha & 1)) // phi.d)
 
@@ -607,9 +595,8 @@ class BrittonElem:
 
 
 def hnnkb_reduce(desc: AscHNNKb, i: int, g: KbElem, j: int) -> BrittonElem:
-    phi = desc.endo
-    while i > 0 and j > 0 and image_membership(phi, g):
-        g = _endo_preimage(phi, g)
+    while i > 0 and j > 0 and image_membership(desc, g):
+        g = _endo_preimage(desc, g)
         i -= 1
         j -= 1
     return BrittonElem(i, g, j)
@@ -619,12 +606,12 @@ def hnnkb_identity() -> BrittonElem:
     return BrittonElem(0, kb_identity(), 0)
 
 
-def _endo_power(phi: KbEndo, k: int) -> KbEndo:
+def _endo_power(phi: AscHNNKb, k: int) -> AscHNNKb:
     # phi^k(x) = x^(e^k) y^(f (1 + d + ... + d^(k-1))), phi^k(y) = y^(d^k),
     # by induction with the closed form of kb_endo_apply (e^k stays odd)
     d = phi.d
     geom = k if d == 1 else (d ** k - 1) // (d - 1)
-    return KbEndo(phi.e ** k, phi.f * geom, d ** k)
+    return AscHNNKb(phi.e ** k, phi.f * geom, d ** k)
 
 
 def hnnkb_mul(desc: AscHNNKb, g1: BrittonElem, g2: BrittonElem) -> BrittonElem:
@@ -757,10 +744,6 @@ def _relation(lhs: Word, rhs: Word) -> tuple[str, Word]:
     return (f"{format_word(lhs)} = {format_word(rhs)}", lhs * rhs.inv())
 
 
-def _commutator(x: Word, y: Word) -> Word:
-    return x * y * x.inv() * y.inv()
-
-
 def _rankone_names(desc: RankOneQ) -> tuple[str, ...]:
     return tuple(f"g{i + 1}" for i in range(len(desc.generators)))
 
@@ -780,7 +763,7 @@ def _bsbar_relations(desc: BSbar) -> list[tuple[str, Word]]:
     conj = t * a * t.inv()
     return [
         _relation(t * a**desc.m * t.inv(), a**desc.n),
-        (f"[a, {format_word(conj)}] = 1", _commutator(a, conj)),
+        (f"[a, {format_word(conj)}] = 1", commutator(a, conj)),
     ]
 
 
@@ -808,12 +791,12 @@ def _meta_relations(desc: MetabelianH31) -> list[tuple[str, Word]]:
     return [
         _relation(t * a**desc.m * t.inv(), a**desc.n),
         _relation(u * a**desc.p * u.inv(), a**desc.q),
-        (f"[u, t]^{k} = a^{power}", _commutator(u, t) ** k * a ** (-power)),
-        (f"[a, {format_word(conj_t)}] = 1", _commutator(a, conj_t)),
-        (f"[a, {format_word(conj_u)}] = 1", _commutator(a, conj_u)),
+        (f"[u, t]^{k} = a^{power}", commutator(u, t) ** k * a ** (-power)),
+        (f"[a, {format_word(conj_t)}] = 1", commutator(a, conj_t)),
+        (f"[a, {format_word(conj_u)}] = 1", commutator(a, conj_u)),
         (
             f"[{format_word(conj_t)}, {format_word(conj_u)}] = 1",
-            _commutator(conj_t, conj_u),
+            commutator(conj_t, conj_u),
         ),
     ]
 
@@ -821,7 +804,7 @@ def _meta_relations(desc: MetabelianH31) -> list[tuple[str, Word]]:
 def _lattice_relations(desc: LatticeByZ) -> list[tuple[str, Word]]:
     a, b, t = Word.gen("a"), Word.gen("b"), Word.gen("t")
     m = desc.matrix
-    out = [("[a, b] = 1", _commutator(a, b))]
+    out = [("[a, b] = 1", commutator(a, b))]
     for gen_word, col in ((a, (m.a, m.c)), (b, (m.b, m.d))):
         dens = (col[0].denominator, col[1].denominator)
         k = dens[0] * dens[1] // gcd(dens[0], dens[1])

@@ -1,39 +1,30 @@
 """Shipped example descriptors.
 
-Each fixture bundles a descriptor, an optional finite presentation whose
-relators the verifier evaluates against the element model, and a short
-description.  The two affine fixtures realize their presentations by
-explicit rational affine maps; the relations are checked in the test
-suite, so the matrices here are load-bearing, not illustrative.
+Each fixture is the `cli.DescriptorFile` that `hirsch3 examples emit` writes:
+a descriptor, a name, a short description in `notes`, and an optional finite
+presentation whose relators the verifier evaluates against the element
+model.  The two affine fixtures realize their presentations by explicit
+rational affine maps; the relations are checked in the test suite, so the
+matrices here are load-bearing, not illustrative.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
+from .cli import DescriptorFile
 from .families import (
     AffineMap2,
     AffineQ2,
     AscHNNKb,
     BSbar,
-    GroupDescriptor,
     LatticeByZ,
     MetabelianH31,
 )
 from .rationals import Mat2Q
-from .words import Presentation, parse_presentation
+from .words import parse_presentation
 
 F = Fraction
-
-
-@dataclass(frozen=True)
-class Fixture:
-    name: str
-    descriptor: GroupDescriptor
-    note: str
-    presentation: Optional[Presentation] = None
 
 
 def _translation(x, y) -> AffineMap2:
@@ -81,61 +72,61 @@ _BS12_RTIMES_PRESENTATION = (
 )
 
 
-def _fixtures() -> tuple[Fixture, ...]:
+def _fixtures() -> tuple[DescriptorFile, ...]:
     return (
-        Fixture(
-            "d_infty_amalgam",
+        DescriptorFile(
             _d_infty_amalgam(),
+            "d_infty_amalgam",
             "amalgam of two flat Klein bottle groups over their common "
             "translation plane, with infinite dihedral quotient",
             parse_presentation(_D_INFTY_PRESENTATION),
         ),
-        Fixture(
-            "z_plus_z2",
+        DescriptorFile(
             AscHNNKb(1, 0, 2),
+            "z_plus_z2",
             "ascending extension of the Klein bottle group doubling the "
             "fiber, with quotient Z plus Z/2",
             parse_presentation(_Z_PLUS_Z2_PRESENTATION),
         ),
-        Fixture(
-            "f_mod_kprime",
+        DescriptorFile(
             _f_mod_kprime(),
+            "f_mod_kprime",
             "dihedral extension with a non-integral dilation class: "
             "finitely generated, not FP2, cohomological dimension 4",
             parse_presentation(_F_MOD_KPRIME_PRESENTATION),
         ),
-        Fixture(
-            "bsbar_23",
+        DescriptorFile(
             BSbar(2, 3),
+            "bsbar_23",
             "metabelianized two-three Baumslag-Solitar group: finitely "
             "generated, not finitely presentable",
         ),
-        Fixture(
-            "bs12_rtimes",
+        DescriptorFile(
             MetabelianH31(1, 2, 1, 3, F(1)),
+            "bs12_rtimes",
             "rank-two dilation pair two and three with a unit twist: "
             "ascending with integral class six",
             parse_presentation(_BS12_RTIMES_PRESENTATION),
         ),
-        Fixture(
-            "lattice_sol",
+        DescriptorFile(
             LatticeByZ(Mat2Q.of(2, 1, 1, 1)),
+            "lattice_sol",
             "hyperbolic unimodular lattice extension: polycyclic, a "
             "three-manifold group of solvable type",
         ),
-        Fixture(
-            "lattice_asc",
+        DescriptorFile(
             LatticeByZ(Mat2Q.of(0, -2, 1, 0)),
+            "lattice_asc",
             "integral lattice extension of determinant two: ascending "
             "over the plane, coherent but not polycyclic",
         ),
     )
 
 
-FIXTURES: tuple[Fixture, ...] = _fixtures()
+FIXTURES: tuple[DescriptorFile, ...] = _fixtures()
 
 
-def fixture_named(name: str) -> Fixture:
+def fixture_named(name: str) -> DescriptorFile:
     for fixture in FIXTURES:
         if fixture.name == name:
             return fixture
@@ -143,7 +134,7 @@ def fixture_named(name: str) -> Fixture:
     raise ValueError(f"unknown fixture {name!r}; known fixtures: {known}")
 
 
-def corrupted_d_infty() -> Fixture:
+def corrupted_d_infty() -> DescriptorFile:
     """Negative control: the u glide translation is perturbed, so the
     relator v^2 = u^2 y fails while the linear parts stay intact."""
     base = _d_infty_amalgam()
@@ -151,9 +142,9 @@ def corrupted_d_infty() -> Fixture:
     gens = tuple(
         (name, broken_u if name == "u" else g) for name, g in base.generators
     )
-    return Fixture(
-        "corrupted_d_infty",
+    return DescriptorFile(
         AffineQ2(gens),
+        "corrupted_d_infty",
         "negative control: perturbed glide translation breaks a relator",
         parse_presentation(_D_INFTY_PRESENTATION),
     )

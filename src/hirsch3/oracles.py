@@ -31,8 +31,8 @@ lowest terms, numerator plus denominator bit length each, may not sum past
 they pass `max_bits` is the value divided by its gcd and the exact sum
 taken.  A word over budget raises `VerifyResourceError`.
 
-`endo_index` counts the cosets of a Klein-bottle endomorphism's image with
-its own product on (a, b) pairs.
+`endo_index` counts the cosets of the image of an `AscHNNKb`'s Klein-bottle
+endomorphism with its own product on (a, b) pairs.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from .families import (
     AffineQ2,
     AscHNNKb,
     BSbar,
-    KbEndo,
     LatticeByZ,
     MetabelianH31,
     RankOneQ,
@@ -438,7 +437,7 @@ def _kb_inv(g: tuple[int, int]) -> tuple[int, int]:
     return (-a, b if a % 2 else -b)
 
 
-def _kb_in_image(phi: KbEndo, g: tuple[int, int]) -> bool:
+def _kb_in_image(phi: AscHNNKb, g: tuple[int, int]) -> bool:
     """Whether g = phi(x^al y^be) = x^(e al) y^(f (al mod 2) + d be) for
     some al, be; e is odd, so (x^e y^f)^2 = x^(2e)."""
     a, b = g
@@ -447,7 +446,7 @@ def _kb_in_image(phi: KbEndo, g: tuple[int, int]) -> bool:
     return (b - phi.f * ((a // phi.e) % 2)) % phi.d == 0
 
 
-def endo_index(phi: KbEndo, bound: int) -> int:
+def endo_index(phi: AscHNNKb, bound: int) -> int:
     """Index of the image of phi by right-coset enumeration over the grid
     x^a y^b with 0 <= a, b < bound.
 

@@ -64,10 +64,11 @@ def binary_power(x: T, k: int, mul: Callable[[T, T], T], identity: T) -> T:
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
 _TRIAL_BELOW = 1 << 10
-# 30 times the Pollard-Brent steps of the worst of 40 products of two random
-# 32-bit primes (about 200,000), and on a 2-core VM with Python 3.11 about
-# 1.1 s of trial division of a 122-bit number or 2.7 s of Pollard-Brent
-FACTOR_STEPS = 6_000_000
+# 10 times the Pollard-Brent steps of the worst of 20 products of two random
+# 32-bit primes (about 200,000), so that a number past it is refused within
+# about 1 s: on a 2-core VM with Python 3.11 this budget is about 0.4 s of
+# trial division of a 122-bit number or 0.9 s of Pollard-Brent
+FACTOR_STEPS = 2_000_000
 
 
 class FactorBudgetError(ArithmeticError):

@@ -9,12 +9,11 @@ redundant relators that are themselves products of conjugates of a.
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .words import Presentation, Word, format_presentation
+from .words import Presentation, Word, commutator, format_presentation
 
 
 class SimplifyError(ValueError):
@@ -27,7 +26,7 @@ class SolvabilityError(SimplifyError):
 
 GENS = ("a", "t", "u")
 
-_COMMUTATOR_UT = Word.of((("u", 1), ("t", 1), ("u", -1), ("t", -1)))
+_COMMUTATOR_UT = commutator(Word.gen("u"), Word.gen("t"))
 
 
 def _check_pair(x: int, y: int) -> None:
@@ -207,47 +206,9 @@ def standardize(pres: Presentation) -> StandardForm:
     return StandardForm(m, n, p, q, int(c))
 
 
-def expand_standard_form(
-    sf: StandardForm,
-    obfuscators: int = 0,
-    rng: random.Random | None = None,
-    window: int = 2,
-) -> Presentation:
-    """Regenerate an a,t,u-presentation from a StandardForm.
-
-    With obfuscators > 0, appends that many redundant relators, each a
-    two-atom product of total exponent zero, and may thicken the
-    commutator's right-hand side by a zero-weight atom pair.
-    """
-    r1 = Fraction(sf.n, sf.m)
-    r2 = Fraction(sf.q, sf.p)
-    c_atoms = [ConjugateAtom(0, 0, sf.c)]
-    extras: list[Word] = []
-    if obfuscators:
-        if rng is None:
-            rng = random.Random(0)
-        if rng.random() < 0.5:
-            c_atoms.extend(_zero_pair(rng, r1, r2, window))
-        for _ in range(obfuscators):
-            extras.append(atom_product_word(_zero_pair(rng, r1, r2, window)))
-
+def expand_standard_form(sf: StandardForm) -> Presentation:
+    """Regenerate the a,t,u-presentation of a StandardForm."""
     rel_t = Word.of((("t", 1), ("a", sf.m), ("t", -1), ("a", -sf.n)))
     rel_u = Word.of((("u", 1), ("a", sf.p), ("u", -1), ("a", -sf.q)))
-    rel_c = _COMMUTATOR_UT * atom_product_word(c_atoms).inv()
-    return Presentation(GENS, (rel_t, rel_u, rel_c) + tuple(extras))
-
-
-def _zero_pair(
-    rng: random.Random, r1: Fraction, r2: Fraction, window: int
-) -> list[ConjugateAtom]:
-    """Two atoms whose ratio-weighted exponents cancel exactly."""
-    while True:
-        i1, j1, i2, j2 = (rng.randint(-window, window) for _ in range(4))
-        if (i1, j1) != (i2, j2):
-            break
-    ratio = (r1**i2 * r2**j2) / (r1**i1 * r2**j1)
-    w = rng.randint(1, 2) * rng.choice((-1, 1))
-    return [
-        ConjugateAtom(i1, j1, w * ratio.numerator),
-        ConjugateAtom(i2, j2, -w * ratio.denominator),
-    ]
+    rel_c = _COMMUTATOR_UT * atom_product_word([ConjugateAtom(0, 0, sf.c)]).inv()
+    return Presentation(GENS, (rel_t, rel_u, rel_c))

@@ -24,7 +24,7 @@ import random
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from typing import Any, Callable, Optional, Sequence, Union
+from typing import Any, Callable, Optional, Sequence
 
 from .classify import ClassificationReport, Type1, classify
 from .families import (
@@ -47,7 +47,7 @@ from .rationals import (
     rational_valuation,
     relation_lattice,
 )
-from .words import Presentation, Word, format_word
+from .words import Presentation, Word, commutator, format_word
 
 __all__ = [
     "TrialConfig",
@@ -148,8 +148,6 @@ def _sampled_words(cfg: TrialConfig, label: str, names: Sequence[str], count: in
 
 # --- defining relations -------------------------------------------------------
 
-Relations = Sequence[tuple[str, Word]]
-
 
 def defining_relations(desc: GroupDescriptor) -> list[tuple[str, Word]]:
     """Relator words, with display labels, that hold in the element model.
@@ -160,23 +158,22 @@ def defining_relations(desc: GroupDescriptor) -> list[tuple[str, Word]]:
     return family_of(desc).relations(desc)
 
 
-def _as_relations(
-    relators: Union[Relations, Presentation, None], desc: GroupDescriptor
+def _relations(
+    desc: GroupDescriptor, presentation: Optional[Presentation]
 ) -> list[tuple[str, Word]]:
-    if relators is None:
-        return list(defining_relations(desc))
-    if isinstance(relators, Presentation):
-        return [(format_word(r), r) for r in relators.relators]
-    return list(relators)
+    """The presentation's relators, labelled by their text, or the family's
+    defining relations when there is no presentation."""
+    if presentation is None:
+        return defining_relations(desc)
+    return [(format_word(r), r) for r in presentation.relators]
 
 
 def check_relations(
-    desc: GroupDescriptor,
-    relators: Union[Relations, Presentation, None] = None,
+    desc: GroupDescriptor, presentation: Optional[Presentation] = None
 ) -> CheckResult:
     """Evaluate every relator in the element model; all must be identity."""
     ops = ops_for(desc)
-    relations = _as_relations(relators, desc)
+    relations = _relations(desc, presentation)
     if not relations:
         return CheckResult(
             "relations",
@@ -203,12 +200,11 @@ def check_relations(
 # --- rewriting closure --------------------------------------------------------
 
 
+_CLOSURE_VISITS = 4000
+
+
 def rewrite_closure_eq(
-    relators: Sequence[Word],
-    w1: Word,
-    w2: Word,
-    max_length: Optional[int] = None,
-    max_visited: int = 4000,
+    relators: Sequence[Word], w1: Word, w2: Word
 ) -> Optional[bool]:
     """Bidirectional closure under relator insertion and free reduction.
 
@@ -223,9 +219,8 @@ def rewrite_closure_eq(
                 moves.append(candidate)
     if w1 == w2:
         return True
-    if max_length is None:
-        longest = max((m.length() for m in moves), default=0)
-        max_length = max(w1.length(), w2.length()) + 2 * longest + 2
+    longest = max((m.length() for m in moves), default=0)
+    max_length = max(w1.length(), w2.length()) + 2 * longest + 2
     seen = ({w1: None}, {w2: None})
     frontier: tuple[list[Word], list[Word]] = ([w1], [w2])
     visited = 2
@@ -249,7 +244,7 @@ def rewrite_closure_eq(
                     visited += 1
                     if candidate in seen[1 - side]:
                         return True
-                    if visited >= max_visited:
+                    if visited >= _CLOSURE_VISITS:
                         return None
         frontier = (new, frontier[1]) if side == 0 else (frontier[0], new)
     return None
@@ -265,9 +260,8 @@ def nested_commutator(words: Sequence[Word]) -> Word:
         raise ValueError("need a power-of-two number of words")
     if n == 1:
         return words[0]
-    left = nested_commutator(words[: n // 2])
-    right = nested_commutator(words[n // 2 :])
-    return left * right * left.inv() * right.inv()
+    half = n // 2
+    return commutator(nested_commutator(words[:half]), nested_commutator(words[half:]))
 
 
 _CANDIDATE_CAP = 512
@@ -410,8 +404,7 @@ def _bsbar_radical(
 
 
 def _meta_power_word(vec: tuple[int, int]) -> Word:
-    syllables = [(n, e) for n, e in (("t", vec[0]), ("u", vec[1])) if e]
-    return Word.of(syllables)
+    return Word.of((("t", vec[0]), ("u", vec[1])))
 
 
 def _meta_radical(
@@ -1101,7 +1094,7 @@ def _endo_checks(
     bound = max(2 * abs(desc.e), abs(desc.d)) + 2
     expected = abs(desc.e * desc.d)
     try:
-        index = endo_index(desc.endo, bound)
+        index = endo_index(desc, bound)
         problem = (
             None
             if index == expected
@@ -1193,18 +1186,20 @@ MAX_WINDOW = 100
 def run_harness(
     desc: GroupDescriptor,
     cfg: TrialConfig,
-    relators: Union[Relations, Presentation, None] = None,
+    relators: Optional[Presentation] = None,
     window: int = 12,
 ) -> VerificationReport:
     """Full verification pass for one descriptor.
 
     Covers relator evaluation, the word-problem oracle, iterated
     commutator depth against the derived length, the radical certificate,
-    and the family-specific scans.
+    and the family-specific scans.  A presentation without relators gives
+    the word-problem check no relators to insert, and leaves the relations
+    check to the family's defining relations.
     """
     report = classify(desc)
-    relations = _as_relations(relators, desc)
-    checks: list[CheckResult] = [check_relations(desc, relations or None)]
+    relations = _relations(desc, relators)
+    checks: list[CheckResult] = [check_relations(desc, relators if relations else None)]
     checks.append(_word_eq_check(desc, cfg, relations))
     checks.extend(_depth_checks(desc, cfg, report.derived_length))
     checks.extend(radical_certificate(desc, cfg, report=report).checks)

@@ -96,6 +96,11 @@ class Word:
                 yield g, step
 
 
+def commutator(x: Word, y: Word) -> Word:
+    """[x, y] = x y x^-1 y^-1."""
+    return x * y * x.inv() * y.inv()
+
+
 def format_word(w: Word) -> str:
     if w.is_identity():
         return "1"
@@ -218,8 +223,7 @@ class _Parser:
             self.expect(",", "',' inside commutator")
             y = self.word()
             self.expect("]", "']'")
-            comm = x * y * x.inv() * y.inv()
-            return comm ** self.maybe_exponent()
+            return commutator(x, y) ** self.maybe_exponent()
         raise ParseError("expected a word", pos)
 
     def word(self) -> Word:

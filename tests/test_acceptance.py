@@ -26,7 +26,7 @@ from hirsch3.families import (
 )
 from hirsch3.fixtures import FIXTURES, corrupted_d_infty, fixture_named
 from hirsch3.rationals import Mat2Q, conjugate_to_integral
-from hirsch3.simplify import StandardForm, expand_standard_form, standardize
+from hirsch3.simplify import StandardForm, standardize
 from hirsch3.verify import (
     TrialConfig,
     check_relations,
@@ -38,7 +38,7 @@ from hirsch3.verify import (
     run_harness,
 )
 from test_rationals import integralize
-from test_simplifier import exponent_law
+from test_simplifier import expand_obfuscated, exponent_law
 
 F = Fraction
 GOLDEN = Path(__file__).parent / "golden"
@@ -219,9 +219,7 @@ def test_criterion_7_simplifier_round_trip():
     rng = random.Random("criterion-7")
     for _ in range(100):
         sf = _random_standard_form(rng)
-        pres = expand_standard_form(
-            sf, obfuscators=rng.randint(0, 3), rng=rng, window=2
-        )
+        pres = expand_obfuscated(sf, rng.randint(0, 3), rng)
         assert standardize(pres) == sf
         for window in (0, 1, 2):
             total, table = exponent_law(sf.m, sf.n, sf.p, sf.q, window)

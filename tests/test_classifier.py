@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, prod
 from typing import Iterable
@@ -13,11 +13,13 @@ import pytest
 from hirsch3 import classify as classify_module
 from hirsch3.classify import (
     ClassifyError,
+    InvariantViolation,
     ManifoldDim,
     QuotientType,
     Type1,
     Type2,
     Type3,
+    _enforce_report_invariants,
     _module_growth_ranks,
     _rank2_module_moduli,
     classify,
@@ -764,6 +766,87 @@ def test_report_rules_hold_on_random_descriptors():
             assert abs(realized) > 1
         if isinstance(report.constructible_type, (Type1, Type2)):
             assert not report.polycyclic and report.finitely_presentable
+
+
+# Each case breaks a valid fixture report so that its own check is the
+# first of `_enforce_report_invariants` to fail.
+REPORT_BREAKS = {
+    "fp-vs-constructible": (
+        "lattice_sol",
+        lambda r: replace(r, finitely_presentable=False),
+        "finite presentability and constructibility must agree",
+    ),
+    "constructible-cd": (
+        "lattice_sol",
+        lambda r: replace(r, cohomological_dimension=4),
+        "constructible groups must have cd equal to Hirsch length",
+    ),
+    "non-constructible-cd": (
+        "bsbar_23",
+        lambda r: replace(r, cohomological_dimension=2),
+        "non-constructible groups must have cd equal to Hirsch length + 1",
+    ),
+    "derived-length": (
+        "lattice_sol",
+        lambda r: replace(r, derived_length=4),
+        "solvable groups of Hirsch length at most 3 have derived length at most 3",
+    ),
+    "type-at-h-cd-3": (
+        "lattice_sol",
+        lambda r: replace(r, constructible_type=None),
+        "groups with Hirsch length and cd 3 must be of type 1, 2 or 3",
+    ),
+    "type3-polycyclic": (
+        "lattice_sol",
+        lambda r: replace(r, polycyclic=False),
+        "groups of type 3 must be polycyclic",
+    ),
+    "polycyclic-type3": (
+        "lattice_sol",
+        lambda r: replace(r, constructible_type=Type2("Z2")),
+        "polycyclic groups must be of type 3",
+    ),
+    "polycyclic-coherent": (
+        "lattice_sol",
+        lambda r: replace(r, coherent=replace(r.coherent, value=None)),
+        "polycyclic groups must be coherent",
+    ),
+    "polycyclic-manifold": (
+        "lattice_sol",
+        lambda r: replace(r, manifold_dim=ManifoldDim(3, 4, None)),
+        "polycyclic groups must have exact manifold dimension h",
+    ),
+    "radical-hirsch": (
+        "lattice_sol",
+        lambda r: replace(r, radical=replace(r.radical, hirsch=4)),
+        "radical Hirsch length exceeds the group's",
+    ),
+    "quotient-tag": (
+        "lattice_sol",
+        lambda r: replace(r, quotient=QuotientType("VirtuallyTrivial")),
+        "quotient tag is not allowed for this radical",
+    ),
+    "minimax-sections": (
+        "lattice_sol",
+        lambda r: replace(r, minimax=replace(r.minimax, sections=("Z", "Z"))),
+        "minimax sections must account for the Hirsch length",
+    ),
+    "fp2": (
+        "lattice_sol",
+        lambda r: replace(r, fp2=replace(r.fp2, value=False)),
+        "finitely presentable groups are FP2",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(REPORT_BREAKS))
+def test_each_report_invariant_names_its_violation(case):
+    fixture, breaks, message = REPORT_BREAKS[case]
+    report = classify(fixture_named(fixture).descriptor)
+    _enforce_report_invariants(report)
+    with pytest.raises(InvariantViolation) as err:
+        _enforce_report_invariants(breaks(report))
+    assert str(err.value) == message
 
 
 def test_every_family_has_one_invariants_function():

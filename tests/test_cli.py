@@ -60,21 +60,8 @@ def emit(tmp_path: Path, name: str) -> Path:
 class TestDescriptorFiles:
     @pytest.mark.parametrize("fixture", FIXTURES, ids=[f.name for f in FIXTURES])
     def test_serialize_parse_round_trip(self, fixture):
-        df = cli.DescriptorFile(
-            fixture.descriptor, fixture.name, fixture.note, fixture.presentation
-        )
-        text = cli.serialize_descriptor_file(df)
-        back = cli.parse_descriptor_text(text)
-        assert back.descriptor == df.descriptor
-        assert back.name == df.name
-        assert back.notes == df.notes
-        if df.presentation is None:
-            assert back.presentation is None
-        else:
-            assert back.presentation is not None
-            assert back.presentation.relators == tuple(
-                r for r in df.presentation.relators
-            )
+        text = cli.serialize_descriptor_file(fixture)
+        assert cli.parse_descriptor_text(text) == fixture
 
     def test_value_may_contain_equals_sign(self):
         text = (
@@ -224,6 +211,15 @@ class TestClassifyCommand:
         assert (code, out) == (2, "")
         assert err.startswith("error: factoring a 37-digit integer needs more than")
         assert len(err.splitlines()) == 1
+
+    def test_product_of_two_40_bit_primes_is_input_error(self, capsys, tmp_path):
+        # the determinant is a 25-digit semiprime below the Miller-Rabin
+        # bound, and Pollard-Brent needs about 3.3 million steps to split it
+        path = tmp_path / "semiprime.toml"
+        path.write_text("family = lattice_by_z\nmatrix = 1010610212239 0 0 1531891455277\n")
+        code, out, err = run(capsys, "classify", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: factoring a 25-digit integer needs more than 2000000 steps\n"
 
     @pytest.mark.parametrize(
         "fixture", FIXTURES, ids=[f.name for f in FIXTURES]
@@ -522,17 +518,41 @@ class TestVerifyCommand:
     def test_seed_zero_report_matches_recorded_digest(self, capsys, tmp_path, seed, name):
         fixture = corrupted_d_infty() if name == "corrupted_d_infty" else fixture_named(name)
         path = tmp_path / f"{name}.toml"
-        path.write_text(
-            cli.serialize_descriptor_file(
-                cli.DescriptorFile(
-                    fixture.descriptor, fixture.name, fixture.note, fixture.presentation
-                )
-            )
-        )
+        path.write_text(cli.serialize_descriptor_file(fixture))
         code, out, _ = run(capsys, "verify", str(path), "--seed", str(seed))
         expected = VERIFY_DIGESTS[seed]["reports"][name]
         assert code == expected["exit"]
         assert hashlib.sha256(out.encode()).hexdigest() == expected["sha256"]
+
+    def test_presentation_without_relators_keeps_the_family_relations(self, capsys, tmp_path):
+        # the relations check falls back to the family's defining relations,
+        # while the word-problem check gets no relators to insert
+        path = tmp_path / "bsbar.toml"
+        path.write_text("family = bsbar\nm = 2\nn = 3\npresentation = < a, t | >\n")
+        code, out, _ = run(capsys, "verify", str(path), "--trials", "20")
+        assert code == 0
+        relations = json.loads(out)["report"]["checks"][0]
+        assert (relations["name"], relations["trials"], relations["note"]) == ("relations", 2, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "cf5282f4aecd502b3954fc2d4ad410a332b6c58b94d6d0a93d0a6384617c6c58"
+        )
+
+
+class TestRenderText:
+    def _lines(self, name: str) -> list[str]:
+        fixture = fixture_named(name)
+        return cli._render_text(fixture, classify_module.classify(fixture.descriptor)).splitlines()
+
+    def test_type2_with_an_open_manifold_range(self):
+        lines = self._lines("lattice_asc")
+        assert lines[0] == "name:                     lattice_asc"
+        assert "constructible type:       Type2 (base Z2)" in lines
+        assert "manifold dimension:       [5, 6] (open)" in lines
+
+    def test_type3(self):
+        lines = self._lines("lattice_sol")
+        assert "constructible type:       Type3" in lines
+        assert "manifold dimension:       3" in lines
 
 
 class TestExamplesCommand:

@@ -17,7 +17,6 @@ from hirsch3.families import (
     BSbar,
     BrittonElem,
     KbElem,
-    KbEndo,
     LatticeByZ,
     LatticeElem,
     MetaH31Elem,
@@ -111,12 +110,12 @@ class TestDescriptorValidation:
         assert desc.t_ratio == F(3, 2)
 
     def test_hnn(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="e must be odd"):
+            AscHNNKb(0, 1, 1)
+        with pytest.raises(ValueError, match="e must be odd"):
             AscHNNKb(2, 0, 3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="d must be nonzero"):
             AscHNNKb(1, 0, 0)
-        with pytest.raises(ValueError):
-            KbEndo(0, 1, 1)
 
     def test_lattice(self):
         with pytest.raises(ValueError):
@@ -261,14 +260,14 @@ def test_power_matches_repeated_product(power, mul, inv, one, x):
 
 class TestKbEndo:
     def test_generator_images(self):
-        phi = KbEndo(1, 0, 2)
+        phi = AscHNNKb(1, 0, 2)
         assert kb_endo_apply(phi, KbElem(0, 1)) == KbElem(0, 2)
         x, y = KbElem(1, 0), KbElem(0, 1)
         assert kb_endo_apply(phi, kb_mul(x, y)) == kb_mul(x, KbElem(0, 2))
 
     def test_homomorphism(self):
         rng = random.Random(53)
-        for phi in [KbEndo(1, 0, 2), KbEndo(3, 1, -2), KbEndo(-1, 2, 3)]:
+        for phi in [AscHNNKb(1, 0, 2), AscHNNKb(3, 1, -2), AscHNNKb(-1, 2, 3)]:
             for _ in range(1000):
                 g = KbElem(rng.randint(-6, 6), rng.randint(-6, 6))
                 h = KbElem(rng.randint(-6, 6), rng.randint(-6, 6))
@@ -280,7 +279,7 @@ class TestKbEndo:
         from hirsch3.families import _endo_preimage
 
         rng = random.Random(59)
-        for phi in [KbEndo(1, 0, 2), KbEndo(3, 1, 2), KbEndo(-3, 2, -2)]:
+        for phi in [AscHNNKb(1, 0, 2), AscHNNKb(3, 1, 2), AscHNNKb(-3, 2, -2)]:
             image = {
                 kb_endo_apply(phi, KbElem(a, b))
                 for a in range(-8, 9)
@@ -635,7 +634,7 @@ def _kb_power(g, k):
 @pytest.mark.parametrize("e, f, d", [(1, 0, 2), (3, 1, -2), (-1, 2, 3), (-3, -4, -1), (5, 7, 4), (-5, 1, -3)])
 def test_kb_endo_closed_forms_match_generator_images(e, f, d):
     # phi(x^a y^b) = phi(x)^a phi(y)^b with phi(x) = x^e y^f, phi(y) = y^d
-    phi = KbEndo(e, f, d)
+    phi = AscHNNKb(e, f, d)
     for a in range(-6, 7):
         for b in range(-6, 7):
             expect = kb_mul(_kb_power(KbElem(e, f), a), _kb_power(KbElem(0, d), b))

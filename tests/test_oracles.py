@@ -29,7 +29,6 @@ from hirsch3.families import (  # noqa: E402
     AscHNNKb,
     BSbar,
     KbElem,
-    KbEndo,
     LatticeByZ,
     MetabelianH31,
     RankOneQ,
@@ -52,7 +51,6 @@ F = Fraction
 # descriptor classes, the descriptor union and the family lookup; no element
 # algebra
 ALLOWED_FROM_FAMILIES = {cls.__name__ for cls in FAMILIES} | {
-    "KbEndo",
     "GroupDescriptor",
     "family_of",
 }
@@ -141,7 +139,7 @@ class TestImportAudit:
         assert private_reads("x = f.__name__\n") == []
 
     def test_audit_allows_descriptors(self):
-        line = "from .families import AffineQ2, KbEndo, family_of"
+        line = "from .families import AffineQ2, AscHNNKb, family_of"
         assert import_violations(line) == []
 
     def test_every_family_has_an_oracle(self):
@@ -429,7 +427,7 @@ def test_oracle_agrees_with_fraction_reference(family, monkeypatch):
 # --- the Klein-bottle coset enumeration ---------------------------------------------
 
 
-def _reference_endo_index(phi: KbEndo, bound: int) -> int:
+def _reference_endo_index(phi: AscHNNKb, bound: int) -> int:
     """The enumeration on the normal form's Klein-bottle algebra."""
     if bound < 2:
         raise ValueError("bound must be at least 2")
@@ -450,7 +448,7 @@ def _reference_endo_index(phi: KbEndo, bound: int) -> int:
     return len(reps)
 
 
-def _endo_outcome(index, phi: KbEndo, bound: int):
+def _endo_outcome(index, phi: AscHNNKb, bound: int):
     try:
         return index(phi, bound)
     except (ValueError, VerifyResourceError) as err:
@@ -461,7 +459,7 @@ def test_endo_index_matches_the_normal_form_algebra():
     for e in (-5, -3, -1, 1, 3, 5):
         for f in range(-3, 4):
             for d in (-4, -3, -2, -1, 1, 2, 3, 4):
-                phi = KbEndo(e, f, d)
+                phi = AscHNNKb(e, f, d)
                 for bound in (1, 2, 3, 5, max(2 * abs(e), abs(d)) + 2):
                     expected = _endo_outcome(_reference_endo_index, phi, bound)
                     assert _endo_outcome(endo_index, phi, bound) == expected, (phi, bound)

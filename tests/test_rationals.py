@@ -132,6 +132,12 @@ class TestFactoring:
             factorint((2**61 - 1) ** 2)  # above the Miller-Rabin bound, no prime below 2^61
         assert factorint(1031**9 * 1033) == {1031: 9, 1033: 1}
 
+    def test_step_budget_refuses_a_product_of_two_40_bit_primes(self):
+        # 1010610212239 * 1531891455277 needs about 3.3 million Pollard-Brent
+        # steps; the budget stops it short, inside the 1 s probe bound
+        with pytest.raises(FactorBudgetError, match="25-digit integer needs more than 2000000"):
+            factorint(1548145148744599546535203)
+
     def test_valuation(self):
         assert rational_valuation(F(4, 3), 2) == 2
         assert rational_valuation(F(4, 3), 3) == -1

@@ -243,11 +243,42 @@ def _random_standard_form(rng: random.Random) -> StandardForm:
     return StandardForm(m, n, p, q, rng.randint(-4, 4))
 
 
+def _zero_pair(rng: random.Random, r1: Fraction, r2: Fraction) -> list[ConjugateAtom]:
+    """Two atoms in the window [-2, 2]^2 whose ratio-weighted exponents
+    cancel exactly."""
+    while True:
+        i1, j1, i2, j2 = (rng.randint(-2, 2) for _ in range(4))
+        if (i1, j1) != (i2, j2):
+            break
+    ratio = (r1**i2 * r2**j2) / (r1**i1 * r2**j1)
+    w = rng.randint(1, 2) * rng.choice((-1, 1))
+    return [
+        ConjugateAtom(i1, j1, w * ratio.numerator),
+        ConjugateAtom(i2, j2, -w * ratio.denominator),
+    ]
+
+
+def expand_obfuscated(sf: StandardForm, obfuscators: int, rng: random.Random) -> Presentation:
+    """`expand_standard_form(sf)` with `obfuscators` redundant relators
+    appended, each a two-atom product of total exponent zero; with any, the
+    commutator's right-hand side may also be thickened by a zero-weight atom
+    pair."""
+    if not obfuscators:
+        return expand_standard_form(sf)
+    r1, r2 = Fraction(sf.n, sf.m), Fraction(sf.q, sf.p)
+    c_atoms = [ConjugateAtom(0, 0, sf.c)]
+    if rng.random() < 0.5:
+        c_atoms.extend(_zero_pair(rng, r1, r2))
+    extras = [atom_product_word(_zero_pair(rng, r1, r2)) for _ in range(obfuscators)]
+    rel_c = comm_ut() * atom_product_word(c_atoms).inv()
+    return pres_with(sf.m, sf.n, sf.p, sf.q, rel_c, *extras)
+
+
 def test_round_trip_with_obfuscation():
     rng = random.Random(20260819)
     for _ in range(100):
         sf = _random_standard_form(rng)
-        pres = expand_standard_form(sf, obfuscators=rng.randint(0, 3), rng=rng)
+        pres = expand_obfuscated(sf, rng.randint(0, 3), rng)
         assert standardize(pres) == sf
 
 
@@ -261,7 +292,7 @@ def test_descriptor_feed_kills_input_relators():
     for _ in range(25):
         sf = _random_standard_form(rng)
         desc = standard_form_to_descriptor(sf)
-        pres = expand_standard_form(sf, obfuscators=rng.randint(0, 3), rng=rng)
+        pres = expand_obfuscated(sf, rng.randint(0, 3), rng)
         for rel in pres.relators:
             assert meta_of_word(desc, rel) == meta_identity()
 

@@ -8,13 +8,13 @@ from fractions import Fraction
 
 import pytest
 
+from hirsch3.classify import classify
 from hirsch3.families import (
     FAMILIES,
     AffineMap2,
     AffineQ2,
     AscHNNKb,
     BSbar,
-    KbEndo,
     LatticeByZ,
     MetabelianH31,
     RankOneQ,
@@ -29,6 +29,7 @@ from hirsch3.verify import (
     _VERIFIERS,
     _RadicalModel,
     _affine_unipotent,
+    _certificate_checks,
     _quotient_check,
     TrialConfig,
     VerifyResourceError,
@@ -187,9 +188,7 @@ class TestRewriteClosure:
     def test_never_returns_false(self):
         # Distinct elements exhaust the budget; the contract is None, not a
         # definitive inequality claim
-        out = rewrite_closure_eq(
-            self.RELATORS, parse_word("x"), parse_word("y"), max_visited=200
-        )
+        out = rewrite_closure_eq(self.RELATORS, parse_word("x"), parse_word("y"))
         assert out is None
 
     def test_identical_words_short_circuit(self):
@@ -307,9 +306,9 @@ class TestFpCone:
 
 class TestEndoIndex:
     def test_frozen_examples(self):
-        assert endo_index(KbEndo(1, 0, 2), 8) == 2
-        assert endo_index(KbEndo(1, 0, 1), 8) == 1
-        assert endo_index(KbEndo(3, 1, 2), 16) == 6
+        assert endo_index(AscHNNKb(1, 0, 2), 8) == 2
+        assert endo_index(AscHNNKb(1, 0, 1), 8) == 1
+        assert endo_index(AscHNNKb(3, 1, 2), 16) == 6
 
     def test_index_is_ed_for_small_parameters(self):
         for e in (1, -1, 3, -3, 5, -5):
@@ -317,17 +316,17 @@ class TestEndoIndex:
                 if d == 0:
                     continue
                 bound = max(2 * abs(e), abs(d)) + 2
-                assert endo_index(KbEndo(e, 0, d), bound) == abs(e * d)
+                assert endo_index(AscHNNKb(e, 0, d), bound) == abs(e * d)
 
     def test_nonzero_twist_does_not_change_index(self):
-        assert endo_index(KbEndo(3, 2, -2), 16) == 6
-        assert endo_index(KbEndo(-1, 1, 3), 10) == 3
+        assert endo_index(AscHNNKb(3, 2, -2), 16) == 6
+        assert endo_index(AscHNNKb(-1, 1, 3), 10) == 3
 
     def test_insufficient_bound_raises(self):
         with pytest.raises(VerifyResourceError):
-            endo_index(KbEndo(5, 0, 5), 3)
+            endo_index(AscHNNKb(5, 0, 5), 3)
         with pytest.raises(ValueError):
-            endo_index(KbEndo(1, 0, 2), 1)
+            endo_index(AscHNNKb(1, 0, 2), 1)
 
 
 def _shear_radical_example(v_linear: Mat2Q) -> AffineQ2:
@@ -500,6 +499,16 @@ class TestQuotientWitnesses:
         assert result.passed is False
         assert (result.counterexample, result.trials) == (message, trials)
 
+    def test_radical_that_is_not_normal_fails(self):
+        # <a> alone is not normal in BSbar(2, 3): t a t^-1 = a^(3/2)
+        desc = BSbar(2, 3)
+        model = _RadicalModel(
+            True, (Word.gen("a"),), lambda g: g.i == 0 and g.x.denominator == 1, ("Z", Word.gen("t"))
+        )
+        normal = _certificate_checks(desc, ops_for(desc), model, TrialConfig())[1]
+        assert (normal.name, normal.passed) == ("radical_normal", False)
+        assert (normal.counterexample, normal.trials) == ("t a t^-1", 3)
+
 
 class TestVerifierTable:
     def test_every_family_has_one_verifier(self):
@@ -541,3 +550,115 @@ class TestHarness:
         assert json.loads(json.dumps(data)) == data
         for check in data["checks"]:
             assert set(check) >= {"name", "passed", "trials", "seed"}
+
+
+def _translation(x, y) -> AffineMap2:
+    return AffineMap2(Mat2Q.identity(), (F(x), F(y)))
+
+
+_XY = (("x", _translation(1, 0)), ("y", _translation(0, 1)))
+_DEPTH_2 = ["commutator_depth_2_vanishes", "commutator_depth_1_witness"]
+_RADICAL = ["radical_generators", "radical_normal", "radical_abelian", "radical_detects_outside"]
+
+
+class TestHarnessBranches:
+    """One `run_harness` per radical-model or family-scan branch that the
+    fixtures do not reach: the checks run, in order, and their notes."""
+
+    CASES = {
+        "affine-abelian": (
+            AffineQ2(_XY),
+            ["relations", "word_eq_oracle", "commutator_depth_1_vanishes", *_RADICAL, "radical_quotient"],
+            {
+                "relations": "no relator set available; supply a presentation",
+                "commutator_depth_1_vanishes": "derived length 1",
+                "radical_detects_outside": "no elements outside the claimed radical were sampled",
+                "radical_quotient": "radical is the whole group",
+            },
+        ),
+        "affine-quotient-z": (
+            AffineQ2(_XY + (("t", AffineMap2(Mat2Q.of(2, 1, 1, 1), (F(0), F(0)))),)),
+            ["relations", "word_eq_oracle", *_DEPTH_2, *_RADICAL, "radical_quotient"],
+            {
+                "relations": "no relator set available; supply a presentation",
+                "commutator_depth_2_vanishes": "derived length 2",
+                "commutator_depth_1_witness": "x t x^-1 t^-1",
+            },
+        ),
+        "lattice-t-squared": (
+            LatticeByZ(Mat2Q.of(-1, 1, 0, -1)),
+            [
+                "relations",
+                "word_eq_oracle",
+                *_DEPTH_2,
+                "radical_generators",
+                "radical_normal",
+                "radical_nonabelian_witness",
+                "radical_detects_outside",
+                "radical_quotient",
+            ],
+            {
+                "commutator_depth_2_vanishes": "derived length 2",
+                "commutator_depth_1_witness": "a t a^-1 t^-1",
+                "radical_nonabelian_witness": "[b, t^2] != 1",
+            },
+        ),
+        "meta-rank-one-without-minus-one": (
+            MetabelianH31(1, 2, 1, 4, F(0)),
+            ["relations", "word_eq_oracle", *_DEPTH_2, *_RADICAL, "radical_quotient"],
+            {
+                "commutator_depth_2_vanishes": "derived length 2",
+                "commutator_depth_1_witness": "a t a^-1 t^-1",
+            },
+        ),
+        "hnn-e1-d1": (
+            AscHNNKb(1, 0, 1),
+            [
+                "relations",
+                "word_eq_oracle",
+                *_DEPTH_2,
+                *_RADICAL,
+                "radical_quotient",
+                "endo_index",
+                "britton_vs_rewriting",
+            ],
+            {
+                "commutator_depth_2_vanishes": "derived length 2",
+                "commutator_depth_1_witness": "x y x^-1 y^-1",
+            },
+        ),
+        "meta-no-cone-point-conclusive": (
+            MetabelianH31(3, 2, 7, 5, F(0)),
+            ["relations", "word_eq_oracle", *_DEPTH_2, *_RADICAL, "radical_quotient", "fp_cone"],
+            {
+                "commutator_depth_2_vanishes": "derived length 2",
+                "commutator_depth_1_witness": "a t a^-1 t^-1",
+            },
+        ),
+        "meta-no-cone-point-window-too-small": (
+            MetabelianH31(11, 2, 3, 13, F(0)),
+            ["relations", "word_eq_oracle", *_DEPTH_2, *_RADICAL, "radical_quotient", "fp_cone"],
+            {
+                "commutator_depth_2_vanishes": "derived length 2",
+                "commutator_depth_1_witness": "a t a^-1 t^-1",
+                "fp_cone": "window may be too small to conclude",
+            },
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_checks_and_notes(self, case):
+        desc, names, notes = self.CASES[case]
+        report = run_harness(desc, TrialConfig(seed=11, trials=20))
+        assert report.passed
+        assert [c.name for c in report.checks] == names
+        assert {c.name: c.note for c in report.checks if c.note} == notes
+
+    def test_case_shapes(self):
+        assert classify(self.CASES["affine-quotient-z"][0]).quotient.tag == "Z"
+        lattice = self.CASES["meta-rank-one-without-minus-one"][0].ratio_lattice
+        assert (lattice.rank, lattice.has_minus_one) == (1, False)
+        for case in ("meta-no-cone-point-conclusive", "meta-no-cone-point-window-too-small"):
+            desc = self.CASES[case][0]
+            assert fp_cone_bruteforce((desc.t_ratio, desc.u_ratio), 12) is None
+            assert classify(desc).constructible_type is None
