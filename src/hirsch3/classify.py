@@ -24,6 +24,12 @@ an infinite dihedral image.  The affine analysis explores words on the
 integer `AffineMap2` kernel, for the finite linear image and for the
 translation subgroup, and stops the translation search as soon as it has
 found rank two.
+
+Refusals.  An input outside that scope raises `ClassifyError`, and a ratio
+that `rationals.factorint` cannot factor within its budget raises
+`FactorBudgetError`; both are `InputError`s, which the command line turns
+into exit 2.  A report that fails its own cross-check raises
+`InvariantViolation` instead, exit 3.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from fractions import Fraction
 from math import isqrt, prod
 from typing import Any, Callable, Optional, Sequence, Union
 
+from . import InputError
 from .families import (
     AffineMap2,
     AffineQ2,
@@ -49,7 +56,6 @@ from .families import (
     meta_of_word,
 )
 from .rationals import (
-    FactorBudgetError,
     Mat2Q,
     complement_vector,
     conjugate_to_integral,
@@ -64,7 +70,7 @@ from .words import Word, commutator
 F = Fraction
 
 
-class ClassifyError(ValueError):
+class ClassifyError(InputError):
     """Invalid or out-of-scope input to a classification operation."""
 
 
@@ -819,10 +825,7 @@ def classify(desc: GroupDescriptor) -> ClassificationReport:
         family = _INVARIANTS[type(desc)]
     except KeyError:
         raise TypeError(f"unknown descriptor {desc!r}") from None
-    try:
-        return family(desc)
-    except FactorBudgetError as exc:
-        raise ClassifyError(str(exc)) from None
+    return family(desc)
 
 
 def _at_hirsch_three(desc: GroupDescriptor, what: str) -> ClassificationReport:

@@ -28,7 +28,9 @@ strings may themselves contain one.  Grammar:
 Every integer, numerator and denominator of a parameter is at most 64 bits.
 
 Exit codes: 0 success, 2 input error, 3 internal invariant violation,
-4 verification failure.
+4 verification failure.  Every module refuses an input by raising an
+`InputError`; `main` alone prints its message as one `error:` line and
+returns 2, and the commands print nothing before their output is built.
 """
 
 from __future__ import annotations
@@ -37,15 +39,14 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-from . import __version__
-from .classify import ClassificationReport, ClassifyError, InvariantViolation, classify
-from .families import FAMILY_BY_TAG, GroupDescriptor, RelatorTooLong, family_of, ops_for
+from . import InputError, __version__
+from .classify import ClassificationReport, InvariantViolation, classify
+from .families import FAMILY_BY_TAG, DescriptorFile, GroupDescriptor, family_of, ops_for
 from .rationals import parse_rational
 from .words import (
     ParseError,
@@ -72,16 +73,8 @@ MAX_PARAM_BITS = 64
 _LIST_COUNTS = {"rationals": None, "matrix": 4, "vector": 2}
 
 
-class DescriptorFileError(ValueError):
+class DescriptorFileError(InputError):
     """Malformed descriptor file; the message carries a line reference."""
-
-
-@dataclass(frozen=True)
-class DescriptorFile:
-    descriptor: GroupDescriptor
-    name: Optional[str] = None
-    notes: Optional[str] = None
-    presentation: Optional[Presentation] = None
 
 
 # --- parsing ------------------------------------------------------------------
@@ -377,13 +370,23 @@ def _yn(value: bool) -> str:
 # --- commands -----------------------------------------------------------------
 
 
+def _printable(what: str, build: Callable[[], str]) -> str:
+    """build(), or an InputError when `what` holds an integer past Python's
+    integer-to-string limit; any other error passes through."""
+    try:
+        return build()
+    except ValueError as exc:
+        if "integer string conversion" not in str(exc):
+            raise
+        raise InputError(
+            f"{what} has an integer longer than Python's integer-to-string "
+            f"limit of {sys.get_int_max_str_digits()} digits"
+        ) from None
+
+
 def cmd_classify(args) -> int:
     df = load_descriptor_file(args.path)
-    try:
-        report = classify(df.descriptor)
-    except ClassifyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    report = classify(df.descriptor)
     if args.format == "json":
         data = _envelope(df, report.to_json(), classification_notes(report))
         sys.stdout.write(_dump_json(data))
@@ -395,51 +398,38 @@ def cmd_classify(args) -> int:
 def cmd_word_eq(args) -> int:
     df = load_descriptor_file(args.path)
     ops = ops_for(df.descriptor)
-    names = ops.generator_names
-    try:
-        w1 = parse_word(args.word1, names)
-        w2 = parse_word(args.word2, names)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    g1 = ops.of_word(w1)
-    g2 = ops.of_word(w2)
-    try:
-        lines = [
-            f"  {format_word(w)}  =  {format_element(df.descriptor, g)}"
-            for w, g in ((w1, g1), (w2, g2))
-        ]
-    except ValueError:
-        print(
-            "error: a normal form has an integer longer than Python's "
-            f"integer-to-string limit of {sys.get_int_max_str_digits()} digits",
-            file=sys.stderr,
-        )
-        return EXIT_INPUT
-    print("equal" if g1 == g2 else "unequal")
-    print("\n".join(lines))
+    words = [parse_word(w, ops.generator_names) for w in (args.word1, args.word2)]
+    g1, g2 = (ops.of_word(w) for w in words)
+    lines = _printable(
+        "a normal form",
+        lambda: "".join(
+            f"  {format_word(w)}  =  {format_element(df.descriptor, g)}\n"
+            for w, g in zip(words, (g1, g2))
+        ),
+    )
+    sys.stdout.write(("equal" if g1 == g2 else "unequal") + "\n" + lines)
     return EXIT_OK
 
 
 def cmd_simplify(args) -> int:
-    from .simplify import SimplifyError, standardize
+    from .simplify import standardize
 
     text = _read_text(args.path)
     stripped = text.strip()
-    try:
-        if stripped.startswith("<"):
-            pres = parse_presentation(stripped)
-        else:  # the unstripped text keeps the line numbers of its errors
-            pres = parse_descriptor_text(text).presentation
-        if pres is None:
-            print("error: the file carries no presentation", file=sys.stderr)
-            return EXIT_INPUT
-        sf = standardize(pres)
-    except (ParseError, SimplifyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    print(f"standard form: m={sf.m} n={sf.n} p={sf.p} q={sf.q} c={sf.c}")
-    print(sf.text())
+    if stripped.startswith("<"):
+        pres = parse_presentation(stripped)
+    else:  # the unstripped text keeps the line numbers of its errors
+        pres = parse_descriptor_text(text).presentation
+    if pres is None:
+        raise InputError("the file carries no presentation")
+    sf = standardize(pres)
+    sys.stdout.write(
+        _printable(
+            "the standard form",
+            lambda: f"standard form: m={sf.m} n={sf.n} p={sf.p} q={sf.q} c={sf.c}\n"
+            f"{sf.text()}\n",
+        )
+    )
     return EXIT_OK
 
 
@@ -447,22 +437,12 @@ def cmd_verify(args) -> int:
     from .verify import MAX_WINDOW, TrialConfig, run_harness
 
     df = load_descriptor_file(args.path)
-    try:
-        cfg = TrialConfig(seed=args.seed, trials=args.trials)
-        if not 1 <= args.window <= MAX_WINDOW:
-            raise ValueError(f"window must be between 1 and {MAX_WINDOW}")
-        if df.presentation is not None:  # its relators use the family's generators
-            Presentation(ops_for(df.descriptor).generator_names, df.presentation.relators)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        report = run_harness(
-            df.descriptor, cfg, relators=df.presentation, window=args.window
-        )
-    except (RelatorTooLong, ClassifyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    cfg = TrialConfig(seed=args.seed, trials=args.trials)
+    if not 1 <= args.window <= MAX_WINDOW:
+        raise InputError(f"window must be between 1 and {MAX_WINDOW}")
+    if df.presentation is not None:  # its relators use the family's generators
+        Presentation(ops_for(df.descriptor).generator_names, df.presentation.relators)
+    report = run_harness(df.descriptor, cfg, relators=df.presentation, window=args.window)
     data = report.to_json()
     sys.stdout.write(_dump_json(_envelope(df, data, verification_notes(data))))
     if not report.passed:
@@ -480,19 +460,13 @@ def cmd_examples(args) -> int:
             print(f"{fixture.name:18s} {fixture.notes}")
         return EXIT_OK
     if not args.fixture:
-        print("error: emit needs a fixture name", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        fixture = fixture_named(args.fixture)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        raise InputError("emit needs a fixture name")
+    fixture = fixture_named(args.fixture)
     out = Path(args.dir or ".") / f"{fixture.name}.toml"
     try:
         out.write_text(serialize_descriptor_file(fixture))
     except OSError as exc:
-        print(f"error: cannot write {out}: {exc.strerror}", file=sys.stderr)
-        return EXIT_INPUT
+        raise InputError(f"cannot write {out}: {exc.strerror}") from None
     print(out)
     return EXIT_OK
 
@@ -552,7 +526,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args)
-    except DescriptorFileError as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except InvariantViolation as exc:

@@ -36,15 +36,22 @@ as integer pairs or tuples, what its products need for exponents up to
 `_TABLE_REACH`.  A `MetabelianH31` keeps two tables, t[i] = (r1^i,
 r1 G(r1, i)) and u[s] = (r2^s, e G(r2, s)) with G(r, k) = (r^k - 1)/(r - 1),
 because u^s a^x t^i = a^(x r2^s + e G(r2, s) r1 G(r1, i)) t^i u^s; a
-`LatticeByZ` keeps the matrix powers M^k; an `AscHNNKb` holds the three
-integers of its endomorphism phi and caches the iterates phi^k, each again
-an `AscHNNKb` and applied in O(1) by a closed form.  A
-`MetabelianH31` also caches its ratio pair's `RelationLattice`, factored
-once, which `locus`, `classify` and `verify` read.
+`LatticeByZ` keeps the matrix powers M^k; an `AscHNNKb` is the three
+integers of its endomorphism phi, and `_iterate_apply` applies phi^k by a
+closed form.  A `MetabelianH31` also caches its ratio pair's
+`RelationLattice`, factored once, which `locus`, `classify` and `verify`
+read.
+
+Each power that a word's exponent can make large goes through
+`rationals.bounded_pow` or a `binary_power` that watches its squares, so
+one past `MAX_POWER_BITS` raises an `InputError`; a huge exponent whose
+value stays small is answered at once (`_iterate_apply`, `hnnkb_reduce`).
 
 `FAMILIES` maps each descriptor type to its `Family` record: file tag,
 generator names, element algebra, descriptor-file form, display and
 defining relations.  `GroupOps` and the command line dispatch through it.
+`DescriptorFile` adds the name, notes and presentation that a descriptor
+file may carry; `cli` parses and writes it, and `fixtures` ships some.
 """
 
 from __future__ import annotations
@@ -53,17 +60,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from math import gcd, prod
-from typing import Any, Callable, Iterable, Union
+from typing import Any, Callable, Iterable, Optional, Union
 
+from . import InputError
 from .rationals import (
     Mat2Q,
     RelationLattice,
     binary_power,
+    bounded_pow,
     format_rational,
     in_localized,
     relation_lattice,
 )
-from .words import Word, commutator, format_word
+from .words import Presentation, Word, commutator, format_word
 
 F = Fraction
 
@@ -167,8 +176,16 @@ def affine_inverse(f: AffineMap2) -> AffineMap2:
 
 
 def affine_pow(f: AffineMap2, k: int) -> AffineMap2:
-    base = f if k >= 0 else affine_inverse(f)
-    return binary_power(base, abs(k), affine_compose, AffineMap2.identity())
+    # f^k has at most |k| (b + 2) bits, b those of f, and a generator of
+    # 64-bit parameters has b <= 448: up to _TABLE_REACH that stays under
+    # MAX_POWER_BITS, so only larger powers have their squares watched
+    base, n = (f, k) if k >= 0 else (affine_inverse(f), -k)
+    bits = _affine_bits if n > _TABLE_REACH else None
+    return binary_power(base, n, affine_compose, AffineMap2.identity(), bits)
+
+
+def _affine_bits(f: AffineMap2) -> int:
+    return max(x.bit_length() for x in f.ints)
 
 
 # --- cached integer tables -------------------------------------------------
@@ -330,10 +347,6 @@ class AscHNNKb:
         if self.d == 0:
             raise ValueError("d must be nonzero")
 
-    @cached_property
-    def _iterates(self) -> "_Table":
-        return _Table(partial(_endo_power, self))
-
 
 @dataclass(frozen=True)
 class AffineQ2:
@@ -398,7 +411,7 @@ def meta_identity() -> MetaH31Elem:
 def _meta_entry(r: Fraction, c: Fraction, k: int) -> tuple[tuple[int, int], tuple[int, int]]:
     """(r^k, c G(r, k)) as integer pairs (num, den), where G(r, k) =
     (r^k - 1)/(r - 1) for every integer k and G(1, k) = k."""
-    rk = r ** k
+    rk = bounded_pow(r, k)
     return _pair(rk), _pair(c * (k if r == 1 else (rk - 1) / (r - 1)))
 
 
@@ -568,23 +581,6 @@ def kb_inv(g: KbElem) -> KbElem:
     return KbElem(-g.a, -sign * g.b)
 
 
-def kb_endo_apply(phi: AscHNNKb, g: KbElem) -> KbElem:
-    # phi(x^a y^b) = (x^e y^f)^a y^(d b), and e odd gives (x^e y^f)^2 = x^(2e)
-    return KbElem(phi.e * g.a, phi.f * (g.a & 1) + phi.d * g.b)
-
-
-def image_membership(phi: AscHNNKb, g: KbElem) -> bool:
-    if g.a % phi.e != 0:
-        return False
-    alpha = g.a // phi.e
-    return (g.b - phi.f * (alpha & 1)) % phi.d == 0
-
-
-def _endo_preimage(phi: AscHNNKb, g: KbElem) -> KbElem:
-    alpha = g.a // phi.e
-    return KbElem(alpha, (g.b - phi.f * (alpha & 1)) // phi.d)
-
-
 @dataclass(frozen=True)
 class BrittonElem:
     """s^-i g s^j, reduced: i, j > 0 only when g is outside im(phi)."""
@@ -595,33 +591,75 @@ class BrittonElem:
 
 
 def hnnkb_reduce(desc: AscHNNKb, i: int, g: KbElem, j: int) -> BrittonElem:
-    while i > 0 and j > 0 and image_membership(desc, g):
-        g = _endo_preimage(desc, g)
-        i -= 1
-        j -= 1
-    return BrittonElem(i, g, j)
+    # s^-1 h s = phi^-1(h) for h in im(phi), one s pair per step.  A step maps
+    # x^a y^b to x^(a/e) y^((b - c)/d) with c = f (a mod 2), the same at every
+    # step as e is odd.  With B = (d - 1) b + c, the b after n steps is
+    # (B/d^n - c)/(d - 1), an integer exactly when d^n divides B, so the
+    # steps number min(i, j, v_e(a), v_d(B)), a valuation counted only when
+    # |e| > 1 and a != 0, or |d| > 1 and B != 0.  |d| = 1 gives b - n c
+    # (d = 1) or period 2 (d = -1).
+    e, f, d = desc.e, desc.f, desc.d
+    a, b = g.a, g.b
+    c = f * (a & 1)
+    n = min(i, j)
+    if n <= 0 or a % e or (b - c) % d:  # not one step
+        return BrittonElem(i, g, j)
+    if a and abs(e) > 1:
+        n = min(n, _valuation(a, e))
+    shifted = (d - 1) * b + c  # B
+    if abs(d) > 1 and shifted:
+        n = min(n, _valuation(shifted, d))
+        b = (shifted // d**n - c) // (d - 1)
+    elif d == 1:
+        b -= n * c
+    elif d == -1 and n % 2:
+        b = c - b
+    return BrittonElem(i - n, KbElem(a and a // e**n, b), j - n)
+
+
+def _valuation(m: int, p: int) -> int:
+    """The largest n with p^n dividing m != 0, for |p| > 1: divide by p,
+    p^2, p^4, ... while that divides, then by the same powers downward."""
+    n, powers = 0, [p]
+    while m % powers[-1] == 0:
+        m //= powers[-1]
+        n += 1 << (len(powers) - 1)
+        powers.append(powers[-1] ** 2)
+    for k in reversed(range(len(powers) - 1)):
+        if m % powers[k] == 0:
+            m //= powers[k]
+            n += 1 << k
+    return n
 
 
 def hnnkb_identity() -> BrittonElem:
     return BrittonElem(0, kb_identity(), 0)
 
 
-def _endo_power(phi: AscHNNKb, k: int) -> AscHNNKb:
-    # phi^k(x) = x^(e^k) y^(f (1 + d + ... + d^(k-1))), phi^k(y) = y^(d^k),
-    # by induction with the closed form of kb_endo_apply (e^k stays odd)
-    d = phi.d
-    geom = k if d == 1 else (d ** k - 1) // (d - 1)
-    return AscHNNKb(phi.e ** k, phi.f * geom, d ** k)
+def _iterate_apply(phi: AscHNNKb, k: int, g: KbElem) -> KbElem:
+    """phi^k(g) for k >= 0, with only the powers that g needs, each within
+    MAX_POWER_BITS: phi(x^a y^b) = (x^e y^f)^a y^(d b) = x^(e a)
+    y^(f (a mod 2) + d b), as e odd gives (x^e y^f)^2 = x^(2e), so by
+    induction phi^k(x) = x^(e^k) y^(f (1 + d + ... + d^(k-1))) and
+    phi^k(y) = y^(d^k)."""
+    if not k:
+        return g
+    e, f, d = phi.e, phi.f, phi.d
+    twist = f and g.a & 1
+    dk = bounded_pow(d, k) if g.b or (twist and d != 1) else 1
+    b = g.b * dk
+    if twist:
+        b += f * (k if d == 1 else (dk - 1) // (d - 1))
+    return KbElem(g.a and g.a * bounded_pow(e, k), b)
 
 
 def hnnkb_mul(desc: AscHNNKb, g1: BrittonElem, g2: BrittonElem) -> BrittonElem:
-    iterates = desc._iterates
     if g1.j >= g2.i:
         shift = g1.j - g2.i
-        base = kb_mul(g1.g, kb_endo_apply(iterates[shift], g2.g))
+        base = kb_mul(g1.g, _iterate_apply(desc, shift, g2.g))
         return hnnkb_reduce(desc, g1.i, base, shift + g2.j)
     shift = g2.i - g1.j
-    base = kb_mul(kb_endo_apply(iterates[shift], g1.g), g2.g)
+    base = kb_mul(_iterate_apply(desc, shift, g1.g), g2.g)
     return hnnkb_reduce(desc, g1.i + shift, base, g2.j)
 
 
@@ -772,16 +810,12 @@ def _bsbar_relations(desc: BSbar) -> list[tuple[str, Word]]:
 MAX_TWIST_LETTERS = 10_000
 
 
-class RelatorTooLong(ValueError):
-    """A defining relator would have more letters than its stated bound."""
-
-
 def _meta_relations(desc: MetabelianH31) -> list[tuple[str, Word]]:
     a, t, u = Word.gen("a"), Word.gen("t"), Word.gen("u")
     twist = desc.e * desc.t_ratio
     k = twist.denominator
     if 4 * k > MAX_TWIST_LETTERS:
-        raise RelatorTooLong(
+        raise InputError(
             f"the twist relator [u, t]^{k} would have {4 * k} letters, "
             f"over the bound of {MAX_TWIST_LETTERS}"
         )
@@ -948,6 +982,14 @@ def family_of(desc: GroupDescriptor) -> Family:
         return FAMILIES[type(desc)]
     except KeyError:
         raise TypeError(f"unknown descriptor {desc!r}") from None
+
+
+@dataclass(frozen=True)
+class DescriptorFile:
+    descriptor: GroupDescriptor
+    name: Optional[str] = None
+    notes: Optional[str] = None
+    presentation: Optional[Presentation] = None
 
 
 # --- uniform interface ------------------------------------------------------

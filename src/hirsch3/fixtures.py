@@ -1,6 +1,6 @@
 """Shipped example descriptors.
 
-Each fixture is the `cli.DescriptorFile` that `hirsch3 examples emit` writes:
+Each fixture is the `families.DescriptorFile` that `hirsch3 examples emit` writes:
 a descriptor, a name, a short description in `notes`, and an optional finite
 presentation whose relators the verifier evaluates against the element
 model.  The two affine fixtures realize their presentations by explicit
@@ -12,12 +12,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cli import DescriptorFile
+from . import InputError
 from .families import (
     AffineMap2,
     AffineQ2,
     AscHNNKb,
     BSbar,
+    DescriptorFile,
     LatticeByZ,
     MetabelianH31,
 )
@@ -131,7 +132,7 @@ def fixture_named(name: str) -> DescriptorFile:
         if fixture.name == name:
             return fixture
     known = ", ".join(f.name for f in FIXTURES)
-    raise ValueError(f"unknown fixture {name!r}; known fixtures: {known}")
+    raise InputError(f"unknown fixture {name!r}; known fixtures: {known}")
 
 
 def corrupted_d_infty() -> DescriptorFile:

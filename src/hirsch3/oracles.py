@@ -32,7 +32,8 @@ they pass `max_bits` is the value divided by its gcd and the exact sum
 taken.  A word over budget raises `VerifyResourceError`.
 
 `endo_index` counts the cosets of the image of an `AscHNNKb`'s Klein-bottle
-endomorphism with its own product on (a, b) pairs.
+endomorphism with its own product and image membership on (a, b) pairs,
+testing each cell only against the coset that a closed form names.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import TYPE_CHECKING, Callable
 
+from . import InputError
 from .families import (
     AffineQ2,
     AscHNNKb,
@@ -424,50 +426,54 @@ def oracle_word_eq(
 
 # --- Klein bottle endomorphism index -----------------------------------------
 
-# x^a y^b in <x, y | x y x^-1 = y^-1> as (a, b); y^b x^c = x^c y^((-1)^c b)
-
-
-def _kb_mul(g: tuple[int, int], h: tuple[int, int]) -> tuple[int, int]:
-    (a, b), (c, d) = g, h
-    return (a + c, (-b if c % 2 else b) + d)
-
-
-def _kb_inv(g: tuple[int, int]) -> tuple[int, int]:
-    a, b = g
-    return (-a, b if a % 2 else -b)
-
-
-def _kb_in_image(phi: AscHNNKb, g: tuple[int, int]) -> bool:
-    """Whether g = phi(x^al y^be) = x^(e al) y^(f (al mod 2) + d be) for
-    some al, be; e is odd, so (x^e y^f)^2 = x^(2e)."""
-    a, b = g
-    if a % phi.e:
-        return False
-    return (b - phi.f * ((a // phi.e) % 2)) % phi.d == 0
+# the most grid cells `endo_index` enumerates
+MAX_COSET_CELLS = 1_000_000
 
 
 def endo_index(phi: AscHNNKb, bound: int) -> int:
     """Index of the image of phi by right-coset enumeration over the grid
-    x^a y^b with 0 <= a, b < bound.
+    x^a y^b with 0 <= a, b < bound, in <x, y | x y x^-1 = y^-1>.
 
-    Raises VerifyResourceError when the grid provably cannot certify the
-    count: either every cell is a fresh coset, or a fresh coset still
-    appears on the grid boundary.
+    A cell g = x^a y^b joins the coset of the first cell h = x^c y^y with the
+    same hint only if g h^-1 = x^(a - c) y^((-1)^c (b - y)) lies in the image
+    phi(x^al y^be) = x^(e al) y^(f (al mod 2) + d be); else it is fresh, so a
+    wrong hint makes the index too large.  The hint is the coset's element
+    x^a0 y^b0, 0 <= a0 < |e|, 0 <= b0 < |d|, with phi(x^al y^be) x^a y^b =
+    x^(e al + a) y^((-1)^a (f (al mod 2) + d be) + b) and al = (a0 - a)/e.
+
+    Raises InputError when the grid has more than MAX_COSET_CELLS cells, and
+    VerifyResourceError when the grid provably cannot certify the count:
+    either every cell is a fresh coset, or a fresh coset still appears on
+    the grid boundary.
     """
     if bound < 2:
         raise ValueError("bound must be at least 2")
-    reps: list[tuple[int, int]] = []
+    if bound * bound > MAX_COSET_CELLS:
+        raise InputError(
+            f"the coset enumeration grid would have {bound * bound} cells, "
+            f"over the bound of {MAX_COSET_CELLS}"
+        )
+    e, f, d = phi.e, phi.f, phi.d
+    ae, ad = abs(e), abs(d)
+    first: dict[int, tuple[int, int]] = {}  # a0 |d| + b0 |-> the first cell with it
+    count = 0
     boundary_fresh = False
     for a in range(bound):
+        row = (a % ae) * ad
+        twist = f * ((a // ae) % 2)  # (a0 - a)/e has the parity of a // |e|
+        if a % 2:
+            twist = -twist
         for b in range(bound):
-            g = (a, b)
-            if any(_kb_in_image(phi, _kb_mul(g, _kb_inv(rep))) for rep in reps):
-                continue
-            reps.append(g)
+            c, y = first.setdefault(row + (b + twist) % ad, (a, b))
+            if c != a or y != b:
+                al, rem = divmod(a - c, e)
+                if not rem and ((y - b if c % 2 else b - y) - f * (al % 2)) % d == 0:
+                    continue
+            count += 1
             if a == bound - 1 or b == bound - 1:
                 boundary_fresh = True
-    if len(reps) == bound * bound:
+    if count == bound * bound:
         raise VerifyResourceError("index exceeds the enumeration grid")
     if boundary_fresh:
         raise VerifyResourceError("enumeration grid too small to certify the index")
-    return len(reps)
+    return count

@@ -15,6 +15,8 @@ of the generated subgroup of Q*, whether it contains -1, and the exact
 relation basis.  No other module imports `factorint` or
 `integer_row_kernel`; `MetabelianH31` caches its ratio pair's lattice, and
 `complement_vector` completes a primitive relation to a basis of Z^2.
+`bounded_pow`, and `binary_power` given a size function, refuse a power
+past `MAX_POWER_BITS` bits with an `InputError`.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 from typing import Callable, Optional, Sequence, TypeVar
+
+from . import InputError
 
 T = TypeVar("T")
 
@@ -47,8 +51,18 @@ def prime_factors(n: int) -> list[int]:
     return list(factorint(n))
 
 
-def binary_power(x: T, k: int, mul: Callable[[T, T], T], identity: T) -> T:
-    """x^k for k >= 0 by square-and-multiply; mul must be associative."""
+# A power past this many bits is refused: one gcd at this size takes about
+# 0.1 s (2-core VM, Python 3.11), the benchmark's long words reach 1,340 bits,
+# and 3^(2^17 + 1) has 207,746
+MAX_POWER_BITS = 1 << 18
+_POWER_REFUSED = f"a power would have more than {MAX_POWER_BITS} bits"
+
+
+def binary_power(
+    x: T, k: int, mul: Callable[[T, T], T], identity: T, bits: Optional[Callable[[T], int]] = None
+) -> T:
+    """x^k for k >= 0 by square-and-multiply; mul must be associative.  With
+    `bits`, an InputError once a square has more than MAX_POWER_BITS bits."""
     out = identity
     while k:
         if k & 1:
@@ -56,7 +70,23 @@ def binary_power(x: T, k: int, mul: Callable[[T, T], T], identity: T) -> T:
         k >>= 1
         if k:
             x = mul(x, x)
+            if bits is not None and bits(x) > MAX_POWER_BITS:
+                raise InputError(_POWER_REFUSED)
     return out
+
+
+def rational_bits(x: Fraction | int) -> int:
+    """The larger bit length of x's numerator and denominator."""
+    return max(abs(x.numerator).bit_length(), x.denominator.bit_length())
+
+
+def bounded_pow(x: T, k: int) -> T:
+    """x ** k for an int or Fraction x, or an InputError when it is sure to
+    have more than MAX_POWER_BITS bits: the numerator or denominator of x^k
+    has more than |k| (rational_bits(x) - 1) bits."""
+    if abs(k) * (rational_bits(x) - 1) > MAX_POWER_BITS:
+        raise InputError(_POWER_REFUSED)
+    return x**k
 
 
 # Miller-Rabin on these bases is a proof of primality below _MR_EXACT_BELOW
@@ -71,7 +101,7 @@ _TRIAL_BELOW = 1 << 10
 FACTOR_STEPS = 2_000_000
 
 
-class FactorBudgetError(ArithmeticError):
+class FactorBudgetError(InputError):
     """`factorint` ran past FACTOR_STEPS steps."""
 
 
@@ -419,7 +449,11 @@ class Mat2Q:
 
     def pow(self, k: int) -> "Mat2Q":
         base = self if k >= 0 else self.inverse()
-        return binary_power(base, abs(k), Mat2Q.__mul__, Mat2Q.identity())
+        return binary_power(base, abs(k), Mat2Q.__mul__, Mat2Q.identity(), Mat2Q.bits)
+
+    def bits(self) -> int:
+        """The largest `rational_bits` of an entry."""
+        return max(map(rational_bits, self.entries()))
 
     def apply(self, v: tuple[Fraction, Fraction]) -> tuple[Fraction, Fraction]:
         return (self.a * v[0] + self.b * v[1], self.c * v[0] + self.d * v[1])

@@ -13,10 +13,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from . import InputError
 from .words import Presentation, Word, commutator, format_presentation
 
 
-class SimplifyError(ValueError):
+class SimplifyError(InputError):
     """Input presentation falls outside the accepted fragment."""
 
 
@@ -43,24 +44,6 @@ class ConjugateAtom:
     i: int
     j: int
     exponent: int
-
-    def word(self) -> Word:
-        return Word.of(
-            (
-                ("t", self.i),
-                ("u", self.j),
-                ("a", self.exponent),
-                ("u", -self.j),
-                ("t", -self.i),
-            )
-        )
-
-
-def atom_product_word(atoms: list[ConjugateAtom]) -> Word:
-    w = Word.identity()
-    for atom in atoms:
-        w = w * atom.word()
-    return w
 
 
 def atom_decomposition(w: Word) -> list[ConjugateAtom] | None:
@@ -210,5 +193,5 @@ def expand_standard_form(sf: StandardForm) -> Presentation:
     """Regenerate the a,t,u-presentation of a StandardForm."""
     rel_t = Word.of((("t", 1), ("a", sf.m), ("t", -1), ("a", -sf.n)))
     rel_u = Word.of((("u", 1), ("a", sf.p), ("u", -1), ("a", -sf.q)))
-    rel_c = _COMMUTATOR_UT * atom_product_word([ConjugateAtom(0, 0, sf.c)]).inv()
+    rel_c = _COMMUTATOR_UT * Word.gen("a", -sf.c)
     return Presentation(GENS, (rel_t, rel_u, rel_c))

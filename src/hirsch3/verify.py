@@ -26,6 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Any, Callable, Optional, Sequence
 
+from . import InputError
 from .classify import ClassificationReport, Type1, classify
 from .families import (
     AffineMap2,
@@ -58,7 +59,6 @@ __all__ = [
     "check_relations",
     "oracle_word_eq",
     "rewrite_closure_eq",
-    "commutator_depth_test",
     "commutator_depth_search",
     "nested_commutator",
     "fp_cone_bruteforce",
@@ -85,9 +85,9 @@ class TrialConfig:
 
     def __post_init__(self) -> None:
         if not 0 <= self.seed < 1 << 64:
-            raise ValueError("seed must fit in 64 bits")
+            raise InputError("seed must fit in 64 bits")
         if self.trials < 1:
-            raise ValueError("trials must be at least 1")
+            raise InputError("trials must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -201,6 +201,9 @@ def check_relations(
 
 
 _CLOSURE_VISITS = 4000
+# the most letters a move or either word may have: every candidate spells
+# one of each out letter by letter
+_CLOSURE_LETTERS = 200
 
 
 def rewrite_closure_eq(
@@ -208,9 +211,9 @@ def rewrite_closure_eq(
 ) -> Optional[bool]:
     """Bidirectional closure under relator insertion and free reduction.
 
-    Returns True when the two closures meet, None when the length or node
-    budget is exhausted first.  Never returns False: within a bounded
-    window a failure to meet proves nothing.
+    Returns True when the two closures meet, None when the letter, length
+    or node budget is exhausted first.  Never returns False: within a
+    bounded window a failure to meet proves nothing.
     """
     moves: list[Word] = []
     for r in relators:
@@ -220,6 +223,8 @@ def rewrite_closure_eq(
     if w1 == w2:
         return True
     longest = max((m.length() for m in moves), default=0)
+    if max(longest, w1.length(), w2.length()) > _CLOSURE_LETTERS:
+        return None
     max_length = max(w1.length(), w2.length()) + 2 * longest + 2
     seen = ({w1: None}, {w2: None})
     frontier: tuple[list[Word], list[Word]] = ([w1], [w2])
@@ -318,13 +323,6 @@ def commutator_depth_search(
         if not ops.is_identity(value(leaves)):
             return nested_commutator(leaves)
     return None
-
-
-def commutator_depth_test(
-    desc: GroupDescriptor, depth: int, cfg: TrialConfig
-) -> bool:
-    """True when every sampled depth-fold iterated commutator is trivial."""
-    return commutator_depth_search(desc, depth, cfg) is None
 
 
 # --- finite-presentability cone, brute force ----------------------------------

@@ -15,10 +15,12 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
+from . import InputError
+
 Syllable = tuple[str, int]
 
 
-class ParseError(ValueError):
+class ParseError(InputError):
     """Syntax error in the DSL; `pos` is the 0-based index into the text."""
 
     def __init__(self, message: str, pos: int) -> None:
@@ -117,7 +119,7 @@ class Presentation:
         for r in self.relators:
             stray = r.generators() - known
             if stray:
-                raise ValueError(
+                raise InputError(
                     f"relator uses unknown generator {sorted(stray)[0]!r}; "
                     f"the generators are {', '.join(self.generators) or 'none'}"
                 )

@@ -31,7 +31,6 @@ from hirsch3.verify import (
     TrialConfig,
     check_relations,
     commutator_depth_search,
-    commutator_depth_test,
     oracle_word_eq,
     radical_certificate,
     random_word,
@@ -145,21 +144,21 @@ def test_criterion_3_polycyclicity_criterion():
 def test_criterion_4_derived_length_suite():
     cfg = TrialConfig(seed=20260819, trials=500)
     meta = fixture_named("bs12_rtimes").descriptor
-    assert commutator_depth_test(meta, 2, cfg)
+    assert commutator_depth_search(meta, 2, cfg) is None
     witness = commutator_depth_search(meta, 1, cfg)
     assert witness is not None
     ops = ops_for(meta)
     assert not ops.is_identity(ops.of_word(witness))
 
     dihedral = fixture_named("d_infty_amalgam").descriptor
-    assert commutator_depth_test(dihedral, 3, cfg)
+    assert commutator_depth_search(dihedral, 3, cfg) is None
     witness = commutator_depth_search(dihedral, 2, cfg)
     assert witness is not None
     ops = ops_for(dihedral)
     assert not ops.is_identity(ops.of_word(witness))
 
     for fixture in FIXTURES:
-        assert commutator_depth_test(fixture.descriptor, 3, cfg), fixture.name
+        assert commutator_depth_search(fixture.descriptor, 3, cfg) is None, fixture.name
 
 
 def test_criterion_5_trichotomy_fixtures_golden(capsys, tmp_path):

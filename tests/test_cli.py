@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from hirsch3 import classify as classify_module
-from hirsch3 import cli
+from hirsch3 import InputError, cli
 from hirsch3.classify import InvariantViolation
 from hirsch3.families import (
     FAMILIES,
@@ -55,6 +55,26 @@ def emit(tmp_path: Path, name: str) -> Path:
     code = cli.main(["examples", "emit", name, "--dir", str(tmp_path)])
     assert code == 0
     return tmp_path / f"{name}.toml"
+
+
+_UNIPOTENT = "family = lattice_by_z\nmatrix = 1 1 0 1\n"
+_TRANSLATION = (
+    "family = affine_q2\ngenerators = u\n"
+    "gen.u.linear = 1 0 0 1\ngen.u.translation = 1 1\n"
+)
+_DILATION = (
+    "family = affine_q2\ngenerators = u\n"
+    "gen.u.linear = 2 0 0 1\ngen.u.translation = 0 1\n"
+)
+
+
+def _descriptor_path(tmp_path: Path, name_or_text: str) -> Path:
+    """A fixture's emitted file, or a file holding the given text."""
+    if "\n" not in name_or_text:
+        return emit(tmp_path, name_or_text)
+    path = tmp_path / "descriptor.toml"
+    path.write_text(name_or_text)
+    return path
 
 
 class TestDescriptorFiles:
@@ -312,6 +332,60 @@ class TestWordEqCommand:
         assert "digits" in err
 
 
+    @pytest.mark.parametrize(
+        "name, word, normal_form",
+        [
+            # x = phi(x), so each s pair cancels: one step per pair looped 2^61 times
+            ("z_plus_z2", f"s^-{2**61 - 1} x s^{2**61 - 1}", "x"),
+            # phi^(2^61 - 2)(x) = x needs no power of d = 2
+            ("z_plus_z2", f"s x s^-{2**61 - 1} x^-1", f"s^-{2**61 - 2}"),
+            # x y^(2^200000) takes 200,000 preimage steps, counted at once
+            (
+                "z_plus_z2",
+                "s^-300000 x s^200000 y s^-200000 x^-1 s^300000",
+                "s^-100000 y^-1 s^100000",
+            ),
+            (_UNIPOTENT, f"t^{2**61 - 1} a", f"a t^{2**61 - 1}"),
+            (_TRANSLATION, f"u^{2**61 - 1}", f"translation ({2**61 - 1}, {2**61 - 1})"),
+        ],
+    )
+    def test_huge_power_with_a_small_normal_form_answers_quickly(
+        self, capsys, tmp_path, name, word, normal_form
+    ):
+        path = _descriptor_path(tmp_path, name)
+        capsys.readouterr()
+        start = time.monotonic()
+        code, out, err = run(capsys, "word-eq", str(path), word, word)
+        assert time.monotonic() - start < 2.0
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1].endswith(normal_form)
+
+    @pytest.mark.parametrize(
+        "name, word",
+        [
+            ("bs12_rtimes", f"t^{2**61 - 1} a"),  # 2^(2^61 - 1)
+            ("z_plus_z2", f"s y s^-{2**61 - 1}"),  # y^(2^(2^61 - 2))
+            ("lattice_sol", f"t^{2**61 - 1} a"),  # a hyperbolic matrix's power
+            (_DILATION, f"u^{2**61 - 1}"),  # an affine map's
+        ],
+    )
+    def test_power_past_its_budget_is_input_error(self, capsys, tmp_path, name, word):
+        path = _descriptor_path(tmp_path, name)
+        capsys.readouterr()
+        start = time.monotonic()
+        code, out, err = run(capsys, "word-eq", str(path), word, "1")
+        assert time.monotonic() - start < 2.0
+        assert (code, out) == (2, "")
+        assert err == "error: a power would have more than 262144 bits\n"
+
+    def test_printable_passes_other_refusals_through(self):
+        def refuse() -> str:
+            raise InputError("not a digit limit")
+
+        with pytest.raises(InputError, match="^not a digit limit$"):
+            cli._printable("a normal form", refuse)
+
+
 class TestSimplifyCommand:
     def test_round_trip_from_presentation_file(self, capsys, tmp_path):
         src = tmp_path / "pres.txt"
@@ -345,6 +419,20 @@ class TestSimplifyCommand:
         assert time.monotonic() - start < 0.5
         assert (code, err) == (0, "")
         assert f"m=1 n=2 p=1 q=3 c={2**300}\n" in out
+
+    def test_unprintable_standard_form_is_input_error(self, capsys, tmp_path):
+        # c = 2^100000 has more digits than Python converts to a string
+        src = tmp_path / "huge.txt"
+        src.write_text(
+            "< a, t, u | t a t^-1 = a^2, u a u^-1 = a^3, "
+            "[u, t] = a t^100000 a t^-100000 a^-1 >\n"
+        )
+        code, out, err = run(capsys, "simplify", str(src))
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: the standard form has an integer longer than Python's "
+            f"integer-to-string limit of {sys.get_int_max_str_digits()} digits\n"
+        )
 
     def test_descriptor_file_without_presentation_rejected(
         self, capsys, tmp_path
@@ -446,6 +534,62 @@ class TestVerifyCommand:
         checks = {c["name"]: c for c in json.loads(out)["report"]["checks"]}
         assert checks["relations"]["passed"]
         assert checks["word_eq_oracle"]["note"] == "66 trials skipped on the size budget"
+
+    @pytest.mark.parametrize(
+        "efd, note",
+        [
+            ("1 0 129", ""),  # a 132-letter relator, inside the closure's budget
+            ("1 0 257", "10 closures hit the budget"),
+            ("1 0 513", "10 closures hit the budget"),
+            ("257 0 1", "10 closures hit the budget"),
+            ("1 1001 2", "10 closures hit the budget"),
+            ("1 10001 2", "10 closures hit the budget"),
+            (f"1 {2**61 - 1} 2", "10 closures hit the budget"),
+        ],
+    )
+    def test_large_klein_bottle_endomorphism_answers_quickly(
+        self, capsys, tmp_path, efd, note
+    ):
+        # the coset enumeration is linear in its grid, and the rewriting
+        # closure gives up on a relator past 200 letters before spelling it out
+        e, f, d = efd.split()
+        path = tmp_path / "kb.toml"
+        path.write_text(f"family = asc_hnn_kb\ne = {e}\nf = {f}\nd = {d}\n")
+        start = time.monotonic()
+        code, out, err = run(capsys, "verify", str(path), "--trials", "10")
+        assert time.monotonic() - start < 2.0
+        assert (code, err) == (0, "")
+        checks = {c["name"]: c for c in json.loads(out)["report"]["checks"]}
+        assert checks["britton_vs_rewriting"]["note"] == note
+
+    def test_coset_grid_past_its_bound_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "kb.toml"
+        path.write_text(f"family = asc_hnn_kb\ne = 1\nf = 0\nd = {2**61 - 1}\n")
+        start = time.monotonic()
+        code, out, err = run(capsys, "verify", str(path), "--trials", "10")
+        assert time.monotonic() - start < 2.0
+        assert (code, out) == (2, "")
+        cells = (2**61 + 1) ** 2  # the grid side is max(2|e|, |d|) + 2
+        assert err == (
+            f"error: the coset enumeration grid would have {cells} cells, "
+            "over the bound of 1000000\n"
+        )
+
+    def test_huge_power_in_a_relator_is_input_error(self, capsys, tmp_path):
+        # the word-problem trials put y next to the relator's s^-(10^30 - 1),
+        # whose normal form holds d^(10^30 - 2) = 2^(10^30 - 2)
+        path = tmp_path / "z.toml"
+        path.write_text(
+            emit(tmp_path, "z_plus_z2")
+            .read_text()
+            .replace("s x s^-1 x^-1", f"s x s^-{10**30 - 1} x^-1")
+        )
+        capsys.readouterr()
+        start = time.monotonic()
+        code, out, err = run(capsys, "verify", str(path), "--trials", "10")
+        assert time.monotonic() - start < 2.0
+        assert (code, out) == (2, "")
+        assert err == "error: a power would have more than 262144 bits\n"
 
     def test_inconsistent_classification_is_internal_error(
         self, capsys, tmp_path, monkeypatch
@@ -691,6 +835,67 @@ def test_only_rationals_factors_or_takes_integer_kernels():
                 continue
             found += [f"{module.name}:{node.lineno} {name}" for name in sorted(names & owned)]
     assert not found
+
+
+# the package's layers, bottom to top: a module imports only from layers
+# below its own
+LAYERS = (
+    ("__init__",),
+    ("rationals", "words"),
+    ("families",),
+    ("classify", "oracles"),
+    ("verify",),
+    ("simplify",),
+    ("fixtures",),
+    ("cli",),
+    ("__main__",),
+)
+RANK = {module: rank for rank, layer in enumerate(LAYERS) for module in layer}
+
+
+def upward_imports(module: str, source: str) -> list[str]:
+    """The package modules that `module` imports from its own layer or one
+    above it, anywhere in its source, function bodies included."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names if a.name.split(".")[0] == "hirsch3"]
+            targets = [n.removeprefix("hirsch3").removeprefix(".") or "__init__" for n in names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level == 0:
+                if base.split(".")[0] != "hirsch3":
+                    continue
+                base = base.removeprefix("hirsch3").removeprefix(".")
+            # `from . import name` reads a module or a name of the package root
+            targets = [base] if base else [a.name if a.name in RANK else "__init__" for a in node.names]
+        else:
+            continue
+        found += [f"{node.lineno}: {t}" for t in targets if RANK[t] >= RANK[module]]
+    return found
+
+
+def test_imports_point_down_the_layers():
+    package = Path(cli.__file__).resolve().parent
+    modules = sorted(package.glob("*.py"))
+    assert {m.stem for m in modules} == set(RANK)
+    found = [f"{m.name}:{hit}" for m in modules for hit in upward_imports(m.stem, m.read_text())]
+    assert not found
+
+
+@pytest.mark.parametrize(
+    "module, line",
+    [
+        ("fixtures", "from .cli import DescriptorFile"),
+        ("words", "def word():\n    from .families import ops_for"),
+        ("classify", "from . import oracles"),
+        ("rationals", "import hirsch3.words"),
+        ("simplify", "from hirsch3.fixtures import FIXTURES"),
+        ("cli", "from hirsch3 import __main__"),
+    ],
+)
+def test_import_audit_catches_upward_imports(module, line):
+    assert upward_imports(module, line + "\n")
 
 
 class TestParserReuse:

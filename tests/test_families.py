@@ -26,12 +26,11 @@ from hirsch3.families import (
     affine_inverse,
     affine_of_word,
     affine_pow,
-    _endo_power,
+    _iterate_apply,
     _lattice_of_ints,
     _meta_of_ints,
     hnnkb_of_word,
-    image_membership,
-    kb_endo_apply,
+    hnnkb_reduce,
     kb_inv,
     kb_mul,
     lattice_inv,
@@ -276,8 +275,6 @@ class TestKbEndo:
                 )
 
     def test_image_membership_matches_enumeration(self):
-        from hirsch3.families import _endo_preimage
-
         rng = random.Random(59)
         for phi in [AscHNNKb(1, 0, 2), AscHNNKb(3, 1, 2), AscHNNKb(-3, 2, -2)]:
             image = {
@@ -624,6 +621,23 @@ class TestElementKernels:
         assert hash(_lattice_of_ints(6, 0, 12, 1)) == hash(LatticeElem((F(0), F(2)), 1))
 
 
+def kb_endo_apply(phi: AscHNNKb, g: KbElem) -> KbElem:
+    # phi(x^a y^b) = (x^e y^f)^a y^(d b), and e odd gives (x^e y^f)^2 = x^(2e)
+    return KbElem(phi.e * g.a, phi.f * (g.a & 1) + phi.d * g.b)
+
+
+def image_membership(phi: AscHNNKb, g: KbElem) -> bool:
+    if g.a % phi.e != 0:
+        return False
+    alpha = g.a // phi.e
+    return (g.b - phi.f * (alpha & 1)) % phi.d == 0
+
+
+def _endo_preimage(phi: AscHNNKb, g: KbElem) -> KbElem:
+    alpha = g.a // phi.e
+    return KbElem(alpha, (g.b - phi.f * (alpha & 1)) // phi.d)
+
+
 def _kb_power(g, k):
     out = KbElem(0, 0)
     for _ in range(abs(k)):
@@ -642,8 +656,58 @@ def test_kb_endo_closed_forms_match_generator_images(e, f, d):
             # phi^k in closed form against k applications of phi
             iterated = KbElem(a, b)
             for k in range(5):
-                assert kb_endo_apply(_endo_power(phi, k), KbElem(a, b)) == iterated
+                assert _iterate_apply(phi, k, KbElem(a, b)) == iterated
                 iterated = kb_endo_apply(phi, iterated)
+
+
+def _reduce_step_by_step(desc, i, g, j):
+    while i > 0 and j > 0 and image_membership(desc, g):
+        g, i, j = _endo_preimage(desc, g), i - 1, j - 1
+    return BrittonElem(i, g, j)
+
+
+@pytest.mark.parametrize("e", [-3, -1, 1, 5])
+@pytest.mark.parametrize("d", [-2, -1, 1, 4])
+def test_hnnkb_reduce_takes_every_step_at_once(e, d):
+    # past a period of the preimages, or by the inverse of an onto phi
+    rng = random.Random(e * 10 + d)
+    for f in (-5, 0, 1, 7):
+        desc = AscHNNKb(e, f, d)
+        for _ in range(30):
+            g = KbElem(rng.choice((0, rng.randint(-60, 60))), rng.randint(-60, 60))
+            i, j = rng.randint(0, 700), rng.randint(0, 700)
+            assert hnnkb_reduce(desc, i, g, j) == _reduce_step_by_step(desc, i, g, j)
+
+
+def test_hnnkb_reduce_answers_huge_exponents():
+    # x = phi(x); y -> y^-1 has period 2; phi onto: x y^5 -> x y^(5 - 3n)
+    n = 10**30
+    x = KbElem(1, 0)
+    assert hnnkb_reduce(AscHNNKb(1, 0, 2), n, x, n + 2) == BrittonElem(0, x, 2)
+    assert hnnkb_reduce(AscHNNKb(3, 0, -1), n + 1, KbElem(0, 1), n + 1) == BrittonElem(
+        0, KbElem(0, -1), 0
+    )
+    assert hnnkb_reduce(AscHNNKb(-1, 3, 1), n, KbElem(1, 5), n + 3) == BrittonElem(
+        0, KbElem(1, 5 - 3 * n), 3
+    )
+    # chains of 200,000 and 50,000 preimage steps, counted as valuations
+    g = KbElem(1, 2**200_000)
+    m = n - 200_000
+    assert hnnkb_reduce(AscHNNKb(1, 0, 2), n, g, n) == BrittonElem(m, KbElem(1, 1), m)
+    g = KbElem(3**50_000, 0)
+    assert hnnkb_reduce(AscHNNKb(3, 1, 1), 60_000, g, 50_001) == BrittonElem(
+        10_000, KbElem(1, -50_000), 1
+    )
+
+
+@pytest.mark.parametrize("e, f, d", [(1, 2, 1), (-1, 3, -1), (3, 1, 2), (1, -4, -3)])
+def test_iterate_of_a_huge_power_matches_repeated_application(e, f, d):
+    phi = AscHNNKb(e, f, d)
+    for g in (KbElem(0, 0), KbElem(1, 0), KbElem(0, -2), KbElem(-3, 5)):
+        iterated = g
+        for _ in range(300):
+            iterated = kb_endo_apply(phi, iterated)
+        assert _iterate_apply(phi, 300, g) == iterated
 
 
 @dataclass(frozen=True)

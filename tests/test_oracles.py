@@ -33,7 +33,6 @@ from hirsch3.families import (  # noqa: E402
     MetabelianH31,
     RankOneQ,
     family_of,
-    image_membership,
     kb_inv,
     kb_mul,
     ops_for,
@@ -41,6 +40,7 @@ from hirsch3.families import (  # noqa: E402
 from hirsch3.oracles import VerifyResourceError, endo_index, oracle_word_eq  # noqa: E402
 from hirsch3.rationals import Mat2Q, binary_power  # noqa: E402
 from hirsch3.words import Word  # noqa: E402
+from test_families import image_membership  # noqa: E402
 from test_properties import DESCRIPTORS as FAMILY_DESCRIPTORS  # noqa: E402
 
 F = Fraction
@@ -86,7 +86,7 @@ def import_violations(source: str) -> list[str]:
 
 def private_reads(source: str) -> list[str]:
     """Reads of a private attribute `x._name`: the normal form's cached
-    tables (`_kernel`, `_powers`, `_iterates`) and BSbar's metabelian view
+    tables (`_kernel`, `_powers`) and BSbar's metabelian view
     are all private, so an oracle that reads none shares none of them."""
     return [
         f"{node.lineno}: .{node.attr}"

@@ -5,8 +5,9 @@ reference, the classifier's closed forms against the searches they replaced,
 the JSON shape of classification reports, the reported derived length against
 the commutator search, the abstract's BS(1,n) rtimes Z as ascending HNN
 extensions of cohomological dimension 3, the descriptor-file round trip,
-`factorint` against trial division, and the commutator exponent of
-`standardize` against the integer exponent table.
+`factorint` against trial division, the commutator exponent of
+`standardize` against the integer exponent table, and the command line on
+fixture files with one value replaced.
 
 Hypothesis runs derandomized, so every run draws the same examples, and a
 failure is reported as a shrunk counterexample (descriptor and words).
@@ -14,7 +15,11 @@ failure is reported as a shrunk counterexample (descriptor and words).
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import re
+import signal
 from fractions import Fraction
 from math import gcd, prod
 from pathlib import Path
@@ -27,6 +32,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from hirsch3 import classify as classify_module  # noqa: E402
+from hirsch3 import InputError, cli  # noqa: E402
 from hirsch3.classify import ClassifyError, classify  # noqa: E402
 from hirsch3.cli import (  # noqa: E402
     DescriptorFile,
@@ -47,6 +53,7 @@ from hirsch3.families import (  # noqa: E402
     family_of,
     ops_for,
 )
+from hirsch3.fixtures import FIXTURES, corrupted_d_infty  # noqa: E402
 from hirsch3.rationals import (  # noqa: E402
     Mat2Q,
     complement_vector,
@@ -61,13 +68,12 @@ from hirsch3.simplify import (  # noqa: E402
     SimplifyError,
     SolvabilityError,
     StandardForm,
-    atom_product_word,
     standardize,
 )
 from hirsch3.verify import TrialConfig, commutator_depth_search, oracle_word_eq  # noqa: E402
 from hirsch3.words import Presentation, Word  # noqa: E402
 from test_families import BS1nAut, bs1n_ext_to_meta  # noqa: E402
-from test_simplifier import comm_ut, exponent_law, pres_with  # noqa: E402
+from test_simplifier import atom_product_word, comm_ut, exponent_law, pres_with  # noqa: E402
 
 F = Fraction
 
@@ -517,15 +523,16 @@ CLASSIFY_CASES = {**DESCRIPTORS, "affine_q2_shapes": _affine_groups()}
 
 @pytest.mark.parametrize("family", sorted(CLASSIFY_CASES))
 def test_classify_report_is_plain_json_with_golden_keys(family):
-    """`classify` raises only `ClassifyError`, and its report serializes to
-    plain JSON data (lists, not tuples) shaped like the golden reports."""
+    """`classify` refuses only with an `InputError` (`ClassifyError` or
+    `FactorBudgetError`), and its report serializes to plain JSON data
+    (lists, not tuples) shaped like the golden reports."""
 
     @settings(max_examples=60, derandomize=True, deadline=None, database=None)
     @given(CLASSIFY_CASES[family])
     def check(desc):
         try:
             data = classify(desc).to_json()
-        except ClassifyError:
+        except InputError:
             return
         assert json.loads(json.dumps(data)) == data
         assert set(data) == set(GOLDEN_SHAPES)
@@ -545,7 +552,7 @@ def test_derived_length_agrees_with_commutator_search(family):
     def check(desc):
         try:
             d = classify(desc).derived_length
-        except ClassifyError:
+        except InputError:
             return
         cfg = TrialConfig(seed=0, trials=40)
         assert commutator_depth_search(desc, min(max(d, 1), 3), cfg) is None
@@ -685,3 +692,74 @@ def test_commutator_exponent_is_the_table_total_over_n(tpair, upair, atoms):
             standardize(pres)
     else:
         assert standardize(pres) == StandardForm(m, n, p, q, int(c))
+
+
+# --- the command line on mutated fixture files ------------------------------------------
+
+_FUZZ_FILES = (*FIXTURES, corrupted_d_infty())
+# what replaces one value of a fixture file: degenerate, malformed, overlong,
+# 64-bit and just past each power-of-two size class
+_FUZZ_VALUES = (
+    "0",
+    "-1",
+    "1/0",
+    "x#",
+    "9" * 30,
+    str(2**64),
+    f"1/{2**33 + 1}",
+    *(str(2**k + s) for k in (9, 17, 33, 61) for s in (-1, 1)),
+)
+
+
+@st.composite
+def _mutated_files(draw) -> tuple[str, tuple[str, ...]]:
+    """A fixture's file text with one value replaced, and the fixture's
+    generator names.  A value is a parameter, one entry of a list of them,
+    a whole presentation or one number in it."""
+    fixture = draw(st.sampled_from(_FUZZ_FILES))
+    lines = cli.serialize_descriptor_file(fixture).splitlines(keepends=True)
+    spots = [
+        (idx, match.span())
+        for idx, line in enumerate(lines)
+        if (key := line.split(" = ", 1)[0]) not in ("family", "name", "notes")
+        for pattern in ((r"< .*", r"\d+") if key == "presentation" else (r"\S+",))
+        for match in re.compile(pattern).finditer(line, len(key) + 3)
+    ]
+    idx, (start, end) = draw(st.sampled_from(spots))
+    line = lines[idx]
+    lines[idx] = line[:start] + draw(st.sampled_from(_FUZZ_VALUES)) + line[end:]
+    return "".join(lines), ops_for(fixture.descriptor).generator_names
+
+
+class _Overtime(Exception):
+    pass
+
+
+def _overtime(signum, frame):
+    raise _Overtime("a command ran past 5 s")
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(_mutated_files())
+def test_every_command_answers_a_mutated_file(tmp_path_factory, mutated):
+    # every command answers or refuses, with no traceback and within the alarm
+    text, names = mutated
+    path = tmp_path_factory.getbasetemp() / "mutated.toml"
+    path.write_text(text)
+    first, last = names[0], names[-1]
+    commands = (
+        ["classify", str(path)],
+        ["word-eq", str(path), f"{first} {last}", f"{last} {first}"],
+        ["simplify", str(path)],
+        ["verify", str(path), "--trials", "10"],
+    )
+    previous = signal.signal(signal.SIGALRM, _overtime)
+    try:
+        for argv in commands:
+            signal.alarm(5)
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(argv)
+            assert code in (0, 2, 3, 4), argv
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

@@ -8,10 +8,12 @@ from typing import Optional
 
 import pytest
 
-from hirsch3 import rationals
+from hirsch3 import InputError, rationals
 from hirsch3.rationals import (
+    MAX_POWER_BITS,
     FactorBudgetError,
     Mat2Q,
+    bounded_pow,
     conjugate_to_integral,
     factorint,
     format_rational,
@@ -307,6 +309,18 @@ class TestMat2Q:
         assert m.pow(5) == m * m * m * m * m
         assert m.pow(-3) == m.inverse() * m.inverse() * m.inverse()
 
+    def test_pow_within_the_power_budget(self):
+        # a unipotent power stays small however large the exponent
+        assert Mat2Q.of(1, 1, 0, 1).pow(2**61) == Mat2Q.of(1, 2**61, 0, 1)
+        assert Mat2Q.of(0, -1, 1, 0).pow(-(10**30) - 1) == Mat2Q.of(0, 1, -1, 0)
+        # the square 2^(2^18) is one bit past the budget, 2^(2^17) is within
+        assert Mat2Q.of(2, 0, 0, 1).pow(2**17).bits() == 2**17 + 1
+        refusal = f"^a power would have more than {MAX_POWER_BITS} bits$"
+        with pytest.raises(InputError, match=refusal):
+            Mat2Q.of(2, 0, 0, 1).pow(2**18)
+        with pytest.raises(InputError):
+            Mat2Q.of(2, 1, 1, 1).pow(-(2**61))
+
     def test_apply(self):
         m = Mat2Q.of(2, 1, 1, 1)
         assert m.apply((F(1), F(0))) == (F(2), F(1))
@@ -326,3 +340,19 @@ class TestMat2Q:
         }
         for m, order in cases.items():
             assert matrix_order(m) == order
+
+
+class TestBoundedPow:
+    def test_units_and_zero_take_any_exponent(self):
+        assert bounded_pow(1, 10**30) == 1
+        assert bounded_pow(-1, 10**30 + 1) == -1
+        assert bounded_pow(F(-1), -(2**61)) == 1
+        assert bounded_pow(0, 2**61) == 0
+
+    def test_refuses_only_past_the_budget(self):
+        # |k| (bit length - 1) is a lower bound on the bits of x^k
+        assert bounded_pow(2, MAX_POWER_BITS).bit_length() == MAX_POWER_BITS + 1
+        assert bounded_pow(F(1, 3), -MAX_POWER_BITS) == 3**MAX_POWER_BITS
+        for x, k in ((2, MAX_POWER_BITS + 1), (F(1, 2), -(2**61)), (F(-5, 4), MAX_POWER_BITS)):
+            with pytest.raises(InputError, match="more than 262144 bits"):
+                bounded_pow(x, k)

@@ -15,7 +15,6 @@ from hirsch3.simplify import (
     StandardForm,
     _check_pair,
     atom_decomposition,
-    atom_product_word,
     expand_standard_form,
     standardize,
 )
@@ -24,6 +23,20 @@ from hirsch3.words import Presentation, Word, parse_presentation
 
 def comm_ut() -> Word:
     return Word.of((("u", 1), ("t", 1), ("u", -1), ("t", -1)))
+
+
+def atom_word(atom: ConjugateAtom) -> Word:
+    """b_{i,j}^k = t^i u^j a^k u^-j t^-i."""
+    return Word.of(
+        (("t", atom.i), ("u", atom.j), ("a", atom.exponent), ("u", -atom.j), ("t", -atom.i))
+    )
+
+
+def atom_product_word(atoms: list[ConjugateAtom]) -> Word:
+    w = Word.identity()
+    for atom in atoms:
+        w = w * atom_word(atom)
+    return w
 
 
 def pres_with(m, n, p, q, *rest: Word) -> Presentation:

@@ -36,7 +36,6 @@ from hirsch3.verify import (
     _child_rng,
     check_relations,
     commutator_depth_search,
-    commutator_depth_test,
     defining_relations,
     endo_index,
     fp_cone_bruteforce,
@@ -206,7 +205,7 @@ class TestCommutatorDepth:
 
     def test_metabelian_fixture_depth_two_but_not_one(self):
         desc = fixture_named("bs12_rtimes").descriptor
-        assert commutator_depth_test(desc, 2, CFG)
+        assert commutator_depth_search(desc, 2, CFG) is None
         witness = commutator_depth_search(desc, 1, CFG)
         assert witness is not None
         ops = ops_for(desc)
@@ -214,7 +213,7 @@ class TestCommutatorDepth:
 
     def test_dihedral_fixture_depth_three_but_not_two(self):
         desc = fixture_named("d_infty_amalgam").descriptor
-        assert commutator_depth_test(desc, 3, CFG)
+        assert commutator_depth_search(desc, 3, CFG) is None
         witness = commutator_depth_search(desc, 2, CFG)
         assert witness is not None
         ops = ops_for(desc)
@@ -222,9 +221,9 @@ class TestCommutatorDepth:
 
     def test_depth_bounds_validated(self):
         with pytest.raises(ValueError):
-            commutator_depth_test(BSbar(2, 3), 4, CFG)
+            commutator_depth_search(BSbar(2, 3), 4, CFG)
         with pytest.raises(ValueError):
-            commutator_depth_test(BSbar(2, 3), 0, CFG)
+            commutator_depth_search(BSbar(2, 3), 0, CFG)
 
     @staticmethod
     def word_level_search(desc, depth, cfg):
