@@ -434,15 +434,13 @@ def cmd_simplify(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .verify import MAX_WINDOW, TrialConfig, run_harness
+    from .verify import TrialConfig, run_harness
 
     df = load_descriptor_file(args.path)
-    cfg = TrialConfig(seed=args.seed, trials=args.trials)
-    if not 1 <= args.window <= MAX_WINDOW:
-        raise InputError(f"window must be between 1 and {MAX_WINDOW}")
+    cfg = TrialConfig(seed=args.seed, trials=args.trials, window=args.window)
     if df.presentation is not None:  # its relators use the family's generators
         Presentation(ops_for(df.descriptor).generator_names, df.presentation.relators)
-    report = run_harness(df.descriptor, cfg, relators=df.presentation, window=args.window)
+    report = run_harness(df.descriptor, cfg, relators=df.presentation)
     data = report.to_json()
     sys.stdout.write(_dump_json(_envelope(df, data, verification_notes(data))))
     if not report.passed:

@@ -71,6 +71,7 @@ from .rationals import (
     format_rational,
     in_localized,
     relation_lattice,
+    valuation,
 )
 from .words import Presentation, Word, commutator, format_word
 
@@ -129,6 +130,16 @@ class AffineMap2:
         den, a, b, c, d, x, y = self.ints
         return (F(a * v[0] + b * v[1] + x, den), F(c * v[0] + d * v[1] + y, den))
 
+    def is_unipotent(self) -> bool:
+        """Whether the linear part has trace 2 and determinant 1."""
+        den, a, b, c, d, _, _ = self.ints
+        return a + d == 2 * den and a * d - b * c == den * den
+
+    def is_translation(self) -> bool:
+        """Whether the linear part is the identity."""
+        den, a, b, c, d, _, _ = self.ints
+        return a == d == den and b == c == 0
+
 
 def _affine_of_ints(den: int, a: int, b: int, c: int, d: int, x: int, y: int) -> AffineMap2:
     """The map with these integers after gcd normalization; den > 0 and an
@@ -176,12 +187,8 @@ def affine_inverse(f: AffineMap2) -> AffineMap2:
 
 
 def affine_pow(f: AffineMap2, k: int) -> AffineMap2:
-    # f^k has at most |k| (b + 2) bits, b those of f, and a generator of
-    # 64-bit parameters has b <= 448: up to _TABLE_REACH that stays under
-    # MAX_POWER_BITS, so only larger powers have their squares watched
     base, n = (f, k) if k >= 0 else (affine_inverse(f), -k)
-    bits = _affine_bits if n > _TABLE_REACH else None
-    return binary_power(base, n, affine_compose, AffineMap2.identity(), bits)
+    return binary_power(base, n, affine_compose, AffineMap2.identity(), _affine_bits)
 
 
 def _affine_bits(f: AffineMap2) -> int:
@@ -605,31 +612,16 @@ def hnnkb_reduce(desc: AscHNNKb, i: int, g: KbElem, j: int) -> BrittonElem:
     if n <= 0 or a % e or (b - c) % d:  # not one step
         return BrittonElem(i, g, j)
     if a and abs(e) > 1:
-        n = min(n, _valuation(a, e))
+        n = min(n, valuation(a, e))
     shifted = (d - 1) * b + c  # B
     if abs(d) > 1 and shifted:
-        n = min(n, _valuation(shifted, d))
+        n = min(n, valuation(shifted, d))
         b = (shifted // d**n - c) // (d - 1)
     elif d == 1:
         b -= n * c
     elif d == -1 and n % 2:
         b = c - b
     return BrittonElem(i - n, KbElem(a and a // e**n, b), j - n)
-
-
-def _valuation(m: int, p: int) -> int:
-    """The largest n with p^n dividing m != 0, for |p| > 1: divide by p,
-    p^2, p^4, ... while that divides, then by the same powers downward."""
-    n, powers = 0, [p]
-    while m % powers[-1] == 0:
-        m //= powers[-1]
-        n += 1 << (len(powers) - 1)
-        powers.append(powers[-1] ** 2)
-    for k in reversed(range(len(powers) - 1)):
-        if m % powers[k] == 0:
-            m //= powers[k]
-            n += 1 << k
-    return n
 
 
 def hnnkb_identity() -> BrittonElem:

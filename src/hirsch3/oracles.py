@@ -33,7 +33,10 @@ taken.  A word over budget raises `VerifyResourceError`.
 
 `endo_index` counts the cosets of the image of an `AscHNNKb`'s Klein-bottle
 endomorphism with its own product and image membership on (a, b) pairs,
-testing each cell only against the coset that a closed form names.
+testing each cell only against the coset that a closed form names.  It
+sizes its own grid, (2|e| + 2)(|d| + 2) cells, which holds one element of
+every coset, so the count it returns is the index or, for a wrong closed
+form, more; a grid past `MAX_COSET_CELLS` is refused with an `InputError`.
 """
 
 from __future__ import annotations
@@ -61,8 +64,8 @@ __all__ = ["VerifyResourceError", "oracle_word_eq", "endo_index"]
 
 
 class VerifyResourceError(RuntimeError):
-    """A size or enumeration budget ran out before the oracle reached a
-    verdict.  Distinct from a negative verdict."""
+    """The size budget ran out before the oracle reached a verdict.
+    Distinct from a negative verdict."""
 
 
 _DEFAULT_MAX_BITS = 1 << 17
@@ -430,50 +433,42 @@ def oracle_word_eq(
 MAX_COSET_CELLS = 1_000_000
 
 
-def endo_index(phi: AscHNNKb, bound: int) -> int:
+def endo_index(phi: AscHNNKb) -> int:
     """Index of the image of phi by right-coset enumeration over the grid
-    x^a y^b with 0 <= a, b < bound, in <x, y | x y x^-1 = y^-1>.
+    x^a y^b with 0 <= a < 2|e| + 2 and 0 <= b < |d| + 2, in
+    <x, y | x y x^-1 = y^-1>.
 
     A cell g = x^a y^b joins the coset of the first cell h = x^c y^y with the
     same hint only if g h^-1 = x^(a - c) y^((-1)^c (b - y)) lies in the image
-    phi(x^al y^be) = x^(e al) y^(f (al mod 2) + d be); else it is fresh, so a
-    wrong hint makes the index too large.  The hint is the coset's element
-    x^a0 y^b0, 0 <= a0 < |e|, 0 <= b0 < |d|, with phi(x^al y^be) x^a y^b =
-    x^(e al + a) y^((-1)^a (f (al mod 2) + d be) + b) and al = (a0 - a)/e.
+    phi(x^al y^be) = x^(e al) y^(f (al mod 2) + d be); else it is fresh.  The
+    hint is the coset's element x^a0 y^b0, 0 <= a0 < |e|, 0 <= b0 < |d|,
+    with phi(x^al y^be) x^a y^b = x^(e al + a) y^((-1)^a (f (al mod 2) +
+    d be) + b) and al = (a0 - a)/e.  Every hint cell lies on the grid, and
+    both parities of a // |e|, which the hint's twist reads, occur on it;
+    so right hints count exactly |e d| cosets, and a wrong hint counts more.
 
-    Raises InputError when the grid has more than MAX_COSET_CELLS cells, and
-    VerifyResourceError when the grid provably cannot certify the count:
-    either every cell is a fresh coset, or a fresh coset still appears on
-    the grid boundary.
+    Raises InputError when the grid has more than MAX_COSET_CELLS cells.
     """
-    if bound < 2:
-        raise ValueError("bound must be at least 2")
-    if bound * bound > MAX_COSET_CELLS:
-        raise InputError(
-            f"the coset enumeration grid would have {bound * bound} cells, "
-            f"over the bound of {MAX_COSET_CELLS}"
-        )
     e, f, d = phi.e, phi.f, phi.d
     ae, ad = abs(e), abs(d)
+    rows, cols = 2 * ae + 2, ad + 2
+    if rows * cols > MAX_COSET_CELLS:
+        raise InputError(
+            f"the coset enumeration grid would have {rows * cols} cells, "
+            f"over the bound of {MAX_COSET_CELLS}"
+        )
     first: dict[int, tuple[int, int]] = {}  # a0 |d| + b0 |-> the first cell with it
     count = 0
-    boundary_fresh = False
-    for a in range(bound):
+    for a in range(rows):
         row = (a % ae) * ad
         twist = f * ((a // ae) % 2)  # (a0 - a)/e has the parity of a // |e|
         if a % 2:
             twist = -twist
-        for b in range(bound):
+        for b in range(cols):
             c, y = first.setdefault(row + (b + twist) % ad, (a, b))
             if c != a or y != b:
                 al, rem = divmod(a - c, e)
                 if not rem and ((y - b if c % 2 else b - y) - f * (al % 2)) % d == 0:
                     continue
             count += 1
-            if a == bound - 1 or b == bound - 1:
-                boundary_fresh = True
-    if count == bound * bound:
-        raise VerifyResourceError("index exceeds the enumeration grid")
-    if boundary_fresh:
-        raise VerifyResourceError("enumeration grid too small to certify the index")
     return count

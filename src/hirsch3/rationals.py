@@ -15,8 +15,9 @@ of the generated subgroup of Q*, whether it contains -1, and the exact
 relation basis.  No other module imports `factorint` or
 `integer_row_kernel`; `MetabelianH31` caches its ratio pair's lattice, and
 `complement_vector` completes a primitive relation to a basis of Z^2.
-`bounded_pow`, and `binary_power` given a size function, refuse a power
-past `MAX_POWER_BITS` bits with an `InputError`.
+`bounded_pow` and `binary_power`, which watches its squares with a size
+function, refuse a power past `MAX_POWER_BITS` bits with an `InputError`.
+`valuation` is the one p-adic valuation of an integer.
 """
 
 from __future__ import annotations
@@ -59,10 +60,10 @@ _POWER_REFUSED = f"a power would have more than {MAX_POWER_BITS} bits"
 
 
 def binary_power(
-    x: T, k: int, mul: Callable[[T, T], T], identity: T, bits: Optional[Callable[[T], int]] = None
+    x: T, k: int, mul: Callable[[T, T], T], identity: T, bits: Callable[[T], int]
 ) -> T:
-    """x^k for k >= 0 by square-and-multiply; mul must be associative.  With
-    `bits`, an InputError once a square has more than MAX_POWER_BITS bits."""
+    """x^k for k >= 0 by square-and-multiply; mul must be associative.  An
+    InputError once a square has more than MAX_POWER_BITS bits by `bits`."""
     out = identity
     while k:
         if k & 1:
@@ -70,7 +71,7 @@ def binary_power(
         k >>= 1
         if k:
             x = mul(x, x)
-            if bits is not None and bits(x) > MAX_POWER_BITS:
+            if bits(x) > MAX_POWER_BITS:
                 raise InputError(_POWER_REFUSED)
     return out
 
@@ -255,22 +256,27 @@ def radical_of(n: int) -> int:
     return r
 
 
-def padic_valuation(n: int, p: int) -> int:
-    """Exponent of p in n. n must be nonzero."""
+def valuation(n: int, p: int) -> int:
+    """The largest v with p^v dividing n != 0, for |p| > 1: divide by p,
+    p^2, p^4, ... while that divides, then by the same powers downward."""
     if n == 0:
         raise ValueError("valuation of 0 is undefined")
-    v = 0
-    n = abs(n)
-    while n % p == 0:
-        n //= p
-        v += 1
+    v, powers = 0, [p]
+    while n % powers[-1] == 0:
+        n //= powers[-1]
+        v += 1 << (len(powers) - 1)
+        powers.append(powers[-1] ** 2)
+    for k in reversed(range(len(powers) - 1)):
+        if n % powers[k] == 0:
+            n //= powers[k]
+            v += 1 << k
     return v
 
 
 def rational_valuation(x: Fraction, p: int) -> int:
     if x == 0:
         raise ValueError("valuation of 0 is undefined")
-    return padic_valuation(x.numerator, p) - padic_valuation(x.denominator, p)
+    return valuation(x.numerator, p) - valuation(x.denominator, p)
 
 
 def _supported_by(n: int, d: int) -> bool:
@@ -432,6 +438,10 @@ class Mat2Q:
 
     def trace(self) -> Fraction:
         return self.a + self.d
+
+    def is_unipotent(self) -> bool:
+        """Whether the characteristic polynomial is (x - 1)^2."""
+        return self.trace() == 2 and self.det() == 1
 
     def __mul__(self, other: "Mat2Q") -> "Mat2Q":
         return Mat2Q(

@@ -14,6 +14,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import InputError
+from .rationals import bounded_pow
 from .words import Presentation, Word, commutator, format_presentation
 
 
@@ -74,9 +75,11 @@ def atom_decomposition(w: Word) -> list[ConjugateAtom] | None:
 
 
 def _ratio_weight(atoms: list[ConjugateAtom], r1: Fraction, r2: Fraction) -> Fraction:
+    """The sum of k r1^i r2^j over the atoms b_{i,j}^k; a power past
+    `rationals.MAX_POWER_BITS` bits raises an InputError."""
     total = Fraction(0)
     for atom in atoms:
-        total += atom.exponent * r1**atom.i * r2**atom.j
+        total += atom.exponent * bounded_pow(r1, atom.i) * bounded_pow(r2, atom.j)
     return total
 
 

@@ -72,22 +72,31 @@ __all__ = [
 # the most letters a sampled random word has
 MAX_WORD_LENGTH = 12
 
+# The largest `window` admitted: the family scans' work grows faster than
+# the square of the window.
+MAX_WINDOW = 100
+
 
 @dataclass(frozen=True)
 class TrialConfig:
-    """Budget for one randomized verification run.
+    """Budget for one randomized verification run: the seed, the number of
+    random trials per check, and the window of the exhaustive scans.
 
-    The same seed always produces the same report.
+    The same seed always produces the same report.  Each option out of its
+    range raises an InputError here, so no caller checks it again.
     """
 
     seed: int = 0
     trials: int = 150
+    window: int = 12
 
     def __post_init__(self) -> None:
         if not 0 <= self.seed < 1 << 64:
             raise InputError("seed must fit in 64 bits")
         if self.trials < 1:
             raise InputError("trials must be at least 1")
+        if not 1 <= self.window <= MAX_WINDOW:
+            raise InputError(f"window must be between 1 and {MAX_WINDOW}")
 
 
 @dataclass(frozen=True)
@@ -380,22 +389,15 @@ def _whole_abelian_group(desc: GroupDescriptor) -> _RadicalModel:
     return _RadicalModel(True, gens, lambda g: True, None)
 
 
-def _rank_one_radical(
-    desc: RankOneQ, report: ClassificationReport, claim: int
-) -> Optional[_RadicalModel]:
-    return _whole_abelian_group(desc) if claim == report.hirsch_length else None
+def _rank_one_radical(desc: RankOneQ, report: ClassificationReport) -> _RadicalModel:
+    return _whole_abelian_group(desc)
 
 
-def _bsbar_radical(
-    desc: BSbar, report: ClassificationReport, claim: int
-) -> Optional[_RadicalModel]:
+def _bsbar_radical(desc: BSbar, report: ClassificationReport) -> _RadicalModel:
     a, t = Word.gen("a"), Word.gen("t")
-    if claim == 1:
-        # for |ratio| = 1 this is a deliberate undersized claim used as a
-        # negative control
+    if report.radical.hirsch == 1:
+        # for |ratio| = 1 this is an undersized claim, a negative control
         return _RadicalModel(True, (a,), lambda g: g.i == 0, ("Z", t))
-    if claim != 2 or abs(desc.ratio) != 1:
-        return None
     if desc.ratio == 1:
         return _RadicalModel(True, (a, t), lambda g: True, None)
     return _RadicalModel(True, (a, t**2), lambda g: g.i % 2 == 0, _FINITE)
@@ -405,14 +407,12 @@ def _meta_power_word(vec: tuple[int, int]) -> Word:
     return Word.of((("t", vec[0]), ("u", vec[1])))
 
 
-def _meta_radical(
-    desc: MetabelianH31, report: ClassificationReport, claim: int
-) -> Optional[_RadicalModel]:
+def _meta_radical(desc: MetabelianH31, report: ClassificationReport) -> _RadicalModel:
     r1, r2 = desc.t_ratio, desc.u_ratio
     a, t, u = Word.gen("a"), Word.gen("t"), Word.gen("u")
     lattice = desc.ratio_lattice
     basis = lattice.relations()
-    if claim == 1 + len(basis):
+    if report.radical.hirsch == 1 + len(basis):
 
         @lru_cache(maxsize=None)
         def acts_trivially(i: int, j: int) -> bool:
@@ -434,60 +434,42 @@ def _meta_radical(
             quotient = _FINITE
         gens = (a, *(_meta_power_word(v) for v in basis))
         return _RadicalModel(report.radical.is_abelian, gens, member, quotient)
-    if claim == 1:
-        return _RadicalModel(
-            True, (a,), lambda g: g.i == 0 and g.j == 0, ("Z2", t, u)
-        )
-    return None
+    # an undersized claim, a negative control
+    return _RadicalModel(True, (a,), lambda g: g.i == 0 and g.j == 0, ("Z2", t, u))
 
 
-def _is_unipotent(m: Mat2Q) -> bool:
-    return m.trace() == 2 and m.det() == 1
-
-
-def _lattice_radical(
-    desc: LatticeByZ, report: ClassificationReport, claim: int
-) -> Optional[_RadicalModel]:
+def _lattice_radical(desc: LatticeByZ, report: ClassificationReport) -> _RadicalModel:
     a, b, t = Word.gen("a"), Word.gen("b"), Word.gen("t")
     m = desc.matrix
-    if claim == 2:
+    if report.radical.hirsch == 2:
         return _RadicalModel(True, (a, b), lambda g: g.k == 0, ("Z", t))
-    if claim != 3:
-        return None
 
     def member(g) -> bool:
-        return _is_unipotent(m.pow(g.k)) if g.k else True
+        return m.pow(g.k).is_unipotent() if g.k else True
 
     order = matrix_order(m)
     if order is not None:
         return _RadicalModel(True, (a, b, t**order), member, _FINITE)
-    if _is_unipotent(m):
-        return _RadicalModel(m == Mat2Q.identity(), (a, b, t), member, None)
-    if _is_unipotent(m * m):
-        return _RadicalModel(False, (a, b, t**2), member, _FINITE)
-    return None
+    if m.is_unipotent():
+        return _RadicalModel(report.radical.is_abelian, (a, b, t), member, None)
+    # m is -1 times a unipotent matrix
+    return _RadicalModel(False, (a, b, t**2), member, _FINITE)
 
 
 def _hnn_net(g) -> int:
     return g.j - g.i
 
 
-def _hnnkb_radical(
-    desc: AscHNNKb, report: ClassificationReport, claim: int
-) -> Optional[_RadicalModel]:
+def _hnnkb_radical(desc: AscHNNKb, report: ClassificationReport) -> _RadicalModel:
     e, d = desc.e, desc.d
     x, y, s = Word.gen("x"), Word.gen("y"), Word.gen("s")
-    if abs(e * d) > 1:
-        if claim != 2:
-            return None
+    if report.radical.hirsch == 2:
         return _RadicalModel(
             True,
             (x**2, y),
             lambda g: _hnn_net(g) == 0 and g.g.a % 2 == 0,
             ("ZplusZ2", s, x),
         )
-    if claim != 3:
-        return None
 
     def member_unit(g) -> bool:
         net = _hnn_net(g)
@@ -505,17 +487,6 @@ def _hnnkb_radical(
         extra = s**2
     gens = (x**2, y, extra)
     return _RadicalModel(report.radical.is_abelian, gens, member_unit, _FINITE)
-
-
-def _affine_unipotent(g: AffineMap2) -> bool:
-    # linear part [[a, b], [c, d]] / den has trace 2 and determinant 1
-    den, a, b, c, d = g.ints[:5]
-    return a + d == 2 * den and a * d - b * c == den * den
-
-
-def _is_translation(g: AffineMap2) -> bool:
-    den, a, b, c, d = g.ints[:5]
-    return a == d == den and b == c == 0
 
 
 def _affine_radical_words(
@@ -548,28 +519,24 @@ def _affine_radical_words(
     squares = [(w * w, ops.mul(g, g)) for w, g in words if w.length() <= 2]
     found: dict[AffineMap2, Word] = {}
     for w, g in words:
-        if len(found) < 8 and g != one and _affine_unipotent(g):
+        if len(found) < 8 and g != one and g.is_unipotent():
             found.setdefault(g, w)
     shears: dict[AffineMap2, Word] = {}
     for w, g in words + squares:
-        if len(shears) < 4 and g not in found and _affine_unipotent(g):
-            if not _is_translation(g):
+        if len(shears) < 4 and g not in found and g.is_unipotent():
+            if not g.is_translation():
                 shears.setdefault(g, w)
     return tuple(found.values()), tuple(shears.values())
 
 
-def _affine_radical(
-    desc: AffineQ2, report: ClassificationReport, claim: int
-) -> Optional[_RadicalModel]:
-    if claim != report.radical.hirsch:
-        return None
+def _affine_radical(desc: AffineQ2, report: ClassificationReport) -> _RadicalModel:
     maps = [g for _, g in desc.generators]
     if report.derived_length <= 1:
         # abelian group: the radical is everything, including generators
         # whose linear part is not unipotent (a faithful Z action, say)
         return _whole_abelian_group(desc)
-    if claim == report.hirsch_length:
-        quotient = None if all(map(_affine_unipotent, maps)) else _FINITE
+    if report.radical.hirsch == report.hirsch_length:
+        quotient = None if all(g.is_unipotent() for g in maps) else _FINITE
     elif report.hirsch_length == 3 and report.quotient.tag == "Dinfty":
         # the first two generators with distinct reflection linear parts
         reflections: dict[Mat2Q, str] = {}
@@ -580,24 +547,14 @@ def _affine_radical(
         u_name, v_name = list(reflections.values())[:2]
         quotient = ("Dinfty", Word.gen(u_name), Word.gen(v_name))
     else:
-        names = [name for name, g in desc.generators if not _affine_unipotent(g)]
+        names = [name for name, g in desc.generators if not g.is_unipotent()]
         if not names:
             raise AssertionError("no witness generator for the cyclic quotient")
         quotient = ("Z", Word.gen(names[0]))
     gens, more = _affine_radical_words(desc)
     return _RadicalModel(
-        report.radical.is_abelian, gens, _affine_unipotent, quotient, more
+        report.radical.is_abelian, gens, AffineMap2.is_unipotent, quotient, more
     )
-
-
-def _radical_model(
-    desc: GroupDescriptor, report: ClassificationReport, hirsch_claim: Optional[int] = None
-) -> _RadicalModel:
-    claim = report.radical.hirsch if hirsch_claim is None else hirsch_claim
-    model = _verifier(desc).radical(desc, report, claim)
-    if model is None:
-        raise ValueError("unsupported radical claim for this family")
-    return model
 
 
 def _commutes(ops, g1, g2) -> bool:
@@ -611,24 +568,23 @@ def _conjugate_word(conjugator: Optional[Word], w: Word) -> Word:
 def radical_certificate(
     desc: GroupDescriptor,
     cfg: TrialConfig,
-    hirsch_claim: Optional[int] = None,
     report: Optional[ClassificationReport] = None,
 ) -> VerificationReport:
-    """Randomized certificate for the claimed Fitting radical.
+    """Randomized certificate for the Fitting radical that a report claims.
 
     Samples claimed-radical elements and checks commutativity, normality,
     that sampled outside elements fail to centralize, and that quotient
-    witnesses satisfy the claimed quotient shape.  `hirsch_claim` overrides
-    the classifier's claim, which turns the certificate into a negative
-    control when the override is wrong.  `report` is the descriptor's
-    `classify` report when the caller already has it.
+    witnesses satisfy the claimed quotient shape.  The claim is
+    `report.radical`, `classify(desc)` when no report is given; a report
+    whose radical Hirsch length is replaced by a wrong one makes the
+    certificate a negative control.
 
     A non-abelian claim whose sample finds no witness is certified again
     with the model's `more_words` added to the radical's generators, so
     those words change only the reports that would otherwise fail.
     """
     ops = ops_for(desc)
-    model = _radical_model(desc, report or classify(desc), hirsch_claim)
+    model = _verifier(desc).radical(desc, report or classify(desc))
     checks = _certificate_checks(desc, ops, model, cfg)
     # checks[2] is the commutativity check
     if model.more_words and checks[2].counterexample == _ALL_COMMUTE:
@@ -1051,7 +1007,7 @@ def _depth_checks(desc: GroupDescriptor, cfg: TrialConfig, dl: int) -> list[Chec
 
 
 def _fp_cone_check(
-    desc: MetabelianH31, cfg: TrialConfig, report: ClassificationReport, window: int
+    desc: MetabelianH31, cfg: TrialConfig, report: ClassificationReport
 ) -> list[CheckResult]:
     """The brute-force cone scan against the classifier's constructible
     type; only multiplicatively independent ratio pairs have a cone."""
@@ -1059,7 +1015,7 @@ def _fp_cone_check(
     if desc.ratio_lattice.rank != 2:
         return []
     ctype = report.constructible_type
-    point = fp_cone_bruteforce(ratios, window)
+    point = fp_cone_bruteforce(ratios, cfg.window)
     classifier_type1 = isinstance(ctype, Type1)
 
     def result(counterexample: Optional[str], note: str = "") -> list[CheckResult]:
@@ -1077,29 +1033,22 @@ def _fp_cone_check(
         if value.denominator != 1 or abs(ctype.n) < 2:
             return result(f"cone point ({i}, {j}) has non-integral value {value}")
         return result(None, note=f"cone point ({i}, {j}), value {value}")
-    conclusive = window >= 12 and all(p <= 7 for p in desc.ratio_lattice.primes)
+    conclusive = cfg.window >= 12 and all(p <= 7 for p in desc.ratio_lattice.primes)
     if conclusive and classifier_type1:
         return result(
             "classifier reports an ascending integral form but the brute "
-            f"force scan up to {window} found no cone point"
+            f"force scan up to {cfg.window} found no cone point"
         )
     return result(None, note="" if conclusive else "window may be too small to conclude")
 
 
 def _endo_checks(
-    desc: AscHNNKb, cfg: TrialConfig, report: ClassificationReport, window: int
+    desc: AscHNNKb, cfg: TrialConfig, report: ClassificationReport
 ) -> list[CheckResult]:
-    bound = max(2 * abs(desc.e), abs(desc.d)) + 2
-    expected = abs(desc.e * desc.d)
-    try:
-        index = endo_index(desc, bound)
-        problem = (
-            None
-            if index == expected
-            else f"coset enumeration gives {index}, expected {expected}"
-        )
-    except VerifyResourceError as err:
-        problem = str(err)
+    index, expected = endo_index(desc), abs(desc.e * desc.d)
+    problem = None
+    if index != expected:
+        problem = f"coset enumeration gives {index}, expected {expected}"
     out = [CheckResult("endo_index", problem is None, problem, 1, cfg.seed)]
     ops = ops_for(desc)
     names = ops.generator_names
@@ -1147,16 +1096,16 @@ class _Verifier:
     """What the verifier knows of one family besides its word oracle,
     which `oracles` keeps.
 
-    `radical(desc, report, claim)` is the radical model for a claimed Hirsch
-    length, or None when the family has none for that claim.
-    `extra_checks(desc, cfg, report, window)` are the family's own scans, run
-    after the radical certificate.
+    `radical(desc, report)` is the radical model for the Hirsch length that
+    `report.radical` claims.  `extra_checks(desc, cfg, report)` are the
+    family's own scans, run after the radical certificate; they read their
+    window from `cfg`.
     """
 
-    radical: Callable[[Any, ClassificationReport, int], Optional[_RadicalModel]]
+    radical: Callable[[Any, ClassificationReport], _RadicalModel]
     extra_checks: Callable[
-        [Any, TrialConfig, ClassificationReport, int], list[CheckResult]
-    ] = lambda desc, cfg, report, window: []
+        [Any, TrialConfig, ClassificationReport], list[CheckResult]
+    ] = lambda desc, cfg, report: []
 
 
 _VERIFIERS: dict[type, _Verifier] = {
@@ -1176,16 +1125,10 @@ def _verifier(desc: GroupDescriptor) -> _Verifier:
         raise TypeError(f"unknown descriptor {desc!r}") from None
 
 
-# The largest `window` the command line admits: the family scans' work grows
-# faster than the square of the window.
-MAX_WINDOW = 100
-
-
 def run_harness(
     desc: GroupDescriptor,
     cfg: TrialConfig,
     relators: Optional[Presentation] = None,
-    window: int = 12,
 ) -> VerificationReport:
     """Full verification pass for one descriptor.
 
@@ -1201,5 +1144,5 @@ def run_harness(
     checks.append(_word_eq_check(desc, cfg, relations))
     checks.extend(_depth_checks(desc, cfg, report.derived_length))
     checks.extend(radical_certificate(desc, cfg, report=report).checks)
-    checks.extend(_verifier(desc).extra_checks(desc, cfg, report, window))
+    checks.extend(_verifier(desc).extra_checks(desc, cfg, report))
     return VerificationReport(family_of(desc).describe(desc), cfg.seed, tuple(checks))

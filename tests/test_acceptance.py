@@ -38,6 +38,7 @@ from hirsch3.verify import (
 )
 from test_rationals import integralize
 from test_simplifier import expand_obfuscated, exponent_law
+from test_verifier import claiming_radical_hirsch
 
 F = Fraction
 GOLDEN = Path(__file__).parent / "golden"
@@ -263,7 +264,8 @@ def test_criterion_8_fixture_certification():
     corrupted = corrupted_d_infty()
     relations = check_relations(corrupted.descriptor, corrupted.presentation)
     assert not relations.passed
-    undersized = radical_certificate(BSbar(1, 1), cfg, hirsch_claim=1)
+    claim = claiming_radical_hirsch(BSbar(1, 1), 1)
+    undersized = radical_certificate(BSbar(1, 1), cfg, report=claim)
     assert any(not c.passed for c in undersized.checks)
 
 

@@ -407,8 +407,8 @@ def test_module_moduli_distinguish_eigenvalue_supports():
     # same divisible ranks, different section moduli
     assert _module_growth_ranks(Mat2Q.of(2, 0, 0, 3)) == {2: 1, 3: 1}
     assert _module_growth_ranks(Mat2Q.of(6, 0, 0, 1)) == {2: 1, 3: 1}
-    assert _rank2_module_moduli(Mat2Q.of(2, 0, 0, 3)) == (2, 3)
-    assert _rank2_module_moduli(Mat2Q.of(6, 0, 0, 1)) == (1, 6)
+    for m, moduli in ((Mat2Q.of(2, 0, 0, 3), (2, 3)), (Mat2Q.of(6, 0, 0, 1), (1, 6))):
+        assert _rank2_module_moduli(m, _module_growth_ranks(m)) == moduli
 
 
 def eigenvalue_valuations(m: Mat2Q, p: int) -> tuple[Fraction, Fraction]:

@@ -232,6 +232,23 @@ class TestClassifyCommand:
         assert err.startswith("error: factoring a 37-digit integer needs more than")
         assert len(err.splitlines()) == 1
 
+    def test_realized_ratio_past_its_budget_is_input_error(self, capsys, tmp_path):
+        # the smallest realized ratio, 6 * 5^400 at (i, j) = (19, 21), lies
+        # millions of candidates past the search budget
+        path = tmp_path / "meta.toml"
+        path.write_text(
+            f"family = metabelian_h31\nm = {3**11}\nn = {10**10}\n"
+            f"p = {2**9}\nq = {3**10 * 5**10}\ne = 0\n"
+        )
+        start = time.monotonic()
+        code, out, err = run(capsys, "classify", str(path))
+        assert time.monotonic() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: the smallest realized ratio lies past the search budget "
+            "of 40000 candidates\n"
+        )
+
     def test_product_of_two_40_bit_primes_is_input_error(self, capsys, tmp_path):
         # the determinant is a 25-digit semiprime below the Miller-Rabin
         # bound, and Pollard-Brent needs about 3.3 million steps to split it
@@ -434,6 +451,19 @@ class TestSimplifyCommand:
             f"integer-to-string limit of {sys.get_int_max_str_digits()} digits\n"
         )
 
+    def test_huge_conjugate_power_is_input_error(self, capsys, tmp_path):
+        # the atom t^K a t^-K weighs 2^K, refused before it is computed
+        src = tmp_path / "huger.txt"
+        src.write_text(
+            "< a, t, u | t a t^-1 = a^2, u a u^-1 = a^3, "
+            f"[u, t] = a t^{10**30} a t^-{10**30} a^-1 >\n"
+        )
+        start = time.monotonic()
+        code, out, err = run(capsys, "simplify", str(src))
+        assert time.monotonic() - start < 2.0
+        assert (code, out) == (2, "")
+        assert err == "error: a power would have more than 262144 bits\n"
+
     def test_descriptor_file_without_presentation_rejected(
         self, capsys, tmp_path
     ):
@@ -545,13 +575,18 @@ class TestVerifyCommand:
             ("1 1001 2", "10 closures hit the budget"),
             ("1 10001 2", "10 closures hit the budget"),
             (f"1 {2**61 - 1} 2", "10 closures hit the budget"),
+            # grids that are long in one direction only
+            ("501 0 1", "10 closures hit the budget"),
+            ("999 3 2", "10 closures hit the budget"),
+            ("1 0 200000", "10 closures hit the budget"),
         ],
     )
     def test_large_klein_bottle_endomorphism_answers_quickly(
         self, capsys, tmp_path, efd, note
     ):
-        # the coset enumeration is linear in its grid, and the rewriting
-        # closure gives up on a relator past 200 letters before spelling it out
+        # the coset enumeration is linear in its (2|e| + 2)(|d| + 2) grid, and
+        # the rewriting closure gives up on a relator past 200 letters before
+        # spelling it out
         e, f, d = efd.split()
         path = tmp_path / "kb.toml"
         path.write_text(f"family = asc_hnn_kb\ne = {e}\nf = {f}\nd = {d}\n")
@@ -569,7 +604,7 @@ class TestVerifyCommand:
         code, out, err = run(capsys, "verify", str(path), "--trials", "10")
         assert time.monotonic() - start < 2.0
         assert (code, out) == (2, "")
-        cells = (2**61 + 1) ** 2  # the grid side is max(2|e|, |d|) + 2
+        cells = 4 * (2**61 + 1)  # the grid is (2|e| + 2) x (|d| + 2)
         assert err == (
             f"error: the coset enumeration grid would have {cells} cells, "
             "over the bound of 1000000\n"

@@ -305,6 +305,10 @@ def _six_inverse(f):
 _SIX_ID = (F(1), F(0), F(0), F(1), F(0), F(0))
 
 
+def _six_bits(f) -> int:
+    return max(map(_bits, f))
+
+
 def _ref_affine(desc: AffineQ2, w: Word, max_bits: int):
     sixes = {name: (*f.linear.entries(), *f.translation) for name, f in desc.generators}
     out = _SIX_ID
@@ -312,7 +316,8 @@ def _ref_affine(desc: AffineQ2, w: Word, max_bits: int):
         six = sixes[name]
         _pre_check(exp, max(_bits(x) for x in six), max_bits)
         base = six if exp >= 0 else _six_inverse(six)
-        out = _six_compose(out, binary_power(base, abs(exp), _six_compose, _SIX_ID))
+        power = binary_power(base, abs(exp), _six_compose, _SIX_ID, _six_bits)
+        out = _six_compose(out, power)
         _guard(out, max_bits)
     return out
 
@@ -427,32 +432,16 @@ def test_oracle_agrees_with_fraction_reference(family, monkeypatch):
 # --- the Klein-bottle coset enumeration ---------------------------------------------
 
 
-def _reference_endo_index(phi: AscHNNKb, bound: int) -> int:
-    """The enumeration on the normal form's Klein-bottle algebra."""
-    if bound < 2:
-        raise ValueError("bound must be at least 2")
+def _reference_endo_index(phi: AscHNNKb) -> int:
+    """The enumeration on the normal form's Klein-bottle algebra, over the
+    grid of `endo_index`, testing each cell against every coset so far."""
     reps: list[KbElem] = []
-    boundary_fresh = False
-    for a in range(bound):
-        for b in range(bound):
+    for a in range(2 * abs(phi.e) + 2):
+        for b in range(abs(phi.d) + 2):
             g = KbElem(a, b)
-            if any(image_membership(phi, kb_mul(g, kb_inv(rep))) for rep in reps):
-                continue
-            reps.append(g)
-            if a == bound - 1 or b == bound - 1:
-                boundary_fresh = True
-    if len(reps) == bound * bound:
-        raise VerifyResourceError("index exceeds the enumeration grid")
-    if boundary_fresh:
-        raise VerifyResourceError("enumeration grid too small to certify the index")
+            if not any(image_membership(phi, kb_mul(g, kb_inv(rep))) for rep in reps):
+                reps.append(g)
     return len(reps)
-
-
-def _endo_outcome(index, phi: AscHNNKb, bound: int):
-    try:
-        return index(phi, bound)
-    except (ValueError, VerifyResourceError) as err:
-        return type(err), str(err)
 
 
 def test_endo_index_matches_the_normal_form_algebra():
@@ -460,6 +449,5 @@ def test_endo_index_matches_the_normal_form_algebra():
         for f in range(-3, 4):
             for d in (-4, -3, -2, -1, 1, 2, 3, 4):
                 phi = AscHNNKb(e, f, d)
-                for bound in (1, 2, 3, 5, max(2 * abs(e), abs(d)) + 2):
-                    expected = _endo_outcome(_reference_endo_index, phi, bound)
-                    assert _endo_outcome(endo_index, phi, bound) == expected, (phi, bound)
+                index = _reference_endo_index(phi)
+                assert (endo_index(phi), index) == (abs(e * d), abs(e * d)), phi

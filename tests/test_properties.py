@@ -5,9 +5,9 @@ reference, the classifier's closed forms against the searches they replaced,
 the JSON shape of classification reports, the reported derived length against
 the commutator search, the abstract's BS(1,n) rtimes Z as ascending HNN
 extensions of cohomological dimension 3, the descriptor-file round trip,
-`factorint` against trial division, the commutator exponent of
-`standardize` against the integer exponent table, and the command line on
-fixture files with one value replaced.
+`factorint` against trial division, `valuation` against repeated division,
+the commutator exponent of `standardize` against the integer exponent
+table, and the command line on fixture files with one value replaced.
 
 Hypothesis runs derandomized, so every run draws the same examples, and a
 failure is reported as a shrunk counterexample (descriptor and words).
@@ -62,6 +62,7 @@ from hirsch3.rationals import (  # noqa: E402
     prime_factors,
     radical_of,
     relation_lattice,
+    valuation,
 )
 from hirsch3.simplify import (  # noqa: E402
     ConjugateAtom,
@@ -657,6 +658,21 @@ def test_factorint_agrees_with_trial_division(factors, sign):
     got = factorint(sign * prod(factors))
     assert got == expected
     assert list(got) == sorted(got)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(
+    st.integers(-40, 40).filter(lambda p: abs(p) > 1),
+    st.integers(0, 70),
+    st.integers(-(10**6), 10**6).filter(bool),
+)
+def test_valuation_agrees_with_repeated_division(p, v, unit):
+    n = rest = unit * p**v
+    expected = 0
+    while rest % p == 0:
+        rest //= p
+        expected += 1
+    assert valuation(n, p) == expected >= v
 
 
 # --- the commutator exponent against the exponent table ---------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -28,7 +29,6 @@ from hirsch3.verify import (
     CheckResult,
     _VERIFIERS,
     _RadicalModel,
-    _affine_unipotent,
     _certificate_checks,
     _quotient_check,
     TrialConfig,
@@ -305,27 +305,27 @@ class TestFpCone:
 
 class TestEndoIndex:
     def test_frozen_examples(self):
-        assert endo_index(AscHNNKb(1, 0, 2), 8) == 2
-        assert endo_index(AscHNNKb(1, 0, 1), 8) == 1
-        assert endo_index(AscHNNKb(3, 1, 2), 16) == 6
+        assert endo_index(AscHNNKb(1, 0, 2)) == 2
+        assert endo_index(AscHNNKb(1, 0, 1)) == 1
+        assert endo_index(AscHNNKb(3, 1, 2)) == 6
 
     def test_index_is_ed_for_small_parameters(self):
         for e in (1, -1, 3, -3, 5, -5):
             for d in range(-5, 6):
                 if d == 0:
                     continue
-                bound = max(2 * abs(e), abs(d)) + 2
-                assert endo_index(AscHNNKb(e, 0, d), bound) == abs(e * d)
+                assert endo_index(AscHNNKb(e, 0, d)) == abs(e * d)
 
     def test_nonzero_twist_does_not_change_index(self):
-        assert endo_index(AscHNNKb(3, 2, -2), 16) == 6
-        assert endo_index(AscHNNKb(-1, 1, 3), 10) == 3
+        assert endo_index(AscHNNKb(3, 2, -2)) == 6
+        assert endo_index(AscHNNKb(-1, 1, 3)) == 3
 
-    def test_insufficient_bound_raises(self):
-        with pytest.raises(VerifyResourceError):
-            endo_index(AscHNNKb(5, 0, 5), 3)
-        with pytest.raises(ValueError):
-            endo_index(AscHNNKb(1, 0, 2), 1)
+
+def claiming_radical_hirsch(desc, hirsch: int):
+    """desc's classification report with the radical's Hirsch length
+    replaced: a wrong claim for the certificate to reject."""
+    report = classify(desc)
+    return replace(report, radical=replace(report.radical, hirsch=hirsch))
 
 
 def _shear_radical_example(v_linear: Mat2Q) -> AffineQ2:
@@ -376,26 +376,27 @@ class TestRadicalCertificate:
             assert not failing(report), name
 
     def test_undersized_claim_is_rejected(self):
-        report = radical_certificate(BSbar(1, 1), CFG, hirsch_claim=1)
+        desc = BSbar(1, 1)
+        report = radical_certificate(desc, CFG, report=claiming_radical_hirsch(desc, 1))
         names = {c.name for c in failing(report)}
         assert "radical_detects_outside" in names
 
     def test_undersized_lattice_claim_is_rejected(self):
         desc = LatticeByZ(Mat2Q.of(1, 1, 0, 1))
-        report = radical_certificate(desc, CFG, hirsch_claim=2)
+        report = radical_certificate(desc, CFG, report=claiming_radical_hirsch(desc, 2))
         names = {c.name for c in failing(report)}
         assert "radical_detects_outside" in names
 
     def test_undersized_metabelian_claim_is_rejected(self):
         desc = MetabelianH31(1, 2, 1, 2, F(0))
-        report = radical_certificate(desc, CFG, hirsch_claim=1)
+        report = radical_certificate(desc, CFG, report=claiming_radical_hirsch(desc, 1))
         assert failing(report)
 
 
 def _even_y_shift(g) -> bool:
     # unipotent with translation in Z x 2Z: too small for d_infty_amalgam
     y = g.translation[1]
-    return _affine_unipotent(g) and y.denominator == 1 and y.numerator % 2 == 0
+    return g.is_unipotent() and y.denominator == 1 and y.numerator % 2 == 0
 
 
 def _hnn_even(g) -> bool:
@@ -452,7 +453,7 @@ class TestQuotientWitnesses:
             "a sampled element does not reduce to the radical by powers of s^2 and x",
             54,
         ),
-        (_D_INFTY, _affine_unipotent, ("Dinfty", "u", "y"), "a dihedral witness lies in the radical", 4),
+        (_D_INFTY, AffineMap2.is_unipotent, ("Dinfty", "u", "y"), "a dihedral witness lies in the radical", 4),
         (
             _D_INFTY,
             _even_y_shift,
@@ -460,10 +461,10 @@ class TestQuotientWitnesses:
             "a squared dihedral witness is not in the radical",
             4,
         ),
-        (_D_INFTY, _affine_unipotent, ("Dinfty", "u", "u y"), "(u u y)^1 lies in the radical", 5),
+        (_D_INFTY, AffineMap2.is_unipotent, ("Dinfty", "u", "u y"), "(u u y)^1 lies in the radical", 5),
         (
             _D_INFTY_DILATED,
-            _affine_unipotent,
+            AffineMap2.is_unipotent,
             ("Dinfty", "u", "v"),
             "a sampled element does not reduce to the radical by the dihedral witnesses",
             56,
