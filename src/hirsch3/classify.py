@@ -21,9 +21,9 @@ them not-computed otherwise.  Affine descriptors are supported in the
 shapes the fixture corpus uses: trivial or finite linear image, a single
 infinite-order linear generator, or two order-two reflections generating
 an infinite dihedral image.  The affine analysis explores words on the
-integer `AffineMap2` kernel, for the finite linear image and for the
-translation subgroup, and stops the translation search as soon as it has
-found rank two.
+integer `AffineMap2` kernel for a finite linear image.  The translation
+subgroup is not searched: its rank is read off its Schreier generators, one
+product per generator.
 
 Refusals.  An input outside that scope raises `ClassifyError`, and so does
 a ratio pair whose smallest realized ratio `_type1_ratio` does not reach
@@ -376,8 +376,11 @@ class _AffineData:
         return self.rank_t + (self.image in ("cyclic", "dinfty"))
 
 
-def _linear_closure(mats: Sequence[Mat2Q], cap: int = 24) -> Optional[set[Mat2Q]]:
-    """The group the matrices generate if it has at most cap elements.
+_LINEAR_CLOSURE_CAP = 12  # a finite subgroup of GL(2, Q) has at most 12 elements
+
+
+def _linear_closure(mats: Sequence[Mat2Q]) -> Optional[set[Mat2Q]]:
+    """The group the matrices generate if it is finite.
 
     The search composes translation-free `AffineMap2`s, whose gcd-normalized
     integers make set membership exact; only the kept elements become
@@ -398,53 +401,46 @@ def _linear_closure(mats: Sequence[Mat2Q], cap: int = 24) -> Optional[set[Mat2Q]
                 if prod_gm not in closure:
                     closure.add(prod_gm)
                     nxt.append(prod_gm)
-                    if len(closure) > cap:
+                    if len(closure) > _LINEAR_CLOSURE_CAP:
                         return None
         frontier = nxt
     return {g.linear for g in closure}
 
 
-def _translation_rank(desc: AffineQ2, depth: int = 4) -> int:
-    """Dimension of the smallest subspace that holds the translations of the
-    identity-linear-part words up to `depth` and is stable under the
-    generators' linear parts.
+def _translation_rank(desc: AffineQ2, linear: tuple[Mat2Q, ...]) -> int:
+    """Rank of the translation subgroup T of G, read off the generators.
 
-    A map's integers (x, y) point along its translation (x, y) / den, so
-    directions are compared on integers.  The word search stops as soon as
-    two translations are independent: the rank is then two.
+    `linear`, the distinct non-identity linear parts, must present the linear
+    image L with no relators but r^2 for its reflections r.  Let s_A be the
+    first generator with linear part A, s_I the identity, and N the normal
+    closure of the translations g s_A^-1 (A the linear part of g) and s_A^2
+    (A a reflection).  The presented group maps onto G/N, which maps onto L;
+    the composite is an isomorphism, so N = T.  Conjugation by g applies g's
+    linear part to a translation, so span(T) is the smallest `linear`-stable
+    subspace holding those vectors.  A translation's integers (x, y) point
+    along its vector (x, y) / den, so directions are compared on integers.
     """
-    maps = [gen_map for _, gen_map in desc.generators]
-    gens: list[AffineMap2] = []
-    for gen_map in maps:
-        gens.extend((gen_map, affine_inverse(gen_map)))
+    inverses: dict[Mat2Q, AffineMap2] = {Mat2Q.identity(): AffineMap2.identity()}
     first: Optional[tuple[int, int]] = None
-    seen = {AffineMap2.identity()}
-    frontier = [AffineMap2.identity()]
-    for _ in range(depth):
-        nxt = []
-        for g in frontier:
-            for m in gens:
-                composed = affine_compose(g, m)
-                if composed in seen:
-                    continue
-                seen.add(composed)
-                nxt.append(composed)
-                x, y = composed.ints[5:]
-                if composed.is_translation() and (x, y) != (0, 0):
-                    if first is None:
-                        first = (x, y)
-                    elif first[0] * y - first[1] * x != 0:
-                        return 2
-        frontier = nxt
+    for _, g in desc.generators:
+        lin = g.linear
+        if lin in inverses:
+            seed = affine_compose(g, inverses[lin])
+        else:
+            inverses[lin] = affine_inverse(g)
+            if not lin.is_reflection():
+                continue
+            seed = affine_compose(g, g)
+        x, y = seed.ints[5:]
+        if first is None and (x, y) != (0, 0):
+            first = (x, y)
+        elif first is not None and first[0] * y - first[1] * x != 0:
+            return 2
     if first is None:
         return 0
-    # one line so far: rank two exactly when some linear part moves it
-    x, y = first
-    for gen_map in maps:
-        _, a, b, c, d, _, _ = gen_map.ints
-        if x * (c * x + d * y) - y * (a * x + b * y) != 0:
-            return 2
-    return 1
+    x, y = first  # one line: rank two exactly when some linear part moves it
+    moved = any(x * (m.c * x + m.d * y) != y * (m.a * x + m.b * y) for m in linear)
+    return 2 if moved else 1
 
 
 def _analyze_affine(desc: AffineQ2) -> _AffineData:
@@ -470,14 +466,14 @@ def _analyze_affine(desc: AffineQ2) -> _AffineData:
         composite = distinct[0]
     elif (
         len(distinct) == 2
-        and all(m.det() == -1 and matrix_order(m) == 2 for m in distinct)
+        and all(m.is_reflection() for m in distinct)
         and matrix_order(distinct[0] * distinct[1]) is None
     ):
         image = "dinfty"
         composite = distinct[0] * distinct[1]
     else:
         raise ClassifyError("affine descriptor has an unsupported linear image shape")
-    rank_t = _translation_rank(desc)
+    rank_t = _translation_rank(desc, distinct)
     if image in ("cyclic", "dinfty") and rank_t == 1:
         raise ClassifyError(
             "affine descriptor with rank-one translation part is not supported"

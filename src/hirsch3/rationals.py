@@ -443,6 +443,10 @@ class Mat2Q:
         """Whether the characteristic polynomial is (x - 1)^2."""
         return self.trace() == 2 and self.det() == 1
 
+    def is_reflection(self) -> bool:
+        """Order two and determinant -1, by Cayley-Hamilton on x^2 - 1."""
+        return self.trace() == 0 and self.det() == -1
+
     def __mul__(self, other: "Mat2Q") -> "Mat2Q":
         return Mat2Q(
             self.a * other.a + self.b * other.c,

@@ -490,14 +490,17 @@ def _hnnkb_radical(desc: AscHNNKb, report: ClassificationReport) -> _RadicalMode
 
 
 def _affine_radical_words(
-    desc: AffineQ2,
+    desc: AffineQ2, abelian: bool
 ) -> tuple[tuple[Word, ...], tuple[Word, ...]]:
     """Words for unipotent elements: the first 8 distinct ones of length at
-    most 3, and up to 4 more that are not translations, from the same words
-    and the squares of those of length at most 2.
+    most 3, and for a non-abelian claim up to 4 more that are not
+    translations, from the same words and the squares of those of length at
+    most 2.
 
     The short words alone can all be translations, or all parallel shears,
     in a radical that is not abelian; a sample of them then always commutes.
+    The layers of words stop once both lists are full.  A unipotent word met
+    while fewer than 8 are found joins them, so where they stop changes no list.
     """
     ops = ops_for(desc)
     one = ops.identity()
@@ -506,26 +509,31 @@ def _affine_radical_words(
         for n in ops.generator_names
         for x in (Word.gen(n), Word.gen(n, -1))
     ]
-    words: list[tuple[Word, AffineMap2]] = []
-    layer: list[tuple[Word, AffineMap2]] = [(Word.identity(), one)]
+    found: dict[AffineMap2, Word] = {}
+    shears: dict[AffineMap2, Word] = {}
+
+    def file(words: list[tuple[Word, AffineMap2]], join: bool) -> bool:
+        for w, g in words:
+            if g == one or g in found or not g.is_unipotent():
+                continue
+            if join and len(found) < 8:
+                found[g] = w
+            elif not abelian and len(shears) < 4 and not g.is_translation():
+                shears.setdefault(g, w)
+        return len(found) == 8 and (abelian or len(shears) == 4)
+
+    layers = [[(Word.identity(), one)]]
     for _ in range(3):
-        layer = [
+        layers.append([
             (w * x, ops.mul(g, h))
-            for w, g in layer
+            for w, g in layers[-1]
             for x, h in letters
             if (w * x).length() > w.length()
-        ]
-        words += layer
-    squares = [(w * w, ops.mul(g, g)) for w, g in words if w.length() <= 2]
-    found: dict[AffineMap2, Word] = {}
-    for w, g in words:
-        if len(found) < 8 and g != one and g.is_unipotent():
-            found.setdefault(g, w)
-    shears: dict[AffineMap2, Word] = {}
-    for w, g in words + squares:
-        if len(shears) < 4 and g not in found and g.is_unipotent():
-            if not g.is_translation():
-                shears.setdefault(g, w)
+        ])
+        if file(layers[-1], join=True):
+            break
+    else:
+        file([(w * w, ops.mul(g, g)) for w, g in layers[1] + layers[2]], join=False)
     return tuple(found.values()), tuple(shears.values())
 
 
@@ -542,7 +550,7 @@ def _affine_radical(desc: AffineQ2, report: ClassificationReport) -> _RadicalMod
         reflections: dict[Mat2Q, str] = {}
         for name, g in desc.generators:
             lin = g.linear
-            if lin.det() == -1 and lin * lin == Mat2Q.identity():
+            if lin.is_reflection():
                 reflections.setdefault(lin, name)
         u_name, v_name = list(reflections.values())[:2]
         quotient = ("Dinfty", Word.gen(u_name), Word.gen(v_name))
@@ -551,7 +559,7 @@ def _affine_radical(desc: AffineQ2, report: ClassificationReport) -> _RadicalMod
         if not names:
             raise AssertionError("no witness generator for the cyclic quotient")
         quotient = ("Z", Word.gen(names[0]))
-    gens, more = _affine_radical_words(desc)
+    gens, more = _affine_radical_words(desc, report.radical.is_abelian)
     return _RadicalModel(
         report.radical.is_abelian, gens, AffineMap2.is_unipotent, quotient, more
     )

@@ -68,6 +68,28 @@ _DILATION = (
 )
 
 
+def _affine_text(*gens: tuple[str, str, str]) -> str:
+    """An affine_q2 file with these (name, linear, translation) generators."""
+    names = " ".join(name for name, _, _ in gens)
+    lines = "".join(
+        f"gen.{name}.linear = {linear}\ngen.{name}.translation = {shift}\n"
+        for name, linear, shift in gens
+    )
+    return f"family = affine_q2\ngenerators = {names}\n{lines}"
+
+
+def _prime_translations(count: int) -> list[tuple[str, str, str]]:
+    """Generators x0, x1, ... translating by (1/p, 0) for the first `count`
+    primes p: parallel translations with many distinct short words."""
+    primes: list[int] = []
+    k = 2
+    while len(primes) < count:
+        if all(k % p for p in primes):
+            primes.append(k)
+        k += 1
+    return [(f"x{i}", "1 0 0 1", f"1/{p} 0") for i, p in enumerate(primes)]
+
+
 def _descriptor_path(tmp_path: Path, name_or_text: str) -> Path:
     """A fixture's emitted file, or a file holding the given text."""
     if "\n" not in name_or_text:
@@ -257,6 +279,17 @@ class TestClassifyCommand:
         code, out, err = run(capsys, "classify", str(path))
         assert (code, out) == (2, "")
         assert err == "error: factoring a 25-digit integer needs more than 2000000 steps\n"
+
+    def test_sixty_parallel_translations_classify_quickly(self, capsys, tmp_path):
+        # the translation rank takes one product per generator; parallel
+        # translations never show a second direction that would end a search
+        path = tmp_path / "translations.toml"
+        path.write_text(_affine_text(*_prime_translations(60)))
+        start = time.monotonic()
+        code, out, err = run(capsys, "classify", str(path))
+        assert time.monotonic() - start < 2.0
+        assert (code, err) == (0, "")
+        assert "hirsch length:            1\n" in out
 
     @pytest.mark.parametrize(
         "fixture", FIXTURES, ids=[f.name for f in FIXTURES]
@@ -625,6 +658,33 @@ class TestVerifyCommand:
         assert time.monotonic() - start < 2.0
         assert (code, out) == (2, "")
         assert err == "error: a power would have more than 262144 bits\n"
+
+    @pytest.mark.parametrize(
+        "gens, argv",
+        [
+            ([*_prime_translations(60), ("t", "2 1 1 1", "0 0")], ("--trials", "10")),
+            (
+                [
+                    ("u", "1 0 0 -1", "1/2 0"),
+                    ("v", "2 -1 3 -2", "0 -1"),
+                    ("y", "1 0 0 1", "0 1"),
+                    *_prime_translations(30),
+                ],
+                (),
+            ),
+        ],
+        ids=["cyclic", "dinfty"],
+    )
+    def test_many_affine_generators_verify_quickly(self, capsys, tmp_path, gens, argv):
+        # the radical's unipotent words stop at the first layer that fills
+        # their lists, since the words of length three are cubic in number
+        path = tmp_path / "affine.toml"
+        path.write_text(_affine_text(*gens))
+        start = time.monotonic()
+        code, out, err = run(capsys, "verify", str(path), *argv)
+        assert time.monotonic() - start < 3.0
+        assert (code, err) == (0, "")
+        assert json.loads(out)["report"]["checks"]
 
     def test_inconsistent_classification_is_internal_error(
         self, capsys, tmp_path, monkeypatch

@@ -235,11 +235,13 @@ def test_relation_lattice_against_brute_force(pair):
 
 # --- the affine analysis against its Fraction reference ---------------------------
 #
-# `classify` explores affine words on the integer kernel and stops the
-# translation search at rank two.  The helpers below are the `Fraction`
-# versions it replaced, kept as the reference the way `TestElementKernels`
-# keeps its formulas: a BFS over `Mat2Q` products, the full depth-4
-# translation search and the span closure of what it found.
+# `classify` closes the finite linear image on the integer kernel and reads
+# the translation rank off one product per generator.  The helpers below are
+# the `Fraction` searches it replaced, kept as the reference the way
+# `TestElementKernels` keeps its formulas: a BFS over `Mat2Q` products, the
+# full depth-4 translation search and the span closure of what it found.
+# Every product the closed form takes is a word of length two, so on the
+# shapes `classify` accepts the search finds the same rank.
 
 
 def _ref_linear_closure(mats, cap=24):
@@ -321,7 +323,7 @@ def _analysis(desc):
 
 def _ref_analysis(desc, rank):
     with mock.patch.object(classify_module, "_linear_closure", _ref_linear_closure), \
-            mock.patch.object(classify_module, "_translation_rank", lambda _: rank):
+            mock.patch.object(classify_module, "_translation_rank", lambda *_: rank):
         return _analysis(desc)
 
 
@@ -374,25 +376,76 @@ def _affine_groups(draw) -> AffineQ2:
 def test_affine_analysis_agrees_with_fraction_reference(desc):
     linear = [gen_map.linear for _, gen_map in desc.generators]
     assert classify_module._linear_closure(linear) == _ref_linear_closure(linear)
-    rank = _ref_translation_rank(desc)
-    assert classify_module._translation_rank(desc) == rank
-    assert _analysis(desc) == _ref_analysis(desc, rank)
+    assert _analysis(desc) == _ref_analysis(desc, _ref_translation_rank(desc))
 
 
-def test_translation_rank_closes_under_the_linear_parts():
-    # p and q commute linearly, so the words up to depth four find only
-    # translations along (1, 0); r's shear moves that line, so only the
-    # closure under the linear parts makes the rank two
+_SUPPORTED_IMAGES = [
+    (),
+    (_REFLECTION,),
+    (Mat2Q.of(2, 1, 1, 1),),
+    (Mat2Q.of(1, 1, 0, 1),),
+    (_REFLECTION, Mat2Q.of(2, -1, 3, -2)),
+    (Mat2Q.of(0, 1, 1, 0), Mat2Q.of(F(1, 3), F(2, 3), F(4, 3), F(-1, 3))),
+]
+
+
+@st.composite
+def _affine_groups_repeating_parts(draw) -> AffineQ2:
+    """2-4 generators whose linear parts repeat those of one of the image
+    shapes `classify` accepts: the draws reach the products g s_A^-1 of two
+    generators with one linear part A.  Each translation is zero, a small
+    multiple of one vector, or any small vector, so every rank occurs."""
+    parts = (Mat2Q.identity(), *draw(st.sampled_from(_SUPPORTED_IMAGES)))
+    line = draw(st.sampled_from(((1, 0), (0, 1), (1, -1))))
+    gens = []
+    for name in ("p", "q", "r", "s")[: draw(st.integers(2, 4))]:
+        kind = draw(st.sampled_from(("zero", "line", "any")))
+        k = F(draw(st.integers(-2, 2)), draw(st.integers(1, 3)))
+        any_vector = (draw(st.integers(-2, 2)), draw(st.integers(-2, 2)))
+        x, y = line if kind == "line" else any_vector
+        shift = (F(0), F(0)) if kind == "zero" else (k * x, k * y)
+        gens.append((name, AffineMap2(draw(st.sampled_from(parts)), shift)))
+    return AffineQ2(tuple(gens))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(_affine_groups_repeating_parts())
+def test_translation_rank_of_repeated_parts_agrees_with_search(desc):
+    assert _analysis(desc) == _ref_analysis(desc, _ref_translation_rank(desc))
+
+
+@pytest.mark.parametrize(
+    "linear, rank",
+    [(Mat2Q.of(2, 1, 1, 1), 2), (Mat2Q.of(2, 0, 0, 3), 1)],
+    ids=["moved", "kept"],
+)
+def test_translation_rank_closes_under_the_linear_parts(linear, rank):
+    # x translates along (1, 0) and t has no translation, so every product
+    # of two generators translates along that line; only t's linear part can
+    # move it, and the hyperbolic one does
     desc = AffineQ2(
         (
-            ("p", AffineMap2(Mat2Q.of(2, 0, 0, 1), (F(0), F(0)))),
-            ("q", AffineMap2(Mat2Q.of(1, 0, 0, 3), (F(1), F(0)))),
-            ("r", AffineMap2(Mat2Q.of(1, 0, 1, 1), (F(0), F(0)))),
+            ("x", AffineMap2(Mat2Q.identity(), (F(1), F(0)))),
+            ("t", AffineMap2(linear, (F(0), F(0)))),
         )
     )
-    assert {y for _, y in _ref_pure_translations(desc)} == {0}
-    assert classify_module._translation_rank(desc) == _ref_translation_rank(desc) == 2
-    assert classify_module._translation_rank(AffineQ2(desc.generators[:2])) == 1
+    assert {y for _, y in _ref_pure_translations(desc, depth=2)} == {0}
+    assert classify_module._translation_rank(desc, (linear,)) == rank
+    assert _ref_translation_rank(desc) == rank
+
+
+def test_translation_rank_counts_a_reflection_square():
+    # the glide reflection g fixes the line of x's translation (1, 0), so
+    # only g^2, a translation by (0, 2), makes the rank two
+    glide = Mat2Q.of(-1, 0, 0, 1)
+    desc = AffineQ2(
+        (
+            ("x", AffineMap2(Mat2Q.identity(), (F(1), F(0)))),
+            ("g", AffineMap2(glide, (F(0), F(1)))),
+        )
+    )
+    assert classify_module._translation_rank(desc, (glide,)) == 2
+    assert _ref_translation_rank(desc) == 2
 
 
 # --- the closed forms against the searches they replaced ---------------------------
