@@ -21,7 +21,7 @@ strings may themselves contain one.  Grammar:
     # rank_one_q
     generators = <space-separated rationals>
     # affine_q2
-    generators = <space-separated generator names>
+    generators = <space-separated identifiers>
     gen.<name>.linear = <four rationals, row major>
     gen.<name>.translation = <two rationals>
 
@@ -173,10 +173,6 @@ def parse_descriptor_text(text: str) -> DescriptorFile:
         if kind == "rational":
             return _parse_rational_field(key, value, lineno)
         if kind == "names":
-            if not value.split():
-                raise DescriptorFileError(
-                    f"line {lineno}: {family} needs at least one generator name"
-                )
             return value.split()
         return _parse_rational_list(key, value, lineno, _LIST_COUNTS[kind])
 

@@ -73,7 +73,7 @@ from .rationals import (
     relation_lattice,
     valuation,
 )
-from .words import Presentation, Word, commutator, format_word
+from .words import Presentation, Word, commutator, format_word, is_generator_name
 
 F = Fraction
 
@@ -365,6 +365,9 @@ class AffineQ2:
             raise ValueError("at least one generator required")
         if len(set(names)) != len(names):
             raise ValueError("generator names must be distinct")
+        for name in names:
+            if not is_generator_name(name):
+                raise ValueError(f"generator name {name!r} is not an identifier")
 
     @property
     def names(self) -> tuple[str, ...]:

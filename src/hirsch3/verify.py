@@ -12,9 +12,10 @@ one record per descriptor type: the family's radical model and its own
 extra checks.  The radical-quotient check has one driver per quotient tag
 in `_QUOTIENT_DRIVERS`.
 
-All verdicts are deterministic under a fixed seed.  Each named check and
-each trial derives its own child generator, so results never depend on
-execution order and individual trials could run concurrently.
+A check passes exactly when its counterexample is None; `CheckResult`
+stores no other verdict.  All verdicts are deterministic under a fixed
+seed.  Each named check and each trial derives its own child generator, so
+results never depend on execution order and trials could run concurrently.
 """
 
 from __future__ import annotations
@@ -102,14 +103,17 @@ class TrialConfig:
 @dataclass(frozen=True)
 class CheckResult:
     name: str
-    passed: bool
     counterexample: Optional[str]
     trials: int
     seed: int
     note: str = ""
 
+    @property
+    def passed(self) -> bool:
+        return self.counterexample is None
+
     def to_json(self) -> dict:
-        return asdict(self)
+        return {**asdict(self), "passed": self.passed}
 
 
 @dataclass(frozen=True)
@@ -184,26 +188,14 @@ def check_relations(
     ops = ops_for(desc)
     relations = _relations(desc, presentation)
     if not relations:
-        return CheckResult(
-            "relations",
-            True,
-            None,
-            0,
-            0,
-            note="no relator set available; supply a presentation",
-        )
+        note = "no relator set available; supply a presentation"
+        return CheckResult("relations", None, 0, 0, note=note)
     failures = [
         label
         for label, relator in relations
         if not ops.is_identity(ops.of_word(relator))
     ]
-    return CheckResult(
-        "relations",
-        not failures,
-        "; ".join(failures) if failures else None,
-        len(relations),
-        0,
-    )
+    return CheckResult("relations", "; ".join(failures) or None, len(relations), 0)
 
 
 # --- rewriting closure --------------------------------------------------------
@@ -320,6 +312,9 @@ def commutator_depth_search(
     for leaves in itertools.islice(
         itertools.product(gens, repeat=width), _CANDIDATE_CAP
     ):
+        # an innermost [g, g] = 1 makes the whole commutator trivial
+        if any(leaves[i] == leaves[i + 1] for i in range(0, width, 2)):
+            continue
         if not ops.is_identity(value(leaves)):
             return nested_commutator(leaves)
     for idx in range(cfg.trials):
@@ -592,10 +587,10 @@ def radical_certificate(
     those words change only the reports that would otherwise fail.
     """
     ops = ops_for(desc)
-    model = _verifier(desc).radical(desc, report or classify(desc))
+    model = _VERIFIERS[type(desc)].radical(desc, report or classify(desc))
     checks = _certificate_checks(desc, ops, model, cfg)
-    # checks[2] is the commutativity check
-    if model.more_words and checks[2].counterexample == _ALL_COMMUTE:
+    # checks[2] is the commutativity check: the witness check, given more words
+    if model.more_words and not checks[2].passed:
         words = model.generator_words + model.more_words
         model = replace(model, generator_words=words, more_words=())
         checks = _certificate_checks(desc, ops, model, cfg)
@@ -622,13 +617,7 @@ def _certificate_checks(
         if not model.member(g)
     ]
     checks.append(
-        CheckResult(
-            "radical_generators",
-            not bad,
-            "; ".join(bad) if bad else None,
-            len(gen_words),
-            cfg.seed,
-        )
+        CheckResult("radical_generators", "; ".join(bad) or None, len(gen_words), cfg.seed)
     )
 
     # normality: conjugates of radical generators stay inside.  The sample
@@ -654,15 +643,7 @@ def _certificate_checks(
                 sample.append((conj, (conjugator, w)))
         if normal_failure:
             break
-    checks.append(
-        CheckResult(
-            "radical_normal",
-            normal_failure is None,
-            normal_failure,
-            conj_count,
-            cfg.seed,
-        )
-    )
+    checks.append(CheckResult("radical_normal", normal_failure, conj_count, cfg.seed))
 
     # commutativity of the sampled radical, each element against its next
     # five, or a witness against it from all pairs
@@ -683,14 +664,11 @@ def _certificate_checks(
             )
             break
     if model.abelian:
-        checks.append(
-            CheckResult("radical_abelian", pair is None, pair, pair_count, cfg.seed)
-        )
+        checks.append(CheckResult("radical_abelian", pair, pair_count, cfg.seed))
     else:
         checks.append(
             CheckResult(
                 "radical_nonabelian_witness",
-                pair is not None,
                 None if pair else _ALL_COMMUTE,
                 pair_count,
                 cfg.seed,
@@ -728,8 +706,7 @@ def _certificate_checks(
     checks.append(
         CheckResult(
             "radical_detects_outside",
-            not absorbed,
-            "; ".join(absorbed[:3]) if absorbed else None,
+            "; ".join(absorbed[:3]) or None,
             len(outside),
             cfg.seed,
             note=note,
@@ -912,18 +889,12 @@ def _quotient_check(
     desc: GroupDescriptor, ops, model: _RadicalModel, cfg: TrialConfig
 ) -> CheckResult:
     if model.quotient is None:
-        return CheckResult(
-            "radical_quotient",
-            True,
-            None,
-            0,
-            cfg.seed,
-            note="radical is the whole group",
-        )
+        note = "radical is the whole group"
+        return CheckResult("radical_quotient", None, 0, cfg.seed, note=note)
     tag, *witnesses = model.quotient
     run = _QuotientRun(ops, model.member, cfg)
     failure = _QUOTIENT_DRIVERS[tag](run, *witnesses)
-    return CheckResult("radical_quotient", failure is None, failure, run.trials, cfg.seed)
+    return CheckResult("radical_quotient", failure, run.trials, cfg.seed)
 
 
 # --- harness -------------------------------------------------------------------
@@ -973,14 +944,8 @@ def _word_eq_check(
             )
         if problem:
             break
-    note = (
-        f"{budget_skips} trials skipped on the size budget"
-        if budget_skips
-        else ""
-    )
-    return CheckResult(
-        "word_eq_oracle", problem is None, problem, cfg.trials, cfg.seed, note=note
-    )
+    note = f"{budget_skips} trials skipped on the size budget" if budget_skips else ""
+    return CheckResult("word_eq_oracle", problem, cfg.trials, cfg.seed, note=note)
 
 
 def _depth_checks(desc: GroupDescriptor, cfg: TrialConfig, dl: int) -> list[CheckResult]:
@@ -990,7 +955,6 @@ def _depth_checks(desc: GroupDescriptor, cfg: TrialConfig, dl: int) -> list[Chec
     out.append(
         CheckResult(
             f"commutator_depth_{upper}_vanishes",
-            witness is None,
             format_word(witness) if witness is not None else None,
             cfg.trials,
             cfg.seed,
@@ -998,17 +962,15 @@ def _depth_checks(desc: GroupDescriptor, cfg: TrialConfig, dl: int) -> list[Chec
         )
     )
     if dl >= 2:
-        lower_witness = commutator_depth_search(desc, dl - 1, cfg)
+        lower = commutator_depth_search(desc, dl - 1, cfg)
+        missing = "no nonvanishing commutator found one level down"
         out.append(
             CheckResult(
                 f"commutator_depth_{dl - 1}_witness",
-                lower_witness is not None,
-                None
-                if lower_witness is not None
-                else "no nonvanishing commutator found one level down",
+                None if lower is not None else missing,
                 cfg.trials,
                 cfg.seed,
-                note=format_word(lower_witness) if lower_witness else "",
+                note=format_word(lower) if lower is not None else "",
             )
         )
     return out
@@ -1027,8 +989,7 @@ def _fp_cone_check(
     classifier_type1 = isinstance(ctype, Type1)
 
     def result(counterexample: Optional[str], note: str = "") -> list[CheckResult]:
-        passed = counterexample is None
-        return [CheckResult("fp_cone", passed, counterexample, 1, cfg.seed, note=note)]
+        return [CheckResult("fp_cone", counterexample, 1, cfg.seed, note=note)]
 
     if point is not None:
         i, j = point
@@ -1057,7 +1018,7 @@ def _endo_checks(
     problem = None
     if index != expected:
         problem = f"coset enumeration gives {index}, expected {expected}"
-    out = [CheckResult("endo_index", problem is None, problem, 1, cfg.seed)]
+    out = [CheckResult("endo_index", problem, 1, cfg.seed)]
     ops = ops_for(desc)
     names = ops.generator_names
     relators = [r for _, r in defining_relations(desc)]
@@ -1084,13 +1045,10 @@ def _endo_checks(
     out.append(
         CheckResult(
             "britton_vs_rewriting",
-            contradiction is None,
             contradiction,
             trials,
             cfg.seed,
-            note=(
-                f"{inconclusive} closures hit the budget" if inconclusive else ""
-            ),
+            note=f"{inconclusive} closures hit the budget" if inconclusive else "",
         )
     )
     return out
@@ -1126,13 +1084,6 @@ _VERIFIERS: dict[type, _Verifier] = {
 }
 
 
-def _verifier(desc: GroupDescriptor) -> _Verifier:
-    try:
-        return _VERIFIERS[type(desc)]
-    except KeyError:
-        raise TypeError(f"unknown descriptor {desc!r}") from None
-
-
 def run_harness(
     desc: GroupDescriptor,
     cfg: TrialConfig,
@@ -1152,5 +1103,5 @@ def run_harness(
     checks.append(_word_eq_check(desc, cfg, relations))
     checks.extend(_depth_checks(desc, cfg, report.derived_length))
     checks.extend(radical_certificate(desc, cfg, report=report).checks)
-    checks.extend(_verifier(desc).extra_checks(desc, cfg, report))
+    checks.extend(_VERIFIERS[type(desc)].extra_checks(desc, cfg, report))
     return VerificationReport(family_of(desc).describe(desc), cfg.seed, tuple(checks))

@@ -139,6 +139,11 @@ _INT_RE = re.compile(r"-?\d+")
 _PUNCT = set("<>|,=()[]^")
 
 
+def is_generator_name(name: str) -> bool:
+    """Whether a word can spell `name`: an identifier of the grammar."""
+    return _IDENT_RE.fullmatch(name) is not None
+
+
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
     toks: list[tuple[str, object, int]] = []
     i, n = 0, len(text)

@@ -218,6 +218,15 @@ class TestClassifyCommand:
         assert err.startswith("error: line 3: key 'n'") and len(err.splitlines()) == 1
         assert "64 bits" in err
 
+    def test_generator_name_no_word_spells_is_input_error(self, capsys, tmp_path):
+        # "1" parses as the identity, so no word could name this generator
+        text = _affine_text(("1", "1 0 0 1", "1 0"), ("x", "1 0 0 1", "0 1"))
+        code, out, err = run(capsys, "classify", str(_descriptor_path(tmp_path, text)))
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: invalid affine_q2 parameters: generator name '1' is not an identifier\n"
+        )
+
     @pytest.mark.parametrize(
         "text",
         [

@@ -86,6 +86,12 @@ def test_rank_one_normal_form_reads_only_g1_to_gn():
             rankone_of_word(desc, Word.gen(name))
 
 
+@pytest.mark.parametrize("desc", FAMILIES, ids=lambda d: type(d).__name__)
+def test_unknown_generator_is_a_value_error(desc):
+    with pytest.raises(ValueError, match="unknown generator 'z'"):
+        ops_for(desc).of_word(Word.gen("z"))
+
+
 class TestDescriptorValidation:
     def test_bsbar(self):
         with pytest.raises(ValueError):
@@ -130,6 +136,10 @@ class TestDescriptorValidation:
                     ("u", AffineMap2.identity()),
                 )
             )
+        # no word spells these names: "1" is the identity, "2x" no token
+        for name in ("1", "2x", "", "gen.u"):
+            with pytest.raises(ValueError, match=f"generator name '{name}' is not"):
+                AffineQ2(((name, AffineMap2.identity()),))
 
 
 def bsbar_of_word(desc, w):

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+import hirsch3.verify as verify_module
 from hirsch3.classify import classify
 from hirsch3.families import (
     FAMILIES,
@@ -16,6 +17,7 @@ from hirsch3.families import (
     AffineQ2,
     AscHNNKb,
     BSbar,
+    GroupOps,
     LatticeByZ,
     MetabelianH31,
     RankOneQ,
@@ -438,6 +440,13 @@ class TestQuotientWitnesses:
         (AscHNNKb(1, 0, 2), _hnn_even, ("ZplusZ2", "s", "y"), "y lies in the radical", 2),
         (AscHNNKb(1, 0, 2), _hnn_even, ("ZplusZ2", "s", "x^2"), "x^2 lies in the radical", 2),
         (
+            AscHNNKb(1, 0, 2),
+            lambda g: g.j - g.i == 0 and g.g.a == 0,
+            ("ZplusZ2", "s", "x"),
+            "x^2 is not in the radical",
+            2,
+        ),
+        (
             AscHNNKb(1, 1, 2),
             lambda g: _hnn_even(g) and g.g.b == 0,
             ("ZplusZ2", "s", "x"),
@@ -508,6 +517,89 @@ class TestQuotientWitnesses:
         normal = _certificate_checks(desc, ops_for(desc), model, TrialConfig())[1]
         assert (normal.name, normal.passed) == ("radical_normal", False)
         assert (normal.counterexample, normal.trials) == ("t a t^-1", 3)
+
+
+def forced_failure(desc, name: str) -> str:
+    """The counterexample of the check `name` in desc's harness at seed 0,
+    which a monkeypatch makes fail: its verdict, its JSON and the report's
+    all say so."""
+    report = run_harness(desc, TrialConfig(seed=0, trials=20))
+    (check,) = [c for c in report.checks if c.name == name]
+    assert check.passed is False
+    assert check.to_json()["passed"] is False
+    assert report.to_json()["passed"] is False
+    return check.counterexample
+
+
+_BS12 = fixture_named("bs12_rtimes").descriptor
+
+
+class TestFailingBranches:
+    """The failing branch of each check that no input reaches unpatched,
+    forced by replacing one name in `verify` or `GroupOps.word_eq`."""
+
+    def test_normal_form_disagrees_with_oracle(self, monkeypatch):
+        real = verify_module.oracle_word_eq
+        monkeypatch.setattr(verify_module, "oracle_word_eq", lambda d, w1, w2: not real(d, w1, w2))
+        assert forced_failure(BSbar(2, 3), "word_eq_oracle") == (
+            "a^-3 t a^-1 t^2 vs a^-3 t a^-1 t^3 a^2 t a^-2 t^-1 a t^-1 a^3 t a^-2 t^-1: "
+            "normal form says True, oracle says False"
+        )
+
+    def test_relator_consequence_evaluates_unequal(self, monkeypatch):
+        monkeypatch.setattr(verify_module, "oracle_word_eq", lambda d, w1, w2: False)
+        monkeypatch.setattr(GroupOps, "word_eq", lambda self, w1, w2: False)
+        assert forced_failure(BSbar(2, 3), "word_eq_oracle") == (
+            "a^-3 t a^-1 t^2 vs a^-3 t a^-1 t^3 a^2 t a^-2 t^-1 a t^-1 a^3 t a^-2 t^-1 "
+            "differ only by relators but evaluate unequal"
+        )
+
+    def test_no_commutator_one_level_down(self, monkeypatch):
+        real = verify_module.commutator_depth_search
+        monkeypatch.setattr(
+            verify_module,
+            "commutator_depth_search",
+            lambda desc, depth, cfg: None if depth == 1 else real(desc, depth, cfg),
+        )
+        assert forced_failure(BSbar(2, 3), "commutator_depth_1_witness") == (
+            "no nonvanishing commutator found one level down"
+        )
+
+    @pytest.mark.parametrize(
+        "desc, point, message",
+        [
+            (
+                MetabelianH31(2, 3, 1, 5, F(0)),
+                (1, 0),
+                "brute force found (1, 0) but the classifier does not report an "
+                "ascending integral form",
+            ),
+            (
+                _BS12,
+                None,
+                "classifier reports an ascending integral form but the brute force "
+                "scan up to 12 found no cone point",
+            ),
+            (_BS12, (-1, 0), "cone point (-1, 0) has non-integral value 1/2"),
+        ],
+        ids=["point-without-type1", "type1-without-point", "non-integral-point"],
+    )
+    def test_fp_cone_disagreement(self, monkeypatch, desc, point, message):
+        monkeypatch.setattr(verify_module, "fp_cone_bruteforce", lambda ratios, window: point)
+        assert forced_failure(desc, "fp_cone") == message
+
+    def test_endo_index_mismatch(self, monkeypatch):
+        monkeypatch.setattr(verify_module, "endo_index", lambda desc: 5)
+        assert forced_failure(AscHNNKb(1, 0, 2), "endo_index") == (
+            "coset enumeration gives 5, expected 2"
+        )
+
+    def test_britton_misses_a_relator_consequence(self, monkeypatch):
+        monkeypatch.setattr(GroupOps, "word_eq", lambda self, w1, w2: False)
+        assert forced_failure(AscHNNKb(1, 0, 2), "britton_vs_rewriting") == (
+            "s x^-2 s vs s x^-2 y s y^-1 s^-1 y s: Britton reduction misses a "
+            "relator consequence"
+        )
 
 
 class TestVerifierTable:
