@@ -36,7 +36,9 @@ as integer pairs or tuples, what its products need for exponents up to
 `_TABLE_REACH`.  A `MetabelianH31` keeps two tables, t[i] = (r1^i,
 r1 G(r1, i)) and u[s] = (r2^s, e G(r2, s)) with G(r, k) = (r^k - 1)/(r - 1),
 because u^s a^x t^i = a^(x r2^s + e G(r2, s) r1 G(r1, i)) t^i u^s; a
-`LatticeByZ` keeps the matrix powers M^k; an `AscHNNKb` is the three
+`LatticeByZ` keeps the matrix powers M^k; an `AffineQ2` keeps one table
+of powers g^k per generator g, so a word costs one composition per
+syllable after its first; an `AscHNNKb` is the three
 integers of its endomorphism phi, and `_iterate_apply` applies phi^k by a
 closed form.  A `MetabelianH31` also caches its ratio pair's
 `RelationLattice`, factored once, which `locus`, `classify` and `verify`
@@ -373,6 +375,11 @@ class AffineQ2:
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.generators)
 
+    @cached_property
+    def _powers(self) -> dict[str, "_Table"]:
+        """Each generator's table of powers, by name."""
+        return {name: _Table(partial(affine_pow, g)) for name, g in self.generators}
+
 
 GroupDescriptor = Union[RankOneQ, BSbar, MetabelianH31, LatticeByZ, AscHNNKb, AffineQ2]
 
@@ -694,13 +701,13 @@ def rankone_of_word(desc: RankOneQ, w: Word) -> Fraction:
 
 
 def affine_of_word(desc: AffineQ2, w: Word) -> AffineMap2:
-    out = AffineMap2.identity()
-    maps = dict(desc.generators)
+    powers = desc._powers
+    out = None
     for g, e in w.syllables:
-        if g not in maps:
+        if g not in powers:
             raise ValueError(f"unknown generator {g!r}")
-        out = affine_compose(out, affine_pow(maps[g], e))
-    return out
+        out = powers[g][e] if out is None else affine_compose(out, powers[g][e])
+    return _AFFINE_IDENTITY if out is None else out
 
 
 # --- display and defining relations -------------------------------------------
@@ -765,12 +772,13 @@ def _affine_fields(desc: AffineQ2) -> list[tuple[str, str]]:
 
 
 def _affine_parse(take) -> AffineQ2:
-    gens = []
-    for gname in take("generators", "names"):
+    names = take("generators", "names")
+    maps = {}
+    for gname in dict.fromkeys(names):  # each key is taken once; AffineQ2 refuses repeats
         lin = take(f"gen.{gname}.linear", "matrix")
         tr = take(f"gen.{gname}.translation", "vector")
-        gens.append((gname, AffineMap2(Mat2Q.of(*lin), (tr[0], tr[1]))))
-    return AffineQ2(tuple(gens))
+        maps[gname] = AffineMap2(Mat2Q.of(*lin), (tr[0], tr[1]))
+    return AffineQ2(tuple((gname, maps[gname]) for gname in names))
 
 
 def _relation(lhs: Word, rhs: Word) -> tuple[str, Word]:

@@ -7,6 +7,13 @@ matters.  Relations u = v are stored as relators uv^-1.
 
 Equality here is free-group equality; group-level equality lives with the
 group element models.
+
+Every `Word` is freely reduced, so a product reduces only at the seam: the
+last syllables of the left factor against the first of the right, with the
+rest copied as it is; the parser joins a word's atoms the same way on one
+list.  A power is built from those products by repeated squaring, and one
+that would spell more than `MAX_POWER_SYLLABLES` syllables is refused
+before anything is built.
 """
 
 from __future__ import annotations
@@ -28,18 +35,36 @@ class ParseError(InputError):
         self.pos = pos
 
 
+# Past 2^20 syllables a power is refused unbuilt: that is 8 MB of syllable
+# pointers, built in about 0.03 s, and still 1.7 times (t u a)^200000.
+MAX_POWER_SYLLABLES = 2**20
+
+
 def _reduced(pairs: Iterable[Syllable]) -> tuple[Syllable, ...]:
-    stack: list[list] = []
+    stack: list[Syllable] = []
     for gen, exp in pairs:
         if exp == 0:
             continue
         if stack and stack[-1][0] == gen:
-            stack[-1][1] += exp
-            if stack[-1][1] == 0:
-                stack.pop()
+            exp += stack.pop()[1]
+            if exp:
+                stack.append((gen, exp))
         else:
-            stack.append([gen, exp])
-    return tuple((gen, exp) for gen, exp in stack)
+            stack.append((gen, exp))
+    return tuple(stack)
+
+
+def _seam(left: Sequence[Syllable], right: Sequence[Syllable]) -> tuple[int, int, tuple]:
+    """Where the reduced `left` and `right` meet: their reduced product is
+    left[:i] + middle + right[j:], as only the syllables at the seam can
+    cancel or merge."""
+    i, j = len(left), 0
+    while i and j < len(right) and left[i - 1][0] == right[j][0]:
+        exp = left[i - 1][1] + right[j][1]
+        if exp:
+            return i - 1, j + 1, ((right[j][0], exp),)
+        i, j = i - 1, j + 1
+    return i, j, ()
 
 
 @dataclass(frozen=True)
@@ -68,7 +93,9 @@ class Word:
         return not self.syllables
 
     def __mul__(self, other: "Word") -> "Word":
-        return Word.of(self.syllables + other.syllables)
+        left, right = self.syllables, other.syllables
+        i, j, middle = _seam(left, right)
+        return Word(left[:i] + middle + right[j:])
 
     def inv(self) -> "Word":
         return Word(tuple((g, -e) for g, e in reversed(self.syllables)))
@@ -77,8 +104,21 @@ class Word:
         if len(self.syllables) == 1:  # one syllable (g, e k), not |k| of them
             g, e = self.syllables[0]
             return Word.gen(g, e * k)
-        base = self if k >= 0 else self.inv()
-        return Word.of(base.syllables * abs(k))
+        n = abs(k)
+        if len(self.syllables) * n > MAX_POWER_SYLLABLES:
+            raise InputError(
+                f"a word of {len(self.syllables)} syllables to the power {k} would "
+                f"spell {len(self.syllables) * n} syllables, over the bound of "
+                f"{MAX_POWER_SYLLABLES}"
+            )
+        base, out = (self if k >= 0 else self.inv()), Word()
+        while n:  # no square is longer than n copies of the base
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
+        return out
 
     def exponent_sum(self, gen: str) -> int:
         return sum(e for g, e in self.syllables if g == gen)
@@ -234,10 +274,14 @@ class _Parser:
         raise ParseError("expected a word", pos)
 
     def word(self) -> Word:
-        out = self.atom()
+        # one list for the whole product: a Word per atom would copy it each time
+        out = list(self.atom().syllables)
         while self.peek()[0] in ("ident", "int", "(", "["):
-            out = out * self.atom()
-        return out
+            right = self.atom().syllables
+            i, j, middle = _seam(out, right)
+            out[i:] = middle
+            out.extend(right[j:])
+        return Word(tuple(out))
 
 
 def parse_word(text: str, generators: Optional[Sequence[str]] = None) -> Word:

@@ -227,6 +227,12 @@ class TestClassifyCommand:
             "error: invalid affine_q2 parameters: generator name '1' is not an identifier\n"
         )
 
+    def test_repeated_affine_generator_name_is_input_error(self, capsys, tmp_path):
+        text = _affine_text(("x", "1 0 0 1", "1 0")).replace("generators = x", "generators = x x")
+        code, out, err = run(capsys, "classify", str(_descriptor_path(tmp_path, text)))
+        assert (code, out) == (2, "")
+        assert err == "error: invalid affine_q2 parameters: generator names must be distinct\n"
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -380,6 +386,17 @@ class TestWordEqCommand:
         assert time.monotonic() - start < 1.0
         assert (code, err) == (0, "")
         assert out.splitlines()[0] == "equal"
+
+    def test_overlong_word_power_is_input_error(self, capsys, tmp_path):
+        # refused before a syllable is built: spelled out, it needs terabytes
+        path = emit(tmp_path, "bs12_rtimes")
+        capsys.readouterr()
+        code, out, err = run(capsys, "word-eq", str(path), "(t u a)^1000000000000", "1")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: a word of 3 syllables to the power 1000000000000 would spell "
+            "3000000000000 syllables, over the bound of 1048576\n"
+        )
 
     def test_overlong_exponent_is_input_error(self, capsys, tmp_path):
         path = emit(tmp_path, "bs12_rtimes")

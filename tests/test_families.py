@@ -26,6 +26,7 @@ from hirsch3.families import (
     affine_inverse,
     affine_of_word,
     affine_pow,
+    _TABLE_REACH,
     _iterate_apply,
     _lattice_of_ints,
     _meta_of_ints,
@@ -62,6 +63,14 @@ D_INFTY = AffineQ2(
         ("u", AffineMap2(Mat2Q.of(1, 0, 0, -1), (F(1, 2), F(0)))),
         ("v", AffineMap2(Mat2Q.of(2, -1, 3, -2), (F(0), F(-1)))),
         ("y", AffineMap2(Mat2Q.identity(), (F(0), F(1)))),
+    )
+)
+
+# linear parts of infinite order, so powers past _TABLE_REACH have large entries
+_GROWING = AffineQ2(
+    (
+        ("g", AffineMap2(Mat2Q.of(2, 1, 1, 1), (F(1, 3), F(0)))),
+        ("h", AffineMap2(Mat2Q.of(F(1, 2), 0, 0, 3), (F(0), F(1)))),
     )
 )
 
@@ -371,6 +380,24 @@ class TestAffine:
     def test_unknown_symbol(self):
         with pytest.raises(ValueError):
             affine_of_word(D_INFTY, parse_word("w"))
+
+    @pytest.mark.parametrize("desc", [D_INFTY, _GROWING], ids=["d_infty", "growing"])
+    def test_word_is_the_product_of_its_syllable_powers(self, desc):
+        # 257 and 300 lie past _TABLE_REACH: computed on every use, not kept
+        maps, names = dict(desc.generators), desc.names
+        exps = (0, 1, -1, 256, -256, 257, -257, 300, -300)
+        syllables = tuple((names[i % len(names)], e) for i, e in enumerate(exps))
+        expected = AffineMap2.identity()
+        for g, e in syllables:
+            expected = affine_compose(expected, affine_pow(maps[g], e))
+        for _ in range(2):  # filling the tables, then reading them
+            for g in names:
+                for e in exps:
+                    assert affine_of_word(desc, Word(((g, e),))) == affine_pow(maps[g], e)
+            assert affine_of_word(desc, Word(syllables)) == expected
+            assert affine_of_word(desc, Word()) == AffineMap2.identity()
+        for table in desc._powers.values():
+            assert max(map(abs, table)) == _TABLE_REACH
 
 
 def _rational(rng) -> Fraction:

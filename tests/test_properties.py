@@ -7,7 +7,8 @@ the commutator search, the abstract's BS(1,n) rtimes Z as ascending HNN
 extensions of cohomological dimension 3, the descriptor-file round trip,
 `factorint` against trial division, `valuation` against repeated division,
 the commutator exponent of `standardize` against the integer exponent
-table, and the command line on fixture files with one value replaced.
+table, the command line on fixture files with one value replaced, and the
+word product and power against free reduction of the spelled-out word.
 
 Hypothesis runs derandomized, so every run draws the same examples, and a
 failure is reported as a shrunk counterexample (descriptor and words).
@@ -832,3 +833,30 @@ def test_every_command_answers_a_mutated_file(tmp_path_factory, mutated):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+# --- the word product and power -------------------------------------------------
+
+
+@st.composite
+def _seam_pairs(draw):
+    """Reduced words u and v where v opens with the inverse of u's last few
+    syllables, so their seam cancels that deep; half the time the deepest
+    of those has its exponent shifted, so it merges instead of cancelling."""
+    syllables = st.lists(st.tuples(st.sampled_from("abc"), st.integers(-3, 3)), max_size=8)
+    u = Word.of(draw(syllables))
+    depth = draw(st.integers(0, len(u.syllables)))
+    undo = list(Word(u.syllables[len(u.syllables) - depth :]).inv().syllables)
+    if undo and draw(st.booleans()):
+        g, e = undo[-1]
+        undo[-1] = (g, e + draw(st.integers(-3, 3)))
+    return u, Word.of(undo + draw(syllables))
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(_seam_pairs(), st.integers(-7, 7))
+def test_word_product_and_power_agree_with_free_reduction(pair, k):
+    u, v = pair
+    assert u * v == Word.of(u.syllables + v.syllables)
+    base = u if k >= 0 else u.inv()
+    assert u**k == Word.of(base.syllables * abs(k))

@@ -6,7 +6,9 @@ import random
 
 import pytest
 
+from hirsch3 import InputError
 from hirsch3.words import (
+    MAX_POWER_SYLLABLES,
     ParseError,
     Presentation,
     Word,
@@ -65,6 +67,23 @@ class TestAlgebra:
         # built in O(1): spelled out, a^(3 2^60) would not fit in memory
         assert (w("a^3") ** 2**60).syllables == (("a", 3 * 2**60),)
         assert (w("a^3") ** -(2**60)).syllables == (("a", -3 * 2**60),)
+
+    def test_power_past_the_syllable_bound_is_refused_unbuilt(self):
+        two = w("a b")
+        over = MAX_POWER_SYLLABLES // 2 + 1
+        for k in (over, -over, 10**30):
+            with pytest.raises(InputError) as exc:
+                two ** k
+            assert f"would spell {2 * abs(k)} syllables" in str(exc.value)
+        assert Word() ** 10**30 == Word()
+
+    def test_long_words_are_built_whole(self):
+        word = parse_word("(t u a)^200000 t")
+        assert len(word.syllables) == 600_001
+        assert word.syllables[-2:] == (("a", 1), ("t", 1))
+        # a long product of atoms, with a seam that cancels all the way back
+        assert len(parse_word("a b " * 100_000).syllables) == 200_000
+        assert parse_word("a b " * 1000 + "b^-1 a^-1 " * 999 + "b^-1") == w("a")
 
     def test_exponent_sum(self):
         assert w("t a t^-1 a^-2").exponent_sum("t") == 0
