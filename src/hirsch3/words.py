@@ -10,10 +10,10 @@ group element models.
 
 Every `Word` is freely reduced, so a product reduces only at the seam: the
 last syllables of the left factor against the first of the right, with the
-rest copied as it is; the parser joins a word's atoms the same way on one
-list.  A power is built from those products by repeated squaring, and one
-that would spell more than `MAX_POWER_SYLLABLES` syllables is refused
-before anything is built.
+rest copied as it is.  A power w^k is spelled directly: w = p c p^-1 with c
+cyclically reduced, and in c^k only each copy's last syllable can merge
+with the next copy's first.  A power whose reduced form would have more
+than `MAX_POWER_SYLLABLES` syllables is refused before anything is built.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ class ParseError(InputError):
         self.pos = pos
 
 
-# Past 2^20 syllables a power is refused unbuilt: that is 8 MB of syllable
-# pointers, built in about 0.03 s, and still 1.7 times (t u a)^200000.
+# A power whose reduced form passes 2^20 syllables is refused unbuilt: that
+# is 8 MB of syllable pointers, and still 1.7 times (t u a)^200000.
 MAX_POWER_SYLLABLES = 2**20
 
 
@@ -52,19 +52,6 @@ def _reduced(pairs: Iterable[Syllable]) -> tuple[Syllable, ...]:
         else:
             stack.append((gen, exp))
     return tuple(stack)
-
-
-def _seam(left: Sequence[Syllable], right: Sequence[Syllable]) -> tuple[int, int, tuple]:
-    """Where the reduced `left` and `right` meet: their reduced product is
-    left[:i] + middle + right[j:], as only the syllables at the seam can
-    cancel or merge."""
-    i, j = len(left), 0
-    while i and j < len(right) and left[i - 1][0] == right[j][0]:
-        exp = left[i - 1][1] + right[j][1]
-        if exp:
-            return i - 1, j + 1, ((right[j][0], exp),)
-        i, j = i - 1, j + 1
-    return i, j, ()
 
 
 @dataclass(frozen=True)
@@ -94,31 +81,42 @@ class Word:
 
     def __mul__(self, other: "Word") -> "Word":
         left, right = self.syllables, other.syllables
-        i, j, middle = _seam(left, right)
-        return Word(left[:i] + middle + right[j:])
+        i, j = len(left), 0
+        while i and j < len(right) and left[i - 1][0] == right[j][0]:
+            exp = left[i - 1][1] + right[j][1]
+            if exp:
+                return Word(left[: i - 1] + ((right[j][0], exp),) + right[j + 1 :])
+            i, j = i - 1, j + 1
+        return Word(left[:i] + right[j:])
 
     def inv(self) -> "Word":
         return Word(tuple((g, -e) for g, e in reversed(self.syllables)))
 
     def __pow__(self, k: int) -> "Word":
-        if len(self.syllables) == 1:  # one syllable (g, e k), not |k| of them
-            g, e = self.syllables[0]
-            return Word.gen(g, e * k)
-        n = abs(k)
-        if len(self.syllables) * n > MAX_POWER_SYLLABLES:
+        syl, n = self.syllables, abs(k)
+        if not syl or not k:
+            return Word()
+        d = 0  # peel w = p c p^-1 down to a cyclically reduced core c
+        while 2 * d + 1 < len(syl) and syl[d] == (syl[-1 - d][0], -syl[-1 - d][1]):
+            d += 1
+        core = syl[d : len(syl) - d]
+        if k < 0:  # w^-1 = p c^-1 p^-1
+            core = Word(core).inv().syllables
+        merges = core[0][0] == core[-1][0]  # each copy's end with the next one's start
+        size = 2 * d + n * len(core) - (n - 1) * merges
+        if size > MAX_POWER_SYLLABLES:
             raise InputError(
-                f"a word of {len(self.syllables)} syllables to the power {k} would "
-                f"spell {len(self.syllables) * n} syllables, over the bound of "
-                f"{MAX_POWER_SYLLABLES}"
+                f"a word of {len(syl)} syllables to the power {k} would "
+                f"spell {size} syllables, over the bound of {MAX_POWER_SYLLABLES}"
             )
-        base, out = (self if k >= 0 else self.inv()), Word()
-        while n:  # no square is longer than n copies of the base
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        if len(core) == 1:
+            middle = ((core[0][0], core[0][1] * n),)
+        elif merges:
+            joint = (core[0][0], core[-1][1] + core[0][1])
+            middle = core[:-1] + ((joint,) + core[1:-1]) * (n - 1) + core[-1:]
+        else:
+            middle = core * n
+        return Word(syl[:d] + middle + syl[len(syl) - d :])
 
     def exponent_sum(self, gen: str) -> int:
         return sum(e for g, e in self.syllables if g == gen)
@@ -274,14 +272,10 @@ class _Parser:
         raise ParseError("expected a word", pos)
 
     def word(self) -> Word:
-        # one list for the whole product: a Word per atom would copy it each time
-        out = list(self.atom().syllables)
+        out = self.atom()
         while self.peek()[0] in ("ident", "int", "(", "["):
-            right = self.atom().syllables
-            i, j, middle = _seam(out, right)
-            out[i:] = middle
-            out.extend(right[j:])
-        return Word(tuple(out))
+            out = out * self.atom()
+        return out
 
 
 def parse_word(text: str, generators: Optional[Sequence[str]] = None) -> Word:

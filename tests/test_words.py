@@ -81,9 +81,19 @@ class TestAlgebra:
         word = parse_word("(t u a)^200000 t")
         assert len(word.syllables) == 600_001
         assert word.syllables[-2:] == (("a", 1), ("t", 1))
-        # a long product of atoms, with a seam that cancels all the way back
-        assert len(parse_word("a b " * 100_000).syllables) == 200_000
+        # a product of atoms with a seam that cancels all the way back
         assert parse_word("a b " * 1000 + "b^-1 a^-1 " * 999 + "b^-1") == w("a")
+
+    def test_power_is_bounded_by_its_reduced_length(self):
+        k = MAX_POWER_SYLLABLES
+        assert w("a b a^-1") ** k == Word((("a", 1), ("b", k), ("a", -1)))
+        assert w("a b a^-1") ** -k == Word((("a", 1), ("b", -k), ("a", -1)))
+        assert parse_word("(t a t^-1)^400000") == w("t a^400000 t^-1")
+        # the last syllable of each copy merges with the first of the next
+        assert len((w("a b a^2") ** 400_000).syllables) == 800_001
+        assert w("a b a^2") ** -2 == w("a^-2 b^-1 a^-3 b^-1 a^-1")
+        with pytest.raises(InputError, match="would spell 1048579 syllables"):
+            w("a b a^2") ** (k // 2 + 1)
 
     def test_exponent_sum(self):
         assert w("t a t^-1 a^-2").exponent_sum("t") == 0

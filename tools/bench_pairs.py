@@ -5,7 +5,7 @@
         --workloads long_words=10 verify_fixtures=4 word_problem=4 classify_sweep=4
 
 Each run is ``python3 perfbench/run.py --workload <w> --seed <s> --seconds
-<t> --trace 0`` inside a fresh ``git archive`` of its commit, so no run sees
+25 --trace 0`` inside a fresh ``git archive`` of its commit, so no run sees
 bytecode or results that an earlier run left behind.  Pair i of a workload
 runs both sides at seed first_seed + i; the parent runs first in even pairs
 and the change in odd ones.  The output has the shape of BENCH_13.json plus
@@ -31,6 +31,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SECONDS = 25  # the run length of the pair protocol
 
 
 def git(*args: str) -> str:
@@ -45,14 +46,14 @@ def archive(commit: str) -> bytes:
     ).stdout
 
 
-def run_once(tar: bytes, workload: str, seed: int, seconds: float, scratch: str | None) -> dict:
+def run_once(tar: bytes, workload: str, seed: int, scratch: str | None) -> dict:
     """The result object of one benchmark run in a fresh tree of `tar`."""
     with tempfile.TemporaryDirectory(dir=scratch) as tree:
         with tarfile.open(fileobj=io.BytesIO(tar)) as tf:
             tf.extractall(tree)
         cmd = [
             sys.executable, "perfbench/run.py", "--workload", workload,
-            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
+            "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0",
         ]
         proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
@@ -93,7 +94,6 @@ def main() -> int:
     parser.add_argument("--workloads", nargs="+", required=True, metavar="NAME=PAIRS")
     parser.add_argument("--claim", nargs=2, required=True, metavar=("WORKLOAD", "METRIC"))
     parser.add_argument("--first-seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=25)
     parser.add_argument("--scratch", help="directory for the extracted trees")
     args = parser.parse_args()
 
@@ -122,7 +122,7 @@ def main() -> int:
             seed = args.first_seed + pair
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for side in order:
-                result = run_once(tars[side], workload, seed, args.seconds, args.scratch)
+                result = run_once(tars[side], workload, seed, args.scratch)
                 runs[workload].append({"side": side, "pair": pair, "seed": seed, "result": result})
                 ops = result["metrics"]["ops_per_s"]["value"]
                 print(f"{workload} pair {pair} seed {seed} {side}: {ops:.1f} ops/s, "
@@ -146,7 +146,7 @@ def main() -> int:
         },
         "command": (
             f"python3 perfbench/run.py --workload <w> --seed <seed> --seconds "
-            f"{args.seconds:g} --trace 0, each run in a fresh git archive of its "
+            f"{SECONDS} --trace 0, each run in a fresh git archive of its "
             "commit, alternating which side runs first"
         ),
         "claimed": {
