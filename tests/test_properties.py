@@ -858,5 +858,6 @@ def _seam_pairs(draw):
 def test_word_product_and_power_agree_with_free_reduction(pair, k):
     u, v = pair
     assert u * v == Word.of(u.syllables + v.syllables)
-    base = u if k >= 0 else u.inv()
-    assert u**k == Word.of(base.syllables * abs(k))
+    for w in (u, v.inv() * u * v):  # the conjugate is peeled to its core first
+        base = w if k >= 0 else w.inv()
+        assert w**k == Word.of(base.syllables * abs(k))
