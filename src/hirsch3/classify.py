@@ -11,19 +11,22 @@ descriptor type, that computes its own invariants once and hands them to
 `_report`.  That builder derives the family-independent ones (cohomological
 dimension, coherence, manifold dimensions) and cross-checks the finished
 `ClassificationReport`, the one record that `classify` returns, the CLI
-prints and `verify` certifies; each public operation reads one field of it.
-Adding a family means adding one invariants function to that table.
+prints and `verify` certifies.  Callers read its fields; the public steps
+below `classify` remain only for the benchmark's tracer.  Adding a family
+means adding one invariants function to that table.
 
-Scope notes.  The quotient type, coherence, and manifold operations are
-fully specified only at Hirsch length 3; `classify` fills those report
-fields for shorter groups when an invariant forces the value and marks
-them not-computed otherwise.  Affine descriptors are supported in the
-shapes the fixture corpus uses: trivial or finite linear image, a single
-infinite-order linear generator, or two order-two reflections generating
-an infinite dihedral image.  The affine analysis explores words on the
-integer `AffineMap2` kernel for a finite linear image.  The translation
-subgroup is not searched: its rank is read off its Schreier generators, one
-product per generator.
+Scope notes.  The quotient type and coherence are fully specified only at
+Hirsch length 3; `classify` fills those report fields for shorter groups
+when an invariant forces the value and marks them not-computed otherwise.
+Affine descriptors are supported in the shapes the fixture corpus uses:
+trivial or finite linear image, a single infinite-order linear generator,
+or two order-two reflections generating an infinite dihedral image.  The
+affine analysis explores words on the integer `AffineMap2` kernel for a
+finite linear image.  The translation subgroup is not searched: its rank is
+read off its Schreier generators, one product per generator.  A finite
+image {I, A} that holds an involution is refused as torsion
+(`_has_involution`, one gcd on A's fixed line); the infinite dihedral shape
+is not yet tested for involutions.
 
 Refusals.  An input outside that scope raises `ClassifyError`, and so does
 a ratio pair whose smallest realized ratio `_type1_ratio` does not reach
@@ -38,11 +41,12 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
-from math import isqrt, prod
+from math import gcd, isqrt, prod
 from typing import Any, Callable, Optional, Sequence, Union
 
 from . import InputError
 from .families import (
+    META_IDENTITY,
     AffineMap2,
     AffineQ2,
     AscHNNKb,
@@ -53,7 +57,6 @@ from .families import (
     RankOneQ,
     affine_compose,
     affine_inverse,
-    meta_identity,
     meta_of_word,
 )
 from .rationals import (
@@ -443,6 +446,35 @@ def _translation_rank(desc: AffineQ2, linear: tuple[Mat2Q, ...]) -> int:
     return 2 if moved else 1
 
 
+def _has_involution(desc: AffineQ2, reflection: Mat2Q) -> bool:
+    """Whether G, whose linear image is {I, A} for the reflection A, holds
+    an involution.
+
+    With s = (A, v) the first generator over A, the elements over A are
+    (A, v + t) for t in the translation subgroup T, and (A, w)^2 =
+    (I, (I + A) w); so an involution exists exactly when (I + A) v lies in
+    (I + A) T.  T is spanned by s^2, each g s^-1 (g over A), the translation
+    generators and their images under A, and (I + A) A = I + A, so (I + A) T
+    is the cyclic subgroup of A's fixed line spanned by (I + A) t over the
+    first three.  Membership is compared on one coordinate that is nonzero
+    on that line.
+    """
+    row = (1 + reflection.a, reflection.b)
+    if row == (0, 0):
+        row = (reflection.c, 1 + reflection.d)
+    v = next(g.translation for _, g in desc.generators if g.linear == reflection)
+    target = row[0] * v[0] + row[1] * v[1]
+    step = 2 * target  # from s^2 = (I, (I + A) v)
+    for _, g in desc.generators:
+        x, y = g.translation
+        if g.linear == reflection:
+            x, y = x - v[0], y - v[1]  # g s^-1 = (I, w - v) for g = (A, w)
+        c = row[0] * x + row[1] * y
+        step = F(gcd(step.numerator * c.denominator, c.numerator * step.denominator),
+                 step.denominator * c.denominator)
+    return target == 0 or (target / step).denominator == 1
+
+
 def _analyze_affine(desc: AffineQ2) -> _AffineData:
     maps = [gen_map for _, gen_map in desc.generators]
     abelian = all(
@@ -484,6 +516,8 @@ def _analyze_affine(desc: AffineQ2) -> _AffineData:
         raise ClassifyError(
             "affine descriptor with finite nontrivial image needs translation rank 2"
         )
+    if image == "finite" and _has_involution(desc, distinct[0]):
+        raise ClassifyError("affine descriptor presents a group with torsion")
     return _AffineData(rank_t, image, composite, abelian, distinct)
 
 
@@ -495,7 +529,7 @@ def _meta_radical_abelian_h3(desc: MetabelianH31) -> bool:
     for i, j in desc.ratio_lattice.relations():
         words.append(Word.of((("t", i), ("u", j))))
     return all(
-        meta_of_word(desc, commutator(w1, w2)) == meta_identity()
+        meta_of_word(desc, commutator(w1, w2)) == META_IDENTITY
         for idx, w1 in enumerate(words)
         for w2 in words[idx + 1 :]
     )
@@ -825,8 +859,8 @@ _INVARIANTS: dict[type, Callable[[Any], ClassificationReport]] = {
 
 
 def classify(desc: GroupDescriptor) -> ClassificationReport:
-    """The family's report on the group; each public step below reads one
-    field of it, so a caller that needs several reads should classify once."""
+    """The family's report on the group.  Read its fields; the public steps
+    below remain only for the benchmark's tracer."""
     try:
         family = _INVARIANTS[type(desc)]
     except KeyError:
@@ -842,6 +876,10 @@ def _at_hirsch_three(desc: GroupDescriptor, what: str) -> ClassificationReport:
 
 
 # --- operations ---------------------------------------------------------------
+
+# Each step reads one report field.  No code in this package calls them:
+# `perfbench/tracing.py` wraps them by name (`CLASSIFY_STEPS`), so they go
+# with the tracer's change in ROADMAP item 3(a).
 
 
 def hirsch_length(desc: GroupDescriptor) -> int:
@@ -881,10 +919,6 @@ def minimax_series(desc: GroupDescriptor) -> list[str]:
     return list(classify(desc).minimax.sections)
 
 
-def manifold_dim_info(desc: GroupDescriptor) -> ManifoldDim:
-    return _at_hirsch_three(desc, "manifold dimensions are").manifold_dim
-
-
 _ALLOWED_QUOTIENTS = {1: {"Z2"}, 2: {"Z", "Dinfty", "ZplusZ2"}, 3: {"VirtuallyTrivial"}}
 
 
@@ -892,14 +926,6 @@ def _enforce_report_invariants(report: ClassificationReport) -> None:
     def fail(message: str) -> None:
         raise InvariantViolation(message)
 
-    if report.finitely_presentable != report.constructible:
-        fail("finite presentability and constructibility must agree")
-    if report.constructible and report.cohomological_dimension != report.hirsch_length:
-        fail("constructible groups must have cd equal to Hirsch length")
-    if not report.constructible and report.hirsch_length > 0 and (
-        report.cohomological_dimension != report.hirsch_length + 1
-    ):
-        fail("non-constructible groups must have cd equal to Hirsch length + 1")
     if report.derived_length > 3:
         fail("solvable groups of Hirsch length at most 3 have derived length at most 3")
     if report.hirsch_length == report.cohomological_dimension == 3 and (
@@ -908,13 +934,8 @@ def _enforce_report_invariants(report: ClassificationReport) -> None:
         fail("groups with Hirsch length and cd 3 must be of type 1, 2 or 3")
     if isinstance(report.constructible_type, Type3) and not report.polycyclic:
         fail("groups of type 3 must be polycyclic")
-    if report.polycyclic:
-        if not isinstance(report.constructible_type, Type3):
-            fail("polycyclic groups must be of type 3")
-        if report.coherent.value is not True:
-            fail("polycyclic groups must be coherent")
-        if report.manifold_dim.exact != report.hirsch_length:
-            fail("polycyclic groups must have exact manifold dimension h")
+    if report.polycyclic and not isinstance(report.constructible_type, Type3):
+        fail("polycyclic groups must be of type 3")
     if report.radical.hirsch > report.hirsch_length:
         fail("radical Hirsch length exceeds the group's")
     if report.quotient is not None:

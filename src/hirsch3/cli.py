@@ -46,7 +46,7 @@ from typing import Callable, Optional, Sequence
 
 from . import InputError, __version__
 from .classify import ClassificationReport, InvariantViolation, classify
-from .families import FAMILY_BY_TAG, DescriptorFile, GroupDescriptor, family_of, ops_for
+from .families import FAMILY_BY_TAG, DescriptorFile, family_of, ops_for
 from .rationals import parse_rational
 from .words import (
     ParseError,
@@ -246,14 +246,6 @@ def _dump_json(data: dict) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
-# --- element rendering ----------------------------------------------------------
-
-
-def format_element(desc: GroupDescriptor, g) -> str:
-    """Normal form of an element in the fixed letter order of its family."""
-    return family_of(desc).format_element(g)
-
-
 # --- notes ----------------------------------------------------------------------
 
 
@@ -399,7 +391,7 @@ def cmd_word_eq(args) -> int:
     lines = _printable(
         "a normal form",
         lambda: "".join(
-            f"  {format_word(w)}  =  {format_element(df.descriptor, g)}\n"
+            f"  {format_word(w)}  =  {ops.family.format_element(g)}\n"
             for w, g in zip(words, (g1, g2))
         ),
     )

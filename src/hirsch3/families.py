@@ -31,16 +31,17 @@ products stay in integer arithmetic:
   RankOneQ        a single `Fraction`
 
 The constructors take `Fraction` coordinates, and `.x`, `.v`, `.linear`
-and `.translation` read them back as `Fraction`s.  Each descriptor caches,
-as integer pairs or tuples, what its products need for exponents up to
+and `.translation` read them back as `Fraction`s.  The identities are the
+constants `META_IDENTITY` (BSbar's too), `LATTICE_IDENTITY`, `KB_IDENTITY`,
+`HNNKB_IDENTITY` and `AffineMap2.identity()`.  Each descriptor caches, as
+integer pairs or tuples, what its products need for exponents up to
 `_TABLE_REACH`.  A `MetabelianH31` keeps two tables, t[i] = (r1^i,
 r1 G(r1, i)) and u[s] = (r2^s, e G(r2, s)) with G(r, k) = (r^k - 1)/(r - 1),
 because u^s a^x t^i = a^(x r2^s + e G(r2, s) r1 G(r1, i)) t^i u^s; a
 `LatticeByZ` keeps the matrix powers M^k; an `AffineQ2` keeps one table
 of powers g^k per generator g, so a word costs one composition per
-syllable after its first; an `AscHNNKb` is the three
-integers of its endomorphism phi, and `_iterate_apply` applies phi^k by a
-closed form.  A `MetabelianH31` also caches its ratio pair's
+syllable after its first; an `AscHNNKb` is the three integers of its
+endomorphism phi, and `_iterate_apply` applies phi^k by a closed form.  A `MetabelianH31` also caches its ratio pair's
 `RelationLattice`, factored once, which `locus`, `classify` and `verify`
 read.
 
@@ -421,10 +422,6 @@ def _meta_of_ints(den: int, num: int, i: int, j: int) -> MetaH31Elem:
     return out
 
 
-def meta_identity() -> MetaH31Elem:
-    return _META_IDENTITY
-
-
 def _meta_entry(r: Fraction, c: Fraction, k: int) -> tuple[tuple[int, int], tuple[int, int]]:
     """(r^k, c G(r, k)) as integer pairs (num, den), where G(r, k) =
     (r^k - 1)/(r - 1) for every integer k and G(1, k) = k."""
@@ -490,7 +487,7 @@ def meta_of_word(desc: MetabelianH31, w: Word, names: str = "a, t, u") -> MetaH3
     return _meta_of_ints(den, num, i, j)
 
 
-_META_IDENTITY = _meta_of_ints(1, 0, 0, 0)
+META_IDENTITY = _meta_of_ints(1, 0, 0, 0)
 
 
 # --- lattice-by-Z -----------------------------------------------------------
@@ -525,10 +522,6 @@ def _lattice_of_ints(den: int, x: int, y: int, k: int) -> LatticeElem:
     out = object.__new__(LatticeElem)
     object.__setattr__(out, "ints", (den, x, y, k))
     return out
-
-
-def lattice_identity() -> LatticeElem:
-    return _LATTICE_IDENTITY
 
 
 def lattice_mul(desc: LatticeByZ, g1: LatticeElem, g2: LatticeElem) -> LatticeElem:
@@ -570,7 +563,7 @@ def lattice_of_word(desc: LatticeByZ, w: Word) -> LatticeElem:
     return _lattice_of_ints(den, x, y, k)
 
 
-_LATTICE_IDENTITY = _lattice_of_ints(1, 0, 0, 0)
+LATTICE_IDENTITY = _lattice_of_ints(1, 0, 0, 0)
 
 
 # --- Klein bottle group and its ascending HNN extensions --------------------
@@ -584,8 +577,7 @@ class KbElem:
     b: int
 
 
-def kb_identity() -> KbElem:
-    return KbElem(0, 0)
+KB_IDENTITY = KbElem(0, 0)
 
 
 def kb_mul(g1: KbElem, g2: KbElem) -> KbElem:
@@ -634,8 +626,7 @@ def hnnkb_reduce(desc: AscHNNKb, i: int, g: KbElem, j: int) -> BrittonElem:
     return BrittonElem(i - n, KbElem(a and a // e**n, b), j - n)
 
 
-def hnnkb_identity() -> BrittonElem:
-    return BrittonElem(0, kb_identity(), 0)
+HNNKB_IDENTITY = BrittonElem(0, KB_IDENTITY, 0)
 
 
 def _iterate_apply(phi: AscHNNKb, k: int, g: KbElem) -> KbElem:
@@ -670,14 +661,14 @@ def hnnkb_inv(desc: AscHNNKb, g: BrittonElem) -> BrittonElem:
 
 
 def hnnkb_of_word(desc: AscHNNKb, w: Word) -> BrittonElem:
-    out = hnnkb_identity()
+    out = HNNKB_IDENTITY
     for g, e in w.syllables:
         if g == "x":
             step = BrittonElem(0, KbElem(e, 0), 0)
         elif g == "y":
             step = BrittonElem(0, KbElem(0, e), 0)
         elif g == "s":
-            step = BrittonElem(-e, kb_identity(), 0) if e < 0 else BrittonElem(0, kb_identity(), e)
+            step = BrittonElem(-e, KB_IDENTITY, 0) if e < 0 else BrittonElem(0, KB_IDENTITY, e)
         else:
             raise ValueError(f"unknown generator {g!r} (expected x, y, s)")
         out = hnnkb_mul(desc, out, step)
@@ -868,19 +859,19 @@ class Family:
     """Everything one family of descriptors needs outside classification and
     the verifier's oracles.
 
-    `mul`, `inv` and `of_word` take the descriptor first.  `parse(take)`
-    builds a descriptor from `take(key, kind)`, the value of a descriptor-file
-    key read as kind "int", "rational", "rationals", "matrix" (four
-    rationals), "vector" (two rationals) or "names".  `fields(desc)` lists
-    the descriptor's (key, value) file lines in file order.  `relations`
-    gives relator words, with display labels, that hold in the element
-    model; affine descriptors have none here and take theirs from a
-    presentation.
+    `identity` is an element, not a function.  `mul`, `inv` and `of_word`
+    take the descriptor first.  `parse(take)` builds a descriptor from
+    `take(key, kind)`, the value of a descriptor-file key read as kind
+    "int", "rational", "rationals", "matrix" (four rationals), "vector" (two
+    rationals) or "names".  `fields(desc)` lists the descriptor's (key,
+    value) file lines in file order.  `relations` gives relator words, with
+    display labels, that hold in the element model; affine descriptors have
+    none here and take theirs from a presentation.
     """
 
     tag: str
     generator_names: Callable[[Any], tuple[str, ...]]
-    identity: Callable[[], Any]
+    identity: Any
     mul: Callable[[Any, Any, Any], Any]
     inv: Callable[[Any, Any], Any]
     of_word: Callable[[Any, Word], Any]
@@ -895,7 +886,7 @@ FAMILIES: dict[type, Family] = {
     BSbar: Family(
         tag="bsbar",
         generator_names=lambda d: ("a", "t"),
-        identity=meta_identity,
+        identity=META_IDENTITY,
         mul=lambda d, g1, g2: meta_mul(d._meta, g1, g2),
         inv=lambda d, g: meta_inv(d._meta, g),
         of_word=lambda d, w: meta_of_word(d._meta, w, "a, t"),
@@ -908,7 +899,7 @@ FAMILIES: dict[type, Family] = {
     MetabelianH31: Family(
         tag="metabelian_h31",
         generator_names=lambda d: ("a", "t", "u"),
-        identity=meta_identity,
+        identity=META_IDENTITY,
         mul=meta_mul,
         inv=meta_inv,
         of_word=meta_of_word,
@@ -926,7 +917,7 @@ FAMILIES: dict[type, Family] = {
     LatticeByZ: Family(
         tag="lattice_by_z",
         generator_names=lambda d: ("a", "b", "t"),
-        identity=lattice_identity,
+        identity=LATTICE_IDENTITY,
         mul=lattice_mul,
         inv=lattice_inv,
         of_word=lattice_of_word,
@@ -939,7 +930,7 @@ FAMILIES: dict[type, Family] = {
     AscHNNKb: Family(
         tag="asc_hnn_kb",
         generator_names=lambda d: ("x", "y", "s"),
-        identity=hnnkb_identity,
+        identity=HNNKB_IDENTITY,
         mul=hnnkb_mul,
         inv=hnnkb_inv,
         of_word=hnnkb_of_word,
@@ -952,7 +943,7 @@ FAMILIES: dict[type, Family] = {
     RankOneQ: Family(
         tag="rank_one_q",
         generator_names=_rankone_names,
-        identity=lambda: F(0),
+        identity=F(0),
         mul=lambda d, g1, g2: g1 + g2,
         inv=lambda d, g: -g,
         of_word=rankone_of_word,
@@ -965,7 +956,7 @@ FAMILIES: dict[type, Family] = {
     AffineQ2: Family(
         tag="affine_q2",
         generator_names=lambda d: d.names,
-        identity=AffineMap2.identity,
+        identity=_AFFINE_IDENTITY,
         mul=lambda d, f, g: affine_compose(f, g),
         inv=lambda d, f: affine_inverse(f),
         of_word=affine_of_word,
@@ -1014,7 +1005,7 @@ class GroupOps:
         return self.family.generator_names(self.desc)
 
     def identity(self):
-        return self.family.identity()
+        return self.family.identity
 
     def mul(self, g1, g2):
         return self.family.mul(self.desc, g1, g2)

@@ -56,7 +56,6 @@ __all__ = [
     "CheckResult",
     "VerificationReport",
     "VerifyResourceError",
-    "defining_relations",
     "check_relations",
     "oracle_word_eq",
     "rewrite_closure_eq",
@@ -162,22 +161,13 @@ def _sampled_words(cfg: TrialConfig, label: str, names: Sequence[str], count: in
 # --- defining relations -------------------------------------------------------
 
 
-def defining_relations(desc: GroupDescriptor) -> list[tuple[str, Word]]:
-    """Relator words, with display labels, that hold in the element model.
-
-    Affine descriptors carry no canonical finite presentation here; supply
-    one explicitly to `check_relations` instead.
-    """
-    return family_of(desc).relations(desc)
-
-
 def _relations(
     desc: GroupDescriptor, presentation: Optional[Presentation]
 ) -> list[tuple[str, Word]]:
     """The presentation's relators, labelled by their text, or the family's
     defining relations when there is no presentation."""
     if presentation is None:
-        return defining_relations(desc)
+        return family_of(desc).relations(desc)
     return [(format_word(r), r) for r in presentation.relators]
 
 
@@ -382,10 +372,6 @@ _FINITE = ("VirtuallyTrivial",)
 def _whole_abelian_group(desc: GroupDescriptor) -> _RadicalModel:
     gens = tuple(Word.gen(n) for n in ops_for(desc).generator_names)
     return _RadicalModel(True, gens, lambda g: True, None)
-
-
-def _rank_one_radical(desc: RankOneQ, report: ClassificationReport) -> _RadicalModel:
-    return _whole_abelian_group(desc)
 
 
 def _bsbar_radical(desc: BSbar, report: ClassificationReport) -> _RadicalModel:
@@ -1021,7 +1007,7 @@ def _endo_checks(
     out = [CheckResult("endo_index", problem, 1, cfg.seed)]
     ops = ops_for(desc)
     names = ops.generator_names
-    relators = [r for _, r in defining_relations(desc)]
+    relators = [r for _, r in family_of(desc).relations(desc)]
     contradiction: Optional[str] = None
     inconclusive = 0
     trials = min(cfg.trials, 30)
@@ -1079,7 +1065,7 @@ _VERIFIERS: dict[type, _Verifier] = {
     MetabelianH31: _Verifier(_meta_radical, _fp_cone_check),
     LatticeByZ: _Verifier(_lattice_radical),
     AscHNNKb: _Verifier(_hnnkb_radical, _endo_checks),
-    RankOneQ: _Verifier(_rank_one_radical),
+    RankOneQ: _Verifier(lambda desc, report: _whole_abelian_group(desc)),
     AffineQ2: _Verifier(_affine_radical),
 }
 

@@ -68,6 +68,9 @@ _DILATION = (
 )
 
 
+_I, _FLIP = "1 0 0 1", "1 0 0 -1"
+
+
 def _affine_text(*gens: tuple[str, str, str]) -> str:
     """An affine_q2 file with these (name, linear, translation) generators."""
     names = " ".join(name for name, _, _ in gens)
@@ -305,6 +308,41 @@ class TestClassifyCommand:
         assert time.monotonic() - start < 2.0
         assert (code, err) == (0, "")
         assert "hirsch length:            1\n" in out
+
+    def test_file_without_family_is_input_error(self, capsys, tmp_path):
+        path = _descriptor_path(tmp_path, "m = 2\nn = 3\n")
+        code, out, err = run(capsys, "classify", str(path))
+        assert (code, out, err) == (2, "", "error: missing required key 'family'\n")
+
+    @pytest.mark.parametrize(
+        "gens",
+        [
+            # r r = 1
+            (("x", _I, "1 0"), ("y", _I, "0 1"), ("r", _FLIP, "0 0")),
+            # x^-1 s is (diag(1, -1), 0), an involution
+            (("s", _FLIP, "1/2 0"), ("x", _I, "1/2 0"), ("y", _I, "0 1")),
+            # infinite dihedral image with no translation: u u = 1
+            (("u", _FLIP, "0 0"), ("v", "2 -1 3 -2", "0 0")),
+        ],
+        ids=["reflection", "glide-over-half-translation", "dinfty-no-translation"],
+    )
+    @pytest.mark.parametrize("command", ["classify", "verify"])
+    def test_affine_group_with_torsion_is_input_error(self, capsys, tmp_path, gens, command):
+        path = _descriptor_path(tmp_path, _affine_text(*gens))
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: affine descriptor presents a group with torsion\n"
+
+    def test_klein_bottle_group_still_classifies(self, capsys, tmp_path):
+        # the glide's square (I, (1, 0)) is x, so no element over the
+        # reflection squares to 1
+        gens = (("g", _FLIP, "1/2 0"), ("x", _I, "1 0"), ("y", _I, "0 1"))
+        path = _descriptor_path(tmp_path, _affine_text(*gens))
+        code, out, err = run(capsys, "classify", str(path), "--format", "json")
+        assert (code, err) == (0, "")
+        report = json.loads(out)["report"]
+        assert (report["hirsch_length"], report["cohomological_dimension"]) == (2, 2)
+        assert report["minimax"]["sections"] == ["Z", "Z", "finite"]
 
     @pytest.mark.parametrize(
         "fixture", FIXTURES, ids=[f.name for f in FIXTURES]
@@ -861,8 +899,8 @@ class TestElementRendering:
         desc = MetabelianH31(1, 2, 1, 3, F(1))
         ops = ops_for(desc)
         g = ops.of_word(parse_word("a t u^-1"))
-        assert cli.format_element(desc, g) == "a t u^-1"
-        assert cli.format_element(desc, ops.identity()) == "1"
+        assert ops.family.format_element(g) == "a t u^-1"
+        assert ops.family.format_element(ops.identity()) == "1"
 
     def test_hnn_form_shows_britton_shape(self):
         from hirsch3.families import ops_for
@@ -871,7 +909,7 @@ class TestElementRendering:
         desc = AscHNNKb(3, 1, 2)
         ops = ops_for(desc)
         g = ops.of_word(parse_word("s^-1 x s"))
-        text = cli.format_element(desc, g)
+        text = ops.family.format_element(g)
         assert "s^-1" in text and "s^1" in text
 
 

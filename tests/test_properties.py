@@ -449,6 +449,107 @@ def test_translation_rank_counts_a_reflection_square():
     assert _ref_translation_rank(desc) == 2
 
 
+# --- involutions in a finite linear image {I, A} --------------------------------
+#
+# `classify` refuses such a group as torsion on one gcd.  A refusal is checked
+# by building the involution as a word, s times a product of powers of the
+# translation seeds, and evaluating it with the oracle; an acceptance by
+# searching every element of word length at most 5 for one.
+
+
+@st.composite
+def _finite_image_groups(draw) -> AffineQ2:
+    """One or two translations and one or two generators over a reflection
+    A, in any order.  A is diag(1, -1) or the swap, maybe conjugated, and
+    each translation has coordinates in (1/6) Z, so both answers occur."""
+    a = draw(st.sampled_from((_REFLECTION, Mat2Q.of(0, 1, 1, 0))))
+    if draw(st.booleans()):
+        p = draw(matrices)
+        a = p * a * p.inverse()
+    coordinates = st.builds(F, st.integers(-3, 3), st.sampled_from((1, 2, 3)))
+    parts = [Mat2Q.identity()] * draw(st.integers(1, 2)) + [a] * draw(st.integers(1, 2))
+    gens = []
+    for idx, m in enumerate(draw(st.permutations(parts))):
+        shift = (draw(coordinates), draw(coordinates))
+        gens.append((f"g{idx}", AffineMap2(m, shift)))
+    return AffineQ2(tuple(gens))
+
+
+def _integer_solution(values: list[int], target: int):
+    """Integers n with sum(n_i values_i) = target, or None."""
+    g, coeffs = 0, [0] * len(values)
+    for idx, v in enumerate(values):
+        # extended Euclid on (g, v): x g + y v = gcd
+        (r0, x0, y0), (r1, x1, y1) = (g, 1, 0), (v, 0, 1)
+        while r1:
+            q = r0 // r1
+            (r0, x0, y0), (r1, x1, y1) = (r1, x1, y1), (r0 - q * r1, x0 - q * x1, y0 - q * y1)
+        coeffs = [c * x0 for c in coeffs]
+        coeffs[idx] = y0
+        g = r0
+    if g == 0:
+        return coeffs if target == 0 else None
+    return [c * (target // g) for c in coeffs] if target % g == 0 else None
+
+
+def _involution_word(desc: AffineQ2):
+    """s times a product of seed powers that squares to 1, or None."""
+    a = next(g.linear for _, g in desc.generators if g.linear != Mat2Q.identity())
+    s = next(name for name, g in desc.generators if g.linear == a)
+    seeds = [Word.gen(s) ** 2]
+    for name, g in desc.generators:
+        if g.linear == Mat2Q.identity():
+            seeds.append(Word.gen(name))
+        elif name != s:
+            seeds.append(Word.gen(name) * Word.gen(s).inv())
+
+    def on_line(t):  # (I + A) t
+        return (t[0] + a.a * t[0] + a.b * t[1], t[1] + a.c * t[0] + a.d * t[1])
+
+    vectors = [on_line(ops_for(desc).of_word(w).translation) for w in seeds]
+    target = on_line(dict(desc.generators)[s].translation)
+    k = 0 if any(v[0] for v in vectors + [target]) else 1
+    den = prod(x.denominator for x in [v[k] for v in vectors] + [target[k]])
+    n = _integer_solution([int(v[k] * den) for v in vectors], -int(target[k] * den))
+    if n is None:
+        return None
+    word = Word.gen(s)
+    for seed, power in zip(seeds, n):
+        word = word * seed**power
+    return word
+
+
+def _short_involution(desc: AffineQ2, length: int = 5):
+    letters = []
+    for _, g in desc.generators:
+        letters += [g, affine_inverse(g)]
+    one = AffineMap2.identity()
+    seen, frontier = {one}, [one]
+    for _ in range(length):
+        frontier = [affine_compose(g, m) for g in frontier for m in letters]
+        frontier = [g for g in dict.fromkeys(frontier) if g not in seen]
+        seen.update(frontier)
+    return next((g for g in seen if g != one and affine_compose(g, g) == one), None)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(_finite_image_groups())
+def test_finite_image_torsion_refusal_matches_an_involution(desc):
+    try:
+        classify(desc)
+    except ClassifyError as exc:
+        if "translation rank 2" in str(exc):
+            return
+        assert str(exc) == "affine descriptor presents a group with torsion"
+        word = _involution_word(desc)
+        assert word is not None
+        assert not oracle_word_eq(desc, word, Word())
+        assert oracle_word_eq(desc, word * word, Word())
+    else:
+        assert _involution_word(desc) is None
+        assert _short_involution(desc) is None
+
+
 # --- the closed forms against the searches they replaced ---------------------------
 #
 # `matrix_order`, `_is_plus_minus_unipotent` and `cone_integer_point` decide

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from hirsch3.families import MetabelianH31, meta_identity, meta_of_word
+from hirsch3.families import META_IDENTITY, MetabelianH31, meta_of_word
 from hirsch3.rationals import mult_rank, prime_factors
 from hirsch3.simplify import (
     ConjugateAtom,
@@ -307,7 +307,7 @@ def test_descriptor_feed_kills_input_relators():
         desc = standard_form_to_descriptor(sf)
         pres = expand_obfuscated(sf, rng.randint(0, 3), rng)
         for rel in pres.relators:
-            assert meta_of_word(desc, rel) == meta_identity()
+            assert meta_of_word(desc, rel) == META_IDENTITY
 
 
 # --- basis normalization, a change-of-basis search kept here ---------------
