@@ -40,8 +40,9 @@ r1 G(r1, i)) and u[s] = (r2^s, e G(r2, s)) with G(r, k) = (r^k - 1)/(r - 1),
 because u^s a^x t^i = a^(x r2^s + e G(r2, s) r1 G(r1, i)) t^i u^s; a
 `LatticeByZ` keeps the matrix powers M^k; an `AffineQ2` keeps one table
 of powers g^k per generator g, so a word costs one composition per
-syllable after its first; an `AscHNNKb` is the three integers of its
-endomorphism phi, and `_iterate_apply` applies phi^k by a closed form.  A `MetabelianH31` also caches its ratio pair's
+syllable after its first; an `AscHNNKb` is the three
+integers of its endomorphism phi, and `_iterate_apply` applies phi^k by a
+closed form.  A `MetabelianH31` also caches its ratio pair's
 `RelationLattice`, factored once, which `locus`, `classify` and `verify`
 read.
 

@@ -867,12 +867,13 @@ def test_d_infty_amalgam_holds_an_involution():
     # Its golden report assumes a torsion-free group; the infinite dihedral
     # shape is not tested for involutions yet (ROADMAP item 1).
     desc = fixture_named("d_infty_amalgam").descriptor
-    vy = affine_of_word(desc, Word.of((("v", 1), ("y", 1))))
+    word = Word.of((("v", 1), ("y", 1)))
+    vy = affine_of_word(desc, word)
     assert vy.linear == Mat2Q.of(2, -1, 3, -2) and vy.translation == (-1, -3)
     assert vy != AffineMap2.identity()
     assert affine_compose(vy, vy) == AffineMap2.identity()
-    assert not oracle_word_eq(desc, Word.of((("v", 1), ("y", 1))), Word())
-    assert oracle_word_eq(desc, Word.of((("v", 1), ("y", 1))) ** 2, Word())
+    assert not oracle_word_eq(desc, word, Word())
+    assert oracle_word_eq(desc, word * word, Word())
 
 
 def test_public_steps_match_the_report():

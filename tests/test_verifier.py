@@ -21,7 +21,6 @@ from hirsch3.families import (
     LatticeByZ,
     MetabelianH31,
     RankOneQ,
-    family_of,
     ops_for,
 )
 from hirsch3.fixtures import FIXTURES, corrupted_d_infty, fixture_named
@@ -89,7 +88,7 @@ class TestDefiningRelations:
         ]
         for desc in descriptors:
             ops = ops_for(desc)
-            relations = family_of(desc).relations(desc)
+            relations = ops.family.relations(desc)
             assert relations, desc
             for label, relator in relations:
                 assert ops.is_identity(ops.of_word(relator)), (desc, label)
@@ -147,7 +146,7 @@ class TestOracleAgreement:
     def test_relator_insertion_preserves_equality(self, desc):
         ops = ops_for(desc)
         names = list(ops.generator_names)
-        relations = family_of(desc).relations(desc)
+        relations = ops.family.relations(desc)
         rng = random.Random(f"oracle-lacing:{desc!r}")
         for _ in range(80):
             w = random_word(rng, names, 8)

@@ -17,9 +17,8 @@ without the envelope's version, error text).  The entries that differ are
 printed grouped by command, family and exit-code transition.
 
 `--digest` answers the pinned slice (every other entry) with this checkout
-and prints its sha256, the value that `tests/golden/corpus_slice_sha256.json`
-holds.  A change that alters an answer on purpose records the new value
-there.  Standard library only, apart from the `random_descriptor` draws,
+and prints its sha256, the value that `tests/test_corpus_digest.py` pins.
+A change that alters an answer on purpose records the new value there.  Standard library only, apart from the `random_descriptor` draws,
 which import hirsch3 and the test suite.
 """
 
@@ -191,9 +190,10 @@ def differences(parent: list[dict], change: list[dict]) -> dict:
     return groups
 
 
-def _first_line(result: list) -> str:
-    text = (result[2] or result[1]).strip()
-    return text.splitlines()[0][:100] if text else ""
+def _summary(result: list) -> str:
+    """The first line of the error text, or the exit code when there is none."""
+    code, _, err = result
+    return err.strip().splitlines()[0][:100] if err.strip() else f"exit {code}"
 
 
 def main() -> int:
@@ -234,8 +234,8 @@ def main() -> int:
     for (command, family, old, new), ids in sorted(groups.items()):
         print(f"{command} {family} exit {old} -> {new}: {len(ids)}")
         for entry_id in ids[:EXAMPLES]:
-            before = _first_line(by_id["parent"][entry_id][command])
-            after = _first_line(by_id["change"][entry_id][command])
+            before = _summary(by_id["parent"][entry_id][command])
+            after = _summary(by_id["change"][entry_id][command])
             print(f"  {entry_id}: {before!r} -> {after!r}")
     return 0
 
