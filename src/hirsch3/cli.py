@@ -54,7 +54,7 @@ from .words import (
     format_presentation,
     format_word,
     parse_presentation,
-    parse_word,
+    parse_tree,
 )
 
 # `verify` (with `oracles`), `simplify` and `fixtures` are imported inside the
@@ -386,13 +386,13 @@ def cmd_classify(args) -> int:
 def cmd_word_eq(args) -> int:
     df = load_descriptor_file(args.path)
     ops = ops_for(df.descriptor)
-    words = [parse_word(w, ops.generator_names) for w in (args.word1, args.word2)]
-    g1, g2 = (ops.of_word(w) for w in words)
+    trees = [parse_tree(w, ops.generator_names) for w in (args.word1, args.word2)]
+    g1, g2 = (ops.of_tree(tree) for tree in trees)
     lines = _printable(
         "a normal form",
         lambda: "".join(
-            f"  {format_word(w)}  =  {ops.family.format_element(g)}\n"
-            for w, g in zip(words, (g1, g2))
+            f"  {format_word(tree.word)}  =  {ops.family.format_element(g)}\n"
+            for tree, g in zip(trees, (g1, g2))
         ),
     )
     sys.stdout.write(("equal" if g1 == g2 else "unequal") + "\n" + lines)

@@ -42,14 +42,19 @@ because u^s a^x t^i = a^(x r2^s + e G(r2, s) r1 G(r1, i)) t^i u^s; a
 of powers g^k per generator g, so a word costs one composition per
 syllable after its first; an `AscHNNKb` is the three
 integers of its endomorphism phi, and `_iterate_apply` applies phi^k by a
-closed form.  A `MetabelianH31` also caches its ratio pair's
-`RelationLattice`, factored once, which `locus`, `classify` and `verify`
-read.
+closed form.  A `LatticeByZ`'s matrix powers are computed in integers,
+by a `binary_power` over (den, a, b, c, d).  A `MetabelianH31` also
+caches its ratio pair's `RelationLattice`, factored once, which `locus`,
+`classify` and `verify` read.
 
 Each power that a word's exponent can make large goes through
 `rationals.bounded_pow` or a `binary_power` that watches its squares, so
 one past `MAX_POWER_BITS` raises an `InputError`; a huge exponent whose
 value stays small is answered at once (`_iterate_apply`, `hnnkb_reduce`).
+`GroupOps.of_tree` evaluates a parsed word with its powers kept: each run
+of syllables by `of_word`, each power (w)^k by a `binary_power` of w's
+value that reads the family's `bits`, so a power costs O(log k) products
+instead of k |w| syllable steps.
 
 `FAMILIES` maps each descriptor type to its `Family` record: file tag,
 generator names, element algebra, descriptor-file form, display and
@@ -74,10 +79,11 @@ from .rationals import (
     bounded_pow,
     format_rational,
     in_localized,
+    rational_bits,
     relation_lattice,
     valuation,
 )
-from .words import Presentation, Word, commutator, format_word, is_generator_name
+from .words import Power, Presentation, Product, Word, commutator, format_word, is_generator_name
 
 F = Fraction
 
@@ -192,11 +198,17 @@ def affine_inverse(f: AffineMap2) -> AffineMap2:
 
 def affine_pow(f: AffineMap2, k: int) -> AffineMap2:
     base, n = (f, k) if k >= 0 else (affine_inverse(f), -k)
-    return binary_power(base, n, affine_compose, AffineMap2.identity(), _affine_bits)
+    return binary_power(base, n, affine_compose, AffineMap2.identity(), _elem_bits)
 
 
-def _affine_bits(f: AffineMap2) -> int:
-    return max(x.bit_length() for x in f.ints)
+def _int_bits(ints: tuple[int, ...]) -> int:
+    return max(x.bit_length() for x in ints)
+
+
+def _elem_bits(g) -> int:
+    """The largest bit length of an `AffineMap2`, `MetaH31Elem` or
+    `LatticeElem`, each stored as its `ints`."""
+    return _int_bits(g.ints)
 
 
 # --- cached integer tables -------------------------------------------------
@@ -231,9 +243,28 @@ def _pair(x: Fraction) -> tuple[int, int]:
     return (x.numerator, x.denominator)
 
 
+def _matrix_of_ints(*ints: int) -> tuple[int, ...]:
+    """(den, a, b, c, d) after gcd normalization; den > 0 is the caller's."""
+    g = gcd(*ints)
+    return ints if g == 1 else tuple(x // g for x in ints)
+
+
+def _matrix_ints_mul(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    pn, pa, pb, pc, pd = p
+    qn, qa, qb, qc, qd = q
+    return _matrix_of_ints(
+        pn * qn, pa * qa + pb * qc, pa * qb + pb * qd, pc * qa + pd * qc, pc * qb + pd * qd
+    )
+
+
 def _matrix_power(m: Mat2Q, k: int) -> tuple[int, ...]:
     """M^k as integers (den, a, b, c, d): M^k = [[a, b], [c, d]] / den."""
-    return _over_common_denominator(m.pow(k).entries())
+    base = n, a, b, c, d = _over_common_denominator(m.entries())
+    if k < 0:  # (A / n)^-1 = n adj(A) / det(A)
+        det = a * d - b * c
+        s = 1 if det > 0 else -1
+        base = _matrix_of_ints(s * det, s * n * d, -s * n * b, -s * n * c, s * n * a)
+    return binary_power(base, abs(k), _matrix_ints_mul, (1, 1, 0, 0, 1), _int_bits)
 
 
 # --- descriptors ------------------------------------------------------------
@@ -861,7 +892,9 @@ class Family:
     the verifier's oracles.
 
     `identity` is an element, not a function.  `mul`, `inv` and `of_word`
-    take the descriptor first.  `parse(take)` builds a descriptor from
+    take the descriptor first; `bits(g)` is the largest bit length of an
+    integer in g's normal form, which a power watches on every square.
+    `parse(take)` builds a descriptor from
     `take(key, kind)`, the value of a descriptor-file key read as kind
     "int", "rational", "rationals", "matrix" (four rationals), "vector" (two
     rationals) or "names".  `fields(desc)` lists the descriptor's (key,
@@ -876,6 +909,7 @@ class Family:
     mul: Callable[[Any, Any, Any], Any]
     inv: Callable[[Any, Any], Any]
     of_word: Callable[[Any, Word], Any]
+    bits: Callable[[Any], int]
     parse: Callable[[Callable[[str, str], Any]], Any]
     fields: Callable[[Any], list[tuple[str, str]]]
     describe: Callable[[Any], str]
@@ -891,6 +925,7 @@ FAMILIES: dict[type, Family] = {
         mul=lambda d, g1, g2: meta_mul(d._meta, g1, g2),
         inv=lambda d, g: meta_inv(d._meta, g),
         of_word=lambda d, w: meta_of_word(d._meta, w, "a, t"),
+        bits=_elem_bits,
         parse=lambda take: BSbar(*[take(k, "int") for k in "mn"]),
         fields=lambda d: _int_fields(d, "mn"),
         describe=lambda d: f"BSbar(m={d.m}, n={d.n})",
@@ -904,6 +939,7 @@ FAMILIES: dict[type, Family] = {
         mul=meta_mul,
         inv=meta_inv,
         of_word=meta_of_word,
+        bits=_elem_bits,
         parse=lambda take: MetabelianH31(
             *[take(k, "int") for k in "mnpq"], take("e", "rational")
         ),
@@ -922,6 +958,7 @@ FAMILIES: dict[type, Family] = {
         mul=lattice_mul,
         inv=lattice_inv,
         of_word=lattice_of_word,
+        bits=_elem_bits,
         parse=lambda take: LatticeByZ(Mat2Q.of(*take("matrix", "matrix"))),
         fields=lambda d: [("matrix", _mat_values(d.matrix))],
         describe=_lattice_describe,
@@ -935,6 +972,7 @@ FAMILIES: dict[type, Family] = {
         mul=hnnkb_mul,
         inv=hnnkb_inv,
         of_word=hnnkb_of_word,
+        bits=lambda g: _int_bits((g.i, g.g.a, g.g.b, g.j)),
         parse=lambda take: AscHNNKb(*[take(k, "int") for k in "efd"]),
         fields=lambda d: _int_fields(d, "efd"),
         describe=lambda d: f"AscHNNKb(e={d.e}, f={d.f}, d={d.d})",
@@ -948,6 +986,7 @@ FAMILIES: dict[type, Family] = {
         mul=lambda d, g1, g2: g1 + g2,
         inv=lambda d, g: -g,
         of_word=rankone_of_word,
+        bits=rational_bits,
         parse=lambda take: RankOneQ(tuple(take("generators", "rationals"))),
         fields=lambda d: [("generators", " ".join(map(format_rational, d.generators)))],
         describe=lambda d: f"RankOneQ({', '.join(map(format_rational, d.generators))})",
@@ -961,6 +1000,7 @@ FAMILIES: dict[type, Family] = {
         mul=lambda d, f, g: affine_compose(f, g),
         inv=lambda d, f: affine_inverse(f),
         of_word=affine_of_word,
+        bits=_elem_bits,
         parse=_affine_parse,
         fields=_affine_fields,
         describe=lambda d: f"AffineQ2({', '.join(d.names)})",
@@ -994,7 +1034,8 @@ class GroupOps:
     """Uniform element algebra for one descriptor.
 
     Elements are the family's immutable normal forms; `of_word` evaluates a
-    free word on the family's named generators.
+    free word on the family's named generators, and `of_tree` a parsed one
+    with its powers kept.
     """
 
     def __init__(self, desc: GroupDescriptor) -> None:
@@ -1016,6 +1057,27 @@ class GroupOps:
 
     def of_word(self, w: Word):
         return self.family.of_word(self.desc, w)
+
+    def of_tree(self, tree: Product):
+        """The value of a parsed word, equal to `of_word(tree.word)`: each
+        run of syllables goes through `of_word`, and each power is taken
+        in the group by square-and-multiply, which refuses a square past
+        `MAX_POWER_BITS` by `Family.bits`."""
+        out = None
+        for f in tree.factors:
+            if isinstance(f, Power):
+                base = self.of_tree(f.base)
+                value = binary_power(
+                    base if f.exp > 0 else self.inv(base),
+                    abs(f.exp),
+                    self.mul,
+                    self.identity(),
+                    self.family.bits,
+                )
+            else:
+                value = self.of_word(f)
+            out = value if out is None else self.mul(out, value)
+        return self.identity() if out is None else out
 
     def is_identity(self, g) -> bool:
         return g == self.identity()

@@ -14,13 +14,23 @@ rest copied as it is.  A power w^k is spelled directly: w = p c p^-1 with c
 cyclically reduced, and in c^k only each copy's last syllable can merge
 with the next copy's first.  A power whose reduced form would have more
 than `MAX_POWER_SYLLABLES` syllables is refused before anything is built.
+
+The parser keeps the shape of what it read: `parse_tree` returns a
+`Product` of factors, each a `Word` (a run of plain syllables) or a
+`Power` (a parenthesized word or commutator to an exponent other than 1).
+Every node also carries its word spelled out, joined by one `Word.of` per
+product, so a long product of atoms is linear; `parse_word` and
+`parse_presentation` return those words.  `families.GroupOps.of_tree`
+evaluates a power in the group by square-and-multiply, so its cost grows
+with the exponent's bit length, not with the exponent.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from itertools import chain, groupby
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from . import InputError
 
@@ -148,6 +158,58 @@ def format_word(w: Word) -> str:
 
 
 @dataclass(frozen=True)
+class Power:
+    """`base` to the power `exp`; `word` is that power spelled out."""
+
+    base: "Product"
+    exp: int
+    word: Word
+
+
+Factor = Union[Word, Power]
+
+
+@dataclass(frozen=True)
+class Product:
+    """A parsed word: the product of `factors`, where no two `Word`s are
+    adjacent and none is the identity; `word` is the product spelled out."""
+
+    factors: tuple[Factor, ...]
+    word: Word
+
+
+def _product(parts: Iterable[Factor]) -> Product:
+    """The product of parts, each run of adjacent words joined by one
+    `Word.of`, and the whole spelled out by one more."""
+    factors: list[Factor] = []
+    for is_run, group in groupby(parts, key=lambda part: isinstance(part, Word)):
+        if not is_run:
+            factors.extend(group)
+        elif (run := Word.of(chain.from_iterable(w.syllables for w in group))).syllables:
+            factors.append(run)
+    spelled = chain.from_iterable(
+        (f if isinstance(f, Word) else f.word).syllables for f in factors
+    )
+    return Product(tuple(factors), Word.of(spelled))
+
+
+def _power(base: Product, k: int) -> tuple[Factor, ...]:
+    """The factors of base^k.  The power is spelled out here, so its
+    syllable bound is checked where the parser reads it."""
+    if k == 1:
+        return base.factors
+    if k == -1:
+        return tuple(
+            f.inv() if isinstance(f, Word) else Power(f.base, -f.exp, f.word.inv())
+            for f in reversed(base.factors)
+        )
+    word = base.word**k
+    if len(word.syllables) <= 1:
+        return (word,)
+    return (Power(base, k, word),)
+
+
+@dataclass(frozen=True)
 class Presentation:
     generators: tuple[str, ...]
     relators: tuple[Word, ...]
@@ -243,47 +305,54 @@ class _Parser:
         self.next()
         return int(value)  # type: ignore[arg-type]
 
-    def atom(self) -> Word:
+    def atom(self) -> tuple[Factor, ...]:
         kind, value, pos = self.peek()
         if kind == "ident":
             self.next()
             name = str(value)
             if self.allowed is not None and name not in self.allowed:
                 raise ParseError(f"unknown generator {name!r}", pos)
-            return Word.gen(name, self.maybe_exponent())
+            return (Word.gen(name, self.maybe_exponent()),)
         if kind == "int":
             if value != 1:
                 raise ParseError(f"unexpected integer {value}", pos)
             self.next()
             self.maybe_exponent()
-            return Word()
+            return ()
         if kind == "(":
             self.next()
             inner = self.word()
             self.expect(")", "')'")
-            return inner ** self.maybe_exponent()
+            return _power(inner, self.maybe_exponent())
         if kind == "[":
             self.next()
             x = self.word()
             self.expect(",", "',' inside commutator")
             y = self.word()
             self.expect("]", "']'")
-            return commutator(x, y) ** self.maybe_exponent()
+            base = _product((*x.factors, *y.factors, *_power(x, -1), *_power(y, -1)))
+            return _power(base, self.maybe_exponent())
         raise ParseError("expected a word", pos)
 
-    def word(self) -> Word:
-        out = self.atom()
+    def word(self) -> Product:
+        parts = list(self.atom())
         while self.peek()[0] in ("ident", "int", "(", "["):
-            out = out * self.atom()
-        return out
+            parts.extend(self.atom())
+        return _product(parts)
+
+
+def parse_tree(text: str, generators: Optional[Sequence[str]] = None) -> Product:
+    """Parse a standalone word, keeping its powers; restrict symbols when
+    generators are given."""
+    parser = _Parser(text, set(generators) if generators is not None else None)
+    tree = parser.word()
+    parser.expect("eof", "end of input")
+    return tree
 
 
 def parse_word(text: str, generators: Optional[Sequence[str]] = None) -> Word:
-    """Parse a standalone word; restrict symbols when generators are given."""
-    parser = _Parser(text, set(generators) if generators is not None else None)
-    w = parser.word()
-    parser.expect("eof", "end of input")
-    return w
+    """Parse a standalone word, spelled out."""
+    return parse_tree(text, generators).word
 
 
 def parse_presentation(text: str) -> Presentation:
@@ -304,10 +373,10 @@ def parse_presentation(text: str) -> Presentation:
     relators: list[Word] = []
     if parser.peek()[0] != ">":
         while True:
-            lhs = parser.word()
+            lhs = parser.word().word
             if parser.peek()[0] == "=":
                 parser.next()
-                rhs = parser.word()
+                rhs = parser.word().word
                 relators.append(lhs * rhs.inv())
             else:
                 relators.append(lhs)

@@ -492,6 +492,36 @@ class TestWordEqCommand:
         assert (code, out) == (2, "")
         assert err == "error: a power would have more than 262144 bits\n"
 
+    @pytest.mark.parametrize(
+        "name, word, refusal",
+        [
+            ("bs12_rtimes", "(t u a)^200000", "a power would have more than 262144 bits"),
+            ("bsbar_23", "(t a)^100000", "Python's integer-to-string limit"),
+            ("bs12_rtimes", "(t u a)^20000", "Python's integer-to-string limit"),
+        ],
+    )
+    def test_word_power_is_taken_in_the_group(self, capsys, tmp_path, name, word, refusal):
+        # spelled out and walked syllable by syllable, each took from 1.9 s
+        # to past 20 s; square-and-multiply watches every square's bits
+        path = _descriptor_path(tmp_path, name)
+        capsys.readouterr()
+        start = time.monotonic()
+        code, out, err = run(capsys, "word-eq", str(path), word, "1")
+        assert time.monotonic() - start < 3.0
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and refusal in err
+
+    def test_word_power_with_a_small_normal_form_prints_the_spelled_word(self, capsys, tmp_path):
+        # the echoed word is (s x)^100000 spelled out, 400,042 bytes in all
+        path = _descriptor_path(tmp_path, "z_plus_z2")
+        capsys.readouterr()
+        code, out, err = run(capsys, "word-eq", str(path), "(s x)^100000", "1")
+        assert (code, err) == (0, "")
+        assert out.endswith("s x  =  x^100000 s^100000\n  1  =  1\n")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "ba5c2131adae4809131ffba6262fde29d34ca4cf5636644ec061e5d14d60db36"
+        )
+
     def test_printable_passes_other_refusals_through(self):
         def refuse() -> str:
             raise InputError("not a digit limit")

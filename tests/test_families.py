@@ -29,7 +29,9 @@ from hirsch3.families import (
     _TABLE_REACH,
     _iterate_apply,
     _lattice_of_ints,
+    _matrix_power,
     _meta_of_ints,
+    _over_common_denominator,
     hnnkb_of_word,
     hnnkb_reduce,
     kb_inv,
@@ -43,6 +45,7 @@ from hirsch3.families import (
     ops_for,
     rankone_of_word,
 )
+from hirsch3 import InputError
 from hirsch3.rationals import Mat2Q, in_localized, radical_of
 from hirsch3.words import Word, parse_word
 from test_rationals import is_unit_localized
@@ -598,6 +601,20 @@ class TestElementKernels:
             v = ((F(1, 2), F(3)), k)
             got = lattice_inv(lattice, LatticeElem(*v))
             assert (got.v, got.k) == _ref_lattice_inv(lattice.matrix, v)
+
+    @pytest.mark.parametrize(
+        "m",
+        [Mat2Q.of(2, 1, 1, 1), Mat2Q.of(F(1, 2), F(3, 4), F(-2, 3), 5), Mat2Q.of(0, -1, 1, -1)],
+        ids=["integral", "rational", "finite_order"],
+    )
+    def test_matrix_power_in_integers_matches_fraction_power(self, m):
+        for k in range(-300, 301):
+            assert _matrix_power(m, k) == _over_common_denominator(m.pow(k).entries()), k
+
+    def test_matrix_power_past_the_bound_is_refused(self):
+        for k in (10**6, -(10**6)):
+            with pytest.raises(InputError, match="a power would have more than"):
+                _matrix_power(Mat2Q.of(2, 1, 1, 1), k)
 
     def test_storage_is_canonical(self):
         rng = random.Random(83)

@@ -1,14 +1,16 @@
 """Property tests: normal forms against the word oracle on generated
-descriptors of every family, the relation lattice of a ratio pair against a
-brute-force scan, the affine analysis of `classify` against its `Fraction`
-reference, the classifier's closed forms against the searches they replaced,
-the JSON shape of classification reports, the reported derived length against
-the commutator search, the abstract's BS(1,n) rtimes Z as ascending HNN
-extensions of cohomological dimension 3, the descriptor-file round trip,
-`factorint` against trial division, `valuation` against repeated division,
-the commutator exponent of `standardize` against the integer exponent
-table, the command line on fixture files with one value replaced, and the
-word product and power against free reduction of the spelled-out word.
+descriptors of every family, the value of a parsed word with its powers
+kept against the spelled-out word and the oracle, the relation lattice of
+a ratio pair against a brute-force scan, the affine analysis of `classify`
+against its `Fraction` reference, the classifier's closed forms against
+the searches they replaced, the JSON shape of classification reports, the
+reported derived length against the commutator search, the abstract's
+BS(1,n) rtimes Z as ascending HNN extensions of cohomological dimension 3,
+the descriptor-file round trip, `factorint` against trial division,
+`valuation` against repeated division, the commutator exponent of
+`standardize` against the integer exponent table, the command line on
+fixture files with one value replaced, and the word product and power
+against free reduction of the spelled-out word.
 
 Hypothesis runs derandomized, so every run draws the same examples, and a
 failure is reported as a shrunk counterexample (descriptor and words).
@@ -72,8 +74,13 @@ from hirsch3.simplify import (  # noqa: E402
     StandardForm,
     standardize,
 )
-from hirsch3.verify import TrialConfig, commutator_depth_search, oracle_word_eq  # noqa: E402
-from hirsch3.words import Presentation, Word  # noqa: E402
+from hirsch3.verify import (  # noqa: E402
+    TrialConfig,
+    VerifyResourceError,
+    commutator_depth_search,
+    oracle_word_eq,
+)
+from hirsch3.words import Presentation, Word, format_word, parse_tree  # noqa: E402
 from test_families import BS1nAut, bs1n_ext_to_meta  # noqa: E402
 from test_simplifier import atom_product_word, comm_ut, exponent_law, pres_with  # noqa: E402
 
@@ -167,6 +174,82 @@ def test_normal_form_agrees_with_oracle(family):
         # the same verdict through mul and inv
         quotient = ops.mul(ops.of_word(w1), ops.inv(ops.of_word(w2)))
         assert ops.is_identity(quotient) == expected
+
+    check()
+
+
+# a drawn power spells out at most this many syllables unless its exponent
+# is 1 or -1, so that a failing case is quick to shrink
+_POWER_SYLLABLES = 500
+
+
+@st.composite
+def _tree_text(draw, depth: int) -> tuple[str, int]:
+    """A word of the DSL over the placeholders A, B and C, with parentheses
+    and commutators nested `depth` deep, and a bound on the syllables it
+    spells out.  Each exponent is drawn from [-50, 50] and cut down to
+    what keeps its power within _POWER_SYLLABLES."""
+    atoms, size = [], 0
+    for _ in range(draw(st.integers(1, 2))):
+        kind = draw(st.sampled_from(("power", "commutator", "gen") if depth else ("gen",)))
+        if kind == "gen":
+            atoms.append(f"{draw(st.sampled_from('ABC'))}^{draw(st.integers(-3, 3))}")
+            size += 1
+            continue
+        inner = [draw(_tree_text(depth - 1)) for _ in range(1 if kind == "power" else 2)]
+        base = (1 if kind == "power" else 2) * sum(n for _, n in inner)
+        reach = max(1, _POWER_SYLLABLES // base)
+        k = max(-reach, min(reach, draw(st.integers(-50, 50))))
+        text = ", ".join(t for t, _ in inner)
+        atoms.append(f"({text})^{k}" if kind == "power" else f"[{text}]^{k}")
+        size += base * max(abs(k), 1)
+    return " ".join(atoms), size
+
+
+@st.composite
+def _tree_case(draw, family: str):
+    """A descriptor and two power trees; the second is drawn afresh, or is
+    the first with a conjugated defining relator power appended, or is
+    the first split into two powers, so equal pairs are drawn often.  The
+    first tree is drawn before the descriptor, so that a descriptor of
+    many draws does not leave it small."""
+    text1, _ = draw(_tree_text(2))
+    desc = draw(DESCRIPTORS[family])
+    relators = [r for _, r in family_of(desc).relations(desc)]
+    how = draw(st.sampled_from(("fresh", "relator", "split")))
+    if how == "relator" and relators:
+        conj, rel = draw(_tree_text(1))[0], draw(st.sampled_from(relators))
+        text2 = f"{text1} ({conj}) ({format_word(rel)})^{draw(st.integers(-3, 3))} ({conj})^-1"
+    elif how == "split":
+        j = draw(st.integers(-2, 2))
+        text2 = f"({text1})^{j} ({text1})^{1 - j}"
+    else:
+        text2, _ = draw(_tree_text(2))
+    names = ops_for(desc).generator_names
+    for i, placeholder in enumerate("ABC"):
+        text1, text2 = (t.replace(placeholder, names[i % len(names)]) for t in (text1, text2))
+    return desc, parse_tree(text1), parse_tree(text2)
+
+
+@pytest.mark.parametrize("family", sorted(DESCRIPTORS))
+def test_power_tree_value_agrees_with_the_flat_word_and_the_oracle(family):
+    """`of_tree` takes each power by square-and-multiply; its value equals
+    `of_word` of the spelled-out word, and its verdict on a pair equals
+    the oracle's, which only ever evaluates spelled-out words."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(_tree_case(family))
+    def check(case):
+        desc, tree1, tree2 = case
+        ops = ops_for(desc)
+        g1, g2 = ops.of_tree(tree1), ops.of_tree(tree2)
+        assert g1 == ops.of_word(tree1.word)
+        assert g2 == ops.of_word(tree2.word)
+        try:
+            expected = oracle_word_eq(desc, tree1.word, tree2.word)
+        except VerifyResourceError:
+            return
+        assert (g1 == g2) == expected
 
     check()
 
@@ -670,8 +753,9 @@ def _shape(value) -> object:
 
 GOLDEN_SHAPES: dict[str, set] = {}
 for _path in sorted((Path(__file__).parent / "golden").glob("*.json")):
-    if not _path.name.startswith("verify_seed"):
-        for _key, _value in json.loads(_path.read_text())["report"].items():
+    _golden = json.loads(_path.read_text())
+    if isinstance(_golden, dict) and "report" in _golden:  # a classify report
+        for _key, _value in _golden["report"].items():
             GOLDEN_SHAPES.setdefault(_key, set()).add(_shape(_value))
 
 CLASSIFY_CASES = {**DESCRIPTORS, "affine_q2_shapes": _affine_groups()}

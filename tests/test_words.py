@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -10,11 +11,13 @@ from hirsch3 import InputError
 from hirsch3.words import (
     MAX_POWER_SYLLABLES,
     ParseError,
+    Power,
     Presentation,
     Word,
     format_presentation,
     format_word,
     parse_presentation,
+    parse_tree,
     parse_word,
 )
 
@@ -83,6 +86,12 @@ class TestAlgebra:
         assert word.syllables[-2:] == (("a", 1), ("t", 1))
         # a product of atoms with a seam that cancels all the way back
         assert parse_word("a b " * 1000 + "b^-1 a^-1 " * 999 + "b^-1") == w("a")
+
+    def test_long_flat_product_is_linear(self):
+        start = time.perf_counter()
+        word = parse_word("a b " * 20000)
+        assert time.perf_counter() - start < 1
+        assert len(word.syllables) == 40_000
 
     def test_power_is_bounded_by_its_reduced_length(self):
         k = MAX_POWER_SYLLABLES
@@ -177,6 +186,45 @@ class TestParsing:
         assert parse_word("a t", ["a", "t"]) == w("a t")
         with pytest.raises(ParseError):
             parse_word("a s", ["a", "t"])
+
+
+class TestTree:
+    def test_runs_and_powers(self):
+        tree = parse_tree("a (t u a)^5 b c")
+        assert tree.factors == (w("a"), Power(parse_tree("t u a"), 5, w("t u a") ** 5), w("b c"))
+        assert tree.word == w("a") * w("t u a") ** 5 * w("b c")
+
+    def test_powers_that_spell_one_run_are_runs(self):
+        # exponent 1 and -1, trivial powers and one-syllable powers
+        for text, flat in [
+            ("a (b c) d", "a b c d"),
+            ("a (b c)^-1 d", "a c^-1 b^-1 d"),
+            ("[a b, c]", "a b c b^-1 a^-1 c^-1"),
+            ("(a b)^0 c 1", "c"),
+            ("(b a b^-1)^0", "1"),
+            ("(a^2)^3 b", "a^6 b"),
+            ("(a b b^-1 a^-1)^7", "1"),
+        ]:
+            assert parse_tree(text).factors == ((w(flat),) if flat != "1" else ()), text
+
+    def test_inverse_of_a_power_negates_its_exponent(self):
+        tree = parse_tree("((a b)^3 c)^-1")
+        assert tree.factors == (w("c^-1"), Power(parse_tree("a b"), -3, w("a b") ** -3))
+        commutator = parse_tree("[(a b)^2, c]")
+        assert [f.exp for f in commutator.factors if isinstance(f, Power)] == [2, -2]
+        assert commutator.word == w("a b a b c b^-1 a^-1 b^-1 a^-1 c^-1")
+
+    def test_word_is_the_spelled_out_tree(self):
+        rng = random.Random(9)
+        for _ in range(200):
+            atoms = [
+                rng.choice(["a", "b^-2", "1", "(a b)^3", "[a, b^2]^-2", "(a (b a)^2)^-3"])
+                for _ in range(rng.randint(1, 6))
+            ]
+            text = " ".join(atoms)
+            tree = parse_tree(text)
+            assert tree.word == parse_word(text)
+            assert all(f.syllables for f in tree.factors if isinstance(f, Word))
 
 
 class TestRoundTrip:
