@@ -214,17 +214,15 @@ class TestTree:
         assert [f.exp for f in commutator.factors if isinstance(f, Power)] == [2, -2]
         assert commutator.word == w("a b a b c b^-1 a^-1 b^-1 a^-1 c^-1")
 
-    def test_word_is_the_spelled_out_tree(self):
+    def test_runs_are_joined_and_never_empty(self):
         rng = random.Random(9)
+        atoms = ["a", "b^-2", "a^-1", "1", "(a b)^3", "[a, b^2]^-2", "(a (b a)^2)^-3"]
         for _ in range(200):
-            atoms = [
-                rng.choice(["a", "b^-2", "1", "(a b)^3", "[a, b^2]^-2", "(a (b a)^2)^-3"])
-                for _ in range(rng.randint(1, 6))
-            ]
-            text = " ".join(atoms)
-            tree = parse_tree(text)
-            assert tree.word == parse_word(text)
-            assert all(f.syllables for f in tree.factors if isinstance(f, Word))
+            text = " ".join(rng.choice(atoms) for _ in range(rng.randint(1, 6)))
+            factors = parse_tree(text).factors
+            runs = [isinstance(f, Word) for f in factors]
+            assert not any(a and b for a, b in zip(runs, runs[1:])), text
+            assert all(f.syllables for f in factors if isinstance(f, Word)), text
 
 
 class TestRoundTrip:
