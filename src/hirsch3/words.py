@@ -17,7 +17,7 @@ than `MAX_POWER_SYLLABLES` syllables is refused before anything is built.
 
 The parser keeps the shape of what it read: `parse_tree` returns a
 `Product` of factors, each a `Word` (a run of plain syllables) or a
-`Power` (a parenthesized word or commutator to an exponent other than 1).
+`Power` (a parenthesized word or commutator to an exponent other than ±1).
 Every node also carries its word spelled out, joined by one `Word.of` per
 product, so a long product of atoms is linear; `parse_word` and
 `parse_presentation` return those words.  `families.GroupOps.of_tree`
