@@ -42,19 +42,19 @@ because u^s a^x t^i = a^(x r2^s + e G(r2, s) r1 G(r1, i)) t^i u^s; a
 of powers g^k per generator g, so a word costs one composition per
 syllable after its first; an `AscHNNKb` is the three
 integers of its endomorphism phi, and `_iterate_apply` applies phi^k by a
-closed form.  A `LatticeByZ`'s matrix powers are computed in integers,
-by a `binary_power` over (den, a, b, c, d).  A `MetabelianH31` also
-caches its ratio pair's `RelationLattice`, factored once, which `locus`,
-`classify` and `verify` read.
+closed form.  A `LatticeByZ`'s matrix powers come from `Mat2Q.int_pow`,
+in integers.  A `MetabelianH31` also caches its ratio pair's
+`RelationLattice`, factored once, which `locus`, `classify` and `verify`
+read.
 
 Each power that a word's exponent can make large goes through
 `rationals.bounded_pow` or a `binary_power` that watches its squares, so
 one past `MAX_POWER_BITS` raises an `InputError`; a huge exponent whose
 value stays small is answered at once (`_iterate_apply`, `hnnkb_reduce`).
-`GroupOps.of_tree` evaluates a parsed word with its powers kept: each run
-of syllables by `of_word`, each power (w)^k by a `binary_power` of w's
-value that reads the family's `bits`, so a power costs O(log k) products
-instead of k |w| syllable steps.
+`GroupOps.of_tree` evaluates a parsed word by `words.evaluate`, each
+power (w)^k by a `binary_power` of w's value that reads the family's
+`bits`, so a power costs O(log k) products instead of k |w| syllable
+steps.
 
 `FAMILIES` maps each descriptor type to its `Family` record: file tag,
 generator names, element algebra, descriptor-file form, display and
@@ -79,11 +79,20 @@ from .rationals import (
     bounded_pow,
     format_rational,
     in_localized,
+    int_bits,
     rational_bits,
     relation_lattice,
     valuation,
 )
-from .words import Power, Presentation, Product, Word, commutator, format_word, is_generator_name
+from .words import (
+    Presentation,
+    Product,
+    Word,
+    commutator,
+    evaluate,
+    format_word,
+    is_generator_name,
+)
 
 F = Fraction
 
@@ -201,14 +210,10 @@ def affine_pow(f: AffineMap2, k: int) -> AffineMap2:
     return binary_power(base, n, affine_compose, AffineMap2.identity(), _elem_bits)
 
 
-def _int_bits(ints: tuple[int, ...]) -> int:
-    return max(x.bit_length() for x in ints)
-
-
 def _elem_bits(g) -> int:
     """The largest bit length of an `AffineMap2`, `MetaH31Elem` or
     `LatticeElem`, each stored as its `ints`."""
-    return _int_bits(g.ints)
+    return int_bits(g.ints)
 
 
 # --- cached integer tables -------------------------------------------------
@@ -241,30 +246,6 @@ class _Table(dict):
 def _pair(x: Fraction) -> tuple[int, int]:
     """x as its reduced integers (numerator, denominator > 0)."""
     return (x.numerator, x.denominator)
-
-
-def _matrix_of_ints(*ints: int) -> tuple[int, ...]:
-    """(den, a, b, c, d) after gcd normalization; den > 0 is the caller's."""
-    g = gcd(*ints)
-    return ints if g == 1 else tuple(x // g for x in ints)
-
-
-def _matrix_ints_mul(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    pn, pa, pb, pc, pd = p
-    qn, qa, qb, qc, qd = q
-    return _matrix_of_ints(
-        pn * qn, pa * qa + pb * qc, pa * qb + pb * qd, pc * qa + pd * qc, pc * qb + pd * qd
-    )
-
-
-def _matrix_power(m: Mat2Q, k: int) -> tuple[int, ...]:
-    """M^k as integers (den, a, b, c, d): M^k = [[a, b], [c, d]] / den."""
-    base = n, a, b, c, d = _over_common_denominator(m.entries())
-    if k < 0:  # (A / n)^-1 = n adj(A) / det(A)
-        det = a * d - b * c
-        s = 1 if det > 0 else -1
-        base = _matrix_of_ints(s * det, s * n * d, -s * n * b, -s * n * c, s * n * a)
-    return binary_power(base, abs(k), _matrix_ints_mul, (1, 1, 0, 0, 1), _int_bits)
 
 
 # --- descriptors ------------------------------------------------------------
@@ -367,7 +348,7 @@ class LatticeByZ:
 
     @cached_property
     def _powers(self) -> "_Table":
-        return _Table(partial(_matrix_power, self.matrix))
+        return _Table(self.matrix.int_pow)
 
 
 @dataclass(frozen=True)
@@ -972,7 +953,7 @@ FAMILIES: dict[type, Family] = {
         mul=hnnkb_mul,
         inv=hnnkb_inv,
         of_word=hnnkb_of_word,
-        bits=lambda g: _int_bits((g.i, g.g.a, g.g.b, g.j)),
+        bits=lambda g: int_bits((g.i, g.g.a, g.g.b, g.j)),
         parse=lambda take: AscHNNKb(*[take(k, "int") for k in "efd"]),
         fields=lambda d: _int_fields(d, "efd"),
         describe=lambda d: f"AscHNNKb(e={d.e}, f={d.f}, d={d.d})",
@@ -1059,25 +1040,12 @@ class GroupOps:
         return self.family.of_word(self.desc, w)
 
     def of_tree(self, tree: Product):
-        """The value of a parsed word, equal to `of_word(tree.word)`: each
-        run of syllables goes through `of_word`, and each power is taken
-        in the group by square-and-multiply, which refuses a square past
-        `MAX_POWER_BITS` by `Family.bits`."""
-        out = None
-        for f in tree.factors:
-            if isinstance(f, Power):
-                base = self.of_tree(f.base)
-                value = binary_power(
-                    base if f.exp > 0 else self.inv(base),
-                    abs(f.exp),
-                    self.mul,
-                    self.identity(),
-                    self.family.bits,
-                )
-            else:
-                value = self.of_word(f)
-            out = value if out is None else self.mul(out, value)
-        return self.identity() if out is None else out
+        """The value of a parsed word, equal to `of_word(tree.word)`, with
+        each power taken by square-and-multiply, which refuses a square
+        past `MAX_POWER_BITS` by `Family.bits`."""
+        bits = self.family.bits
+        power = partial(binary_power, mul=self.mul, identity=self.identity(), bits=bits)
+        return evaluate(tree, self.of_word, self.mul, self.inv, power)
 
     def is_identity(self, g) -> bool:
         return g == self.identity()

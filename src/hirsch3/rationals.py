@@ -16,7 +16,8 @@ relation basis.  No other module imports `factorint` or
 `integer_row_kernel`; `MetabelianH31` caches its ratio pair's lattice, and
 `complement_vector` completes a primitive relation to a basis of Z^2.
 `bounded_pow` and `binary_power`, which watches its squares with a size
-function, refuse a power past `MAX_POWER_BITS` bits with an `InputError`.
+function, refuse a power past `MAX_POWER_BITS` bits with an `InputError`;
+`Mat2Q.int_pow` is a `binary_power` in integers over one denominator.
 `valuation` is the one p-adic valuation of an integer.
 """
 
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import Callable, Optional, Sequence, TypeVar
 
 from . import InputError
@@ -465,6 +466,18 @@ class Mat2Q:
         base = self if k >= 0 else self.inverse()
         return binary_power(base, abs(k), Mat2Q.__mul__, Mat2Q.identity(), Mat2Q.bits)
 
+    def int_pow(self, k: int) -> tuple[int, int, int, int, int]:
+        """M^k in integers (den, a, b, c, d): M^k = [[a, b], [c, d]] / den
+        with den > 0 and gcd(den, a, b, c, d) = 1, by a `binary_power` over
+        those tuples; for an integral M its `int_bits` are `bits()`."""
+        n = lcm(*(x.denominator for x in self.entries()))
+        base = (n, *(x.numerator * (n // x.denominator) for x in self.entries()))
+        _, a, b, c, d = base
+        if k < 0:  # (A / n)^-1 = n adj(A) / det(A)
+            s = 1 if a * d - b * c > 0 else -1
+            base = _primitive(s * (a * d - b * c), s * n * d, -s * n * b, -s * n * c, s * n * a)
+        return binary_power(base, abs(k), _int_matrix_mul, (1, 1, 0, 0, 1), int_bits)
+
     def bits(self) -> int:
         """The largest `rational_bits` of an entry."""
         return max(map(rational_bits, self.entries()))
@@ -474,6 +487,24 @@ class Mat2Q:
 
     def entries(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return (self.a, self.b, self.c, self.d)
+
+
+def int_bits(ints: Sequence[int]) -> int:
+    """The largest bit length of the integers."""
+    return max(x.bit_length() for x in ints)
+
+
+def _primitive(*ints: int) -> tuple[int, ...]:
+    g = gcd(*ints)
+    return ints if g == 1 else tuple(x // g for x in ints)
+
+
+def _int_matrix_mul(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    pn, pa, pb, pc, pd = p
+    qn, qa, qb, qc, qd = q
+    return _primitive(
+        pn * qn, pa * qa + pb * qc, pa * qb + pb * qd, pc * qa + pd * qc, pc * qb + pd * qd
+    )
 
 
 def matrix_order(m: Mat2Q) -> Optional[int]:

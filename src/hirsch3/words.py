@@ -18,11 +18,13 @@ than `MAX_POWER_SYLLABLES` syllables is refused before anything is built.
 The parser keeps the shape of what it read: `parse_tree` returns a
 `Product` of factors, each a `Word` (a run of plain syllables) or a
 `Power` (a parenthesized word or commutator to an exponent other than ±1).
-Every node also carries its word spelled out, joined by one `Word.of` per
-product, so a long product of atoms is linear; `parse_word` and
-`parse_presentation` return those words.  `families.GroupOps.of_tree`
-evaluates a power in the group by square-and-multiply, so its cost grows
-with the exponent's bit length, not with the exponent.
+Every node also carries its word spelled out, its factors joined at their
+seams in one pass, so a long product of atoms is linear; `parse_word` and
+`parse_presentation` return those words.  `evaluate` takes a tree's value
+in a group given by its operations, each power once per base by the
+group's `power`; `families.GroupOps.of_tree` passes square-and-multiply,
+so a power's cost grows with the exponent's bit length, not with the
+exponent.
 """
 
 from __future__ import annotations
@@ -30,11 +32,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import chain, groupby
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, TypeVar, Union
 
 from . import InputError
 
 Syllable = tuple[str, int]
+T = TypeVar("T")
 
 
 class ParseError(InputError):
@@ -62,6 +65,22 @@ def _reduced(pairs: Iterable[Syllable]) -> tuple[Syllable, ...]:
         else:
             stack.append((gen, exp))
     return tuple(stack)
+
+
+def _joined(words: Iterable["Word"]) -> "Word":
+    """The product of reduced words, reduced at each seam as in
+    `Word.__mul__` but kept in one list, so it is linear in the total."""
+    out: list[Syllable] = []
+    for w in words:
+        syl, j = w.syllables, 0
+        while out and j < len(syl) and out[-1][0] == syl[j][0]:
+            gen, exp = syl[j][0], out.pop()[1] + syl[j][1]
+            j += 1
+            if exp:
+                out.append((gen, exp))
+                break
+        out.extend(syl[j:])
+    return Word(tuple(out))
 
 
 @dataclass(frozen=True)
@@ -157,8 +176,7 @@ def format_word(w: Word) -> str:
     return " ".join(g if e == 1 else f"{g}^{e}" for g, e in w.syllables)
 
 
-@dataclass(frozen=True)
-class Power:
+class Power(NamedTuple):
     """`base` to the power `exp`; `word` is that power spelled out."""
 
     base: "Product"
@@ -169,8 +187,7 @@ class Power:
 Factor = Union[Word, Power]
 
 
-@dataclass(frozen=True)
-class Product:
+class Product(NamedTuple):
     """A parsed word: the product of `factors`, where no two `Word`s are
     adjacent and none is the identity; `word` is the product spelled out."""
 
@@ -178,35 +195,77 @@ class Product:
     word: Word
 
 
-def _product(parts: Iterable[Factor]) -> Product:
-    """The product of parts, each run of adjacent words joined by one
-    `Word.of`, and the whole spelled out by one more."""
+def _run(w: Word) -> Product:
+    return Product((w,) if w.syllables else (), w)
+
+
+def _concat(parts: Sequence[Product]) -> Product:
+    """The product of parsed words: adjacent runs joined into one, and the
+    parts' spelled words joined at their seams, each in one linear pass."""
+    if len(parts) == 1:
+        return parts[0]
     factors: list[Factor] = []
-    for is_run, group in groupby(parts, key=lambda part: isinstance(part, Word)):
+    every = chain.from_iterable(p.factors for p in parts)
+    for is_run, group in groupby(every, key=lambda f: isinstance(f, Word)):
         if not is_run:
             factors.extend(group)
-        elif (run := Word.of(chain.from_iterable(w.syllables for w in group))).syllables:
+        elif (run := _joined(group)).syllables:
             factors.append(run)
-    spelled = chain.from_iterable(
-        (f if isinstance(f, Word) else f.word).syllables for f in factors
-    )
-    return Product(tuple(factors), Word.of(spelled))
+    return Product(tuple(factors), _joined(p.word for p in parts))
 
 
-def _power(base: Product, k: int) -> tuple[Factor, ...]:
-    """The factors of base^k.  The power is spelled out here, so its
-    syllable bound is checked where the parser reads it."""
+def _power(base: Product, k: int) -> Product:
+    """base^k.  The power is spelled out here, so its syllable bound is
+    checked where the parser reads it."""
     if k == 1:
-        return base.factors
+        return base
     if k == -1:
-        return tuple(
+        factors = tuple(
             f.inv() if isinstance(f, Word) else Power(f.base, -f.exp, f.word.inv())
             for f in reversed(base.factors)
         )
+        return Product(factors, base.word.inv())
     word = base.word**k
     if len(word.syllables) <= 1:
-        return (word,)
-    return (Power(base, k, word),)
+        return _run(word)
+    return Product((Power(base, k, word),), word)
+
+
+def evaluate(
+    tree: Product,
+    of_word: Callable[[Word], T],
+    mul: Callable[[T, T], T],
+    inv: Callable[[T], T],
+    power: Callable[[T, int], T],
+) -> T:
+    """The value of a parsed word in a group: each run by `of_word`, and
+    each power (w)^k by `power(value of w, |k|)`, taken once for each base
+    and |k|, since a commutator's x^-1 shares x's base.
+
+    A product that spells out to less than half of its longest power has
+    cancelled that power against its neighbours, as in (w)^k w (w)^-k or
+    [(w)^k, w]; its short spelled word goes to `of_word` instead, since the
+    power's own value may be too large to build.
+    """
+    powers: dict[tuple[int, int], T] = {}
+
+    def value(tree: Product) -> T:
+        spelled = [len(f.word.syllables) for f in tree.factors if isinstance(f, Power)]
+        if not tree.factors or 2 * len(tree.word.syllables) < max(spelled, default=0):
+            return of_word(tree.word)
+        out = None
+        for f in tree.factors:
+            if isinstance(f, Word):
+                g = of_word(f)
+            else:
+                key = (id(f.base), abs(f.exp))
+                if key not in powers:
+                    powers[key] = power(value(f.base), abs(f.exp))
+                g = powers[key] if f.exp > 0 else inv(powers[key])
+            out = g if out is None else mul(out, g)
+        return out
+
+    return value(tree)
 
 
 @dataclass(frozen=True)
@@ -305,20 +364,20 @@ class _Parser:
         self.next()
         return int(value)  # type: ignore[arg-type]
 
-    def atom(self) -> tuple[Factor, ...]:
+    def atom(self) -> Product:
         kind, value, pos = self.peek()
         if kind == "ident":
             self.next()
             name = str(value)
             if self.allowed is not None and name not in self.allowed:
                 raise ParseError(f"unknown generator {name!r}", pos)
-            return (Word.gen(name, self.maybe_exponent()),)
+            return _run(Word.gen(name, self.maybe_exponent()))
         if kind == "int":
             if value != 1:
                 raise ParseError(f"unexpected integer {value}", pos)
             self.next()
             self.maybe_exponent()
-            return ()
+            return _run(Word())
         if kind == "(":
             self.next()
             inner = self.word()
@@ -330,15 +389,15 @@ class _Parser:
             self.expect(",", "',' inside commutator")
             y = self.word()
             self.expect("]", "']'")
-            base = _product((*x.factors, *y.factors, *_power(x, -1), *_power(y, -1)))
+            base = _concat([x, y, _power(x, -1), _power(y, -1)])
             return _power(base, self.maybe_exponent())
         raise ParseError("expected a word", pos)
 
     def word(self) -> Product:
-        parts = list(self.atom())
+        parts = [self.atom()]
         while self.peek()[0] in ("ident", "int", "(", "["):
-            parts.extend(self.atom())
-        return _product(parts)
+            parts.append(self.atom())
+        return _concat(parts)
 
 
 def parse_tree(text: str, generators: Optional[Sequence[str]] = None) -> Product:

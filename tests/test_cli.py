@@ -511,6 +511,29 @@ class TestWordEqCommand:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and refusal in err
 
+    @pytest.mark.parametrize(
+        "word, out",
+        [
+            ("(t u a)^200000 (t u a)^-200000", "equal\n  1  =  1\n  1  =  1\n"),
+            ("[(t u a)^200000, t u a]", "equal\n  1  =  1\n  1  =  1\n"),
+            ("(t u a)^200000 t u a (t u a)^-200000", "unequal\n  t u a  =  a^6 t u\n  1  =  1\n"),
+        ],
+    )
+    def test_powers_that_cancel_are_not_taken(self, capsys, tmp_path, word, out):
+        # each power alone is refused, but the spelled-out word is short
+        path = _descriptor_path(tmp_path, "bs12_rtimes")
+        capsys.readouterr()
+        assert run(capsys, "word-eq", str(path), word, "1") == (0, out, "")
+
+    def test_power_with_one_syllable_cancelled_is_still_taken(self, capsys, tmp_path):
+        path = _descriptor_path(tmp_path, "bs12_rtimes")
+        capsys.readouterr()
+        start = time.monotonic()
+        code, out, err = run(capsys, "word-eq", str(path), "(t u a)^200000 a^-1", "1")
+        assert time.monotonic() - start < 3.0
+        assert (code, out) == (2, "")
+        assert "a power would have more than 262144 bits" in err
+
     def test_word_power_with_a_small_normal_form_prints_the_spelled_word(self, capsys, tmp_path):
         # the echoed word is (s x)^100000 spelled out, 400,042 bytes in all
         path = _descriptor_path(tmp_path, "z_plus_z2")

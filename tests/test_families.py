@@ -29,7 +29,6 @@ from hirsch3.families import (
     _TABLE_REACH,
     _iterate_apply,
     _lattice_of_ints,
-    _matrix_power,
     _meta_of_ints,
     _over_common_denominator,
     hnnkb_of_word,
@@ -45,9 +44,9 @@ from hirsch3.families import (
     ops_for,
     rankone_of_word,
 )
-from hirsch3 import InputError
-from hirsch3.rationals import Mat2Q, in_localized, radical_of
-from hirsch3.words import Word, parse_word
+from hirsch3 import InputError, families
+from hirsch3.rationals import Mat2Q, binary_power, in_localized, radical_of
+from hirsch3.words import Word, parse_tree, parse_word
 from test_rationals import is_unit_localized
 
 F = Fraction
@@ -609,12 +608,12 @@ class TestElementKernels:
     )
     def test_matrix_power_in_integers_matches_fraction_power(self, m):
         for k in range(-300, 301):
-            assert _matrix_power(m, k) == _over_common_denominator(m.pow(k).entries()), k
+            assert m.int_pow(k) == _over_common_denominator(m.pow(k).entries()), k
 
     def test_matrix_power_past_the_bound_is_refused(self):
         for k in (10**6, -(10**6)):
             with pytest.raises(InputError, match="a power would have more than"):
-                _matrix_power(Mat2Q.of(2, 1, 1, 1), k)
+                Mat2Q.of(2, 1, 1, 1).int_pow(k)
 
     def test_storage_is_canonical(self):
         rng = random.Random(83)
@@ -658,6 +657,23 @@ class TestElementKernels:
         back = pickle.loads(pickle.dumps(desc))
         assert back == desc and repr(back) == repr(desc)
         assert ops_for(back).of_word(w * w) == g
+
+
+@pytest.mark.parametrize("desc", FAMILIES, ids=lambda d: type(d).__name__)
+def test_tree_takes_each_power_once(desc, monkeypatch):
+    # a commutator's x^-1 shares x's base, and nesting repeats it
+    ops = ops_for(desc)
+    a, b = ops.generator_names[0], ops.generator_names[-1]
+    tree = parse_tree(f"[[({a} {b}^2)^5, {a}], {b}] ({a} {b}^2)^-5")
+    taken = []
+
+    def counting(x, k, mul, identity, bits):
+        taken.append(mul == ops.mul)
+        return binary_power(x, k, mul, identity, bits)
+
+    monkeypatch.setattr(families, "binary_power", counting)
+    assert ops.of_tree(tree) == ops.of_word(tree.word)
+    assert taken.count(True) == 2
 
     def test_constructors_round_trip(self):
         rng = random.Random(97)

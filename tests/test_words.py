@@ -14,6 +14,7 @@ from hirsch3.words import (
     Power,
     Presentation,
     Word,
+    evaluate,
     format_presentation,
     format_word,
     parse_presentation,
@@ -223,6 +224,14 @@ class TestTree:
             runs = [isinstance(f, Word) for f in factors]
             assert not any(a and b for a, b in zip(runs, runs[1:])), text
             assert all(f.syllables for f in factors if isinstance(f, Word)), text
+
+    def test_evaluate_in_the_free_group_spells_the_word(self):
+        # the free group's own operations, so each value is a reduced word
+        rng = random.Random(13)
+        atoms = ["a", "b^-2", "(a b)^3", "(a b)^-3", "[a, b^2]^-2", "[(a b)^4, a b]", "(b a)^2"]
+        for _ in range(300):
+            tree = parse_tree(" ".join(rng.choice(atoms) for _ in range(rng.randint(1, 6))))
+            assert evaluate(tree, lambda x: x, Word.__mul__, Word.inv, Word.__pow__) == tree.word
 
 
 class TestRoundTrip:
