@@ -199,19 +199,22 @@ def _run(w: Word) -> Product:
     return Product((w,) if w.syllables else (), w)
 
 
-def _concat(parts: Sequence[Product]) -> Product:
-    """The product of parsed words: adjacent runs joined into one, and the
-    parts' spelled words joined at their seams, each in one linear pass."""
+def _concat(parts: Sequence[Union[Word, Product]]) -> Product:
+    """The product of parsed atoms, each a generator power or a parsed
+    word: adjacent runs joined into one, and the parts' spelled words
+    joined at their seams, each in one linear pass."""
+    if all(isinstance(p, Word) for p in parts):
+        return _run(_joined(parts))
     if len(parts) == 1:
         return parts[0]
     factors: list[Factor] = []
-    every = chain.from_iterable(p.factors for p in parts)
+    every = chain.from_iterable((p,) if isinstance(p, Word) else p.factors for p in parts)
     for is_run, group in groupby(every, key=lambda f: isinstance(f, Word)):
         if not is_run:
             factors.extend(group)
         elif (run := _joined(group)).syllables:
             factors.append(run)
-    return Product(tuple(factors), _joined(p.word for p in parts))
+    return Product(tuple(factors), _joined(p if isinstance(p, Word) else p.word for p in parts))
 
 
 def _power(base: Product, k: int) -> Product:
@@ -364,20 +367,20 @@ class _Parser:
         self.next()
         return int(value)  # type: ignore[arg-type]
 
-    def atom(self) -> Product:
+    def atom(self) -> Union[Word, Product]:
         kind, value, pos = self.peek()
         if kind == "ident":
             self.next()
             name = str(value)
             if self.allowed is not None and name not in self.allowed:
                 raise ParseError(f"unknown generator {name!r}", pos)
-            return _run(Word.gen(name, self.maybe_exponent()))
+            return Word.gen(name, self.maybe_exponent())
         if kind == "int":
             if value != 1:
                 raise ParseError(f"unexpected integer {value}", pos)
             self.next()
             self.maybe_exponent()
-            return _run(Word())
+            return Word()
         if kind == "(":
             self.next()
             inner = self.word()
