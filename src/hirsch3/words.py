@@ -72,13 +72,16 @@ def _joined(words: Iterable["Word"]) -> "Word":
     `Word.__mul__` but kept in one list, so it is linear in the total."""
     out: list[Syllable] = []
     for w in words:
-        syl, j = w.syllables, 0
-        while out and j < len(syl) and out[-1][0] == syl[j][0]:
-            gen, exp = syl[j][0], out.pop()[1] + syl[j][1]
-            j += 1
+        syl = w.syllables
+        i, j, n = len(out), 0, len(syl)
+        while i and j < n and out[i - 1][0] == syl[j][0]:
+            exp = out[i - 1][1] + syl[j][1]
             if exp:
-                out.append((gen, exp))
+                out[i - 1] = (syl[j][0], exp)
+                j += 1
                 break
+            i, j = i - 1, j + 1
+        del out[i:]
         out.extend(syl[j:])
     return Word(tuple(out))
 
@@ -223,11 +226,14 @@ def _power(base: Product, k: int) -> Product:
     if k == 1:
         return base
     if k == -1:
+        word = base.word.inv()
+        if len(base.factors) == 1 and isinstance(f := base.factors[0], Power):
+            return Product((Power(f.base, -f.exp, word),), word)
         factors = tuple(
             f.inv() if isinstance(f, Word) else Power(f.base, -f.exp, f.word.inv())
             for f in reversed(base.factors)
         )
-        return Product(factors, base.word.inv())
+        return Product(factors, word)
     word = base.word**k
     if len(word.syllables) <= 1:
         return _run(word)
