@@ -469,7 +469,8 @@ class Mat2Q:
     def int_pow(self, k: int) -> tuple[int, int, int, int, int]:
         """M^k in integers (den, a, b, c, d): M^k = [[a, b], [c, d]] / den
         with den > 0 and gcd(den, a, b, c, d) = 1, by a `binary_power` over
-        those tuples; for an integral M its `int_bits` are `bits()`."""
+        those tuples that watches their `int_bits`, which for an integral M
+        is what `bits()` reads."""
         n = lcm(*(x.denominator for x in self.entries()))
         base = (n, *(x.numerator * (n // x.denominator) for x in self.entries()))
         _, a, b, c, d = base
