@@ -30,20 +30,22 @@ products stay in integer arithmetic:
   BrittonElem     integers already (s-exponents and a KbElem x^a y^b)
   RankOneQ        a single `Fraction`
 
-The constructors take `Fraction` coordinates, and `.x`, `.v`, `.linear`
-and `.translation` read them back as `Fraction`s.  The identities are the
-constants `META_IDENTITY` (BSbar's too), `LATTICE_IDENTITY`, `KB_IDENTITY`,
-`HNNKB_IDENTITY` and `AffineMap2.identity()`.  Each descriptor caches, as
-integer pairs or tuples, what its products need for exponents up to
-`_TABLE_REACH`.  A `MetabelianH31` keeps two tables, t[i] = (r1^i,
-r1 G(r1, i)) and u[s] = (r2^s, e G(r2, s)) with G(r, k) = (r^k - 1)/(r - 1),
-because u^s a^x t^i = a^(x r2^s + e G(r2, s) r1 G(r1, i)) t^i u^s; a
-`LatticeByZ` keeps the matrix powers M^k; an `AffineQ2` keeps one table
-of powers g^k per generator g, so a word costs one composition per
-syllable after its first; an `AscHNNKb` is the three
+Elements are built from integers by `_meta_of_ints` and
+`_lattice_of_ints`, which gcd-normalize; `AffineMap2(linear, translation)`
+is the one constructor that takes `Fraction`s.  `.x`, `.v`, `.linear` and
+`.translation` read the coordinates back as `Fraction`s.  The identities
+are the constants `META_IDENTITY` (BSbar's too), `LATTICE_IDENTITY`,
+`KB_IDENTITY`, `HNNKB_IDENTITY` and `AffineMap2.identity()`.  Each
+descriptor caches, as integer pairs or tuples, what its products need for
+exponents up to `_TABLE_REACH`.  A `MetabelianH31` keeps two tables,
+t[i] = (r1^i, r1 G(r1, i)) and u[s] = (r2^s, e G(r2, s)) with
+G(r, k) = (r^k - 1)/(r - 1), because
+u^s a^x t^i = a^(x r2^s + e G(r2, s) r1 G(r1, i)) t^i u^s; a `LatticeByZ` keeps the matrix powers M^k as (den, a, b, c, d),
+each an `affine_pow` of the translation-free map v |-> M v; an `AffineQ2`
+keeps one table of powers g^k per generator g, so a word costs one
+composition per syllable after its first; an `AscHNNKb` is the three
 integers of its endomorphism phi, and `_iterate_apply` applies phi^k by a
-closed form.  A `LatticeByZ`'s matrix powers come from `Mat2Q.int_pow`,
-in integers.  A `MetabelianH31` also caches its ratio pair's
+closed form.  A `MetabelianH31` also caches its ratio pair's
 `RelationLattice`, factored once, which `locus`, `classify` and `verify`
 read.
 
@@ -79,7 +81,6 @@ from .rationals import (
     bounded_pow,
     format_rational,
     in_localized,
-    int_bits,
     rational_bits,
     relation_lattice,
     valuation,
@@ -145,10 +146,6 @@ class AffineMap2:
         den, _, _, _, _, x, y = self.ints
         return (F(x, den), F(y, den))
 
-    def apply(self, v: tuple[Fraction, Fraction]) -> tuple[Fraction, Fraction]:
-        den, a, b, c, d, x, y = self.ints
-        return (F(a * v[0] + b * v[1] + x, den), F(c * v[0] + d * v[1] + y, den))
-
     def is_unipotent(self) -> bool:
         """Whether the linear part has trace 2 and determinant 1."""
         den, a, b, c, d, _, _ = self.ints
@@ -208,6 +205,16 @@ def affine_inverse(f: AffineMap2) -> AffineMap2:
 def affine_pow(f: AffineMap2, k: int) -> AffineMap2:
     base, n = (f, k) if k >= 0 else (affine_inverse(f), -k)
     return binary_power(base, n, affine_compose, AffineMap2.identity(), _elem_bits)
+
+
+def _linear_ints(f: AffineMap2, k: int) -> tuple[int, int, int, int, int]:
+    """(den, a, b, c, d) of the linear part of f^k, for a translation-free f."""
+    return affine_pow(f, k).ints[:5]
+
+
+def int_bits(ints: Iterable[int]) -> int:
+    """The largest bit length of the integers."""
+    return max(x.bit_length() for x in ints)
 
 
 def _elem_bits(g) -> int:
@@ -348,7 +355,7 @@ class LatticeByZ:
 
     @cached_property
     def _powers(self) -> "_Table":
-        return _Table(self.matrix.int_pow)
+        return _Table(partial(_linear_ints, AffineMap2(self.matrix, (0, 0))))
 
 
 @dataclass(frozen=True)
@@ -404,13 +411,10 @@ GroupDescriptor = Union[RankOneQ, BSbar, MetabelianH31, LatticeByZ, AscHNNKb, Af
 @dataclass(frozen=True, init=False)
 class MetaH31Elem:
     """Normal form a^x t^i u^j, stored as integers `ints = (den, num, i, j)`
-    with x = num / den, den > 0 and gcd(num, den) = 1."""
+    with x = num / den, den > 0 and gcd(num, den) = 1; `_meta_of_ints`
+    builds one."""
 
     ints: tuple[int, int, int, int]
-
-    def __init__(self, x: Fraction, i: int, j: int) -> None:
-        x = F(x)
-        object.__setattr__(self, "ints", (x.denominator, x.numerator, i, j))
 
     @property
     def x(self) -> Fraction:
@@ -509,13 +513,10 @@ META_IDENTITY = _meta_of_ints(1, 0, 0, 0)
 @dataclass(frozen=True, init=False)
 class LatticeElem:
     """v t^k with v = (x, y) / den in the acted-on subgroup, stored as
-    integers `ints = (den, x, y, k)` with den > 0 and gcd(den, x, y) = 1."""
+    integers `ints = (den, x, y, k)` with den > 0 and gcd(den, x, y) = 1;
+    `_lattice_of_ints` builds one."""
 
     ints: tuple[int, int, int, int]
-
-    def __init__(self, v: tuple[Fraction, Fraction], k: int) -> None:
-        ints = (*_over_common_denominator((F(v[0]), F(v[1]))), k)
-        object.__setattr__(self, "ints", ints)
 
     @property
     def v(self) -> tuple[Fraction, Fraction]:

@@ -722,16 +722,17 @@ class _QuotientRun:
         names, count = self.ops.generator_names, min(self.cfg.trials, cap)
         return _sampled_words(self.cfg, label, names, count)
 
+    def powers(self, g, reach: int):
+        """g, g^2, ..., g^reach, one product each."""
+        power = self.ops.identity()
+        for _ in range(reach):
+            power = self.ops.mul(power, g)
+            yield power
+
     def ladder(self, g, reach: int) -> list:
         """The identity, then g^-1 ... g^-reach, then g ... g^reach."""
         ops = self.ops
-        out = [ops.identity()]
-        for step in (ops.inv(g), g):
-            power = ops.identity()
-            for _ in range(reach):
-                power = ops.mul(power, step)
-                out.append(power)
-        return out
+        return [ops.identity(), *self.powers(ops.inv(g), reach), *self.powers(g, reach)]
 
     def enters(self, g, steps: Sequence) -> bool:
         """Whether g times some step lies in the radical; one trial per
@@ -747,9 +748,8 @@ class _QuotientRun:
     ) -> Optional[str]:
         """No g^k with 1 <= k <= cap, nor g^k times a shift, lies in the
         radical; `text` and the shift's suffix name them."""
-        ops, power = self.ops, self.ops.identity()
-        for k in range(1, cap + 1):
-            power = ops.mul(power, g)
+        ops = self.ops
+        for k, power in enumerate(self.powers(g, cap), 1):
             self.trials += len(shifts)
             for shift, suffix in shifts:
                 if self.member(power if shift is None else ops.mul(power, shift)):
@@ -851,9 +851,7 @@ def _quotient_finite(run: _QuotientRun) -> Optional[str]:
     ops = run.ops
     gens = (Word.gen(name) for name in ops.generator_names)
     for w in itertools.chain(gens, run.samples("quotient-finite", 40)):
-        g, power = ops.of_word(w), ops.identity()
-        for _ in range(12):
-            power = ops.mul(power, g)
+        for power in run.powers(ops.of_word(w), 12):
             run.trials += 1
             if run.member(power):
                 break

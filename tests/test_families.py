@@ -18,8 +18,6 @@ from hirsch3.families import (
     BrittonElem,
     KbElem,
     LatticeByZ,
-    LatticeElem,
-    MetaH31Elem,
     MetabelianH31,
     RankOneQ,
     affine_compose,
@@ -50,6 +48,17 @@ from hirsch3.words import Word, parse_tree, parse_word
 from test_rationals import is_unit_localized
 
 F = Fraction
+
+
+def meta_elem(x, i: int, j: int):
+    """a^x t^i u^j for a rational x."""
+    x = F(x)
+    return _meta_of_ints(x.denominator, x.numerator, i, j)
+
+
+def lattice_elem(v, k: int):
+    """v t^k for a pair v of rationals."""
+    return _lattice_of_ints(*_over_common_denominator((F(v[0]), F(v[1]))), k)
 
 
 def rand_word(rng, names, syllables=8, max_exp=3):
@@ -159,7 +168,7 @@ def bsbar_of_word(desc, w):
 
 def bsbar_elem(u, k):
     # a^u t^k, which BSbar keeps as the metabelian a^u t^k u^0
-    return MetaH31Elem(u, k, 0)
+    return meta_elem(u, k, 0)
 
 
 class TestBSbar:
@@ -189,7 +198,7 @@ class TestMeta:
         desc = MetabelianH31(1, 2, 1, 3, F(1))
         got = meta_of_word(desc, parse_word("u t"))
         assert got == meta_of_word(desc, parse_word("t a u"))
-        assert got == MetaH31Elem(F(2), 1, 1)
+        assert got == meta_elem(F(2), 1, 1)
 
     def test_defining_relators(self):
         for desc in [
@@ -205,7 +214,7 @@ class TestMeta:
                 f"u t u^-1 a^{-e.numerator} t^-1",
             ]
             for text in relators:
-                assert meta_of_word(desc, parse_word(text)) == MetaH31Elem(F(0), 0, 0)
+                assert meta_of_word(desc, parse_word(text)) == meta_elem(F(0), 0, 0)
 
     def test_coordinates_stay_localized(self):
         desc = MetabelianH31(2, 3, 1, 5, F(5, 6))
@@ -222,7 +231,7 @@ class TestMeta:
         def rand_elem():
             num = rng.randint(-20, 20)
             den = 2 ** rng.randint(0, 3) * 3 ** rng.randint(0, 3)
-            return MetaH31Elem(F(num, den), rng.randint(-3, 3), rng.randint(-3, 3))
+            return meta_elem(F(num, den), rng.randint(-3, 3), rng.randint(-3, 3))
 
         for _ in range(500):
             g1, g2, g3 = rand_elem(), rand_elem(), rand_elem()
@@ -234,12 +243,12 @@ class TestMeta:
 class TestLattice:
     def test_mul_conjugation(self):
         m = Mat2Q.of(2, 0, 0, 1)
-        t = LatticeElem((F(0), F(0)), 1)
-        a = LatticeElem((F(1), F(0)), 0)
-        t_inv = LatticeElem((F(0), F(0)), -1)
+        t = lattice_elem((F(0), F(0)), 1)
+        a = lattice_elem((F(1), F(0)), 0)
+        t_inv = lattice_elem((F(0), F(0)), -1)
         desc = LatticeByZ(m)
         got = lattice_mul(desc, lattice_mul(desc, t, a), t_inv)
-        assert got == LatticeElem((F(2), F(0)), 0)
+        assert got == lattice_elem((F(2), F(0)), 0)
 
     def test_inverse_law(self):
         desc = LatticeByZ(Mat2Q.of(0, -2, 1, 0))
@@ -248,7 +257,7 @@ class TestLattice:
             w = rand_word(rng, ["a", "b", "t"], syllables=8)
             g = lattice_of_word(desc, w)
             gi = lattice_of_word(desc, w.inv())
-            assert lattice_mul(desc, g, gi) == LatticeElem((F(0), F(0)), 0)
+            assert lattice_mul(desc, g, gi) == lattice_elem((F(0), F(0)), 0)
 
 
 class TestKb:
@@ -418,6 +427,11 @@ def _random_maps(seed: int, count: int) -> list[AffineMap2]:
     return out
 
 
+def _affine_apply(f: AffineMap2, v: tuple[Fraction, Fraction]) -> tuple[Fraction, Fraction]:
+    x, y = f.linear.apply(v)
+    return (x + f.translation[0], y + f.translation[1])
+
+
 class TestAffineKernel:
     MAPS = _random_maps(61, 60)
 
@@ -428,7 +442,7 @@ class TestAffineKernel:
             assert fg.linear == f.linear * g.linear
             assert fg.translation == (b[0] + f.translation[0], b[1] + f.translation[1])
             v = (F(3, 7), F(-5, 2))
-            assert fg.apply(v) == f.apply(g.apply(v))
+            assert _affine_apply(fg, v) == _affine_apply(f, _affine_apply(g, v))
 
     def test_inverse_is_two_sided(self):
         # the sample covers both signs of the determinant
@@ -551,13 +565,13 @@ class TestElementKernels:
         for _ in range(60):
             g1 = (_localized(rng, (2, 3, 5, 7)), rng.randint(-6, 6), rng.randint(-6, 6))
             g2 = (_localized(rng, (2, 3, 5, 7)), rng.randint(-6, 6), rng.randint(-6, 6))
-            yield g1, g2, MetaH31Elem(*g1), MetaH31Elem(*g2)
+            yield g1, g2, meta_elem(*g1), meta_elem(*g2)
 
     def _lattice_pairs(self, desc, rng):
         for _ in range(60):
             g1 = ((_localized(rng, (2, 3)), _localized(rng, (2, 3))), rng.randint(-6, 6))
             g2 = ((_localized(rng, (2, 3)), _localized(rng, (2, 3))), rng.randint(-6, 6))
-            yield g1, g2, LatticeElem(*g1), LatticeElem(*g2)
+            yield g1, g2, lattice_elem(*g1), lattice_elem(*g2)
 
     def test_bsbar_matches_fraction_reference(self):
         rng = random.Random(71)
@@ -595,10 +609,10 @@ class TestElementKernels:
             got = ops_for(bsbar).mul(bsbar_elem(*g), bsbar_elem(*g))
             assert (got.x, got.i) == _ref_bsbar_mul(bsbar, g, g)
             m = (F(7, 6), k, -k)
-            got = meta_mul(meta, MetaH31Elem(*m), MetaH31Elem(*m))
+            got = meta_mul(meta, meta_elem(*m), meta_elem(*m))
             assert (got.x, got.i, got.j) == _ref_meta_mul(meta, m, m)
             v = ((F(1, 2), F(3)), k)
-            got = lattice_inv(lattice, LatticeElem(*v))
+            got = lattice_inv(lattice, lattice_elem(*v))
             assert (got.v, got.k) == _ref_lattice_inv(lattice.matrix, v)
 
     @pytest.mark.parametrize(
@@ -606,14 +620,17 @@ class TestElementKernels:
         [Mat2Q.of(2, 1, 1, 1), Mat2Q.of(F(1, 2), F(3, 4), F(-2, 3), 5), Mat2Q.of(0, -1, 1, -1)],
         ids=["integral", "rational", "finite_order"],
     )
-    def test_matrix_power_in_integers_matches_fraction_power(self, m):
+    def test_lattice_power_table_matches_fraction_power(self, m):
+        # the reach passes _TABLE_REACH, so entries past the cache are checked too
+        powers = LatticeByZ(m)._powers
         for k in range(-300, 301):
-            assert m.int_pow(k) == _over_common_denominator(m.pow(k).entries()), k
+            assert powers[k] == _over_common_denominator(m.pow(k).entries()), k
 
-    def test_matrix_power_past_the_bound_is_refused(self):
+    def test_lattice_power_past_the_bound_is_refused(self):
+        powers = LatticeByZ(Mat2Q.of(2, 1, 1, 1))._powers
         for k in (10**6, -(10**6)):
             with pytest.raises(InputError, match="a power would have more than"):
-                Mat2Q.of(2, 1, 1, 1).int_pow(k)
+                powers[k]
 
     def test_storage_is_canonical(self):
         rng = random.Random(83)
@@ -658,6 +675,21 @@ class TestElementKernels:
         assert back == desc and repr(back) == repr(desc)
         assert ops_for(back).of_word(w * w) == g
 
+    def test_constructors_round_trip(self):
+        rng = random.Random(97)
+        for _ in range(200):
+            u, v = _localized(rng, (2, 3, 5)), (_localized(rng, (2, 3)), _localized(rng, (2, 7)))
+            k, j = rng.randint(-9, 9), rng.randint(-9, 9)
+            g = meta_elem(u, k, j)
+            assert (g.x, g.i, g.j) == (u, k, j) and g == meta_elem(g.x, g.i, g.j)
+            g = lattice_elem(v, k)
+            assert (g.v, g.k) == (v, k) and g == lattice_elem(g.v, g.k)
+        # non-reduced integers normalize to the value read from Fractions
+        assert _meta_of_ints(40, 100, -1, 3) == meta_elem(F(5, 2), -1, 3)
+        assert _lattice_of_ints(6, 3, 9, 4) == lattice_elem((F(1, 2), F(3, 2)), 4)
+        assert _lattice_of_ints(4, 2, 1, 0) == lattice_elem((F(1, 2), F(1, 4)), 0)
+        assert hash(_lattice_of_ints(6, 0, 12, 1)) == hash(lattice_elem((F(0), F(2)), 1))
+
 
 @pytest.mark.parametrize("desc", FAMILIES, ids=lambda d: type(d).__name__)
 def test_tree_takes_each_power_once(desc, monkeypatch):
@@ -674,21 +706,6 @@ def test_tree_takes_each_power_once(desc, monkeypatch):
     monkeypatch.setattr(families, "binary_power", counting)
     assert ops.of_tree(tree) == ops.of_word(tree.word)
     assert taken.count(True) == 2
-
-    def test_constructors_round_trip(self):
-        rng = random.Random(97)
-        for _ in range(200):
-            u, v = _localized(rng, (2, 3, 5)), (_localized(rng, (2, 3)), _localized(rng, (2, 7)))
-            k, j = rng.randint(-9, 9), rng.randint(-9, 9)
-            g = MetaH31Elem(u, k, j)
-            assert (g.x, g.i, g.j) == (u, k, j) and g == MetaH31Elem(g.x, g.i, g.j)
-            g = LatticeElem(v, k)
-            assert (g.v, g.k) == (v, k) and g == LatticeElem(g.v, g.k)
-        # non-reduced integers normalize to the constructor's value
-        assert _meta_of_ints(40, 100, -1, 3) == MetaH31Elem(F(5, 2), -1, 3)
-        assert _lattice_of_ints(6, 3, 9, 4) == LatticeElem((F(1, 2), F(3, 2)), 4)
-        assert _lattice_of_ints(4, 2, 1, 0) == LatticeElem((F(1, 2), F(1, 4)), 0)
-        assert hash(_lattice_of_ints(6, 0, 12, 1)) == hash(LatticeElem((F(0), F(2)), 1))
 
 
 def kb_endo_apply(phi: AscHNNKb, g: KbElem) -> KbElem:
