@@ -30,22 +30,21 @@ products stay in integer arithmetic:
   BrittonElem     integers already (s-exponents and a KbElem x^a y^b)
   RankOneQ        a single `Fraction`
 
-Elements are built from integers by `_meta_of_ints` and
-`_lattice_of_ints`, which gcd-normalize; `AffineMap2(linear, translation)`
-is the one constructor that takes `Fraction`s.  `.x`, `.v`, `.linear` and
-`.translation` read the coordinates back as `Fraction`s.  The identities
-are the constants `META_IDENTITY` (BSbar's too), `LATTICE_IDENTITY`,
-`KB_IDENTITY`, `HNNKB_IDENTITY` and `AffineMap2.identity()`.  Each
-descriptor caches, as integer pairs or tuples, what its products need for
-exponents up to `_TABLE_REACH`.  A `MetabelianH31` keeps two tables,
-t[i] = (r1^i, r1 G(r1, i)) and u[s] = (r2^s, e G(r2, s)) with
-G(r, k) = (r^k - 1)/(r - 1), because
-u^s a^x t^i = a^(x r2^s + e G(r2, s) r1 G(r1, i)) t^i u^s; a `LatticeByZ` keeps the matrix powers M^k as (den, a, b, c, d),
-each an `affine_pow` of the translation-free map v |-> M v; an `AffineQ2`
-keeps one table of powers g^k per generator g, so a word costs one
-composition per syllable after its first; an `AscHNNKb` is the three
+Elements are built from integers by `_meta_of_ints` and `_lattice_of_ints`,
+and an `AffineMap2` from `Fraction`s; `.x`, `.v`, `.linear` and
+`.translation` read them back as `Fraction`s.  The identities are the
+constants `META_IDENTITY` (BSbar's too), `LATTICE_IDENTITY`, `KB_IDENTITY`,
+`HNNKB_IDENTITY` and `AffineMap2.identity()`.  Each descriptor caches, as
+integer pairs or tuples, what its products need for exponents up to
+`_TABLE_REACH`.  A `MetabelianH31` keeps two tables, t[i] = (r1^i,
+r1 G(r1, i)) and u[s] = (r2^s, e G(r2, s)) with G(r, k) = (r^k - 1)/(r - 1),
+because u^s a^x t^i = a^(x r2^s + e G(r2, s) r1 G(r1, i)) t^i u^s; a
+`LatticeByZ` keeps the matrix powers M^k; an `AffineQ2` keeps one table
+of powers g^k per generator g, so a word costs one composition per
+syllable after its first; an `AscHNNKb` is the three
 integers of its endomorphism phi, and `_iterate_apply` applies phi^k by a
-closed form.  A `MetabelianH31` also caches its ratio pair's
+closed form.  A `LatticeByZ`'s matrix powers are `affine_pow`s of the
+translation-free map v |-> M v.  A `MetabelianH31` also caches its ratio pair's
 `RelationLattice`, factored once, which `locus`, `classify` and `verify`
 read.
 
