@@ -1,9 +1,10 @@
 """The pinned slice of `tools/corpus_digest.py`'s corpus.
 
-Every other corpus entry is classified and verified in process, and the
-sha256 of the answers must match `PINNED`.  A change that alters an answer
-on purpose records the new digest here (`python3 tools/corpus_digest.py
---digest` prints it) and lists the change.
+Every other corpus entry is classified, verified and asked `word-eq` on
+its seeded word pairs in process, and the sha256 of the answers must match
+`PINNED`.  A change that alters an answer on purpose records the new digest
+here (`python3 tools/corpus_digest.py --digest` prints it) and lists the
+change.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PINNED = {
     "entries": 215,
-    "sha256": "59899ae0854bc7ab426552a87da8f7b26305f3843961b94b20cb7757036002d1",
+    "sha256": "dd4ae57711f6dd0765812aad10948a0cf7322be210cb7e3132ecc106955a15ea",
 }
 
 

@@ -1,4 +1,5 @@
-"""Compare the classify and verify answers of two commits over a fixed corpus.
+"""Compare the classify, verify and word-eq answers of two commits over a
+fixed corpus.
 
     python3 tools/corpus_digest.py --parent <rev> --change <rev>
     python3 tools/corpus_digest.py --digest
@@ -12,9 +13,11 @@ commits:
 
 Each commit answers it in a fresh `git archive`, in one child process whose
 hirsch3 comes from that tree: `hirsch3 classify --format json` and
-`hirsch3 verify --seed 0 --trials 5` per entry, each as (exit code, output
-without the envelope's version, error text).  The entries that differ are
-printed grouped by command, family and exit-code transition.
+`hirsch3 verify --seed 0 --trials 5` per entry, and `hirsch3 word-eq` on
+the entry's seeded word pairs, whose output prints both normal forms; each
+answer is (exit code, output without the envelope's version, error text).
+The entries that differ are printed grouped by command, family and
+exit-code transition.
 
 `--digest` answers the pinned slice (every other entry) with this checkout
 and prints its sha256, the value that `tests/test_corpus_digest.py` pins.
@@ -46,6 +49,8 @@ TRIALS = 5
 COUNTS = {"random_descriptor": 240, "inputs": 10, "finite_image": 120}  # inputs: per family
 SLICE = slice(None, None, 2)
 EXAMPLES = 3  # entries printed per group of differences
+COMMANDS = ("classify", "verify", "word_eq")
+_FIXED_NAMES = {"bsbar": "a t", "metabelian_h31": "a t u", "lattice_by_z": "a b t", "asc_hnn_kb": "x y s"}
 
 
 def _load(path: Path, name: str):
@@ -98,6 +103,31 @@ def _finite_image_text(inputs, rng: random.Random) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _generator_names(family: str, text: str) -> list[str]:
+    if family in _FIXED_NAMES:
+        return _FIXED_NAMES[family].split()
+    values = next(line.split("=", 1)[1].split() for line in text.splitlines()
+                  if line.startswith("generators"))
+    return values if family == "affine_q2" else [f"g{idx + 1}" for idx in range(len(values))]
+
+
+def _word(rng: random.Random, names: list[str]) -> str:
+    if not names:  # a rank-one group with no generators
+        return "1"
+    return " ".join(f"{rng.choice(names)}^{rng.choice((-2, -1, 1, 2))}" for _ in range(rng.randint(1, 5)))
+
+
+def word_pairs(entry: dict) -> list[list[str]]:
+    """Three seeded word pairs on the entry's generators: two random words,
+    a power against the same power spelled as a shorter one times its base,
+    and a squared commutator against a product."""
+    rng = random.Random(f"corpus:{SEED}:word_eq:{entry['id']}")
+    names = _generator_names(entry["family"], entry["text"])
+    w1, w2, w3 = (_word(rng, names) for _ in range(3))
+    k = rng.choice((-7, -3, 2, 5, 9))
+    return [[w1, w2], [f"({w1})^{k}", f"({w1})^{k - 1} {w1}"], [f"[{w2}, {w3}]^2", f"{w3} {w2}"]]
+
+
 def corpus() -> list[dict]:
     """Every entry as {"id", "family", "text"}, in a fixed order."""
     inputs = _load(ROOT / "perfbench" / "inputs.py", "perfbench_inputs")
@@ -142,7 +172,8 @@ def _run(argv: list[str]) -> list:
 
 
 def answer(entries: list[dict]) -> list[dict]:
-    """Each entry's classify and verify answers, with the hirsch3 on sys.path."""
+    """Each entry's classify, verify and word-eq answers, with the hirsch3
+    on sys.path."""
     out = []
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / "descriptor.toml")
@@ -153,6 +184,7 @@ def answer(entries: list[dict]) -> list[dict]:
                 "family": entry["family"],
                 "classify": _run(["classify", path, "--format", "json"]),
                 "verify": _run(["verify", path, "--seed", str(SEED), "--trials", str(TRIALS)]),
+                "word_eq": [_run(["word-eq", path, *pair]) for pair in word_pairs(entry)],
             })
     return out
 
@@ -183,11 +215,16 @@ def differences(parent: list[dict], change: list[dict]) -> dict:
     """(command, family, parent exit, change exit) -> the ids that differ."""
     groups: dict[tuple, list[str]] = defaultdict(list)
     for old, new in zip(parent, change):
-        for command in ("classify", "verify"):
+        for command in COMMANDS:
             if old[command] != new[command]:
-                key = (command, old["family"], old[command][0], new[command][0])
+                key = (command, old["family"], _codes(old[command]), _codes(new[command]))
                 groups[key].append(old["id"])
     return groups
+
+
+def _codes(result: list):
+    """The exit code of one answer, or the tuple of a word-eq list's."""
+    return tuple(r[0] for r in result) if isinstance(result[0], list) else result[0]
 
 
 def _summary(result: list) -> str:
@@ -234,8 +271,10 @@ def main() -> int:
     for (command, family, old, new), ids in sorted(groups.items()):
         print(f"{command} {family} exit {old} -> {new}: {len(ids)}")
         for entry_id in ids[:EXAMPLES]:
-            before = _summary(by_id["parent"][entry_id][command])
-            after = _summary(by_id["change"][entry_id][command])
+            before, after = by_id["parent"][entry_id][command], by_id["change"][entry_id][command]
+            if command == "word_eq":  # the first pair whose answers differ
+                before, after = next((o, n) for o, n in zip(before, after) if o != n)
+            before, after = _summary(before), _summary(after)
             print(f"  {entry_id}: {before!r} -> {after!r}")
     return 0
 
