@@ -21,8 +21,8 @@ when an invariant forces the value and marks them not-computed otherwise.
 Affine descriptors are supported in the shapes the fixture corpus uses:
 trivial or finite linear image, a single infinite-order linear generator,
 or two order-two reflections generating an infinite dihedral image.  The
-affine analysis explores words on the integer `AffineMap2` kernel for a
-finite linear image.  The translation subgroup is not searched: its rank is
+affine analysis composes integer affine tuples (`families.affine_compose`)
+for a finite linear image.  The translation subgroup is not searched: its rank is
 read off its Schreier generators, one product per generator.  A finite
 image {I, A} that holds an involution is refused as torsion
 (`_has_involution`, one gcd on A's fixed line); the infinite dihedral shape
@@ -46,6 +46,7 @@ from typing import Any, Callable, Optional, Sequence, Union
 
 from . import InputError
 from .families import (
+    AFFINE_IDENTITY,
     META_IDENTITY,
     AffineMap2,
     AffineQ2,
@@ -57,6 +58,7 @@ from .families import (
     RankOneQ,
     affine_compose,
     affine_inverse,
+    affine_linear,
     meta_of_word,
 )
 from .rationals import (
@@ -385,16 +387,15 @@ _LINEAR_CLOSURE_CAP = 12  # a finite subgroup of GL(2, Q) has at most 12 element
 def _linear_closure(mats: Sequence[Mat2Q]) -> Optional[set[Mat2Q]]:
     """The group the matrices generate if it is finite.
 
-    The search composes translation-free `AffineMap2`s, whose gcd-normalized
-    integers make set membership exact; only the kept elements become
-    `Mat2Q`s.
+    The search composes the `ints` of translation-free `AffineMap2`s, whose
+    gcd normalization makes set membership exact; only the kept elements
+    become `Mat2Q`s.
     """
-    identity = AffineMap2.identity()
-    closure = {identity}
-    frontier = [identity]
+    closure = {AFFINE_IDENTITY}
+    frontier = [AFFINE_IDENTITY]
     gens = []
     for m in mats:
-        g = AffineMap2(m, (0, 0))
+        g = AffineMap2(m, (0, 0)).ints
         gens.extend((g, affine_inverse(g)))
     while frontier:
         nxt = []
@@ -407,7 +408,7 @@ def _linear_closure(mats: Sequence[Mat2Q]) -> Optional[set[Mat2Q]]:
                     if len(closure) > _LINEAR_CLOSURE_CAP:
                         return None
         frontier = nxt
-    return {g.linear for g in closure}
+    return {affine_linear(g) for g in closure}
 
 
 def _translation_rank(desc: AffineQ2, linear: tuple[Mat2Q, ...]) -> int:
@@ -423,10 +424,10 @@ def _translation_rank(desc: AffineQ2, linear: tuple[Mat2Q, ...]) -> int:
     subspace holding those vectors.  A translation's integers (x, y) point
     along its vector (x, y) / den, so directions are compared on integers.
     """
-    inverses: dict[Mat2Q, AffineMap2] = {Mat2Q.identity(): AffineMap2.identity()}
+    inverses: dict[Mat2Q, tuple] = {Mat2Q.identity(): AFFINE_IDENTITY}
     first: Optional[tuple[int, int]] = None
-    for _, g in desc.generators:
-        lin = g.linear
+    for _, gen_map in desc.generators:
+        g, lin = gen_map.ints, gen_map.linear
         if lin in inverses:
             seed = affine_compose(g, inverses[lin])
         else:
@@ -434,7 +435,7 @@ def _translation_rank(desc: AffineQ2, linear: tuple[Mat2Q, ...]) -> int:
             if not lin.is_reflection():
                 continue
             seed = affine_compose(g, g)
-        x, y = seed.ints[5:]
+        x, y = seed[5:]
         if first is None and (x, y) != (0, 0):
             first = (x, y)
         elif first is not None and first[0] * y - first[1] * x != 0:
@@ -476,13 +477,14 @@ def _has_involution(desc: AffineQ2, reflection: Mat2Q) -> bool:
 
 
 def _analyze_affine(desc: AffineQ2) -> _AffineData:
-    maps = [gen_map for _, gen_map in desc.generators]
+    maps = [gen_map.ints for _, gen_map in desc.generators]
     abelian = all(
         affine_compose(g, h) == affine_compose(h, g)
         for idx, g in enumerate(maps)
         for h in maps[idx + 1 :]
     )
-    distinct = tuple(dict.fromkeys(g.linear for g in maps if g.linear != Mat2Q.identity()))
+    linear = [affine_linear(g) for g in maps]
+    distinct = tuple(dict.fromkeys(m for m in linear if m != Mat2Q.identity()))
     closure = _linear_closure(distinct)
     if closure is not None:
         # a plane group with a finite-order linear part with no eigenvalue 1

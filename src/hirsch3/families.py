@@ -18,23 +18,23 @@ Normal-form conventions: left action t a t^-1 = a^(n/m); MetabelianH31
 normal form a^x t^i u^j with t before u; HNN normal form s^-i g s^j with
 g not in im(phi) whenever i, j > 0.
 
-Element storage.  Every rational coordinate is kept as integers over one
-positive denominator, gcd-normalized, so `==` and `hash` are exact and
-products stay in integer arithmetic:
+Element storage.  An element is its plain tuple of integers, with no
+wrapper class: every rational coordinate is kept over one positive
+denominator, gcd-normalized, so `==` and `hash` are exact, products stay in
+integer arithmetic, and each operation unpacks its tuples in place:
 
-  MetaH31Elem     ints = (den, x, i, j)     a^(x/den) t^i u^j; BSbar's too,
+  MetabelianH31   (den, x, i, j)            a^(x/den) t^i u^j; BSbar's too,
                                             with j = 0 (see `BSbar._meta`)
-  LatticeElem     ints = (den, x, y, k)     ((x, y)/den) t^k
-  AffineMap2      ints = (den, a, b, c, d, x, y)
-                                            v |-> ([[a, b], [c, d]] v + (x, y)) / den
-  BrittonElem     integers already (s-exponents and a KbElem x^a y^b)
+  LatticeByZ      (den, x, y, k)            ((x, y)/den) t^k
+  AffineQ2        (den, a, b, c, d, x, y)   v |-> ([[a, b], [c, d]] v + (x, y)) / den
+  AscHNNKb        (i, a, b, j)              s^-i x^a y^b s^j, reduced
   RankOneQ        a single `Fraction`
 
-Elements are built from integers by `_meta_of_ints` and `_lattice_of_ints`,
-and an `AffineMap2` from `Fraction`s; `.x`, `.v`, `.linear` and
-`.translation` read them back as `Fraction`s.  The identities are the
-constants `META_IDENTITY` (BSbar's too), `LATTICE_IDENTITY`, `KB_IDENTITY`,
-`HNNKB_IDENTITY` and `AffineMap2.identity()`.  Each descriptor caches, as
+The identities are the constants `META_IDENTITY` (BSbar's too),
+`LATTICE_IDENTITY`, `HNNKB_IDENTITY` and `AFFINE_IDENTITY`.  An affine
+descriptor's generators are `AffineMap2`s, built from `Fraction`s; their
+`.ints` are elements, and `.linear` and `.translation` read them back as
+`Fraction`s.  Each descriptor caches, as
 integer pairs or tuples, what its products need for exponents up to
 `_TABLE_REACH`.  A `MetabelianH31` keeps two tables, t[i] = (r1^i,
 r1 G(r1, i)) and u[s] = (r2^s, e G(r2, s)) with G(r, k) = (r^k - 1)/(r - 1),
@@ -117,7 +117,7 @@ class AffineMap2:
     Stored as seven integers `ints = (den, a, b, c, d, x, y)`: the linear
     part is [[a, b], [c, d]] / den and the translation is (x, y) / den, with
     den > 0 and gcd(den, a, b, c, d, x, y) = 1.  That form is canonical, so
-    `==` and `hash` are exact.
+    `==` and `hash` are exact, and it is the map's element of `AffineQ2`.
     """
 
     ints: tuple[int, int, int, int, int, int, int]
@@ -131,50 +131,49 @@ class AffineMap2:
             raise ValueError("affine map must have invertible linear part")
         object.__setattr__(self, "ints", ints)
 
-    @classmethod
-    def identity(cls) -> "AffineMap2":
-        return _AFFINE_IDENTITY
-
     @property
     def linear(self) -> Mat2Q:
-        den, a, b, c, d, _, _ = self.ints
-        return Mat2Q(F(a, den), F(b, den), F(c, den), F(d, den))
+        return affine_linear(self.ints)
 
     @property
     def translation(self) -> tuple[Fraction, Fraction]:
         den, _, _, _, _, x, y = self.ints
         return (F(x, den), F(y, den))
 
-    def is_unipotent(self) -> bool:
-        """Whether the linear part has trace 2 and determinant 1."""
-        den, a, b, c, d, _, _ = self.ints
-        return a + d == 2 * den and a * d - b * c == den * den
 
-    def is_translation(self) -> bool:
-        """Whether the linear part is the identity."""
-        den, a, b, c, d, _, _ = self.ints
-        return a == d == den and b == c == 0
+AFFINE_IDENTITY = (1, 1, 0, 0, 1, 0, 0)
 
 
-def _affine_of_ints(den: int, a: int, b: int, c: int, d: int, x: int, y: int) -> AffineMap2:
-    """The map with these integers after gcd normalization; den > 0 and an
-    invertible linear part are the caller's to guarantee."""
-    g = gcd(den, a, b, c, d, x, y)
-    if g != 1:
-        den, a, b, c, d, x, y = den // g, a // g, b // g, c // g, d // g, x // g, y // g
-    out = object.__new__(AffineMap2)
-    object.__setattr__(out, "ints", (den, a, b, c, d, x, y))
-    return out
+def affine_linear(f: tuple) -> Mat2Q:
+    den, a, b, c, d, _, _ = f
+    return Mat2Q(F(a, den), F(b, den), F(c, den), F(d, den))
 
 
-_AFFINE_IDENTITY = _affine_of_ints(1, 1, 0, 0, 1, 0, 0)
+def is_unipotent(f: tuple) -> bool:
+    """Whether the linear part has trace 2 and determinant 1."""
+    den, a, b, c, d, _, _ = f
+    return a + d == 2 * den and a * d - b * c == den * den
 
 
-def affine_compose(f: AffineMap2, g: AffineMap2) -> AffineMap2:
+def is_translation(f: tuple) -> bool:
+    """Whether the linear part is the identity."""
+    den, a, b, c, d, _, _ = f
+    return a == d == den and b == c == 0
+
+
+def _affine(n: int, a: int, b: int, c: int, d: int, x: int, y: int) -> tuple:
+    """The tuple after gcd normalization; n > 0 is the caller's."""
+    g = gcd(n, a, b, c, d, x, y)
+    if g == 1:
+        return (n, a, b, c, d, x, y)
+    return (n // g, a // g, b // g, c // g, d // g, x // g, y // g)
+
+
+def affine_compose(f: tuple, g: tuple) -> tuple:
     """(f o g): apply g first."""
-    fn, fa, fb, fc, fd, fx, fy = f.ints
-    gn, ga, gb, gc, gd, gx, gy = g.ints
-    return _affine_of_ints(
+    fn, fa, fb, fc, fd, fx, fy = f
+    gn, ga, gb, gc, gd, gx, gy = g
+    return _affine(
         fn * gn,
         fa * ga + fb * gc,
         fa * gb + fb * gd,
@@ -185,12 +184,12 @@ def affine_compose(f: AffineMap2, g: AffineMap2) -> AffineMap2:
     )
 
 
-def affine_inverse(f: AffineMap2) -> AffineMap2:
+def affine_inverse(f: tuple) -> tuple:
     # (A v + t) / n inverts to n adj(A) w / det(A) - adj(A) t / det(A)
-    n, a, b, c, d, x, y = f.ints
+    n, a, b, c, d, x, y = f
     det = a * d - b * c
     sign = 1 if det > 0 else -1
-    return _affine_of_ints(
+    return _affine(
         sign * det,
         sign * n * d,
         -sign * n * b,
@@ -201,25 +200,19 @@ def affine_inverse(f: AffineMap2) -> AffineMap2:
     )
 
 
-def affine_pow(f: AffineMap2, k: int) -> AffineMap2:
+def affine_pow(f: tuple, k: int) -> tuple:
     base, n = (f, k) if k >= 0 else (affine_inverse(f), -k)
-    return binary_power(base, n, affine_compose, AffineMap2.identity(), _elem_bits)
+    return binary_power(base, n, affine_compose, AFFINE_IDENTITY, int_bits)
 
 
-def _linear_ints(f: AffineMap2, k: int) -> tuple[int, int, int, int, int]:
+def _linear_ints(f: tuple, k: int) -> tuple[int, int, int, int, int]:
     """(den, a, b, c, d) of the linear part of f^k, for a translation-free f."""
-    return affine_pow(f, k).ints[:5]
+    return affine_pow(f, k)[:5]
 
 
 def int_bits(ints: Iterable[int]) -> int:
-    """The largest bit length of the integers."""
+    """The largest bit length of the integers, such as an element's."""
     return max(x.bit_length() for x in ints)
-
-
-def _elem_bits(g) -> int:
-    """The largest bit length of an `AffineMap2`, `MetaH31Elem` or
-    `LatticeElem`, each stored as its `ints`."""
-    return int_bits(g.ints)
 
 
 # --- cached integer tables -------------------------------------------------
@@ -354,7 +347,7 @@ class LatticeByZ:
 
     @cached_property
     def _powers(self) -> "_Table":
-        return _Table(partial(_linear_ints, AffineMap2(self.matrix, (0, 0))))
+        return _Table(partial(_linear_ints, AffineMap2(self.matrix, (0, 0)).ints))
 
 
 @dataclass(frozen=True)
@@ -398,7 +391,7 @@ class AffineQ2:
     @cached_property
     def _powers(self) -> dict[str, "_Table"]:
         """Each generator's table of powers, by name."""
-        return {name: _Table(partial(affine_pow, g)) for name, g in self.generators}
+        return {name: _Table(partial(affine_pow, g.ints)) for name, g in self.generators}
 
 
 GroupDescriptor = Union[RankOneQ, BSbar, MetabelianH31, LatticeByZ, AscHNNKb, AffineQ2]
@@ -407,35 +400,10 @@ GroupDescriptor = Union[RankOneQ, BSbar, MetabelianH31, LatticeByZ, AscHNNKb, Af
 # --- MetabelianH31 ----------------------------------------------------------
 
 
-@dataclass(frozen=True, init=False)
-class MetaH31Elem:
-    """Normal form a^x t^i u^j, stored as integers `ints = (den, num, i, j)`
-    with x = num / den, den > 0 and gcd(num, den) = 1; `_meta_of_ints`
-    builds one."""
-
-    ints: tuple[int, int, int, int]
-
-    @property
-    def x(self) -> Fraction:
-        return F(self.ints[1], self.ints[0])
-
-    @property
-    def i(self) -> int:
-        return self.ints[2]
-
-    @property
-    def j(self) -> int:
-        return self.ints[3]
-
-
-def _meta_of_ints(den: int, num: int, i: int, j: int) -> MetaH31Elem:
+def _meta(den: int, num: int, i: int, j: int) -> tuple:
     """a^(num/den) t^i u^j after gcd normalization; den > 0 is the caller's."""
     g = gcd(den, num)
-    if g != 1:
-        den, num = den // g, num // g
-    out = object.__new__(MetaH31Elem)
-    object.__setattr__(out, "ints", (den, num, i, j))
-    return out
+    return (den, num, i, j) if g == 1 else (den // g, num // g, i, j)
 
 
 def _meta_entry(r: Fraction, c: Fraction, k: int) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -459,30 +427,30 @@ def _meta_u_step(
     return den * q, num * p
 
 
-def meta_mul(desc: MetabelianH31, g1: MetaH31Elem, g2: MetaH31Elem) -> MetaH31Elem:
+def meta_mul(desc: MetabelianH31, g1: tuple, g2: tuple) -> tuple:
     # prepend u^j1, then t^i1, then a^x1 to g2
     kern = desc._kernel
-    d1, x1, i1, j1 = g1.ints
-    den, num, i2, j2 = g2.ints
+    d1, x1, i1, j1 = g1
+    den, num, i2, j2 = g2
     if j1:
         den, num = _meta_u_step(kern, j1, den, num, i2)
     (p, q), _ = kern[0][i1]
     den, num = den * q, num * p
-    return _meta_of_ints(den * d1, num * d1 + x1 * den, i1 + i2, j1 + j2)
+    return _meta(den * d1, num * d1 + x1 * den, i1 + i2, j1 + j2)
 
 
-def meta_inv(desc: MetabelianH31, g: MetaH31Elem) -> MetaH31Elem:
+def meta_inv(desc: MetabelianH31, g: tuple) -> tuple:
     # u^-j t^-i a^-x
     kern = desc._kernel
-    den, num, i, j = g.ints
+    den, num, i, j = g
     (p, q), _ = kern[0][-i]
     den, num = den * q, -num * p
     if j:
         den, num = _meta_u_step(kern, -j, den, num, -i)
-    return _meta_of_ints(den, num, -i, -j)
+    return _meta(den, num, -i, -j)
 
 
-def meta_of_word(desc: MetabelianH31, w: Word, names: str = "a, t, u") -> MetaH31Elem:
+def meta_of_word(desc: MetabelianH31, w: Word, names: str = "a, t, u") -> tuple:
     """The word's normal form; names "a, t" refuses u, for BSbar's words."""
     kern = desc._kernel
     den, num, i, j = 1, 0, 0, 0
@@ -500,50 +468,28 @@ def meta_of_word(desc: MetabelianH31, w: Word, names: str = "a, t, u") -> MetaH3
             raise ValueError(f"unknown generator {g!r} (expected {names})")
         c = gcd(den, num)
         den, num = den // c, num // c
-    return _meta_of_ints(den, num, i, j)
+    return (den, num, i, j)
 
 
-META_IDENTITY = _meta_of_ints(1, 0, 0, 0)
+META_IDENTITY = (1, 0, 0, 0)
 
 
 # --- lattice-by-Z -----------------------------------------------------------
 
 
-@dataclass(frozen=True, init=False)
-class LatticeElem:
-    """v t^k with v = (x, y) / den in the acted-on subgroup, stored as
-    integers `ints = (den, x, y, k)` with den > 0 and gcd(den, x, y) = 1;
-    `_lattice_of_ints` builds one."""
-
-    ints: tuple[int, int, int, int]
-
-    @property
-    def v(self) -> tuple[Fraction, Fraction]:
-        den, x, y, _ = self.ints
-        return (F(x, den), F(y, den))
-
-    @property
-    def k(self) -> int:
-        return self.ints[3]
-
-
-def _lattice_of_ints(den: int, x: int, y: int, k: int) -> LatticeElem:
+def _lattice(den: int, x: int, y: int, k: int) -> tuple:
     """(x, y) / den t^k after gcd normalization; den > 0 is the caller's."""
     g = gcd(den, x, y)
-    if g != 1:
-        den, x, y = den // g, x // g, y // g
-    out = object.__new__(LatticeElem)
-    object.__setattr__(out, "ints", (den, x, y, k))
-    return out
+    return (den, x, y, k) if g == 1 else (den // g, x // g, y // g, k)
 
 
-def lattice_mul(desc: LatticeByZ, g1: LatticeElem, g2: LatticeElem) -> LatticeElem:
+def lattice_mul(desc: LatticeByZ, g1: tuple, g2: tuple) -> tuple:
     # v1 + M^k1 v2
-    d1, x1, y1, k1 = g1.ints
-    d2, x2, y2, k2 = g2.ints
+    d1, x1, y1, k1 = g1
+    d2, x2, y2, k2 = g2
     n, a, b, c, d = desc._powers[k1]
     scale = n * d2
-    return _lattice_of_ints(
+    return _lattice(
         d1 * scale,
         x1 * scale + d1 * (a * x2 + b * y2),
         y1 * scale + d1 * (c * x2 + d * y2),
@@ -551,14 +497,14 @@ def lattice_mul(desc: LatticeByZ, g1: LatticeElem, g2: LatticeElem) -> LatticeEl
     )
 
 
-def lattice_inv(desc: LatticeByZ, g: LatticeElem) -> LatticeElem:
+def lattice_inv(desc: LatticeByZ, g: tuple) -> tuple:
     # -M^-k v
-    den, x, y, k = g.ints
+    den, x, y, k = g
     n, a, b, c, d = desc._powers[-k]
-    return _lattice_of_ints(n * den, -(a * x + b * y), -(c * x + d * y), -k)
+    return _lattice(n * den, -(a * x + b * y), -(c * x + d * y), -k)
 
 
-def lattice_of_word(desc: LatticeByZ, w: Word) -> LatticeElem:
+def lattice_of_word(desc: LatticeByZ, w: Word) -> tuple:
     den, x, y, k = 1, 0, 0, 0
     powers = desc._powers
     for g, e in reversed(w.syllables):
@@ -573,46 +519,18 @@ def lattice_of_word(desc: LatticeByZ, w: Word) -> LatticeElem:
             y += e * den
         else:
             raise ValueError(f"unknown generator {g!r} (expected a, b, t)")
-    return _lattice_of_ints(den, x, y, k)
+    return (den, x, y, k)
 
 
-LATTICE_IDENTITY = _lattice_of_ints(1, 0, 0, 0)
+LATTICE_IDENTITY = (1, 0, 0, 0)
 
 
 # --- Klein bottle group and its ascending HNN extensions --------------------
 
 
-@dataclass(frozen=True)
-class KbElem:
-    """x^a y^b in <x, y | x y x^-1 = y^-1>."""
-
-    a: int
-    b: int
-
-
-KB_IDENTITY = KbElem(0, 0)
-
-
-def kb_mul(g1: KbElem, g2: KbElem) -> KbElem:
-    sign = -1 if g2.a % 2 else 1
-    return KbElem(g1.a + g2.a, sign * g1.b + g2.b)
-
-
-def kb_inv(g: KbElem) -> KbElem:
-    sign = -1 if g.a % 2 else 1
-    return KbElem(-g.a, -sign * g.b)
-
-
-@dataclass(frozen=True)
-class BrittonElem:
-    """s^-i g s^j, reduced: i, j > 0 only when g is outside im(phi)."""
-
-    i: int
-    g: KbElem
-    j: int
-
-
-def hnnkb_reduce(desc: AscHNNKb, i: int, g: KbElem, j: int) -> BrittonElem:
+def hnnkb_reduce(desc: AscHNNKb, i: int, a: int, b: int, j: int) -> tuple:
+    """s^-i x^a y^b s^j reduced: i, j > 0 only when x^a y^b, in the Klein
+    bottle group <x, y | x y x^-1 = y^-1>, is outside im(phi)."""
     # s^-1 h s = phi^-1(h) for h in im(phi), one s pair per step.  A step maps
     # x^a y^b to x^(a/e) y^((b - c)/d) with c = f (a mod 2), the same at every
     # step as e is odd.  With B = (d - 1) b + c, the b after n steps is
@@ -621,11 +539,10 @@ def hnnkb_reduce(desc: AscHNNKb, i: int, g: KbElem, j: int) -> BrittonElem:
     # |e| > 1 and a != 0, or |d| > 1 and B != 0.  |d| = 1 gives b - n c
     # (d = 1) or period 2 (d = -1).
     e, f, d = desc.e, desc.f, desc.d
-    a, b = g.a, g.b
     c = f * (a & 1)
     n = min(i, j)
     if n <= 0 or a % e or (b - c) % d:  # not one step
-        return BrittonElem(i, g, j)
+        return (i, a, b, j)
     if a and abs(e) > 1:
         n = min(n, valuation(a, e))
     shifted = (d - 1) * b + c  # B
@@ -636,52 +553,56 @@ def hnnkb_reduce(desc: AscHNNKb, i: int, g: KbElem, j: int) -> BrittonElem:
         b -= n * c
     elif d == -1 and n % 2:
         b = c - b
-    return BrittonElem(i - n, KbElem(a and a // e**n, b), j - n)
+    return (i - n, a and a // e**n, b, j - n)
 
 
-HNNKB_IDENTITY = BrittonElem(0, KB_IDENTITY, 0)
+HNNKB_IDENTITY = (0, 0, 0, 0)
 
 
-def _iterate_apply(phi: AscHNNKb, k: int, g: KbElem) -> KbElem:
-    """phi^k(g) for k >= 0, with only the powers that g needs, each within
-    MAX_POWER_BITS: phi(x^a y^b) = (x^e y^f)^a y^(d b) = x^(e a)
+def _iterate_apply(phi: AscHNNKb, k: int, a: int, b: int) -> tuple[int, int]:
+    """phi^k(x^a y^b) for k >= 0, with only the powers that it needs, each
+    within MAX_POWER_BITS: phi(x^a y^b) = (x^e y^f)^a y^(d b) = x^(e a)
     y^(f (a mod 2) + d b), as e odd gives (x^e y^f)^2 = x^(2e), so by
     induction phi^k(x) = x^(e^k) y^(f (1 + d + ... + d^(k-1))) and
     phi^k(y) = y^(d^k)."""
     if not k:
-        return g
+        return a, b
     e, f, d = phi.e, phi.f, phi.d
-    twist = f and g.a & 1
-    dk = bounded_pow(d, k) if g.b or (twist and d != 1) else 1
-    b = g.b * dk
+    twist = f and a & 1
+    dk = bounded_pow(d, k) if b or (twist and d != 1) else 1
+    b *= dk
     if twist:
         b += f * (k if d == 1 else (dk - 1) // (d - 1))
-    return KbElem(g.a and g.a * bounded_pow(e, k), b)
+    return a and a * bounded_pow(e, k), b
 
 
-def hnnkb_mul(desc: AscHNNKb, g1: BrittonElem, g2: BrittonElem) -> BrittonElem:
-    if g1.j >= g2.i:
-        shift = g1.j - g2.i
-        base = kb_mul(g1.g, _iterate_apply(desc, shift, g2.g))
-        return hnnkb_reduce(desc, g1.i, base, shift + g2.j)
-    shift = g2.i - g1.j
-    base = kb_mul(_iterate_apply(desc, shift, g1.g), g2.g)
-    return hnnkb_reduce(desc, g1.i + shift, base, g2.j)
+def hnnkb_mul(desc: AscHNNKb, g1: tuple, g2: tuple) -> tuple:
+    # x^a1 y^b1 x^a2 y^b2 = x^(a1 + a2) y^(+-b1 + b2), - for odd a2
+    i1, a1, b1, j1 = g1
+    i2, a2, b2, j2 = g2
+    if j1 >= i2:
+        shift = j1 - i2
+        a2, b2 = _iterate_apply(desc, shift, a2, b2)
+        return hnnkb_reduce(desc, i1, a1 + a2, (-b1 if a2 & 1 else b1) + b2, shift + j2)
+    shift = i2 - j1
+    a1, b1 = _iterate_apply(desc, shift, a1, b1)
+    return hnnkb_reduce(desc, i1 + shift, a1 + a2, (-b1 if a2 & 1 else b1) + b2, j2)
 
 
-def hnnkb_inv(desc: AscHNNKb, g: BrittonElem) -> BrittonElem:
-    return hnnkb_reduce(desc, g.j, kb_inv(g.g), g.i)
+def hnnkb_inv(desc: AscHNNKb, g: tuple) -> tuple:
+    i, a, b, j = g
+    return hnnkb_reduce(desc, j, -a, b if a & 1 else -b, i)
 
 
-def hnnkb_of_word(desc: AscHNNKb, w: Word) -> BrittonElem:
+def hnnkb_of_word(desc: AscHNNKb, w: Word) -> tuple:
     out = HNNKB_IDENTITY
     for g, e in w.syllables:
         if g == "x":
-            step = BrittonElem(0, KbElem(e, 0), 0)
+            step = (0, e, 0, 0)
         elif g == "y":
-            step = BrittonElem(0, KbElem(0, e), 0)
+            step = (0, 0, e, 0)
         elif g == "s":
-            step = BrittonElem(-e, KB_IDENTITY, 0) if e < 0 else BrittonElem(0, KB_IDENTITY, e)
+            step = (-e, 0, 0, 0) if e < 0 else (0, 0, 0, e)
         else:
             raise ValueError(f"unknown generator {g!r} (expected x, y, s)")
         out = hnnkb_mul(desc, out, step)
@@ -704,14 +625,14 @@ def rankone_of_word(desc: RankOneQ, w: Word) -> Fraction:
 # --- affine word evaluation -------------------------------------------------
 
 
-def affine_of_word(desc: AffineQ2, w: Word) -> AffineMap2:
+def affine_of_word(desc: AffineQ2, w: Word) -> tuple:
     powers = desc._powers
     out = None
     for g, e in w.syllables:
         if g not in powers:
             raise ValueError(f"unknown generator {g!r}")
         out = powers[g][e] if out is None else affine_compose(out, powers[g][e])
-    return _AFFINE_IDENTITY if out is None else out
+    return AFFINE_IDENTITY if out is None else out
 
 
 # --- display and defining relations -------------------------------------------
@@ -735,23 +656,24 @@ def _syllables(*pairs: tuple[str, object]) -> str:
     return " ".join(parts) if parts else "1"
 
 
-def _hnnkb_format(g: BrittonElem) -> str:
-    core = _syllables(("x", g.g.a), ("y", g.g.b))
+def _hnnkb_format(g: tuple) -> str:
+    i, a, b, j = g
+    core = _syllables(("x", a), ("y", b))
     parts = []
-    if g.i:
-        parts.append(f"s^-{g.i}")
+    if i:
+        parts.append(f"s^-{i}")
     if core != "1":
         parts.append(core)
-    if g.j:
-        parts.append(f"s^{g.j}")
+    if j:
+        parts.append(f"s^{j}")
     return " ".join(parts) if parts else "1"
 
 
-def _affine_format(g: AffineMap2) -> str:
-    tx, ty = g.translation
+def _affine_format(g: tuple) -> str:
+    den, _, _, _, _, x, y = g
     return (
-        f"linear [{_mat_values(g.linear)}], "
-        f"translation ({format_rational(tx)}, {format_rational(ty)})"
+        f"linear [{_mat_values(affine_linear(g))}], "
+        f"translation ({format_rational(F(x, den))}, {format_rational(F(y, den))})"
     )
 
 
@@ -906,11 +828,11 @@ FAMILIES: dict[type, Family] = {
         mul=lambda d, g1, g2: meta_mul(d._meta, g1, g2),
         inv=lambda d, g: meta_inv(d._meta, g),
         of_word=lambda d, w: meta_of_word(d._meta, w, "a, t"),
-        bits=_elem_bits,
+        bits=int_bits,
         parse=lambda take: BSbar(*[take(k, "int") for k in "mn"]),
         fields=lambda d: _int_fields(d, "mn"),
         describe=lambda d: f"BSbar(m={d.m}, n={d.n})",
-        format_element=lambda g: _syllables(("a", g.x), ("t", g.i)),
+        format_element=lambda g: _syllables(("a", F(g[1], g[0])), ("t", g[2])),
         relations=_bsbar_relations,
     ),
     MetabelianH31: Family(
@@ -920,7 +842,7 @@ FAMILIES: dict[type, Family] = {
         mul=meta_mul,
         inv=meta_inv,
         of_word=meta_of_word,
-        bits=_elem_bits,
+        bits=int_bits,
         parse=lambda take: MetabelianH31(
             *[take(k, "int") for k in "mnpq"], take("e", "rational")
         ),
@@ -929,7 +851,7 @@ FAMILIES: dict[type, Family] = {
             f"MetabelianH31(m={d.m}, n={d.n}, p={d.p}, q={d.q}, "
             f"e={format_rational(d.e)})"
         ),
-        format_element=lambda g: _syllables(("a", g.x), ("t", g.i), ("u", g.j)),
+        format_element=lambda g: _syllables(("a", F(g[1], g[0])), ("t", g[2]), ("u", g[3])),
         relations=_meta_relations,
     ),
     LatticeByZ: Family(
@@ -939,11 +861,13 @@ FAMILIES: dict[type, Family] = {
         mul=lattice_mul,
         inv=lattice_inv,
         of_word=lattice_of_word,
-        bits=_elem_bits,
+        bits=int_bits,
         parse=lambda take: LatticeByZ(Mat2Q.of(*take("matrix", "matrix"))),
         fields=lambda d: [("matrix", _mat_values(d.matrix))],
         describe=_lattice_describe,
-        format_element=lambda g: _syllables(("a", g.v[0]), ("b", g.v[1]), ("t", g.k)),
+        format_element=lambda g: _syllables(
+            ("a", F(g[1], g[0])), ("b", F(g[2], g[0])), ("t", g[3])
+        ),
         relations=_lattice_relations,
     ),
     AscHNNKb: Family(
@@ -953,7 +877,7 @@ FAMILIES: dict[type, Family] = {
         mul=hnnkb_mul,
         inv=hnnkb_inv,
         of_word=hnnkb_of_word,
-        bits=lambda g: int_bits((g.i, g.g.a, g.g.b, g.j)),
+        bits=int_bits,
         parse=lambda take: AscHNNKb(*[take(k, "int") for k in "efd"]),
         fields=lambda d: _int_fields(d, "efd"),
         describe=lambda d: f"AscHNNKb(e={d.e}, f={d.f}, d={d.d})",
@@ -977,11 +901,11 @@ FAMILIES: dict[type, Family] = {
     AffineQ2: Family(
         tag="affine_q2",
         generator_names=lambda d: d.names,
-        identity=_AFFINE_IDENTITY,
+        identity=AFFINE_IDENTITY,
         mul=lambda d, f, g: affine_compose(f, g),
         inv=lambda d, f: affine_inverse(f),
         of_word=affine_of_word,
-        bits=_elem_bits,
+        bits=int_bits,
         parse=_affine_parse,
         fields=_affine_fields,
         describe=lambda d: f"AffineQ2({', '.join(d.names)})",

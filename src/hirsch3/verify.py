@@ -30,7 +30,6 @@ from typing import Any, Callable, Optional, Sequence
 from . import InputError
 from .classify import ClassificationReport, Type1, classify
 from .families import (
-    AffineMap2,
     AffineQ2,
     AscHNNKb,
     BSbar,
@@ -39,6 +38,8 @@ from .families import (
     MetabelianH31,
     RankOneQ,
     family_of,
+    is_translation,
+    is_unipotent,
     ops_for,
 )
 from .oracles import VerifyResourceError, endo_index, oracle_word_eq
@@ -282,15 +283,15 @@ def commutator_depth_search(
     ops = ops_for(desc)
     names = ops.generator_names
     width = 1 << depth
-    values: dict[tuple[Word, ...], object] = {}
+    values: dict[tuple[int, ...], object] = {}
 
-    def value(leaves: tuple[Word, ...]):
-        # the element of nested_commutator(leaves), each distinct leaf word
-        # and inner commutator evaluated once.  The candidate tuples share
-        # most of their inner commutators.
+    def value(leaves: tuple[int, ...]):
+        # the element of the nested commutator of these generator indices,
+        # each distinct leaf and inner commutator evaluated once.  The
+        # candidate tuples share most of their inner commutators.
         if leaves not in values:
             if len(leaves) == 1:
-                values[leaves] = ops.of_word(leaves[0])
+                values[leaves] = ops.of_word(Word.gen(names[leaves[0]]))
             else:
                 half = len(leaves) // 2
                 values[leaves] = _commutator(
@@ -298,23 +299,32 @@ def commutator_depth_search(
                 )
         return values[leaves]
 
-    gens = [Word.gen(n) for n in names]
     for leaves in itertools.islice(
-        itertools.product(gens, repeat=width), _CANDIDATE_CAP
+        itertools.product(range(len(names)), repeat=width), _CANDIDATE_CAP
     ):
         # an innermost [g, g] = 1 makes the whole commutator trivial
         if any(leaves[i] == leaves[i + 1] for i in range(0, width, 2)):
             continue
         if not ops.is_identity(value(leaves)):
-            return nested_commutator(leaves)
+            return nested_commutator([Word.gen(names[i]) for i in leaves])
+
+    def drawn(rng: random.Random, leaves: list[Word], count: int):
+        # the nested commutator of the next `count` leaves, each drawn from
+        # rng when it is needed and appended to `leaves`; as [1, y] = [x, 1]
+        # = 1, an identity left half leaves the right half undrawn
+        if count == 1:
+            leaves.append(random_word(rng, names, MAX_WORD_LENGTH))
+            return ops.of_word(leaves[-1])
+        x = drawn(rng, leaves, count // 2)
+        if ops.is_identity(x):
+            return x
+        y = drawn(rng, leaves, count // 2)
+        return y if ops.is_identity(y) else _commutator(ops, x, y)
+
     for idx in range(cfg.trials):
-        # random trials share almost no subtuples; keep only this trial's
-        values.clear()
         rng = _child_rng(cfg.seed, f"commutator-depth-{depth}", idx)
-        leaves = tuple(
-            random_word(rng, names, MAX_WORD_LENGTH) for _ in range(width)
-        )
-        if not ops.is_identity(value(leaves)):
+        leaves: list[Word] = []
+        if not ops.is_identity(drawn(rng, leaves, width)):
             return nested_commutator(leaves)
     return None
 
@@ -378,10 +388,10 @@ def _bsbar_radical(desc: BSbar, report: ClassificationReport) -> _RadicalModel:
     a, t = Word.gen("a"), Word.gen("t")
     if report.radical.hirsch == 1:
         # for |ratio| = 1 this is an undersized claim, a negative control
-        return _RadicalModel(True, (a,), lambda g: g.i == 0, ("Z", t))
+        return _RadicalModel(True, (a,), lambda g: g[2] == 0, ("Z", t))
     if desc.ratio == 1:
         return _RadicalModel(True, (a, t), lambda g: True, None)
-    return _RadicalModel(True, (a, t**2), lambda g: g.i % 2 == 0, _FINITE)
+    return _RadicalModel(True, (a, t**2), lambda g: g[2] % 2 == 0, _FINITE)
 
 
 def _meta_power_word(vec: tuple[int, int]) -> Word:
@@ -400,7 +410,8 @@ def _meta_radical(desc: MetabelianH31, report: ClassificationReport) -> _Radical
             return r1**i * r2**j == 1
 
         def member(g) -> bool:
-            return acts_trivially(g.i, g.j)
+            _, _, i, j = g
+            return acts_trivially(i, j)
 
         if lattice.rank == 2:
             quotient: tuple = ("Z2", t, u)
@@ -416,17 +427,18 @@ def _meta_radical(desc: MetabelianH31, report: ClassificationReport) -> _Radical
         gens = (a, *(_meta_power_word(v) for v in basis))
         return _RadicalModel(report.radical.is_abelian, gens, member, quotient)
     # an undersized claim, a negative control
-    return _RadicalModel(True, (a,), lambda g: g.i == 0 and g.j == 0, ("Z2", t, u))
+    return _RadicalModel(True, (a,), lambda g: g[2] == g[3] == 0, ("Z2", t, u))
 
 
 def _lattice_radical(desc: LatticeByZ, report: ClassificationReport) -> _RadicalModel:
     a, b, t = Word.gen("a"), Word.gen("b"), Word.gen("t")
     m = desc.matrix
     if report.radical.hirsch == 2:
-        return _RadicalModel(True, (a, b), lambda g: g.k == 0, ("Z", t))
+        return _RadicalModel(True, (a, b), lambda g: g[3] == 0, ("Z", t))
 
     def member(g) -> bool:
-        return m.pow(g.k).is_unipotent() if g.k else True
+        k = g[3]
+        return m.pow(k).is_unipotent() if k else True
 
     order = matrix_order(m)
     if order is not None:
@@ -438,7 +450,8 @@ def _lattice_radical(desc: LatticeByZ, report: ClassificationReport) -> _Radical
 
 
 def _hnn_net(g) -> int:
-    return g.j - g.i
+    i, _, _, j = g
+    return j - i
 
 
 def _hnnkb_radical(desc: AscHNNKb, report: ClassificationReport) -> _RadicalModel:
@@ -448,7 +461,7 @@ def _hnnkb_radical(desc: AscHNNKb, report: ClassificationReport) -> _RadicalMode
         return _RadicalModel(
             True,
             (x**2, y),
-            lambda g: _hnn_net(g) == 0 and g.g.a % 2 == 0,
+            lambda g: _hnn_net(g) == 0 and g[1] % 2 == 0,
             ("ZplusZ2", s, x),
         )
 
@@ -456,7 +469,7 @@ def _hnnkb_radical(desc: AscHNNKb, report: ClassificationReport) -> _RadicalMode
         net = _hnn_net(g)
         sign_x = 1 if (e == 1 or net % 2 == 0) else -1
         sign_y = (1 if (d == 1 or net % 2 == 0) else -1) * (
-            1 if g.g.a % 2 == 0 else -1
+            1 if g[1] % 2 == 0 else -1
         )
         return sign_x == 1 and sign_y == 1
 
@@ -490,16 +503,16 @@ def _affine_radical_words(
         for n in ops.generator_names
         for x in (Word.gen(n), Word.gen(n, -1))
     ]
-    found: dict[AffineMap2, Word] = {}
-    shears: dict[AffineMap2, Word] = {}
+    found: dict[tuple, Word] = {}
+    shears: dict[tuple, Word] = {}
 
-    def file(words: list[tuple[Word, AffineMap2]], join: bool) -> bool:
+    def file(words: list[tuple[Word, tuple]], join: bool) -> bool:
         for w, g in words:
-            if g == one or g in found or not g.is_unipotent():
+            if g == one or g in found or not is_unipotent(g):
                 continue
             if join and len(found) < 8:
                 found[g] = w
-            elif not abelian and len(shears) < 4 and not g.is_translation():
+            elif not abelian and len(shears) < 4 and not is_translation(g):
                 shears.setdefault(g, w)
         return len(found) == 8 and (abelian or len(shears) == 4)
 
@@ -525,7 +538,7 @@ def _affine_radical(desc: AffineQ2, report: ClassificationReport) -> _RadicalMod
         # whose linear part is not unipotent (a faithful Z action, say)
         return _whole_abelian_group(desc)
     if report.radical.hirsch == report.hirsch_length:
-        quotient = None if all(g.is_unipotent() for g in maps) else _FINITE
+        quotient = None if all(is_unipotent(g.ints) for g in maps) else _FINITE
     elif report.hirsch_length == 3 and report.quotient.tag == "Dinfty":
         # the first two generators with distinct reflection linear parts
         reflections: dict[Mat2Q, str] = {}
@@ -536,13 +549,13 @@ def _affine_radical(desc: AffineQ2, report: ClassificationReport) -> _RadicalMod
         u_name, v_name = list(reflections.values())[:2]
         quotient = ("Dinfty", Word.gen(u_name), Word.gen(v_name))
     else:
-        names = [name for name, g in desc.generators if not g.is_unipotent()]
+        names = [name for name, g in desc.generators if not is_unipotent(g.ints)]
         if not names:
             raise AssertionError("no witness generator for the cyclic quotient")
         quotient = ("Z", Word.gen(names[0]))
     gens, more = _affine_radical_words(desc, report.radical.is_abelian)
     return _RadicalModel(
-        report.radical.is_abelian, gens, AffineMap2.is_unipotent, quotient, more
+        report.radical.is_abelian, gens, is_unipotent, quotient, more
     )
 
 

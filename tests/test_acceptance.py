@@ -22,6 +22,7 @@ from hirsch3.families import (
     LatticeByZ,
     MetabelianH31,
     affine_compose,
+    affine_linear,
     ops_for,
 )
 from hirsch3.fixtures import FIXTURES, corrupted_d_infty, fixture_named
@@ -256,7 +257,7 @@ def test_criterion_8_fixture_certification():
     assert report.fp2.value is False
     assert report.cohomological_dimension == 4
     maps = dict(fmod.generators)
-    composite = affine_compose(maps["u"], maps["v"]).linear
+    composite = affine_linear(affine_compose(maps["u"].ints, maps["v"].ints))
     assert composite.trace() == F(2, 3)
     assert not conjugate_to_integral(composite)
     assert not conjugate_to_integral(composite.inverse())

@@ -35,6 +35,7 @@ from hirsch3.classify import (
     radical_info,
 )
 from hirsch3.families import (
+    AFFINE_IDENTITY,
     AffineMap2,
     AffineQ2,
     AscHNNKb,
@@ -44,6 +45,7 @@ from hirsch3.families import (
     FAMILIES,
     RankOneQ,
     affine_compose,
+    affine_linear,
     affine_of_word,
     meta_of_word,
 )
@@ -51,6 +53,7 @@ from hirsch3.fixtures import fixture_named
 from hirsch3.oracles import oracle_word_eq
 from hirsch3.rationals import Mat2Q, prime_factors, rational_valuation
 from hirsch3.words import Word
+from test_families import mat_apply
 
 F = Fraction
 I2 = Mat2Q.identity()
@@ -491,8 +494,8 @@ def _lattice_grow(mat: Mat2Q, lat: _Lattice2) -> _Lattice2:
     inv = mat.inverse()
     vecs = lat.vectors()
     images = [v for v in vecs]
-    images += [mat.apply(v) for v in vecs]
-    images += [inv.apply(v) for v in vecs]
+    images += [mat_apply(mat, v) for v in vecs]
+    images += [mat_apply(inv, v) for v in vecs]
     den = 1
     for v in images:
         for x in v:
@@ -638,9 +641,9 @@ def change_basis(desc: MetabelianH31, mat: tuple[int, int, int, int]) -> Metabel
     tw = Word.gen("t", alpha) * Word.gen("u", beta)
     uw = Word.gen("t", gamma) * Word.gen("u", delta)
     commutator = uw * tw * uw.inv() * tw.inv()
-    residue = meta_of_word(desc, commutator)
-    assert residue.i == 0 and residue.j == 0
-    twist = residue.x / r1
+    den, num, i, j = meta_of_word(desc, commutator)
+    assert i == 0 and j == 0
+    twist = F(num, den) / r1
     return MetabelianH31(r1.denominator, r1.numerator, r2.denominator, r2.numerator, twist)
 
 
@@ -869,9 +872,10 @@ def test_d_infty_amalgam_holds_an_involution():
     desc = fixture_named("d_infty_amalgam").descriptor
     word = Word.of((("v", 1), ("y", 1)))
     vy = affine_of_word(desc, word)
-    assert vy.linear == Mat2Q.of(2, -1, 3, -2) and vy.translation == (-1, -3)
-    assert vy != AffineMap2.identity()
-    assert affine_compose(vy, vy) == AffineMap2.identity()
+    assert vy == AffineMap2(Mat2Q.of(2, -1, 3, -2), (F(-1), F(-3))).ints
+    assert affine_linear(vy) == Mat2Q.of(2, -1, 3, -2)
+    assert vy != AFFINE_IDENTITY
+    assert affine_compose(vy, vy) == AFFINE_IDENTITY
     assert not oracle_word_eq(desc, word, Word())
     assert oracle_word_eq(desc, word * word, Word())
 

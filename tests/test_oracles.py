@@ -28,19 +28,16 @@ from hirsch3.families import (  # noqa: E402
     AffineQ2,
     AscHNNKb,
     BSbar,
-    KbElem,
     LatticeByZ,
     MetabelianH31,
     RankOneQ,
     family_of,
-    kb_inv,
-    kb_mul,
     ops_for,
 )
 from hirsch3.oracles import VerifyResourceError, endo_index, oracle_word_eq  # noqa: E402
 from hirsch3.rationals import Mat2Q, binary_power  # noqa: E402
 from hirsch3.words import Word  # noqa: E402
-from test_families import image_membership  # noqa: E402
+from test_families import image_membership, kb_inv, kb_mul, mat_apply  # noqa: E402
 from test_properties import DESCRIPTORS as FAMILY_DESCRIPTORS  # noqa: E402
 
 F = Fraction
@@ -261,7 +258,7 @@ def _ref_lattice(desc: LatticeByZ, w: Word, max_bits: int):
                 raise _PreCheck()
         else:
             step = (F(exp), F(0)) if name == "a" else (F(0), F(exp))
-            sx, sy = mat.pow(k).apply(step)
+            sx, sy = mat_apply(mat.pow(k), step)
             vx, vy = vx + sx, vy + sy
             _guard((vx, vy), max_bits)
     return vx, vy, k
@@ -435,10 +432,10 @@ def test_oracle_agrees_with_fraction_reference(family, monkeypatch):
 def _reference_endo_index(phi: AscHNNKb) -> int:
     """The enumeration on the normal form's Klein-bottle algebra, over the
     grid of `endo_index`, testing each cell against every coset so far."""
-    reps: list[KbElem] = []
+    reps: list[tuple[int, int]] = []
     for a in range(2 * abs(phi.e) + 2):
         for b in range(abs(phi.d) + 2):
-            g = KbElem(a, b)
+            g = (a, b)
             if not any(image_membership(phi, kb_mul(g, kb_inv(rep))) for rep in reps):
                 reps.append(g)
     return len(reps)

@@ -44,6 +44,7 @@ from hirsch3.cli import (  # noqa: E402
     serialize_descriptor_file,
 )
 from hirsch3.families import (  # noqa: E402
+    AFFINE_IDENTITY,
     AffineMap2,
     AffineQ2,
     AscHNNKb,
@@ -53,6 +54,7 @@ from hirsch3.families import (  # noqa: E402
     RankOneQ,
     affine_compose,
     affine_inverse,
+    affine_linear,
     family_of,
     ops_for,
 )
@@ -81,7 +83,7 @@ from hirsch3.verify import (  # noqa: E402
     oracle_word_eq,
 )
 from hirsch3.words import Presentation, Word, format_word, parse_tree  # noqa: E402
-from test_families import BS1nAut, bs1n_ext_to_meta  # noqa: E402
+from test_families import BS1nAut, bs1n_ext_to_meta, mat_apply  # noqa: E402
 from test_simplifier import atom_product_word, comm_ut, exponent_law, pres_with  # noqa: E402
 
 F = Fraction
@@ -351,9 +353,9 @@ def _ref_linear_closure(mats, cap=24):
 def _ref_pure_translations(desc, depth=4):
     gens = []
     for _, gen_map in desc.generators:
-        gens.extend((gen_map, affine_inverse(gen_map)))
-    seen = {AffineMap2.identity()}
-    frontier = [AffineMap2.identity()]
+        gens.extend((gen_map.ints, affine_inverse(gen_map.ints)))
+    seen = {AFFINE_IDENTITY}
+    frontier = [AFFINE_IDENTITY]
     found = []
     for _ in range(depth):
         nxt = []
@@ -364,8 +366,9 @@ def _ref_pure_translations(desc, depth=4):
                     continue
                 seen.add(composed)
                 nxt.append(composed)
-                if composed.linear == Mat2Q.identity() and composed.translation != (0, 0):
-                    found.append(composed.translation)
+                den, _, _, _, _, x, y = composed
+                if affine_linear(composed) == Mat2Q.identity() and (x, y) != (0, 0):
+                    found.append((F(x, den), F(y, den)))
         frontier = nxt
     return found
 
@@ -388,7 +391,7 @@ def _ref_span_rank(vectors, mats):
         changed = False
         for m in mats:
             for v in list(basis):
-                if insert(m.apply(v)):
+                if insert(mat_apply(m, v)):
                     changed = True
     return len(basis)
 
@@ -589,7 +592,8 @@ def _involution_word(desc: AffineQ2):
     def on_line(t):  # (I + A) t
         return (t[0] + a.a * t[0] + a.b * t[1], t[1] + a.c * t[0] + a.d * t[1])
 
-    vectors = [on_line(ops_for(desc).of_word(w).translation) for w in seeds]
+    values = [ops_for(desc).of_word(w) for w in seeds]
+    vectors = [on_line((F(g[5], g[0]), F(g[6], g[0]))) for g in values]
     target = on_line(dict(desc.generators)[s].translation)
     k = 0 if any(v[0] for v in vectors + [target]) else 1
     den = prod(x.denominator for x in [v[k] for v in vectors] + [target[k]])
@@ -605,8 +609,8 @@ def _involution_word(desc: AffineQ2):
 def _short_involution(desc: AffineQ2, length: int = 5):
     letters = []
     for _, g in desc.generators:
-        letters += [g, affine_inverse(g)]
-    one = AffineMap2.identity()
+        letters += [g.ints, affine_inverse(g.ints)]
+    one = AFFINE_IDENTITY
     seen, frontier = {one}, [one]
     for _ in range(length):
         frontier = [affine_compose(g, m) for g in frontier for m in letters]

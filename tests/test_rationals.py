@@ -321,10 +321,6 @@ class TestMat2Q:
         with pytest.raises(InputError):
             Mat2Q.of(2, 1, 1, 1).pow(-(2**61))
 
-    def test_apply(self):
-        m = Mat2Q.of(2, 1, 1, 1)
-        assert m.apply((F(1), F(0))) == (F(2), F(1))
-
     def test_matrix_order(self):
         cases = {
             Mat2Q.identity(): 1,

@@ -21,6 +21,7 @@ from hirsch3.families import (
     LatticeByZ,
     MetabelianH31,
     RankOneQ,
+    is_unipotent,
     ops_for,
 )
 from hirsch3.fixtures import FIXTURES, corrupted_d_infty, fixture_named
@@ -396,12 +397,13 @@ class TestRadicalCertificate:
 
 def _even_y_shift(g) -> bool:
     # unipotent with translation in Z x 2Z: too small for d_infty_amalgam
-    y = g.translation[1]
-    return g.is_unipotent() and y.denominator == 1 and y.numerator % 2 == 0
+    y = Fraction(g[6], g[0])
+    return is_unipotent(g) and y.denominator == 1 and y.numerator % 2 == 0
 
 
 def _hnn_even(g) -> bool:
-    return g.j == g.i and g.g.a % 2 == 0
+    i, a, _, j = g
+    return j == i and a % 2 == 0
 
 
 _D_INFTY = fixture_named("d_infty_amalgam").descriptor
@@ -419,19 +421,19 @@ class TestQuotientWitnesses:
     trial count."""
 
     CASES = [
-        (BSbar(2, 3), lambda g: g.i == 0, ("Z", "a"), "a^1 lies in the radical", 1),
+        (BSbar(2, 3), lambda g: g[2] == 0, ("Z", "a"), "a^1 lies in the radical", 1),
         (
             BSbar(2, 3),
-            lambda g: g.i == 0,
+            lambda g: g[2] == 0,
             ("Z", "t^2"),
             "a sampled element does not reduce to the radical by a power of t^2",
             25,
         ),
-        (_META, lambda g: g.x == 0 and g.i == g.j == 0, ("Z2", "t", "u"), "[t, u] is not in the radical", 1),
-        (_META, lambda g: g.i == g.j == 0, ("Z2", "t", "t"), "t^-4 t^4 lies in the radical", 10),
+        (_META, lambda g: g[1] == 0 and g[2] == g[3] == 0, ("Z2", "t", "u"), "[t, u] is not in the radical", 1),
+        (_META, lambda g: g[2] == g[3] == 0, ("Z2", "t", "t"), "t^-4 t^4 lies in the radical", 10),
         (
             _META,
-            lambda g: g.i == g.j == 0,
+            lambda g: g[2] == g[3] == 0,
             ("Z2", "t", "u^2"),
             "a sampled element does not reduce to the radical by powers of t and u^2",
             707,
@@ -440,14 +442,14 @@ class TestQuotientWitnesses:
         (AscHNNKb(1, 0, 2), _hnn_even, ("ZplusZ2", "s", "x^2"), "x^2 lies in the radical", 2),
         (
             AscHNNKb(1, 0, 2),
-            lambda g: g.j - g.i == 0 and g.g.a == 0,
+            lambda g: g[3] - g[0] == 0 and g[1] == 0,
             ("ZplusZ2", "s", "x"),
             "x^2 is not in the radical",
             2,
         ),
         (
             AscHNNKb(1, 1, 2),
-            lambda g: _hnn_even(g) and g.g.b == 0,
+            lambda g: _hnn_even(g) and g[2] == 0,
             ("ZplusZ2", "s", "x"),
             "[s, x] is not in the radical",
             3,
@@ -461,7 +463,7 @@ class TestQuotientWitnesses:
             "a sampled element does not reduce to the radical by powers of s^2 and x",
             54,
         ),
-        (_D_INFTY, AffineMap2.is_unipotent, ("Dinfty", "u", "y"), "a dihedral witness lies in the radical", 4),
+        (_D_INFTY, is_unipotent, ("Dinfty", "u", "y"), "a dihedral witness lies in the radical", 4),
         (
             _D_INFTY,
             _even_y_shift,
@@ -469,24 +471,24 @@ class TestQuotientWitnesses:
             "a squared dihedral witness is not in the radical",
             4,
         ),
-        (_D_INFTY, AffineMap2.is_unipotent, ("Dinfty", "u", "u y"), "(u u y)^1 lies in the radical", 5),
+        (_D_INFTY, is_unipotent, ("Dinfty", "u", "u y"), "(u u y)^1 lies in the radical", 5),
         (
             _D_INFTY_DILATED,
-            AffineMap2.is_unipotent,
+            is_unipotent,
             ("Dinfty", "u", "v"),
             "a sampled element does not reduce to the radical by the dihedral witnesses",
             56,
         ),
         (
             BSbar(2, 3),
-            lambda g: g.i == 0,
+            lambda g: g[2] == 0,
             ("VirtuallyTrivial",),
             "no small power of t enters the radical",
             13,
         ),
         (
             _META,
-            lambda g: g.i == 0 or g.j == 0,
+            lambda g: g[2] == 0 or g[3] == 0,
             ("VirtuallyTrivial",),
             "no small power of u^-1 t^-1 u t^-1 u enters the radical",
             18,
@@ -511,7 +513,7 @@ class TestQuotientWitnesses:
         # <a> alone is not normal in BSbar(2, 3): t a t^-1 = a^(3/2)
         desc = BSbar(2, 3)
         model = _RadicalModel(
-            True, (Word.gen("a"),), lambda g: g.i == 0 and g.x.denominator == 1, ("Z", Word.gen("t"))
+            True, (Word.gen("a"),), lambda g: g[2] == 0 and g[0] == 1, ("Z", Word.gen("t"))
         )
         normal = _certificate_checks(desc, ops_for(desc), model, TrialConfig())[1]
         assert (normal.name, normal.passed) == ("radical_normal", False)
