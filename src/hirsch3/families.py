@@ -34,9 +34,8 @@ The identities are the constants `META_IDENTITY` (BSbar's too),
 `LATTICE_IDENTITY`, `HNNKB_IDENTITY` and `AFFINE_IDENTITY`.  An affine
 descriptor's generators are `AffineMap2`s, built from `Fraction`s; their
 `.ints` are elements, and `.linear` and `.translation` read them back as
-`Fraction`s.  Each descriptor caches, as
-integer pairs or tuples, what its products need for exponents up to
-`_TABLE_REACH`.  A `MetabelianH31` keeps two tables, t[i] = (r1^i,
+`Fraction`s.  Each descriptor caches, as integer pairs or tuples, what its
+products need for exponents up to `_TABLE_REACH`.  A `MetabelianH31` keeps two tables, t[i] = (r1^i,
 r1 G(r1, i)) and u[s] = (r2^s, e G(r2, s)) with G(r, k) = (r^k - 1)/(r - 1),
 because u^s a^x t^i = a^(x r2^s + e G(r2, s) r1 G(r1, i)) t^i u^s; a
 `LatticeByZ` keeps the matrix powers M^k; an `AffineQ2` keeps one table
@@ -938,9 +937,10 @@ class DescriptorFile:
 class GroupOps:
     """Uniform element algebra for one descriptor.
 
-    Elements are the family's immutable normal forms; `of_word` evaluates a
-    free word on the family's named generators, and `of_tree` a parsed one
-    with its powers kept.
+    Elements are the family's normal forms, plain integer tuples (a
+    `Fraction` for `RankOneQ`); `of_word` evaluates a free word on the
+    family's named generators, and `of_tree` a parsed one with its powers
+    kept.
     """
 
     def __init__(self, desc: GroupDescriptor) -> None:

@@ -471,9 +471,6 @@ class Mat2Q:
         """The largest `rational_bits` of an entry."""
         return max(map(rational_bits, self.entries()))
 
-    def apply(self, v: tuple[Fraction, Fraction]) -> tuple[Fraction, Fraction]:
-        return (self.a * v[0] + self.b * v[1], self.c * v[0] + self.d * v[1])
-
     def entries(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return (self.a, self.b, self.c, self.d)
 

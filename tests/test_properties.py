@@ -1,5 +1,6 @@
 """Property tests: normal forms against the word oracle on generated
-descriptors of every family, the value of a parsed word with its powers
+descriptors of every family, elements as canonical integer tuples on
+`random_descriptor` draws, the value of a parsed word with its powers
 kept against the spelled-out word and the oracle, the relation lattice of
 a ratio pair against a brute-force scan, the affine analysis of `classify`
 against its `Fraction` reference, the classifier's closed forms against
@@ -21,6 +22,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import random
 import re
 import signal
 from fractions import Fraction
@@ -56,6 +58,7 @@ from hirsch3.families import (  # noqa: E402
     affine_inverse,
     affine_linear,
     family_of,
+    int_bits,
     ops_for,
 )
 from hirsch3.fixtures import FIXTURES, corrupted_d_infty  # noqa: E402
@@ -82,7 +85,8 @@ from hirsch3.verify import (  # noqa: E402
     commutator_depth_search,
     oracle_word_eq,
 )
-from hirsch3.words import Presentation, Word, format_word, parse_tree  # noqa: E402
+from hirsch3.words import Presentation, Word, commutator, format_word, parse_tree  # noqa: E402
+from test_classifier import random_descriptor  # noqa: E402
 from test_families import BS1nAut, bs1n_ext_to_meta, mat_apply  # noqa: E402
 from test_simplifier import atom_product_word, comm_ut, exponent_law, pres_with  # noqa: E402
 
@@ -176,6 +180,62 @@ def test_normal_form_agrees_with_oracle(family):
         # the same verdict through mul and inv
         quotient = ops.mul(ops.of_word(w1), ops.inv(ops.of_word(w2)))
         assert ops.is_identity(quotient) == expected
+
+    check()
+
+
+def _relators(desc) -> list[Word]:
+    """The defining relators; an affine `random_descriptor` draw has none
+    of its own, but its translations x and y commute."""
+    if isinstance(desc, AffineQ2):
+        return [commutator(Word.gen("x"), Word.gen("y"))]
+    return [r for _, r in family_of(desc).relations(desc)]
+
+
+@st.composite
+def _drawn_descriptor(draw, family: type):
+    """The first `random_descriptor` draw of the family that has a relator,
+    from a drawn seed."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    while True:
+        desc = random_descriptor(rng)
+        if type(desc) is family and _relators(desc):
+            return desc
+
+
+# how many leading integers of each family's tuple are gcd-normalized
+_NORMALIZED = {BSbar: 2, MetabelianH31: 2, LatticeByZ: 3, AffineQ2: 7, AscHNNKb: 0}
+
+
+@pytest.mark.parametrize("family", [RankOneQ, *_NORMALIZED], ids=lambda f: f.__name__)
+def test_elements_are_canonical_tuples(family):
+    """An element is its plain tuple of gcd-normalized integers (a `Fraction`
+    for RankOneQ), so a word and the word with a conjugated defining
+    relator inserted give equal elements with equal hashes, and `bits`
+    reads the tuple's integers."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(st.data())
+    def check(data):
+        desc = data.draw(_drawn_descriptor(family))
+        fam, ops = family_of(desc), ops_for(desc)
+        names = ops.generator_names
+        w1, conj = data.draw(_words(names, 8)), data.draw(_words(names, 3))
+        relator = data.draw(st.sampled_from(_relators(desc)))
+        cut = data.draw(st.integers(0, len(w1.syllables)))
+        head, tail = Word.of(w1.syllables[:cut]), Word.of(w1.syllables[cut:])
+        w2 = head * conj * relator * conj.inv() * tail
+        g1, g2 = ops.of_word(w1), ops.of_word(w2)
+        assert g1 == g2 and hash(g1) == hash(g2)
+        for g in (g1, g2, ops.mul(g1, g2), ops.inv(g1), ops.of_word(conj)):
+            if family is RankOneQ:
+                assert type(g) is Fraction
+                continue
+            assert type(g) is tuple
+            assert fam.bits(g) == int_bits(g)
+            width = _NORMALIZED[family]
+            if width:
+                assert g[0] > 0 and gcd(*g[:width]) == 1
 
     check()
 
