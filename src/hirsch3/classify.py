@@ -22,9 +22,9 @@ Affine descriptors are supported in the shapes the fixture corpus uses:
 trivial or finite linear image, a single infinite-order linear generator,
 or two order-two reflections generating an infinite dihedral image.  The
 affine analysis composes integer affine tuples (`families.affine_compose`)
-for a finite linear image.  The translation subgroup is not searched: its rank is
-read off its Schreier generators, one product per generator.  A finite
-image {I, A} that holds an involution is refused as torsion
+for a finite linear image.  The translation subgroup is not searched: its
+rank is read off its Schreier generators, one product per generator.  A
+finite image {I, A} that holds an involution is refused as torsion
 (`_has_involution`, one gcd on A's fixed line); the infinite dihedral shape
 is not yet tested for involutions.
 
