@@ -300,7 +300,10 @@ class TestKb:
 
 POWERS = [
     (Mat2Q.pow, Mat2Q.__mul__, Mat2Q.inverse, Mat2Q.identity(), Mat2Q.of(F(1, 2), 1, -3, 2)),
-    (affine_pow, affine_compose, affine_inverse, AFFINE_IDENTITY, dict(D_INFTY.generators)["v"].ints),
+    (
+        affine_pow, affine_compose, affine_inverse, AFFINE_IDENTITY,
+        dict(D_INFTY.generators)["v"].ints,
+    ),
 ]
 
 
@@ -812,7 +815,8 @@ def test_hnnkb_reduce_answers_huge_exponents():
     # chains of 200,000 and 50,000 preimage steps, counted as valuations
     m = n - 200_000
     assert hnnkb_reduce(AscHNNKb(1, 0, 2), n, 1, 2**200_000, n) == (m, 1, 1, m)
-    assert hnnkb_reduce(AscHNNKb(3, 1, 1), 60_000, 3**50_000, 0, 50_001) == (10_000, 1, -50_000, 1)
+    got = hnnkb_reduce(AscHNNKb(3, 1, 1), 60_000, 3**50_000, 0, 50_001)
+    assert got == (10_000, 1, -50_000, 1)
 
 
 @pytest.mark.parametrize("e, f, d", [(1, 2, 1), (-1, 3, -1), (3, 1, 2), (1, -4, -3)])

@@ -50,7 +50,9 @@ COUNTS = {"random_descriptor": 240, "inputs": 10, "finite_image": 120}  # inputs
 SLICE = slice(None, None, 2)
 EXAMPLES = 3  # entries printed per group of differences
 COMMANDS = ("classify", "verify", "word_eq")
-_FIXED_NAMES = {"bsbar": "a t", "metabelian_h31": "a t u", "lattice_by_z": "a b t", "asc_hnn_kb": "x y s"}
+_FIXED_NAMES = {
+    "bsbar": "a t", "metabelian_h31": "a t u", "lattice_by_z": "a b t", "asc_hnn_kb": "x y s"
+}
 
 
 def _load(path: Path, name: str):
@@ -114,10 +116,11 @@ def _generator_names(family: str, text: str) -> list[str]:
 def _word(rng: random.Random, names: list[str]) -> str:
     if not names:  # a rank-one group with no generators
         return "1"
-    return " ".join(f"{rng.choice(names)}^{rng.choice((-2, -1, 1, 2))}" for _ in range(rng.randint(1, 5)))
+    letters = range(rng.randint(1, 5))
+    return " ".join(f"{rng.choice(names)}^{rng.choice((-2, -1, 1, 2))}" for _ in letters)
 
 
-def word_pairs(entry: dict) -> list[list[str]]:
+def _word_pairs(entry: dict) -> list[list[str]]:
     """Three seeded word pairs on the entry's generators: two random words,
     a power against the same power spelled as a shorter one times its base,
     and a squared commutator against a product."""
@@ -184,7 +187,7 @@ def answer(entries: list[dict]) -> list[dict]:
                 "family": entry["family"],
                 "classify": _run(["classify", path, "--format", "json"]),
                 "verify": _run(["verify", path, "--seed", str(SEED), "--trials", str(TRIALS)]),
-                "word_eq": [_run(["word-eq", path, *pair]) for pair in word_pairs(entry)],
+                "word_eq": [_run(["word-eq", path, *pair]) for pair in _word_pairs(entry)],
             })
     return out
 
