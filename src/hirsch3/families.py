@@ -35,17 +35,17 @@ The identities are the constants `META_IDENTITY` (BSbar's too),
 descriptor's generators are `AffineMap2`s, built from `Fraction`s; their
 `.ints` are elements, and `.linear` and `.translation` read them back as
 `Fraction`s.  Each descriptor caches, as integer pairs or tuples, what its
-products need for exponents up to `_TABLE_REACH`.  A `MetabelianH31` keeps two tables, t[i] = (r1^i,
-r1 G(r1, i)) and u[s] = (r2^s, e G(r2, s)) with G(r, k) = (r^k - 1)/(r - 1),
-because u^s a^x t^i = a^(x r2^s + e G(r2, s) r1 G(r1, i)) t^i u^s; a
-`LatticeByZ` keeps the matrix powers M^k; an `AffineQ2` keeps one table
-of powers g^k per generator g, so a word costs one composition per
-syllable after its first; an `AscHNNKb` is the three
+products need for exponents up to `_TABLE_REACH`.  A `MetabelianH31` keeps
+two tables, t[i] = (r1^i, r1 G(r1, i)) and u[s] = (r2^s, e G(r2, s)) with
+G(r, k) = (r^k - 1)/(r - 1), because u^s a^x t^i = a^(x r2^s + e G(r2, s)
+r1 G(r1, i)) t^i u^s; a `LatticeByZ` keeps the matrix powers M^k; an
+`AffineQ2` keeps one table of powers g^k per generator g, so a word costs
+one composition per syllable after its first; an `AscHNNKb` is the three
 integers of its endomorphism phi, and `_iterate_apply` applies phi^k by a
 closed form.  A `LatticeByZ`'s matrix powers are `affine_pow`s of the
-translation-free map v |-> M v.  A `MetabelianH31` also caches its ratio pair's
-`RelationLattice`, factored once, which `locus`, `classify` and `verify`
-read.
+translation-free map v |-> M v.  A `MetabelianH31` also caches its ratio
+pair's `RelationLattice`, factored once, which `locus`, `classify` and
+`verify` read.
 
 Each power that a word's exponent can make large goes through
 `rationals.bounded_pow` or a `binary_power` that watches its squares, so
