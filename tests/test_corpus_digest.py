@@ -14,8 +14,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PINNED = {
-    "entries": 215,
-    "sha256": "dd4ae57711f6dd0765812aad10948a0cf7322be210cb7e3132ecc106955a15ea",
+    "entries": 235,
+    "sha256": "eda4b2067babff67e29dd577e5e7905b3b41d324ae1826259beb202ed5a5fac0",
 }
 
 
@@ -36,7 +36,9 @@ def test_corpus_slice_answers_match_the_pinned_digest():
 def test_corpus_covers_every_source_and_family():
     entries = _tool().corpus()
     sources = {entry["id"].split("/")[0] for entry in entries}
-    assert sources == {"random_descriptor", "inputs", "fixture", "finite_image"}
+    assert sources == {
+        "random_descriptor", "inputs", "fixture", "finite_image", "embedded"
+    }
     families = {entry["family"] for entry in entries}
     assert families == {
         "rank_one_q", "bsbar", "metabelian_h31", "lattice_by_z", "asc_hnn_kb", "affine_q2"

@@ -10,6 +10,8 @@ commits:
   - `perfbench/inputs.py` descriptors of every family (read, not changed)
   - the descriptor files under `perfbench/fixtures`
   - affine groups whose linear image is {I, A} for a reflection A
+  - each `lattice_by_z` entry embedded in `affine_q2` as a = (I, e1),
+    b = (I, e2), t = (M, 0)
 
 Each commit answers it in a fresh `git archive`, in one child process whose
 hirsch3 comes from that tree: `hirsch3 classify --format json` and
@@ -21,8 +23,9 @@ exit-code transition.
 
 `--digest` answers the pinned slice (every other entry) with this checkout
 and prints its sha256, the value that `tests/test_corpus_digest.py` pins.
-A change that alters an answer on purpose records the new value there.  Standard library only, apart from the `random_descriptor` draws,
-which import hirsch3 and the test suite.
+A change that alters an answer on purpose records the new value there.
+Standard library only, apart from the `random_descriptor` draws, which
+import hirsch3 and the test suite.
 """
 
 from __future__ import annotations
@@ -105,6 +108,19 @@ def _finite_image_text(inputs, rng: random.Random) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _embedded_text(lattice_text: str) -> str:
+    """The `affine_q2` text of a `lattice_by_z` entry's group, with its
+    matrix M copied from the `matrix =` line."""
+    matrix = next(line.split("=", 1)[1].strip() for line in lattice_text.splitlines()
+                  if line.startswith("matrix"))
+    return (
+        "family = affine_q2\ngenerators = a b t\n"
+        "gen.a.linear = 1 0 0 1\ngen.a.translation = 1 0\n"
+        "gen.b.linear = 1 0 0 1\ngen.b.translation = 0 1\n"
+        f"gen.t.linear = {matrix}\ngen.t.translation = 0 0\n"
+    )
+
+
 def _generator_names(family: str, text: str) -> list[str]:
     if family in _FIXED_NAMES:
         return _FIXED_NAMES[family].split()
@@ -148,6 +164,9 @@ def corpus() -> list[dict]:
     for idx in range(COUNTS["finite_image"]):
         text = _finite_image_text(inputs, rng)
         out.append({"id": f"finite_image/{idx:03d}", "family": "affine_q2", "text": text})
+    for entry in [e for e in out if e["family"] == "lattice_by_z"]:
+        entry_id = f"embedded/{entry['id']}"
+        out.append({"id": entry_id, "family": "affine_q2", "text": _embedded_text(entry["text"])})
     return out
 
 
