@@ -48,7 +48,6 @@ from . import InputError
 from .families import (
     AFFINE_IDENTITY,
     META_IDENTITY,
-    AffineMap2,
     AffineQ2,
     AscHNNKb,
     BSbar,
@@ -59,6 +58,8 @@ from .families import (
     affine_compose,
     affine_inverse,
     affine_linear,
+    affine_map,
+    affine_translation,
     meta_of_word,
 )
 from .rationals import (
@@ -387,15 +388,15 @@ _LINEAR_CLOSURE_CAP = 12  # a finite subgroup of GL(2, Q) has at most 12 element
 def _linear_closure(mats: Sequence[Mat2Q]) -> Optional[set[Mat2Q]]:
     """The group the matrices generate if it is finite.
 
-    The search composes the `ints` of translation-free `AffineMap2`s, whose
-    gcd normalization makes set membership exact; only the kept elements
-    become `Mat2Q`s.
+    The search composes translation-free affine elements, whose gcd
+    normalization makes set membership exact; only the kept elements become
+    `Mat2Q`s.
     """
     closure = {AFFINE_IDENTITY}
     frontier = [AFFINE_IDENTITY]
     gens = []
     for m in mats:
-        g = AffineMap2(m, (0, 0)).ints
+        g = affine_map(m, (0, 0))
         gens.extend((g, affine_inverse(g)))
     while frontier:
         nxt = []
@@ -426,8 +427,8 @@ def _translation_rank(desc: AffineQ2, linear: tuple[Mat2Q, ...]) -> int:
     """
     inverses: dict[Mat2Q, tuple] = {Mat2Q.identity(): AFFINE_IDENTITY}
     first: Optional[tuple[int, int]] = None
-    for _, gen_map in desc.generators:
-        g, lin = gen_map.ints, gen_map.linear
+    for _, g in desc.generators:
+        lin = affine_linear(g)
         if lin in inverses:
             seed = affine_compose(g, inverses[lin])
         else:
@@ -463,12 +464,12 @@ def _has_involution(desc: AffineQ2, reflection: Mat2Q) -> bool:
     row = (1 + reflection.a, reflection.b)
     if row == (0, 0):
         row = (reflection.c, 1 + reflection.d)
-    v = next(g.translation for _, g in desc.generators if g.linear == reflection)
+    v = next(affine_translation(g) for _, g in desc.generators if affine_linear(g) == reflection)
     target = row[0] * v[0] + row[1] * v[1]
     step = 2 * target  # from s^2 = (I, (I + A) v)
     for _, g in desc.generators:
-        x, y = g.translation
-        if g.linear == reflection:
+        x, y = affine_translation(g)
+        if affine_linear(g) == reflection:
             x, y = x - v[0], y - v[1]  # g s^-1 = (I, w - v) for g = (A, w)
         c = row[0] * x + row[1] * y
         step = F(gcd(step.numerator * c.denominator, c.numerator * step.denominator),
@@ -477,7 +478,7 @@ def _has_involution(desc: AffineQ2, reflection: Mat2Q) -> bool:
 
 
 def _analyze_affine(desc: AffineQ2) -> _AffineData:
-    maps = [gen_map.ints for _, gen_map in desc.generators]
+    maps = [g for _, g in desc.generators]
     abelian = all(
         affine_compose(g, h) == affine_compose(h, g)
         for idx, g in enumerate(maps)

@@ -32,15 +32,15 @@ integer arithmetic, and each operation unpacks its tuples in place:
 
 The identities are the constants `META_IDENTITY` (BSbar's too),
 `LATTICE_IDENTITY`, `HNNKB_IDENTITY` and `AFFINE_IDENTITY`.  An affine
-descriptor's generators are `AffineMap2`s, built from `Fraction`s; their
-`.ints` are elements, and `.linear` and `.translation` read them back as
-`Fraction`s.  Each descriptor caches, as integer pairs or tuples, what its
-products need for exponents up to `_TABLE_REACH`.  A `MetabelianH31` keeps
-two tables, t[i] = (r1^i, r1 G(r1, i)) and u[s] = (r2^s, e G(r2, s)) with
-G(r, k) = (r^k - 1)/(r - 1), because u^s a^x t^i = a^(x r2^s + e G(r2, s)
-r1 G(r1, i)) t^i u^s; a `LatticeByZ` keeps the matrix powers M^k; an
-`AffineQ2` keeps one table of powers g^k per generator g, so a word costs
-one composition per syllable after its first; an `AscHNNKb` is the three
+descriptor's generators are elements too, built from `Fraction`s by
+`affine_map` and read back by `affine_linear` and `affine_translation`.
+Each descriptor caches, as integer pairs or tuples, what its products need
+for exponents up to `_TABLE_REACH`.  A `MetabelianH31` keeps two tables,
+t[i] = (r1^i, r1 G(r1, i)) and u[s] = (r2^s, e G(r2, s)) with G(r, k) =
+(r^k - 1)/(r - 1), because u^s a^x t^i = a^(x r2^s + e G(r2, s) r1 G(r1,
+i)) t^i u^s; a `LatticeByZ` keeps the matrix powers M^k; an `AffineQ2`
+keeps one table of powers g^k per generator g, so a word costs one
+composition per syllable after its first; an `AscHNNKb` is the three
 integers of its endomorphism phi, and `_iterate_apply` applies phi^k by a
 closed form.  A `LatticeByZ`'s matrix powers are `affine_pow`s of the
 translation-free map v |-> M v.  A `MetabelianH31` also caches its ratio
@@ -109,43 +109,27 @@ def _over_common_denominator(values: Iterable[Fraction]) -> tuple[int, ...]:
 # --- affine maps of Q^2 -----------------------------------------------------
 
 
-@dataclass(frozen=True, init=False)
-class AffineMap2:
-    """v |-> linear v + translation, with invertible linear part.
-
-    Stored as seven integers `ints = (den, a, b, c, d, x, y)`: the linear
-    part is [[a, b], [c, d]] / den and the translation is (x, y) / den, with
-    den > 0 and gcd(den, a, b, c, d, x, y) = 1.  That form is canonical, so
-    `==` and `hash` are exact, and it is the map's element of `AffineQ2`.
-    """
-
-    ints: tuple[int, int, int, int, int, int, int]
-
-    def __init__(self, linear: Mat2Q, translation: tuple[Fraction, Fraction]) -> None:
-        ints = _over_common_denominator(
-            (*linear.entries(), F(translation[0]), F(translation[1]))
-        )
-        _, a, b, c, d, _, _ = ints
-        if a * d - b * c == 0:
-            raise ValueError("affine map must have invertible linear part")
-        object.__setattr__(self, "ints", ints)
-
-    @property
-    def linear(self) -> Mat2Q:
-        return affine_linear(self.ints)
-
-    @property
-    def translation(self) -> tuple[Fraction, Fraction]:
-        den, _, _, _, _, x, y = self.ints
-        return (F(x, den), F(y, den))
-
-
 AFFINE_IDENTITY = (1, 1, 0, 0, 1, 0, 0)
+
+
+def affine_map(linear: Mat2Q, translation: tuple[Fraction, Fraction]) -> tuple:
+    """v |-> linear v + translation as its element (den, a, b, c, d, x, y):
+    the linear part is [[a, b], [c, d]] / den and the translation (x, y) / den,
+    with den > 0 and gcd(den, a, b, c, d, x, y) = 1, so `==` is exact."""
+    f = _over_common_denominator((*linear.entries(), F(translation[0]), F(translation[1])))
+    if f[1] * f[4] == f[2] * f[3]:
+        raise ValueError("affine map must have invertible linear part")
+    return f
 
 
 def affine_linear(f: tuple) -> Mat2Q:
     den, a, b, c, d, _, _ = f
     return Mat2Q(F(a, den), F(b, den), F(c, den), F(d, den))
+
+
+def affine_translation(f: tuple) -> tuple[Fraction, Fraction]:
+    den, _, _, _, _, x, y = f
+    return (F(x, den), F(y, den))
 
 
 def is_unipotent(f: tuple) -> bool:
@@ -346,7 +330,7 @@ class LatticeByZ:
 
     @cached_property
     def _powers(self) -> "_Table":
-        return _Table(partial(_linear_ints, AffineMap2(self.matrix, (0, 0)).ints))
+        return _Table(partial(_linear_ints, affine_map(self.matrix, (0, 0))))
 
 
 @dataclass(frozen=True)
@@ -371,7 +355,7 @@ class AscHNNKb:
 
 @dataclass(frozen=True)
 class AffineQ2:
-    generators: tuple[tuple[str, AffineMap2], ...]
+    generators: tuple[tuple[str, tuple], ...]  # (name, element), as `affine_map` builds
 
     def __post_init__(self) -> None:
         names = [name for name, _ in self.generators]
@@ -382,6 +366,10 @@ class AffineQ2:
         for name in names:
             if not is_generator_name(name):
                 raise ValueError(f"generator name {name!r} is not an identifier")
+        for name, f in self.generators:  # what `affine_map` guarantees
+            if not (isinstance(f, tuple) and len(f) == 7 and all(type(v) is int for v in f)
+                    and f[0] >= 1 and f == _affine(*f) and f[1] * f[4] != f[2] * f[3]):
+                raise ValueError(f"generator {name!r} is not a canonical invertible affine map")
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -390,7 +378,7 @@ class AffineQ2:
     @cached_property
     def _powers(self) -> dict[str, "_Table"]:
         """Each generator's table of powers, by name."""
-        return {name: _Table(partial(affine_pow, g.ints)) for name, g in self.generators}
+        return {name: _Table(partial(affine_pow, f)) for name, f in self.generators}
 
 
 GroupDescriptor = Union[RankOneQ, BSbar, MetabelianH31, LatticeByZ, AscHNNKb, AffineQ2]
@@ -669,10 +657,10 @@ def _hnnkb_format(g: tuple) -> str:
 
 
 def _affine_format(g: tuple) -> str:
-    den, _, _, _, _, x, y = g
+    tx, ty = affine_translation(g)
     return (
         f"linear [{_mat_values(affine_linear(g))}], "
-        f"translation ({format_rational(F(x, den))}, {format_rational(F(y, den))})"
+        f"translation ({format_rational(tx)}, {format_rational(ty)})"
     )
 
 
@@ -689,9 +677,9 @@ def _int_fields(desc, keys: str) -> list[tuple[str, str]]:
 
 def _affine_fields(desc: AffineQ2) -> list[tuple[str, str]]:
     out = [("generators", " ".join(desc.names))]
-    for gname, gmap in desc.generators:
-        tx, ty = gmap.translation
-        out.append((f"gen.{gname}.linear", _mat_values(gmap.linear)))
+    for gname, f in desc.generators:
+        tx, ty = affine_translation(f)
+        out.append((f"gen.{gname}.linear", _mat_values(affine_linear(f))))
         out.append((f"gen.{gname}.translation", f"{format_rational(tx)} {format_rational(ty)}"))
     return out
 
@@ -702,7 +690,7 @@ def _affine_parse(take) -> AffineQ2:
     for gname in dict.fromkeys(names):  # each key is taken once; AffineQ2 refuses repeats
         lin = take(f"gen.{gname}.linear", "matrix")
         tr = take(f"gen.{gname}.translation", "vector")
-        maps[gname] = AffineMap2(Mat2Q.of(*lin), (tr[0], tr[1]))
+        maps[gname] = affine_map(Mat2Q.of(*lin), (tr[0], tr[1]))
     return AffineQ2(tuple((gname, maps[gname]) for gname in names))
 
 

@@ -14,13 +14,13 @@ from fractions import Fraction
 
 from . import InputError
 from .families import (
-    AffineMap2,
     AffineQ2,
     AscHNNKb,
     BSbar,
     DescriptorFile,
     LatticeByZ,
     MetabelianH31,
+    affine_map,
 )
 from .rationals import Mat2Q
 from .words import parse_presentation
@@ -28,16 +28,16 @@ from .words import parse_presentation
 F = Fraction
 
 
-def _translation(x, y) -> AffineMap2:
-    return AffineMap2(Mat2Q.identity(), (F(x), F(y)))
+def _translation(x, y) -> tuple:
+    return affine_map(Mat2Q.identity(), (F(x), F(y)))
 
 
 def _d_infty_amalgam() -> AffineQ2:
     # u and v are glide reflections; their squares u^2 and u^2 y span the
     # translation lattice together with y, and the linear parts generate
     # an infinite dihedral group
-    u = AffineMap2(Mat2Q.of(1, 0, 0, -1), (F(1, 2), F(0)))
-    v = AffineMap2(Mat2Q.of(2, -1, 3, -2), (F(0), F(-1)))
+    u = affine_map(Mat2Q.of(1, 0, 0, -1), (F(1, 2), F(0)))
+    v = affine_map(Mat2Q.of(2, -1, 3, -2), (F(0), F(-1)))
     y = _translation(0, 1)
     return AffineQ2((("u", u), ("v", v), ("y", y)))
 
@@ -50,8 +50,8 @@ _D_INFTY_PRESENTATION = (
 def _f_mod_kprime() -> AffineQ2:
     # the composite of the two reflections has trace 2/3, so no power of
     # it stabilizes a lattice: the group is not finitely presentable
-    u = AffineMap2(Mat2Q.of(1, 0, 0, -1), (F(1, 2), F(0)))
-    v = AffineMap2(
+    u = affine_map(Mat2Q.of(1, 0, 0, -1), (F(1, 2), F(0)))
+    v = affine_map(
         Mat2Q.of(F(1, 3), F(2, 3), F(4, 3), F(-1, 3)), (F(0), F(3, 2))
     )
     return AffineQ2(
@@ -139,7 +139,7 @@ def corrupted_d_infty() -> DescriptorFile:
     """Negative control: the u glide translation is perturbed, so the
     relator v^2 = u^2 y fails while the linear parts stay intact."""
     base = _d_infty_amalgam()
-    broken_u = AffineMap2(Mat2Q.of(1, 0, 0, -1), (F(1, 3), F(0)))
+    broken_u = affine_map(Mat2Q.of(1, 0, 0, -1), (F(1, 3), F(0)))
     gens = tuple(
         (name, broken_u if name == "u" else g) for name, g in base.generators
     )

@@ -344,7 +344,7 @@ def _affine_gens(desc: AffineQ2) -> dict[str, tuple[_Aff6, int]]:
     """Each generator, and the largest size of its reduced coefficients."""
     gens = {}
     for name, f in desc.generators:
-        den, a, b, c, d, x, y = f.ints
+        den, a, b, c, d, x, y = f
         bits = max(_fraction_bits(v, den) for v in (a, b, c, d, x, y))
         gens[name] = ((a, b, c, d, x, y, den), max(bits, 1))
     return gens

@@ -37,6 +37,7 @@ from .families import (
     LatticeByZ,
     MetabelianH31,
     RankOneQ,
+    affine_linear,
     family_of,
     is_translation,
     is_unipotent,
@@ -532,24 +533,23 @@ def _affine_radical_words(
 
 
 def _affine_radical(desc: AffineQ2, report: ClassificationReport) -> _RadicalModel:
-    maps = [g for _, g in desc.generators]
     if report.derived_length <= 1:
         # abelian group: the radical is everything, including generators
         # whose linear part is not unipotent (a faithful Z action, say)
         return _whole_abelian_group(desc)
     if report.radical.hirsch == report.hirsch_length:
-        quotient = None if all(is_unipotent(g.ints) for g in maps) else _FINITE
+        quotient = None if all(is_unipotent(g) for _, g in desc.generators) else _FINITE
     elif report.hirsch_length == 3 and report.quotient.tag == "Dinfty":
         # the first two generators with distinct reflection linear parts
         reflections: dict[Mat2Q, str] = {}
         for name, g in desc.generators:
-            lin = g.linear
+            lin = affine_linear(g)
             if lin.is_reflection():
                 reflections.setdefault(lin, name)
         u_name, v_name = list(reflections.values())[:2]
         quotient = ("Dinfty", Word.gen(u_name), Word.gen(v_name))
     else:
-        names = [name for name, g in desc.generators if not is_unipotent(g.ints)]
+        names = [name for name, g in desc.generators if not is_unipotent(g)]
         if not names:
             raise AssertionError("no witness generator for the cyclic quotient")
         quotient = ("Z", Word.gen(names[0]))

@@ -257,7 +257,7 @@ def test_criterion_8_fixture_certification():
     assert report.fp2.value is False
     assert report.cohomological_dimension == 4
     maps = dict(fmod.generators)
-    composite = affine_linear(affine_compose(maps["u"].ints, maps["v"].ints))
+    composite = affine_linear(affine_compose(maps["u"], maps["v"]))
     assert composite.trace() == F(2, 3)
     assert not conjugate_to_integral(composite)
     assert not conjugate_to_integral(composite.inverse())

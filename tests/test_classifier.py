@@ -36,7 +36,6 @@ from hirsch3.classify import (
 )
 from hirsch3.families import (
     AFFINE_IDENTITY,
-    AffineMap2,
     AffineQ2,
     AscHNNKb,
     BSbar,
@@ -46,6 +45,7 @@ from hirsch3.families import (
     RankOneQ,
     affine_compose,
     affine_linear,
+    affine_map,
     affine_of_word,
     meta_of_word,
 )
@@ -64,14 +64,14 @@ def meta(r1: Fraction, r2: Fraction, e=0) -> MetabelianH31:
     return MetabelianH31(r1.denominator, r1.numerator, r2.denominator, r2.numerator, F(e))
 
 
-def translation(x, y) -> AffineMap2:
-    return AffineMap2(I2, (F(x), F(y)))
+def translation(x, y) -> tuple:
+    return affine_map(I2, (F(x), F(y)))
 
 
 def dihedral_affine() -> AffineQ2:
     """Two glide reflections whose linear product has infinite order."""
-    u = AffineMap2(Mat2Q.of(1, 0, 0, -1), (F(1, 2), F(0)))
-    v = AffineMap2(Mat2Q.of(2, -1, 3, -2), (F(0), F(1, 2)))
+    u = affine_map(Mat2Q.of(1, 0, 0, -1), (F(1, 2), F(0)))
+    v = affine_map(Mat2Q.of(2, -1, 3, -2), (F(0), F(1, 2)))
     return AffineQ2(
         (("u", u), ("v", v), ("x", translation(1, 0)), ("y", translation(0, 1)))
     )
@@ -79,8 +79,8 @@ def dihedral_affine() -> AffineQ2:
 
 def nonintegral_dihedral_affine() -> AffineQ2:
     """Reflection pair whose composite has trace 2/3: not FP2."""
-    u = AffineMap2(Mat2Q.of(1, 0, 0, -1), (F(1, 2), F(0)))
-    v = AffineMap2(
+    u = affine_map(Mat2Q.of(1, 0, 0, -1), (F(1, 2), F(0)))
+    v = affine_map(
         Mat2Q.of(F(1, 3), F(2, 3), F(4, 3), F(-1, 3)), (F(0), F(3, 2))
     )
     return AffineQ2(
@@ -132,7 +132,7 @@ def test_radical_of_finite_order_action():
 def test_radical_of_affine_shear_is_everything():
     shear = AffineQ2(
         (
-            ("t", AffineMap2(Mat2Q.of(1, 1, 0, 1), (F(0), F(0)))),
+            ("t", affine_map(Mat2Q.of(1, 1, 0, 1), (F(0), F(0)))),
             ("x", translation(1, 0)),
             ("y", translation(0, 1)),
         )
@@ -200,8 +200,8 @@ def test_derived_length_frozen_examples():
 def test_derived_length_dihedral_with_shared_reflection_line():
     # both reflections negate the y axis, so commutators are translations
     # along it together with unipotent parts fixing it: metabelian
-    u = AffineMap2(Mat2Q.of(1, 0, 0, -1), (F(1, 2), F(0)))
-    v = AffineMap2(Mat2Q.of(1, 0, 1, -1), (F(1, 2), F(0)))
+    u = affine_map(Mat2Q.of(1, 0, 0, -1), (F(1, 2), F(0)))
+    v = affine_map(Mat2Q.of(1, 0, 1, -1), (F(1, 2), F(0)))
     desc = AffineQ2(
         (("u", u), ("v", v), ("x", translation(1, 0)), ("y", translation(0, 1)))
     )
@@ -713,7 +713,7 @@ def random_descriptor(rng: random.Random):
             linear = Mat2Q.of(2, 0, 0, 1)
         return AffineQ2(
             (
-                ("t", AffineMap2(linear, (F(0), F(0)))),
+                ("t", affine_map(linear, (F(0), F(0)))),
                 ("x", translation(1, 0)),
                 ("y", translation(0, 1)),
             )
@@ -730,8 +730,8 @@ def random_descriptor(rng: random.Random):
             power = power * (r1 * r2)
             order += 1
         if order > 6:
-            u = AffineMap2(r1, (F(1, 2), F(0)))
-            v = AffineMap2(r2, (F(0), F(1, 2)))
+            u = affine_map(r1, (F(1, 2), F(0)))
+            v = affine_map(r2, (F(0), F(1, 2)))
             return AffineQ2(
                 (("u", u), ("v", v), ("x", translation(1, 0)), ("y", translation(0, 1)))
             )
@@ -872,7 +872,7 @@ def test_d_infty_amalgam_holds_an_involution():
     desc = fixture_named("d_infty_amalgam").descriptor
     word = Word.of((("v", 1), ("y", 1)))
     vy = affine_of_word(desc, word)
-    assert vy == AffineMap2(Mat2Q.of(2, -1, 3, -2), (F(-1), F(-3))).ints
+    assert vy == affine_map(Mat2Q.of(2, -1, 3, -2), (F(-1), F(-3)))
     assert affine_linear(vy) == Mat2Q.of(2, -1, 3, -2)
     assert vy != AFFINE_IDENTITY
     assert affine_compose(vy, vy) == AFFINE_IDENTITY

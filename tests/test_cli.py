@@ -19,13 +19,13 @@ from hirsch3 import InputError, cli
 from hirsch3.classify import InvariantViolation
 from hirsch3.families import (
     FAMILIES,
-    AffineMap2,
     AffineQ2,
     AscHNNKb,
     BSbar,
     LatticeByZ,
     MetabelianH31,
     RankOneQ,
+    affine_map,
     ops_for,
 )
 from hirsch3.fixtures import FIXTURES, corrupted_d_infty, fixture_named
@@ -974,8 +974,8 @@ TABLE_EXAMPLES = [
     AscHNNKb(3, 1, -2),
     AffineQ2(
         (
-            ("u", AffineMap2(Mat2Q.of(1, 0, 0, -1), (F(1, 2), F(0)))),
-            ("y", AffineMap2(Mat2Q.identity(), (F(0), F(1)))),
+            ("u", affine_map(Mat2Q.of(1, 0, 0, -1), (F(1, 2), F(0)))),
+            ("y", affine_map(Mat2Q.identity(), (F(0), F(1)))),
         )
     ),
 ]

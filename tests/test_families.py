@@ -12,7 +12,6 @@ import pytest
 
 from hirsch3.families import (
     AFFINE_IDENTITY,
-    AffineMap2,
     AffineQ2,
     AscHNNKb,
     BSbar,
@@ -22,8 +21,10 @@ from hirsch3.families import (
     affine_compose,
     affine_inverse,
     affine_linear,
+    affine_map,
     affine_of_word,
     affine_pow,
+    affine_translation,
     _TABLE_REACH,
     _iterate_apply,
     _lattice,
@@ -101,17 +102,17 @@ def rand_word(rng, names, syllables=8, max_exp=3):
 
 D_INFTY = AffineQ2(
     (
-        ("u", AffineMap2(Mat2Q.of(1, 0, 0, -1), (F(1, 2), F(0)))),
-        ("v", AffineMap2(Mat2Q.of(2, -1, 3, -2), (F(0), F(-1)))),
-        ("y", AffineMap2(Mat2Q.identity(), (F(0), F(1)))),
+        ("u", affine_map(Mat2Q.of(1, 0, 0, -1), (F(1, 2), F(0)))),
+        ("v", affine_map(Mat2Q.of(2, -1, 3, -2), (F(0), F(-1)))),
+        ("y", affine_map(Mat2Q.identity(), (F(0), F(1)))),
     )
 )
 
 # linear parts of infinite order, so powers past _TABLE_REACH have large entries
 _GROWING = AffineQ2(
     (
-        ("g", AffineMap2(Mat2Q.of(2, 1, 1, 1), (F(1, 3), F(0)))),
-        ("h", AffineMap2(Mat2Q.of(F(1, 2), 0, 0, 3), (F(0), F(1)))),
+        ("g", affine_map(Mat2Q.of(2, 1, 1, 1), (F(1, 3), F(0)))),
+        ("h", affine_map(Mat2Q.of(F(1, 2), 0, 0, 3), (F(0), F(1)))),
     )
 )
 
@@ -178,14 +179,25 @@ class TestDescriptorValidation:
 
     def test_affine(self):
         with pytest.raises(ValueError):
-            AffineQ2((("u", AffineMap2(Mat2Q.of(1, 1, 1, 1), (F(0), F(0)))),))
-        one = AffineMap2(Mat2Q.identity(), (F(0), F(0)))
+            AffineQ2((("u", affine_map(Mat2Q.of(1, 1, 1, 1), (F(0), F(0)))),))
+        one = affine_map(Mat2Q.identity(), (F(0), F(0)))
         with pytest.raises(ValueError):
             AffineQ2((("u", one), ("u", one)))
         # no word spells these names: "1" is the identity, "2x" no token
         for name in ("1", "2x", "", "gen.u"):
             with pytest.raises(ValueError, match=f"generator name '{name}' is not"):
                 AffineQ2(((name, one),))
+        # a generator is an element: seven integers, den >= 1, gcd-normalized,
+        # with an invertible linear part
+        for bad in (
+            (2, 2, 0, 0, 2, 0, 0),
+            (0, 1, 0, 0, 1, 0, 0),
+            (-1, 1, 0, 0, 1, 0, 0),
+            (1, 1, 1, 1, 1, 0, 0),
+            (1, 1, 0, 0, 1, 0),
+        ):
+            with pytest.raises(ValueError):
+                AffineQ2((("u", bad),))
 
 
 def bsbar_of_word(desc, w):
@@ -302,7 +314,7 @@ POWERS = [
     (Mat2Q.pow, Mat2Q.__mul__, Mat2Q.inverse, Mat2Q.identity(), Mat2Q.of(F(1, 2), 1, -3, 2)),
     (
         affine_pow, affine_compose, affine_inverse, AFFINE_IDENTITY,
-        dict(D_INFTY.generators)["v"].ints,
+        dict(D_INFTY.generators)["v"],
     ),
 ]
 
@@ -399,9 +411,9 @@ class TestHnnKb:
 class TestAffine:
     def test_frozen_values(self):
         u_sq = affine_of_word(D_INFTY, parse_word("u^2"))
-        assert u_sq == AffineMap2(Mat2Q.identity(), (F(1), F(0))).ints
+        assert u_sq == affine_map(Mat2Q.identity(), (F(1), F(0)))
         v_sq = affine_of_word(D_INFTY, parse_word("v^2"))
-        assert v_sq == AffineMap2(Mat2Q.identity(), (F(1), F(1))).ints
+        assert v_sq == affine_map(Mat2Q.identity(), (F(1), F(1)))
         assert v_sq == affine_of_word(D_INFTY, parse_word("u^2 y"))
         assert affine_of_word(D_INFTY, Word()) == AFFINE_IDENTITY
 
@@ -424,7 +436,7 @@ class TestAffine:
     @pytest.mark.parametrize("desc", [D_INFTY, _GROWING], ids=["d_infty", "growing"])
     def test_word_is_the_product_of_its_syllable_powers(self, desc):
         # 257 and 300 lie past _TABLE_REACH: computed on every use, not kept
-        maps, names = {name: g.ints for name, g in desc.generators}, desc.names
+        maps, names = dict(desc.generators), desc.names
         exps = (0, 1, -1, 256, -256, 257, -257, 300, -300)
         syllables = tuple((names[i % len(names)], e) for i, e in enumerate(exps))
         expected = AFFINE_IDENTITY
@@ -453,17 +465,13 @@ def _random_maps(seed: int, count: int) -> list[tuple]:
     while len(out) < count:
         lin = Mat2Q(*(_rational(rng) for _ in range(4)))
         if lin.det() != 0:
-            out.append(AffineMap2(lin, (_rational(rng), _rational(rng))).ints)
+            out.append(affine_map(lin, (_rational(rng), _rational(rng))))
     return out
-
-
-def _translation(f: tuple) -> tuple[Fraction, Fraction]:
-    return (F(f[5], f[0]), F(f[6], f[0]))
 
 
 def _affine_apply(f: tuple, v: tuple[Fraction, Fraction]) -> tuple[Fraction, Fraction]:
     x, y = mat_apply(affine_linear(f), v)
-    tx, ty = _translation(f)
+    tx, ty = affine_translation(f)
     return (x + tx, y + ty)
 
 
@@ -473,9 +481,10 @@ class TestAffineKernel:
     def test_compose_matches_matrix_formula(self):
         for f, g in zip(self.MAPS, self.MAPS[1:] + self.MAPS[:1]):
             fg = affine_compose(f, g)
-            b = mat_apply(affine_linear(f), _translation(g))
+            b = mat_apply(affine_linear(f), affine_translation(g))
             assert affine_linear(fg) == affine_linear(f) * affine_linear(g)
-            assert _translation(fg) == (b[0] + _translation(f)[0], b[1] + _translation(f)[1])
+            tx, ty = affine_translation(f)
+            assert affine_translation(fg) == (b[0] + tx, b[1] + ty)
             v = (F(3, 7), F(-5, 2))
             assert _affine_apply(fg, v) == _affine_apply(f, _affine_apply(g, v))
 
@@ -504,14 +513,14 @@ class TestAffineKernel:
                 affine_compose(affine_pow(f, 3), affine_pow(f, -2)),
             ):
                 assert same == f and hash(same) == hash(f)
-        assert AffineMap2(Mat2Q.of(F(2, 4), 0, 0, 1), (F(3, 6), 0)) == AffineMap2(
+        assert affine_map(Mat2Q.of(F(2, 4), 0, 0, 1), (F(3, 6), 0)) == affine_map(
             Mat2Q.of(F(1, 2), 0, 0, 1), (F(1, 2), 0)
         )
 
     def test_singular_linear_part_rejected(self):
         for lin in (Mat2Q.of(1, 2, 2, 4), Mat2Q.of(F(1, 2), F(1, 3), F(3, 2), 1), Mat2Q.of(0, 0, 0, 0)):
             with pytest.raises(ValueError):
-                AffineMap2(lin, (F(1), F(0)))
+                affine_map(lin, (F(1), F(0)))
 
 
 # Fraction reference of the element formulas, as they were written before the

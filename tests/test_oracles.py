@@ -24,13 +24,15 @@ from hypothesis import strategies as st  # noqa: E402
 from hirsch3 import oracles  # noqa: E402
 from hirsch3.families import (  # noqa: E402
     FAMILIES,
-    AffineMap2,
     AffineQ2,
     AscHNNKb,
     BSbar,
     LatticeByZ,
     MetabelianH31,
     RankOneQ,
+    affine_linear,
+    affine_map,
+    affine_translation,
     family_of,
     ops_for,
 )
@@ -153,7 +155,7 @@ UNKNOWN_NAME_CASES = {
     "heisenberg": (MetabelianH31(1, 1, 1, 1, F(1)), Word.gen("u")),
     "asc_hnn_kb": (AscHNNKb(1, 0, 2), Word.gen("y")),
     "affine_q2": (
-        AffineQ2((("x", AffineMap2(Mat2Q.identity(), (F(1), F(0)))),)),
+        AffineQ2((("x", affine_map(Mat2Q.identity(), (F(1), F(0)))),)),
         Word.gen("x"),
     ),
 }
@@ -307,7 +309,9 @@ def _six_bits(f) -> int:
 
 
 def _ref_affine(desc: AffineQ2, w: Word, max_bits: int):
-    sixes = {name: (*f.linear.entries(), *f.translation) for name, f in desc.generators}
+    sixes = {
+        name: (*affine_linear(f).entries(), *affine_translation(f)) for name, f in desc.generators
+    }
     out = _SIX_ID
     for name, exp in w.syllables:
         six = sixes[name]

@@ -3,15 +3,16 @@ descriptors of every family, elements as canonical integer tuples on
 `random_descriptor` draws, the value of a parsed word with its powers
 kept against the spelled-out word and the oracle, the relation lattice of
 a ratio pair against a brute-force scan, the affine analysis of `classify`
-against its `Fraction` reference, the classifier's closed forms against
-the searches they replaced, the JSON shape of classification reports, the
-reported derived length against the commutator search, the abstract's
-BS(1,n) rtimes Z as ascending HNN extensions of cohomological dimension 3,
-the descriptor-file round trip, `factorint` against trial division,
-`valuation` against repeated division, the commutator exponent of
-`standardize` against the integer exponent table, the command line on
-fixture files with one value replaced, and the word product and power
-against free reduction of the spelled-out word.
+against its `Fraction` reference, a lattice extension against its affine
+embedding, the classifier's closed forms against the searches they
+replaced, the JSON shape of classification reports, the reported derived
+length against the commutator search, the abstract's BS(1,n) rtimes Z as
+ascending HNN extensions of cohomological dimension 3, the descriptor-file
+round trip, `factorint` against trial division, `valuation` against
+repeated division, the commutator exponent of `standardize` against the
+integer exponent table, the command line on fixture files with one value
+replaced, and the word product and power against free reduction of the
+spelled-out word.
 
 Hypothesis runs derandomized, so every run draws the same examples, and a
 failure is reported as a shrunk counterexample (descriptor and words).
@@ -33,7 +34,7 @@ from unittest import mock
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from hirsch3 import classify as classify_module  # noqa: E402
@@ -47,7 +48,6 @@ from hirsch3.cli import (  # noqa: E402
 )
 from hirsch3.families import (  # noqa: E402
     AFFINE_IDENTITY,
-    AffineMap2,
     AffineQ2,
     AscHNNKb,
     BSbar,
@@ -57,6 +57,8 @@ from hirsch3.families import (  # noqa: E402
     affine_compose,
     affine_inverse,
     affine_linear,
+    affine_map,
+    affine_translation,
     family_of,
     int_bits,
     ops_for,
@@ -122,7 +124,7 @@ def _affine(draw) -> AffineQ2:
     gens = []
     for name in names:
         shift = (draw(small_rationals), draw(small_rationals))
-        gens.append((name, AffineMap2(draw(matrices), shift)))
+        gens.append((name, affine_map(draw(matrices), shift)))
     return AffineQ2(tuple(gens))
 
 
@@ -412,8 +414,8 @@ def _ref_linear_closure(mats, cap=24):
 
 def _ref_pure_translations(desc, depth=4):
     gens = []
-    for _, gen_map in desc.generators:
-        gens.extend((gen_map.ints, affine_inverse(gen_map.ints)))
+    for _, g in desc.generators:
+        gens.extend((g, affine_inverse(g)))
     seen = {AFFINE_IDENTITY}
     frontier = [AFFINE_IDENTITY]
     found = []
@@ -457,7 +459,7 @@ def _ref_span_rank(vectors, mats):
 
 
 def _ref_translation_rank(desc):
-    linear = [gen_map.linear for _, gen_map in desc.generators]
+    linear = [affine_linear(g) for _, g in desc.generators]
     return _ref_span_rank(_ref_pure_translations(desc), linear)
 
 
@@ -514,14 +516,14 @@ def _affine_groups(draw) -> AffineQ2:
     gens = []
     for name in names:
         shift = (draw(small_rationals), draw(small_rationals))
-        gens.append((name, AffineMap2(draw(_linear_parts()), shift)))
+        gens.append((name, affine_map(draw(_linear_parts()), shift)))
     return AffineQ2(tuple(gens))
 
 
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
 @given(_affine_groups())
 def test_affine_analysis_agrees_with_fraction_reference(desc):
-    linear = [gen_map.linear for _, gen_map in desc.generators]
+    linear = [affine_linear(g) for _, g in desc.generators]
     assert classify_module._linear_closure(linear) == _ref_linear_closure(linear)
     assert _analysis(desc) == _ref_analysis(desc, _ref_translation_rank(desc))
 
@@ -551,7 +553,7 @@ def _affine_groups_repeating_parts(draw) -> AffineQ2:
         any_vector = (draw(st.integers(-2, 2)), draw(st.integers(-2, 2)))
         x, y = line if kind == "line" else any_vector
         shift = (F(0), F(0)) if kind == "zero" else (k * x, k * y)
-        gens.append((name, AffineMap2(draw(st.sampled_from(parts)), shift)))
+        gens.append((name, affine_map(draw(st.sampled_from(parts)), shift)))
     return AffineQ2(tuple(gens))
 
 
@@ -572,8 +574,8 @@ def test_translation_rank_closes_under_the_linear_parts(linear, rank):
     # move it, and the hyperbolic one does
     desc = AffineQ2(
         (
-            ("x", AffineMap2(Mat2Q.identity(), (F(1), F(0)))),
-            ("t", AffineMap2(linear, (F(0), F(0)))),
+            ("x", affine_map(Mat2Q.identity(), (F(1), F(0)))),
+            ("t", affine_map(linear, (F(0), F(0)))),
         )
     )
     assert {y for _, y in _ref_pure_translations(desc, depth=2)} == {0}
@@ -587,8 +589,8 @@ def test_translation_rank_counts_a_reflection_square():
     glide = Mat2Q.of(-1, 0, 0, 1)
     desc = AffineQ2(
         (
-            ("x", AffineMap2(Mat2Q.identity(), (F(1), F(0)))),
-            ("g", AffineMap2(glide, (F(0), F(1)))),
+            ("x", affine_map(Mat2Q.identity(), (F(1), F(0)))),
+            ("g", affine_map(glide, (F(0), F(1)))),
         )
     )
     assert classify_module._translation_rank(desc, (glide,)) == 2
@@ -617,7 +619,7 @@ def _finite_image_groups(draw) -> AffineQ2:
     gens = []
     for idx, m in enumerate(draw(st.permutations(parts))):
         shift = (draw(coordinates), draw(coordinates))
-        gens.append((f"g{idx}", AffineMap2(m, shift)))
+        gens.append((f"g{idx}", affine_map(m, shift)))
     return AffineQ2(tuple(gens))
 
 
@@ -640,11 +642,11 @@ def _integer_solution(values: list[int], target: int):
 
 def _involution_word(desc: AffineQ2):
     """s times a product of seed powers that squares to 1, or None."""
-    a = next(g.linear for _, g in desc.generators if g.linear != Mat2Q.identity())
-    s = next(name for name, g in desc.generators if g.linear == a)
+    a = next(m for m in map(affine_linear, dict(desc.generators).values()) if m != Mat2Q.identity())
+    s = next(name for name, g in desc.generators if affine_linear(g) == a)
     seeds = [Word.gen(s) ** 2]
     for name, g in desc.generators:
-        if g.linear == Mat2Q.identity():
+        if affine_linear(g) == Mat2Q.identity():
             seeds.append(Word.gen(name))
         elif name != s:
             seeds.append(Word.gen(name) * Word.gen(s).inv())
@@ -653,8 +655,8 @@ def _involution_word(desc: AffineQ2):
         return (t[0] + a.a * t[0] + a.b * t[1], t[1] + a.c * t[0] + a.d * t[1])
 
     values = [ops_for(desc).of_word(w) for w in seeds]
-    vectors = [on_line((F(g[5], g[0]), F(g[6], g[0]))) for g in values]
-    target = on_line(dict(desc.generators)[s].translation)
+    vectors = [on_line(affine_translation(g)) for g in values]
+    target = on_line(affine_translation(dict(desc.generators)[s]))
     k = 0 if any(v[0] for v in vectors + [target]) else 1
     den = prod(x.denominator for x in [v[k] for v in vectors] + [target[k]])
     n = _integer_solution([int(v[k] * den) for v in vectors], -int(target[k] * den))
@@ -669,7 +671,7 @@ def _involution_word(desc: AffineQ2):
 def _short_involution(desc: AffineQ2, length: int = 5):
     letters = []
     for _, g in desc.generators:
-        letters += [g.ints, affine_inverse(g.ints)]
+        letters += [g, affine_inverse(g)]
     one = AFFINE_IDENTITY
     seen, frontier = {one}, [one]
     for _ in range(length):
@@ -695,6 +697,66 @@ def test_finite_image_torsion_refusal_matches_an_involution(desc):
     else:
         assert _involution_word(desc) is None
         assert _short_involution(desc) is None
+
+
+# --- a lattice extension and its affine embedding -------------------------------
+
+
+_lattice_entries = st.builds(F, st.integers(-5, 5), st.sampled_from((1, 1, 1, 2, 3)))
+_lattice_matrices = st.builds(Mat2Q.of, *[_lattice_entries] * 4).filter(lambda m: m.det() != 0)
+
+
+def _embedded_lattice(m: Mat2Q) -> AffineQ2:
+    """LatticeByZ(m) as a = (I, e1), b = (I, e2), t = (m, 0)."""
+    return AffineQ2(
+        (
+            ("a", affine_map(Mat2Q.identity(), (F(1), F(0)))),
+            ("b", affine_map(Mat2Q.identity(), (F(0), F(1)))),
+            ("t", affine_map(m, (F(0), F(0)))),
+        )
+    )
+
+
+def _seeded_word_pairs(lattice: LatticeByZ, seed: int, count: int = 20) -> list[tuple[Word, Word]]:
+    """Word pairs over a, b, t; half of the second words are the first with
+    a conjugated defining relator of the lattice extension inserted."""
+    rng = random.Random(seed)
+    relators = [r for _, r in family_of(lattice).relations(lattice)]
+
+    def word(length: int) -> Word:
+        exps = (-3, -2, -1, 1, 2, 3)
+        return Word.of((rng.choice("abt"), rng.choice(exps)) for _ in range(length))
+
+    pairs = []
+    for _ in range(count):
+        w1, w2 = word(rng.randint(0, 6)), word(rng.randint(0, 6))
+        if rng.random() < 0.5:
+            conj = word(rng.randint(0, 3))
+            w2 = w1 * conj * rng.choice(relators) * conj.inv()
+        pairs.append((w1, w2))
+    return pairs
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(_lattice_matrices, st.integers(0, 2**32))
+@example(Mat2Q.identity(), 0)
+@example(Mat2Q.of(0, -1, 1, 0), 0)
+def test_lattice_extension_and_its_affine_embedding_agree(m, seed):
+    """For M of infinite order, LatticeByZ(M) and its affine embedding are
+    one group: the same report and the same word verdicts.  For M = I, t is
+    the identity map and the image is Z^2; any other finite-order M puts
+    torsion in the image, which `classify` refuses."""
+    lattice, affine = LatticeByZ(m), _embedded_lattice(m)
+    if matrix_order(m) is None:
+        assert classify(affine).to_json() == classify(lattice).to_json()
+        lattice_ops, affine_ops = ops_for(lattice), ops_for(affine)
+        for w1, w2 in _seeded_word_pairs(lattice, seed):
+            assert affine_ops.word_eq(w1, w2) == lattice_ops.word_eq(w1, w2)
+    elif m == Mat2Q.identity():
+        assert classify(affine).hirsch_length == 2
+    else:
+        with pytest.raises(ClassifyError, match="torsion"):
+            classify(affine)
 
 
 # --- the closed forms against the searches they replaced ---------------------------
@@ -905,7 +967,7 @@ def _named_affine(draw) -> AffineQ2:
     names = draw(st.lists(_identifiers, min_size=1, max_size=3, unique=True))
     return AffineQ2(
         tuple(
-            (name, AffineMap2(draw(matrices), (draw(small_rationals), draw(small_rationals))))
+            (name, affine_map(draw(matrices), (draw(small_rationals), draw(small_rationals))))
             for name in names
         )
     )

@@ -13,7 +13,6 @@ import hirsch3.verify as verify_module
 from hirsch3.classify import classify
 from hirsch3.families import (
     FAMILIES,
-    AffineMap2,
     AffineQ2,
     AscHNNKb,
     BSbar,
@@ -21,6 +20,7 @@ from hirsch3.families import (
     LatticeByZ,
     MetabelianH31,
     RankOneQ,
+    affine_map,
     is_unipotent,
     ops_for,
 )
@@ -335,10 +335,10 @@ def _shear_radical_example(v_linear: Mat2Q) -> AffineQ2:
     # every unipotent word of length at most 3 is a translation
     return AffineQ2(
         (
-            ("u", AffineMap2(Mat2Q.of(1, 0, 0, -1), (F(1, 2), F(0)))),
-            ("v", AffineMap2(v_linear, (F(0), F(1, 2)))),
-            ("x", AffineMap2(Mat2Q.identity(), (F(1), F(0)))),
-            ("y", AffineMap2(Mat2Q.identity(), (F(0), F(1)))),
+            ("u", affine_map(Mat2Q.of(1, 0, 0, -1), (F(1, 2), F(0)))),
+            ("v", affine_map(v_linear, (F(0), F(1, 2)))),
+            ("x", affine_map(Mat2Q.identity(), (F(1), F(0)))),
+            ("y", affine_map(Mat2Q.identity(), (F(0), F(1)))),
         )
     )
 
@@ -410,7 +410,7 @@ _D_INFTY = fixture_named("d_infty_amalgam").descriptor
 # d_infty_amalgam with a dilation added: no dihedral witness pair reduces it
 _D_INFTY_DILATED = AffineQ2(
     _D_INFTY.generators
-    + (("w", AffineMap2(Mat2Q.of(2, 0, 0, 2), (F(0), F(0)))),)
+    + (("w", affine_map(Mat2Q.of(2, 0, 0, 2), (F(0), F(0)))),)
 )
 _META = MetabelianH31(1, 2, 1, 3, F(1))
 
@@ -645,8 +645,8 @@ class TestHarness:
             assert set(check) >= {"name", "passed", "trials", "seed"}
 
 
-def _translation(x, y) -> AffineMap2:
-    return AffineMap2(Mat2Q.identity(), (F(x), F(y)))
+def _translation(x, y) -> tuple:
+    return affine_map(Mat2Q.identity(), (F(x), F(y)))
 
 
 _XY = (("x", _translation(1, 0)), ("y", _translation(0, 1)))
@@ -670,7 +670,7 @@ class TestHarnessBranches:
             },
         ),
         "affine-quotient-z": (
-            AffineQ2(_XY + (("t", AffineMap2(Mat2Q.of(2, 1, 1, 1), (F(0), F(0)))),)),
+            AffineQ2(_XY + (("t", affine_map(Mat2Q.of(2, 1, 1, 1), (F(0), F(0)))),)),
             ["relations", "word_eq_oracle", *_DEPTH_2, *_RADICAL, "radical_quotient"],
             {
                 "relations": "no relator set available; supply a presentation",
