@@ -1,0 +1,76 @@
+"""The claim rule of `tools/bench_pairs.py` on synthetic runs.
+
+A gain holds when the change wins at least nine tenths of the pairs, the
+medians differ by more than the parent's interquartile range, and no more
+operations fail at the change than at the parent.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PARENT = [100.0, 101.0, 102.0, 103.0, 104.0, 105.0, 106.0, 107.0, 108.0, 109.0]
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _summary(parent, change, failed=(0, 0)):
+    """One workload's summary of ops_per_s pairs; `failed` is each side's
+    count, charged to its first run."""
+    runs = []
+    for pair, (p, c) in enumerate(zip(parent, change)):
+        for side, value in (("parent", p), ("change", c)):
+            lost = failed[side == "change"] if pair == 0 else 0
+            result = {"metrics": {"ops_per_s": {"value": value}}, "failed": lost}
+            runs.append({"side": side, "pair": pair, "seed": pair, "result": result})
+    return _tool().summarize(runs, {"ops_per_s": "higher"})
+
+
+def _holds(summary) -> bool:
+    return _tool().claim_holds(summary, "ops_per_s")
+
+
+def test_nine_wins_of_ten_hold():
+    change = [v + 20 for v in PARENT[:9]] + [PARENT[9] - 1]
+    summary = _summary(PARENT, change)
+    assert summary["ops_per_s"]["change_wins"] == 9
+    assert _holds(summary)
+
+
+def test_eight_wins_of_ten_do_not_hold():
+    change = [v + 20 for v in PARENT[:8]] + [v - 1 for v in PARENT[8:]]
+    summary = _summary(PARENT, change)
+    assert summary["ops_per_s"]["change_wins"] == 8
+    assert not _holds(summary)
+
+
+def test_a_tie_counts_for_neither_side():
+    change = [v + 20 for v in PARENT[:9]] + [PARENT[9]]
+    assert _summary(PARENT, change)["ops_per_s"]["change_wins"] == 9
+    change = [v + 20 for v in PARENT[:8]] + PARENT[8:]
+    summary = _summary(PARENT, change)
+    assert summary["ops_per_s"]["change_wins"] == 8
+    assert not _holds(summary)
+
+
+def test_a_median_gap_inside_the_parent_interquartile_range_does_not_hold():
+    # the change wins every pair, by less than the parent's spread
+    change = [v + 1 for v in PARENT]
+    summary = _summary(PARENT, change)
+    assert summary["ops_per_s"]["change_wins"] == 10
+    assert not _holds(summary)
+
+
+def test_one_more_failed_operation_at_the_change_does_not_hold():
+    change = [v + 20 for v in PARENT]
+    assert _holds(_summary(PARENT, change, failed=(2, 2)))
+    summary = _summary(PARENT, change, failed=(2, 3))
+    assert summary["failed"] == {"parent": 2, "change": 3}
+    assert not _holds(summary)

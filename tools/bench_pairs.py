@@ -10,10 +10,12 @@ bytecode or results that an earlier run left behind.  Pair i of a workload
 runs both sides at seed first_seed + i; the parent runs first in even pairs
 and the change in odd ones.  The output has the shape of BENCH_13.json plus
 a ``summary``: per workload and end-to-end metric, each side's median and
-quartiles, and the pairs the change won (ties count for neither side).
-The claim holds when the change wins at least nine tenths of the claimed
-workload's pairs and the medians differ by more than the parent's
-interquartile range.  Standard library only.
+quartiles, and the pairs the change won (ties count for neither side), and
+per workload each side's total of failed operations.  The claim holds
+(`claim_holds`) when the change wins at least nine tenths of the claimed
+workload's pairs, the medians differ by more than the parent's
+interquartile range, and no more operations fail at the change than at the
+parent.  Standard library only.
 """
 
 from __future__ import annotations
@@ -67,8 +69,11 @@ def quartiles(values: list[float]) -> dict:
 
 
 def summarize(runs: list[dict], better: dict[str, str]) -> dict:
-    """Per metric: each side's median and quartiles, and the change's wins."""
-    out = {}
+    """Per metric: each side's median and quartiles, and the change's wins;
+    under "failed", each side's total of failed operations."""
+    out: dict = {"failed": {"parent": 0, "change": 0}}
+    for run in runs:
+        out["failed"][run["side"]] += run["result"]["failed"]
     for metric, direction in better.items():
         by_pair: dict[int, dict[str, float]] = {}
         for run in runs:
@@ -84,6 +89,17 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
             "pairs": len(by_pair),
         }
     return out
+
+
+def claim_holds(summary: dict, metric: str) -> bool:
+    """Whether one workload's summary bears out a gain in `metric`."""
+    claim = summary[metric]
+    parent_iqr = claim["parent"]["q3"] - claim["parent"]["q1"]
+    return (
+        claim["change_wins"] >= 0.9 * claim["pairs"]
+        and abs(claim["change"]["median"] - claim["parent"]["median"]) > parent_iqr
+        and summary["failed"]["change"] <= summary["failed"]["parent"]
+    )
 
 
 def main() -> int:
@@ -129,12 +145,7 @@ def main() -> int:
                       f"failed {result['failed']}", file=sys.stderr, flush=True)
 
     summary = {workload: summarize(rs, better) for workload, rs in runs.items()}
-    claim = summary[claimed_workload][claimed_metric]
-    parent_iqr = claim["parent"]["q3"] - claim["parent"]["q1"]
-    holds = (
-        claim["change_wins"] >= 0.9 * claim["pairs"]
-        and abs(claim["change"]["median"] - claim["parent"]["median"]) > parent_iqr
-    )
+    holds = claim_holds(summary[claimed_workload], claimed_metric)
     report = {
         "change": git("log", "-1", "--format=%s", args.change),
         "parent_commit": commits["parent"],
