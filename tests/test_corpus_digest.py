@@ -14,8 +14,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PINNED = {
-    "entries": 235,
-    "sha256": "eda4b2067babff67e29dd577e5e7905b3b41d324ae1826259beb202ed5a5fac0",
+    "entries": 238,
+    "sha256": "dcc5b4b90399b63272bae0a17cb2cf6364cd52ab06cada3a4c1e47a6af8e3f8a",
 }
 
 
@@ -37,7 +37,7 @@ def test_corpus_covers_every_source_and_family():
     entries = _tool().corpus()
     sources = {entry["id"].split("/")[0] for entry in entries}
     assert sources == {
-        "random_descriptor", "inputs", "fixture", "finite_image", "embedded"
+        "random_descriptor", "inputs", "fixture", "finite_image", "embedded", "heisenberg"
     }
     families = {entry["family"] for entry in entries}
     assert families == {

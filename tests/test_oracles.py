@@ -40,7 +40,7 @@ from hirsch3.oracles import VerifyResourceError, endo_index, oracle_word_eq  # n
 from hirsch3.rationals import Mat2Q, binary_power  # noqa: E402
 from hirsch3.words import Word  # noqa: E402
 from test_families import image_membership, kb_inv, kb_mul, mat_apply  # noqa: E402
-from test_properties import DESCRIPTORS as FAMILY_DESCRIPTORS  # noqa: E402
+from test_properties import DESCRIPTORS  # noqa: E402
 
 F = Fraction
 
@@ -351,16 +351,6 @@ def _outcome(word_eq, *args):
 
 
 # --- agreement on generated descriptors ----------------------------------------------
-
-# the families' descriptors as the normal-form property draws them, and
-# r1 = r2 = 1 with e != 0, the oracle's Heisenberg triples; there the locus
-# is 1, so e is an integer
-DESCRIPTORS = {
-    **FAMILY_DESCRIPTORS,
-    "heisenberg": st.integers(-12, 12)
-    .filter(bool)
-    .map(lambda e: MetabelianH31(1, 1, 1, 1, F(e))),
-}
 
 # small budgets make every check fire; the default keeps the plain path
 BUDGETS = (2, 3, 4, 5, 6, 8, 10, 12, 16, 20, 24, 32, 48, 64, 96, 128, oracles._DEFAULT_MAX_BITS)

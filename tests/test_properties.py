@@ -142,6 +142,11 @@ DESCRIPTORS = {
         st.sampled_from((-3, -2, -1, 1, 2, 3)),
     ),
     "affine_q2": _affine(),
+    # r1 = r2 = 1 with e != 0, which the meta strategy almost never draws;
+    # there the locus is 1, so e is an integer
+    "heisenberg": st.integers(-12, 12)
+    .filter(bool)
+    .map(lambda e: MetabelianH31(1, 1, 1, 1, F(e))),
 }
 
 

@@ -12,6 +12,8 @@ commits:
   - affine groups whose linear image is {I, A} for a reflection A
   - each `lattice_by_z` entry embedded in `affine_q2` as a = (I, e1),
     b = (I, e2), t = (M, 0)
+  - Heisenberg groups: `metabelian_h31` with m = n = p = q = 1 and
+    e in {-3, -2, -1, 1, 2, 3}
 
 Each commit answers it in a fresh `git archive`, in one child process whose
 hirsch3 comes from that tree: `hirsch3 classify --format json` and
@@ -50,6 +52,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SEED = 0
 TRIALS = 5
 COUNTS = {"random_descriptor": 240, "inputs": 10, "finite_image": 120}  # inputs: per family
+HEISENBERG_E = (-3, -2, -1, 1, 2, 3)
 SLICE = slice(None, None, 2)
 EXAMPLES = 3  # entries printed per group of differences
 COMMANDS = ("classify", "verify", "word_eq")
@@ -167,6 +170,9 @@ def corpus() -> list[dict]:
     for entry in [e for e in out if e["family"] == "lattice_by_z"]:
         entry_id = f"embedded/{entry['id']}"
         out.append({"id": entry_id, "family": "affine_q2", "text": _embedded_text(entry["text"])})
+    for idx, e in enumerate(HEISENBERG_E):
+        text = f"family = metabelian_h31\nm = 1\nn = 1\np = 1\nq = 1\ne = {e}\n"
+        out.append({"id": f"heisenberg/{idx}", "family": "metabelian_h31", "text": text})
     return out
 
 
