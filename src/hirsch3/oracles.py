@@ -2,18 +2,18 @@
 
 Each family's oracle evaluates a word syllable by syllable in a faithful
 representation of the group, on unnormalized integers that are exact up to
-one common scalar:
+one common scalar.  Every value is a 1-D affine map x -> (p x + q) / r as
+(p, q, r), a 2-D affine map v -> ([[a, b], [c, d]] v + (x, y)) / s as
+(a, b, c, d, x, y, s), or a rank-one integer sum:
 
-  BSbar          x -> (p x + q) / r as (p, q, r), with the t-exponent sum
+  BSbar          a 1-D map, with the t-exponent sum
   MetabelianH31  the same, with the t- and u-exponent sums; when
-                 r1 = r2 = 1 and e != 0, Heisenberg triples (i, j, z) with
-                 z kept over e's numerator
+                 r1 = r2 = 1 and e != 0, the Heisenberg group, the 2-D map
+                 (x, y) -> (x + i y + z, y + j) of the triple (i, j, z)
   LatticeByZ     (k, X, Y, S): the word is t^k after the translation
-                 (X, Y) / S, and M^k is kept as an integer matrix over a
-                 scalar
-  AscHNNKb       two 1-D affine maps, one per coordinate, with the
-                 s-exponent sum
-  AffineQ2       (a, b, c, d, x, y, s): v -> ([[a, b], [c, d]] v + (x, y)) / s
+                 (X, Y) / S, with M^k a translation-free 2-D map
+  AscHNNKb       two 1-D maps, one per coordinate, with the s-exponent sum
+  AffineQ2       a 2-D map
   RankOneQ       one integer over the generators' common denominator
 
 Products are plain integer products with no gcd, so a value carries every
@@ -98,18 +98,6 @@ def _reduced(
     return nums, den
 
 
-def _power(mul: Callable, one: tuple, base: tuple, k: int) -> tuple:
-    """base^k for k >= 0, by repeated squaring."""
-    out = one
-    while k:
-        if k & 1:
-            out = mul(out, base)
-        k >>= 1
-        if k:
-            base = mul(base, base)
-    return out
-
-
 # --- one-dimensional affine maps ---------------------------------------------
 
 # x -> (p x + q) / r as (p, q, r), and the size of the reduced scale p / r,
@@ -190,129 +178,19 @@ def _hnnkb_value(desc: AscHNNKb, w: Word, max_bits: int) -> _Value:
     return w.exponent_sum("s"), maps
 
 
-# --- MetabelianH31 -----------------------------------------------------------
-
-
-@lru_cache(maxsize=_GEN_CACHE)
-def _meta_gens(desc: MetabelianH31) -> dict[str, _Aff1Gen] | None:
-    """The affine generators, or None for the Heisenberg case.  r1 = n / m
-    is 1 exactly when n == m, as m and n are coprime; so for r2."""
-    m, n, p, q = desc.m, desc.n, desc.p, desc.q
-    en, ed = desc.e.numerator, desc.e.denominator
-    if n == m and q == p and en:
-        return None
-    t_off = u_off = (0, 1)
-    if q != p:
-        # tau = r1 e / (r2 - 1)
-        t_off = (n * en * p, m * ed * (q - p))
-    elif n != m:
-        # upsilon = r1 e / (1 - r1)
-        u_off = (n * en, ed * (m - n))
-    return {"a": _SHIFT, "t": _aff1_gen(n, m, *t_off), "u": _aff1_gen(q, p, *u_off)}
-
-
-def _heisenberg(desc: MetabelianH31, w: Word, max_bits: int) -> tuple[int, int, int]:
-    """Triples (i, j, z / e_num) multiplying as (i1 + i2, j1 + j2,
-    z1 + z2 + i1 j2): unitriangular matrices, with t = (1, 0, 0),
-    u = (0, 1, 0) and a = (0, 0, -1/e) the 1/e-th root of the central
-    commutator."""
-    zden, e_den = desc.e.numerator, desc.e.denominator
-    zden_bits = zden.bit_length()
-    i = j = z = 0
-    for name, exp in w.syllables:
-        if name == "t":
-            i += exp
-        elif name == "u":
-            z += i * exp * zden
-            j += exp
-        elif name == "a":
-            z -= exp * e_den
-        else:
-            raise KeyError(name)
-        # i and j are integers, of size bit_length + 1 as fractions
-        ij_bits = i.bit_length() + j.bit_length() + 2
-        if ij_bits + z.bit_length() + zden_bits > max_bits:
-            if ij_bits + _fraction_bits(z, zden) > max_bits:
-                raise _over_budget()
-    return i, j, z
-
-
-def _meta_value(desc: MetabelianH31, w: Word, max_bits: int) -> _Value:
-    gens = _meta_gens(desc)
-    if gens is None:
-        return _heisenberg(desc, w, max_bits), ()
-    sums = (w.exponent_sum("t"), w.exponent_sum("u"))
-    return sums, (_aff1_word(gens, w, max_bits),)
-
-
-# --- LatticeByZ --------------------------------------------------------------
-
-# [[a, b], [c, d]] / s as (a, b, c, d, s)
-_Mat = tuple[int, int, int, int, int]
-
-
-def _mat_mul(m1: _Mat, m2: _Mat) -> _Mat:
-    a1, b1, c1, d1, s1 = m1
-    a2, b2, c2, d2, s2 = m2
-    return (
-        a1 * a2 + b1 * c2,
-        a1 * b2 + b1 * d2,
-        c1 * a2 + d1 * c2,
-        c1 * b2 + d1 * d2,
-        s1 * s2,
-    )
-
-
-@lru_cache(maxsize=_POW_CACHE)
-def _mat_pow(mat: _Mat, k: int) -> _Mat:
-    a, b, c, d, s = mat
-    if k < 0:
-        # (A / s)^-1 = s adj(A) / det(A)
-        mat, k = (s * d, -s * b, -s * c, s * a, a * d - b * c), -k
-    return _power(_mat_mul, (1, 0, 0, 1, 1), mat, k)
-
-
-@lru_cache(maxsize=_GEN_CACHE)
-def _lattice_gens(desc: LatticeByZ) -> tuple[_Mat, int]:
-    """The acting matrix over its entries' common denominator, and the
-    largest size of an entry."""
-    entries = desc.matrix.entries()
-    s = lcm(*(x.denominator for x in entries))
-    a, b, c, d = (x.numerator * (s // x.denominator) for x in entries)
-    bits = max(_fraction_bits(x.numerator, x.denominator) for x in entries)
-    return (a, b, c, d, s), max(bits, 1)
-
-
-def _lattice_value(desc: LatticeByZ, w: Word, max_bits: int) -> _Value:
-    # the linear part of any product is a power of the acting matrix, so
-    # the value is one exponent and one translation vector
-    mat, mat_bits = _lattice_gens(desc)
-    k, x, y, s = 0, 0, 0, 1
-    power: _Mat | None = (1, 0, 0, 1, 1)
-    for name, exp in w.syllables:
-        if name == "t":
-            k += exp
-            if abs(k) * mat_bits > max_bits:
-                raise _over_budget()
-            power = None
-            continue
-        if name not in ("a", "b"):
-            raise KeyError(name)
-        if power is None:
-            power = _mat_pow(mat, k)
-        pa, pb, pc, pd, ps = power
-        # M^k applied to exp times the first or the second basis vector
-        sx, sy = (pa * exp, pc * exp) if name == "a" else (pb * exp, pd * exp)
-        x, y, s = x * ps + sx * s, y * ps + sy * s, s * ps
-        if x.bit_length() + y.bit_length() + 2 * s.bit_length() > max_bits:
-            (x, y), s = _reduced((x, y), s, max_bits)
-    return k, ((x, y, s),)
-
-
-# --- AffineQ2 ----------------------------------------------------------------
+# --- two-dimensional affine maps ---------------------------------------------
 
 # v -> ([[a, b], [c, d]] v + (x, y)) / s as (a, b, c, d, x, y, s)
 _Aff6 = tuple[int, int, int, int, int, int, int]
+# a map, and the largest size of its reduced coefficients, which bounds the
+# pre-check of its powers
+_Aff6Gen = tuple[_Aff6, int]
+_AFF6_ID = (1, 0, 0, 1, 0, 0, 1)
+
+
+def _aff6_gen(a: int, b: int, c: int, d: int, x: int, y: int, s: int) -> _Aff6Gen:
+    bits = max(_fraction_bits(v, s) for v in (a, b, c, d, x, y))
+    return (a, b, c, d, x, y, s), max(bits, 1)
 
 
 def _aff6_mul(f: _Aff6, g: _Aff6) -> _Aff6:
@@ -332,27 +210,23 @@ def _aff6_mul(f: _Aff6, g: _Aff6) -> _Aff6:
 
 @lru_cache(maxsize=_POW_CACHE)
 def _aff6_pow(f: _Aff6, k: int) -> _Aff6:
+    """f composed with itself k times, by repeated squaring."""
     if k < 0:
         # (A v + t) / s inverts to (s adj(A) w - adj(A) t) / det(A)
         a, b, c, d, x, y, s = f
         f, k = (s * d, -s * b, -s * c, s * a, b * y - d * x, c * x - a * y, a * d - b * c), -k
-    return _power(_aff6_mul, (1, 0, 0, 1, 0, 0, 1), f, k)
+    out = _AFF6_ID
+    while k:
+        if k & 1:
+            out = _aff6_mul(out, f)
+        k >>= 1
+        if k:
+            f = _aff6_mul(f, f)
+    return out
 
 
-@lru_cache(maxsize=_GEN_CACHE)
-def _affine_gens(desc: AffineQ2) -> dict[str, tuple[_Aff6, int]]:
-    """Each generator, and the largest size of its reduced coefficients."""
-    gens = {}
-    for name, f in desc.generators:
-        den, a, b, c, d, x, y = f
-        bits = max(_fraction_bits(v, den) for v in (a, b, c, d, x, y))
-        gens[name] = ((a, b, c, d, x, y, den), max(bits, 1))
-    return gens
-
-
-def _affine_value(desc: AffineQ2, w: Word, max_bits: int) -> _Value:
-    gens = _affine_gens(desc)
-    a, b, c, d, x, y, s = 1, 0, 0, 1, 0, 0, 1
+def _aff6_word(gens: dict[str, _Aff6Gen], w: Word, max_bits: int) -> _Aff6:
+    a, b, c, d, x, y, s = _AFF6_ID
     for name, exp in w.syllables:
         g, bits = gens[name]
         if abs(exp) * bits > max_bits:
@@ -366,7 +240,94 @@ def _affine_value(desc: AffineQ2, w: Word, max_bits: int) -> _Value:
         )
         if size > max_bits:
             (a, b, c, d, x, y), s = _reduced((a, b, c, d, x, y), s, max_bits)
-    return (), ((a, b, c, d, x, y, s),)
+    return a, b, c, d, x, y, s
+
+
+@lru_cache(maxsize=_GEN_CACHE)
+def _affine_gens(desc: AffineQ2) -> dict[str, _Aff6Gen]:
+    return {
+        name: _aff6_gen(a, b, c, d, x, y, den) for name, (den, a, b, c, d, x, y) in desc.generators
+    }
+
+
+def _affine_value(desc: AffineQ2, w: Word, max_bits: int) -> _Value:
+    return (), (_aff6_word(_affine_gens(desc), w, max_bits),)
+
+
+# --- MetabelianH31 -----------------------------------------------------------
+
+
+@lru_cache(maxsize=_GEN_CACHE)
+def _meta_gens(desc: MetabelianH31) -> tuple[Callable, dict]:
+    """The word loop and the generators it reads: 1-D maps, or 2-D maps in
+    the Heisenberg case r1 = r2 = 1 and e != 0.  r1 = n / m is 1 exactly
+    when n == m, as m and n are coprime; so for r2."""
+    m, n, p, q = desc.m, desc.n, desc.p, desc.q
+    en, ed = desc.e.numerator, desc.e.denominator
+    if n == m and q == p and en:
+        # the triple (i, j, z) acts as (x, y) -> (x + i y + z, y + j): t is
+        # (1, 0, 0), u is (0, 1, 0) and a is (0, 0, -1/e), the 1/e-th root
+        # of the central commutator
+        z = abs(en)
+        return _aff6_word, {
+            "t": _aff6_gen(1, 1, 0, 1, 0, 0, 1),
+            "u": _aff6_gen(1, 0, 0, 1, 0, 1, 1),
+            "a": _aff6_gen(z, 0, 0, z, -ed if en > 0 else ed, 0, z),
+        }
+    t_off = u_off = (0, 1)
+    if q != p:
+        # tau = r1 e / (r2 - 1)
+        t_off = (n * en * p, m * ed * (q - p))
+    elif n != m:
+        # upsilon = r1 e / (1 - r1)
+        u_off = (n * en, ed * (m - n))
+    return _aff1_word, {"a": _SHIFT, "t": _aff1_gen(n, m, *t_off), "u": _aff1_gen(q, p, *u_off)}
+
+
+def _meta_value(desc: MetabelianH31, w: Word, max_bits: int) -> _Value:
+    # in the Heisenberg case the sums are the map's entries i and j
+    word, gens = _meta_gens(desc)
+    sums = (w.exponent_sum("t"), w.exponent_sum("u"))
+    return sums, (word(gens, w, max_bits),)
+
+
+# --- LatticeByZ --------------------------------------------------------------
+
+
+@lru_cache(maxsize=_GEN_CACHE)
+def _lattice_gens(desc: LatticeByZ) -> _Aff6Gen:
+    """The acting matrix as a translation-free map over its entries' common
+    denominator."""
+    entries = desc.matrix.entries()
+    s = lcm(*(x.denominator for x in entries))
+    a, b, c, d = (x.numerator * (s // x.denominator) for x in entries)
+    return _aff6_gen(a, b, c, d, 0, 0, s)
+
+
+def _lattice_value(desc: LatticeByZ, w: Word, max_bits: int) -> _Value:
+    # the linear part of any product is a power of the acting matrix, so
+    # the value is one exponent and one translation vector
+    mat, mat_bits = _lattice_gens(desc)
+    k, x, y, s = 0, 0, 0, 1
+    power: _Aff6 | None = _AFF6_ID
+    for name, exp in w.syllables:
+        if name == "t":
+            k += exp
+            if abs(k) * mat_bits > max_bits:
+                raise _over_budget()
+            power = None
+            continue
+        if name not in ("a", "b"):
+            raise KeyError(name)
+        if power is None:
+            power = _aff6_pow(mat, k)
+        pa, pb, pc, pd, _, _, ps = power
+        # M^k applied to exp times the first or the second basis vector
+        sx, sy = (pa * exp, pc * exp) if name == "a" else (pb * exp, pd * exp)
+        x, y, s = x * ps + sx * s, y * ps + sy * s, s * ps
+        if x.bit_length() + y.bit_length() + 2 * s.bit_length() > max_bits:
+            (x, y), s = _reduced((x, y), s, max_bits)
+    return k, ((x, y, s),)
 
 
 # --- RankOneQ ----------------------------------------------------------------
