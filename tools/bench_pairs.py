@@ -10,10 +10,19 @@ bytecode or results that an earlier run left behind.  Pair i of a workload
 runs both sides at seed first_seed + i; the parent runs first in even pairs
 and the change in odd ones.  The output has the shape of BENCH_13.json plus
 a ``summary``: per workload and end-to-end metric, each side's median and
-quartiles, and the pairs the change won (ties count for neither side), and
-per workload each side's total of failed operations.  The claim holds
-(`claim_holds`) when the change wins at least nine tenths of the claimed
-workload's pairs, the medians differ by more than the parent's
+quartiles, the pairs the change won (ties count for neither side) and a
+``verdict``, and per workload each side's total of failed operations.
+
+The verdict (`verdict`) reads the metric's relative ``bound`` in
+BENCHMARK.json and is, checked in order: "ok" when every change run beats
+every parent run; "unresolved" when the parent's interquartile range is
+more than the bound times its median; "worse" when the change's median is
+worse than the parent's by more than the bound times the parent's median;
+else "ok".  Every metric that is not "ok" is printed on stderr.
+
+``--claim`` is optional; without it the report's ``claimed`` is null.  A
+claim holds (`claim_holds`) when the change wins at least nine tenths of
+the claimed workload's pairs, the medians differ by more than the parent's
 interquartile range, and no more operations fail at the change than at the
 parent.  Standard library only.
 """
@@ -68,18 +77,34 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> dict:
-    """Per metric: each side's median and quartiles, and the change's wins;
-    under "failed", each side's total of failed operations."""
+def verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
+    """"ok", "unresolved" or "worse" for one metric's runs; see the module
+    docstring."""
+    sign = 1 if better == "higher" else -1
+    if min(sign * c for c in change) > max(sign * p for p in parent):
+        return "ok"
+    spread = quartiles(parent)
+    limit = bound * abs(spread["median"])
+    if spread["q3"] - spread["q1"] > limit:
+        return "unresolved"
+    if sign * (statistics.median(change) - spread["median"]) < -limit:
+        return "worse"
+    return "ok"
+
+
+def summarize(runs: list[dict], metrics: dict[str, dict]) -> dict:
+    """Per metric, given as BENCHMARK.json's entry with its "better" and
+    "bound": each side's median and quartiles, the change's wins and the
+    verdict; under "failed", each side's total of failed operations."""
     out: dict = {"failed": {"parent": 0, "change": 0}}
     for run in runs:
         out["failed"][run["side"]] += run["result"]["failed"]
-    for metric, direction in better.items():
+    for metric, spec in metrics.items():
         by_pair: dict[int, dict[str, float]] = {}
         for run in runs:
             value = run["result"]["metrics"][metric]["value"]
             by_pair.setdefault(run["pair"], {})[run["side"]] = value
-        sign = 1 if direction == "higher" else -1
+        sign = 1 if spec["better"] == "higher" else -1
         parent = [p["parent"] for p in by_pair.values()]
         change = [p["change"] for p in by_pair.values()]
         out[metric] = {
@@ -87,6 +112,7 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
             "change": quartiles(change),
             "change_wins": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
             "pairs": len(by_pair),
+            "verdict": verdict(parent, change, spec["better"], spec["bound"]),
         }
     return out
 
@@ -108,7 +134,8 @@ def main() -> int:
     parser.add_argument("--change", required=True, help="revision measured as the change")
     parser.add_argument("--number", type=int, required=True, help="writes BENCH_<number>.json")
     parser.add_argument("--workloads", nargs="+", required=True, metavar="NAME=PAIRS")
-    parser.add_argument("--claim", nargs=2, required=True, metavar=("WORKLOAD", "METRIC"))
+    parser.add_argument("--claim", nargs=2, metavar=("WORKLOAD", "METRIC"),
+                        help="the gain to test; omitted when the change claims none")
     parser.add_argument("--first-seed", type=int, required=True)
     parser.add_argument("--scratch", help="directory for the extracted trees")
     args = parser.parse_args()
@@ -119,14 +146,14 @@ def main() -> int:
         if not pairs.isdigit() or int(pairs) < 1:
             parser.error(f"--workloads entry {item!r} is not NAME=PAIRS")
         plan[name] = int(pairs)
-    claimed_workload, claimed_metric = args.claim
-    if claimed_workload not in plan:
-        parser.error(f"the claimed workload {claimed_workload!r} is not in --workloads")
-
     end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    better = {m["name"]: m["better"] for m in end_to_end}
-    if claimed_metric not in better:
-        parser.error(f"{claimed_metric!r} is not an end-to-end metric of BENCHMARK.json")
+    metrics = {m["name"]: m for m in end_to_end}
+    if args.claim:
+        claimed_workload, claimed_metric = args.claim
+        if claimed_workload not in plan:
+            parser.error(f"the claimed workload {claimed_workload!r} is not in --workloads")
+        if claimed_metric not in metrics:
+            parser.error(f"{claimed_metric!r} is not an end-to-end metric of BENCHMARK.json")
     commits = {side: git("rev-parse", "--short", rev) for side, rev in
                (("parent", args.parent), ("change", args.change))}
     tars = {side: archive(commit) for side, commit in commits.items()}
@@ -144,8 +171,16 @@ def main() -> int:
                 print(f"{workload} pair {pair} seed {seed} {side}: {ops:.1f} ops/s, "
                       f"failed {result['failed']}", file=sys.stderr, flush=True)
 
-    summary = {workload: summarize(rs, better) for workload, rs in runs.items()}
-    holds = claim_holds(summary[claimed_workload], claimed_metric)
+    summary = {workload: summarize(rs, metrics) for workload, rs in runs.items()}
+    claimed = None
+    if args.claim:
+        claimed = {
+            "workload": claimed_workload,
+            "metric": claimed_metric,
+            "pairs": plan[claimed_workload],
+            "seeds": f"{args.first_seed}-{args.first_seed + plan[claimed_workload] - 1}",
+            "holds": claim_holds(summary[claimed_workload], claimed_metric),
+        }
     report = {
         "change": git("log", "-1", "--format=%s", args.change),
         "parent_commit": commits["parent"],
@@ -160,19 +195,21 @@ def main() -> int:
             f"{SECONDS} --trace 0, each run in a fresh git archive of its "
             "commit, alternating which side runs first"
         ),
-        "claimed": {
-            "workload": claimed_workload,
-            "metric": claimed_metric,
-            "pairs": plan[claimed_workload],
-            "seeds": f"{args.first_seed}-{args.first_seed + plan[claimed_workload] - 1}",
-            "holds": holds,
-        },
+        "claimed": claimed,
         "summary": summary,
         "runs": runs,
     }
     out = ROOT / f"BENCH_{args.number}.json"
     out.write_text(json.dumps(report, indent=1) + "\n")
-    print(f"wrote {out.name}; claim {'holds' if holds else 'does not hold'}", file=sys.stderr)
+    for workload, by_metric in summary.items():
+        for metric in metrics:
+            if by_metric[metric]["verdict"] != "ok":
+                print(f"{workload} {metric}: {by_metric[metric]['verdict']}", file=sys.stderr)
+    if claimed is None:
+        print(f"wrote {out.name}; no claim", file=sys.stderr)
+    else:
+        print(f"wrote {out.name}; claim {'holds' if claimed['holds'] else 'does not hold'}",
+              file=sys.stderr)
     return 0
 
 
