@@ -205,11 +205,9 @@ def main() -> int:
         for metric in metrics:
             if by_metric[metric]["verdict"] != "ok":
                 print(f"{workload} {metric}: {by_metric[metric]['verdict']}", file=sys.stderr)
-    if claimed is None:
-        print(f"wrote {out.name}; no claim", file=sys.stderr)
-    else:
-        print(f"wrote {out.name}; claim {'holds' if claimed['holds'] else 'does not hold'}",
-              file=sys.stderr)
+    outcome = "no claim" if claimed is None else (
+        f"claim {'holds' if claimed['holds'] else 'does not hold'}")
+    print(f"wrote {out.name}; {outcome}", file=sys.stderr)
     return 0
 
 
