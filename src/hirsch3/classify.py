@@ -42,7 +42,7 @@ import heapq
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from math import gcd, isqrt, prod
-from typing import Any, Callable, Optional, Sequence, Union
+from typing import Any, Callable, Iterator, Optional, Sequence, Union
 
 from . import InputError
 from .families import (
@@ -60,6 +60,7 @@ from .families import (
     affine_linear,
     affine_map,
     affine_translation,
+    family_of,
     meta_of_word,
 )
 from .rationals import (
@@ -412,30 +413,39 @@ def _linear_closure(mats: Sequence[Mat2Q]) -> Optional[set[Mat2Q]]:
     return {affine_linear(g) for g in closure}
 
 
-def _translation_rank(desc: AffineQ2, linear: tuple[Mat2Q, ...]) -> int:
-    """Rank of the translation subgroup T of G, read off the generators.
+def _translation_seeds(desc: AffineQ2) -> Iterator[tuple]:
+    """Translations whose normal closure is the translation subgroup T of G,
+    lazily, so a caller can stop at the first that decides.
 
-    `linear`, the distinct non-identity linear parts, must present the linear
-    image L with no relators but r^2 for its reflections r.  Let s_A be the
-    first generator with linear part A, s_I the identity, and N the normal
-    closure of the translations g s_A^-1 (A the linear part of g) and s_A^2
-    (A a reflection).  The presented group maps onto G/N, which maps onto L;
-    the composite is an isomorphism, so N = T.  Conjugation by g applies g's
-    linear part to a translation, so span(T) is the smallest `linear`-stable
-    subspace holding those vectors.  A translation's integers (x, y) point
-    along its vector (x, y) / den, so directions are compared on integers.
+    With s_A the first generator with linear part A and s_I the identity,
+    they are each g s_A^-1 (A the linear part of g) and s_A^2 (A a
+    reflection).  If the distinct linear parts present the linear image L
+    with no relators but r^2 for its reflections r, the presented group maps
+    onto G/N, N the seeds' normal closure, which maps onto L; the composite
+    is an isomorphism, so N = T.
     """
     inverses: dict[Mat2Q, tuple] = {Mat2Q.identity(): AFFINE_IDENTITY}
-    first: Optional[tuple[int, int]] = None
     for _, g in desc.generators:
         lin = affine_linear(g)
         if lin in inverses:
-            seed = affine_compose(g, inverses[lin])
+            yield affine_compose(g, inverses[lin])
         else:
             inverses[lin] = affine_inverse(g)
-            if not lin.is_reflection():
-                continue
-            seed = affine_compose(g, g)
+            if lin.is_reflection():
+                yield affine_compose(g, g)
+
+
+def _translation_rank(seeds: Iterator[tuple], linear: tuple[Mat2Q, ...]) -> int:
+    """Rank of T, read off its `seeds`; `linear` are the distinct
+    non-identity linear parts.
+
+    Conjugation by g applies g's linear part to a translation, so span(T)
+    is the smallest `linear`-stable subspace holding the seeds' vectors.  A
+    translation's integers (x, y) point along its vector (x, y) / den, so
+    directions are compared on integers.
+    """
+    first: Optional[tuple[int, int]] = None
+    for seed in seeds:
         x, y = seed[5:]
         if first is None and (x, y) != (0, 0):
             first = (x, y)
@@ -448,30 +458,26 @@ def _translation_rank(desc: AffineQ2, linear: tuple[Mat2Q, ...]) -> int:
     return 2 if moved else 1
 
 
-def _has_involution(desc: AffineQ2, reflection: Mat2Q) -> bool:
+def _has_involution(desc: AffineQ2, reflection: Mat2Q, seeds: Iterator[tuple]) -> bool:
     """Whether G, whose linear image is {I, A} for the reflection A, holds
-    an involution.
+    an involution; `seeds` are the translation seeds of G.
 
     With s = (A, v) the first generator over A, the elements over A are
     (A, v + t) for t in the translation subgroup T, and (A, w)^2 =
     (I, (I + A) w); so an involution exists exactly when (I + A) v lies in
-    (I + A) T.  T is spanned by s^2, each g s^-1 (g over A), the translation
-    generators and their images under A, and (I + A) A = I + A, so (I + A) T
-    is the cyclic subgroup of A's fixed line spanned by (I + A) t over the
-    first three.  Membership is compared on one coordinate that is nonzero
-    on that line.
+    (I + A) T.  T is spanned by the seeds and their images under A, and
+    (I + A) A = I + A, so (I + A) T is the cyclic subgroup of A's fixed line
+    spanned by (I + A) t over the seeds.  Membership is compared on one
+    coordinate that is nonzero on that line.
     """
     row = (1 + reflection.a, reflection.b)
     if row == (0, 0):
         row = (reflection.c, 1 + reflection.d)
     v = next(affine_translation(g) for _, g in desc.generators if affine_linear(g) == reflection)
     target = row[0] * v[0] + row[1] * v[1]
-    step = 2 * target  # from s^2 = (I, (I + A) v)
-    for _, g in desc.generators:
-        x, y = affine_translation(g)
-        if affine_linear(g) == reflection:
-            x, y = x - v[0], y - v[1]  # g s^-1 = (I, w - v) for g = (A, w)
-        c = row[0] * x + row[1] * y
+    step = F(0)
+    for seed in seeds:
+        c = (row[0] * seed[5] + row[1] * seed[6]) / seed[0]
         step = F(gcd(step.numerator * c.denominator, c.numerator * step.denominator),
                  step.denominator * c.denominator)
     return target == 0 or (target / step).denominator == 1
@@ -508,7 +514,7 @@ def _analyze_affine(desc: AffineQ2) -> _AffineData:
         composite = distinct[0] * distinct[1]
     else:
         raise ClassifyError("affine descriptor has an unsupported linear image shape")
-    rank_t = _translation_rank(desc, distinct)
+    rank_t = _translation_rank(_translation_seeds(desc), distinct)
     if image in ("cyclic", "dinfty") and rank_t == 1:
         raise ClassifyError(
             "affine descriptor with rank-one translation part is not supported"
@@ -519,7 +525,7 @@ def _analyze_affine(desc: AffineQ2) -> _AffineData:
         raise ClassifyError(
             "affine descriptor with finite nontrivial image needs translation rank 2"
         )
-    if image == "finite" and _has_involution(desc, distinct[0]):
+    if image == "finite" and _has_involution(desc, distinct[0], _translation_seeds(desc)):
         raise ClassifyError("affine descriptor presents a group with torsion")
     return _AffineData(rank_t, image, composite, abelian, distinct)
 
@@ -864,11 +870,8 @@ _INVARIANTS: dict[type, Callable[[Any], ClassificationReport]] = {
 def classify(desc: GroupDescriptor) -> ClassificationReport:
     """The family's report on the group.  Read its fields; the public steps
     below remain only for the benchmark's tracer."""
-    try:
-        family = _INVARIANTS[type(desc)]
-    except KeyError:
-        raise TypeError(f"unknown descriptor {desc!r}") from None
-    return family(desc)
+    family_of(desc)  # refuses an unknown descriptor
+    return _INVARIANTS[type(desc)](desc)
 
 
 def _at_hirsch_three(desc: GroupDescriptor, what: str) -> ClassificationReport:

@@ -133,19 +133,3 @@ def fixture_named(name: str) -> DescriptorFile:
             return fixture
     known = ", ".join(f.name for f in FIXTURES)
     raise InputError(f"unknown fixture {name!r}; known fixtures: {known}")
-
-
-def corrupted_d_infty() -> DescriptorFile:
-    """Negative control: the u glide translation is perturbed, so the
-    relator v^2 = u^2 y fails while the linear parts stay intact."""
-    base = _d_infty_amalgam()
-    broken_u = affine_map(Mat2Q.of(1, 0, 0, -1), (F(1, 3), F(0)))
-    gens = tuple(
-        (name, broken_u if name == "u" else g) for name, g in base.generators
-    )
-    return DescriptorFile(
-        AffineQ2(gens),
-        "corrupted_d_infty",
-        "negative control: perturbed glide translation breaks a relator",
-        parse_presentation(_D_INFTY_PRESENTATION),
-    )

@@ -379,10 +379,8 @@ def oracle_word_eq(
     Raises VerifyResourceError when intermediate values outgrow max_bits,
     which is a resource verdict, not an inequality verdict.
     """
-    try:
-        value = _ORACLES[type(desc)]
-    except KeyError:
-        raise TypeError(f"unknown descriptor {desc!r}") from None
+    family_of(desc)  # refuses an unknown descriptor
+    value = _ORACLES[type(desc)]
     key1, maps1 = value(desc, w1, max_bits)
     key2, maps2 = value(desc, w2, max_bits)
     return key1 == key2 and all(map(_proportional, maps1, maps2))

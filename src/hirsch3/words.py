@@ -68,8 +68,8 @@ def _reduced(pairs: Iterable[Syllable]) -> tuple[Syllable, ...]:
 
 
 def _joined(words: Iterable["Word"]) -> "Word":
-    """The product of reduced words, reduced at each seam as in
-    `Word.__mul__` but kept in one list, so it is linear in the total."""
+    """The product of reduced words, each joined to the product so far at
+    its seam in one list, so it is linear in the total."""
     out: list[Syllable] = []
     for w in words:
         syl = w.syllables
@@ -112,14 +112,7 @@ class Word:
         return not self.syllables
 
     def __mul__(self, other: "Word") -> "Word":
-        left, right = self.syllables, other.syllables
-        i, j = len(left), 0
-        while i and j < len(right) and left[i - 1][0] == right[j][0]:
-            exp = left[i - 1][1] + right[j][1]
-            if exp:
-                return Word(left[: i - 1] + ((right[j][0], exp),) + right[j + 1 :])
-            i, j = i - 1, j + 1
-        return Word(left[:i] + right[j:])
+        return _joined((self, other))
 
     def inv(self) -> "Word":
         return Word(tuple((g, -e) for g, e in reversed(self.syllables)))

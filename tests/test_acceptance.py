@@ -25,7 +25,7 @@ from hirsch3.families import (
     affine_linear,
     ops_for,
 )
-from hirsch3.fixtures import FIXTURES, corrupted_d_infty, fixture_named
+from hirsch3.fixtures import FIXTURES, fixture_named
 from hirsch3.rationals import Mat2Q, conjugate_to_integral
 from hirsch3.simplify import StandardForm, standardize
 from hirsch3.verify import (
@@ -39,7 +39,7 @@ from hirsch3.verify import (
 )
 from test_rationals import integralize
 from test_simplifier import expand_obfuscated, exponent_law
-from test_verifier import claiming_radical_hirsch
+from test_verifier import CORRUPTED_D_INFTY, claiming_radical_hirsch
 
 F = Fraction
 GOLDEN = Path(__file__).parent / "golden"
@@ -262,7 +262,7 @@ def test_criterion_8_fixture_certification():
     assert not conjugate_to_integral(composite)
     assert not conjugate_to_integral(composite.inverse())
 
-    corrupted = corrupted_d_infty()
+    corrupted = CORRUPTED_D_INFTY
     relations = check_relations(corrupted.descriptor, corrupted.presentation)
     assert not relations.passed
     claim = claiming_radical_hirsch(BSbar(1, 1), 1)

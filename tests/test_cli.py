@@ -28,8 +28,9 @@ from hirsch3.families import (
     affine_map,
     ops_for,
 )
-from hirsch3.fixtures import FIXTURES, corrupted_d_infty, fixture_named
+from hirsch3.fixtures import FIXTURES, fixture_named
 from hirsch3.rationals import Mat2Q
+from test_verifier import CORRUPTED_D_INFTY
 
 F = Fraction
 # sha256 and exit code of each seed-0 and seed-1 verify report: a fixed seed
@@ -634,7 +635,7 @@ class TestVerifyCommand:
         assert data["report"]["passed"] is True
 
     def test_corrupted_fixture_fails_with_exit_four(self, capsys, tmp_path):
-        bad = corrupted_d_infty()
+        bad = CORRUPTED_D_INFTY
         path = tmp_path / "corrupted.toml"
         path.write_text(
             cli.serialize_descriptor_file(
@@ -872,7 +873,7 @@ class TestVerifyCommand:
         ids=[name if seed == 0 else f"seed{seed}-{name}" for seed, name in DIGEST_CASES],
     )
     def test_seed_zero_report_matches_recorded_digest(self, capsys, tmp_path, seed, name):
-        fixture = corrupted_d_infty() if name == "corrupted_d_infty" else fixture_named(name)
+        fixture = CORRUPTED_D_INFTY if name == "corrupted_d_infty" else fixture_named(name)
         path = tmp_path / f"{name}.toml"
         path.write_text(cli.serialize_descriptor_file(fixture))
         code, out, _ = run(capsys, "verify", str(path), "--seed", str(seed))
@@ -942,6 +943,13 @@ class TestExamplesCommand:
     def test_emit_requires_name(self, capsys, tmp_path):
         code, _, err = run(capsys, "examples", "emit", "--dir", str(tmp_path))
         assert code == 2
+
+    @pytest.mark.parametrize("name", [f.name for f in FIXTURES])
+    def test_emit_writes_the_benchmark_fixture_file(self, tmp_path, name):
+        # the benchmark, the golden verify digests and perfbench/reference.json
+        # read these files, so they must stay what the fixtures emit
+        shipped = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures" / f"{name}.toml"
+        assert emit(tmp_path, name).read_bytes() == shipped.read_bytes()
 
 
 class TestElementRendering:

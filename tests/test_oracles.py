@@ -408,6 +408,21 @@ def test_oracle_agrees_with_fraction_reference(family, monkeypatch):
     assert EXPECTED.get(family, EVERY_OUTCOME) <= set(seen), seen
 
 
+# affine descriptors have no defining relators of their own
+@pytest.mark.parametrize("family", sorted(set(DESCRIPTORS) - {"affine_q2"}))
+def test_defining_relators_are_one_in_both_evaluators(family):
+    # most relator-laced pairs above stop on a small budget before a
+    # verdict, so a wrong generator in one evaluator could pass there
+    @settings(max_examples=25, derandomize=True, deadline=None, database=None)
+    @given(DESCRIPTORS[family])
+    def check(desc):
+        for label, relator in family_of(desc).relations(desc):
+            assert oracle_word_eq(desc, relator, Word()), (desc, label)
+            assert reference_word_eq(desc, relator, Word(), oracles._DEFAULT_MAX_BITS), (desc, label)
+
+    check()
+
+
 # --- the Klein-bottle coset enumeration ---------------------------------------------
 
 

@@ -63,7 +63,7 @@ from hirsch3.families import (  # noqa: E402
     int_bits,
     ops_for,
 )
-from hirsch3.fixtures import FIXTURES, corrupted_d_infty  # noqa: E402
+from hirsch3.fixtures import FIXTURES  # noqa: E402
 from hirsch3.rationals import (  # noqa: E402
     Mat2Q,
     complement_vector,
@@ -91,6 +91,7 @@ from hirsch3.words import Presentation, Word, commutator, format_word, parse_tre
 from test_classifier import random_descriptor  # noqa: E402
 from test_families import BS1nAut, bs1n_ext_to_meta, mat_apply  # noqa: E402
 from test_simplifier import atom_product_word, comm_ut, exponent_law, pres_with  # noqa: E402
+from test_verifier import CORRUPTED_D_INFTY  # noqa: E402
 
 F = Fraction
 
@@ -584,7 +585,8 @@ def test_translation_rank_closes_under_the_linear_parts(linear, rank):
         )
     )
     assert {y for _, y in _ref_pure_translations(desc, depth=2)} == {0}
-    assert classify_module._translation_rank(desc, (linear,)) == rank
+    seeds = classify_module._translation_seeds(desc)
+    assert classify_module._translation_rank(seeds, (linear,)) == rank
     assert _ref_translation_rank(desc) == rank
 
 
@@ -598,7 +600,8 @@ def test_translation_rank_counts_a_reflection_square():
             ("g", affine_map(glide, (F(0), F(1)))),
         )
     )
-    assert classify_module._translation_rank(desc, (glide,)) == 2
+    seeds = classify_module._translation_seeds(desc)
+    assert classify_module._translation_rank(seeds, (glide,)) == 2
     assert _ref_translation_rank(desc) == 2
 
 
@@ -1082,7 +1085,7 @@ def test_commutator_exponent_is_the_table_total_over_n(tpair, upair, atoms):
 
 # --- the command line on mutated fixture files ------------------------------------------
 
-_FUZZ_FILES = (*FIXTURES, corrupted_d_infty())
+_FUZZ_FILES = (*FIXTURES, CORRUPTED_D_INFTY)
 # what replaces one value of a fixture file: degenerate, malformed, overlong,
 # 64-bit and just past each power-of-two size class
 _FUZZ_VALUES = (

@@ -6,11 +6,13 @@ import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import hirsch3.verify as verify_module
 from hirsch3.classify import classify
+from hirsch3.cli import load_descriptor_file
 from hirsch3.families import (
     FAMILIES,
     AffineQ2,
@@ -24,7 +26,7 @@ from hirsch3.families import (
     is_unipotent,
     ops_for,
 )
-from hirsch3.fixtures import FIXTURES, corrupted_d_infty, fixture_named
+from hirsch3.fixtures import FIXTURES, fixture_named
 from hirsch3.rationals import Mat2Q, mult_rank
 from hirsch3.verify import (
     _CANDIDATE_CAP,
@@ -53,6 +55,11 @@ from hirsch3.words import Word, parse_word
 F = Fraction
 
 CFG = TrialConfig(seed=11, trials=60)
+# the negative control: d_infty_amalgam with u's glide translation moved from
+# 1/2 to 1/3, so the relator v^2 = u^2 y fails while the linear parts hold
+CORRUPTED_D_INFTY = load_descriptor_file(
+    Path(__file__).resolve().parent.parent / "perfbench" / "fixtures" / "corrupted_d_infty.toml"
+)
 
 
 def failing(report) -> list[CheckResult]:
@@ -102,7 +109,7 @@ class TestDefiningRelations:
             assert result.passed, (fixture.name, result.counterexample)
 
     def test_corrupted_fixture_fails_with_offending_relator(self):
-        bad = corrupted_d_infty()
+        bad = CORRUPTED_D_INFTY
         result = check_relations(bad.descriptor, bad.presentation)
         assert not result.passed
         assert result.counterexample is not None
@@ -252,7 +259,7 @@ class TestCommutatorDepth:
     @pytest.mark.parametrize("depth", [1, 2, 3])
     @pytest.mark.parametrize(
         "fixture",
-        FIXTURES + (corrupted_d_infty(),),
+        FIXTURES + (CORRUPTED_D_INFTY,),
         ids=[f.name for f in FIXTURES] + ["corrupted_d_infty"],
     )
     def test_element_search_matches_word_level_search(self, fixture, depth):

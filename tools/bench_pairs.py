@@ -30,6 +30,7 @@ parent.  Standard library only.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
 import os
@@ -40,6 +41,7 @@ import sys
 import tarfile
 import tempfile
 from pathlib import Path
+from typing import Iterator
 
 ROOT = Path(__file__).resolve().parent.parent
 SECONDS = 25  # the run length of the pair protocol
@@ -57,11 +59,18 @@ def archive(commit: str) -> bytes:
     ).stdout
 
 
-def run_once(tar: bytes, workload: str, seed: int, scratch: str | None) -> dict:
-    """The result object of one benchmark run in a fresh tree of `tar`."""
+@contextlib.contextmanager
+def extracted(tar: bytes, scratch: str | None) -> Iterator[str]:
+    """A fresh directory holding the archive `tar`, removed on exit."""
     with tempfile.TemporaryDirectory(dir=scratch) as tree:
         with tarfile.open(fileobj=io.BytesIO(tar)) as tf:
             tf.extractall(tree)
+        yield tree
+
+
+def run_once(tar: bytes, workload: str, seed: int, scratch: str | None) -> dict:
+    """The result object of one benchmark run in a fresh tree of `tar`."""
+    with extracted(tar, scratch) as tree:
         cmd = [
             sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0",

@@ -5,7 +5,8 @@ fixed corpus.
     python3 tools/corpus_digest.py --digest
 
 The corpus is built once, from this checkout, and is the same for both
-commits:
+commits; each entry carries its three seeded `word-eq` pairs, drawn on the
+generator names that this checkout's hirsch3 reads from the entry:
   - `random_descriptor` draws from `tests/test_classifier.py`
   - `perfbench/inputs.py` descriptors of every family (read, not changed)
   - the descriptor files under `perfbench/fixtures`
@@ -18,7 +19,7 @@ commits:
 Each commit answers it in a fresh `git archive`, in one child process whose
 hirsch3 comes from that tree: `hirsch3 classify --format json` and
 `hirsch3 verify --seed 0 --trials 5` per entry, and `hirsch3 word-eq` on
-the entry's seeded word pairs, whose output prints both normal forms; each
+the entry's word pairs, whose output prints both normal forms; each
 answer is (exit code, output without the envelope's version, error text).
 The entries that differ are printed grouped by command, family and
 exit-code transition.
@@ -26,8 +27,8 @@ exit-code transition.
 `--digest` answers the pinned slice (every other entry) with this checkout
 and prints its sha256, the value that `tests/test_corpus_digest.py` pins.
 A change that alters an answer on purpose records the new value there.
-Standard library only, apart from the `random_descriptor` draws, which
-import hirsch3 and the test suite.
+Standard library only, apart from building the corpus, which imports this
+checkout's hirsch3 and test suite.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ import os
 import random
 import subprocess
 import sys
-import tarfile
 import tempfile
 from collections import defaultdict
 from fractions import Fraction as F
@@ -56,9 +56,6 @@ HEISENBERG_E = (-3, -2, -1, 1, 2, 3)
 SLICE = slice(None, None, 2)
 EXAMPLES = 3  # entries printed per group of differences
 COMMANDS = ("classify", "verify", "word_eq")
-_FIXED_NAMES = {
-    "bsbar": "a t", "metabelian_h31": "a t u", "lattice_by_z": "a b t", "asc_hnn_kb": "x y s"
-}
 
 
 def _load(path: Path, name: str):
@@ -73,9 +70,6 @@ def _load(path: Path, name: str):
 
 
 def _random_descriptor_entries(count: int) -> list[dict]:
-    for path in (ROOT / "src", ROOT / "tests"):
-        if str(path) not in sys.path:
-            sys.path.insert(0, str(path))
     from hirsch3.cli import serialize_descriptor_file
     from hirsch3.families import DescriptorFile, family_of
     from test_classifier import random_descriptor
@@ -124,34 +118,33 @@ def _embedded_text(lattice_text: str) -> str:
     )
 
 
-def _generator_names(family: str, text: str) -> list[str]:
-    if family in _FIXED_NAMES:
-        return _FIXED_NAMES[family].split()
-    values = next(line.split("=", 1)[1].split() for line in text.splitlines()
-                  if line.startswith("generators"))
-    return values if family == "affine_q2" else [f"g{idx + 1}" for idx in range(len(values))]
-
-
-def _word(rng: random.Random, names: list[str]) -> str:
+def _word(rng: random.Random, names: tuple[str, ...]) -> str:
     if not names:  # a rank-one group with no generators
         return "1"
     letters = range(rng.randint(1, 5))
     return " ".join(f"{rng.choice(names)}^{rng.choice((-2, -1, 1, 2))}" for _ in letters)
 
 
-def _word_pairs(entry: dict) -> list[list[str]]:
+def _word_pairs(entry_id: str, names: tuple[str, ...]) -> list[list[str]]:
     """Three seeded word pairs on the entry's generators: two random words,
     a power against the same power spelled as a shorter one times its base,
     and a squared commutator against a product."""
-    rng = random.Random(f"corpus:{SEED}:word_eq:{entry['id']}")
-    names = _generator_names(entry["family"], entry["text"])
+    rng = random.Random(f"corpus:{SEED}:word_eq:{entry_id}")
     w1, w2, w3 = (_word(rng, names) for _ in range(3))
     k = rng.choice((-7, -3, 2, 5, 9))
     return [[w1, w2], [f"({w1})^{k}", f"({w1})^{k - 1} {w1}"], [f"[{w2}, {w3}]^2", f"{w3} {w2}"]]
 
 
 def corpus() -> list[dict]:
-    """Every entry as {"id", "family", "text"}, in a fixed order."""
+    """Every entry as {"id", "family", "text", "pairs"}, in a fixed order;
+    "pairs" are its `word-eq` pairs on the generator names that this
+    checkout's hirsch3 reads from the text."""
+    for path in (ROOT / "src", ROOT / "tests"):
+        if str(path) not in sys.path:
+            sys.path.insert(0, str(path))
+    from hirsch3.cli import parse_descriptor_text
+    from hirsch3.families import family_of
+
     inputs = _load(ROOT / "perfbench" / "inputs.py", "perfbench_inputs")
     out = _random_descriptor_entries(COUNTS["random_descriptor"])
     for family, make in inputs.GENERATORS.items():
@@ -173,6 +166,9 @@ def corpus() -> list[dict]:
     for idx, e in enumerate(HEISENBERG_E):
         text = f"family = metabelian_h31\nm = 1\nn = 1\np = 1\nq = 1\ne = {e}\n"
         out.append({"id": f"heisenberg/{idx}", "family": "metabelian_h31", "text": text})
+    for entry in out:
+        desc = parse_descriptor_text(entry["text"]).descriptor
+        entry["pairs"] = _word_pairs(entry["id"], family_of(desc).generator_names(desc))
     return out
 
 
@@ -212,7 +208,7 @@ def answer(entries: list[dict]) -> list[dict]:
                 "family": entry["family"],
                 "classify": _run(["classify", path, "--format", "json"]),
                 "verify": _run(["verify", path, "--seed", str(SEED), "--trials", str(TRIALS)]),
-                "word_eq": [_run(["word-eq", path, *pair]) for pair in _word_pairs(entry)],
+                "word_eq": [_run(["word-eq", path, *pair]) for pair in entry["pairs"]],
             })
     return out
 
@@ -225,12 +221,9 @@ def digest(answers: list[dict]) -> str:
 
 
 def _answers_at(commit: str, corpus_file: str, scratch: str | None) -> list[dict]:
-    tar = subprocess.run(
-        ["git", "archive", "--format=tar", commit], cwd=ROOT, check=True, capture_output=True
-    ).stdout
-    with tempfile.TemporaryDirectory(dir=scratch) as tree:
-        with tarfile.open(fileobj=io.BytesIO(tar)) as tf:
-            tf.extractall(tree)
+    from bench_pairs import archive, extracted  # tools/ is on sys.path when run as a script
+
+    with extracted(archive(commit), scratch) as tree:
         env = {**os.environ, "PYTHONPATH": str(Path(tree) / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
         cmd = [sys.executable, str(Path(__file__).resolve()), "--answer", corpus_file]
         proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
