@@ -615,8 +615,10 @@ class TestVerifierTable:
         assert set(_VERIFIERS) == set(FAMILIES)
 
     def test_unknown_descriptor_is_a_type_error(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="unknown descriptor"):
             oracle_word_eq(object(), Word.identity(), Word.identity())
+        with pytest.raises(TypeError, match="unknown descriptor"):
+            classify(object())
 
 
 class TestHarness:
