@@ -33,6 +33,7 @@ from hirsch3.rationals import Mat2Q
 from test_verifier import CORRUPTED_D_INFTY
 
 F = Fraction
+BENCH_FIXTURES = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
 # sha256 and exit code of each seed-0 and seed-1 verify report: a fixed seed
 # must keep giving byte-identical reports whatever the code underneath
 VERIFY_DIGESTS = {
@@ -634,16 +635,8 @@ class TestVerifyCommand:
         data = json.loads(out)
         assert data["report"]["passed"] is True
 
-    def test_corrupted_fixture_fails_with_exit_four(self, capsys, tmp_path):
-        bad = CORRUPTED_D_INFTY
-        path = tmp_path / "corrupted.toml"
-        path.write_text(
-            cli.serialize_descriptor_file(
-                cli.DescriptorFile(
-                    bad.descriptor, bad.name, None, bad.presentation
-                )
-            )
-        )
+    def test_corrupted_fixture_fails_with_exit_four(self, capsys):
+        path = BENCH_FIXTURES / "corrupted_d_infty.toml"
         code, out, err = run(capsys, "verify", str(path), "--trials", "25")
         assert code == 4
         assert "relations" in err
@@ -948,7 +941,7 @@ class TestExamplesCommand:
     def test_emit_writes_the_benchmark_fixture_file(self, tmp_path, name):
         # the benchmark, the golden verify digests and perfbench/reference.json
         # read these files, so they must stay what the fixtures emit
-        shipped = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures" / f"{name}.toml"
+        shipped = BENCH_FIXTURES / f"{name}.toml"
         assert emit(tmp_path, name).read_bytes() == shipped.read_bytes()
 
 
