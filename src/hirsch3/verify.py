@@ -145,12 +145,45 @@ def _child_rng(seed: int, label: str, index: int) -> random.Random:
 
 
 def random_word(rng: random.Random, names: Sequence[str], max_length: int) -> Word:
+    """The reduced product of `rng.randint(1, max_length)` letters, each a
+    generator drawn from `names` and then a sign drawn from (-1, 1), exactly
+    as `rng.choice(names)` and `rng.choice((-1, 1))` would draw them; a
+    `max_length` below 1 is a ValueError, as in `randint`.
+
+    The draws go through `rng.getrandbits` by the rule of CPython's
+    `random.Random._randbelow_with_getrandbits`, which `choice` uses: a
+    value below n takes n.bit_length() bits and is redrawn until it is
+    below n, so the sign takes 2 bits and may be redrawn too.  The words and
+    the generator's state afterwards are those of the two `choice` calls,
+    and so are the fixed-seed reports; `tests/test_verifier.py` checks the
+    rule against `random.Random` itself, and the seed-0/1 digests of
+    `tests/test_cli.py` guard it too.
+    """
     if not names:
         return Word.identity()
-    length = rng.randint(1, max_length)
-    return Word.of(
-        (rng.choice(names), rng.choice((-1, 1))) for _ in range(length)
-    )
+    if max_length < 1:
+        raise ValueError(f"max_length must be positive, not {max_length}")
+    getrandbits, n = rng.getrandbits, len(names)
+    bits = n.bit_length()
+    length = getrandbits(max_length.bit_length())
+    while length >= max_length:
+        length = getrandbits(max_length.bit_length())
+    stack: list[tuple[str, int]] = []
+    for _ in range(length + 1):
+        i = getrandbits(bits)
+        while i >= n:
+            i = getrandbits(bits)
+        sign = getrandbits(2)
+        while sign >= 2:
+            sign = getrandbits(2)
+        gen, exp = names[i], 2 * sign - 1
+        if stack and stack[-1][0] == gen:
+            exp += stack.pop()[1]
+            if exp:
+                stack.append((gen, exp))
+        else:
+            stack.append((gen, exp))
+    return Word(tuple(stack))
 
 
 def _sampled_words(cfg: TrialConfig, label: str, names: Sequence[str], count: int):
@@ -199,6 +232,18 @@ _CLOSURE_VISITS = 4000
 _CLOSURE_LETTERS = 200
 
 
+_Letters = tuple[tuple[str, int], ...]
+
+
+def _joined_letters(left: _Letters, right: _Letters) -> _Letters:
+    """left right, freely reduced, for freely reduced letter tuples: only
+    the seam cancels."""
+    i, j, n = len(left), 0, len(right)
+    while i and j < n and left[i - 1][0] == right[j][0] and left[i - 1][1] != right[j][1]:
+        i, j = i - 1, j + 1
+    return left[:i] + right[j:]
+
+
 def rewrite_closure_eq(
     relators: Sequence[Word], w1: Word, w2: Word
 ) -> Optional[bool]:
@@ -207,6 +252,10 @@ def rewrite_closure_eq(
     Returns True when the two closures meet, None when the letter, length
     or node budget is exhausted first.  Never returns False: within a
     bounded window a failure to meet proves nothing.
+
+    The closure runs on words spelled as tuples of (generator, +-1)
+    letters, freely reduced; for reduced words these tuples and
+    `Word.syllables` determine each other.
     """
     moves: list[Word] = []
     for r in relators:
@@ -219,21 +268,19 @@ def rewrite_closure_eq(
     if max(longest, w1.length(), w2.length()) > _CLOSURE_LETTERS:
         return None
     max_length = max(w1.length(), w2.length()) + 2 * longest + 2
-    seen = ({w1: None}, {w2: None})
-    frontier: tuple[list[Word], list[Word]] = ([w1], [w2])
+    a, b = tuple(w1.letters()), tuple(w2.letters())
+    seen = ({a: None}, {b: None})
+    frontier: tuple[list[_Letters], list[_Letters]] = ([a], [b])
     visited = 2
-    moves_letters = [list(m.letters()) for m in moves]
+    moves_letters = [tuple(m.letters()) for m in moves]
     while frontier[0] and frontier[1]:
         side = 0 if len(frontier[0]) <= len(frontier[1]) else 1
-        new: list[Word] = []
+        new: list[_Letters] = []
         for w in frontier[side]:
-            letters = list(w.letters())
-            for move_letters in moves_letters:
-                for pos in range(len(letters) + 1):
-                    candidate = Word.of(
-                        letters[:pos] + move_letters + letters[pos:]
-                    )
-                    if candidate.length() > max_length:
+            for move in moves_letters:
+                for pos in range(len(w) + 1):
+                    candidate = _joined_letters(w[:pos], _joined_letters(move, w[pos:]))
+                    if len(candidate) > max_length:
                         continue
                     if candidate in seen[side]:
                         continue

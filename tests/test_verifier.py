@@ -23,6 +23,7 @@ from hirsch3.families import (
     MetabelianH31,
     RankOneQ,
     affine_map,
+    family_of,
     is_unipotent,
     ops_for,
 )
@@ -176,6 +177,37 @@ class TestOracleAgreement:
         assert oracle_word_eq(desc, parse_word("s y s^-1"), parse_word("y^2"))
 
 
+def _choice_random_word(rng: random.Random, names, max_length: int) -> Word:
+    """`random_word` as it was first written, by `randint` and two `choice`
+    calls per letter: the reference for its `getrandbits` draw rule."""
+    length = rng.randint(1, max_length)
+    return Word.of((rng.choice(names), rng.choice((-1, 1))) for _ in range(length))
+
+
+class TestRandomWord:
+    NAMES = ("x", "y", "s", "t", "u", "a", "b")
+
+    @pytest.mark.parametrize("count", range(1, 8))
+    def test_draws_what_choice_draws(self, count):
+        # the same word and the same generator state afterwards, so a CPython
+        # whose `choice` draws differently fails here by name
+        names = self.NAMES[:count]
+        for max_length in range(1, 18):
+            for idx in range(40):
+                seed = f"random-word:{count}:{max_length}:{idx}"
+                ours, ref = random.Random(seed), random.Random(seed)
+                assert random_word(ours, names, max_length) == (
+                    _choice_random_word(ref, names, max_length)
+                )
+                assert ours.random() == ref.random()
+
+    def test_empty_length_range_is_refused_like_randint(self):
+        with pytest.raises(ValueError):
+            random.Random(0).randint(1, 0)
+        with pytest.raises(ValueError):
+            random_word(random.Random(0), ("x",), 0)
+
+
 class TestRewriteClosure:
     RELATORS = [
         parse_word("x y x^-1 y"),
@@ -202,6 +234,44 @@ class TestRewriteClosure:
     def test_identical_words_short_circuit(self):
         w = parse_word("x y s")
         assert rewrite_closure_eq(self.RELATORS, w, w) is True
+
+    # Recorded with the closure over `Word`s, before it ran on letter tuples:
+    # every `britton_vs_rewriting` trial at seeds 0-5 meets on both groups.
+    @pytest.mark.parametrize("desc", [AscHNNKb(1, 0, 2), AscHNNKb(3, 1, 2)], ids=repr)
+    @pytest.mark.parametrize("seed", range(6))
+    def test_britton_trial_verdicts_are_pinned(self, monkeypatch, desc, seed):
+        verdicts = []
+
+        def recorded(relators, w1, w2):
+            verdicts.append(rewrite_closure_eq(relators, w1, w2))
+            return verdicts[-1]
+
+        monkeypatch.setattr(verify_module, "rewrite_closure_eq", recorded)
+        cfg = TrialConfig(seed=seed, trials=30)
+        verify_module._endo_checks(desc, cfg, classify(desc))
+        assert verdicts == [True] * 30
+
+    def test_stops_on_the_visit_budget(self, monkeypatch):
+        # the closures meet at exactly the 4917th visited word, so a change in
+        # the order the moves and positions are tried shows here
+        w1 = parse_word("y^2 s^-2")
+        w2 = parse_word("y^2 s^-2 x^-1 s x s^-1 y s^-1 y^-2 s")
+        assert verify_module._CLOSURE_VISITS == 4000
+        assert rewrite_closure_eq(self.RELATORS, w1, w2) is None
+        monkeypatch.setattr(verify_module, "_CLOSURE_VISITS", 4916)
+        assert rewrite_closure_eq(self.RELATORS, w1, w2) is None
+        monkeypatch.setattr(verify_module, "_CLOSURE_VISITS", 4917)
+        assert rewrite_closure_eq(self.RELATORS, w1, w2) is True
+
+    def test_stops_on_the_letter_budget(self, monkeypatch):
+        # s x s^-1 = x^199 is a relator of 202 letters, two past the budget
+        desc = AscHNNKb(199, 0, 1)
+        relators = [r for _, r in family_of(desc).relations(desc)]
+        assert verify_module._CLOSURE_LETTERS == 200
+        assert [r.length() for r in relators] == [4, 202, 4]
+        assert rewrite_closure_eq(relators, Word.identity(), relators[1]) is None
+        monkeypatch.setattr(verify_module, "_CLOSURE_LETTERS", 202)
+        assert rewrite_closure_eq(relators, Word.identity(), relators[1]) is True
 
 
 class TestCommutatorDepth:
