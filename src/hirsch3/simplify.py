@@ -38,17 +38,9 @@ def _check_pair(x: int, y: int) -> None:
         raise SimplifyError(f"conjugation exponents {x}, {y} are not coprime")
 
 
-@dataclass(frozen=True)
-class ConjugateAtom:
-    """The element b_{i,j}^k where b_{i,j} = t^i u^j a u^-j t^-i."""
-
-    i: int
-    j: int
-    exponent: int
-
-
-def atom_decomposition(w: Word) -> list[ConjugateAtom] | None:
-    """Parse a reduced word as a product of conjugate atoms.
+def atom_decomposition(w: Word) -> list[tuple[int, int, int]] | None:
+    """Parse a reduced word as a product of conjugate atoms: (i, j, k) is
+    the element b_{i,j}^k, where b_{i,j} = t^i u^j a u^-j t^-i.
 
     Shells open with t letters, then u letters; nuclei are a-syllables.
     Adjacent atoms may share shell letters after free reduction, so the
@@ -57,10 +49,10 @@ def atom_decomposition(w: Word) -> list[ConjugateAtom] | None:
     """
     ts = 0
     us = 0
-    atoms: list[ConjugateAtom] = []
+    atoms: list[tuple[int, int, int]] = []
     for sym, exp in w.syllables:
         if sym == "a":
-            atoms.append(ConjugateAtom(ts, us, exp))
+            atoms.append((ts, us, exp))
         elif sym == "u":
             us += exp
         elif sym == "t":
@@ -74,12 +66,12 @@ def atom_decomposition(w: Word) -> list[ConjugateAtom] | None:
     return atoms
 
 
-def _ratio_weight(atoms: list[ConjugateAtom], r1: Fraction, r2: Fraction) -> Fraction:
+def _ratio_weight(atoms: list[tuple[int, int, int]], r1: Fraction, r2: Fraction) -> Fraction:
     """The sum of k r1^i r2^j over the atoms b_{i,j}^k; a power past
     `rationals.MAX_POWER_BITS` bits raises an InputError."""
     total = Fraction(0)
-    for atom in atoms:
-        total += atom.exponent * bounded_pow(r1, atom.i) * bounded_pow(r2, atom.j)
+    for i, j, k in atoms:
+        total += k * bounded_pow(r1, i) * bounded_pow(r2, j)
     return total
 
 
@@ -159,7 +151,7 @@ def standardize(pres: Presentation) -> StandardForm:
     r1 = Fraction(n, m)
     r2 = Fraction(q, p)
 
-    commutator_atoms: list[ConjugateAtom] | None = None
+    commutator_atoms: list[tuple[int, int, int]] | None = None
     for r in rest:
         if r.exponent_sum("t") != 0 or r.exponent_sum("u") != 0:
             raise SimplifyError("relator has nonzero weight in t or u")

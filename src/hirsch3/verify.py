@@ -9,8 +9,7 @@ closures, and exhaustive scans over small windows.  `oracle_word_eq`,
 
 Like `families.FAMILIES` and `classify._INVARIANTS`, `_VERIFIERS` holds
 one record per descriptor type: the family's radical model and its own
-extra checks.  The radical-quotient check has one driver per quotient tag
-in `_QUOTIENT_DRIVERS`.
+extra checks.
 
 A check passes exactly when its counterexample is None; `CheckResult`
 stores no other verdict.  All verdicts are deterministic under a fixed
@@ -24,7 +23,7 @@ import itertools
 import random
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Any, Callable, Optional, Sequence
 
 from . import InputError
@@ -168,6 +167,10 @@ def random_word(rng: random.Random, names: Sequence[str], max_length: int) -> Wo
     length = getrandbits(max_length.bit_length())
     while length >= max_length:
         length = getrandbits(max_length.bit_length())
+    # reduced on this stack, not by Word.of: the same words at 2.9 us each
+    # against 3.8 us (best of 7, 30,000 words over 3 names of at most 12
+    # letters, Python 3.11.7, 2-core VM), and random_word is 18% of the
+    # time of `verify` on the nine benchmark fixtures under cProfile
     stack: list[tuple[str, int]] = []
     for _ in range(length + 1):
         i = getrandbits(bits)
@@ -417,14 +420,10 @@ class _RadicalModel:
     abelian: bool
     generator_words: tuple[Word, ...]
     member: Callable
-    # ("Z", w) | ("Z2", w1, w2) | ("ZplusZ2", w_inf, w_tor)
-    # | ("Dinfty", w_u, w_v) | ("VirtuallyTrivial",) | None for whole group
-    quotient: Optional[tuple]
+    # the quotient driver bound to its witness words; None for the whole group
+    quotient: Optional[Callable[[_QuotientRun], Optional[str]]]
     # more radical words, added when a non-abelian radical's sample commutes
     more_words: tuple[Word, ...] = ()
-
-
-_FINITE = ("VirtuallyTrivial",)
 
 
 def _whole_abelian_group(desc: GroupDescriptor) -> _RadicalModel:
@@ -436,10 +435,10 @@ def _bsbar_radical(desc: BSbar, report: ClassificationReport) -> _RadicalModel:
     a, t = Word.gen("a"), Word.gen("t")
     if report.radical.hirsch == 1:
         # for |ratio| = 1 this is an undersized claim, a negative control
-        return _RadicalModel(True, (a,), lambda g: g[2] == 0, ("Z", t))
+        return _RadicalModel(True, (a,), lambda g: g[2] == 0, partial(_quotient_z, t))
     if desc.ratio == 1:
         return _RadicalModel(True, (a, t), lambda g: True, None)
-    return _RadicalModel(True, (a, t**2), lambda g: g[2] % 2 == 0, _FINITE)
+    return _RadicalModel(True, (a, t**2), lambda g: g[2] % 2 == 0, _quotient_finite)
 
 
 def _meta_power_word(vec: tuple[int, int]) -> Word:
@@ -462,27 +461,27 @@ def _meta_radical(desc: MetabelianH31, report: ClassificationReport) -> _Radical
             return acts_trivially(i, j)
 
         if lattice.rank == 2:
-            quotient: tuple = ("Z2", t, u)
+            quotient: Optional[Callable] = partial(_quotient_z2, t, u)
         elif lattice.rank == 1:
             kernel_vec = lattice.kernel[0]
             w_inf = _meta_power_word(complement_vector(kernel_vec))
             if lattice.has_minus_one:
-                quotient = ("ZplusZ2", w_inf, _meta_power_word(kernel_vec))
+                quotient = partial(_quotient_z_plus_z2, w_inf, _meta_power_word(kernel_vec))
             else:
-                quotient = ("Z", w_inf)
+                quotient = partial(_quotient_z, w_inf)
         else:
-            quotient = _FINITE
+            quotient = _quotient_finite
         gens = (a, *(_meta_power_word(v) for v in basis))
         return _RadicalModel(report.radical.is_abelian, gens, member, quotient)
     # an undersized claim, a negative control
-    return _RadicalModel(True, (a,), lambda g: g[2] == g[3] == 0, ("Z2", t, u))
+    return _RadicalModel(True, (a,), lambda g: g[2] == g[3] == 0, partial(_quotient_z2, t, u))
 
 
 def _lattice_radical(desc: LatticeByZ, report: ClassificationReport) -> _RadicalModel:
     a, b, t = Word.gen("a"), Word.gen("b"), Word.gen("t")
     m = desc.matrix
     if report.radical.hirsch == 2:
-        return _RadicalModel(True, (a, b), lambda g: g[3] == 0, ("Z", t))
+        return _RadicalModel(True, (a, b), lambda g: g[3] == 0, partial(_quotient_z, t))
 
     def member(g) -> bool:
         k = g[3]
@@ -490,11 +489,11 @@ def _lattice_radical(desc: LatticeByZ, report: ClassificationReport) -> _Radical
 
     order = matrix_order(m)
     if order is not None:
-        return _RadicalModel(True, (a, b, t**order), member, _FINITE)
+        return _RadicalModel(True, (a, b, t**order), member, _quotient_finite)
     if m.is_unipotent():
         return _RadicalModel(report.radical.is_abelian, (a, b, t), member, None)
     # m is -1 times a unipotent matrix
-    return _RadicalModel(False, (a, b, t**2), member, _FINITE)
+    return _RadicalModel(False, (a, b, t**2), member, _quotient_finite)
 
 
 def _hnn_net(g) -> int:
@@ -510,7 +509,7 @@ def _hnnkb_radical(desc: AscHNNKb, report: ClassificationReport) -> _RadicalMode
             True,
             (x**2, y),
             lambda g: _hnn_net(g) == 0 and g[1] % 2 == 0,
-            ("ZplusZ2", s, x),
+            partial(_quotient_z_plus_z2, s, x),
         )
 
     def member_unit(g) -> bool:
@@ -528,7 +527,7 @@ def _hnnkb_radical(desc: AscHNNKb, report: ClassificationReport) -> _RadicalMode
     else:
         extra = s**2
     gens = (x**2, y, extra)
-    return _RadicalModel(report.radical.is_abelian, gens, member_unit, _FINITE)
+    return _RadicalModel(report.radical.is_abelian, gens, member_unit, _quotient_finite)
 
 
 def _affine_radical_words(
@@ -585,7 +584,8 @@ def _affine_radical(desc: AffineQ2, report: ClassificationReport) -> _RadicalMod
         # whose linear part is not unipotent (a faithful Z action, say)
         return _whole_abelian_group(desc)
     if report.radical.hirsch == report.hirsch_length:
-        quotient = None if all(is_unipotent(g) for _, g in desc.generators) else _FINITE
+        unipotent = all(is_unipotent(g) for _, g in desc.generators)
+        quotient = None if unipotent else _quotient_finite
     elif report.hirsch_length == 3 and report.quotient.tag == "Dinfty":
         # the first two generators with distinct reflection linear parts
         reflections: dict[Mat2Q, str] = {}
@@ -594,12 +594,12 @@ def _affine_radical(desc: AffineQ2, report: ClassificationReport) -> _RadicalMod
             if lin.is_reflection():
                 reflections.setdefault(lin, name)
         u_name, v_name = list(reflections.values())[:2]
-        quotient = ("Dinfty", Word.gen(u_name), Word.gen(v_name))
+        quotient = partial(_quotient_dihedral, Word.gen(u_name), Word.gen(v_name))
     else:
         names = [name for name, g in desc.generators if not is_unipotent(g)]
         if not names:
             raise AssertionError("no witness generator for the cyclic quotient")
-        quotient = ("Z", Word.gen(names[0]))
+        quotient = partial(_quotient_z, Word.gen(names[0]))
     gens, more = _affine_radical_words(desc, report.radical.is_abelian)
     return _RadicalModel(
         report.radical.is_abelian, gens, is_unipotent, quotient, more
@@ -634,12 +634,12 @@ def radical_certificate(
     """
     ops = ops_for(desc)
     model = _VERIFIERS[type(desc)].radical(desc, report or classify(desc))
-    checks = _certificate_checks(desc, ops, model, cfg)
+    checks = _certificate_checks(ops, model, cfg)
     # checks[2] is the commutativity check: the witness check, given more words
     if model.more_words and not checks[2].passed:
         words = model.generator_words + model.more_words
         model = replace(model, generator_words=words, more_words=())
-        checks = _certificate_checks(desc, ops, model, cfg)
+        checks = _certificate_checks(ops, model, cfg)
     return VerificationReport(
         family_of(desc).describe(desc), cfg.seed, tuple(checks)
     )
@@ -648,9 +648,7 @@ def radical_certificate(
 _ALL_COMMUTE = "all sampled radical pairs commute"
 
 
-def _certificate_checks(
-    desc: GroupDescriptor, ops, model: _RadicalModel, cfg: TrialConfig
-) -> list[CheckResult]:
+def _certificate_checks(ops, model: _RadicalModel, cfg: TrialConfig) -> list[CheckResult]:
     names = ops.generator_names
     checks: list[CheckResult] = []
 
@@ -728,10 +726,9 @@ def _certificate_checks(
     # adjoint action dies within three steps on every generator would
     # extend the claimed radical to a larger nilpotent normal subgroup.
     def acts_non_nilpotently(g) -> bool:
-        g_inv = ops.inv(g)
         for c in gen_elems:
             for _ in range(3):
-                c = ops.mul(ops.mul(g, c), ops.mul(g_inv, ops.inv(c)))
+                c = _commutator(ops, g, c)
                 if ops.is_identity(c):
                     break
             else:
@@ -759,7 +756,7 @@ def _certificate_checks(
         )
     )
 
-    checks.append(_quotient_check(desc, ops, model, cfg))
+    checks.append(_quotient_check(ops, model, cfg))
     return checks
 
 
@@ -770,8 +767,9 @@ class _QuotientRun:
     """One radical-quotient check: the element algebra, the claimed
     radical's membership test, and the membership trials made so far.
 
-    Each driver below takes a run and the quotient witness words, and
-    returns a counterexample message or None.
+    Each driver below takes the quotient witness words and then a run, and
+    returns a counterexample message or None; a radical model binds the
+    words with `partial`.
     """
 
     def __init__(self, ops, member: Callable, cfg: TrialConfig) -> None:
@@ -840,14 +838,14 @@ def _power_base(w: Word) -> str:
     return text if single_letter else f"({text})"
 
 
-def _quotient_z(run: _QuotientRun, w: Word) -> Optional[str]:
+def _quotient_z(w: Word, run: _QuotientRun) -> Optional[str]:
     g, text = run.ops.of_word(w), format_word(w)
     return run.powers_stay_outside(g, 24, _power_base(w)) or run.samples_reduce(
         "quotient-z", g, None, f"a power of {text}"
     )
 
 
-def _quotient_z2(run: _QuotientRun, w1: Word, w2: Word) -> Optional[str]:
+def _quotient_z2(w1: Word, w2: Word, run: _QuotientRun) -> Optional[str]:
     ops, member = run.ops, run.member
     g1, g2 = ops.of_word(w1), ops.of_word(w2)
     text1, text2 = format_word(w1), format_word(w2)
@@ -873,7 +871,7 @@ def _quotient_z2(run: _QuotientRun, w1: Word, w2: Word) -> Optional[str]:
     return None
 
 
-def _quotient_z_plus_z2(run: _QuotientRun, w_inf: Word, w_tor: Word) -> Optional[str]:
+def _quotient_z_plus_z2(w_inf: Word, w_tor: Word, run: _QuotientRun) -> Optional[str]:
     ops, member = run.ops, run.member
     g_inf, g_tor = ops.of_word(w_inf), ops.of_word(w_tor)
     inf, tor = format_word(w_inf), format_word(w_tor)
@@ -892,7 +890,7 @@ def _quotient_z_plus_z2(run: _QuotientRun, w_inf: Word, w_tor: Word) -> Optional
     )
 
 
-def _quotient_dihedral(run: _QuotientRun, w_u: Word, w_v: Word) -> Optional[str]:
+def _quotient_dihedral(w_u: Word, w_v: Word, run: _QuotientRun) -> Optional[str]:
     ops, member = run.ops, run.member
     g_u, g_v = ops.of_word(w_u), ops.of_word(w_v)
     run.trials += 4
@@ -920,28 +918,28 @@ def _quotient_finite(run: _QuotientRun) -> Optional[str]:
     return None
 
 
-_QUOTIENT_DRIVERS: dict[str, Callable[..., Optional[str]]] = {
-    "Z": _quotient_z,
-    "Z2": _quotient_z2,
-    "ZplusZ2": _quotient_z_plus_z2,
-    "Dinfty": _quotient_dihedral,
-    "VirtuallyTrivial": _quotient_finite,
-}
-
-
-def _quotient_check(
-    desc: GroupDescriptor, ops, model: _RadicalModel, cfg: TrialConfig
-) -> CheckResult:
+def _quotient_check(ops, model: _RadicalModel, cfg: TrialConfig) -> CheckResult:
     if model.quotient is None:
         note = "radical is the whole group"
         return CheckResult("radical_quotient", None, 0, cfg.seed, note=note)
-    tag, *witnesses = model.quotient
     run = _QuotientRun(ops, model.member, cfg)
-    failure = _QUOTIENT_DRIVERS[tag](run, *witnesses)
+    failure = model.quotient(run)
     return CheckResult("radical_quotient", failure, run.trials, cfg.seed)
 
 
 # --- harness -------------------------------------------------------------------
+
+
+def _relator_consequence(
+    rng: random.Random, relators: Sequence[Word], names: Sequence[str], reach: int
+) -> Word:
+    """c r^e c^-1: a relator r drawn from `relators`, then its sign e, then
+    a random word c of at most `reach` letters, all from `rng`."""
+    relator = rng.choice(relators)
+    if rng.random() < 0.5:
+        relator = relator.inv()
+    conj = random_word(rng, names, reach)
+    return conj * relator * conj.inv()
 
 
 def _word_eq_check(
@@ -961,11 +959,7 @@ def _word_eq_check(
         if relator_words and rng.random() < 0.5:
             w2 = w1
             for _ in range(rng.randint(1, 3)):
-                relator = rng.choice(relator_words)
-                if rng.random() < 0.5:
-                    relator = relator.inv()
-                conj = random_word(rng, names, 4)
-                insert = conj * relator * conj.inv()
+                insert = _relator_consequence(rng, relator_words, names, 4)
                 w2 = w2 * insert if rng.random() < 0.5 else insert * w2
             forced_equal = True
         else:
@@ -1072,11 +1066,7 @@ def _endo_checks(
     for idx in range(trials):
         rng = _child_rng(cfg.seed, "britton-rewriting", idx)
         w1 = random_word(rng, names, 5)
-        relator = rng.choice(relators)
-        if rng.random() < 0.5:
-            relator = relator.inv()
-        conj = random_word(rng, names, 2)
-        w2 = w1 * conj * relator * conj.inv()
+        w2 = w1 * _relator_consequence(rng, relators, names, 2)
         closure = rewrite_closure_eq(relators, w1, w2)
         if not ops.word_eq(w1, w2):
             contradiction = (

@@ -904,6 +904,12 @@ class TestRenderText:
         assert "constructible type:       Type3" in lines
         assert "manifold dimension:       3" in lines
 
+    def test_hirsch_length_zero_has_no_minimax_sections(self):
+        df = cli.parse_descriptor_text("family = rank_one_q\ngenerators = 0\n")
+        lines = cli._render_text(df, classify_module.classify(df.descriptor)).splitlines()
+        assert lines[0] == "hirsch length:            0"
+        assert "minimax:                  true" in lines
+
 
 class TestExamplesCommand:
     def test_list_names_all_fixtures(self, capsys):

@@ -9,7 +9,6 @@ import pytest
 from hirsch3.families import META_IDENTITY, MetabelianH31, meta_of_word
 from hirsch3.rationals import mult_rank, prime_factors
 from hirsch3.simplify import (
-    ConjugateAtom,
     SimplifyError,
     SolvabilityError,
     StandardForm,
@@ -25,14 +24,13 @@ def comm_ut() -> Word:
     return Word.of((("u", 1), ("t", 1), ("u", -1), ("t", -1)))
 
 
-def atom_word(atom: ConjugateAtom) -> Word:
-    """b_{i,j}^k = t^i u^j a^k u^-j t^-i."""
-    return Word.of(
-        (("t", atom.i), ("u", atom.j), ("a", atom.exponent), ("u", -atom.j), ("t", -atom.i))
-    )
+def atom_word(atom: tuple[int, int, int]) -> Word:
+    """b_{i,j}^k = t^i u^j a^k u^-j t^-i for the atom (i, j, k)."""
+    i, j, k = atom
+    return Word.of((("t", i), ("u", j), ("a", k), ("u", -j), ("t", -i)))
 
 
-def atom_product_word(atoms: list[ConjugateAtom]) -> Word:
+def atom_product_word(atoms: list[tuple[int, int, int]]) -> Word:
     w = Word.identity()
     for atom in atoms:
         w = w * atom_word(atom)
@@ -114,25 +112,25 @@ def test_atom_scan_inverts_products():
     rng = random.Random(7)
     for _ in range(200):
         atoms = [
-            ConjugateAtom(rng.randint(-2, 2), rng.randint(-2, 2), rng.randint(-3, 3))
+            (rng.randint(-2, 2), rng.randint(-2, 2), rng.randint(-3, 3))
             for _ in range(rng.randint(0, 5))
         ]
         word = atom_product_word(atoms)
         back = atom_decomposition(word)
         assert back is not None
         totals: dict[tuple[int, int], int] = {}
-        for a in atoms:
-            totals[(a.i, a.j)] = totals.get((a.i, a.j), 0) + a.exponent
+        for i, j, k in atoms:
+            totals[(i, j)] = totals.get((i, j), 0) + k
         back_totals: dict[tuple[int, int], int] = {}
-        for a in back:
-            back_totals[(a.i, a.j)] = back_totals.get((a.i, a.j), 0) + a.exponent
+        for i, j, k in back:
+            back_totals[(i, j)] = back_totals.get((i, j), 0) + k
         assert {k: v for k, v in totals.items() if v} == {
             k: v for k, v in back_totals.items() if v
         }
 
 
 def test_atom_scan_shares_shells():
-    word = atom_product_word([ConjugateAtom(1, 0, 2), ConjugateAtom(1, 1, 3)])
+    word = atom_product_word([(1, 0, 2), (1, 1, 3)])
     assert word.syllables == (
         ("t", 1),
         ("a", 2),
@@ -142,8 +140,8 @@ def test_atom_scan_shares_shells():
         ("t", -1),
     )
     assert atom_decomposition(word) == [
-        ConjugateAtom(1, 0, 2),
-        ConjugateAtom(1, 1, 3),
+        (1, 0, 2),
+        (1, 1, 3),
     ]
 
 
@@ -169,20 +167,20 @@ def test_standard_form_text_is_stable():
 
 
 def test_standardize_weighs_commutator_atoms():
-    c_word = atom_product_word([ConjugateAtom(1, 0, 1), ConjugateAtom(0, 0, -2)])
+    c_word = atom_product_word([(1, 0, 1), (0, 0, -2)])
     pres = pres_with(1, 2, 1, 3, comm_ut() * c_word.inv())
     assert standardize(pres) == StandardForm(1, 2, 1, 3, 0)
 
 
 def test_standardize_drops_zero_weight_relator():
-    c_word = atom_product_word([ConjugateAtom(1, 0, 1), ConjugateAtom(0, 0, -2)])
-    extra = atom_product_word([ConjugateAtom(1, 1, 1), ConjugateAtom(0, 0, -6)])
+    c_word = atom_product_word([(1, 0, 1), (0, 0, -2)])
+    extra = atom_product_word([(1, 1, 1), (0, 0, -6)])
     pres = pres_with(1, 2, 1, 3, comm_ut() * c_word.inv(), extra)
     assert standardize(pres) == StandardForm(1, 2, 1, 3, 0)
 
 
 def test_standardize_rejects_nonzero_extra():
-    extra = atom_product_word([ConjugateAtom(1, 0, 1)])
+    extra = atom_product_word([(1, 0, 1)])
     pres = pres_with(1, 2, 1, 3, comm_ut(), extra)
     with pytest.raises(SimplifyError, match="nonzero total exponent"):
         standardize(pres)
@@ -204,7 +202,7 @@ def test_standardize_rejects_crossed_shells():
 
 
 def test_standardize_rejects_fractional_commutator_exponent():
-    c_word = atom_product_word([ConjugateAtom(-1, 0, 1)])
+    c_word = atom_product_word([(-1, 0, 1)])
     pres = pres_with(1, 2, 1, 3, comm_ut() * c_word.inv())
     with pytest.raises(SimplifyError, match="integer"):
         standardize(pres)
@@ -256,7 +254,7 @@ def _random_standard_form(rng: random.Random) -> StandardForm:
     return StandardForm(m, n, p, q, rng.randint(-4, 4))
 
 
-def _zero_pair(rng: random.Random, r1: Fraction, r2: Fraction) -> list[ConjugateAtom]:
+def _zero_pair(rng: random.Random, r1: Fraction, r2: Fraction) -> list[tuple[int, int, int]]:
     """Two atoms in the window [-2, 2]^2 whose ratio-weighted exponents
     cancel exactly."""
     while True:
@@ -266,8 +264,8 @@ def _zero_pair(rng: random.Random, r1: Fraction, r2: Fraction) -> list[Conjugate
     ratio = (r1**i2 * r2**j2) / (r1**i1 * r2**j1)
     w = rng.randint(1, 2) * rng.choice((-1, 1))
     return [
-        ConjugateAtom(i1, j1, w * ratio.numerator),
-        ConjugateAtom(i2, j2, -w * ratio.denominator),
+        (i1, j1, w * ratio.numerator),
+        (i2, j2, -w * ratio.denominator),
     ]
 
 
@@ -279,7 +277,7 @@ def expand_obfuscated(sf: StandardForm, obfuscators: int, rng: random.Random) ->
     if not obfuscators:
         return expand_standard_form(sf)
     r1, r2 = Fraction(sf.n, sf.m), Fraction(sf.q, sf.p)
-    c_atoms = [ConjugateAtom(0, 0, sf.c)]
+    c_atoms = [(0, 0, sf.c)]
     if rng.random() < 0.5:
         c_atoms.extend(_zero_pair(rng, r1, r2))
     extras = [atom_product_word(_zero_pair(rng, r1, r2)) for _ in range(obfuscators)]

@@ -6,6 +6,7 @@ import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -37,6 +38,11 @@ from hirsch3.verify import (
     _RadicalModel,
     _certificate_checks,
     _quotient_check,
+    _quotient_dihedral,
+    _quotient_finite,
+    _quotient_z,
+    _quotient_z2,
+    _quotient_z_plus_z2,
     TrialConfig,
     VerifyResourceError,
     _child_rng,
@@ -230,6 +236,10 @@ class TestRewriteClosure:
         # definitive inequality claim
         out = rewrite_closure_eq(self.RELATORS, parse_word("x"), parse_word("y"))
         assert out is None
+
+    def test_empty_frontier_is_undecided(self):
+        # with no relators neither closure grows past its own word
+        assert rewrite_closure_eq([], parse_word("x"), parse_word("y")) is None
 
     def test_identical_words_short_circuit(self):
         w = parse_word("x y s")
@@ -498,75 +508,75 @@ class TestQuotientWitnesses:
     trial count."""
 
     CASES = [
-        (BSbar(2, 3), lambda g: g[2] == 0, ("Z", "a"), "a^1 lies in the radical", 1),
+        (BSbar(2, 3), lambda g: g[2] == 0, (_quotient_z, "a"), "a^1 lies in the radical", 1),
         (
             BSbar(2, 3),
             lambda g: g[2] == 0,
-            ("Z", "t^2"),
+            (_quotient_z, "t^2"),
             "a sampled element does not reduce to the radical by a power of t^2",
             25,
         ),
-        (_META, lambda g: g[1] == 0 and g[2] == g[3] == 0, ("Z2", "t", "u"), "[t, u] is not in the radical", 1),
-        (_META, lambda g: g[2] == g[3] == 0, ("Z2", "t", "t"), "t^-4 t^4 lies in the radical", 10),
+        (_META, lambda g: g[1] == 0 and g[2] == g[3] == 0, (_quotient_z2, "t", "u"), "[t, u] is not in the radical", 1),
+        (_META, lambda g: g[2] == g[3] == 0, (_quotient_z2, "t", "t"), "t^-4 t^4 lies in the radical", 10),
         (
             _META,
             lambda g: g[2] == g[3] == 0,
-            ("Z2", "t", "u^2"),
+            (_quotient_z2, "t", "u^2"),
             "a sampled element does not reduce to the radical by powers of t and u^2",
             707,
         ),
-        (AscHNNKb(1, 0, 2), _hnn_even, ("ZplusZ2", "s", "y"), "y lies in the radical", 2),
-        (AscHNNKb(1, 0, 2), _hnn_even, ("ZplusZ2", "s", "x^2"), "x^2 lies in the radical", 2),
+        (AscHNNKb(1, 0, 2), _hnn_even, (_quotient_z_plus_z2, "s", "y"), "y lies in the radical", 2),
+        (AscHNNKb(1, 0, 2), _hnn_even, (_quotient_z_plus_z2, "s", "x^2"), "x^2 lies in the radical", 2),
         (
             AscHNNKb(1, 0, 2),
             lambda g: g[3] - g[0] == 0 and g[1] == 0,
-            ("ZplusZ2", "s", "x"),
+            (_quotient_z_plus_z2, "s", "x"),
             "x^2 is not in the radical",
             2,
         ),
         (
             AscHNNKb(1, 1, 2),
             lambda g: _hnn_even(g) and g[2] == 0,
-            ("ZplusZ2", "s", "x"),
+            (_quotient_z_plus_z2, "s", "x"),
             "[s, x] is not in the radical",
             3,
         ),
-        (AscHNNKb(1, 0, 2), _hnn_even, ("ZplusZ2", "y", "x"), "y^1 lies in the radical", 5),
-        (AscHNNKb(1, 0, 2), _hnn_even, ("ZplusZ2", "x y", "x"), "(x y)^1 x lies in the radical", 5),
+        (AscHNNKb(1, 0, 2), _hnn_even, (_quotient_z_plus_z2, "y", "x"), "y^1 lies in the radical", 5),
+        (AscHNNKb(1, 0, 2), _hnn_even, (_quotient_z_plus_z2, "x y", "x"), "(x y)^1 x lies in the radical", 5),
         (
             AscHNNKb(1, 0, 2),
             _hnn_even,
-            ("ZplusZ2", "s^2", "x"),
+            (_quotient_z_plus_z2, "s^2", "x"),
             "a sampled element does not reduce to the radical by powers of s^2 and x",
             54,
         ),
-        (_D_INFTY, is_unipotent, ("Dinfty", "u", "y"), "a dihedral witness lies in the radical", 4),
+        (_D_INFTY, is_unipotent, (_quotient_dihedral, "u", "y"), "a dihedral witness lies in the radical", 4),
         (
             _D_INFTY,
             _even_y_shift,
-            ("Dinfty", "u", "v"),
+            (_quotient_dihedral, "u", "v"),
             "a squared dihedral witness is not in the radical",
             4,
         ),
-        (_D_INFTY, is_unipotent, ("Dinfty", "u", "u y"), "(u u y)^1 lies in the radical", 5),
+        (_D_INFTY, is_unipotent, (_quotient_dihedral, "u", "u y"), "(u u y)^1 lies in the radical", 5),
         (
             _D_INFTY_DILATED,
             is_unipotent,
-            ("Dinfty", "u", "v"),
+            (_quotient_dihedral, "u", "v"),
             "a sampled element does not reduce to the radical by the dihedral witnesses",
             56,
         ),
         (
             BSbar(2, 3),
             lambda g: g[2] == 0,
-            ("VirtuallyTrivial",),
+            (_quotient_finite,),
             "no small power of t enters the radical",
             13,
         ),
         (
             _META,
             lambda g: g[2] == 0 or g[3] == 0,
-            ("VirtuallyTrivial",),
+            (_quotient_finite,),
             "no small power of u^-1 t^-1 u t^-1 u enters the radical",
             18,
         ),
@@ -575,26 +585,34 @@ class TestQuotientWitnesses:
     @pytest.mark.parametrize(
         "desc, member, quotient, message, trials",
         CASES,
-        ids=[f"{c[2][0]}-{i}" for i, c in enumerate(CASES)],
+        ids=[f"{c[2][0].__name__}-{i}" for i, c in enumerate(CASES)],
     )
     def test_wrong_witness_fails(self, desc, member, quotient, message, trials):
-        tag, *words = quotient
-        model = _RadicalModel(
-            True, (), member, (tag, *(parse_word(w) for w in words))
-        )
-        result = _quotient_check(desc, ops_for(desc), model, TrialConfig())
+        driver, *words = quotient
+        model = _RadicalModel(True, (), member, partial(driver, *map(parse_word, words)))
+        result = _quotient_check(ops_for(desc), model, TrialConfig())
         assert result.passed is False
         assert (result.counterexample, result.trials) == (message, trials)
 
     def test_radical_that_is_not_normal_fails(self):
         # <a> alone is not normal in BSbar(2, 3): t a t^-1 = a^(3/2)
         desc = BSbar(2, 3)
+        a, t = Word.gen("a"), Word.gen("t")
         model = _RadicalModel(
-            True, (Word.gen("a"),), lambda g: g[2] == 0 and g[0] == 1, ("Z", Word.gen("t"))
+            True, (a,), lambda g: g[2] == 0 and g[0] == 1, partial(_quotient_z, t)
         )
-        normal = _certificate_checks(desc, ops_for(desc), model, TrialConfig())[1]
+        normal = _certificate_checks(ops_for(desc), model, TrialConfig())[1]
         assert (normal.name, normal.passed) == ("radical_normal", False)
         assert (normal.counterexample, normal.trials) == ("t a t^-1", 3)
+
+    def test_generator_outside_the_radical_fails(self):
+        # t acts on a by the ratio 3/2, so it lies outside the radical
+        desc = BSbar(2, 3)
+        a, t = Word.gen("a"), Word.gen("t")
+        model = _RadicalModel(True, (a, t), lambda g: g[2] == 0, partial(_quotient_z, t))
+        generators = _certificate_checks(ops_for(desc), model, TrialConfig())[0]
+        assert (generators.name, generators.passed) == ("radical_generators", False)
+        assert (generators.counterexample, generators.trials) == ("t", 2)
 
 
 def forced_failure(desc, name: str) -> str:

@@ -182,6 +182,8 @@ class TestParsing:
             parse_word("a 2 b")
         with pytest.raises(ParseError):
             parse_presentation("<a, a | a>")
+        with pytest.raises(ParseError, match=r"^expected a word \(at index 0\)$"):
+            parse_word("")
 
     def test_word_generator_restriction(self):
         assert parse_word("a t", ["a", "t"]) == w("a t")
