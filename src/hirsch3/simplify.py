@@ -66,7 +66,9 @@ def atom_decomposition(w: Word) -> list[tuple[int, int, int]] | None:
     return atoms
 
 
-def _ratio_weight(atoms: list[tuple[int, int, int]], r1: Fraction, r2: Fraction) -> Fraction:
+def _ratio_weight(
+    atoms: list[tuple[int, int, int]], r1: Fraction, r2: Fraction
+) -> Fraction:
     """The sum of k r1^i r2^j over the atoms b_{i,j}^k; a power past
     `rationals.MAX_POWER_BITS` bits raises an InputError."""
     total = Fraction(0)

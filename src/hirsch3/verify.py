@@ -466,7 +466,8 @@ def _meta_radical(desc: MetabelianH31, report: ClassificationReport) -> _Radical
             kernel_vec = lattice.kernel[0]
             w_inf = _meta_power_word(complement_vector(kernel_vec))
             if lattice.has_minus_one:
-                quotient = partial(_quotient_z_plus_z2, w_inf, _meta_power_word(kernel_vec))
+                w_tor = _meta_power_word(kernel_vec)
+                quotient = partial(_quotient_z_plus_z2, w_inf, w_tor)
             else:
                 quotient = partial(_quotient_z, w_inf)
         else:
@@ -474,7 +475,9 @@ def _meta_radical(desc: MetabelianH31, report: ClassificationReport) -> _Radical
         gens = (a, *(_meta_power_word(v) for v in basis))
         return _RadicalModel(report.radical.is_abelian, gens, member, quotient)
     # an undersized claim, a negative control
-    return _RadicalModel(True, (a,), lambda g: g[2] == g[3] == 0, partial(_quotient_z2, t, u))
+    return _RadicalModel(
+        True, (a,), lambda g: g[2] == g[3] == 0, partial(_quotient_z2, t, u)
+    )
 
 
 def _lattice_radical(desc: LatticeByZ, report: ClassificationReport) -> _RadicalModel:

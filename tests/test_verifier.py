@@ -236,9 +236,7 @@ class TestRewriteClosure:
         # definitive inequality claim
         out = rewrite_closure_eq(self.RELATORS, parse_word("x"), parse_word("y"))
         assert out is None
-
-    def test_empty_frontier_is_undecided(self):
-        # with no relators neither closure grows past its own word
+        # with no relators a frontier empties before any budget is met
         assert rewrite_closure_eq([], parse_word("x"), parse_word("y")) is None
 
     def test_identical_words_short_circuit(self):
