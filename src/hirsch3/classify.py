@@ -885,7 +885,7 @@ def _at_hirsch_three(desc: GroupDescriptor, what: str) -> ClassificationReport:
 
 # Each step reads one report field.  No code in this package calls them:
 # `perfbench/tracing.py` wraps them by name (`CLASSIFY_STEPS`), so they go
-# with the tracer's change in ROADMAP item 3(a).
+# with the stats channel that replaces that name-patching tracer.
 
 
 def hirsch_length(desc: GroupDescriptor) -> int:

@@ -93,11 +93,8 @@ class StandardForm:
         if self.m < 0 or self.p < 0:
             raise SimplifyError("left conjugation exponents are normalized positive")
 
-    def presentation(self) -> Presentation:
-        return expand_standard_form(self)
-
     def text(self) -> str:
-        return format_presentation(self.presentation())
+        return format_presentation(expand_standard_form(self))
 
 
 def _conjugation_data(r: Word) -> tuple[str, int, int] | None:

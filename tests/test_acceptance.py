@@ -11,11 +11,10 @@ import json
 import random
 import time
 from fractions import Fraction
-from math import gcd
 from pathlib import Path
 
 from hirsch3 import cli
-from hirsch3.classify import Type1, Type2, Type3, classify, is_polycyclic, quotient_type
+from hirsch3.classify import Type1, Type2, Type3, classify
 from hirsch3.families import (
     AscHNNKb,
     BSbar,
@@ -27,7 +26,7 @@ from hirsch3.families import (
 )
 from hirsch3.fixtures import FIXTURES, fixture_named
 from hirsch3.rationals import Mat2Q, conjugate_to_integral
-from hirsch3.simplify import StandardForm, standardize
+from hirsch3.simplify import standardize
 from hirsch3.verify import (
     TrialConfig,
     check_relations,
@@ -38,7 +37,7 @@ from hirsch3.verify import (
     run_harness,
 )
 from test_rationals import integralize
-from test_simplifier import expand_obfuscated, exponent_law
+from test_simplifier import _random_standard_form, expand_obfuscated, exponent_law
 from test_verifier import CORRUPTED_D_INFTY, claiming_radical_hirsch
 
 F = Fraction
@@ -130,17 +129,16 @@ def test_criterion_3_polycyclicity_criterion():
         companion = Mat2Q.of(0, -eps, 1, rng.randint(-9, 9))
         p = _random_invertible_rational(rng)
         m = p.inverse() * companion * p
-        assert is_polycyclic(LatticeByZ(m))
+        assert classify(LatticeByZ(m)).polycyclic
     for _ in range(200):
         eps = rng.choice((1, -1))
         companion = Mat2Q.of(0, -2 * eps, 1, rng.randint(-9, 9))
         p = _random_invertible_rational(rng)
         m = p.inverse() * companion * p
-        desc = LatticeByZ(m)
-        assert not is_polycyclic(desc)
+        report = classify(LatticeByZ(m))
+        assert not report.polycyclic
         assert conjugate_to_integral(m)
-        ct = classify(desc).constructible_type
-        assert isinstance(ct, Type2)
+        assert isinstance(report.constructible_type, Type2)
 
 
 def test_criterion_4_derived_length_suite():
@@ -202,20 +200,6 @@ def test_criterion_6_coherence_and_fp2():
     assert classify(BSbar(2, 3)).fp2.value is False
 
 
-def _random_standard_form(rng: random.Random) -> StandardForm:
-    small = [2, 3, 4, 5, 6]  # prime factors at most 5
-    if rng.random() < 0.5:
-        m, n = 1, rng.choice(small) * rng.choice((-1, 1))
-    else:
-        m, n = rng.choice(small[:-1]), rng.choice((-1, 1))
-    while True:
-        p = rng.randint(1, 5)
-        q = rng.randint(1, 5) * rng.choice((-1, 1))
-        if gcd(p, q) == 1:
-            break
-    return StandardForm(m, n, p, q, rng.randint(-4, 4))
-
-
 def test_criterion_7_simplifier_round_trip():
     rng = random.Random("criterion-7")
     for _ in range(100):
@@ -246,7 +230,7 @@ def test_criterion_8_fixture_certification():
     # dihedral quotient witnesses: involution squares land in the radical
     # while u v keeps infinite order in the quotient, scanned to order 50
     dihedral = fixture_named("d_infty_amalgam").descriptor
-    assert quotient_type(dihedral).tag == "Dinfty"
+    assert classify(dihedral).quotient.tag == "Dinfty"
     cert = radical_certificate(dihedral, cfg)
     quotient_checks = [c for c in cert.checks if c.name == "radical_quotient"]
     assert quotient_checks and quotient_checks[0].passed

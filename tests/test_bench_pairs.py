@@ -11,18 +11,9 @@ the parent's interquartile range passes the bound times its median, else
 
 from __future__ import annotations
 
-import importlib.util
-from pathlib import Path
+import bench_pairs
 
-ROOT = Path(__file__).resolve().parent.parent
 PARENT = [100.0, 101.0, 102.0, 103.0, 104.0, 105.0, 106.0, 107.0, 108.0, 109.0]
-
-
-def _tool():
-    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def _summary(parent, change, failed=(0, 0), better="higher"):
@@ -34,11 +25,11 @@ def _summary(parent, change, failed=(0, 0), better="higher"):
             lost = failed[side == "change"] if pair == 0 else 0
             result = {"metrics": {"ops_per_s": {"value": value}}, "failed": lost}
             runs.append({"side": side, "pair": pair, "seed": pair, "result": result})
-    return _tool().summarize(runs, {"ops_per_s": {"better": better, "bound": 0.2}})
+    return bench_pairs.summarize(runs, {"ops_per_s": {"better": better, "bound": 0.2}})
 
 
 def _holds(summary) -> bool:
-    return _tool().claim_holds(summary, "ops_per_s")
+    return bench_pairs.claim_holds(summary, "ops_per_s")
 
 
 def test_nine_wins_of_ten_hold():

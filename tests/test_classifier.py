@@ -92,39 +92,39 @@ def nonintegral_dihedral_affine() -> AffineQ2:
 
 
 def test_hirsch_length_frozen_examples():
-    assert hirsch_length(BSbar(2, 3)) == 2
-    assert hirsch_length(meta(2, 3)) == 3
-    assert hirsch_length(RankOneQ((F(1, 2), F(1, 3)))) == 1
-    assert hirsch_length(RankOneQ((F(0),))) == 0
-    assert hirsch_length(LatticeByZ(Mat2Q.of(2, 1, 1, 1))) == 3
-    assert hirsch_length(AscHNNKb(1, 0, 2)) == 3
-    assert hirsch_length(dihedral_affine()) == 3
+    assert classify(BSbar(2, 3)).hirsch_length == 2
+    assert classify(meta(2, 3)).hirsch_length == 3
+    assert classify(RankOneQ((F(1, 2), F(1, 3)))).hirsch_length == 1
+    assert classify(RankOneQ((F(0),))).hirsch_length == 0
+    assert classify(LatticeByZ(Mat2Q.of(2, 1, 1, 1))).hirsch_length == 3
+    assert classify(AscHNNKb(1, 0, 2)).hirsch_length == 3
+    assert classify(dihedral_affine()).hirsch_length == 3
 
 
 # --- radical -----------------------------------------------------------------
 
 
 def test_radical_rank_one_module():
-    info = radical_info(meta(2, 3))
+    info = classify(meta(2, 3)).radical
     assert info.hirsch == 1
     assert info.module_description == "Z[1/6]"
     assert info.is_abelian
 
 
 def test_radical_gains_multiplicative_kernel():
-    info = radical_info(meta(2, -2))
+    info = classify(meta(2, -2)).radical
     assert info.hirsch == 2
     assert info.is_abelian
 
 
 def test_radical_of_unipotent_action_is_everything():
-    info = radical_info(LatticeByZ(Mat2Q.of(1, 1, 0, 1)))
+    info = classify(LatticeByZ(Mat2Q.of(1, 1, 0, 1))).radical
     assert info.hirsch == 3
     assert not info.is_abelian
 
 
 def test_radical_of_finite_order_action():
-    info = radical_info(LatticeByZ(Mat2Q.of(F(1, 2), F(-3, 4), 1, F(1, 2))))
+    info = classify(LatticeByZ(Mat2Q.of(F(1, 2), F(-3, 4), 1, F(1, 2)))).radical
     assert info.hirsch == 3
     assert info.is_abelian
 
@@ -137,64 +137,60 @@ def test_radical_of_affine_shear_is_everything():
             ("y", translation(0, 1)),
         )
     )
-    info = radical_info(shear)
-    assert info.hirsch == 3
-    assert not info.is_abelian
-    assert quotient_type(shear) == QuotientType("VirtuallyTrivial")
-    assert is_polycyclic(shear)
-    assert minimax_series(shear) == ["Z", "Z", "Z"]
+    report = classify(shear)
+    assert report.radical.hirsch == 3
+    assert not report.radical.is_abelian
+    assert report.quotient == QuotientType("VirtuallyTrivial")
+    assert report.polycyclic
+    assert report.minimax.sections == ("Z", "Z", "Z")
 
 
 def test_radical_of_bsbar():
-    assert radical_info(BSbar(2, 3)).module_description == "Z[1/6]"
-    assert radical_info(BSbar(2, 3)).hirsch == 1
-    assert radical_info(BSbar(1, -1)).hirsch == 2
+    info = classify(BSbar(2, 3)).radical
+    assert info.module_description == "Z[1/6]"
+    assert info.hirsch == 1
+    assert classify(BSbar(1, -1)).radical.hirsch == 2
 
 
 def test_radical_of_ascending_kb_extension():
-    info = radical_info(AscHNNKb(1, 0, 2))
+    info = classify(AscHNNKb(1, 0, 2)).radical
     assert info.hirsch == 2
     assert info.module_description == "sublattice of Q^2, divisible ranks {2: 1}"
     assert info.is_abelian
-    assert radical_info(AscHNNKb(1, 0, 1)).hirsch == 3
-    assert radical_info(AscHNNKb(-1, 2, -1)).hirsch == 3
+    assert classify(AscHNNKb(1, 0, 1)).radical.hirsch == 3
+    assert classify(AscHNNKb(-1, 2, -1)).radical.hirsch == 3
 
 
 def test_radical_abelian_flag_tracks_twist():
-    assert radical_info(meta(1, 1, 0)).is_abelian
-    assert not radical_info(meta(1, 1, 1)).is_abelian
-    assert radical_info(meta(1, -1, 0)).is_abelian
+    assert classify(meta(1, 1, 0)).radical.is_abelian
+    assert not classify(meta(1, 1, 1)).radical.is_abelian
+    assert classify(meta(1, -1, 0)).radical.is_abelian
     # the sign-kernel elements t and u^2 still commute when e != 0
-    assert radical_info(meta(1, -1, 1)).is_abelian
+    assert classify(meta(1, -1, 1)).radical.is_abelian
 
 
 # --- quotient by the radical -------------------------------------------------
 
 
 def test_quotient_tags():
-    assert quotient_type(meta(2, 3)) == QuotientType("Z2")
-    assert quotient_type(AscHNNKb(1, 0, 2)) == QuotientType("ZplusZ2")
-    assert quotient_type(dihedral_affine()) == QuotientType("Dinfty")
-    assert quotient_type(meta(2, -2)) == QuotientType("ZplusZ2")
-    assert quotient_type(meta(2, 2)) == QuotientType("Z")
-    assert quotient_type(LatticeByZ(Mat2Q.of(2, 1, 1, 1))) == QuotientType("Z")
-    assert quotient_type(meta(1, 1, 1)) == QuotientType("VirtuallyTrivial")
-
-
-def test_quotient_requires_full_hirsch_length():
-    with pytest.raises(ClassifyError):
-        quotient_type(BSbar(1, 2))
+    assert classify(meta(2, 3)).quotient == QuotientType("Z2")
+    assert classify(AscHNNKb(1, 0, 2)).quotient == QuotientType("ZplusZ2")
+    assert classify(dihedral_affine()).quotient == QuotientType("Dinfty")
+    assert classify(meta(2, -2)).quotient == QuotientType("ZplusZ2")
+    assert classify(meta(2, 2)).quotient == QuotientType("Z")
+    assert classify(LatticeByZ(Mat2Q.of(2, 1, 1, 1))).quotient == QuotientType("Z")
+    assert classify(meta(1, 1, 1)).quotient == QuotientType("VirtuallyTrivial")
 
 
 # --- derived length ----------------------------------------------------------
 
 
 def test_derived_length_frozen_examples():
-    assert derived_length(BSbar(1, 1)) == 1
-    assert derived_length(meta(2, 3, 1)) == 2
-    assert derived_length(dihedral_affine()) == 3
-    assert derived_length(RankOneQ((F(0),))) == 0
-    assert derived_length(meta(1, 1, 1)) == 2
+    assert classify(BSbar(1, 1)).derived_length == 1
+    assert classify(meta(2, 3, 1)).derived_length == 2
+    assert classify(dihedral_affine()).derived_length == 3
+    assert classify(RankOneQ((F(0),))).derived_length == 0
+    assert classify(meta(1, 1, 1)).derived_length == 2
 
 
 def test_derived_length_dihedral_with_shared_reflection_line():
@@ -205,26 +201,26 @@ def test_derived_length_dihedral_with_shared_reflection_line():
     desc = AffineQ2(
         (("u", u), ("v", v), ("x", translation(1, 0)), ("y", translation(0, 1)))
     )
-    assert derived_length(desc) == 2
     report = classify(desc)
+    assert report.derived_length == 2
     assert report.radical.hirsch == 3
     assert report.polycyclic
     assert report.quotient == QuotientType("VirtuallyTrivial")
-    assert derived_length(nonintegral_dihedral_affine()) == 3
+    assert classify(nonintegral_dihedral_affine()).derived_length == 3
 
 
 # --- polycyclicity -----------------------------------------------------------
 
 
 def test_polycyclic_frozen_examples():
-    assert is_polycyclic(LatticeByZ(Mat2Q.of(2, 1, 1, 1)))
-    assert not is_polycyclic(LatticeByZ(Mat2Q.of(0, -2, 1, 0)))
-    assert not is_polycyclic(AscHNNKb(1, 0, 2))
-    assert is_polycyclic(AscHNNKb(1, 0, 1))
-    assert is_polycyclic(BSbar(1, -1))
-    assert not is_polycyclic(BSbar(1, 2))
-    assert is_polycyclic(meta(-1, 1, 2))
-    assert not is_polycyclic(meta(2, 3))
+    assert classify(LatticeByZ(Mat2Q.of(2, 1, 1, 1))).polycyclic
+    assert not classify(LatticeByZ(Mat2Q.of(0, -2, 1, 0))).polycyclic
+    assert not classify(AscHNNKb(1, 0, 2)).polycyclic
+    assert classify(AscHNNKb(1, 0, 1)).polycyclic
+    assert classify(BSbar(1, -1)).polycyclic
+    assert not classify(BSbar(1, 2)).polycyclic
+    assert classify(meta(-1, 1, 2)).polycyclic
+    assert not classify(meta(2, 3)).polycyclic
 
 
 def test_polycyclic_is_conjugation_invariant():
@@ -242,64 +238,66 @@ def test_polycyclic_is_conjugation_invariant():
             continue
         for m in mats:
             conj = p * m * p.inverse()
-            assert is_polycyclic(LatticeByZ(conj)) == is_polycyclic(LatticeByZ(m))
+            assert classify(LatticeByZ(conj)).polycyclic == classify(LatticeByZ(m)).polycyclic
 
 
 # --- finite presentability and constructible type ----------------------------
 
 
 def test_fp_with_integer_cone_point():
-    fp, ctype, fp2 = fp_status(meta(2, 3))
-    assert fp
-    assert ctype == Type1(6)
-    assert fp2.value is True
+    report = classify(meta(2, 3))
+    assert report.finitely_presentable
+    assert report.constructible_type == Type1(6)
+    assert report.fp2.value is True
 
 
 def test_fp_fails_off_the_cone():
-    fp, ctype, fp2 = fp_status(meta(F(2, 3), 5))
-    assert not fp
-    assert ctype is None
-    assert fp2.value is None
+    report = classify(meta(F(2, 3), 5))
+    assert not report.finitely_presentable
+    assert report.constructible_type is None
+    assert report.fp2.value is None
 
 
 def test_fp_for_unimodular_class_matrix():
-    fp, ctype, _ = fp_status(LatticeByZ(Mat2Q.of(F(1, 2), F(-3, 4), 1, F(1, 2))))
-    assert fp
-    assert ctype == Type3()
+    report = classify(LatticeByZ(Mat2Q.of(F(1, 2), F(-3, 4), 1, F(1, 2))))
+    assert report.finitely_presentable
+    assert report.constructible_type == Type3()
 
 
 def test_fp_for_ascending_lattice_matrix():
-    fp, ctype, fp2 = fp_status(LatticeByZ(Mat2Q.of(0, -2, 1, 0)))
-    assert fp
-    assert ctype == Type2("Z2")
-    assert fp2.value is True
+    report = classify(LatticeByZ(Mat2Q.of(0, -2, 1, 0)))
+    assert report.finitely_presentable
+    assert report.constructible_type == Type2("Z2")
+    assert report.fp2.value is True
 
 
 def test_fp_for_kb_extension_and_bsbar():
-    assert fp_status(AscHNNKb(1, 0, 2))[1] == Type2("Kb")
-    assert fp_status(AscHNNKb(3, 1, 2))[1] == Type2("Kb")
-    fp, ctype, fp2 = fp_status(BSbar(2, 3))
-    assert not fp and ctype is None and fp2.value is False
-    fp, ctype, _ = fp_status(BSbar(1, 4))
-    assert fp and ctype is None
+    assert classify(AscHNNKb(1, 0, 2)).constructible_type == Type2("Kb")
+    assert classify(AscHNNKb(3, 1, 2)).constructible_type == Type2("Kb")
+    report = classify(BSbar(2, 3))
+    assert not report.finitely_presentable and report.constructible_type is None
+    assert report.fp2.value is False
+    report = classify(BSbar(1, 4))
+    assert report.finitely_presentable and report.constructible_type is None
 
 
 def test_fp_for_rank_one_multiplicative_image():
     # image generated by 2: ascending, hence presentable
-    fp, ctype, _ = fp_status(meta(2, F(1, 2)))
-    assert fp and ctype == Type2("Z2")
+    report = classify(meta(2, F(1, 2)))
+    assert report.finitely_presentable and report.constructible_type == Type2("Z2")
     # sign-twisted kernel changes the base
-    fp, ctype, _ = fp_status(meta(-1, 4))
-    assert fp and ctype == Type2("Kb")
+    report = classify(meta(-1, 4))
+    assert report.finitely_presentable and report.constructible_type == Type2("Kb")
     # image generated by 2/3: not presentable
-    fp, ctype, fp2 = fp_status(meta(F(2, 3), F(3, 2)))
-    assert not fp and ctype is None and fp2.value is False
+    report = classify(meta(F(2, 3), F(3, 2)))
+    assert not report.finitely_presentable and report.constructible_type is None
+    assert report.fp2.value is False
 
 
 def test_type1_witness_is_smallest_realized_ratio():
-    assert fp_status(meta(12, 18))[1] == Type1(12)
-    assert fp_status(meta(2, F(3, 2)))[1] == Type1(6)
-    assert fp_status(meta(-2, 3))[1] == Type1(-6)
+    assert classify(meta(12, 18)).constructible_type == Type1(12)
+    assert classify(meta(2, F(3, 2))).constructible_type == Type1(6)
+    assert classify(meta(-2, 3)).constructible_type == Type1(-6)
 
 
 # --- the valuation cone ------------------------------------------------------
@@ -357,55 +355,40 @@ def test_cone_matches_brute_force_on_random_ratio_pairs():
 
 
 def test_cd_frozen_examples():
-    assert cohomological_dimension(BSbar(1, 2)) == 2
-    assert cohomological_dimension(BSbar(2, 3)) == 3
-    assert cohomological_dimension(meta(F(2, 3), 5)) == 4
-    assert cohomological_dimension(RankOneQ((F(1, 2),))) == 1
-    assert cohomological_dimension(RankOneQ((F(0),))) == 0
-    assert cohomological_dimension(AscHNNKb(1, 0, 2)) == 3
+    assert classify(BSbar(1, 2)).cohomological_dimension == 2
+    assert classify(BSbar(2, 3)).cohomological_dimension == 3
+    assert classify(meta(F(2, 3), 5)).cohomological_dimension == 4
+    assert classify(RankOneQ((F(1, 2),))).cohomological_dimension == 1
+    assert classify(RankOneQ((F(0),))).cohomological_dimension == 0
+    assert classify(AscHNNKb(1, 0, 2)).cohomological_dimension == 3
 
 
 # --- coherence ---------------------------------------------------------------
 
 
 def test_coherence_frozen_examples():
-    assert coherence_status(meta(2, 3)).value is False
-    assert coherence_status(AscHNNKb(1, 0, 2)).value is True
-    assert coherence_status(LatticeByZ(Mat2Q.of(0, -2, 1, F(1, 2)))).value is False
-    assert coherence_status(meta(F(2, 3), 5)).value is None
-    assert coherence_status(meta(1, 1, 1)).value is True
-
-
-def test_coherence_requires_full_hirsch_length():
-    with pytest.raises(ClassifyError):
-        coherence_status(BSbar(2, 3))
+    assert classify(meta(2, 3)).coherent.value is False
+    assert classify(AscHNNKb(1, 0, 2)).coherent.value is True
+    assert classify(LatticeByZ(Mat2Q.of(0, -2, 1, F(1, 2)))).coherent.value is False
+    assert classify(meta(F(2, 3), 5)).coherent.value is None
+    assert classify(meta(1, 1, 1)).coherent.value is True
 
 
 # --- minimax sections --------------------------------------------------------
 
 
 def test_minimax_frozen_examples():
-    assert minimax_series(BSbar(2, 3)) == ["Z[1/6]", "Z"]
-    assert minimax_series(meta(2, 3)) == ["Z[1/6]", "Z", "Z"]
-    assert minimax_series(LatticeByZ(Mat2Q.of(2, 1, 1, 1))) == ["Z", "Z", "Z"]
-    assert minimax_series(LatticeByZ(Mat2Q.of(0, -2, 1, 0))) == [
-        "Z[1/2]",
-        "Z[1/2]",
-        "Z",
-    ]
-    assert minimax_series(LatticeByZ(Mat2Q.of(2, 0, 0, 3))) == [
-        "Z[1/2]",
-        "Z[1/3]",
-        "Z",
-    ]
-    assert minimax_series(LatticeByZ(Mat2Q.of(6, 0, 0, 1))) == ["Z", "Z[1/6]", "Z"]
-    assert minimax_series(AscHNNKb(1, 0, 2)) == ["Z[1/2]", "Z", "finite", "Z"]
-    assert minimax_series(nonintegral_dihedral_affine()) == [
-        "Z[1/3]",
-        "Z[1/3]",
-        "Z",
-        "finite",
-    ]
+    def sections(desc):
+        return classify(desc).minimax.sections
+
+    assert sections(BSbar(2, 3)) == ("Z[1/6]", "Z")
+    assert sections(meta(2, 3)) == ("Z[1/6]", "Z", "Z")
+    assert sections(LatticeByZ(Mat2Q.of(2, 1, 1, 1))) == ("Z", "Z", "Z")
+    assert sections(LatticeByZ(Mat2Q.of(0, -2, 1, 0))) == ("Z[1/2]", "Z[1/2]", "Z")
+    assert sections(LatticeByZ(Mat2Q.of(2, 0, 0, 3))) == ("Z[1/2]", "Z[1/3]", "Z")
+    assert sections(LatticeByZ(Mat2Q.of(6, 0, 0, 1))) == ("Z", "Z[1/6]", "Z")
+    assert sections(AscHNNKb(1, 0, 2)) == ("Z[1/2]", "Z", "finite", "Z")
+    assert sections(nonintegral_dihedral_affine()) == ("Z[1/3]", "Z[1/3]", "Z", "finite")
 
 
 def test_module_moduli_distinguish_eigenvalue_supports():

@@ -9,32 +9,22 @@ change.
 
 from __future__ import annotations
 
-import importlib.util
-from pathlib import Path
+import corpus_digest
 
-ROOT = Path(__file__).resolve().parent.parent
 PINNED = {
     "entries": 238,
     "sha256": "dcc5b4b90399b63272bae0a17cb2cf6364cd52ab06cada3a4c1e47a6af8e3f8a",
 }
 
 
-def _tool():
-    spec = importlib.util.spec_from_file_location("corpus_digest", ROOT / "tools" / "corpus_digest.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_corpus_slice_answers_match_the_pinned_digest():
-    tool = _tool()
-    entries = tool.corpus()[tool.SLICE]
+    entries = corpus_digest.corpus()[corpus_digest.SLICE]
     assert len(entries) == PINNED["entries"]
-    assert tool.digest(tool.answer(entries)) == PINNED["sha256"]
+    assert corpus_digest.digest(corpus_digest.answer(entries)) == PINNED["sha256"]
 
 
 def test_corpus_covers_every_source_and_family():
-    entries = _tool().corpus()
+    entries = corpus_digest.corpus()
     sources = {entry["id"].split("/")[0] for entry in entries}
     assert sources == {
         "random_descriptor", "inputs", "fixture", "finite_image", "embedded", "heisenberg"

@@ -183,40 +183,46 @@ class TestLocalized:
             assert in_localized(x - y, d)
 
 
+def rank_and_sign(ratios) -> tuple[int, bool]:
+    lattice = relation_lattice(ratios)
+    return lattice.rank, lattice.has_minus_one
+
+
 class TestMultRank:
     def test_known_values(self):
-        assert mult_rank([F(2), F(3)]) == (2, False)
-        assert mult_rank([F(4), F(8)]) == (1, False)
-        assert mult_rank([F(2), F(-2)]) == (1, True)
-        assert mult_rank([F(1)]) == (0, False)
-        assert mult_rank([F(-1)]) == (0, True)
-        assert mult_rank([F(2, 3), F(3, 2)]) == (1, False)
-        assert mult_rank([F(6), F(10), F(15)]) == (3, False)
-        assert mult_rank([]) == (0, False)
+        assert rank_and_sign([F(2), F(3)]) == (2, False)
+        assert rank_and_sign([F(4), F(8)]) == (1, False)
+        assert rank_and_sign([F(2), F(-2)]) == (1, True)
+        assert rank_and_sign([F(1)]) == (0, False)
+        assert rank_and_sign([F(-1)]) == (0, True)
+        assert rank_and_sign([F(2, 3), F(3, 2)]) == (1, False)
+        assert rank_and_sign([F(6), F(10), F(15)]) == (3, False)
+        assert rank_and_sign([]) == (0, False)
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
-            mult_rank([F(0)])
+            relation_lattice([F(0)])
 
     def test_invariance(self):
         # rank and sign torsion are properties of the generated subgroup
         rng = random.Random(7)
         for _ in range(300):
             ratios = [rand_nonzero_fraction(rng) for _ in range(rng.randint(1, 4))]
-            base = mult_rank(ratios)
+            base = rank_and_sign(ratios)
+            assert mult_rank(ratios) == base
             shuffled = ratios[:]
             rng.shuffle(shuffled)
-            assert mult_rank(shuffled) == base
+            assert rank_and_sign(shuffled) == base
             i = rng.randrange(len(ratios))
             inverted = ratios[:]
             inverted[i] = 1 / inverted[i]
-            assert mult_rank(inverted) == base
+            assert rank_and_sign(inverted) == base
             if len(ratios) >= 2:
                 j = rng.randrange(len(ratios))
                 if j != i:
                     merged = ratios[:]
                     merged[i] = merged[i] * merged[j]
-                    assert mult_rank(merged) == base
+                    assert rank_and_sign(merged) == base
 
 
 class TestRelationLattice:

@@ -3,11 +3,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from hirsch3.families import META_IDENTITY, MetabelianH31, meta_of_word
-from hirsch3.rationals import mult_rank, prime_factors
 from hirsch3.simplify import (
     SimplifyError,
     SolvabilityError,
@@ -157,7 +157,7 @@ def test_atom_scan_rejects_crossed_shells():
 
 def test_standardize_recovers_plain_form():
     sf = StandardForm(1, 2, 1, 3, 1)
-    assert standardize(sf.presentation()) == sf
+    assert standardize(expand_standard_form(sf)) == sf
     assert standardize(parse_presentation(sf.text())) == sf
 
 
@@ -247,8 +247,6 @@ def _random_standard_form(rng: random.Random) -> StandardForm:
     while True:
         p = rng.randint(1, 5)
         q = rng.randint(1, 5) * rng.choice((-1, 1))
-        from math import gcd
-
         if gcd(p, q) == 1:
             break
     return StandardForm(m, n, p, q, rng.randint(-4, 4))
@@ -306,151 +304,3 @@ def test_descriptor_feed_kills_input_relators():
         pres = expand_obfuscated(sf, rng.randint(0, 3), rng)
         for rel in pres.relators:
             assert meta_of_word(desc, rel) == META_IDENTITY
-
-
-# --- basis normalization, a change-of-basis search kept here ---------------
-
-
-def _pair_of_ratio(r: Fraction) -> tuple[int, int]:
-    return r.denominator, r.numerator
-
-
-def _normalized(r1: Fraction, r2: Fraction) -> bool:
-    m, n = _pair_of_ratio(r1)
-    p, q = _pair_of_ratio(r2)
-    if m % p != 0 or n % q != 0:
-        return False
-    fresh = set(prime_factors(m) + prime_factors(n)) - set(prime_factors(p) + prime_factors(q))
-    return bool(fresh)
-
-
-def _rank_two(r1: Fraction, r2: Fraction) -> bool:
-    # Multiplicative independence: no nonzero (x, y) with r1^x r2^y = 1.
-    rank, _ = mult_rank([r1, r2])
-    return rank == 2
-
-
-def normalize_basis(m: int, n: int, p: int, q: int):
-    """Change basis of the acting Z^2 so p' | m', q' | n' with a fresh prime.
-
-    Returns (m', n', p', q', change) where change rows express the new
-    basis in the old one: t' = t^A u^B, u' = t^C u^D with AD - BC = +-1.
-    Tries the identity, then shears t -> t u^s, then small general basis
-    changes each followed by a shear scan.
-    """
-    _check_pair(m, n)
-    _check_pair(p, q)
-    r1 = Fraction(n, m)
-    r2 = Fraction(q, p)
-    if not _rank_two(r1, r2):
-        raise SimplifyError("conjugation ratios are multiplicatively dependent")
-
-    for base in _basis_candidates():
-        (A, B), (C, D) = base
-        s1 = r1**A * r2**B
-        s2 = r1**C * r2**D
-        shear = _shear_scan(s1, s2)
-        if shear is None:
-            continue
-        s, t1 = shear
-        change = ((A + s * C, B + s * D), (C, D))
-        mp, np_ = _pair_of_ratio(t1)
-        pp, qp = _pair_of_ratio(s2)
-        return mp, np_, pp, qp, change
-    raise SimplifyError("no small basis change normalizes these ratios")
-
-
-def _shear_scan(r1: Fraction, r2: Fraction, bound: int = 64):
-    """Smallest s (by |s|, positive first) with t -> t u^s normalized."""
-    for s in _signed_range(bound):
-        t1 = r1 * r2**s
-        if _normalized(t1, r2):
-            return s, t1
-    return None
-
-
-def _signed_range(bound: int):
-    yield 0
-    for k in range(1, bound + 1):
-        yield k
-        yield -k
-
-
-def _basis_candidates(limit: int = 3):
-    yield ((1, 0), (0, 1))
-    seen = {((1, 0), (0, 1))}
-    for size in range(1, limit + 1):
-        span = range(-size, size + 1)
-        for A in span:
-            for B in span:
-                for C in span:
-                    for D in span:
-                        if A * D - B * C not in (1, -1):
-                            continue
-                        key = ((A, B), (C, D))
-                        if key in seen or max(abs(A), abs(B), abs(C), abs(D)) != size:
-                            continue
-                        seen.add(key)
-                        yield key
-
-
-def test_normalize_basis_shear_example():
-    assert normalize_basis(2, 3, 4, 5) == (8, 15, 4, 5, ((1, 1), (0, 1)))
-
-
-def test_normalize_basis_small_ratios():
-    assert normalize_basis(1, 2, 1, 3) == (1, 6, 1, 3, ((1, 1), (0, 1)))
-
-
-def test_normalize_basis_identity_when_normalized():
-    assert normalize_basis(1, 6, 1, 3) == (1, 6, 1, 3, ((1, 0), (0, 1)))
-
-
-def _check_normalized_output(m, n, p, q, result):
-    m2, n2, p2, q2, change = result
-    (A, B), (C, D) = change
-    assert A * D - B * C in (1, -1)
-    r1 = Fraction(n, m)
-    r2 = Fraction(q, p)
-    assert Fraction(n2, m2) == r1**A * r2**B
-    assert Fraction(q2, p2) == r1**C * r2**D
-    assert m2 % p2 == 0
-    assert n2 % q2 == 0
-    from hirsch3.rationals import prime_factors
-
-    assert set(prime_factors(m2) + prime_factors(n2)) - set(prime_factors(p2) + prime_factors(q2))
-
-
-def test_normalize_basis_needs_general_change():
-    result = normalize_basis(1, 6, 3, 2)
-    _check_normalized_output(1, 6, 3, 2, result)
-    assert result[4] != ((1, 0), (0, 1))
-
-
-def test_normalize_basis_rank_error():
-    with pytest.raises(SimplifyError, match="dependent"):
-        normalize_basis(1, 2, 1, 2)
-
-
-def test_normalize_basis_random_postconditions():
-    rng = random.Random(3)
-    from math import gcd
-
-    tried = 0
-    while tried < 50:
-        m, p = rng.randint(1, 6), rng.randint(1, 6)
-        n = rng.randint(1, 9) * rng.choice((-1, 1))
-        q = rng.randint(1, 9) * rng.choice((-1, 1))
-        if gcd(m, n) != 1 or gcd(p, q) != 1:
-            continue
-        try:
-            result = normalize_basis(m, n, p, q)
-        except SimplifyError:
-            from hirsch3.rationals import mult_rank
-
-            rank, _ = mult_rank([Fraction(n, m), Fraction(q, p)])
-            assert rank < 2
-            tried += 1
-            continue
-        _check_normalized_output(m, n, p, q, result)
-        tried += 1

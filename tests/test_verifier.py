@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import hirsch3.verify as verify_module
-from hirsch3.classify import classify
+from hirsch3.classify import Type1, classify
 from hirsch3.cli import load_descriptor_file
 from hirsch3.families import (
     FAMILIES,
@@ -29,7 +29,7 @@ from hirsch3.families import (
     ops_for,
 )
 from hirsch3.fixtures import FIXTURES, fixture_named
-from hirsch3.rationals import Mat2Q, mult_rank
+from hirsch3.rationals import Mat2Q, relation_lattice
 from hirsch3.verify import (
     _CANDIDATE_CAP,
     MAX_WORD_LENGTH,
@@ -360,8 +360,6 @@ class TestFpCone:
             fp_cone_bruteforce((F(1), F(3)), 12)
 
     def test_agrees_with_classifier_on_random_ratio_pairs(self):
-        from hirsch3.classify import Type1, fp_status
-
         primes = [2, 3, 5, 7]
         rng = random.Random("fp-cone-consistency")
         tested = 0
@@ -372,15 +370,14 @@ class TestFpCone:
             num = primes[rng.randrange(4)] ** rng.randrange(1, 3)
             den = primes[rng.randrange(4)] ** rng.randrange(0, 2)
             r2 = F(num, den)
-            rank, _ = mult_rank((r1, r2))
-            if rank != 2:
+            if relation_lattice((r1, r2)).rank != 2:
                 continue
             tested += 1
             desc = MetabelianH31(
                 r1.denominator, r1.numerator, r2.denominator, r2.numerator, F(0)
             )
             point = fp_cone_bruteforce((r1, r2), 12)
-            _, ctype, _ = fp_status(desc)
+            ctype = classify(desc).constructible_type
             if point is not None:
                 i, j = point
                 value = r1**i * r2**j
