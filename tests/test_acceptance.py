@@ -34,7 +34,6 @@ from hirsch3.verify import (
     oracle_word_eq,
     radical_certificate,
     random_word,
-    run_harness,
 )
 from test_rationals import integralize
 from test_simplifier import _random_standard_form, expand_obfuscated, exponent_law

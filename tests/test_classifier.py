@@ -182,6 +182,11 @@ def test_quotient_tags():
     assert classify(meta(1, 1, 1)).quotient == QuotientType("VirtuallyTrivial")
 
 
+def test_quotient_requires_full_hirsch_length():
+    assert classify(BSbar(1, 2)).quotient is None
+    assert classify(RankOneQ((F(1, 2),))).quotient is None
+
+
 # --- derived length ----------------------------------------------------------
 
 
@@ -372,6 +377,12 @@ def test_coherence_frozen_examples():
     assert classify(LatticeByZ(Mat2Q.of(0, -2, 1, F(1, 2)))).coherent.value is False
     assert classify(meta(F(2, 3), 5)).coherent.value is None
     assert classify(meta(1, 1, 1)).coherent.value is True
+
+
+def test_coherence_below_hirsch_three_is_finite_presentability():
+    # off the polycyclic case, Hirsch length 2 leaves no open question
+    assert classify(BSbar(1, 2)).coherent.value is True
+    assert classify(BSbar(2, 3)).coherent.value is False
 
 
 # --- minimax sections --------------------------------------------------------

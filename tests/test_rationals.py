@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
+from math import prod
 from typing import Optional
 
 import pytest
@@ -183,6 +185,24 @@ class TestLocalized:
             assert in_localized(x - y, d)
 
 
+def small_ratios(rng, count: int) -> list[Fraction]:
+    """+-2^i 3^j with |i|, |j| <= 2, so that relations are common and short."""
+    return [
+        rng.choice((-1, 1)) * F(2) ** rng.randint(-2, 2) * F(3) ** rng.randint(-2, 2)
+        for _ in range(count)
+    ]
+
+
+def product(ratios, exponents) -> Fraction:
+    return prod((r**e for r, e in zip(ratios, exponents)), start=F(1))
+
+
+def span(vectors, box) -> set[tuple[int, int]]:
+    """The combinations of vectors in Z^2 with coefficients in the box."""
+    combos = itertools.product(box, repeat=len(vectors))
+    return {tuple(sum(c * v[i] for c, v in zip(cs, vectors)) for i in range(2)) for cs in combos}
+
+
 def rank_and_sign(ratios) -> tuple[int, bool]:
     lattice = relation_lattice(ratios)
     return lattice.rank, lattice.has_minus_one
@@ -234,6 +254,53 @@ class TestRelationLattice:
         lattice = relation_lattice((F(-1), F(-1)))
         assert (lattice.rank, lattice.has_minus_one) == (0, True)
         assert lattice.relations() == [(1, 1), (2, 0)]
+
+    def test_rows_are_the_valuations(self):
+        rng = random.Random(41)
+        for _ in range(100):
+            ratios = [rand_nonzero_fraction(rng) for _ in range(rng.randint(1, 3))]
+            lattice = relation_lattice(ratios)
+            primes = {p for r in ratios for p in prime_factors(r.numerator * r.denominator)}
+            assert lattice.primes == tuple(sorted(primes))
+            valuations = [tuple(rational_valuation(r, p) for p in lattice.primes) for r in ratios]
+            assert lattice.rows == tuple(valuations)
+
+    def test_kernel_vectors_multiply_out_to_their_sign(self):
+        rng = random.Random(43)
+        for _ in range(200):
+            ratios = small_ratios(rng, rng.randint(1, 3))
+            lattice = relation_lattice(ratios)
+            assert len(lattice.kernel) == len(ratios) - lattice.rank
+            for v, odd in zip(lattice.kernel, lattice.odd):
+                assert product(ratios, v) == (-1 if odd else 1)
+
+    def test_relations_multiply_out_to_one(self):
+        rng = random.Random(47)
+        for _ in range(200):
+            ratios = small_ratios(rng, rng.randint(1, 3))
+            lattice = relation_lattice(ratios)
+            assert len(lattice.relations()) == len(lattice.kernel)
+            assert all(product(ratios, v) == 1 for v in lattice.relations())
+
+    def test_kernel_holds_every_small_relation(self):
+        # exponent pairs in a box that multiply out to +-1 are integer
+        # combinations of the kernel, and -1 is reached just when has_minus_one
+        rng = random.Random(53)
+        box = range(-4, 5)
+        for _ in range(100):
+            ratios = small_ratios(rng, 2)
+            lattice = relation_lattice(ratios)
+            units = [a for a in itertools.product(box, box) if abs(product(ratios, a)) == 1]
+            assert set(units) <= span(lattice.kernel, box)
+            assert any(product(ratios, a) == -1 for a in units) == lattice.has_minus_one
+
+    def test_relations_hold_every_small_relation(self):
+        rng = random.Random(59)
+        box = range(-4, 5)
+        for _ in range(100):
+            ratios = small_ratios(rng, 2)
+            ones = {a for a in itertools.product(box, box) if product(ratios, a) == 1}
+            assert ones <= span(relation_lattice(ratios).relations(), box)
 
 
 class TestRowKernel:

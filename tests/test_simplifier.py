@@ -166,6 +166,15 @@ def test_standard_form_text_is_stable():
     assert sf.text() == "< a, t, u | t a t^-1 a^-2, u a u^-1 a^-3, u t u^-1 t^-1 a^-1 >"
 
 
+def test_standard_form_rejects_bad_parameters():
+    with pytest.raises(SimplifyError, match="nonzero"):
+        StandardForm(1, 0, 1, 3, 0)
+    with pytest.raises(SimplifyError, match="coprime"):
+        StandardForm(1, 2, 2, 4, 0)
+    with pytest.raises(SimplifyError, match="positive"):
+        StandardForm(-1, 2, 1, 3, 0)
+
+
 def test_standardize_weighs_commutator_atoms():
     c_word = atom_product_word([(1, 0, 1), (0, 0, -2)])
     pres = pres_with(1, 2, 1, 3, comm_ut() * c_word.inv())
