@@ -12,14 +12,16 @@ Every `Word` is freely reduced, so a product reduces only at the seam: the
 last syllables of the left factor against the first of the right, with the
 rest copied as it is.  A power w^k is spelled directly: w = p c p^-1 with c
 cyclically reduced, and in c^k only each copy's last syllable can merge
-with the next copy's first.  A power whose reduced form would have more
-than `MAX_POWER_SYLLABLES` syllables is refused before anything is built.
+with the next copy's first.  No parsed word passes `MAX_POWER_SYLLABLES`
+syllables: a power past it is refused unbuilt, a product once joined.
 
 The parser keeps the shape of what it read: `parse_tree` returns a
 `Product` of factors, each a `Word` (a run of plain syllables) or a
-`Power` (a parenthesized word or commutator to an exponent other than ±1).
-Every node also carries its word spelled out, its factors joined at their
-seams in one pass, so a long product of atoms is linear; `parse_word` and
+`Power` (a parenthesized word or commutator to an exponent other than 1,
+spelling more than one syllable), which shares its base node: an inverse
+is the power -1, so [x, y] holds x and y once each.  Every node also
+carries its word spelled out, its factors joined at their seams in one
+pass, so a long product of atoms is linear; `parse_word` and
 `parse_presentation` return those words.  `evaluate` takes a tree's value
 in a group given by its operations, each power once per base by the
 group's `power`; `families.GroupOps.of_tree` passes square-and-multiply,
@@ -48,8 +50,8 @@ class ParseError(InputError):
         self.pos = pos
 
 
-# A power whose reduced form passes 2^20 syllables is refused unbuilt: that
-# is 8 MB of syllable pointers, and still 1.7 times (t u a)^200000.
+# A parsed word whose reduced form passes 2^20 syllables is refused: that is
+# 8 MB of syllable pointers, and still 1.7 times (t u a)^200000.
 MAX_POWER_SYLLABLES = 2**20
 
 
@@ -196,37 +198,36 @@ def _run(w: Word) -> Product:
 
 
 def _concat(parts: Sequence[Union[Word, Product]]) -> Product:
-    """The product of parsed atoms, each a generator power or a parsed
-    word: adjacent runs joined into one, and the parts' spelled words
-    joined at their seams, each in one linear pass."""
+    """The product of parsed atoms, generator powers or parsed words:
+    adjacent runs joined into one, and the spelled words joined at their
+    seams in one linear pass and refused past `MAX_POWER_SYLLABLES`."""
     if all(isinstance(p, Word) for p in parts):
-        return _run(_joined(parts))
-    if len(parts) == 1:
+        out = _run(_joined(parts))
+    elif len(parts) == 1:
         return parts[0]
-    factors: list[Factor] = []
-    every = chain.from_iterable((p,) if isinstance(p, Word) else p.factors for p in parts)
-    for is_run, group in groupby(every, key=lambda f: isinstance(f, Word)):
-        if not is_run:
-            factors.extend(group)
-        elif (run := _joined(group)).syllables:
-            factors.append(run)
-    return Product(tuple(factors), _joined(p if isinstance(p, Word) else p.word for p in parts))
+    else:
+        factors: list[Factor] = []
+        every = chain.from_iterable((p,) if isinstance(p, Word) else p.factors for p in parts)
+        for is_run, group in groupby(every, key=lambda f: isinstance(f, Word)):
+            if not is_run:
+                factors.extend(group)
+            elif (run := _joined(group)).syllables:
+                factors.append(run)
+        word = _joined(p if isinstance(p, Word) else p.word for p in parts)
+        out = Product(tuple(factors), word)
+    if (size := len(out.word.syllables)) > MAX_POWER_SYLLABLES:
+        raise InputError(
+            f"a product of {len(parts)} factors would spell {size} syllables, "
+            f"over the bound of {MAX_POWER_SYLLABLES}"
+        )
+    return out
 
 
 def _power(base: Product, k: int) -> Product:
-    """base^k.  The power is spelled out here, so its syllable bound is
-    checked where the parser reads it."""
+    """base^k, sharing `base` rather than copying it.  The power is spelled
+    out here, so its syllable bound is checked where the parser reads it."""
     if k == 1:
         return base
-    if k == -1:
-        word = base.word.inv()
-        if len(base.factors) == 1 and isinstance(f := base.factors[0], Power):
-            return Product((Power(f.base, -f.exp, word),), word)
-        factors = tuple(
-            f.inv() if isinstance(f, Word) else Power(f.base, -f.exp, f.word.inv())
-            for f in reversed(base.factors)
-        )
-        return Product(factors, word)
     word = base.word**k
     if len(word.syllables) <= 1:
         return _run(word)
@@ -241,8 +242,8 @@ def evaluate(
     power: Callable[[T, int], T],
 ) -> T:
     """The value of a parsed word in a group: each run by `of_word`, and
-    each power (w)^k by `power(value of w, |k|)`, taken once for each base
-    and |k|, since a commutator's x^-1 shares x's base.
+    each power (w)^k, an inverse too, by `power(value of w, |k|)`, once for
+    each base and |k|, so d nested commutators cost O(d^2) products.
 
     A product that spells out to less than half of its longest power has
     cancelled that power against its neighbours, as in (w)^k w (w)^-k or
@@ -434,13 +435,11 @@ def parse_presentation(text: str) -> Presentation:
     relators: list[Word] = []
     if parser.peek()[0] != ">":
         while True:
-            lhs = parser.word().word
+            relator = parser.word()
             if parser.peek()[0] == "=":
                 parser.next()
-                rhs = parser.word().word
-                relators.append(lhs * rhs.inv())
-            else:
-                relators.append(lhs)
+                relator = _concat([relator, _power(parser.word(), -1)])
+            relators.append(relator.word)
             if parser.peek()[0] != ",":
                 break
             parser.next()

@@ -30,6 +30,7 @@ from hirsch3.families import (
 )
 from hirsch3.fixtures import FIXTURES, fixture_named
 from hirsch3.rationals import Mat2Q
+from hirsch3.words import parse_tree
 from test_verifier import CORRUPTED_D_INFTY
 
 F = Fraction
@@ -93,6 +94,14 @@ def _prime_translations(count: int) -> list[tuple[str, str, str]]:
             primes.append(k)
         k += 1
     return [(f"x{i}", "1 0 0 1", f"1/{p} 0") for i, p in enumerate(primes)]
+
+
+def _nested_commutator(depth: int) -> str:
+    """[...[[x, s], s]..., s], a commutator nested `depth` deep."""
+    word = "x"
+    for _ in range(depth):
+        word = f"[{word}, s]"
+    return word
 
 
 def _descriptor_path(tmp_path: Path, name_or_text: str) -> Path:
@@ -500,6 +509,12 @@ class TestWordEqCommand:
             ("bs12_rtimes", "(t u a)^200000", "a power would have more than 262144 bits"),
             ("bsbar_23", "(t a)^100000", "Python's integer-to-string limit"),
             ("bs12_rtimes", "(t u a)^20000", "Python's integer-to-string limit"),
+            # spelled out, a commutator nested 22 deep took 26 s, and each
+            # level doubled it; depth 20 is the first past 2^20 syllables
+            *(
+                ("z_plus_z2", _nested_commutator(d), "2097152 syllables, over the bound of 1048576")
+                for d in (22, 30)
+            ),
         ],
     )
     def test_word_power_is_taken_in_the_group(self, capsys, tmp_path, name, word, refusal):
@@ -512,6 +527,44 @@ class TestWordEqCommand:
         assert time.monotonic() - start < 3.0
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and refusal in err
+
+    def test_nested_commutator_under_the_bound_keeps_its_bytes(self, capsys, tmp_path):
+        # the 458,776 bytes that spelling the word out and evaluating it printed
+        path = _descriptor_path(tmp_path, "z_plus_z2")
+        capsys.readouterr()
+        code, out, err = run(capsys, "word-eq", str(path), _nested_commutator(16), "1")
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "e2d4d59350cdf56f2ce1f93e265a92fd398786bd62a0b4299f18f2d2b623dd60"
+        )
+
+    def test_nested_commutator_level_costs_products_linear_in_depth(self):
+        # a level shares the commutator below it instead of copying it, so
+        # it adds two runs of four syllables in all and O(d) products and
+        # inverses, where spelling the word out doubled the syllables
+        ops = ops_for(fixture_named("z_plus_z2").descriptor)
+        counts = dict.fromkeys(("syllables", "of_word", "mul", "inv"), 0)
+        for name in ("of_word", "mul", "inv"):
+
+            def counting(*args, op=getattr(ops, name), name=name):
+                counts[name] += 1
+                if name == "of_word":
+                    counts["syllables"] += len(args[0].syllables)
+                return op(*args)
+
+            setattr(ops, name, counting)
+        totals = []
+        for depth in range(1, 17):
+            counts.update(dict.fromkeys(counts, 0))
+            ops.of_tree(parse_tree(_nested_commutator(depth)))
+            totals.append(dict(counts))
+        for depth, (below, at) in enumerate(zip(totals, totals[1:]), start=2):
+            assert at["syllables"] - below["syllables"] <= 4, depth
+            assert at["of_word"] - below["of_word"] <= 2, depth
+            assert at["mul"] - below["mul"] <= depth + 2, depth
+            assert at["inv"] - below["inv"] <= depth, depth
+        tree = parse_tree(_nested_commutator(10))
+        assert ops.of_tree(tree) == ops.of_word(tree.word)
 
     @pytest.mark.parametrize(
         "word, out",

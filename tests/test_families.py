@@ -44,6 +44,7 @@ from hirsch3.families import (
     rankone_of_word,
 )
 from hirsch3 import InputError, families
+from hirsch3.fixtures import fixture_named
 from hirsch3.rationals import Mat2Q, binary_power, in_localized, radical_of
 from hirsch3.words import Word, parse_tree, parse_word
 from test_rationals import is_unit_localized
@@ -100,13 +101,7 @@ def rand_word(rng, names, syllables=8, max_exp=3):
     return Word.of(pairs)
 
 
-D_INFTY = AffineQ2(
-    (
-        ("u", affine_map(Mat2Q.of(1, 0, 0, -1), (F(1, 2), F(0)))),
-        ("v", affine_map(Mat2Q.of(2, -1, 3, -2), (F(0), F(-1)))),
-        ("y", affine_map(Mat2Q.identity(), (F(0), F(1)))),
-    )
-)
+D_INFTY = fixture_named("d_infty_amalgam").descriptor
 
 # linear parts of infinite order, so powers past _TABLE_REACH have large entries
 _GROWING = AffineQ2(
@@ -739,19 +734,23 @@ class TestElementKernels:
 
 @pytest.mark.parametrize("desc", FAMILIES, ids=lambda d: type(d).__name__)
 def test_tree_takes_each_power_once(desc, monkeypatch):
-    # a commutator's x^-1 shares x's base, and nesting repeats it
+    # a commutator's x^-1 is the power -1 of x's node, and nesting repeats
+    # it; the two fifth powers are of two bases, parsed apart
     ops = ops_for(desc)
     a, b = ops.generator_names[0], ops.generator_names[-1]
     tree = parse_tree(f"[[({a} {b}^2)^5, {a}], {b}] ({a} {b}^2)^-5")
     taken = []
 
     def counting(x, k, mul, identity, bits):
-        taken.append(mul == ops.mul)
+        if mul == ops.mul:
+            taken.append(k)
         return binary_power(x, k, mul, identity, bits)
 
     monkeypatch.setattr(families, "binary_power", counting)
     assert ops.of_tree(tree) == ops.of_word(tree.word)
-    assert taken.count(True) == 2
+    # one fifth power per base, and one first power of each node that a
+    # commutator inverts: ({a} {b}^2)^5 and the inner commutator
+    assert sorted(taken) == [1, 1, 5, 5]
 
 
 def kb_endo_apply(phi: AscHNNKb, g: tuple[int, int]) -> tuple[int, int]:

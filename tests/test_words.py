@@ -198,23 +198,33 @@ class TestTree:
         assert tree.word == w("a") * w("t u a") ** 5 * w("b c")
 
     def test_powers_that_spell_one_run_are_runs(self):
-        # exponent 1 and -1, trivial powers and one-syllable powers
+        # exponent 1, trivial powers and powers of at most one syllable
         for text, flat in [
             ("a (b c) d", "a b c d"),
-            ("a (b c)^-1 d", "a c^-1 b^-1 d"),
-            ("[a b, c]", "a b c b^-1 a^-1 c^-1"),
+            ("a (b)^-1 d", "a b^-1 d"),
+            ("[a, c^2]", "a c^2 a^-1 c^-2"),
             ("(a b)^0 c 1", "c"),
             ("(b a b^-1)^0", "1"),
             ("(a^2)^3 b", "a^6 b"),
             ("(a b b^-1 a^-1)^7", "1"),
         ]:
             assert parse_tree(text).factors == ((w(flat),) if flat != "1" else ()), text
+        # an inverse of more than one syllable is the power -1 of its base
+        for text, base, run in [("a (b c)^-1", "b c", "a"), ("[a b, c]", "a b", "a b c")]:
+            tree = parse_tree(text)
+            assert tree.factors[:2] == (w(run), Power(parse_tree(base), -1, w(base).inv())), text
 
     def test_inverse_of_a_power_negates_its_exponent(self):
+        # the inverse shares its base, so the power inside keeps exponent 3
+        # and is taken once; the spelled word negates it
         tree = parse_tree("((a b)^3 c)^-1")
-        assert tree.factors == (w("c^-1"), Power(parse_tree("a b"), -3, w("a b") ** -3))
+        (inverse,) = tree.factors
+        assert inverse.exp == -1 and inverse.base == parse_tree("(a b)^3 c")
+        assert tree.word == w("c^-1") * w("a b") ** -3
         commutator = parse_tree("[(a b)^2, c]")
-        assert [f.exp for f in commutator.factors if isinstance(f, Power)] == [2, -2]
+        square, _, x_inverse, _ = commutator.factors
+        assert (square.exp, x_inverse.exp) == (2, -1)
+        assert x_inverse.base.factors[0] is square
         assert commutator.word == w("a b a b c b^-1 a^-1 b^-1 a^-1 c^-1")
 
     def test_runs_are_joined_and_never_empty(self):
