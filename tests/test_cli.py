@@ -529,7 +529,7 @@ class TestWordEqCommand:
         assert err.startswith("error: ") and refusal in err
 
     def test_nested_commutator_under_the_bound_keeps_its_bytes(self, capsys, tmp_path):
-        # the 458,776 bytes that spelling the word out and evaluating it printed
+        # pinned from the normal form of the spelled-out word: 458,776 bytes
         path = _descriptor_path(tmp_path, "z_plus_z2")
         capsys.readouterr()
         code, out, err = run(capsys, "word-eq", str(path), _nested_commutator(16), "1")

@@ -81,6 +81,18 @@ class TestAlgebra:
             assert f"would spell {2 * abs(k)} syllables" in str(exc.value)
         assert Word() ** 10**30 == Word()
 
+    def test_product_past_the_syllable_bound_is_refused(self):
+        # each factor is under the bound; a word or relator of two is not,
+        # unless it stays at the bound exactly
+        half = MAX_POWER_SYLLABLES // 4
+        assert len(parse_word(f"(a b)^{half} (a b)^{half}").syllables) == MAX_POWER_SYLLABLES
+        over = f"syllables, over the bound of {MAX_POWER_SYLLABLES}$"
+        for text in (f"(a b)^{half} a b (a b)^{half}", f"[(a b)^{half}, a]"):
+            with pytest.raises(InputError, match=over):
+                parse_word(text)
+        with pytest.raises(InputError, match=over):
+            parse_presentation(f"< a, b | (a b)^{half} a b = (a b)^-{half} >")
+
     def test_long_words_are_built_whole(self):
         word = parse_word("(t u a)^200000 t")
         assert len(word.syllables) == 600_001
