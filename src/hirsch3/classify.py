@@ -346,8 +346,6 @@ def _type1_ratio(desc: MetabelianH31) -> int:
     heap = [start]
     seen = {start}
     for _ in range(_TYPE1_SEARCH_CAP):
-        if not heap:
-            break
         value = heapq.heappop(heap)
         targets = [valuation(value, p) for p in primes]
         num_i = targets[idx1] * base[idx2][1] - targets[idx2] * base[idx1][1]

@@ -57,8 +57,8 @@ from .words import (
     parse_tree,
 )
 
-# `verify` (with `oracles`), `simplify` and `fixtures` are imported inside the
-# one command that uses each, so a fresh `classify` or `word-eq` never loads them.
+# `verify` (with `oracles`) and `simplify` are imported inside the one command
+# that uses each, so a fresh `classify` or `word-eq` never loads them.
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -71,6 +71,18 @@ MAX_PARAM_BITS = 64
 
 # rational-list kinds of `take` and their required lengths
 _LIST_COUNTS = {"rationals": None, "matrix": 4, "vector": 2}
+
+# the shipped fixtures, in `examples list` order: each is the descriptor file
+# `examples/<name>.toml` beside this module, which `examples emit` copies
+EXAMPLES = (
+    "d_infty_amalgam",
+    "z_plus_z2",
+    "f_mod_kprime",
+    "bsbar_23",
+    "bs12_rtimes",
+    "lattice_sol",
+    "lattice_asc",
+)
 
 
 class DescriptorFileError(InputError):
@@ -205,6 +217,14 @@ def _read_text(path: str | Path) -> str:
 
 def load_descriptor_file(path: str | Path) -> DescriptorFile:
     return parse_descriptor_text(_read_text(path))
+
+
+def example_text(name: str) -> str:
+    """The text of the shipped fixture `name`."""
+    if name not in EXAMPLES:
+        known = ", ".join(EXAMPLES)
+        raise InputError(f"unknown fixture {name!r}; known fixtures: {known}")
+    return _read_text(Path(__file__).parent / "examples" / f"{name}.toml")
 
 
 # --- serialization and digests --------------------------------------------------
@@ -439,18 +459,16 @@ def cmd_verify(args) -> int:
 
 
 def cmd_examples(args) -> int:
-    from .fixtures import FIXTURES, fixture_named
-
     if args.action == "list":
-        for fixture in FIXTURES:
-            print(f"{fixture.name:18s} {fixture.notes}")
+        for name in EXAMPLES:
+            print(f"{name:18s} {parse_descriptor_text(example_text(name)).notes}")
         return EXIT_OK
     if not args.fixture:
         raise InputError("emit needs a fixture name")
-    fixture = fixture_named(args.fixture)
-    out = Path(args.dir or ".") / f"{fixture.name}.toml"
+    text = example_text(args.fixture)
+    out = Path(args.dir or ".") / f"{args.fixture}.toml"
     try:
-        out.write_text(serialize_descriptor_file(fixture))
+        out.write_text(text)
     except OSError as exc:
         raise InputError(f"cannot write {out}: {exc.strerror}") from None
     print(out)

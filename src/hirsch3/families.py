@@ -60,7 +60,7 @@ steps.
 generator names, element algebra, descriptor-file form, display and
 defining relations.  `GroupOps` and the command line dispatch through it.
 `DescriptorFile` adds the name, notes and presentation that a descriptor
-file may carry; `cli` parses and writes it, and `fixtures` ships some.
+file may carry; `cli` parses and writes it, and ships seven as files.
 """
 
 from __future__ import annotations

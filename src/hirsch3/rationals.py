@@ -281,11 +281,12 @@ def rational_valuation(x: Fraction, p: int) -> int:
     return valuation(x.numerator, p) - valuation(x.denominator, p)
 
 
-def _supported_by(n: int, d: int) -> bool:
-    # True when every prime of |n| divides d; gcd-stripping, no factorization.
-    n = abs(n)
-    if n == 0:
-        return False
+def in_localized(x: Fraction, d: int) -> bool:
+    """Is x in Z[1/d]? Every prime of the (reduced) denominator must divide d."""
+    if d < 1:
+        raise ValueError("locus must be a positive integer")
+    # strip the denominator's common factors with d; no factorization
+    n = x.denominator
     while n > 1:
         g = gcd(n, d)
         if g == 1:
@@ -293,13 +294,6 @@ def _supported_by(n: int, d: int) -> bool:
         while n % g == 0:
             n //= g
     return True
-
-
-def in_localized(x: Fraction, d: int) -> bool:
-    """Is x in Z[1/d]? Every prime of the (reduced) denominator must divide d."""
-    if d < 1:
-        raise ValueError("locus must be a positive integer")
-    return x.denominator == 1 or _supported_by(x.denominator, d)
 
 
 def _row_sub(target: list[int], source: list[int], q: int) -> None:

@@ -24,7 +24,6 @@ from hirsch3.families import (
     affine_linear,
     ops_for,
 )
-from hirsch3.fixtures import FIXTURES, fixture_named
 from hirsch3.rationals import Mat2Q, conjugate_to_integral
 from hirsch3.simplify import standardize
 from hirsch3.verify import (
@@ -37,7 +36,7 @@ from hirsch3.verify import (
 )
 from test_rationals import integralize
 from test_simplifier import _random_standard_form, expand_obfuscated, exponent_law
-from test_verifier import CORRUPTED_D_INFTY, claiming_radical_hirsch
+from test_verifier import CORRUPTED_D_INFTY, FIXTURES, claiming_radical_hirsch, fixture_named
 
 F = Fraction
 GOLDEN = Path(__file__).parent / "golden"

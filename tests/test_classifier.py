@@ -49,11 +49,11 @@ from hirsch3.families import (
     affine_of_word,
     meta_of_word,
 )
-from hirsch3.fixtures import fixture_named
 from hirsch3.oracles import oracle_word_eq
 from hirsch3.rationals import Mat2Q, prime_factors, rational_valuation
 from hirsch3.words import Word
 from test_families import mat_apply
+from test_verifier import fixture_named
 
 F = Fraction
 I2 = Mat2Q.identity()

@@ -28,10 +28,9 @@ from hirsch3.families import (
     affine_map,
     ops_for,
 )
-from hirsch3.fixtures import FIXTURES, fixture_named
 from hirsch3.rationals import Mat2Q
 from hirsch3.words import parse_tree
-from test_verifier import CORRUPTED_D_INFTY
+from test_verifier import CORRUPTED_D_INFTY, FIXTURES, fixture_named
 
 F = Fraction
 BENCH_FIXTURES = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
@@ -1003,6 +1002,22 @@ class TestExamplesCommand:
         shipped = BENCH_FIXTURES / f"{name}.toml"
         assert emit(tmp_path, name).read_bytes() == shipped.read_bytes()
 
+    @pytest.mark.parametrize("name", cli.EXAMPLES)
+    def test_packaged_file_is_in_canonical_form(self, name):
+        text = cli.example_text(name)
+        assert cli.serialize_descriptor_file(cli.parse_descriptor_text(text)) == text
+
+    def test_packaged_files_are_declared_package_data(self):
+        # a non-editable install copies only the data files pyproject declares
+        tomllib = pytest.importorskip("tomllib")
+        package = Path(cli.__file__).resolve().parent
+        with (package.parents[1] / "pyproject.toml").open("rb") as fh:
+            globs = tomllib.load(fh)["tool"]["setuptools"]["package-data"]["hirsch3"]
+        for name in cli.EXAMPLES:
+            path = package / "examples" / f"{name}.toml"
+            assert path.is_file(), name
+            assert any(path.relative_to(package).match(g) for g in globs), name
+
 
 class TestElementRendering:
     def test_lattice_and_meta_forms(self):
@@ -1118,7 +1133,6 @@ LAYERS = (
     ("classify", "oracles"),
     ("verify",),
     ("simplify",),
-    ("fixtures",),
     ("cli",),
     ("__main__",),
 )
@@ -1158,11 +1172,11 @@ def test_imports_point_down_the_layers():
 @pytest.mark.parametrize(
     "module, line",
     [
-        ("fixtures", "from .cli import DescriptorFile"),
+        ("simplify", "from .cli import DescriptorFile"),
         ("words", "def word():\n    from .families import ops_for"),
         ("classify", "from . import oracles"),
         ("rationals", "import hirsch3.words"),
-        ("simplify", "from hirsch3.fixtures import FIXTURES"),
+        ("verify", "from hirsch3.simplify import standardize"),
         ("cli", "from hirsch3 import __main__"),
     ],
 )
@@ -1212,10 +1226,10 @@ class TestCommandImports:
     # modules that a command must not load: a cold `classify` or `word-eq`
     # compiles neither the verifier nor the simplifier
     NOT_LOADED = {
-        ("classify",): {"verify", "oracles", "fixtures", "simplify"},
-        ("word-eq", "t a t^-1", "a^2"): {"verify", "oracles", "fixtures", "simplify"},
-        ("simplify",): {"verify", "oracles", "fixtures"},
-        ("examples", "list"): {"verify", "oracles"},
+        ("classify",): {"verify", "oracles", "simplify"},
+        ("word-eq", "t a t^-1", "a^2"): {"verify", "oracles", "simplify"},
+        ("simplify",): {"verify", "oracles"},
+        ("examples", "list"): {"verify", "oracles", "simplify"},
     }
 
     @pytest.mark.parametrize("argv", sorted(NOT_LOADED), ids=lambda argv: argv[0])

@@ -44,10 +44,10 @@ from hirsch3.families import (
     rankone_of_word,
 )
 from hirsch3 import InputError, families
-from hirsch3.fixtures import fixture_named
 from hirsch3.rationals import Mat2Q, binary_power, in_localized, radical_of
 from hirsch3.words import Word, parse_tree, parse_word
 from test_rationals import is_unit_localized
+from test_verifier import fixture_named
 
 F = Fraction
 

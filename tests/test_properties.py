@@ -63,7 +63,6 @@ from hirsch3.families import (  # noqa: E402
     int_bits,
     ops_for,
 )
-from hirsch3.fixtures import FIXTURES  # noqa: E402
 from hirsch3.rationals import (  # noqa: E402
     Mat2Q,
     complement_vector,
@@ -90,7 +89,7 @@ from hirsch3.words import Presentation, Word, commutator, format_word, parse_tre
 from test_classifier import random_descriptor  # noqa: E402
 from test_families import BS1nAut, bs1n_ext_to_meta, mat_apply  # noqa: E402
 from test_simplifier import atom_product_word, comm_ut, exponent_law, pres_with  # noqa: E402
-from test_verifier import CORRUPTED_D_INFTY  # noqa: E402
+from test_verifier import CORRUPTED_D_INFTY, FIXTURES  # noqa: E402
 
 F = Fraction
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from fractions import Fraction
 from math import prod
 from typing import Optional
@@ -11,11 +12,14 @@ from typing import Optional
 import pytest
 
 from hirsch3 import InputError, rationals
+from hirsch3.classify import QuotientType
+from hirsch3.families import AffineQ2, MetabelianH31
 from hirsch3.rationals import (
     MAX_POWER_BITS,
     FactorBudgetError,
     Mat2Q,
     bounded_pow,
+    complement_vector,
     conjugate_to_integral,
     factorint,
     format_rational,
@@ -29,7 +33,9 @@ from hirsch3.rationals import (
     radical_of,
     rational_valuation,
     relation_lattice,
+    valuation,
 )
+from hirsch3.verify import fp_cone_bruteforce
 
 F = Fraction
 
@@ -425,3 +431,32 @@ class TestBoundedPow:
         for x, k in ((2, MAX_POWER_BITS + 1), (F(1, 2), -(2**61)), (F(-5, 4), MAX_POWER_BITS)):
             with pytest.raises(InputError, match="more than 262144 bits"):
                 bounded_pow(x, k)
+
+
+# argument guards across the package that no other test reaches: each refuses
+# a caller's bad argument with its own exception type and message
+GUARDS = {
+    "QuotientType": (lambda: QuotientType("X"), ValueError, "unknown quotient tag"),
+    "MetabelianH31": (lambda: MetabelianH31(1, 2, 1, 0, F(1)), ValueError, "n and q must be nonzero"),
+    "AffineQ2": (lambda: AffineQ2(()), ValueError, "at least one generator required"),
+    "factorint": (lambda: factorint(0), ValueError, "0 has no prime factorization"),
+    "radical_of": (lambda: radical_of(0), ValueError, "radical of 0 is undefined"),
+    "valuation": (lambda: valuation(0, 2), ValueError, "valuation of 0 is undefined"),
+    "rational_valuation": (lambda: rational_valuation(F(0), 2), ValueError, "valuation of 0 is undefined"),
+    "in_localized": (lambda: in_localized(F(1, 2), 0), ValueError, "locus must be a positive integer"),
+    "complement_vector": (lambda: complement_vector((2, 4)), AssertionError, "kernel vector is not primitive"),
+    "Mat2Q.inverse": (lambda: Mat2Q.of(1, 2, 2, 4).inverse(), ZeroDivisionError, "matrix is singular"),
+    "is_unimodular_integral_class": (
+        lambda: is_unimodular_integral_class(Mat2Q.of(1, 2, 2, 4)),
+        ValueError,
+        "criterion assumes an invertible matrix",
+    ),
+    "fp_cone_bruteforce": (lambda: fp_cone_bruteforce((F(2), F(3), F(5)), 4), ValueError, "expected exactly two ratios"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", GUARDS.values(), ids=GUARDS)
+def test_argument_guard_refuses(call, error, message):
+    with pytest.raises(error, match="^" + re.escape(message)) as exc_info:
+        call()
+    assert exc_info.type is error

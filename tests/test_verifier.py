@@ -13,12 +13,13 @@ import pytest
 
 import hirsch3.verify as verify_module
 from hirsch3.classify import Type1, classify
-from hirsch3.cli import load_descriptor_file
+from hirsch3.cli import EXAMPLES, example_text, load_descriptor_file, parse_descriptor_text
 from hirsch3.families import (
     FAMILIES,
     AffineQ2,
     AscHNNKb,
     BSbar,
+    DescriptorFile,
     GroupOps,
     LatticeByZ,
     MetabelianH31,
@@ -28,7 +29,6 @@ from hirsch3.families import (
     is_unipotent,
     ops_for,
 )
-from hirsch3.fixtures import FIXTURES, fixture_named
 from hirsch3.rationals import Mat2Q, relation_lattice
 from hirsch3.verify import (
     _CANDIDATE_CAP,
@@ -62,6 +62,15 @@ from hirsch3.words import Word, parse_word
 F = Fraction
 
 CFG = TrialConfig(seed=11, trials=60)
+
+
+def fixture_named(name: str) -> DescriptorFile:
+    """The shipped fixture `name`, parsed from its package file."""
+    return parse_descriptor_text(example_text(name))
+
+
+FIXTURES = tuple(fixture_named(name) for name in EXAMPLES)
+
 # the negative control: d_infty_amalgam with u's glide translation moved from
 # 1/2 to 1/3, so the relator v^2 = u^2 y fails while the linear parts hold
 CORRUPTED_D_INFTY = load_descriptor_file(
