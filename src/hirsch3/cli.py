@@ -47,10 +47,9 @@ from typing import Callable, Optional, Sequence
 from . import InputError, __version__
 from .classify import ClassificationReport, InvariantViolation, classify
 from .families import FAMILY_BY_TAG, DescriptorFile, family_of, ops_for
-from .rationals import parse_rational
+from .rationals import parse_rational, rational_bits
 from .words import (
     ParseError,
-    Presentation,
     format_presentation,
     format_word,
     parse_presentation,
@@ -109,7 +108,7 @@ def _split_lines(text: str) -> list[tuple[int, str, str]]:
 
 def _bounded(key: str, x, lineno: int):
     """x itself, when its numerator and denominator fit in MAX_PARAM_BITS."""
-    if max(abs(x.numerator), x.denominator).bit_length() > MAX_PARAM_BITS:
+    if rational_bits(x) > MAX_PARAM_BITS:
         raise DescriptorFileError(
             f"line {lineno}: key {key!r} is past the limit of {MAX_PARAM_BITS} "
             "bits for an integer, numerator or denominator"
@@ -446,9 +445,7 @@ def cmd_verify(args) -> int:
 
     df = load_descriptor_file(args.path)
     cfg = TrialConfig(seed=args.seed, trials=args.trials, window=args.window)
-    if df.presentation is not None:  # its relators use the family's generators
-        Presentation(ops_for(df.descriptor).generator_names, df.presentation.relators)
-    report = run_harness(df.descriptor, cfg, relators=df.presentation)
+    report = run_harness(df.descriptor, cfg, presentation=df.presentation)
     data = report.to_json()
     sys.stdout.write(_dump_json(_envelope(df, data, verification_notes(data))))
     if not report.passed:

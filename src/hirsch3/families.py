@@ -58,7 +58,8 @@ steps.
 
 `FAMILIES` maps each descriptor type to its `Family` record: file tag,
 generator names, element algebra, descriptor-file form, display and
-defining relations.  `GroupOps` and the command line dispatch through it.
+defining presentation, one DSL text per family that `words` parses.
+`GroupOps` and the command line dispatch through it.
 `DescriptorFile` adds the name, notes and presentation that a descriptor
 file may carry; `cli` parses and writes it, and ships seven as files.
 """
@@ -68,7 +69,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
-from math import gcd, prod
+from math import gcd, lcm, prod
 from typing import Any, Callable, Iterable, Optional, Union
 
 from . import InputError
@@ -87,10 +88,9 @@ from .words import (
     Presentation,
     Product,
     Word,
-    commutator,
     evaluate,
-    format_word,
     is_generator_name,
+    parse_presentation,
 )
 
 F = Fraction
@@ -622,7 +622,7 @@ def affine_of_word(desc: AffineQ2, w: Word) -> tuple:
     return AFFINE_IDENTITY if out is None else out
 
 
-# --- display and defining relations -------------------------------------------
+# --- display and defining presentations ---------------------------------------
 
 
 def _mat_values(m: Mat2Q) -> str:
@@ -694,31 +694,14 @@ def _affine_parse(take) -> AffineQ2:
     return AffineQ2(tuple((gname, maps[gname]) for gname in names))
 
 
-def _relation(lhs: Word, rhs: Word) -> tuple[str, Word]:
-    return (f"{format_word(lhs)} = {format_word(rhs)}", lhs * rhs.inv())
-
-
 def _rankone_names(desc: RankOneQ) -> tuple[str, ...]:
     return tuple(f"g{i + 1}" for i in range(len(desc.generators)))
 
 
-def _rankone_relations(desc: RankOneQ) -> list[tuple[str, Word]]:
+def _rankone_presentation(desc: RankOneQ) -> Presentation:
     names = _rankone_names(desc)
-    out = []
-    for i, gi in enumerate(names):
-        for gj in names[i + 1 :]:
-            lhs = Word.gen(gi) * Word.gen(gj)
-            out.append(_relation(lhs, Word.gen(gj) * Word.gen(gi)))
-    return out
-
-
-def _bsbar_relations(desc: BSbar) -> list[tuple[str, Word]]:
-    a, t = Word.gen("a"), Word.gen("t")
-    conj = t * a * t.inv()
-    return [
-        _relation(t * a**desc.m * t.inv(), a**desc.n),
-        (f"[a, {format_word(conj)}] = 1", commutator(a, conj)),
-    ]
+    rels = [f"{gi} {gj} = {gj} {gi}" for i, gi in enumerate(names) for gj in names[i + 1 :]]
+    return parse_presentation(f"< {', '.join(names)} | {', '.join(rels)} >")
 
 
 # The twist relation spells [u, t]^k out letter by letter, 4k letters for the
@@ -726,8 +709,7 @@ def _bsbar_relations(desc: BSbar) -> list[tuple[str, Word]]:
 MAX_TWIST_LETTERS = 10_000
 
 
-def _meta_relations(desc: MetabelianH31) -> list[tuple[str, Word]]:
-    a, t, u = Word.gen("a"), Word.gen("t"), Word.gen("u")
+def _meta_presentation(desc: MetabelianH31) -> Presentation:
     twist = desc.e * desc.t_ratio
     k = twist.denominator
     if 4 * k > MAX_TWIST_LETTERS:
@@ -735,42 +717,21 @@ def _meta_relations(desc: MetabelianH31) -> list[tuple[str, Word]]:
             f"the twist relator [u, t]^{k} would have {4 * k} letters, "
             f"over the bound of {MAX_TWIST_LETTERS}"
         )
-    power = int(twist * k)
-    conj_t = t * a * t.inv()
-    conj_u = u * a * u.inv()
-    return [
-        _relation(t * a**desc.m * t.inv(), a**desc.n),
-        _relation(u * a**desc.p * u.inv(), a**desc.q),
-        (f"[u, t]^{k} = a^{power}", commutator(u, t) ** k * a ** (-power)),
-        (f"[a, {format_word(conj_t)}] = 1", commutator(a, conj_t)),
-        (f"[a, {format_word(conj_u)}] = 1", commutator(a, conj_u)),
-        (
-            f"[{format_word(conj_t)}, {format_word(conj_u)}] = 1",
-            commutator(conj_t, conj_u),
-        ),
-    ]
+    return parse_presentation(
+        f"< a, t, u | t a^{desc.m} t^-1 = a^{desc.n}, u a^{desc.p} u^-1 = a^{desc.q}, "
+        f"[u, t]^{k} = a^{twist.numerator}, [a, t a t^-1], [a, u a u^-1], "
+        "[t a t^-1, u a u^-1] >"
+    )
 
 
-def _lattice_relations(desc: LatticeByZ) -> list[tuple[str, Word]]:
-    a, b, t = Word.gen("a"), Word.gen("b"), Word.gen("t")
+def _lattice_presentation(desc: LatticeByZ) -> Presentation:
+    """For g = a, b: t g^k t^-1 = a^x b^y, (x, y) = k M g for the least k making it integral."""
     m = desc.matrix
-    out = [("[a, b] = 1", commutator(a, b))]
-    for gen_word, col in ((a, (m.a, m.c)), (b, (m.b, m.d))):
-        dens = (col[0].denominator, col[1].denominator)
-        k = dens[0] * dens[1] // gcd(dens[0], dens[1])
-        x, y = int(col[0] * k), int(col[1] * k)
-        lhs = t * gen_word**k * t.inv()
-        out.append(_relation(lhs, a**x * b**y))
-    return out
-
-
-def _hnnkb_relations(desc: AscHNNKb) -> list[tuple[str, Word]]:
-    x, y, s = Word.gen("x"), Word.gen("y"), Word.gen("s")
-    return [
-        _relation(x * y * x.inv(), y**-1),
-        _relation(s * x * s.inv(), x**desc.e * y**desc.f),
-        _relation(s * y * s.inv(), y**desc.d),
-    ]
+    ka, kb = lcm(m.a.denominator, m.c.denominator), lcm(m.b.denominator, m.d.denominator)
+    return parse_presentation(
+        f"< a, b, t | [a, b], t a^{ka} t^-1 = a^{m.a * ka} b^{m.c * ka}, "
+        f"t b^{kb} t^-1 = a^{m.b * kb} b^{m.d * kb} >"
+    )
 
 
 # --- the family table ---------------------------------------------------------
@@ -788,9 +749,10 @@ class Family:
     `take(key, kind)`, the value of a descriptor-file key read as kind
     "int", "rational", "rationals", "matrix" (four rationals), "vector" (two
     rationals) or "names".  `fields(desc)` lists the descriptor's (key,
-    value) file lines in file order.  `relations` gives relator words, with
-    display labels, that hold in the element model; affine descriptors have
-    none here and take theirs from a presentation.
+    value) file lines in file order.  `presentation(desc)` is the family's
+    defining presentation, parsed from its DSL text, whose relators hold in
+    the element model; an affine descriptor's has no relators, and a
+    descriptor file gives it its own.
     """
 
     tag: str
@@ -804,7 +766,7 @@ class Family:
     fields: Callable[[Any], list[tuple[str, str]]]
     describe: Callable[[Any], str]
     format_element: Callable[[Any], str]
-    relations: Callable[[Any], list[tuple[str, Word]]]
+    presentation: Callable[[Any], Presentation]
 
 
 FAMILIES: dict[type, Family] = {
@@ -820,7 +782,9 @@ FAMILIES: dict[type, Family] = {
         fields=lambda d: _int_fields(d, "mn"),
         describe=lambda d: f"BSbar(m={d.m}, n={d.n})",
         format_element=lambda g: _syllables(("a", F(g[1], g[0])), ("t", g[2])),
-        relations=_bsbar_relations,
+        presentation=lambda d: parse_presentation(
+            f"< a, t | t a^{d.m} t^-1 = a^{d.n}, [a, t a t^-1] >"
+        ),
     ),
     MetabelianH31: Family(
         tag="metabelian_h31",
@@ -839,7 +803,7 @@ FAMILIES: dict[type, Family] = {
             f"e={format_rational(d.e)})"
         ),
         format_element=lambda g: _syllables(("a", F(g[1], g[0])), ("t", g[2]), ("u", g[3])),
-        relations=_meta_relations,
+        presentation=_meta_presentation,
     ),
     LatticeByZ: Family(
         tag="lattice_by_z",
@@ -855,7 +819,7 @@ FAMILIES: dict[type, Family] = {
         format_element=lambda g: _syllables(
             ("a", F(g[1], g[0])), ("b", F(g[2], g[0])), ("t", g[3])
         ),
-        relations=_lattice_relations,
+        presentation=_lattice_presentation,
     ),
     AscHNNKb: Family(
         tag="asc_hnn_kb",
@@ -869,7 +833,9 @@ FAMILIES: dict[type, Family] = {
         fields=lambda d: _int_fields(d, "efd"),
         describe=lambda d: f"AscHNNKb(e={d.e}, f={d.f}, d={d.d})",
         format_element=_hnnkb_format,
-        relations=_hnnkb_relations,
+        presentation=lambda d: parse_presentation(
+            f"< x, y, s | x y x^-1 = y^-1, s x s^-1 = x^{d.e} y^{d.f}, s y s^-1 = y^{d.d} >"
+        ),
     ),
     RankOneQ: Family(
         tag="rank_one_q",
@@ -883,7 +849,7 @@ FAMILIES: dict[type, Family] = {
         fields=lambda d: [("generators", " ".join(map(format_rational, d.generators)))],
         describe=lambda d: f"RankOneQ({', '.join(map(format_rational, d.generators))})",
         format_element=format_rational,
-        relations=_rankone_relations,
+        presentation=_rankone_presentation,
     ),
     AffineQ2: Family(
         tag="affine_q2",
@@ -897,7 +863,7 @@ FAMILIES: dict[type, Family] = {
         fields=_affine_fields,
         describe=lambda d: f"AffineQ2({', '.join(d.names)})",
         format_element=_affine_format,
-        relations=lambda d: [],
+        presentation=lambda d: Presentation(d.names, ()),
     ),
 }
 

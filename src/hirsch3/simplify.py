@@ -15,7 +15,7 @@ from math import gcd
 
 from . import InputError
 from .rationals import bounded_pow
-from .words import Presentation, Word, commutator, format_presentation
+from .words import Presentation, Word, commutator, format_presentation, parse_presentation
 
 
 class SimplifyError(InputError):
@@ -185,7 +185,6 @@ def standardize(pres: Presentation) -> StandardForm:
 
 def expand_standard_form(sf: StandardForm) -> Presentation:
     """Regenerate the a,t,u-presentation of a StandardForm."""
-    rel_t = Word.of((("t", 1), ("a", sf.m), ("t", -1), ("a", -sf.n)))
-    rel_u = Word.of((("u", 1), ("a", sf.p), ("u", -1), ("a", -sf.q)))
-    rel_c = _COMMUTATOR_UT * Word.gen("a", -sf.c)
-    return Presentation(GENS, (rel_t, rel_u, rel_c))
+    return parse_presentation(
+        f"< a, t, u | t a^{sf.m} t^-1 = a^{sf.n}, u a^{sf.p} u^-1 = a^{sf.q}, [u, t] = a^{sf.c} >"
+    )

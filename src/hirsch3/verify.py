@@ -9,7 +9,8 @@ closures, and exhaustive scans over small windows.  `oracle_word_eq`,
 
 Like `families.FAMILIES` and `classify._INVARIANTS`, `_VERIFIERS` holds
 one record per descriptor type: the family's radical model and its own
-extra checks.
+extra checks.  Every relator set, a descriptor file's or the family's
+(`Family.presentation`), is read as a `words.Presentation`.
 
 A check passes exactly when its counterexample is None; `CheckResult`
 stores no other verdict.  All verdicts are deterministic under a fixed
@@ -199,31 +200,24 @@ def _sampled_words(cfg: TrialConfig, label: str, names: Sequence[str], count: in
 # --- defining relations -------------------------------------------------------
 
 
-def _relations(
-    desc: GroupDescriptor, presentation: Optional[Presentation]
-) -> list[tuple[str, Word]]:
-    """The presentation's relators, labelled by their text, or the family's
-    defining relations when there is no presentation."""
-    if presentation is None:
-        return family_of(desc).relations(desc)
-    return [(format_word(r), r) for r in presentation.relators]
+def _relators(desc: GroupDescriptor, presentation: Optional[Presentation]) -> tuple[Word, ...]:
+    """The presentation's relators, or the family's defining relators when
+    there is no presentation."""
+    return (presentation or family_of(desc).presentation(desc)).relators
 
 
 def check_relations(
     desc: GroupDescriptor, presentation: Optional[Presentation] = None
 ) -> CheckResult:
-    """Evaluate every relator in the element model; all must be identity."""
+    """Evaluate every relator in the element model; all must be identity.
+    A failing relator is named by its word."""
     ops = ops_for(desc)
-    relations = _relations(desc, presentation)
-    if not relations:
+    relators = _relators(desc, presentation)
+    if not relators:
         note = "no relator set available; supply a presentation"
         return CheckResult("relations", None, 0, 0, note=note)
-    failures = [
-        label
-        for label, relator in relations
-        if not ops.is_identity(ops.of_word(relator))
-    ]
-    return CheckResult("relations", "; ".join(failures) or None, len(relations), 0)
+    failures = [format_word(r) for r in relators if not ops.is_identity(ops.of_word(r))]
+    return CheckResult("relations", "; ".join(failures) or None, len(relators), 0)
 
 
 # --- rewriting closure --------------------------------------------------------
@@ -946,13 +940,10 @@ def _relator_consequence(
 
 
 def _word_eq_check(
-    desc: GroupDescriptor,
-    cfg: TrialConfig,
-    relations: list[tuple[str, Word]],
+    desc: GroupDescriptor, cfg: TrialConfig, relator_words: Sequence[Word]
 ) -> CheckResult:
     ops = ops_for(desc)
     names = ops.generator_names
-    relator_words = [r for _, r in relations]
     problem: Optional[str] = None
     budget_skips = 0
     for idx in range(cfg.trials):
@@ -1062,7 +1053,7 @@ def _endo_checks(
     out = [CheckResult("endo_index", problem, 1, cfg.seed)]
     ops = ops_for(desc)
     names = ops.generator_names
-    relators = [r for _, r in family_of(desc).relations(desc)]
+    relators = family_of(desc).presentation(desc).relators
     contradiction: Optional[str] = None
     inconclusive = 0
     trials = min(cfg.trials, 30)
@@ -1124,20 +1115,24 @@ _VERIFIERS: dict[type, _Verifier] = {
 def run_harness(
     desc: GroupDescriptor,
     cfg: TrialConfig,
-    relators: Optional[Presentation] = None,
+    presentation: Optional[Presentation] = None,
 ) -> VerificationReport:
     """Full verification pass for one descriptor.
 
     Covers relator evaluation, the word-problem oracle, iterated
     commutator depth against the derived length, the radical certificate,
-    and the family-specific scans.  A presentation without relators gives
-    the word-problem check no relators to insert, and leaves the relations
-    check to the family's defining relations.
+    and the family-specific scans.  The relators are the presentation's,
+    which must use only the family's generators, or else the family's
+    defining relators.  A presentation without relators gives the
+    word-problem check no relators to insert, and leaves the relations
+    check to the family's defining relators.
     """
+    if presentation is not None:  # refuses a relator on a generator outside the family's
+        Presentation(family_of(desc).generator_names(desc), presentation.relators)
     report = classify(desc)
-    relations = _relations(desc, relators)
-    checks: list[CheckResult] = [check_relations(desc, relators if relations else None)]
-    checks.append(_word_eq_check(desc, cfg, relations))
+    relators = _relators(desc, presentation)
+    checks: list[CheckResult] = [check_relations(desc, presentation if relators else None)]
+    checks.append(_word_eq_check(desc, cfg, relators))
     checks.extend(_depth_checks(desc, cfg, report.derived_length))
     checks.extend(radical_certificate(desc, cfg, report=report).checks)
     checks.extend(_VERIFIERS[type(desc)].extra_checks(desc, cfg, report))

@@ -29,7 +29,7 @@ from hirsch3.families import (
     ops_for,
 )
 from hirsch3.rationals import Mat2Q
-from hirsch3.words import parse_tree
+from hirsch3.words import format_word, parse_tree
 from test_verifier import CORRUPTED_D_INFTY, FIXTURES, fixture_named
 
 F = Fraction
@@ -1067,8 +1067,8 @@ class TestFamilyTable:
         assert back.descriptor == desc
         assert cli.input_digest(back) == cli.input_digest(df)
         ops = ops_for(desc)
-        for label, relator in FAMILIES[type(desc)].relations(desc):
-            assert ops.is_identity(ops.of_word(relator)), label
+        for relator in FAMILIES[type(desc)].presentation(desc).relators:
+            assert ops.is_identity(ops.of_word(relator)), format_word(relator)
 
 
 def _isinstance_targets(node: ast.Call) -> list[str]:

@@ -25,6 +25,7 @@ from hirsch3.families import (
     affine_of_word,
     affine_pow,
     affine_translation,
+    family_of,
     _TABLE_REACH,
     _iterate_apply,
     _lattice,
@@ -130,6 +131,12 @@ def test_rank_one_normal_form_reads_only_g1_to_gn():
         expected = rf"unknown generator '{name}' \(expected g1\.\.g2\)"
         with pytest.raises(ValueError, match=expected):
             rankone_of_word(desc, Word.gen(name))
+
+
+@pytest.mark.parametrize("desc", FAMILIES, ids=lambda d: type(d).__name__)
+def test_presentation_names_the_family_generators(desc):
+    family = family_of(desc)
+    assert family.presentation(desc).generators == family.generator_names(desc)
 
 
 @pytest.mark.parametrize("desc", FAMILIES, ids=lambda d: type(d).__name__)

@@ -364,7 +364,7 @@ def _case(draw, family: str):
     desc = draw(DESCRIPTORS[family])
     names = ops_for(desc).generator_names
     w1 = draw(_words(names, 8))
-    relators = [r for _, r in family_of(desc).relations(desc)]
+    relators = family_of(desc).presentation(desc).relators
     if relators and draw(st.booleans()):
         conj = draw(_words(names, 3))
         relator = draw(st.sampled_from(relators)) ** draw(st.sampled_from((1, -1)))
@@ -416,9 +416,9 @@ def test_defining_relators_are_one_in_both_evaluators(family):
     @settings(max_examples=25, derandomize=True, deadline=None, database=None)
     @given(DESCRIPTORS[family])
     def check(desc):
-        for label, relator in family_of(desc).relations(desc):
-            assert oracle_word_eq(desc, relator, Word()), (desc, label)
-            assert reference_word_eq(desc, relator, Word(), oracles._DEFAULT_MAX_BITS), (desc, label)
+        for relator in family_of(desc).presentation(desc).relators:
+            assert oracle_word_eq(desc, relator, Word()), (desc, relator)
+            assert reference_word_eq(desc, relator, Word(), oracles._DEFAULT_MAX_BITS), (desc, relator)
 
     check()
 

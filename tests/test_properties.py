@@ -162,7 +162,7 @@ def _case(draw, family: str):
     desc = draw(DESCRIPTORS[family])
     names = ops_for(desc).generator_names
     w1 = draw(_words(names, 8))
-    relators = [r for _, r in family_of(desc).relations(desc)]
+    relators = family_of(desc).presentation(desc).relators
     if relators and draw(st.booleans()):
         conj = draw(_words(names, 3))
         relator = draw(st.sampled_from(relators)) ** draw(st.sampled_from((1, -1)))
@@ -190,12 +190,12 @@ def test_normal_form_agrees_with_oracle(family):
     check()
 
 
-def _relators(desc) -> list[Word]:
+def _relators(desc) -> tuple[Word, ...]:
     """The defining relators; an affine `random_descriptor` draw has none
     of its own, but its translations x and y commute."""
     if isinstance(desc, AffineQ2):
-        return [commutator(Word.gen("x"), Word.gen("y"))]
-    return [r for _, r in family_of(desc).relations(desc)]
+        return (commutator(Word.gen("x"), Word.gen("y")),)
+    return family_of(desc).presentation(desc).relators
 
 
 @st.composite
@@ -283,7 +283,7 @@ def _tree_case(draw, family: str):
     many draws does not leave it small."""
     text1, _ = draw(_tree_text(2))
     desc = draw(DESCRIPTORS[family])
-    relators = [r for _, r in family_of(desc).relations(desc)]
+    relators = family_of(desc).presentation(desc).relators
     how = draw(st.sampled_from(("fresh", "relator", "split")))
     if how == "relator" and relators:
         conj, rel = draw(_tree_text(1))[0], draw(st.sampled_from(relators))
@@ -727,7 +727,7 @@ def _seeded_word_pairs(lattice: LatticeByZ, seed: int, count: int = 20) -> list[
     """Word pairs over a, b, t; half of the second words are the first with
     a conjugated defining relator of the lattice extension inserted."""
     rng = random.Random(seed)
-    relators = [r for _, r in family_of(lattice).relations(lattice)]
+    relators = family_of(lattice).presentation(lattice).relators
 
     def word(length: int) -> Word:
         exps = (-3, -2, -1, 1, 2, 3)

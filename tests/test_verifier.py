@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import hirsch3.verify as verify_module
+from hirsch3 import InputError
 from hirsch3.classify import Type1, classify
 from hirsch3.cli import EXAMPLES, example_text, load_descriptor_file, parse_descriptor_text
 from hirsch3.families import (
@@ -57,7 +58,7 @@ from hirsch3.verify import (
     rewrite_closure_eq,
     run_harness,
 )
-from hirsch3.words import Word, parse_word
+from hirsch3.words import Word, parse_presentation, parse_word
 
 F = Fraction
 
@@ -112,10 +113,10 @@ class TestDefiningRelations:
         ]
         for desc in descriptors:
             ops = ops_for(desc)
-            relations = ops.family.relations(desc)
-            assert relations, desc
-            for label, relator in relations:
-                assert ops.is_identity(ops.of_word(relator)), (desc, label)
+            relators = ops.family.presentation(desc).relators
+            assert relators, desc
+            for relator in relators:
+                assert ops.is_identity(ops.of_word(relator)), (desc, relator)
 
     def test_check_relations_accepts_fixture_presentations(self):
         for fixture in FIXTURES:
@@ -130,6 +131,13 @@ class TestDefiningRelations:
         assert not result.passed
         assert result.counterexample is not None
         assert "v^2" in result.counterexample
+
+    def test_failing_family_relator_is_named_by_its_word(self, monkeypatch):
+        wrong = parse_presentation("< a, t | t a^2 t^-1 = a^4, [a, t a t^-1] >")
+        family = replace(FAMILIES[BSbar], presentation=lambda d: wrong)
+        monkeypatch.setitem(FAMILIES, BSbar, family)
+        result = check_relations(BSbar(2, 3))
+        assert (result.counterexample, result.trials) == ("t a^2 t^-1 a^-4", 2)
 
     def test_affine_without_presentation_is_vacuous(self):
         desc = fixture_named("d_infty_amalgam").descriptor
@@ -170,11 +178,11 @@ class TestOracleAgreement:
     def test_relator_insertion_preserves_equality(self, desc):
         ops = ops_for(desc)
         names = list(ops.generator_names)
-        relations = ops.family.relations(desc)
+        relators = ops.family.presentation(desc).relators
         rng = random.Random(f"oracle-lacing:{desc!r}")
         for _ in range(80):
             w = random_word(rng, names, 8)
-            _, relator = relations[rng.randrange(len(relations))]
+            relator = relators[rng.randrange(len(relators))]
             conj = random_word(rng, names, 3)
             laced = w * conj * relator * conj.inv()
             assert oracle_word_eq(desc, w, laced)
@@ -283,7 +291,7 @@ class TestRewriteClosure:
     def test_stops_on_the_letter_budget(self, monkeypatch):
         # s x s^-1 = x^199 is a relator of 202 letters, two past the budget
         desc = AscHNNKb(199, 0, 1)
-        relators = [r for _, r in family_of(desc).relations(desc)]
+        relators = family_of(desc).presentation(desc).relators
         assert verify_module._CLOSURE_LETTERS == 200
         assert [r.length() for r in relators] == [4, 202, 4]
         assert rewrite_closure_eq(relators, Word.identity(), relators[1]) is None
@@ -717,12 +725,17 @@ class TestHarness:
     def test_fixtures_pass(self):
         for fixture in FIXTURES:
             report = run_harness(
-                fixture.descriptor, CFG, relators=fixture.presentation
+                fixture.descriptor, CFG, presentation=fixture.presentation
             )
             assert not failing(report), (
                 fixture.name,
                 [(c.name, c.counterexample) for c in failing(report)],
             )
+
+    def test_presentation_with_unknown_generator_is_refused(self):
+        stray = parse_presentation("< a, t, z | z >")
+        with pytest.raises(InputError, match=r"^relator uses unknown generator 'z'; "):
+            run_harness(BSbar(2, 3), TrialConfig(trials=1), stray)
 
     def test_report_is_deterministic_for_fixed_seed(self):
         desc = MetabelianH31(1, 2, 1, 3, F(1))
