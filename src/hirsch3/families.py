@@ -72,7 +72,6 @@ from functools import cached_property, partial
 from math import gcd, lcm, prod
 from typing import Any, Callable, Iterable, Optional, Union
 
-from . import InputError
 from .rationals import (
     Mat2Q,
     RelationLattice,
@@ -704,26 +703,6 @@ def _rankone_presentation(desc: RankOneQ) -> Presentation:
     return parse_presentation(f"< {', '.join(names)} | {', '.join(rels)} >")
 
 
-# The twist relation spells [u, t]^k out letter by letter, 4k letters for the
-# twist denominator k; past this bound the relator is refused unbuilt.
-MAX_TWIST_LETTERS = 10_000
-
-
-def _meta_presentation(desc: MetabelianH31) -> Presentation:
-    twist = desc.e * desc.t_ratio
-    k = twist.denominator
-    if 4 * k > MAX_TWIST_LETTERS:
-        raise InputError(
-            f"the twist relator [u, t]^{k} would have {4 * k} letters, "
-            f"over the bound of {MAX_TWIST_LETTERS}"
-        )
-    return parse_presentation(
-        f"< a, t, u | t a^{desc.m} t^-1 = a^{desc.n}, u a^{desc.p} u^-1 = a^{desc.q}, "
-        f"[u, t]^{k} = a^{twist.numerator}, [a, t a t^-1], [a, u a u^-1], "
-        "[t a t^-1, u a u^-1] >"
-    )
-
-
 def _lattice_presentation(desc: LatticeByZ) -> Presentation:
     """For g = a, b: t g^k t^-1 = a^x b^y, (x, y) = k M g for the least k making it integral."""
     m = desc.matrix
@@ -803,7 +782,11 @@ FAMILIES: dict[type, Family] = {
             f"e={format_rational(d.e)})"
         ),
         format_element=lambda g: _syllables(("a", F(g[1], g[0])), ("t", g[2]), ("u", g[3])),
-        presentation=_meta_presentation,
+        presentation=lambda d: parse_presentation(
+            f"< a, t, u | t a^{d.m} t^-1 = a^{d.n}, u a^{d.p} u^-1 = a^{d.q}, "
+            f"[u, t]^{(d.e * d.t_ratio).denominator} = a^{(d.e * d.t_ratio).numerator}, "
+            "[a, t a t^-1], [a, u a u^-1], [t a t^-1, u a u^-1] >"
+        ),
     ),
     LatticeByZ: Family(
         tag="lattice_by_z",

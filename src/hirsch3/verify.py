@@ -10,7 +10,7 @@ closures, and exhaustive scans over small windows.  `oracle_word_eq`,
 Like `families.FAMILIES` and `classify._INVARIANTS`, `_VERIFIERS` holds
 one record per descriptor type: the family's radical model and its own
 extra checks.  Every relator set, a descriptor file's or the family's
-(`Family.presentation`), is read as a `words.Presentation`.
+(`Family.presentation`), is admitted by `_relators` alone.
 
 A check passes exactly when its counterexample is None; `CheckResult`
 stores no other verdict.  All verdicts are deterministic under a fixed
@@ -51,7 +51,7 @@ from .rationals import (
     rational_valuation,
     relation_lattice,
 )
-from .words import Presentation, Word, commutator, format_word
+from .words import Presentation, Word, check_generators, commutator, format_word
 
 __all__ = [
     "TrialConfig",
@@ -77,6 +77,10 @@ MAX_WORD_LENGTH = 12
 # The largest `window` admitted: the family scans' work grows faster than
 # the square of the window.
 MAX_WINDOW = 100
+
+# The most syllables a relator may have: each trial spells out c r^+-1 c^-1
+# and evaluates it in the normal form and the oracle, about 1 s at the bound.
+MAX_RELATOR_SYLLABLES = 10_000
 
 
 @dataclass(frozen=True)
@@ -201,9 +205,16 @@ def _sampled_words(cfg: TrialConfig, label: str, names: Sequence[str], count: in
 
 
 def _relators(desc: GroupDescriptor, presentation: Optional[Presentation]) -> tuple[Word, ...]:
-    """The presentation's relators, or the family's defining relators when
-    there is no presentation."""
-    return (presentation or family_of(desc).presentation(desc)).relators
+    """The presentation's relators, or else the family's; one on a generator
+    outside the family's, or past `MAX_RELATOR_SYLLABLES`, is an InputError."""
+    relators = (presentation or family_of(desc).presentation(desc)).relators
+    check_generators(relators, family_of(desc).generator_names(desc))
+    longest = max((len(r.syllables) for r in relators), default=0)
+    if longest > MAX_RELATOR_SYLLABLES:
+        raise InputError(
+            f"a relator has {longest} syllables, over the bound of {MAX_RELATOR_SYLLABLES}"
+        )
+    return relators
 
 
 def check_relations(
@@ -1053,7 +1064,7 @@ def _endo_checks(
     out = [CheckResult("endo_index", problem, 1, cfg.seed)]
     ops = ops_for(desc)
     names = ops.generator_names
-    relators = family_of(desc).presentation(desc).relators
+    relators = _relators(desc, None)
     contradiction: Optional[str] = None
     inconclusive = 0
     trials = min(cfg.trials, 30)
@@ -1122,15 +1133,13 @@ def run_harness(
     Covers relator evaluation, the word-problem oracle, iterated
     commutator depth against the derived length, the radical certificate,
     and the family-specific scans.  The relators are the presentation's,
-    which must use only the family's generators, or else the family's
-    defining relators.  A presentation without relators gives the
-    word-problem check no relators to insert, and leaves the relations
-    check to the family's defining relators.
+    or else the family's defining relators, as `_relators` admits them.  A
+    presentation without relators gives the word-problem check no relators
+    to insert, and leaves the relations check to the family's defining
+    relators.
     """
-    if presentation is not None:  # refuses a relator on a generator outside the family's
-        Presentation(family_of(desc).generator_names(desc), presentation.relators)
-    report = classify(desc)
     relators = _relators(desc, presentation)
+    report = classify(desc)
     checks: list[CheckResult] = [check_relations(desc, presentation if relators else None)]
     checks.append(_word_eq_check(desc, cfg, relators))
     checks.extend(_depth_checks(desc, cfg, report.derived_length))

@@ -579,6 +579,31 @@ class TestWordEqCommand:
         capsys.readouterr()
         assert run(capsys, "word-eq", str(path), word, "1") == (0, out, "")
 
+    def test_long_spelled_word_of_cancelled_powers_is_left_to_the_powers(self, capsys, tmp_path):
+        # (t u a)^149000 spelled is past MAX_SPELLED_SYLLABLES, so the powers
+        # are taken and refused, instead of a quadratic of_word over 447,000
+        # syllables
+        path = _descriptor_path(tmp_path, "bs12_rtimes")
+        capsys.readouterr()
+        start = time.monotonic()
+        code, out, err = run(capsys, "word-eq", str(path), "(t u a)^349000 (t u a)^-200000", "1")
+        assert time.monotonic() - start < 3.0
+        assert (code, out) == (2, "")
+        assert "a power would have more than 262144 bits" in err
+
+    def test_short_spelled_word_of_cancelled_powers_is_evaluated(self, capsys, tmp_path):
+        # (t u a)^4000 spelled, 12,000 syllables, under MAX_SPELLED_SYLLABLES
+        path = _descriptor_path(tmp_path, "bs12_rtimes")
+        capsys.readouterr()
+        word = "(t u a)^200000 (t u a)^-196000"
+        code, out, err = run(capsys, "word-eq", str(path), word, "1")
+        assert (code, err) == (0, "")
+        assert out.startswith("unequal\n  t u a t u a ")
+        assert out.endswith(" t^4000 u^4000\n  1  =  1\n")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "8bf60c3af5f28d10dc40a7f74cfe84fd43b428af08c0cd36f94c3ed173604ddc"
+        )
+
     def test_power_with_one_syllable_cancelled_is_still_taken(self, capsys, tmp_path):
         path = _descriptor_path(tmp_path, "bs12_rtimes")
         capsys.readouterr()
@@ -728,28 +753,43 @@ class TestVerifyCommand:
 
     @staticmethod
     def _twist_file(tmp_path: Path, e: str) -> Path:
-        # m = 1, n = 2, so the twist e n/m has half of e's denominator
+        # m = 1, n = 2, so the twist e n/m has half of e's denominator; q =
+        # 5 * 2499 lets e's denominator be 5000 or 4998
         path = tmp_path / "twist.toml"
-        path.write_text(f"family = metabelian_h31\nm = 1\nn = 2\np = 1\nq = 5\ne = {e}\n")
+        path.write_text(f"family = metabelian_h31\nm = 1\nn = 2\np = 1\nq = 12495\ne = {e}\n")
         return path
 
     def test_twist_relator_past_the_bound_is_input_error(self, capsys, tmp_path):
-        # [u, t]^2560 would have 10,240 letters, just past the bound
-        path = self._twist_file(tmp_path, "1/5120")
+        # [u, t]^2500 a^-1 has 10,001 syllables, just past MAX_RELATOR_SYLLABLES
+        path = self._twist_file(tmp_path, "1/5000")
         code, out, err = run(capsys, "verify", str(path), "--trials", "1")
         assert (code, out) == (2, "")
-        assert err == (
-            "error: the twist relator [u, t]^2560 would have 10240 letters, "
-            "over the bound of 10000\n"
-        )
+        assert err == "error: a relator has 10001 syllables, over the bound of 10000\n"
         code, out, err = run(capsys, "classify", str(path))
         assert (code, err) == (0, "")
 
     def test_twist_relator_at_the_bound_is_built(self, capsys, tmp_path):
-        path = self._twist_file(tmp_path, "1/5000")  # [u, t]^2500, 10,000 letters
+        path = self._twist_file(tmp_path, "1/4998")  # [u, t]^2499 a^-1, 9,997 syllables
         code, out, err = run(capsys, "verify", str(path), "--trials", "1")
         assert (code, err) == (0, "")
         assert json.loads(out)["report"]["passed"] is True
+
+    @pytest.mark.parametrize("depth", [12, 13])
+    def test_nested_commutator_file_relator_at_the_bound(self, capsys, tmp_path, depth):
+        # [[...[x, s]..., s], s] spells 2^(depth + 1) syllables: 8,192 at depth
+        # 12 is admitted, 16,384 at depth 13 is refused before any trial
+        text = cli.serialize_descriptor_file(fixture_named("z_plus_z2"))
+        text = text.replace(" >\n", f", {_nested_commutator(depth)} >\n")
+        path = _descriptor_path(tmp_path, text)
+        start = time.monotonic()
+        code, out, err = run(capsys, "verify", str(path))
+        if depth == 12:
+            assert (code, err) == (0, "")
+            assert json.loads(out)["report"]["checks"][0]["trials"] == 4
+        else:
+            assert time.monotonic() - start < 3.0
+            assert (code, out) == (2, "")
+            assert err == "error: a relator has 16384 syllables, over the bound of 10000\n"
 
     def test_huge_power_relator_gets_a_report(self, capsys, tmp_path):
         # the relator t a t^-1 = a^(2^60) holds a^(2^60) as one syllable

@@ -44,6 +44,7 @@ from hirsch3.verify import (
     _quotient_z,
     _quotient_z2,
     _quotient_z_plus_z2,
+    _relators,
     TrialConfig,
     VerifyResourceError,
     _child_rng,
@@ -139,11 +140,36 @@ class TestDefiningRelations:
         result = check_relations(BSbar(2, 3))
         assert (result.counterexample, result.trials) == ("t a^2 t^-1 a^-4", 2)
 
+    def test_presentation_with_unknown_generator_is_input_error(self):
+        stray = parse_presentation("< a, t, z | z >")
+        with pytest.raises(InputError) as exc:
+            check_relations(BSbar(2, 3), stray)
+        assert str(exc.value) == "relator uses unknown generator 'z'; the generators are a, t"
+
     def test_affine_without_presentation_is_vacuous(self):
         desc = fixture_named("d_infty_amalgam").descriptor
         result = check_relations(desc)
         assert result.passed
         assert "presentation" in result.note
+
+
+class TestRelatorGate:
+    @pytest.mark.parametrize("fixture", FIXTURES + (CORRUPTED_D_INFTY,), ids=lambda f: f.name)
+    def test_every_fixture_passes_with_file_and_family_relators(self, fixture):
+        family = _relators(fixture.descriptor, None)
+        assert family == family_of(fixture.descriptor).presentation(fixture.descriptor).relators
+        if fixture.presentation is not None:
+            own = _relators(fixture.descriptor, fixture.presentation)
+            assert own == fixture.presentation.relators
+
+    def test_family_relators_of_every_verify_path_go_through_the_gate(self, monkeypatch):
+        calls = []
+        gate = verify_module._relators
+        monkeypatch.setattr(
+            verify_module, "_relators", lambda *args: calls.append(args[1]) or gate(*args)
+        )
+        run_harness(AscHNNKb(1, 0, 2), TrialConfig(trials=2))
+        assert calls == [None, None, None]  # run_harness, check_relations, _endo_checks
 
 
 class TestOracleAgreement:

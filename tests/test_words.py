@@ -10,6 +10,7 @@ import pytest
 from hirsch3 import InputError
 from hirsch3.words import (
     MAX_POWER_SYLLABLES,
+    MAX_SPELLED_SYLLABLES,
     ParseError,
     Power,
     Presentation,
@@ -256,6 +257,23 @@ class TestTree:
         for _ in range(300):
             tree = parse_tree(" ".join(rng.choice(atoms) for _ in range(rng.randint(1, 6))))
             assert evaluate(tree, lambda x: x, Word.__mul__, Word.inv, Word.__pow__) == tree.word
+
+    @pytest.mark.parametrize(
+        "k, spelled", [(MAX_SPELLED_SYLLABLES // 2, True), (MAX_SPELLED_SYLLABLES // 2 + 1, False)]
+    )
+    def test_cancelled_power_is_spelled_only_up_to_the_bound(self, k, spelled):
+        # (a b)^(k + 40000) (a b)^-40000 spells (a b)^k, 2k syllables, in Z
+        tree = parse_tree(f"(a b)^{k + 40000} (a b)^-40000")
+        seen = []
+        value = evaluate(
+            tree,
+            lambda x: seen.append(x) or x.exponent_sum("a"),
+            lambda g, h: g + h,
+            lambda g: -g,
+            lambda g, n: g * n,
+        )
+        assert value == k
+        assert (tree.word in seen) is spelled
 
 
 class TestRoundTrip:
