@@ -30,7 +30,8 @@ Every integer, numerator and denominator of a parameter is at most 64 bits.
 Exit codes: 0 success, 2 input error, 3 internal invariant violation,
 4 verification failure.  Every module refuses an input by raising an
 `InputError`; `main` alone prints its message as one `error:` line and
-returns 2, and the commands print nothing before their output is built.
+returns 2, as it does for an output integer past Python's integer-to-string
+limit, and the commands print nothing before their output is built.
 """
 
 from __future__ import annotations
@@ -39,10 +40,9 @@ import argparse
 import hashlib
 import json
 import sys
-from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import InputError, __version__
 from .classify import ClassificationReport, InvariantViolation, classify
@@ -106,46 +106,24 @@ def _split_lines(text: str) -> list[tuple[int, str, str]]:
     return entries
 
 
-def _bounded(key: str, x, lineno: int):
-    """x itself, when its numerator and denominator fit in MAX_PARAM_BITS."""
+def _read_number(key: str, value: str, lineno: int, kind: str):
+    """value read as an int or a rational, refused unless it parses and its
+    numerator and denominator fit in MAX_PARAM_BITS."""
+    read, what = (
+        (int, "an integer") if kind == "int" else (parse_rational, "a rational")
+    )
+    try:
+        x = read(value)
+    except ValueError:
+        raise DescriptorFileError(
+            f"line {lineno}: key {key!r} expects {what}, got {value!r}"
+        ) from None
     if rational_bits(x) > MAX_PARAM_BITS:
         raise DescriptorFileError(
             f"line {lineno}: key {key!r} is past the limit of {MAX_PARAM_BITS} "
             "bits for an integer, numerator or denominator"
         )
     return x
-
-
-def _parse_int(key: str, value: str, lineno: int) -> int:
-    try:
-        n = int(value)
-    except ValueError:
-        raise DescriptorFileError(
-            f"line {lineno}: key {key!r} expects an integer, got {value!r}"
-        ) from None
-    return _bounded(key, n, lineno)
-
-
-def _parse_rational_field(key: str, value: str, lineno: int) -> Fraction:
-    try:
-        x = parse_rational(value)
-    except ValueError:
-        raise DescriptorFileError(
-            f"line {lineno}: key {key!r} expects a rational, got {value!r}"
-        ) from None
-    return _bounded(key, x, lineno)
-
-
-def _parse_rational_list(
-    key: str, value: str, lineno: int, count: Optional[int] = None
-) -> list[Fraction]:
-    parts = value.split()
-    if count is not None and len(parts) != count:
-        raise DescriptorFileError(
-            f"line {lineno}: key {key!r} expects {count} rationals, "
-            f"got {len(parts)}"
-        )
-    return [_parse_rational_field(key, p, lineno) for p in parts]
 
 
 def parse_descriptor_text(text: str) -> DescriptorFile:
@@ -179,13 +157,18 @@ def parse_descriptor_text(text: str) -> DescriptorFile:
         if key not in fields:
             raise DescriptorFileError(f"missing required key {key!r}")
         lineno, value = fields.pop(key)
-        if kind == "int":
-            return _parse_int(key, value, lineno)
-        if kind == "rational":
-            return _parse_rational_field(key, value, lineno)
         if kind == "names":
             return value.split()
-        return _parse_rational_list(key, value, lineno, _LIST_COUNTS[kind])
+        if kind in ("int", "rational"):
+            return _read_number(key, value, lineno, kind)
+        parts = value.split()
+        count = _LIST_COUNTS[kind]
+        if count is not None and len(parts) != count:
+            raise DescriptorFileError(
+                f"line {lineno}: key {key!r} expects {count} rationals, "
+                f"got {len(parts)}"
+            )
+        return [_read_number(key, p, lineno, "rational") for p in parts]
 
     try:
         desc = FAMILY_BY_TAG[family].parse(take)
@@ -377,20 +360,6 @@ def _yn(value: bool) -> str:
 # --- commands -----------------------------------------------------------------
 
 
-def _printable(what: str, build: Callable[[], str]) -> str:
-    """build(), or an InputError when `what` holds an integer past Python's
-    integer-to-string limit; any other error passes through."""
-    try:
-        return build()
-    except ValueError as exc:
-        if "integer string conversion" not in str(exc):
-            raise
-        raise InputError(
-            f"{what} has an integer longer than Python's integer-to-string "
-            f"limit of {sys.get_int_max_str_digits()} digits"
-        ) from None
-
-
 def cmd_classify(args) -> int:
     df = load_descriptor_file(args.path)
     report = classify(df.descriptor)
@@ -407,12 +376,9 @@ def cmd_word_eq(args) -> int:
     ops = ops_for(df.descriptor)
     trees = [parse_tree(w, ops.generator_names) for w in (args.word1, args.word2)]
     g1, g2 = (ops.of_tree(tree) for tree in trees)
-    lines = _printable(
-        "a normal form",
-        lambda: "".join(
-            f"  {format_word(tree.word)}  =  {ops.family.format_element(g)}\n"
-            for tree, g in zip(trees, (g1, g2))
-        ),
+    lines = "".join(
+        f"  {format_word(tree.word)}  =  {ops.family.format_element(g)}\n"
+        for tree, g in zip(trees, (g1, g2))
     )
     sys.stdout.write(("equal" if g1 == g2 else "unequal") + "\n" + lines)
     return EXIT_OK
@@ -431,11 +397,8 @@ def cmd_simplify(args) -> int:
         raise InputError("the file carries no presentation")
     sf = standardize(pres)
     sys.stdout.write(
-        _printable(
-            "the standard form",
-            lambda: f"standard form: m={sf.m} n={sf.n} p={sf.p} q={sf.q} c={sf.c}\n"
-            f"{sf.text()}\n",
-        )
+        f"standard form: m={sf.m} n={sf.n} p={sf.p} q={sf.q} c={sf.c}\n"
+        f"{sf.text()}\n"
     )
     return EXIT_OK
 
@@ -529,6 +492,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.run(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except ValueError as exc:
+        if "integer string conversion" not in str(exc):
+            raise
+        print(
+            "error: an integer to print is longer than Python's integer-to-string "
+            f"limit of {sys.get_int_max_str_digits()} digits",
+            file=sys.stderr,
+        )
         return EXIT_INPUT
     except InvariantViolation as exc:
         print(f"internal error: {exc}", file=sys.stderr)

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from hirsch3 import classify as classify_module
-from hirsch3 import InputError, cli
+from hirsch3 import cli
 from hirsch3.classify import InvariantViolation
 from hirsch3.families import (
     FAMILIES,
@@ -45,6 +45,13 @@ VERIFY_DIGESTS = {
 DIGEST_CASES = [
     (seed, name) for seed, digests in VERIFY_DIGESTS.items() for name in digests["reports"]
 ]
+
+
+# the one refusal of an output integer past Python's integer-to-string limit
+_UNPRINTABLE = (
+    "error: an integer to print is longer than Python's integer-to-string "
+    f"limit of {sys.get_int_max_str_digits()} digits\n"
+)
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -160,6 +167,40 @@ class TestDescriptorFiles:
             cli.parse_descriptor_text(f"family = lattice_by_z\nmatrix = 1 0 0 1/{2**64}\n")
         with pytest.raises(cli.DescriptorFileError, match="key 'generators'.* 64 bits"):
             cli.parse_descriptor_text(f"family = rank_one_q\ngenerators = 2 -{2**64}/3\n")
+
+    @pytest.mark.parametrize(
+        "text, refusal",
+        [
+            ("family = bsbar\nm = 2\nn = x\n", "line 3: key 'n' expects an integer, got 'x'"),
+            (
+                f"family = bsbar\nm = 2\nn = {'7' * 5000}\n",
+                f"line 3: key 'n' expects an integer, got '{'7' * 5000}'",
+            ),
+            (
+                "family = metabelian_h31\nm = 1\nn = 2\np = 1\nq = 3\ne = 1/0\n",
+                "line 6: key 'e' expects a rational, got '1/0'",
+            ),
+            (
+                f"family = bsbar\nm = 2\nn = {2**64}\n",
+                "line 3: key 'n' is past the limit of 64 bits for an integer, "
+                "numerator or denominator",
+            ),
+            (
+                "family = lattice_by_z\nmatrix = 1 2 3\n",
+                "line 2: key 'matrix' expects 4 rationals, got 3",
+            ),
+            (
+                "family = affine_q2\ngenerators = u\n"
+                "gen.u.linear = 1 0 0 1\ngen.u.translation = 1 2 3\n",
+                "line 4: key 'gen.u.translation' expects 2 rationals, got 3",
+            ),
+        ],
+        ids=["not-an-integer", "5000-digits", "zero-denominator", "65-bits", "matrix", "vector"],
+    )
+    def test_number_refusals_keep_their_text(self, text, refusal):
+        with pytest.raises(cli.DescriptorFileError) as info:
+            cli.parse_descriptor_text(text)
+        assert str(info.value) == refusal
 
     def test_matrix_arity_checked(self):
         with pytest.raises(cli.DescriptorFileError, match="4 rationals"):
@@ -624,14 +665,6 @@ class TestWordEqCommand:
             "ba5c2131adae4809131ffba6262fde29d34ca4cf5636644ec061e5d14d60db36"
         )
 
-    def test_printable_passes_other_refusals_through(self):
-        def refuse() -> str:
-            raise InputError("not a digit limit")
-
-        with pytest.raises(InputError, match="^not a digit limit$"):
-            cli._printable("a normal form", refuse)
-
-
 class TestSimplifyCommand:
     def test_round_trip_from_presentation_file(self, capsys, tmp_path):
         src = tmp_path / "pres.txt"
@@ -675,10 +708,7 @@ class TestSimplifyCommand:
         )
         code, out, err = run(capsys, "simplify", str(src))
         assert (code, out) == (2, "")
-        assert err == (
-            "error: the standard form has an integer longer than Python's "
-            f"integer-to-string limit of {sys.get_int_max_str_digits()} digits\n"
-        )
+        assert err == _UNPRINTABLE
 
     def test_huge_conjugate_power_is_input_error(self, capsys, tmp_path):
         # the atom t^K a t^-K weighs 2^K, refused before it is computed
@@ -701,6 +731,29 @@ class TestSimplifyCommand:
         code, _, err = run(capsys, "simplify", str(path))
         assert code == 2
         assert "no presentation" in err
+
+
+class TestUnprintableIntegers:
+    @pytest.mark.parametrize("relator", ["(a^{N})^3", "a^{N} a^{N}"])
+    @pytest.mark.parametrize("argv", [("classify", "--format", "json"), ("verify", "--trials", "3")])
+    def test_relator_too_long_to_print_is_input_error(self, capsys, tmp_path, relator, argv):
+        # N has 4,300 digits, the most Python reads, and the input digest
+        # and the relation check print a^(3N) or a^(2N), which has 4,301
+        big = 9 * 10**4299
+        text = f"family = bsbar\nm = 2\nn = 3\npresentation = < a, t | {relator} >\n"
+        path = _descriptor_path(tmp_path, text.format(N=big))
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert (code, out, err) == (2, "", _UNPRINTABLE)
+
+    def test_other_value_error_passes_through_main(self, tmp_path, monkeypatch):
+        path = emit(tmp_path, "bsbar_23")
+
+        def refuse(desc):
+            raise ValueError("not a digit limit")
+
+        monkeypatch.setattr(cli, "classify", refuse)
+        with pytest.raises(ValueError, match="^not a digit limit$"):
+            cli.main(["classify", str(path)])
 
 
 class TestVerifyCommand:
