@@ -665,6 +665,7 @@ class TestWordEqCommand:
             "ba5c2131adae4809131ffba6262fde29d34ca4cf5636644ec061e5d14d60db36"
         )
 
+
 class TestSimplifyCommand:
     def test_round_trip_from_presentation_file(self, capsys, tmp_path):
         src = tmp_path / "pres.txt"
@@ -737,8 +738,8 @@ class TestUnprintableIntegers:
     @pytest.mark.parametrize("relator", ["(a^{N})^3", "a^{N} a^{N}"])
     @pytest.mark.parametrize("argv", [("classify", "--format", "json"), ("verify", "--trials", "3")])
     def test_relator_too_long_to_print_is_input_error(self, capsys, tmp_path, relator, argv):
-        # N has 4,300 digits, the most Python reads, and the input digest
-        # and the relation check print a^(3N) or a^(2N), which has 4,301
+        # N has 4,300 digits, the most Python reads; the input digest and
+        # the relation check print a^(3N) or a^(2N), of 4,301 digits
         big = 9 * 10**4299
         text = f"family = bsbar\nm = 2\nn = 3\npresentation = < a, t | {relator} >\n"
         path = _descriptor_path(tmp_path, text.format(N=big))
