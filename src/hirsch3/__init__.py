@@ -9,3 +9,46 @@ __version__ = "0.1.0"
 class InputError(ValueError):
     """An input the tools refuse: malformed, out of scope or past a stated
     budget.  The command line prints its message and exits 2."""
+
+
+class Record:
+    """Base of the package's immutable records.
+
+    A subclass names its fields in order in `_fields` and sets each once in
+    its `__init__` by `object.__setattr__`.  A record equals only a record
+    of its own class with the same field tuple, hashes as that tuple, shows
+    as `Name(field=value, ...)` and pickles by its constructor; setting or
+    deleting an attribute raises `AttributeError`.  A record on a hot path
+    writes its own `__eq__` and `__hash__` over the same tuple.
+    """
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()

@@ -39,12 +39,11 @@ command line turns into exit 2.  A report that fails its own cross-check raises
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from math import gcd, isqrt, prod
 from typing import Any, Callable, Iterator, Optional, Sequence, Union
 
-from . import InputError
+from . import InputError, Record
 from .families import (
     AFFINE_IDENTITY,
     META_IDENTITY,
@@ -93,12 +92,13 @@ class InvariantViolation(RuntimeError):
 QUOTIENT_TAGS = ("Z2", "Z", "Dinfty", "ZplusZ2", "VirtuallyTrivial")
 
 
-@dataclass(frozen=True)
-class TriState:
+class TriState(Record):
     """A yes/no/unknown answer; None means unknown.  The note says why."""
 
-    value: Optional[bool]
-    note: str
+    __slots__ = _fields = ("value", "note")
+
+    def __init__(self, value: Optional[bool], note: str) -> None:
+        self._set(value, note)
 
     @property
     def text(self) -> str:
@@ -107,83 +107,93 @@ class TriState:
         return "true" if self.value else "false"
 
 
-@dataclass(frozen=True)
-class RadicalInfo:
-    hirsch: int
-    module_description: str
-    is_abelian: bool
+class RadicalInfo(Record):
+    __slots__ = _fields = ("hirsch", "module_description", "is_abelian")
+
+    def __init__(self, hirsch: int, module_description: str, is_abelian: bool) -> None:
+        self._set(hirsch, module_description, is_abelian)
 
 
-@dataclass(frozen=True)
-class QuotientType:
-    tag: str
+class QuotientType(Record):
+    __slots__ = _fields = ("tag",)
 
-    def __post_init__(self) -> None:
-        if self.tag not in QUOTIENT_TAGS:
-            raise ValueError(f"unknown quotient tag {self.tag!r}")
-
-
-@dataclass(frozen=True)
-class Type1:
-    n: int
+    def __init__(self, tag: str) -> None:
+        if tag not in QUOTIENT_TAGS:
+            raise ValueError(f"unknown quotient tag {tag!r}")
+        self._set(tag)
 
 
-@dataclass(frozen=True)
-class Type2:
-    base: str  # "Z2" or "Kb" (or "Z" never: short groups carry no type)
+class Type1(Record):
+    __slots__ = _fields = ("n",)
+
+    def __init__(self, n: int) -> None:
+        self._set(n)
 
 
-@dataclass(frozen=True)
-class Type3:
+class Type2(Record):
+    __slots__ = _fields = ("base",)
+
+    # base is "Z2" or "Kb" (or "Z" never: short groups carry no type)
+    def __init__(self, base: str) -> None:
+        self._set(base)
+
+
+class Type3(Record):
     """The polycyclic type; it has no parameter."""
+
+    __slots__ = ()
 
 
 ConstructibleType = Union[Type1, Type2, Type3, None]
 
 
-@dataclass(frozen=True)
-class MinimaxInfo:
-    value: bool
-    sections: tuple[str, ...]
+class MinimaxInfo(Record):
+    __slots__ = _fields = ("value", "sections")
+
+    def __init__(self, value: bool, sections: tuple[str, ...]) -> None:
+        self._set(value, sections)
 
 
-@dataclass(frozen=True)
-class ManifoldDim:
-    lower: int
-    upper: Optional[int]
-    exact: Optional[int]
+class ManifoldDim(Record):
+    __slots__ = _fields = ("lower", "upper", "exact")
+
+    def __init__(self, lower: int, upper: Optional[int], exact: Optional[int]) -> None:
+        self._set(lower, upper, exact)
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
-    hirsch_length: int
-    radical: RadicalInfo
-    quotient: Optional[QuotientType]
-    derived_length: int
-    polycyclic: bool
-    finitely_presentable: bool
-    constructible: bool
-    fp2: TriState
-    coherent: TriState
-    cohomological_dimension: int
-    minimax: MinimaxInfo
-    constructible_type: ConstructibleType
-    manifold_dim: ManifoldDim
+class ClassificationReport(Record):
+    __slots__ = _fields = (
+        "hirsch_length", "radical", "quotient", "derived_length", "polycyclic",
+        "finitely_presentable", "constructible", "fp2", "coherent",
+        "cohomological_dimension", "minimax", "constructible_type", "manifold_dim",
+    )
+
+    def __init__(
+        self, hirsch_length: int, radical: RadicalInfo, quotient: Optional[QuotientType],
+        derived_length: int, polycyclic: bool, finitely_presentable: bool, constructible: bool,
+        fp2: TriState, coherent: TriState, cohomological_dimension: int, minimax: MinimaxInfo,
+        constructible_type: ConstructibleType, manifold_dim: ManifoldDim,
+    ) -> None:
+        self._set(
+            hirsch_length, radical, quotient, derived_length, polycyclic,
+            finitely_presentable, constructible, fp2, coherent,
+            cohomological_dimension, minimax, constructible_type, manifold_dim,
+        )
 
     def to_json(self) -> dict:
         return _json(self)
 
 
 def _json(value: Any) -> Any:
-    """Plain JSON data for a report value: a dataclass as its fields, except
-    that a TriState's value is its text and a constructible type leads with
-    its class name as "kind"; tuples become lists."""
+    """Plain JSON data for a report value: a record as its fields in order,
+    except that a TriState's value is its text and a constructible type
+    leads with its class name as "kind"; tuples become lists."""
     if isinstance(value, tuple):
         return [_json(v) for v in value]
-    if not is_dataclass(value):
+    if not isinstance(value, Record):
         return value
     out = {"kind": type(value).__name__} if isinstance(value, (Type1, Type2, Type3)) else {}
-    out.update((f.name, _json(getattr(value, f.name))) for f in fields(value))
+    out.update((name, _json(v)) for name, v in zip(value._fields, value._values()))
     if isinstance(value, TriState):
         out["value"] = value.text
     return out
@@ -368,13 +378,16 @@ def _type1_ratio(desc: MetabelianH31) -> int:
 # --- affine analysis ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _AffineData:
-    rank_t: int
-    image: str  # "trivial" | "finite" | "cyclic" | "dinfty"
-    composite: Optional[Mat2Q]
-    abelian: bool
-    linear: tuple[Mat2Q, ...]  # the distinct non-identity linear parts
+class _AffineData(Record):
+    __slots__ = _fields = ("rank_t", "image", "composite", "abelian", "linear")
+
+    # image is "trivial", "finite", "cyclic" or "dinfty"; linear holds the
+    # distinct non-identity linear parts
+    def __init__(
+        self, rank_t: int, image: str, composite: Optional[Mat2Q], abelian: bool,
+        linear: tuple[Mat2Q, ...],
+    ) -> None:
+        self._set(rank_t, image, composite, abelian, linear)
 
     @property
     def hirsch(self) -> int:

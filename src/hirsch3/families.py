@@ -66,12 +66,12 @@ file may carry; `cli` parses and writes it, and ships seven as files.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from math import gcd, lcm, prod
 from typing import Any, Callable, Iterable, Optional, Union
 
+from . import Record
 from .rationals import (
     Mat2Q,
     RelationLattice,
@@ -232,12 +232,19 @@ def _pair(x: Fraction) -> tuple[int, int]:
 # --- descriptors ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RankOneQ:
-    generators: tuple[Fraction, ...]
+class RankOneQ(Record):
+    _fields = ("generators",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "generators", tuple(F(x) for x in self.generators))
+    def __init__(self, generators: tuple[Fraction, ...]) -> None:
+        object.__setattr__(self, "generators", tuple(F(x) for x in generators))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.generators == other.generators
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.generators,))
 
     @cached_property
     def _numerators(self) -> tuple[dict[str, int], int]:
@@ -246,18 +253,26 @@ class RankOneQ:
         return dict(zip(_rankone_names(self), nums)), den
 
 
-@dataclass(frozen=True)
-class BSbar:
-    m: int
-    n: int
+class BSbar(Record):
+    _fields = ("m", "n")
 
-    def __post_init__(self) -> None:
-        if self.m < 1:
+    def __init__(self, m: int, n: int) -> None:
+        if m < 1:
             raise ValueError("m must be a positive integer")
-        if self.n == 0:
+        if n == 0:
             raise ValueError("n must be nonzero")
-        if gcd(self.m, self.n) != 1:
+        if gcd(m, n) != 1:
             raise ValueError("m and n must be coprime")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.m, self.n) == (other.m, other.n)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.m, self.n))
 
     @property
     def ratio(self) -> Fraction:
@@ -274,25 +289,35 @@ class BSbar:
         return MetabelianH31(self.m, self.n, 1, 1, F(0))
 
 
-@dataclass(frozen=True)
-class MetabelianH31:
-    m: int
-    n: int
-    p: int
-    q: int
-    e: Fraction
+class MetabelianH31(Record):
+    _fields = ("m", "n", "p", "q", "e")
 
-    def __post_init__(self) -> None:
-        if self.m < 1 or self.p < 1:
+    def __init__(self, m: int, n: int, p: int, q: int, e: Fraction) -> None:
+        if m < 1 or p < 1:
             raise ValueError("m and p must be positive integers")
-        if self.n == 0 or self.q == 0:
+        if n == 0 or q == 0:
             raise ValueError("n and q must be nonzero")
-        if gcd(self.m, self.n) != 1 or gcd(self.p, self.q) != 1:
+        if gcd(m, n) != 1 or gcd(p, q) != 1:
             raise ValueError("(m,n) and (p,q) must be coprime pairs")
-        object.__setattr__(self, "e", F(self.e))
-        ring = abs(self.m * self.n * self.p * self.q)
-        if not in_localized(self.e, ring):
+        e = F(e)
+        ring = abs(m * n * p * q)
+        if not in_localized(e, ring):
             raise ValueError(f"e must lie in Z[1/{ring}]")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "e", e)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.m, self.n, self.p, self.q, self.e) == (
+                other.m, other.n, other.p, other.q, other.e
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.m, self.n, self.p, self.q, self.e))
 
     @property
     def locus(self) -> int:
@@ -319,21 +344,28 @@ class MetabelianH31:
         return _Table(partial(_meta_entry, r1, r1)), _Table(partial(_meta_entry, r2, self.e))
 
 
-@dataclass(frozen=True)
-class LatticeByZ:
-    matrix: Mat2Q
+class LatticeByZ(Record):
+    _fields = ("matrix",)
 
-    def __post_init__(self) -> None:
-        if self.matrix.det() == 0:
+    def __init__(self, matrix: Mat2Q) -> None:
+        if matrix.det() == 0:
             raise ValueError("acting matrix must be invertible")
+        object.__setattr__(self, "matrix", matrix)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.matrix == other.matrix
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.matrix,))
 
     @cached_property
     def _powers(self) -> "_Table":
         return _Table(partial(_linear_ints, affine_map(self.matrix, (0, 0))))
 
 
-@dataclass(frozen=True)
-class AscHNNKb:
+class AscHNNKb(Record):
     """The ascending HNN extension along phi(x) = x^e y^f, phi(y) = y^d on
     <x,y | x y x^-1 = y^-1>; the descriptor is phi itself.
 
@@ -341,23 +373,32 @@ class AscHNNKb:
     sign by (-1)^e.  Nonzero e and d make phi injective.
     """
 
-    e: int
-    f: int
-    d: int
+    _fields = ("e", "f", "d")
 
-    def __post_init__(self) -> None:
-        if self.e % 2 == 0:
+    def __init__(self, e: int, f: int, d: int) -> None:
+        if e % 2 == 0:
             raise ValueError("e must be odd")
-        if self.d == 0:
+        if d == 0:
             raise ValueError("d must be nonzero")
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "d", d)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.e, self.f, self.d) == (other.e, other.f, other.d)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.e, self.f, self.d))
 
 
-@dataclass(frozen=True)
-class AffineQ2:
-    generators: tuple[tuple[str, tuple], ...]  # (name, element), as `affine_map` builds
+class AffineQ2(Record):
+    _fields = ("generators",)
 
-    def __post_init__(self) -> None:
-        names = [name for name, _ in self.generators]
+    def __init__(self, generators: tuple[tuple[str, tuple], ...]) -> None:
+        """`generators` are (name, element) pairs, as `affine_map` builds."""
+        names = [name for name, _ in generators]
         if not names:
             raise ValueError("at least one generator required")
         if len(set(names)) != len(names):
@@ -365,10 +406,19 @@ class AffineQ2:
         for name in names:
             if not is_generator_name(name):
                 raise ValueError(f"generator name {name!r} is not an identifier")
-        for name, f in self.generators:  # what `affine_map` guarantees
+        for name, f in generators:  # what `affine_map` guarantees
             if not (isinstance(f, tuple) and len(f) == 7 and all(type(v) is int for v in f)
                     and f[0] >= 1 and f == _affine(*f) and f[1] * f[4] != f[2] * f[3]):
                 raise ValueError(f"generator {name!r} is not a canonical invertible affine map")
+        object.__setattr__(self, "generators", generators)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.generators == other.generators
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.generators,))
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -716,8 +766,7 @@ def _lattice_presentation(desc: LatticeByZ) -> Presentation:
 # --- the family table ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(Record):
     """Everything one family of descriptors needs outside classification and
     the verifier's oracles.
 
@@ -734,18 +783,23 @@ class Family:
     descriptor file gives it its own.
     """
 
-    tag: str
-    generator_names: Callable[[Any], tuple[str, ...]]
-    identity: Any
-    mul: Callable[[Any, Any, Any], Any]
-    inv: Callable[[Any, Any], Any]
-    of_word: Callable[[Any, Word], Any]
-    bits: Callable[[Any], int]
-    parse: Callable[[Callable[[str, str], Any]], Any]
-    fields: Callable[[Any], list[tuple[str, str]]]
-    describe: Callable[[Any], str]
-    format_element: Callable[[Any], str]
-    presentation: Callable[[Any], Presentation]
+    __slots__ = _fields = (
+        "tag", "generator_names", "identity", "mul", "inv", "of_word", "bits",
+        "parse", "fields", "describe", "format_element", "presentation",
+    )
+
+    def __init__(
+        self, tag: str, generator_names: Callable[[Any], tuple[str, ...]], identity: Any,
+        mul: Callable[[Any, Any, Any], Any], inv: Callable[[Any, Any], Any],
+        of_word: Callable[[Any, Word], Any], bits: Callable[[Any], int],
+        parse: Callable[[Callable[[str, str], Any]], Any],
+        fields: Callable[[Any], list[tuple[str, str]]], describe: Callable[[Any], str],
+        format_element: Callable[[Any], str], presentation: Callable[[Any], Presentation],
+    ) -> None:
+        self._set(
+            tag, generator_names, identity, mul, inv, of_word, bits,
+            parse, fields, describe, format_element, presentation,
+        )
 
 
 FAMILIES: dict[type, Family] = {
@@ -860,12 +914,14 @@ def family_of(desc: GroupDescriptor) -> Family:
         raise TypeError(f"unknown descriptor {desc!r}") from None
 
 
-@dataclass(frozen=True)
-class DescriptorFile:
-    descriptor: GroupDescriptor
-    name: Optional[str] = None
-    notes: Optional[str] = None
-    presentation: Optional[Presentation] = None
+class DescriptorFile(Record):
+    __slots__ = _fields = ("descriptor", "name", "notes", "presentation")
+
+    def __init__(
+        self, descriptor: GroupDescriptor, name: Optional[str] = None,
+        notes: Optional[str] = None, presentation: Optional[Presentation] = None,
+    ) -> None:
+        self._set(descriptor, name, notes, presentation)
 
 
 # --- uniform interface ------------------------------------------------------

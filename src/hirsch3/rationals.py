@@ -24,12 +24,11 @@ elements and matrices over one denominator live in `families`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 from typing import Callable, Optional, Sequence, TypeVar
 
-from . import InputError
+from . import InputError, Record
 
 T = TypeVar("T")
 
@@ -330,8 +329,7 @@ def integer_row_kernel(rows: Sequence[Sequence[int]], width: int) -> list[list[i
     return [row[width:] for row in work[r:]]
 
 
-@dataclass(frozen=True)
-class RelationLattice:
+class RelationLattice(Record):
     """Multiplicative relations among nonzero rationals r_1, ..., r_n.
 
     `rows[k]` holds the valuations of r_k at `primes`, ascending.  `kernel`
@@ -339,10 +337,13 @@ class RelationLattice:
     and `odd[v]` says whether kernel[v] multiplies out to -1 rather than 1.
     """
 
-    primes: tuple[int, ...]
-    rows: tuple[tuple[int, ...], ...]
-    kernel: tuple[tuple[int, ...], ...]
-    odd: tuple[bool, ...]
+    __slots__ = _fields = ("primes", "rows", "kernel", "odd")
+
+    def __init__(
+        self, primes: tuple[int, ...], rows: tuple[tuple[int, ...], ...],
+        kernel: tuple[tuple[int, ...], ...], odd: tuple[bool, ...],
+    ) -> None:
+        self._set(primes, rows, kernel, odd)
 
     @property
     def rank(self) -> int:
@@ -412,14 +413,24 @@ def complement_vector(v: tuple[int, int]) -> tuple[int, int]:
     return (-y, x)
 
 
-@dataclass(frozen=True)
-class Mat2Q:
+class Mat2Q(Record):
     """Immutable 2x2 matrix over Q with exact arithmetic."""
 
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    d: Fraction
+    __slots__ = _fields = ("a", "b", "c", "d")
+
+    def __init__(self, a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> None:
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b, self.c, self.d))
 
     @classmethod
     def of(cls, a, b, c, d) -> "Mat2Q":

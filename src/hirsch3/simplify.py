@@ -9,11 +9,10 @@ redundant relators that are themselves products of conjugates of a.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from . import InputError
+from . import InputError, Record
 from .rationals import bounded_pow
 from .words import Presentation, Word, commutator, format_presentation, parse_presentation
 
@@ -77,21 +76,17 @@ def _ratio_weight(
     return total
 
 
-@dataclass(frozen=True)
-class StandardForm:
+class StandardForm(Record):
     """Presentation data < a, t, u | t a^m t^-1 = a^n, u a^p u^-1 = a^q, [u,t] = a^c >."""
 
-    m: int
-    n: int
-    p: int
-    q: int
-    c: int
+    __slots__ = _fields = ("m", "n", "p", "q", "c")
 
-    def __post_init__(self) -> None:
-        _check_pair(self.m, self.n)
-        _check_pair(self.p, self.q)
-        if self.m < 0 or self.p < 0:
+    def __init__(self, m: int, n: int, p: int, q: int, c: int) -> None:
+        _check_pair(m, n)
+        _check_pair(p, q)
+        if m < 0 or p < 0:
             raise SimplifyError("left conjugation exponents are normalized positive")
+        self._set(m, n, p, q, c)
 
     def text(self) -> str:
         return format_presentation(expand_standard_form(self))

@@ -22,12 +22,11 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Any, Callable, Optional, Sequence
 
-from . import InputError
+from . import InputError, Record
 from .classify import ClassificationReport, Type1, classify
 from .families import (
     AffineQ2,
@@ -83,8 +82,7 @@ MAX_WINDOW = 100
 MAX_RELATOR_SYLLABLES = 10_000
 
 
-@dataclass(frozen=True)
-class TrialConfig:
+class TrialConfig(Record):
     """Budget for one randomized verification run: the seed, the number of
     random trials per check, and the window of the exhaustive scans.
 
@@ -92,40 +90,39 @@ class TrialConfig:
     range raises an InputError here, so no caller checks it again.
     """
 
-    seed: int = 0
-    trials: int = 150
-    window: int = 12
+    __slots__ = _fields = ("seed", "trials", "window")
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.seed < 1 << 64:
+    def __init__(self, seed: int = 0, trials: int = 150, window: int = 12) -> None:
+        if not 0 <= seed < 1 << 64:
             raise InputError("seed must fit in 64 bits")
-        if self.trials < 1:
+        if trials < 1:
             raise InputError("trials must be at least 1")
-        if not 1 <= self.window <= MAX_WINDOW:
+        if not 1 <= window <= MAX_WINDOW:
             raise InputError(f"window must be between 1 and {MAX_WINDOW}")
+        self._set(seed, trials, window)
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    counterexample: Optional[str]
-    trials: int
-    seed: int
-    note: str = ""
+class CheckResult(Record):
+    __slots__ = _fields = ("name", "counterexample", "trials", "seed", "note")
+
+    def __init__(
+        self, name: str, counterexample: Optional[str], trials: int, seed: int, note: str = ""
+    ) -> None:
+        self._set(name, counterexample, trials, seed, note)
 
     @property
     def passed(self) -> bool:
         return self.counterexample is None
 
     def to_json(self) -> dict:
-        return {**asdict(self), "passed": self.passed}
+        return {**dict(zip(self._fields, self._values())), "passed": self.passed}
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    descriptor: str
-    seed: int
-    checks: tuple[CheckResult, ...]
+class VerificationReport(Record):
+    __slots__ = _fields = ("descriptor", "seed", "checks")
+
+    def __init__(self, descriptor: str, seed: int, checks: tuple[CheckResult, ...]) -> None:
+        self._set(descriptor, seed, checks)
 
     @property
     def passed(self) -> bool:
@@ -420,15 +417,20 @@ def fp_cone_bruteforce(
 # --- radical certificate --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _RadicalModel:
-    abelian: bool
-    generator_words: tuple[Word, ...]
-    member: Callable
-    # the quotient driver bound to its witness words; None for the whole group
-    quotient: Optional[Callable[[_QuotientRun], Optional[str]]]
-    # more radical words, added when a non-abelian radical's sample commutes
-    more_words: tuple[Word, ...] = ()
+class _RadicalModel(Record):
+    __slots__ = _fields = ("abelian", "generator_words", "member", "quotient", "more_words")
+
+    def __init__(
+        self,
+        abelian: bool,
+        generator_words: tuple[Word, ...],
+        member: Callable,
+        # the quotient driver bound to its witness words; None for the whole group
+        quotient: Optional[Callable[[_QuotientRun], Optional[str]]],
+        # more radical words, added when a non-abelian radical's sample commutes
+        more_words: tuple[Word, ...] = (),
+    ) -> None:
+        self._set(abelian, generator_words, member, quotient, more_words)
 
 
 def _whole_abelian_group(desc: GroupDescriptor) -> _RadicalModel:
@@ -646,7 +648,7 @@ def radical_certificate(
     # checks[2] is the commutativity check: the witness check, given more words
     if model.more_words and not checks[2].passed:
         words = model.generator_words + model.more_words
-        model = replace(model, generator_words=words, more_words=())
+        model = _RadicalModel(model.abelian, words, model.member, model.quotient)
         checks = _certificate_checks(ops, model, cfg)
     return VerificationReport(
         family_of(desc).describe(desc), cfg.seed, tuple(checks)
@@ -1096,8 +1098,7 @@ def _endo_checks(
 # --- the verifier table -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Verifier:
+class _Verifier(Record):
     """What the verifier knows of one family besides its word oracle,
     which `oracles` keeps.
 
@@ -1107,10 +1108,12 @@ class _Verifier:
     window from `cfg`.
     """
 
-    radical: Callable[[Any, ClassificationReport], _RadicalModel]
-    extra_checks: Callable[
-        [Any, TrialConfig, ClassificationReport], list[CheckResult]
-    ] = lambda desc, cfg, report: []
+    __slots__ = _fields = ("radical", "extra_checks")
+
+    def __init__(
+        self, radical: Callable, extra_checks: Callable = lambda desc, cfg, report: []
+    ) -> None:
+        self._set(radical, extra_checks)
 
 
 _VERIFIERS: dict[type, _Verifier] = {

@@ -32,11 +32,10 @@ exponent.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import chain, groupby
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, TypeVar, Union
 
-from . import InputError
+from . import InputError, Record
 
 Syllable = tuple[str, int]
 T = TypeVar("T")
@@ -92,15 +91,25 @@ def _joined(words: Iterable["Word"]) -> "Word":
     return Word(tuple(out))
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(Record):
     """A freely reduced word over named generators.
 
     Construct via `Word.of` (which reduces) or the algebra below; the raw
     constructor trusts its input.
     """
 
-    syllables: tuple[Syllable, ...] = ()
+    __slots__ = _fields = ("syllables",)
+
+    def __init__(self, syllables: tuple[Syllable, ...] = ()) -> None:
+        object.__setattr__(self, "syllables", syllables)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.syllables == other.syllables
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.syllables,))
 
     @classmethod
     def of(cls, pairs: Iterable[Syllable]) -> "Word":
@@ -276,13 +285,12 @@ def evaluate(
     return value(tree)
 
 
-@dataclass(frozen=True)
-class Presentation:
-    generators: tuple[str, ...]
-    relators: tuple[Word, ...]
+class Presentation(Record):
+    __slots__ = _fields = ("generators", "relators")
 
-    def __post_init__(self) -> None:
-        check_generators(self.relators, self.generators)
+    def __init__(self, generators: tuple[str, ...], relators: tuple[Word, ...]) -> None:
+        self._set(generators, relators)
+        check_generators(relators, generators)
 
 
 def check_generators(relators: Iterable[Word], generators: Sequence[str]) -> None:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
 from typing import Iterable
@@ -53,7 +53,7 @@ from hirsch3.oracles import oracle_word_eq
 from hirsch3.rationals import Mat2Q, prime_factors, rational_valuation
 from hirsch3.words import Word
 from test_families import mat_apply
-from test_verifier import fixture_named
+from test_verifier import fixture_named, rebuilt
 
 F = Fraction
 I2 = Mat2Q.identity()
@@ -770,42 +770,42 @@ def test_report_rules_hold_on_random_descriptors():
 REPORT_BREAKS = {
     "derived-length": (
         "lattice_sol",
-        lambda r: replace(r, derived_length=4),
+        lambda r: rebuilt(r, derived_length=4),
         "solvable groups of Hirsch length at most 3 have derived length at most 3",
     ),
     "type-at-h-cd-3": (
         "lattice_sol",
-        lambda r: replace(r, constructible_type=None),
+        lambda r: rebuilt(r, constructible_type=None),
         "groups with Hirsch length and cd 3 must be of type 1, 2 or 3",
     ),
     "type3-polycyclic": (
         "lattice_sol",
-        lambda r: replace(r, polycyclic=False),
+        lambda r: rebuilt(r, polycyclic=False),
         "groups of type 3 must be polycyclic",
     ),
     "polycyclic-type3": (
         "lattice_sol",
-        lambda r: replace(r, constructible_type=Type2("Z2")),
+        lambda r: rebuilt(r, constructible_type=Type2("Z2")),
         "polycyclic groups must be of type 3",
     ),
     "radical-hirsch": (
         "lattice_sol",
-        lambda r: replace(r, radical=replace(r.radical, hirsch=4)),
+        lambda r: rebuilt(r, radical=rebuilt(r.radical, hirsch=4)),
         "radical Hirsch length exceeds the group's",
     ),
     "quotient-tag": (
         "lattice_sol",
-        lambda r: replace(r, quotient=QuotientType("VirtuallyTrivial")),
+        lambda r: rebuilt(r, quotient=QuotientType("VirtuallyTrivial")),
         "quotient tag is not allowed for this radical",
     ),
     "minimax-sections": (
         "lattice_sol",
-        lambda r: replace(r, minimax=replace(r.minimax, sections=("Z", "Z"))),
+        lambda r: rebuilt(r, minimax=rebuilt(r.minimax, sections=("Z", "Z"))),
         "minimax sections must account for the Hirsch length",
     ),
     "fp2": (
         "lattice_sol",
-        lambda r: replace(r, fp2=replace(r.fp2, value=False)),
+        lambda r: rebuilt(r, fp2=rebuilt(r.fp2, value=False)),
         "finitely presentable groups are FP2",
     ),
 }

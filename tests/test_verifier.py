@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import replace
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -135,7 +134,7 @@ class TestDefiningRelations:
 
     def test_failing_family_relator_is_named_by_its_word(self, monkeypatch):
         wrong = parse_presentation("< a, t | t a^2 t^-1 = a^4, [a, t a t^-1] >")
-        family = replace(FAMILIES[BSbar], presentation=lambda d: wrong)
+        family = rebuilt(FAMILIES[BSbar], presentation=lambda d: wrong)
         monkeypatch.setitem(FAMILIES, BSbar, family)
         result = check_relations(BSbar(2, 3))
         assert (result.counterexample, result.trials) == ("t a^2 t^-1 a^-4", 2)
@@ -448,11 +447,17 @@ class TestEndoIndex:
         assert endo_index(AscHNNKb(-1, 1, 3)) == 3
 
 
+def rebuilt(record, **changes):
+    """A new record of record's class from its constructor, given record's
+    fields in order with the named ones changed."""
+    return type(record)(**{**dict(zip(record._fields, record._values())), **changes})
+
+
 def claiming_radical_hirsch(desc, hirsch: int):
     """desc's classification report with the radical's Hirsch length
     replaced: a wrong claim for the certificate to reject."""
     report = classify(desc)
-    return replace(report, radical=replace(report.radical, hirsch=hirsch))
+    return rebuilt(report, radical=rebuilt(report.radical, hirsch=hirsch))
 
 
 def _shear_radical_example(v_linear: Mat2Q) -> AffineQ2:

@@ -61,7 +61,9 @@ COMMANDS = ("classify", "verify", "word_eq")
 def _load(path: Path, name: str):
     spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module  # its dataclasses look their module up
+    # `perfbench/inputs.py` defines dataclasses, and building one looks its
+    # module up in `sys.modules`; hirsch3 itself has none
+    sys.modules[name] = module
     spec.loader.exec_module(module)
     return module
 
