@@ -207,8 +207,8 @@ _TABLE_REACH = 256
 class _Table(dict):
     """k |-> of(k), computed on first use and kept for |k| <= _TABLE_REACH.
 
-    `of` is a module-level function or a `partial` of one, so a descriptor
-    holding tables still pickles.
+    A descriptor keeps its tables in its instance `__dict__`, through
+    `cached_property`; it pickles by its constructor, without them.
     """
 
     __slots__ = ("of",)
