@@ -53,8 +53,8 @@ one past `MAX_POWER_BITS` raises an `InputError`; a huge exponent whose
 value stays small is answered at once (`_iterate_apply`, `hnnkb_reduce`).
 `GroupOps.of_tree` evaluates a parsed word by `words.evaluate`, each
 power (w)^k by a `binary_power` of w's value that reads the family's
-`bits`, so a power costs O(log k) products instead of k |w| syllable
-steps.
+`bits`, so a power costs O(log k) products, and it refuses a product of
+the word's factors past the same bound.
 
 `FAMILIES` maps each descriptor type to its `Family` record: file tag,
 generator names, element algebra, descriptor-file form, display and
@@ -71,8 +71,9 @@ from functools import cached_property, partial
 from math import gcd, lcm, prod
 from typing import Any, Callable, Iterable, Optional, Union
 
-from . import Record
+from . import InputError, Record
 from .rationals import (
+    MAX_POWER_BITS,
     Mat2Q,
     RelationLattice,
     binary_power,
@@ -957,12 +958,18 @@ class GroupOps:
         return self.family.of_word(self.desc, w)
 
     def of_tree(self, tree: Product):
-        """The value of a parsed word, equal to `of_word(tree.word)`, with
-        each power taken by square-and-multiply, which refuses a square
-        past `MAX_POWER_BITS` by `Family.bits`."""
+        """The value of a parsed word, equal to `of_word(tree.word)`; a
+        square in a power, or a product of factors, past `MAX_POWER_BITS`
+        by `Family.bits` is refused."""
         bits = self.family.bits
+
+        def mul(g, h):
+            if bits(gh := self.mul(g, h)) > MAX_POWER_BITS:
+                raise InputError(f"a product would have more than {MAX_POWER_BITS} bits")
+            return gh
+
         power = partial(binary_power, mul=self.mul, identity=self.identity(), bits=bits)
-        return evaluate(tree, self.of_word, self.mul, self.inv, power)
+        return evaluate(tree, self.of_word, mul, self.inv, power)
 
     def is_identity(self, g) -> bool:
         return g == self.identity()

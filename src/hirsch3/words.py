@@ -16,22 +16,20 @@ with the next copy's first.  No parsed word passes `MAX_POWER_SYLLABLES`
 syllables: a power past it is refused unbuilt, a product once joined.
 
 The parser keeps the shape of what it read: `parse_tree` returns a
-`Product` of factors, each a `Word` (a run of plain syllables) or a
-`Power` (a parenthesized word or commutator to an exponent other than 1,
-spelling more than one syllable), which shares its base node: an inverse
-is the power -1, so [x, y] holds x and y once each.  Every node also
-carries its word spelled out, its factors joined at their seams in one
-pass, so a long product of atoms is linear; `parse_word` and
-`parse_presentation` return those words.  `evaluate` takes a tree's value
-in a group given by its operations, each power once per base by the
-group's `power`; `families.GroupOps.of_tree` passes square-and-multiply,
-so a power's cost grows with the exponent's bit length, not with the
-exponent.
+`Product` of factors, each a `Word` (a run of plain syllables) or a `Power`
+of a shared base node: an inverse is the power -1, so [x, y] holds x and y
+once each.  Adjacent powers of one word merge (`_merged`), since
+g^a g^b = g^(a+b), so (w)^k w (w)^-k is the run w.  Every node also carries
+its word spelled out, which `parse_word` and `parse_presentation` return.
+`evaluate` folds a tree's factors in a group, each power once per base by
+the group's `power`; `families.GroupOps.of_tree` passes square-and-multiply,
+so a power costs O(log k) products at its merged exponent k.
 """
 
 from __future__ import annotations
 
 import re
+from functools import reduce
 from itertools import chain, groupby
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, TypeVar, Union
 
@@ -52,10 +50,6 @@ class ParseError(InputError):
 # A parsed word whose reduced form passes 2^20 syllables is refused: that is
 # 8 MB of syllable pointers, and still 1.7 times (t u a)^200000.
 MAX_POWER_SYLLABLES = 2**20
-
-# The longest spelled word that `evaluate` takes for a cancelled power:
-# `of_word` is quadratic on some words, 4.8 s on (t u a)^40000 in BS(1,2) x Z.
-MAX_SPELLED_SYLLABLES = 2**16
 
 
 def _reduced(pairs: Iterable[Syllable]) -> tuple[Syllable, ...]:
@@ -188,99 +182,98 @@ def format_word(w: Word) -> str:
 
 
 class Power(NamedTuple):
-    """`base` to the power `exp`; `word` is that power spelled out."""
+    """`base` to the power `exp`."""
 
     base: "Product"
     exp: int
-    word: Word
 
 
 Factor = Union[Word, Power]
 
 
 class Product(NamedTuple):
-    """A parsed word: the product of `factors`, where no two `Word`s are
-    adjacent and none is the identity; `word` is the product spelled out."""
+    """A parsed word: the product of `factors`, no run the identity and no
+    two adjacent ones powers of one word; `word` is it spelled out."""
 
     factors: tuple[Factor, ...]
     word: Word
 
 
-def _run(w: Word) -> Product:
-    return Product((w,) if w.syllables else (), w)
+def _merged(f: Factor, g: Factor) -> Optional[Factor]:
+    """f g as one factor, or None: two runs join, and two powers of one word,
+    a run being its first power and (w^-1)^k being w^-k, add exponents."""
+    if isinstance(f, Word) and isinstance(g, Word):
+        return _joined((f, g))
+    (b, j), (c, k) = (
+        (h.base, h.exp) if isinstance(h, Power) else (Product((h,), h), 1) for h in (f, g)
+    )
+    if b.word != c.word:
+        if len(b.word.syllables) != len(c.word.syllables) or b.word != c.word.inv():
+            return None
+        k = -k
+    return Power(b, j + k) if j + k else Word()
 
 
 def _concat(parts: Sequence[Union[Word, Product]]) -> Product:
-    """The product of parsed atoms, generator powers or parsed words:
-    adjacent runs joined into one, and the spelled words joined at their
-    seams in one linear pass and refused past `MAX_POWER_SYLLABLES`."""
-    if all(isinstance(p, Word) for p in parts):
-        out = _run(_joined(parts))
-    elif len(parts) == 1:
+    """The product of parsed atoms, generator powers or parsed words, its
+    words joined in one linear pass and refused past `MAX_POWER_SYLLABLES`,
+    and each factor merged into the one before it while `_merged` can."""
+    if len(parts) == 1 and isinstance(parts[0], Product):
         return parts[0]
-    else:
-        factors: list[Factor] = []
-        every = chain.from_iterable((p,) if isinstance(p, Word) else p.factors for p in parts)
-        for is_run, group in groupby(every, key=lambda f: isinstance(f, Word)):
-            if not is_run:
-                factors.extend(group)
-            elif (run := _joined(group)).syllables:
-                factors.append(run)
-        word = _joined(p if isinstance(p, Word) else p.word for p in parts)
-        out = Product(tuple(factors), word)
-    if (size := len(out.word.syllables)) > MAX_POWER_SYLLABLES:
+    word = _joined(p if isinstance(p, Word) else p.word for p in parts)
+    if (size := len(word.syllables)) > MAX_POWER_SYLLABLES:
         raise InputError(
             f"a product of {len(parts)} factors would spell {size} syllables, "
             f"over the bound of {MAX_POWER_SYLLABLES}"
         )
-    return out
+    if all(isinstance(p, Word) for p in parts):
+        return Product((word,) if word.syllables else (), word)
+    factors: list[Factor] = []
+    every = chain.from_iterable((p,) if isinstance(p, Word) else p.factors for p in parts)
+    for is_run, group in groupby(every, key=lambda f: isinstance(f, Word)):
+        for f in (_joined(group),) if is_run else group:
+            while factors and (merged := _merged(factors[-1], f)) is not None:
+                factors.pop()
+                f = merged
+            if not isinstance(f, Word) or f.syllables:
+                factors.append(f)
+    return Product(tuple(factors), word)
 
 
 def _power(base: Product, k: int) -> Product:
-    """base^k, sharing `base` rather than copying it.  The power is spelled
-    out here, so its syllable bound is checked where the parser reads it."""
+    """base^k, sharing `base` rather than copying it, or (w)^(j k) for a
+    base that is the one factor (w)^j.  The power is spelled out here, so
+    its syllable bound is checked where the parser reads it."""
     if k == 1:
         return base
     word = base.word**k
     if len(word.syllables) <= 1:
-        return _run(word)
-    return Product((Power(base, k, word),), word)
+        return _concat([word])
+    if len(base.factors) == 1 and isinstance(inner := base.factors[0], Power):
+        base, k = inner.base, inner.exp * k
+    return Product((Power(base, k),), word)
 
 
 def evaluate(
-    tree: Product,
-    of_word: Callable[[Word], T],
-    mul: Callable[[T, T], T],
-    inv: Callable[[T], T],
-    power: Callable[[T, int], T],
+    tree: Product, of_word: Callable[[Word], T], mul: Callable[[T, T], T],
+    inv: Callable[[T], T], power: Callable[[T, int], T],
 ) -> T:
-    """The value of a parsed word in a group: each run by `of_word`, and
-    each power (w)^k, an inverse too, by `power(value of w, |k|)`, once for
-    each base and |k|, so d nested commutators cost O(d^2) products.
-
-    A product that spells out to less than half of its longest power has
-    cancelled that power against its neighbours, as in (w)^k w (w)^-k or
-    [(w)^k, w]; its spelled word, if at most `MAX_SPELLED_SYLLABLES`, goes to
-    `of_word` instead, since the power's own value may be too large to build.
-    """
+    """The value of a parsed word in a group: its factors' values folded by
+    `mul`, each run by `of_word` and each power (w)^k, an inverse too, by
+    `power(value of w, |k|)`, once for each base and |k|, so d nested
+    commutators cost O(d^2) products."""
     powers: dict[tuple[int, int], T] = {}
 
+    def factor(f: Factor) -> T:
+        if isinstance(f, Word):
+            return of_word(f)
+        key = (id(f.base), abs(f.exp))
+        if key not in powers:
+            powers[key] = power(value(f.base), abs(f.exp))
+        return powers[key] if f.exp > 0 else inv(powers[key])
+
     def value(tree: Product) -> T:
-        spelled = [len(f.word.syllables) for f in tree.factors if isinstance(f, Power)]
-        size = len(tree.word.syllables)
-        if not tree.factors or size <= MAX_SPELLED_SYLLABLES and 2 * size < max(spelled, default=0):
-            return of_word(tree.word)
-        out = None
-        for f in tree.factors:
-            if isinstance(f, Word):
-                g = of_word(f)
-            else:
-                key = (id(f.base), abs(f.exp))
-                if key not in powers:
-                    powers[key] = power(value(f.base), abs(f.exp))
-                g = powers[key] if f.exp > 0 else inv(powers[key])
-            out = g if out is None else mul(out, g)
-        return out
+        return reduce(mul, map(factor, tree.factors)) if tree.factors else of_word(Word())
 
     return value(tree)
 

@@ -612,18 +612,22 @@ class TestWordEqCommand:
             ("(t u a)^200000 (t u a)^-200000", "equal\n  1  =  1\n  1  =  1\n"),
             ("[(t u a)^200000, t u a]", "equal\n  1  =  1\n  1  =  1\n"),
             ("(t u a)^200000 t u a (t u a)^-200000", "unequal\n  t u a  =  a^6 t u\n  1  =  1\n"),
+            ("(t u a)^200000 (a^-1 u^-1 t^-1)^200000", "equal\n  1  =  1\n  1  =  1\n"),
+            ("((t u a)^200000)^-1 (t u a)^200000", "equal\n  1  =  1\n  1  =  1\n"),
+            ("(t u a)^100000 t (u a t)^-100000", "unequal\n  t  =  t\n  1  =  1\n"),
         ],
     )
     def test_powers_that_cancel_are_not_taken(self, capsys, tmp_path, word, out):
-        # each power alone is refused, but the spelled-out word is short
+        # each power alone is refused, but the powers of one word merge,
+        # which cancels them; a power of a cyclic conjugate does not merge,
+        # and (t u a)^100000 is small enough to take
         path = _descriptor_path(tmp_path, "bs12_rtimes")
         capsys.readouterr()
         assert run(capsys, "word-eq", str(path), word, "1") == (0, out, "")
 
-    def test_long_spelled_word_of_cancelled_powers_is_left_to_the_powers(self, capsys, tmp_path):
-        # (t u a)^149000 spelled is past MAX_SPELLED_SYLLABLES, so the powers
-        # are taken and refused, instead of a quadratic of_word over 447,000
-        # syllables
+    def test_merged_power_past_the_bound_is_refused(self, capsys, tmp_path):
+        # (t u a)^349000 (t u a)^-200000 merges to (t u a)^149000, which is
+        # taken and refused like any power of its size
         path = _descriptor_path(tmp_path, "bs12_rtimes")
         capsys.readouterr()
         start = time.monotonic()
@@ -632,8 +636,8 @@ class TestWordEqCommand:
         assert (code, out) == (2, "")
         assert "a power would have more than 262144 bits" in err
 
-    def test_short_spelled_word_of_cancelled_powers_is_evaluated(self, capsys, tmp_path):
-        # (t u a)^4000 spelled, 12,000 syllables, under MAX_SPELLED_SYLLABLES
+    def test_merged_power_keeps_its_bytes(self, capsys, tmp_path):
+        # (t u a)^200000 (t u a)^-196000 merges to (t u a)^4000
         path = _descriptor_path(tmp_path, "bs12_rtimes")
         capsys.readouterr()
         word = "(t u a)^200000 (t u a)^-196000"
@@ -644,6 +648,33 @@ class TestWordEqCommand:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "8bf60c3af5f28d10dc40a7f74cfe84fd43b428af08c0cd36f94c3ed173604ddc"
         )
+
+    @pytest.mark.parametrize(
+        "name, word, error",
+        [
+            ("f_mod_kprime", "(u v)^100000 (u v)^-67233", _UNPRINTABLE),
+            ("f_mod_kprime", "(u v x)^100000 (u v x)^-78200", _UNPRINTABLE),
+            (
+                "bs12_rtimes",
+                "(t^1000 a)^65535 (t^1000 a)^-32768",
+                "error: a power would have more than 262144 bits\n",
+            ),
+            (
+                "bsbar_23",
+                "[" * 10 + "a^99999" + ", t^99999]" * 10,
+                "error: a product would have more than 262144 bits\n",
+            ),
+        ],
+    )
+    def test_large_values_end_quickly(self, capsys, tmp_path, name, word, error):
+        # each ran past 44 s when a cancelled power was spelled out syllable
+        # by syllable, or a nested commutator's products had no bound
+        path = _descriptor_path(tmp_path, name)
+        capsys.readouterr()
+        start = time.monotonic()
+        code, out, err = run(capsys, "word-eq", str(path), word, "1")
+        assert time.monotonic() - start < 3.0
+        assert (code, out, err) == (2, "", error)
 
     def test_power_with_one_syllable_cancelled_is_still_taken(self, capsys, tmp_path):
         path = _descriptor_path(tmp_path, "bs12_rtimes")

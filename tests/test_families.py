@@ -741,8 +741,9 @@ class TestElementKernels:
 
 @pytest.mark.parametrize("desc", FAMILIES, ids=lambda d: type(d).__name__)
 def test_tree_takes_each_power_once(desc, monkeypatch):
-    # a commutator's x^-1 is the power -1 of x's node, and nesting repeats
-    # it; the two fifth powers are of two bases, parsed apart
+    # a commutator's x^-1 is the power -1 of x's node, or of x's base when x
+    # is one power, and nesting repeats it; the two fifth powers are of two
+    # bases, parsed apart
     ops = ops_for(desc)
     a, b = ops.generator_names[0], ops.generator_names[-1]
     tree = parse_tree(f"[[({a} {b}^2)^5, {a}], {b}] ({a} {b}^2)^-5")
@@ -755,9 +756,10 @@ def test_tree_takes_each_power_once(desc, monkeypatch):
 
     monkeypatch.setattr(families, "binary_power", counting)
     assert ops.of_tree(tree) == ops.of_word(tree.word)
-    # one fifth power per base, and one first power of each node that a
-    # commutator inverts: ({a} {b}^2)^5 and the inner commutator
-    assert sorted(taken) == [1, 1, 5, 5]
+    # one fifth power per base, and one first power of the inner
+    # commutator, which the outer one inverts; the inverse of
+    # ({a} {b}^2)^5 is unwrapped to the -5th power of its base
+    assert sorted(taken) == [1, 5, 5]
 
 
 def kb_endo_apply(phi: AscHNNKb, g: tuple[int, int]) -> tuple[int, int]:

@@ -10,7 +10,6 @@ import pytest
 from hirsch3 import InputError
 from hirsch3.words import (
     MAX_POWER_SYLLABLES,
-    MAX_SPELLED_SYLLABLES,
     ParseError,
     Power,
     Presentation,
@@ -207,7 +206,7 @@ class TestParsing:
 class TestTree:
     def test_runs_and_powers(self):
         tree = parse_tree("a (t u a)^5 b c")
-        assert tree.factors == (w("a"), Power(parse_tree("t u a"), 5, w("t u a") ** 5), w("b c"))
+        assert tree.factors == (w("a"), Power(parse_tree("t u a"), 5), w("b c"))
         assert tree.word == w("a") * w("t u a") ** 5 * w("b c")
 
     def test_powers_that_spell_one_run_are_runs(self):
@@ -225,7 +224,7 @@ class TestTree:
         # an inverse of more than one syllable is the power -1 of its base
         for text, base, run in [("a (b c)^-1", "b c", "a"), ("[a b, c]", "a b", "a b c")]:
             tree = parse_tree(text)
-            assert tree.factors[:2] == (w(run), Power(parse_tree(base), -1, w(base).inv())), text
+            assert tree.factors[:2] == (w(run), Power(parse_tree(base), -1)), text
 
     def test_inverse_of_a_power_negates_its_exponent(self):
         # the inverse shares its base, so the power inside keeps exponent 3
@@ -234,11 +233,30 @@ class TestTree:
         (inverse,) = tree.factors
         assert inverse.exp == -1 and inverse.base == parse_tree("(a b)^3 c")
         assert tree.word == w("c^-1") * w("a b") ** -3
+        # a base that is one power is unwrapped: ((a b)^2)^-1 is (a b)^-2
         commutator = parse_tree("[(a b)^2, c]")
         square, _, x_inverse, _ = commutator.factors
-        assert (square.exp, x_inverse.exp) == (2, -1)
-        assert x_inverse.base.factors[0] is square
+        assert (square.exp, x_inverse.exp) == (2, -2)
+        assert x_inverse.base is square.base
         assert commutator.word == w("a b a b c b^-1 a^-1 b^-1 a^-1 c^-1")
+
+    def test_adjacent_powers_of_one_word_merge(self):
+        # g^a g^b = g^(a+b): a run is its word's first power, a power of
+        # w^-1 is one of w with the exponent negated, and what cancels
+        # lets its neighbours merge in turn
+        base = parse_tree("t u a")
+        for text, factors in [
+            ("(t u a)^5 (t u a)^-2", (Power(base, 3),)),
+            ("(t u a)^5 t u a", (Power(base, 6),)),
+            ("(t u a)^5 (a^-1 u^-1 t^-1)^7", (Power(base, -2),)),
+            ("((t u a)^5)^-1 (t u a)^5 b", (w("b"),)),
+            ("b (t u a)^5 t u a (t u a)^-6 b", (w("b^2"),)),
+            ("(t u a)^5 b (c d)^2 (c d)^-2 b^-1 t u a", (Power(base, 6),)),
+            ("(t u a)^5 t u (t u a)^-5", (Power(base, 5), w("t u"), Power(base, -5))),
+        ]:
+            tree = parse_tree(text)
+            assert tree.factors == factors, text
+            assert tree.word == w(text), text
 
     def test_runs_are_joined_and_never_empty(self):
         rng = random.Random(9)
@@ -253,27 +271,29 @@ class TestTree:
     def test_evaluate_in_the_free_group_spells_the_word(self):
         # the free group's own operations, so each value is a reduced word
         rng = random.Random(13)
-        atoms = ["a", "b^-2", "(a b)^3", "(a b)^-3", "[a, b^2]^-2", "[(a b)^4, a b]", "(b a)^2"]
+        atoms = [
+            "a", "b^-2", "(a b)^3", "(a b)^-3", "[a, b^2]^-2", "[(a b)^4, a b]", "(b a)^2",
+            "(a b)^-4", "(b^-1 a^-1)^3", "((a b)^2)^-1",
+        ]
         for _ in range(300):
             tree = parse_tree(" ".join(rng.choice(atoms) for _ in range(rng.randint(1, 6))))
             assert evaluate(tree, lambda x: x, Word.__mul__, Word.inv, Word.__pow__) == tree.word
 
-    @pytest.mark.parametrize(
-        "k, spelled", [(MAX_SPELLED_SYLLABLES // 2, True), (MAX_SPELLED_SYLLABLES // 2 + 1, False)]
-    )
-    def test_cancelled_power_is_spelled_only_up_to_the_bound(self, k, spelled):
-        # (a b)^(k + 40000) (a b)^-40000 spells (a b)^k, 2k syllables, in Z
+    @pytest.mark.parametrize("k", [1, 2**15, 2**15 + 1, 2**18])
+    def test_cancelled_power_is_valued_from_its_merged_exponent(self, k):
+        # (a b)^(k + 40000) (a b)^-40000 merges to (a b)^k, valued in Z by
+        # its a exponent sum: one power at k, and a b is the only word that
+        # of_word sees
         tree = parse_tree(f"(a b)^{k + 40000} (a b)^-40000")
-        seen = []
+        seen, taken = [], []
         value = evaluate(
             tree,
             lambda x: seen.append(x) or x.exponent_sum("a"),
             lambda g, h: g + h,
             lambda g: -g,
-            lambda g, n: g * n,
+            lambda g, n: taken.append(n) or g * n,
         )
-        assert value == k
-        assert (tree.word in seen) is spelled
+        assert (value, taken, seen) == (k, [k], [w("a b")])
 
 
 class TestRoundTrip:
