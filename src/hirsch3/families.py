@@ -237,15 +237,7 @@ class RankOneQ(Record):
     _fields = ("generators",)
 
     def __init__(self, generators: tuple[Fraction, ...]) -> None:
-        object.__setattr__(self, "generators", tuple(F(x) for x in generators))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.generators == other.generators
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.generators,))
+        self._set(tuple(F(x) for x in generators))
 
     @cached_property
     def _numerators(self) -> tuple[dict[str, int], int]:
@@ -264,16 +256,7 @@ class BSbar(Record):
             raise ValueError("n must be nonzero")
         if gcd(m, n) != 1:
             raise ValueError("m and n must be coprime")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.m, self.n) == (other.m, other.n)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.m, self.n))
+        self._set(m, n)
 
     @property
     def ratio(self) -> Fraction:
@@ -304,21 +287,7 @@ class MetabelianH31(Record):
         ring = abs(m * n * p * q)
         if not in_localized(e, ring):
             raise ValueError(f"e must lie in Z[1/{ring}]")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "e", e)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.m, self.n, self.p, self.q, self.e) == (
-                other.m, other.n, other.p, other.q, other.e
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.m, self.n, self.p, self.q, self.e))
+        self._set(m, n, p, q, e)
 
     @property
     def locus(self) -> int:
@@ -351,15 +320,7 @@ class LatticeByZ(Record):
     def __init__(self, matrix: Mat2Q) -> None:
         if matrix.det() == 0:
             raise ValueError("acting matrix must be invertible")
-        object.__setattr__(self, "matrix", matrix)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.matrix == other.matrix
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.matrix,))
+        self._set(matrix)
 
     @cached_property
     def _powers(self) -> "_Table":
@@ -381,17 +342,7 @@ class AscHNNKb(Record):
             raise ValueError("e must be odd")
         if d == 0:
             raise ValueError("d must be nonzero")
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "d", d)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.e, self.f, self.d) == (other.e, other.f, other.d)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.e, self.f, self.d))
+        self._set(e, f, d)
 
 
 class AffineQ2(Record):
@@ -411,15 +362,7 @@ class AffineQ2(Record):
             if not (isinstance(f, tuple) and len(f) == 7 and all(type(v) is int for v in f)
                     and f[0] >= 1 and f == _affine(*f) and f[1] * f[4] != f[2] * f[3]):
                 raise ValueError(f"generator {name!r} is not a canonical invertible affine map")
-        object.__setattr__(self, "generators", generators)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.generators == other.generators
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.generators,))
+        self._set(generators)
 
     @property
     def names(self) -> tuple[str, ...]:

@@ -424,14 +424,6 @@ class Mat2Q(Record):
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "d", d)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.a, self.b, self.c, self.d))
-
     @classmethod
     def of(cls, a, b, c, d) -> "Mat2Q":
         return cls(Fraction(a), Fraction(b), Fraction(c), Fraction(d))

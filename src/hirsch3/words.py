@@ -22,14 +22,14 @@ once each.  Adjacent powers of one word merge (`_merged`), since
 g^a g^b = g^(a+b), so (w)^k w (w)^-k is the run w.  Every node also carries
 its word spelled out, which `parse_word` and `parse_presentation` return.
 `evaluate` folds a tree's factors in a group, each power once per base by
-the group's `power`; `families.GroupOps.of_tree` passes square-and-multiply,
-so a power costs O(log k) products at its merged exponent k.
+the group's `power` and each product of a shared prefix of factors once;
+`families.GroupOps.of_tree` passes square-and-multiply, so a power costs
+O(log k) products at its merged exponent k.
 """
 
 from __future__ import annotations
 
 import re
-from functools import reduce
 from itertools import chain, groupby
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, TypeVar, Union
 
@@ -96,14 +96,6 @@ class Word(Record):
 
     def __init__(self, syllables: tuple[Syllable, ...] = ()) -> None:
         object.__setattr__(self, "syllables", syllables)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.syllables == other.syllables
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.syllables,))
 
     @classmethod
     def of(cls, pairs: Iterable[Syllable]) -> "Word":
@@ -258,11 +250,14 @@ def evaluate(
     tree: Product, of_word: Callable[[Word], T], mul: Callable[[T, T], T],
     inv: Callable[[T], T], power: Callable[[T, int], T],
 ) -> T:
-    """The value of a parsed word in a group: its factors' values folded by
-    `mul`, each run by `of_word` and each power (w)^k, an inverse too, by
-    `power(value of w, |k|)`, once for each base and |k|, so d nested
-    commutators cost O(d^2) products."""
+    """The value of a parsed word in a group: its factors' values folded
+    left by `mul`, each run by `of_word` and each power (w)^k, an inverse
+    too, by `power(value of w, |k|)`, once for each base and |k|.  The folds
+    share one trie of factors, each node the product of the factors on its
+    path, so a fold multiplies only past its longest prefix in the trie,
+    and d nested commutators cost O(d) products."""
     powers: dict[tuple[int, int], T] = {}
+    trie: dict = {}
 
     def factor(f: Factor) -> T:
         if isinstance(f, Word):
@@ -273,7 +268,16 @@ def evaluate(
         return powers[key] if f.exp > 0 else inv(powers[key])
 
     def value(tree: Product) -> T:
-        return reduce(mul, map(factor, tree.factors)) if tree.factors else of_word(Word())
+        if not tree.factors:
+            return of_word(Word())
+        node = trie
+        for f in tree.factors:
+            key = f if isinstance(f, Word) else (id(f.base), f.exp)
+            if key not in node:
+                g = factor(f)
+                node[key] = (g if node is trie else mul(product, g), {})
+            product, node = node[key]
+        return product
 
     return value(tree)
 

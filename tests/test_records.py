@@ -142,6 +142,11 @@ def test_record_contract(cls):
         assert pickle.loads(pickle.dumps(record)) == record
 
 
+def test_every_record_compares_and_hashes_by_the_base():
+    # one path: equality and hash read the getter that `Record` builds
+    assert [cls.__name__ for cls in RECORDS if {"__eq__", "__hash__"} & set(vars(cls))] == []
+
+
 def test_records_of_different_classes_with_equal_fields_differ():
     assert Type1(2) != Type2(2) and TriState(True, "") != MinimaxInfo(True, "")
 

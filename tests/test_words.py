@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import random
 import time
+from functools import partial
 
 import pytest
 
 from hirsch3 import InputError
+from hirsch3.families import BSbar, ops_for
+from hirsch3.rationals import binary_power
 from hirsch3.words import (
     MAX_POWER_SYLLABLES,
     ParseError,
@@ -294,6 +297,27 @@ class TestTree:
             lambda g, n: taken.append(n) or g * n,
         )
         assert (value, taken, seen) == (k, [k], [w("a b")])
+
+    @pytest.mark.parametrize("depth", [2, 4, 8, 16])
+    def test_nested_commutator_costs_linear_products(self, depth):
+        # each level's fold starts with the factors of the level below, so
+        # it shares their products: two new products per level, where a
+        # fold of its own at each level made 2, 9, 35 and 135
+        ops = ops_for(BSbar(2, 3))
+        text = "[t^-3, a^3]"
+        for _ in range(depth - 1):
+            text = f"[{text}, t^5]"
+        tree = parse_tree(text)
+        calls = []
+
+        def mul(g, h):
+            calls.append(None)
+            return ops.mul(g, h)
+
+        power = partial(binary_power, mul=ops.mul, identity=ops.identity(), bits=ops.family.bits)
+        value = evaluate(tree, ops.of_word, mul, ops.inv, power)
+        assert len(calls) == 2 * depth - 2
+        assert value == ops.of_word(tree.word)
 
 
 class TestRoundTrip:
