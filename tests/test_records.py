@@ -2,9 +2,9 @@
 
 Every record is a plain class on `hirsch3.Record`: construction by
 position or by keyword with the same defaults, `==` only within its own
-class, `hash` of its field tuple, no assignment, and the `repr` that the
-test ids and seeds read.  Importing the commands loads neither
-`dataclasses` nor `inspect`.
+class, `hash` of its field tuple, both inherited from the base, no
+assignment, and the `repr` that the test ids and seeds read.  Importing
+the commands loads neither `dataclasses` nor `inspect`.
 """
 
 from __future__ import annotations
