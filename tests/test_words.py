@@ -301,8 +301,7 @@ class TestTree:
     @pytest.mark.parametrize("depth", [2, 4, 8, 16])
     def test_nested_commutator_costs_linear_products(self, depth):
         # each level's fold starts with the factors of the level below, so
-        # it shares their products: two new products per level, where a
-        # fold of its own at each level made 2, 9, 35 and 135
+        # it shares their products and adds two new ones
         ops = ops_for(BSbar(2, 3))
         text = "[t^-3, a^3]"
         for _ in range(depth - 1):
